@@ -3,22 +3,15 @@
 
 The analytic coefficients consume sine/cosine integrals at complex
 arguments like (Lam t -+ i) z / Lam, the Hurwitz-Lerch transcendent from
-the Matsubara pole sum, and generalized hypergeometric 1F2 series from the
-sharp-cutoff kernels.  Each is checked here against a throwaway brute-force
-evaluation.
+the Matsubara pole sum.  Each is checked here against a throwaway
+brute-force evaluation.
 """
 
 import math
 
 import numpy as np
 
-from qbmag.specfun import (
-    PFQParams,
-    cos_integral,
-    hypergeometric_pfq,
-    lerch_phi,
-    sin_integral,
-)
+from qbmag.specfun import cos_integral, lerch_phi, sin_integral
 
 z = 2.0 - 0.3j
 series = sum((-1) ** k * z ** (2 * k + 1) / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(40))
@@ -33,7 +26,3 @@ print("Ci(w) + Ci(conj w) = %s (imaginary part cancels)" % (cos_integral(w) + co
 phi = lerch_phi(0.3, 1.0, 1.7)
 brute = sum(0.3**k / (k + 1.7) for k in range(200))
 print("Phi(0.3, 1, 1.7) = %.15f (brute force %.15f)" % (phi.real, brute))
-
-params = PFQParams((0.75,), (0.5, 1.75))
-print("1F2(3/4; 1/2, 7/4; -1/4) = %.15f" % hypergeometric_pfq(params, -0.25))
-print("1F2 at 0 = %g" % hypergeometric_pfq(params, 0.0))

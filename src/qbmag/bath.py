@@ -42,6 +42,12 @@ class RegimeKind(str, enum.Enum):
     LOW_TEMPERATURE = "low"
 
 
+def _require_finite(obj, fields):
+    for name in fields:
+        if not np.isfinite(getattr(obj, name)):
+            raise DomainError("%s must be finite, got %r" % (name, getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
     """Bath spectral density J(w) = gamma * w^s * cutoff envelope."""
@@ -53,6 +59,7 @@ class SpectralDensity:
 
     def __post_init__(self):
         object.__setattr__(self, "cutoff", Cutoff(self.cutoff))
+        _require_finite(self, ("s", "lam", "gamma"))
         if not (self.s > 0):
             raise DomainError("spectral exponent s must be > 0")
         if not (self.lam > 0):
@@ -71,6 +78,7 @@ class ThermalRegime:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", RegimeKind(self.kind))
+        _require_finite(self, ("omega_th",))
         if self.kind in (RegimeKind.EXACT, RegimeKind.HIGH_TEMPERATURE) and not (
             self.omega_th > 0
         ):
@@ -135,7 +143,7 @@ def _integrand_parts(sd, regime):
             tiny = w < 1e-8 * oth
             out[tiny] = sd.gamma * oth * env(w[tiny])
             ws = w[~tiny]
-            out[~tiny] = sd.gamma * ws * env(ws) * _coth(ws / oth) / ws**p
+            out[~tiny] = sd.gamma * ws * env(ws) * _coth(ws / oth)
             return out
 
     return p, g, upper
@@ -450,14 +458,33 @@ def dissipation_kernel_reference(sd, tau):
     return out if np.ndim(tau) else float(out)
 
 
-def _check_drude_guards(sd, regime, tau_max):
-    ratio = sd.lam / regime.omega_th
-    if abs(np.sin(ratio)) < 1e-8:
-        raise PoleError(
-            "cot(Lam/Omega_th) pole: Lam/Omega_th = %g is within 1e-8 of a multiple of pi" % ratio
+def closed_kernel_error(sd, regime, tau_max):
+    """The error the catalogued regime kernels raise on [0, tau_max], or None.
+
+    This states their validity window: the exact regime, and Drude-Lorentz
+    exponents without a transform, have no catalogued kernel; the Ohmic
+    Drude-Lorentz pole-sum forms need Omega_th > 0 with Lam/Omega_th off the
+    poles of cot(Lam/Omega_th), and Lam tau <= 700, past which
+    cosh(Lam tau) overflows.
+    """
+    if regime.kind is RegimeKind.EXACT:
+        return UnsupportedFormError("the exact regime has no catalogued kernel; use quadrature")
+    if sd.cutoff is Cutoff.DRUDE_LORENTZ and sd.s == 1.0:
+        if not regime.omega_th > 0:
+            return DomainError("the Drude-Lorentz pole-sum forms need omega_th > 0")
+        ratio = sd.lam / regime.omega_th
+        if abs(np.sin(ratio)) < 1e-8:
+            return PoleError(
+                "cot(Lam/Omega_th) pole: Lam/Omega_th = %g is within 1e-8 of a multiple of pi" % ratio
+            )
+        if sd.lam * tau_max > 700.0:
+            return RangeError("cosh(Lam tau) overflows for Lam tau = %g > 700" % (sd.lam * tau_max))
+        return None
+    if _reference_kernel_fn(sd, regime, "cos") is None:
+        return UnsupportedFormError(
+            "no catalogued kernel for s=%g %s %s" % (sd.s, sd.cutoff.value, regime.kind.value)
         )
-    if sd.lam * tau_max > 700.0:
-        raise RangeError("cosh(Lam tau) overflows for Lam tau = %g > 700" % (sd.lam * tau_max))
+    return None
 
 
 def noise_kernel_closed_parts(sd, regime, tau):
@@ -470,13 +497,13 @@ def noise_kernel_closed_parts(sd, regime, tau):
     integrate, but they are *not* transforms of the coth-approximated
     defining integral; ``noise_kernel_reference`` provides the latter.
     """
-    if regime.kind is RegimeKind.EXACT:
-        raise UnsupportedFormError("the exact regime has no catalogued kernel; use quadrature")
     tarr = np.asarray(tau, dtype=float)
     if np.any(tarr < 0):
         raise DomainError("tau must be >= 0")
+    err = closed_kernel_error(sd, regime, float(np.max(tarr)))
+    if err is not None:
+        raise err
     if sd.cutoff is Cutoff.DRUDE_LORENTZ and sd.s == 1.0:
-        _check_drude_guards(sd, regime, float(np.max(tarr)))
         cot = 1.0 / np.tan(sd.lam / regime.omega_th)
         base = (np.pi * sd.gamma * sd.lam**2 / 2.0) * cot * np.cosh(sd.lam * tarr)
         if regime.kind is RegimeKind.HIGH_TEMPERATURE:
@@ -487,10 +514,6 @@ def noise_kernel_closed_parts(sd, regime, tau):
             out = base + 0.0j
         return out if np.ndim(tau) else complex(out)
     fn = _reference_kernel_fn(sd, regime, "cos")
-    if fn is None:
-        raise UnsupportedFormError(
-            "no catalogued kernel for s=%g %s %s" % (sd.s, sd.cutoff.value, regime.kind.value)
-        )
     out = fn(tarr) + 0.0j
     return out if np.ndim(tau) else complex(out)
 

@@ -98,10 +98,9 @@ def _scalar_config(cfg):
     merged.update(cfg)
     for key, val in merged.items():
         if isinstance(val, list):
-            raise ConfigError("key %r has multiple values; use the sweep subcommand" % key)
-    for req in ("lam",):
-        if req not in merged:
-            raise ConfigError("missing required key %r" % req)
+            raise ConfigError("key %r has multiple values; only the sweep subcommand sweeps" % key)
+    if "lam" not in merged:
+        raise ConfigError("missing required key 'lam'")
     return merged
 
 
@@ -192,13 +191,7 @@ def run_curve(cfg, out_path):
 
 
 def run_spectra(cfg, out_path):
-    merged = dict(_DEFAULTS)
-    merged.update(cfg)
-    for key, val in merged.items():
-        if isinstance(val, list):
-            raise ConfigError("spectra does not sweep; key %r repeated" % key)
-    if "lam" not in merged:
-        raise ConfigError("missing required key 'lam'")
+    merged = _scalar_config(cfg)
     omega_max = merged.get("omega_max", 5.0 * merged["lam"])
     n = merged["omega_points"]
     if merged["omega_grid"] == "log":

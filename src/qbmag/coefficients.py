@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .bath import Cutoff, RegimeKind, noise_kernel_quadrature
+from .bath import Cutoff, RegimeKind, closed_kernel_error, noise_kernel_quadrature
 from .dynamics import f_weight, mode_constants
-from .errors import DomainError, PoleError, RangeError, UnsupportedFormError
+from .errors import DomainError, UnsupportedFormError
 from .specfun import cos_integral as Ci
 from .specfun import sin_integral as Si
 
@@ -68,13 +68,6 @@ def _require_ohmic_closed(sd, regime, t):
         raise UnsupportedFormError("closed coefficient forms exist for the Ohmic bath only")
     if t < 0:
         raise DomainError("t must be >= 0")
-
-
-def _drude_guards(sd, regime, t):
-    if abs(np.sin(sd.lam / regime.omega_th)) < 1e-8:
-        raise PoleError("cot(Lam/Omega_th) pole")
-    if sd.lam * t > 700.0:
-        raise RangeError("cosh(Lam t) overflows for Lam t = %g" % (sd.lam * t))
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +137,6 @@ def _abrupt_validated(sd, regime, mc, t, hbar, which):
 def _drude_validated(sd, regime, mc, t, hbar, which):
     lam, gam = sd.lam, sd.gamma
     ap, bp, m, p, g = mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef, mc.g_coef
-    _drude_guards(sd, regime, t)
     cot = 1.0 / np.tan(lam / regime.omega_th)
     sh, chl = np.sinh(lam * t), np.cosh(lam * t)
 
@@ -403,7 +395,6 @@ def _lambda_printed(sd, regime, mc, t, hbar, which):
             raise UnsupportedFormError("abrupt low-T lambda2: undefined f3 in the source display")
         return l1, l2
     if sd.cutoff is Cutoff.DRUDE_LORENTZ:
-        _drude_guards(sd, regime, t)
         oth = regime.omega_th
         cot = 1.0 / np.tan(lam / oth)
         if high:
@@ -451,6 +442,10 @@ def lambda_closed(sys, sd, regime, t, variant="validated", which="both"):
     mc = mode_constants(sys)
     if t == 0:
         return _lambda_zero(sd, regime, which)
+    # the Drude-Lorentz forms integrate the pole-sum kernel, so they share its window
+    err = closed_kernel_error(sd, regime, t)
+    if err is not None:
+        raise err
     if variant == "validated":
         if sd.cutoff is Cutoff.ABRUPT:
             l1, l2 = _abrupt_validated(sd, regime, mc, t, sys.hbar, which)

@@ -19,10 +19,11 @@ import numpy as np
 from .bath import (
     Cutoff,
     _reference_kernel_fn,
+    closed_kernel_error,
     noise_kernel_closed_parts,
     noise_kernel_quadrature,
 )
-from .dynamics import mode_constants
+from .dynamics import mode_constants, time_moments
 from .errors import DomainError, UnsupportedFormError
 from .specfun import EULER_GAMMA
 
@@ -87,72 +88,18 @@ def _kernel_for(sd, regime, method):
     return slow, "quadrature"
 
 
-def _cumulative_moments(sys, kernel, grid, lam, oscillates, order=16, frac=1.0):
-    """Running moments c0 = int nu F, c1 = int u nu F for F1 and F2 on `grid`.
-
-    Segments between grid points are subdivided so Gauss-Legendre of the
-    given order sees at most `frac` half-periods of the fastest oscillation
-    (half a period per 16-node panel keeps each panel at ~1e-12 relative).
-    """
-    mc = mode_constants(sys)
-    ap, bp, m, p, g = mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef, mc.g_coef
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    edges = np.concatenate([[0.0], grid])
-    mode_freq = ap + bp
-    c0 = np.zeros(2, dtype=complex)
-    c1 = np.zeros(2, dtype=complex)
-    out_c0 = np.empty((len(grid), 2), dtype=complex)
-    out_c1 = np.empty((len(grid), 2), dtype=complex)
-    for i in range(len(grid)):
-        a, b = edges[i], edges[i + 1]
-        if b <= a:
-            out_c0[i], out_c1[i] = c0, c1
-            continue
-        freq = mode_freq + (lam if (oscillates or a < 30.0 / lam) else 0.0)
-        maxlen = np.pi * frac / max(freq, 1e-12)
-        if a == 0.0:
-            # geometric refinement towards tau = 0: several kernels have an
-            # integrable singularity there (log or inverse square root) that
-            # a single Gauss panel would smear into a constant-offset error
-            sub = np.concatenate([[0.0], b * 2.0 ** -np.arange(42.0, -1.0, -1.0)])
-        else:
-            nsub = max(1, int(np.ceil((b - a) / maxlen)))
-            sub = np.linspace(a, b, nsub + 1)
-        refine = np.maximum(1, np.ceil(np.diff(sub) / maxlen).astype(int))
-        if np.any(refine > 1):
-            sub = np.concatenate(
-                [[sub[0]]]
-                + [np.linspace(sub[j], sub[j + 1], refine[j] + 1)[1:] for j in range(len(refine))]
-            )
-        mid = 0.5 * (sub[1:] + sub[:-1])
-        half = 0.5 * (sub[1:] - sub[:-1])
-        u = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        w = (half[:, None] * wg[None, :]).ravel()
-        nu = np.asarray(kernel(u))
-        f1 = m * np.cos(ap * u) + p * np.cos(bp * u)
-        if ap - bp < 1e-6 * ap:
-            zm = 0.5 * (ap + bp)
-            f2 = g * (ap - bp) * (zm * u * np.cos(zm * u) - np.sin(zm * u)) / zm**2
-        else:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                f2 = g * (np.sin(bp * u) / bp - np.sin(ap * u) / ap) if bp > 0 else np.zeros_like(u)
-        c0 = c0 + np.array([np.sum(w * nu * f1), np.sum(w * nu * f2)])
-        c1 = c1 + np.array([np.sum(w * u * nu * f1), np.sum(w * u * nu * f2)])
-        out_c0[i], out_c1[i] = c0, c1
-    return out_c0, out_c1
-
-
-def _exponent_arrays(sys, sd, regime, sep, grid, method, order=16, frac=1.0):
+def _exponent_arrays(sys, sd, regime, grid, method):
+    """(int_0^t lambda dt', lambda, estimated error of the first, kernel label)
+    on `grid`, columns lambda1 and lambda2."""
     kernel, label = _kernel_for(sd, regime, method)
     if sd.gamma == 0.0:
         zeros = np.zeros((len(grid), 2), dtype=complex)
-        return zeros, zeros, label
-    oscillates = sd.cutoff is Cutoff.ABRUPT
-    c0, c1 = _cumulative_moments(sys, kernel, grid, sd.lam, oscillates, order, frac)
+        return zeros, zeros, zeros, label
+    mom = time_moments(sys, kernel, grid, sd.lam, sd.cutoff is Cutoff.ABRUPT)
     tcol = np.asarray(grid)[:, None]
-    int_lam = (tcol * c0 - c1) / sys.hbar
-    lam_samples = c0 / sys.hbar
-    return int_lam, lam_samples, label
+    int_lam = (tcol * mom.c0 - mom.c1) / sys.hbar
+    int_err = (tcol * mom.d0 - mom.d1) / sys.hbar
+    return int_lam, mom.c0 / sys.hbar, int_err, label
 
 
 def exponents(sys, sd, regime, sep, t, method="quadrature"):
@@ -162,7 +109,7 @@ def exponents(sys, sd, regime, sep, t, method="quadrature"):
     if t == 0 or (sep.dx == 0 and sep.dy == 0) or sd.gamma == 0.0:
         return DecoherenceExponent(0j, 0j, float(t))
     grid = np.array([float(t)])
-    int_lam, _, _ = _exponent_arrays(sys, sd, regime, sep, grid, method)
+    int_lam = _exponent_arrays(sys, sd, regime, grid, method)[0]
     d1 = (sep.dx**2 + sep.dy**2) * int_lam[0, 0]
     d2 = 2.0 * sep.dx * sep.dy * int_lam[0, 1]
     return DecoherenceExponent(complex(d1), complex(d2), float(t))
@@ -241,46 +188,25 @@ def curve(sys, sd, regime, sep, grid=None, method="quadrature"):
     n = len(grid)
     flags = np.zeros(n, dtype=int)
     methods = [method] * n
-
-    def run(meth, use_grid):
-        fine = _exponent_arrays(sys, sd, regime, sep, use_grid, meth, order=16, frac=1.0)
-        coarse = _exponent_arrays(sys, sd, regime, sep, use_grid, meth, order=8, frac=2.0)
-        return fine, coarse
-
-    if method == "closed":
-        try:
-            noise_kernel_closed_parts(sd, regime, grid[-1:])
-            valid_mask = np.ones(n, dtype=bool)
-        except Exception:
-            # shrink to the valid prefix; remaining points fall back
-            valid_mask = np.zeros(n, dtype=bool)
-            for i, t in enumerate(grid):
-                try:
-                    noise_kernel_closed_parts(sd, regime, np.array([t]))
-                    valid_mask[i] = True
-                except Exception:
-                    break
-        int_lam = np.empty((n, 2), dtype=complex)
-        lam_s = np.empty((n, 2), dtype=complex)
-        int_c = np.empty((n, 2), dtype=complex)
-        if valid_mask.any():
-            (a, b, _), (c, _, _) = run("closed", grid[valid_mask])
-            int_lam[valid_mask], lam_s[valid_mask], int_c[valid_mask] = a, b, c
-        if (~valid_mask).any():
-            (a, b, _), (c, _, _) = run("quadrature", grid)
-            int_lam[~valid_mask], lam_s[~valid_mask] = a[~valid_mask], b[~valid_mask]
-            int_c[~valid_mask] = c[~valid_mask]
-            flags[~valid_mask] = FLAG_FALLBACK
-            for i in np.nonzero(~valid_mask)[0]:
-                methods[i] = "quadrature"
-        coarse_int = int_c
+    valid = np.ones(n, dtype=bool)
+    if method == "closed" and closed_kernel_error(sd, regime, grid[-1]) is not None:
+        # the window is a prefix of the grid; later points fall back
+        valid = np.array([closed_kernel_error(sd, regime, t) is None for t in grid])
+    if valid.all():
+        int_lam, lam_s, int_err, _ = _exponent_arrays(sys, sd, regime, grid, method)
     else:
-        (int_lam, lam_s, _), (coarse_int, _, _) = run("quadrature", grid)
+        int_lam, lam_s, int_err, _ = _exponent_arrays(sys, sd, regime, grid, "quadrature")
+        if valid.any():
+            int_lam[valid], lam_s[valid], int_err[valid], _ = _exponent_arrays(
+                sys, sd, regime, grid[valid], "closed"
+            )
+        flags[~valid] = FLAG_FALLBACK
+        for i in np.nonzero(~valid)[0]:
+            methods[i] = "quadrature"
 
     pref = np.array([sep.dx**2 + sep.dy**2, 2.0 * sep.dx * sep.dy])
-    d_fine = int_lam @ pref
-    d_coarse = coarse_int @ pref
-    dre = d_fine.real
+    d = int_lam @ pref
+    dre = d.real
     mag = np.exp(-np.clip(dre, -_EXP_LIMIT, _EXP_LIMIT))
     clamped = dre > _EXP_LIMIT
     mag[clamped] = UNDERFLOW_CLAMP
@@ -289,11 +215,11 @@ def curve(sys, sd, regime, sep, grid=None, method="quadrature"):
     if bad.any():
         mag[bad] = np.nan
         flags[bad] = FLAG_ERROR
-    est = np.abs(d_fine - d_coarse) * mag
+    est = np.abs(int_err @ pref) * mag
     return CurveSeries(
         times=grid,
         magnitude=mag,
-        phase=-d_fine.imag,
+        phase=-d.imag,
         lambda1=lam_s[:, 0],
         lambda2=lam_s[:, 1],
         method=tuple(methods),

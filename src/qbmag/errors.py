@@ -21,10 +21,6 @@ class ConvergenceError(QbmagError, RuntimeError):
     """An iterative scheme (quadrature tail, series) failed to stabilise."""
 
 
-class PrecisionLossError(QbmagError, ArithmeticError):
-    """Cancellation destroyed more significant digits than the tolerance allows."""
-
-
 class UnsupportedFormError(QbmagError, ValueError):
     """No closed form is available for the requested combination."""
 

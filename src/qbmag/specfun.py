@@ -4,10 +4,9 @@ Everything here is scalar (complex in, complex out unless stated). The sine
 and cosine integrals accept arbitrary complex arguments on the principal
 branch; the remaining functions wrap or extend scipy.special where the
 library form is not sufficient (complex arguments, explicit error contracts,
-or series not shipped with scipy at all).
+or the Lerch series, which scipy does not ship).
 """
 
-from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
@@ -17,7 +16,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     PoleError,
-    PrecisionLossError,
     RangeError,
 )
 
@@ -316,63 +314,3 @@ def lerch_phi(z, s, a, rtol=1e-12, max_terms=200_000):
         elif k >= 2:
             p1, p2, p3 = p2, p3, tot
     raise ConvergenceError("Lerch series did not reach tolerance (|z| too close to 1?)")
-
-
-@dataclass(frozen=True)
-class PFQParams:
-    """Parameter lists of a generalized hypergeometric series pFq."""
-
-    upper: tuple
-    lower: tuple
-
-    def __post_init__(self):
-        for b in self.lower:
-            if b <= 0 and float(b) == np.floor(b):
-                raise PoleError("lower parameter %g is a non-positive integer" % b)
-
-
-def hypergeometric_pfq(params, z, max_terms=10_000):
-    """Generalized hypergeometric series pFq(upper; lower; z).
-
-    Compensated (Kahan) summation; stops when the term drops below 1e-16 of
-    the running sum twice in a row or after `max_terms` terms.  Raises
-    PrecisionLossError when the largest partial sum exceeds 1e12 times the
-    result (alternating-series cancellation has then eaten >12 digits).
-    """
-    z = float(z)
-    if z == 0.0:
-        return 1.0
-    upper = [float(a) for a in params.upper]
-    lower = [float(b) for b in params.lower]
-    term = 1.0
-    total = 1.0
-    comp = 0.0
-    max_partial = 1.0
-    small_streak = 0
-    for k in range(max_terms):
-        num = 1.0
-        for a in upper:
-            num *= a + k
-        den = 1.0
-        for b in lower:
-            den *= b + k
-        term = term * num / den * z / (k + 1.0)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        max_partial = max(max_partial, abs(total))
-        if abs(term) < 1e-16 * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        else:
-            small_streak = 0
-    else:
-        raise ConvergenceError("pFq series did not terminate in %d terms" % max_terms)
-    if max_partial > 1e12 * max(abs(total), 1e-300):
-        raise PrecisionLossError(
-            "pFq cancellation: max partial sum %.3e vs result %.3e"
-            % (max_partial, total)
-        )
-    return total

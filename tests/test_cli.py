@@ -162,3 +162,9 @@ def test_validate_full_exit_reflects_criterion_2(tmp_path):
     assert rep.acceptance_complete()
     failing = [c.name for c in rep.checks if c.status != "pass"]
     assert failing == ["criterion-2"]
+
+
+def test_curve_nonfinite_parameter_exit_2(tmp_path, capsys):
+    cfg = write(tmp_path, "nan.cfg", CURVE_CFG.replace("omega0=10", "omega0=nan"))
+    assert cli.main(["curve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "omega0 must be finite" in capsys.readouterr().err

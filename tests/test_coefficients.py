@@ -202,3 +202,21 @@ def test_findings_registry_covers_known_deviations():
         ("exp", "low", "lambda2"),
     ):
         assert key in coefficients.FINDINGS
+
+
+def test_criterion_5_detects_a_validated_form_off_by_1e_3(monkeypatch):
+    from qbmag import validation
+
+    good = coefficients._exp_validated
+
+    def off(sd, regime, mc, t, hbar, which):
+        l1, l2 = good(sd, regime, mc, t, hbar, which)
+        return l1 * (1.0 + 1e-3), l2
+
+    monkeypatch.setattr(coefficients, "_exp_validated", off)
+    res = validation.check_criterion_5()
+    assert res.status == "fail"
+    worst = res.measured["validated_worst_rel"]
+    assert worst["exp-high"] == pytest.approx(1e-3, rel=1e-3)
+    assert worst["exp-low"] == pytest.approx(1e-3, rel=1e-3)
+    assert max(worst["abrupt-high"], worst["drude-low"]) < 1e-6

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
-from qbmag import dynamics
-from qbmag.bath import Cutoff, SpectralDensity
-from qbmag.dynamics import SystemParams, f_weight, frequency_shift, heisenberg_transfer, mode_constants
+from qbmag import bath, decoherence, dynamics
+from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
+from qbmag.coefficients import lambda_from_kernel
+from qbmag.dynamics import (
+    SystemParams,
+    f_weight,
+    frequency_shift,
+    heisenberg_transfer,
+    mode_constants,
+    time_moments,
+)
 from qbmag.errors import DegenerateSystemError, DomainError
 
 
@@ -135,3 +144,85 @@ def test_momentum_weights_exposed():
     )
     with pytest.raises(ValueError):
         f_weight(sys, 0.1, "F9")
+
+
+def test_f2_zero_without_trap():
+    # omega0 = 0 gives B' = 0 and G = 0
+    sys = SystemParams(omega0=0.0, omega_c=2.0)
+    assert np.all(f_weight(sys, np.linspace(0.0, 3.0, 7), "F2") == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_system_parameters_rejected(bad):
+    base = dict(omega0=1.0, omega_c=0.5, m=1.0, gamma=1.0, hbar=1.0, omega_th=2.0)
+    for field in base:
+        with pytest.raises(DomainError):
+            SystemParams(**dict(base, **{field: bad}))
+
+
+ENGINE_SYS = SystemParams(omega0=7.0, omega_c=2.0)
+
+
+@pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE])
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+def test_time_moments_match_same_kernel_quadrature(s, cutoff, rkind, request):
+    if (s, cutoff, rkind) == (1.5, Cutoff.DRUDE_LORENTZ, RegimeKind.LOW_TEMPERATURE):
+        # nu ~ tau^(-1/2) here; one Gauss panel on [0, grid[0] 2^-42] misses
+        # ~2.6% of that singular part, 2e-8 to 3e-7 of lambda1 on this grid
+        request.applymarker(pytest.mark.xfail(strict=True, reason="inner-panel singularity"))
+    sd = SpectralDensity(s, cutoff, 60.0, 1.3)
+    regime = ThermalRegime(rkind, 11.0)
+    kernel, _ = decoherence._kernel_for(sd, regime, "quadrature")
+    ts = np.array([0.3, 4.0, 11.0]) / sd.lam
+    mom = time_moments(ENGINE_SYS, kernel, ts, sd.lam, cutoff is Cutoff.ABRUPT)
+    mc = mode_constants(ENGINE_SYS)
+    for t, (l1, l2) in zip(ts, mom.c0 / ENGINE_SYS.hbar):
+        ref = lambda_from_kernel(ENGINE_SYS, kernel, t)
+        # F2 cancels to eps / ((A'^2 - B'^2) t^2) in both paths
+        cancel = 1e3 * np.finfo(float).eps / ((mc.a_prime**2 - mc.b_prime**2) * t * t)
+        assert abs(l1 - ref.lambda1) <= 1e-8 * abs(ref.lambda1)
+        assert abs(l2 - ref.lambda2) <= (1e-8 + cancel) * abs(ref.lambda2)
+
+
+def test_time_moments_estimate_bounds_error():
+    # kernel e^{-k u} cos(L u) against F1 = M cos A'u + P cos B'u has the
+    # closed integral sum_z Re[(e^{z t} - 1) / z] / 2, z = -k + i(L -+ freq)
+    sys = SystemParams(omega0=3.0, omega_c=1.5)
+    mc = mode_constants(sys)
+    kap, lam = 40.0, 250.0
+    kernel = lambda u: np.exp(-kap * u) * np.cos(lam * u)
+    grid = np.logspace(-4, 0, 25)
+    mom = time_moments(sys, kernel, grid, lam, oscillates=True)
+
+    def exact(t):
+        total = 0.0
+        for weight, freq in ((mc.m_coef, mc.a_prime), (mc.p_coef, mc.b_prime)):
+            for z in (complex(-kap, lam - freq), complex(-kap, lam + freq)):
+                total += 0.5 * weight * ((np.exp(z * t) - 1.0) / z).real
+        return total
+
+    err = np.abs(mom.c0[:, 0] - np.array([exact(t) for t in grid]))
+    assert np.all(err <= np.abs(mom.d0[:, 0]) + 1e-13 * np.abs(mom.c0[:, 0]))
+    # the estimate is informative: the 8-node sub-rule differs visibly
+    assert np.max(np.abs(mom.d0[:, 0])) > 1e-10 * np.max(np.abs(mom.c0[:, 0]))
+
+
+def test_frequency_shift_matches_high_precision_value():
+    # -(2/m) int_0^40 eta F1 with eta = 2 gamma Lam^3 tau / (1 + Lam^2 tau^2)^2
+    # and F1 = cos(tau), by 30-digit mpmath quadrature
+    sys = SystemParams(omega0=1.0, omega_c=0.0)
+    sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 10.0, 0.05)
+    assert frequency_shift(sys, sd, 40.0) == pytest.approx(-0.97268720716282673673, rel=1e-13)
+
+
+def test_frequency_shift_without_closed_eta():
+    # Drude-Lorentz s = 0.7 has no catalogued eta; the shift then integrates
+    # the defining quadrature node by node
+    sys = SystemParams(omega0=2.0, omega_c=0.5)
+    sd = SpectralDensity(0.7, Cutoff.DRUDE_LORENTZ, 8.0, 0.1)
+    t_max = 0.3
+    got = frequency_shift(sys, sd, t_max)
+    fn = lambda u: bath.dissipation_kernel_quadrature(sd, u) * f_weight(sys, u, "F1")
+    want = -2.0 / sys.m * integrate.quad(fn, 0.0, t_max, epsrel=1e-10)[0]
+    assert got == pytest.approx(want, rel=1e-7)

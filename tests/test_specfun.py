@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,16 +9,14 @@ from qbmag.errors import (
     ConvergenceError,
     DomainError,
     PoleError,
-    PrecisionLossError,
     RangeError,
 )
 
-# frozen oracle values (brute-force series / rational partial sums, see the
-# oracle helpers below which regenerate them)
+# frozen oracle values (brute-force series, see the oracle helpers below
+# which regenerate them)
 SI_1 = 0.9460830703671830
 CI_1 = 0.3374039229009681
 LERCH_03_1_17 = 0.7313282643695065
-PFQ_AT_MINUS_QUARTER = 0.7968040246267731
 ERF_1 = 0.8427007929497148
 
 
@@ -161,47 +158,6 @@ def test_lerch_domain_errors():
             specfun.lerch_phi(0.5, 1.0, a)
     with pytest.raises(DomainError):
         specfun.lerch_phi(0.5, 1.5, -0.5)
-
-
-def pfq_rational(upper, lower, z, terms):
-    tot = Fraction(0)
-    term = Fraction(1)
-    for k in range(terms):
-        tot += term
-        num = Fraction(1)
-        for a in upper:
-            num *= a + k
-        den = Fraction(1)
-        for b in lower:
-            den *= b + k
-        term = term * num / den * z / (k + 1)
-    return tot
-
-
-def test_pfq_trivial_and_frozen():
-    params = specfun.PFQParams((0.75,), (0.5, 1.75))
-    assert specfun.hypergeometric_pfq(params, 0.0) == 1.0
-    ref = float(pfq_rational([Fraction(3, 4)], [Fraction(1, 2), Fraction(7, 4)], Fraction(-1, 4), 200))
-    assert abs(ref - PFQ_AT_MINUS_QUARTER) < 1e-15
-    assert abs(specfun.hypergeometric_pfq(params, -0.25) - ref) < 1e-12
-
-
-def test_pfq_truncation_stability():
-    params = specfun.PFQParams((1.25,), (0.5, 2.25))
-    v1 = specfun.hypergeometric_pfq(params, -4.0, max_terms=100)
-    v2 = specfun.hypergeometric_pfq(params, -4.0, max_terms=200)
-    assert abs(v1 - v2) <= 1e-8 * abs(v2)
-
-
-def test_pfq_precision_loss():
-    params = specfun.PFQParams((0.75,), (0.5, 1.75))
-    with pytest.raises(PrecisionLossError):
-        specfun.hypergeometric_pfq(params, -4000.0)
-
-
-def test_pfq_pole_params():
-    with pytest.raises(PoleError):
-        specfun.PFQParams((1.0,), (0.5, -2.0))
 
 
 def test_lerch_convergence_error_near_unit_circle():
