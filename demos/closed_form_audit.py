@@ -26,16 +26,15 @@ from qbmag import (
 SYS = SystemParams(omega0=10.0, omega_c=1.0)
 T = 0.05
 
-print("%-22s %-8s %14s %14s" % ("combo", "which", "validated rel", "printed rel"))
+print("%-22s %-8s %14s %14s" % ("combo", "coef", "validated rel", "printed rel"))
 for cutoff in (Cutoff.ABRUPT, Cutoff.DRUDE_LORENTZ, Cutoff.EXPONENTIAL):
     for rkind in (RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE):
         sd = SpectralDensity(1.0, cutoff, 400.0, 1.0)
         regime = ThermalRegime(rkind, 17.0)
         kern = lambda u: noise_kernel_closed_parts(sd, regime, u)
         oracle = lambda_from_kernel(SYS, kern, T)
-        which = "lambda1" if (cutoff, rkind) == (Cutoff.ABRUPT, RegimeKind.LOW_TEMPERATURE) else "both"
-        val = lambda_closed(SYS, sd, regime, T, "validated", which)
-        prt = lambda_closed(SYS, sd, regime, T, "printed", which)
+        val = lambda_closed(SYS, sd, regime, T, "validated")
+        prt = lambda_closed(SYS, sd, regime, T, "printed")
         for name in ("lambda1", "lambda2"):
             v, p, q = getattr(val, name), getattr(prt, name), getattr(oracle, name)
             if v is None:

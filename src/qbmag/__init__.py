@@ -15,7 +15,6 @@ from .bath import (
     dissipation_kernel_quadrature,
     dissipation_kernel_reference,
     drude_exact_kernel,
-    noise_kernel_closed,
     noise_kernel_closed_parts,
     noise_kernel_quadrature,
     noise_kernel_reference,
@@ -64,7 +63,6 @@ __all__ = [
     "FINDINGS",
     "spectral_density",
     "noise_kernel_quadrature",
-    "noise_kernel_closed",
     "noise_kernel_closed_parts",
     "noise_kernel_reference",
     "dissipation_kernel_quadrature",

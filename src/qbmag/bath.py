@@ -6,7 +6,7 @@ Two evaluation paths are provided for the kernels:
   the defining frequency integrals directly (adaptive head, half-period
   segments with Euler acceleration for the conditionally convergent
   oscillatory tails).  This is the reference ("oracle") path.
-* ``noise_kernel_closed`` evaluates the catalogued analytic regime kernels,
+* ``noise_kernel_closed_parts`` evaluates the catalogued analytic regime kernels,
   and ``noise_kernel_reference`` the closed transforms of the defining
   integrals where one exists.  The two catalogues coincide except for the
   Ohmic Drude-Lorentz regime kernels, whose catalogued analytic forms stem
@@ -162,7 +162,12 @@ def _gauss_segment(fn, a, b):
     return half * float(np.sum(_GLW * fn(mid + half * _GLX)))
 
 
-def _kernel_quadrature(sd, regime, tau, kind, rtol, abs_floor, max_segments):
+# stopping rule of the Euler-accelerated oscillatory tail
+_TAIL_ABS_FLOOR = 1e-12
+_TAIL_MAX_SEGMENTS = 10_000
+
+
+def _kernel_quadrature(sd, regime, tau, kind, rtol):
     p, g, upper = _integrand_parts(sd, regime)
     tau = float(tau)
     if tau < 0:
@@ -227,7 +232,7 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol, abs_floor, max_segments):
     prev = edge(k)
     stable = 0
     last_est = None
-    for _ in range(max_segments):
+    for _ in range(_TAIL_MAX_SEGMENTS):
         nxt = edge(k + 1)
         seg = _gauss_segment(full, prev, nxt)
         run += seg
@@ -238,7 +243,7 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol, abs_floor, max_segments):
             return total + run
         if len(partials) >= 8:
             est = _euler_transform(partials[-min(len(partials), 30):])
-            if last_est is not None and abs(est - last_est) < rtol * abs(total + est) + abs_floor:
+            if last_est is not None and abs(est - last_est) < rtol * abs(total + est) + _TAIL_ABS_FLOOR:
                 stable += 1
                 if stable >= 3:
                     return total + est
@@ -246,11 +251,11 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol, abs_floor, max_segments):
                 stable = 0
             last_est = est
     raise ConvergenceError(
-        "oscillatory tail did not stabilise within %d segments" % max_segments
+        "oscillatory tail did not stabilise within %d segments" % _TAIL_MAX_SEGMENTS
     )
 
 
-def noise_kernel_quadrature(sd, regime, tau, rtol=1e-8, abs_floor=1e-12, max_segments=10_000):
+def noise_kernel_quadrature(sd, regime, tau, rtol=1e-8):
     """Noise kernel nu(tau) = int_0^inf J(w) coth(w/Omega_th) cos(w tau) dw.
 
     The coth weight is taken exactly, or replaced by its classical
@@ -262,12 +267,12 @@ def noise_kernel_quadrature(sd, regime, tau, rtol=1e-8, abs_floor=1e-12, max_seg
     diverges (Drude-Lorentz tails at tau = 0 with s >= 1 in the quantum or
     exact regimes).
     """
-    return _kernel_quadrature(sd, regime, tau, "cos", rtol, abs_floor, max_segments)
+    return _kernel_quadrature(sd, regime, tau, "cos", rtol)
 
 
-def dissipation_kernel_quadrature(sd, tau, rtol=1e-8, abs_floor=1e-12, max_segments=10_000):
+def dissipation_kernel_quadrature(sd, tau):
     """Dissipation kernel eta(tau) = int_0^inf J(w) sin(w tau) dw; eta(0) = 0."""
-    return _kernel_quadrature(sd, None, tau, "sin", rtol, abs_floor, max_segments)
+    return _kernel_quadrature(sd, None, tau, "sin", 1e-8)
 
 
 # --------------------------------------------------------------------------
@@ -516,16 +521,6 @@ def noise_kernel_closed_parts(sd, regime, tau):
     fn = _reference_kernel_fn(sd, regime, "cos")
     out = fn(tarr) + 0.0j
     return out if np.ndim(tau) else complex(out)
-
-
-def noise_kernel_closed(sd, regime, tau):
-    """Real part of the catalogued analytic regime kernel.
-
-    The imaginary part (nonzero only for the Ohmic Drude-Lorentz
-    high-temperature form) is available from ``noise_kernel_closed_parts``.
-    """
-    out = noise_kernel_closed_parts(sd, regime, tau)
-    return np.real(out) if np.ndim(tau) else float(np.real(out))
 
 
 def drude_exact_kernel(sd, omega_th, tau):

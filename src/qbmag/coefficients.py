@@ -30,7 +30,7 @@ from .specfun import sin_integral as Si
 @dataclass(frozen=True)
 class LambdaPair:
     lambda1: complex
-    lambda2: complex
+    lambda2: complex | None
     t: float
     method: str
     est_error: float
@@ -61,80 +61,58 @@ def _chi2(a):
     return (Ci(1j * a) + Ci(-1j * a)).real
 
 
-def _require_ohmic_closed(sd, regime, t):
-    if regime.kind is RegimeKind.EXACT:
-        raise UnsupportedFormError("no closed coefficient forms in the exact regime")
-    if sd.s != 1.0:
-        raise UnsupportedFormError("closed coefficient forms exist for the Ohmic bath only")
-    if t < 0:
-        raise DomainError("t must be >= 0")
-
-
 # --------------------------------------------------------------------------
 # validated analytic forms (one helper per cutoff/regime)
 # --------------------------------------------------------------------------
 
-def _abrupt_validated(sd, regime, mc, t, hbar, which):
+def _abrupt_validated(sd, regime, mc, t, hbar):
     lam, gam = sd.lam, sd.gamma
     ap, bp, m, p, g = mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef, mc.g_coef
     if lam <= ap:
         raise DomainError("abrupt closed forms need Lam > A'")
-    l1 = l2 = None
     if regime.kind is RegimeKind.HIGH_TEMPERATURE:
         oth = regime.omega_th
-        if which in ("both", "lambda1"):
-            l1 = complex(
-                gam
-                * oth
-                / (2 * hbar)
-                * sum(
-                    w * (Si((lam - z) * t) + Si((lam + z) * t)).real
-                    for w, z in ((m, ap), (p, bp))
-                )
+        l1 = complex(
+            gam
+            * oth
+            / (2 * hbar)
+            * sum(
+                w * (Si((lam - z) * t) + Si((lam + z) * t)).real
+                for w, z in ((m, ap), (p, bp))
             )
-        if which in ("both", "lambda2"):
-            if mc.g_coef == 0.0:
-                l2 = 0.0 + 0.0j
-            else:
-                def cgrp(z):
-                    if t == 0:
-                        return 0.0
-                    return (Ci((lam - z) * t) - Ci((lam + z) * t)).real + np.log(
-                        (lam + z) / (lam - z)
-                    )
-
-                l2 = complex(gam * oth * g / (2 * hbar) * (cgrp(bp) / bp - cgrp(ap) / ap))
-        return l1, l2
-    # low temperature
-    if which in ("both", "lambda1"):
-        if t == 0:
-            l1 = 0.0 + 0.0j
-        else:
-            l1 = complex(
-                gam
-                / (2 * hbar * t)
-                * (
-                    2
-                    * (1 - np.cos(lam * t))
-                    * (m * np.cos(ap * t) + p * np.cos(bp * t))
-                    + sum(
-                        w
-                        * z
-                        * t
-                        * (Si((lam - z) * t) + 2 * Si(z * t) - Si((lam + z) * t)).real
-                        for w, z in ((m, ap), (p, bp))
-                    )
-                )
-            )
-    if which in ("both", "lambda2"):
-        raise UnsupportedFormError(
-            "abrupt low-temperature lambda2 has no usable closed form "
-            "(undefined f3 in the source display); use lambda_quadrature"
         )
-    return l1, l2
+        if g == 0.0:
+            l2 = 0.0 + 0.0j
+        else:
+            def cgrp(z):
+                return (Ci((lam - z) * t) - Ci((lam + z) * t)).real + np.log(
+                    (lam + z) / (lam - z)
+                )
+
+            l2 = complex(gam * oth * g / (2 * hbar) * (cgrp(bp) / bp - cgrp(ap) / ap))
+        return l1, l2
+    # low temperature: lambda2 depends on the undefined f3 of the source
+    # display, so it has no closed form (use lambda_quadrature)
+    l1 = complex(
+        gam
+        / (2 * hbar * t)
+        * (
+            2
+            * (1 - np.cos(lam * t))
+            * (m * np.cos(ap * t) + p * np.cos(bp * t))
+            + sum(
+                w
+                * z
+                * t
+                * (Si((lam - z) * t) + 2 * Si(z * t) - Si((lam + z) * t)).real
+                for w, z in ((m, ap), (p, bp))
+            )
+        )
+    )
+    return l1, None
 
 
-def _drude_validated(sd, regime, mc, t, hbar, which):
+def _drude_validated(sd, regime, mc, t, hbar):
     lam, gam = sd.lam, sd.gamma
     ap, bp, m, p, g = mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef, mc.g_coef
     cot = 1.0 / np.tan(lam / regime.omega_th)
@@ -160,24 +138,21 @@ def _drude_validated(sd, regime, mc, t, hbar, which):
             return -1j * z * t**2 / 2.0 - np.pi * oth * z * t**3 / 3.0
         return -1j * (1 - np.cos(z * t)) / z - np.pi * oth * (np.sin(z * t) - z * t * np.cos(z * t)) / z**2
 
-    l1 = l2 = None
-    if which in ("both", "lambda1"):
-        if high:
-            l1 = pref * sum(w * (cot * icc(z) + ipc(z)) for w, z in ((m, ap), (p, bp)))
-        else:
-            l1 = complex(pref * cot * (m * icc(ap) + p * icc(bp)))
-    if which in ("both", "lambda2"):
-        if g == 0.0:
-            l2 = 0.0 + 0.0j
-        elif high:
-            s_of = lambda z: cot * ics(z) + ips(z)
-            l2 = pref * g * (s_of(bp) / bp - s_of(ap) / ap)
-        else:
-            l2 = complex(pref * cot * g * (ics(bp) / bp - ics(ap) / ap))
+    if high:
+        l1 = pref * sum(w * (cot * icc(z) + ipc(z)) for w, z in ((m, ap), (p, bp)))
+    else:
+        l1 = complex(pref * cot * (m * icc(ap) + p * icc(bp)))
+    if g == 0.0:
+        l2 = 0.0 + 0.0j
+    elif high:
+        s_of = lambda z: cot * ics(z) + ips(z)
+        l2 = pref * g * (s_of(bp) / bp - s_of(ap) / ap)
+    else:
+        l2 = complex(pref * cot * g * (ics(bp) / bp - ics(ap) / ap))
     return l1, l2
 
 
-def _exp_validated(sd, regime, mc, t, hbar, which):
+def _exp_validated(sd, regime, mc, t, hbar):
     lam, gam = sd.lam, sd.gamma
     ap, bp, m, p, g = mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef, mc.g_coef
     bigt = lam * t
@@ -187,14 +162,11 @@ def _exp_validated(sd, regime, mc, t, hbar, which):
         a = z / lam
         return (-1j + bigt) * a, (1j + bigt) * a, a
 
+    # the printed g5/g7 displays are exact; only their z -> 0 limits are added
     def g5v(z):
         if z * t < 1e-12 and z / lam < 1e-12:
             return 2.0 * np.arctan(bigt)
-        wm, wp, a = wpm(z)
-        return (
-            -1j * np.cosh(a) * (Ci(wm) - Ci(wp) + 1j * np.pi)
-            - np.sinh(a) * (Si(wm) + Si(wp))
-        ).real
+        return _g5(z, t, lam).real
 
     def ssin(z):
         wm, wp, a = wpm(z)
@@ -205,19 +177,9 @@ def _exp_validated(sd, regime, mc, t, hbar, which):
         ).real
 
     def g7v(z):
-        lead = 2 * t * lam**2 * np.cos(z * t)
         if z * t < 1e-12 and z / lam < 1e-12:
-            return lead
-        wm, wp, a = wpm(z)
-        return (
-            lead
-            + (1 + bigt**2)
-            * (
-                1j * (Ci(wm) - Ci(wp) + 1j * np.pi) * np.sinh(a)
-                + np.cosh(a) * (Si(wm) + Si(wp))
-            ).real
-            * z
-        )
+            return 2 * t * lam**2 * np.cos(z * t)
+        return _g7(z, t, lam).real
 
     def icos(z):
         wm, wp, a = wpm(z)
@@ -226,24 +188,19 @@ def _exp_validated(sd, regime, mc, t, hbar, which):
             - (1j / 2) * np.sinh(a) * (Si(wm) - Si(wp))
         ).real + np.sinh(a) * _shi(a)
 
-    l1 = l2 = None
-    if which in ("both", "lambda1"):
-        if t == 0:
-            l1 = 0.0 + 0.0j
-        elif high:
-            l1 = complex(gam * regime.omega_th / (2 * hbar) * (m * g5v(ap) + p * g5v(bp)))
-        else:
-            l1 = complex(gam / (hbar * (2 + 2 * bigt**2)) * (m * g7v(ap) + p * g7v(bp)))
-    if which in ("both", "lambda2"):
-        if g == 0.0 or t == 0:
-            l2 = 0.0 + 0.0j
-        elif high:
-            l2 = complex(gam * regime.omega_th * g / hbar * (ssin(bp) / bp - ssin(ap) / ap))
-        else:
-            corr = lambda z: gam * lam * (
-                bigt * np.sin(z * t) / (1 + bigt**2) - (z / lam) * icos(z)
-            )
-            l2 = complex(g / hbar * (corr(bp) / bp - corr(ap) / ap))
+    if high:
+        l1 = complex(gam * regime.omega_th / (2 * hbar) * (m * g5v(ap) + p * g5v(bp)))
+    else:
+        l1 = complex(gam / (hbar * (2 + 2 * bigt**2)) * (m * g7v(ap) + p * g7v(bp)))
+    if g == 0.0:
+        l2 = 0.0 + 0.0j
+    elif high:
+        l2 = complex(gam * regime.omega_th * g / hbar * (ssin(bp) / bp - ssin(ap) / ap))
+    else:
+        corr = lambda z: gam * lam * (
+            bigt * np.sin(z * t) / (1 + bigt**2) - (z / lam) * icos(z)
+        )
+        l2 = complex(g / hbar * (corr(bp) / bp - corr(ap) / ap))
     return l1, l2
 
 
@@ -361,129 +318,104 @@ def g_function(which, z, t, sd, omega_th=None, vprime=None):
     raise ValueError("unknown g-function %r" % which)
 
 
-def _lambda_printed(sd, regime, mc, t, hbar, which):
+def _lambda_printed(sd, regime, mc, t, hbar):
     lam, gam = sd.lam, sd.gamma
     ap, bp, m, p, g = mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef, mc.g_coef
     a_im, b_im = 1j * ap, 1j * bp
     high = regime.kind is RegimeKind.HIGH_TEMPERATURE
-    l1 = l2 = None
     if sd.cutoff is Cutoff.ABRUPT:
-        if high:
-            oth = regime.omega_th
-            if which in ("both", "lambda1"):
-                l1 = gam * oth / (2 * hbar) * (
-                    -m * Si(t * (ap - lam))
-                    - p * Si(t * (bp - lam))
-                    + m * Si(t * (ap + lam))
-                    + p * Si(t * (bp + lam))
-                )
-            if which in ("both", "lambda2"):
-                def grp(z):
-                    if t == 0:
-                        return 0.0
-                    return (
-                        Ci(t * (lam - z))
-                        - Ci(t * (lam + z))
-                        + np.log((lam + z) / (lam - z))
-                    )
+        if not high:
+            return _abrupt_validated(sd, regime, mc, t, hbar)
+        oth = regime.omega_th
+        l1 = gam * oth / (2 * hbar) * (
+            -m * Si(t * (ap - lam))
+            - p * Si(t * (bp - lam))
+            + m * Si(t * (ap + lam))
+            + p * Si(t * (bp + lam))
+        )
 
-                l2 = (-1j * oth * gam / (2 * hbar)) * g * (b_im * grp(ap) - a_im * grp(bp))
-            return l1, l2
-        if which in ("both", "lambda1"):
-            l1, _ = _abrupt_validated(sd, regime, mc, t, hbar, "lambda1")
-        if which in ("both", "lambda2"):
-            raise UnsupportedFormError("abrupt low-T lambda2: undefined f3 in the source display")
+        def grp(z):
+            return (
+                Ci(t * (lam - z))
+                - Ci(t * (lam + z))
+                + np.log((lam + z) / (lam - z))
+            )
+
+        l2 = (-1j * oth * gam / (2 * hbar)) * g * (b_im * grp(ap) - a_im * grp(bp))
         return l1, l2
     if sd.cutoff is Cutoff.DRUDE_LORENTZ:
         oth = regime.omega_th
         cot = 1.0 / np.tan(lam / oth)
         if high:
-            if which in ("both", "lambda1"):
-                l1 = gam * np.pi / (2 * hbar) * (_g1(ap, t, lam, oth) * m + _g1(bp, t, lam, oth) * p)
-            if which in ("both", "lambda2"):
-                l2 = (1j * gam * g * np.pi / (2 * hbar)) * (
-                    _g2(a_im, bp, t, lam, oth) - _g2(b_im, ap, t, lam, oth)
-                )
+            l1 = gam * np.pi / (2 * hbar) * (_g1(ap, t, lam, oth) * m + _g1(bp, t, lam, oth) * p)
+            l2 = (1j * gam * g * np.pi / (2 * hbar)) * (
+                _g2(a_im, bp, t, lam, oth) - _g2(b_im, ap, t, lam, oth)
+            )
         else:
-            if which in ("both", "lambda1"):
-                l1 = gam * np.pi * lam**2 / (2 * hbar) * cot * (m * _g3(ap, t, lam) + p * _g3(bp, t, lam))
-            if which in ("both", "lambda2"):
-                l2 = (-1j * gam * np.pi * lam**2 * g / (2 * hbar)) * cot * (
-                    _g4(a_im, bp, t, lam) - _g4(b_im, ap, t, lam)
-                )
+            l1 = gam * np.pi * lam**2 / (2 * hbar) * cot * (m * _g3(ap, t, lam) + p * _g3(bp, t, lam))
+            l2 = (-1j * gam * np.pi * lam**2 * g / (2 * hbar)) * cot * (
+                _g4(a_im, bp, t, lam) - _g4(b_im, ap, t, lam)
+            )
         return l1, l2
     # exponential
     if high:
         oth = regime.omega_th
-        if which in ("both", "lambda1"):
-            l1 = gam * oth / (2 * hbar) * (m * _g5(ap, t, lam) + p * _g5(bp, t, lam))
-        if which in ("both", "lambda2"):
-            l2 = (-1j * gam * g * oth / (2 * hbar)) * (
-                _g6(a_im, bp, t, lam) - _g6(b_im, ap, t, lam)
-            )
-        return l1, l2
-    if which in ("both", "lambda1"):
-        l1 = gam / (hbar * (2 + 2 * t**2 * lam**2)) * (m * _g7(ap, t, lam) + p * _g7(bp, t, lam))
-    if which in ("both", "lambda2"):
-        l2 = (gam * g / (hbar * (2 + 2 * t**2 * lam**2))) * (
-            _g8(a_im, bp, t, lam) - _g8(b_im, ap, t, lam)
+        l1 = gam * oth / (2 * hbar) * (m * _g5(ap, t, lam) + p * _g5(bp, t, lam))
+        l2 = (-1j * gam * g * oth / (2 * hbar)) * (
+            _g6(a_im, bp, t, lam) - _g6(b_im, ap, t, lam)
         )
+        return l1, l2
+    l1 = gam / (hbar * (2 + 2 * t**2 * lam**2)) * (m * _g7(ap, t, lam) + p * _g7(bp, t, lam))
+    l2 = (gam * g / (hbar * (2 + 2 * t**2 * lam**2))) * (
+        _g8(a_im, bp, t, lam) - _g8(b_im, ap, t, lam)
+    )
     return l1, l2
 
 
-def lambda_closed(sys, sd, regime, t, variant="validated", which="both"):
+def lambda_closed(sys, sd, regime, t, variant="validated"):
     """Analytic decoherence coefficients for the Ohmic bath.
 
-    ``which`` restricts evaluation to "lambda1" or "lambda2" (the abrupt
-    low-temperature lambda2 has no closed form and raises
-    UnsupportedFormError when requested).
+    Returns every coefficient the catalogue has a form for: ``lambda2`` is
+    None for the abrupt cutoff at low temperature, whose display depends on
+    an undefined f3 (``lambda_quadrature`` gives it).  The exact regime and
+    s != 1 raise UnsupportedFormError.
     """
-    _require_ohmic_closed(sd, regime, t)
-    mc = mode_constants(sys)
-    if t == 0:
-        return _lambda_zero(sd, regime, which)
-    # the Drude-Lorentz forms integrate the pole-sum kernel, so they share its window
-    err = closed_kernel_error(sd, regime, t)
-    if err is not None:
-        raise err
-    if variant == "validated":
-        if sd.cutoff is Cutoff.ABRUPT:
-            l1, l2 = _abrupt_validated(sd, regime, mc, t, sys.hbar, which)
-        elif sd.cutoff is Cutoff.DRUDE_LORENTZ:
-            l1, l2 = _drude_validated(sd, regime, mc, t, sys.hbar, which)
-        else:
-            l1, l2 = _exp_validated(sd, regime, mc, t, sys.hbar, which)
-        method = "closed-validated"
-    elif variant == "printed":
-        l1, l2 = _lambda_printed(sd, regime, mc, t, sys.hbar, which)
-        method = "closed-printed"
-    else:
+    if variant not in ("validated", "printed"):
         raise ValueError("variant must be 'validated' or 'printed'")
+    if regime.kind is RegimeKind.EXACT:
+        raise UnsupportedFormError("no closed coefficient forms in the exact regime")
+    if sd.s != 1.0:
+        raise UnsupportedFormError("closed coefficient forms exist for the Ohmic bath only")
+    if t < 0:
+        raise DomainError("t must be >= 0")
+    if t == 0:
+        # every closed form vanishes term by term
+        no_l2 = sd.cutoff is Cutoff.ABRUPT and regime.kind is RegimeKind.LOW_TEMPERATURE
+        l1, l2 = 0j, None if no_l2 else 0j
+    else:
+        # the Drude-Lorentz forms integrate the pole-sum kernel, so they share its window
+        err = closed_kernel_error(sd, regime, t)
+        if err is not None:
+            raise err
+        if variant == "printed":
+            forms = _lambda_printed
+        elif sd.cutoff is Cutoff.ABRUPT:
+            forms = _abrupt_validated
+        elif sd.cutoff is Cutoff.DRUDE_LORENTZ:
+            forms = _drude_validated
+        else:
+            forms = _exp_validated
+        l1, l2 = forms(sd, regime, mode_constants(sys), t, sys.hbar)
     return LambdaPair(
-        complex(l1) if l1 is not None else None,
-        complex(l2) if l2 is not None else None,
+        complex(l1),
+        None if l2 is None else complex(l2),
         float(t),
-        method,
+        "closed-" + variant,
         0.0,
     )
 
 
-def _lambda_zero(sd, regime, which):
-    """t = 0: every closed form vanishes term by term (still honouring the
-    abrupt low-T lambda2 unavailability)."""
-    if which in ("both", "lambda2") and sd.cutoff is Cutoff.ABRUPT and regime.kind is RegimeKind.LOW_TEMPERATURE:
-        raise UnsupportedFormError("abrupt low-T lambda2: quadrature only")
-    zero = 0.0 + 0.0j
-    return LambdaPair(
-        zero if which in ("both", "lambda1") else None,
-        zero if which in ("both", "lambda2") else None,
-        0.0,
-        "closed-validated",
-        0.0,
-    )
-
-
-def lambda_from_kernel(sys, kernel, t, rtol=1e-10):
+def lambda_from_kernel(sys, kernel, t):
     """Time-integrate a caller-supplied (possibly complex) kernel against F1, F2.
 
     Returns a LambdaPair; the same-kernel oracle used to validate the
@@ -498,17 +430,17 @@ def lambda_from_kernel(sys, kernel, t, rtol=1e-10):
     for name in ("F1", "F2"):
         fw = lambda u: f_weight(sys, u, name)
         re, re_err = integrate.quad(
-            lambda u: np.real(kernel(u)) * fw(u), 0.0, t, limit=800, epsabs=1e-13, epsrel=rtol
+            lambda u: np.real(kernel(u)) * fw(u), 0.0, t, limit=800, epsabs=1e-13, epsrel=1e-10
         )
         im, im_err = integrate.quad(
-            lambda u: np.imag(kernel(u)) * fw(u), 0.0, t, limit=800, epsabs=1e-13, epsrel=rtol
+            lambda u: np.imag(kernel(u)) * fw(u), 0.0, t, limit=800, epsabs=1e-13, epsrel=1e-10
         )
         out.append((re + 1j * im) / sys.hbar)
         err = max(err, (re_err + im_err) / sys.hbar)
     return LambdaPair(out[0], out[1], float(t), "same-kernel-quadrature", err)
 
 
-def lambda_quadrature(sys, sd, regime, t, rtol=1e-7):
+def lambda_quadrature(sys, sd, regime, t):
     """Defining-path coefficients: kernel quadrature inside a time quadrature."""
     if t < 0:
         raise DomainError("t must be >= 0")
@@ -519,7 +451,7 @@ def lambda_quadrature(sys, sd, regime, t, rtol=1e-7):
     err = 0.0
     for name in ("F1", "F2"):
         val, e = integrate.quad(
-            lambda u: nu(u) * f_weight(sys, u, name), 0.0, t, limit=400, epsrel=rtol
+            lambda u: nu(u) * f_weight(sys, u, name), 0.0, t, limit=400, epsrel=1e-7
         )
         out.append(val / sys.hbar + 0j)
         err = max(err, e / sys.hbar)

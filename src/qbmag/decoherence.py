@@ -162,10 +162,10 @@ def lowtemp_powerlaw(sys, sd, sep):
     return float(exponent), float(np.exp(logc))
 
 
-def default_grid(sd, n=200):
+def default_grid(sd):
     """200 log-spaced times from 1e-3/Lam to min(1, 700/Lam)."""
     t_max = min(1.0, 700.0 / sd.lam)
-    return np.logspace(np.log10(1e-3 / sd.lam), np.log10(t_max), n)
+    return np.logspace(np.log10(1e-3 / sd.lam), np.log10(t_max), 200)
 
 
 def curve(sys, sd, regime, sep, grid=None, method="quadrature"):

@@ -389,17 +389,12 @@ def check_criterion_5():
             # kernels' oscillation, the Drude-Lorentz pole-sum kernels grow
             # as cosh(Lam u) at every u
             mom = dynamics.time_moments(sys, kern, ts, lam, oscillates=True)
-            which = (
-                "lambda1"
-                if (cutoff is Cutoff.ABRUPT and rkind is RegimeKind.LOW_TEMPERATURE)
-                else "both"
-            )
             for t, (lq1, lq2) in zip(ts, mom.c0 / sys.hbar):
-                lv = coefficients.lambda_closed(sys, sd, regime, float(t), "validated", which)
+                lv = coefficients.lambda_closed(sys, sd, regime, float(t), "validated")
                 worst = max(worst, _relerr(lv.lambda1, lq1))
                 if lv.lambda2 is not None:
                     worst = max(worst, _relerr(lv.lambda2, lq2))
-                lp = coefficients.lambda_closed(sys, sd, regime, float(t), "printed", which)
+                lp = coefficients.lambda_closed(sys, sd, regime, float(t), "printed")
                 pdev["lambda1"] = max(pdev["lambda1"], _relerr(lp.lambda1, lq1))
                 if lp.lambda2 is not None:
                     pdev["lambda2"] = max(pdev["lambda2"], _relerr(lp.lambda2, lq2))
