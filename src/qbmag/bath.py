@@ -1,6 +1,6 @@
 """Bath spectral densities and the noise/dissipation kernels.
 
-Two evaluation paths are provided for the kernels:
+Three evaluation paths are provided for the kernels:
 
 * ``noise_kernel_quadrature`` / ``dissipation_kernel_quadrature`` integrate
   the defining frequency integrals directly (adaptive head, half-period
@@ -12,6 +12,10 @@ Two evaluation paths are provided for the kernels:
   Ohmic Drude-Lorentz regime kernels, whose catalogued analytic forms stem
   from a Matsubara pole sum and are *not* transforms of the
   coth-approximated integrals (see the docstrings below).
+* ``_bose_kernel_fn`` evaluates the exact-regime excess over the quantum
+  kernel, int J(w) 2/(e^{2w/Omega_th} - 1) cos(w tau) dw, by one fixed
+  Gauss rule for all tau of a call; with the closed low-temperature
+  transform it gives exact-regime curves.
 
 Unit convention: frequencies in gamma/m, times in m/gamma, gamma sets the
 coupling scale; all kernels are homogeneous of degree 1 in ``gamma``.
@@ -166,6 +170,10 @@ def _gauss_segment(fn, a, b):
 _TAIL_ABS_FLOOR = 1e-12
 _TAIL_MAX_SEGMENTS = 10_000
 
+#: multiple of the smallest frequency scale past which the head range is
+#: split at geometric breakpoints
+_ENVELOPE_SPAN = 64.0
+
 
 def _kernel_quadrature(sd, regime, tau, kind, rtol):
     p, g, upper = _integrand_parts(sd, regime)
@@ -214,9 +222,18 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol):
                 lambda w: w**p * float(g(w)), a_sub, upper, weight=kind, wvar=tau, limit=2000
             )[0]
         return head
-    if w_head > a_sub:
+    # Past _ENVELOPE_SPAN times the smallest frequency scale (Lam, and the
+    # Bose bump at Omega_th in the exact regime) the integrand is smooth and
+    # either negligible (exponential) or algebraic (Drude-Lorentz); one
+    # QUADPACK call over a range far wider than that misses the envelope, so
+    # that stretch is split at geometric breakpoints.
+    exact = regime is not None and regime.kind is RegimeKind.EXACT
+    span = _ENVELOPE_SPAN * (min(sd.lam, regime.omega_th) if exact else sd.lam)
+    cuts = span * 4.0 ** np.arange(max(0.0, np.ceil(np.log(w_head / span) / np.log(4.0))))
+    edges = [a_sub] + [c for c in cuts if a_sub < c < w_head] + [w_head]
+    for lo, hi in zip(edges, edges[1:]):
         head += integrate.quad(
-            lambda w: w**p * float(g(w)), a_sub, w_head, weight=kind, wvar=tau, limit=500
+            lambda w: w**p * float(g(w)), lo, hi, weight=kind, wvar=tau, limit=500
         )[0]
 
     # oscillatory tail: integrate between consecutive zeros of the trig factor
@@ -461,6 +478,71 @@ def dissipation_kernel_reference(sd, tau):
         )
     out = fn(np.asarray(tau, dtype=float))
     return out if np.ndim(tau) else float(out)
+
+
+# --------------------------------------------------------------------------
+# the Bose term of the exact regime
+# --------------------------------------------------------------------------
+
+#: the Bose factor 2/(e^{2w/Omega_th} - 1) is below 2e-35 past 40 Omega_th
+_BOSE_RANGE = 40.0
+
+#: size of the tau x omega cosine block evaluated at once
+_BOSE_BLOCK_BYTES = 1 << 20
+
+
+def _bose_kernel_fn(sd, omega_th):
+    """Vectorised Bose term of the exact-regime noise kernel,
+
+        B(tau) = int_0^inf J(w) 2/(e^{2w/Omega_th} - 1) cos(w tau) dw,
+
+    so that nu_exact = nu_low + B by coth x = 1 + 2/(e^{2x} - 1).
+
+    One fixed rule in x = sqrt(w) on [0, sqrt(40 Omega_th)] (cut at Lam,
+    then a panel edge, for the abrupt cutoff) serves every tau of a call as
+    the matrix product cos(tau (x) w) @ weights.  Panels halve towards
+    x = 0 down to half the square root of the smallest frequency scale,
+    min(Omega_th, Lam): the poles of the Bose factor and of the Drude-Lorentz
+    envelope lie at 45 degrees in the complex x plane, so each panel [a, 2a]
+    stays clear of them.  The innermost panel [0, x0] is a Gauss-Jacobi rule
+    with weight x^(2s-1), the integrand's behaviour at 0, so the rule keeps
+    its accuracy at any s > 0.  The largest tau of a call subdivides the
+    panels so that none spans more than half a period of cos(x^2 tau).
+    """
+    beta = 2.0 * sd.s - 1.0
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    jx, jw = _sp.roots_jacobi(16, 0.0, beta)
+    abrupt = sd.cutoff is Cutoff.ABRUPT
+    x_top = np.sqrt(min(_BOSE_RANGE * omega_th, sd.lam) if abrupt else _BOSE_RANGE * omega_th)
+    x_feature = 0.5 * np.sqrt(omega_th if abrupt else min(omega_th, sd.lam))
+
+    def fn(tau):
+        tau = np.asarray(tau, dtype=float)
+        tau_max = float(np.max(tau, initial=0.0))
+        x_in = min(x_feature, np.sqrt(np.pi / tau_max)) if tau_max > 0 else x_feature
+        levels = max(0, int(np.ceil(np.log2(x_top / x_in))))
+        w_edges = (x_top * 2.0 ** -np.arange(levels, -1.0, -1.0)) ** 2
+        if tau_max > 0:
+            half_periods = np.arange(1.0, np.ceil(w_edges[-1] * tau_max / np.pi)) * (np.pi / tau_max)
+            w_edges = np.union1d(w_edges, half_periods)
+        xe = np.sqrt(w_edges)
+        mid, half = 0.5 * (xe[1:] + xe[:-1]), 0.5 * (xe[1:] - xe[:-1])
+        x_jac = 0.5 * xe[0] * (1.0 + jx)
+        x = np.concatenate([x_jac, (mid[:, None] + half[:, None] * gx).ravel()])
+        weight = np.concatenate(
+            [(0.5 * xe[0]) ** (beta + 1.0) * jw / x_jac**beta, (half[:, None] * gw).ravel()]
+        )
+        omega = x * x
+        coef = weight * 2.0 * x * spectral_density(sd, omega) * 2.0 / np.expm1(2.0 * omega / omega_th)
+        flat = tau.ravel()
+        out = np.empty(flat.size)
+        rows = max(1, _BOSE_BLOCK_BYTES // (8 * omega.size))
+        for i in range(0, flat.size, rows):
+            block = np.multiply.outer(flat[i : i + rows], omega)
+            out[i : i + rows] = np.cos(block, out=block) @ coef
+        return out.reshape(tau.shape)
+
+    return fn
 
 
 def closed_kernel_error(sd, regime, tau_max):

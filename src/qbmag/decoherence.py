@@ -18,6 +18,9 @@ import numpy as np
 
 from .bath import (
     Cutoff,
+    RegimeKind,
+    ThermalRegime,
+    _bose_kernel_fn,
     _reference_kernel_fn,
     closed_kernel_error,
     noise_kernel_closed_parts,
@@ -37,6 +40,8 @@ FLAG_OK = 0
 FLAG_CLAMPED = 1
 FLAG_FALLBACK = 2
 FLAG_ERROR = 3
+
+_LOW = ThermalRegime(RegimeKind.LOW_TEMPERATURE)
 
 
 @dataclass(frozen=True)
@@ -72,15 +77,23 @@ class CurveSeries:
 
 def _kernel_for(sd, regime, method):
     """(vectorised kernel, label).  method='quadrature' uses the closed
-    transform of the defining integral where catalogued, per-point kernel
-    quadrature otherwise; method='closed' uses the catalogued analytic
-    regime kernels (pole-sum forms for the Ohmic Drude-Lorentz regimes)."""
+    transform of the defining integral where catalogued; in the exact regime
+    the closed low-temperature transform plus the Bose term, where the
+    former is catalogued; per-point kernel quadrature otherwise.
+    method='closed' uses the catalogued analytic regime kernels (pole-sum
+    forms for the Ohmic Drude-Lorentz regimes)."""
     if method == "closed":
         fn = lambda taus: noise_kernel_closed_parts(sd, regime, taus)
         return fn, "closed"
-    fn = _reference_kernel_fn(sd, regime, "cos")
-    if fn is not None:
-        return fn, "quadrature"
+    if regime.kind is RegimeKind.EXACT:
+        low = _reference_kernel_fn(sd, _LOW, "cos")
+        if low is not None:
+            bose = _bose_kernel_fn(sd, regime.omega_th)
+            return (lambda taus: low(taus) + bose(taus)), "quadrature"
+    else:
+        fn = _reference_kernel_fn(sd, regime, "cos")
+        if fn is not None:
+            return fn, "quadrature"
 
     def slow(taus):
         return np.array([noise_kernel_quadrature(sd, regime, float(u)) for u in np.atleast_1d(taus)])
@@ -177,8 +190,11 @@ def curve(sys, sd, regime, sep, grid=None, method="quadrature"):
     falls back per point (err_flag 2) where those are invalid, e.g. past the
     cosh overflow window of the Drude-Lorentz forms.
 
-    Exact-regime curves without a catalogued transform run one kernel
-    quadrature per Gauss node and are substantially slower.
+    Exact-regime curves integrate the closed low-temperature transform plus
+    the Bose term of ``bath._bose_kernel_fn`` and cost a few times a high-
+    or low-temperature curve.  Where the low-temperature transform is not
+    catalogued (Drude-Lorentz outside s in {1/2, 1, 3/2}) they run one kernel
+    quadrature per Gauss node, several seconds per grid point.
     """
     if grid is None:
         grid = default_grid(sd)

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -187,11 +188,12 @@ def test_quadrature_any_s():
     assert val == pytest.approx(head + tail, rel=1e-6)
 
 
-def _bose_term(sd, oth, tau):
-    """int_0^inf J(w) 2/(e^{2w/Omega_th} - 1) cos(w tau) dw by plain quad in w = x^2.
+def bose_integral(sd, oth, weight):
+    """int_0^inf J(w) 2/(e^{2w/Omega_th} - 1) weight(w) dw by plain quad in w = x^2.
 
-    coth(x) = 1 + 2/(e^{2x} - 1), so the exact kernel is the quantum kernel
-    plus this term; the Bose factor is below 1e-34 past 40 Omega_th.
+    coth(x) = 1 + 2/(e^{2x} - 1), so with weight cos(w tau) the exact kernel
+    is the quantum kernel plus this term; the Bose factor is below 1e-34 past
+    40 Omega_th.
     """
     upper = min(40.0 * oth, sd.lam) if sd.cutoff is Cutoff.ABRUPT else 40.0 * oth
 
@@ -199,11 +201,15 @@ def _bose_term(sd, oth, tau):
         w = x * x
         if w < 1e-12 * oth:
             # limit of 2x J(w) 2/(e^{2w/Omega_th} - 1) as w -> 0, envelope 1
-            return 2.0 * sd.gamma * oth * x ** (2.0 * sd.s - 1.0)
+            return 2.0 * sd.gamma * oth * x ** (2.0 * sd.s - 1.0) * weight(w)
         bose = 2.0 / np.expm1(2.0 * w / oth)
-        return 2.0 * x * bath.spectral_density(sd, w) * bose * np.cos(w * tau)
+        return 2.0 * x * bath.spectral_density(sd, w) * bose * weight(w)
 
     return integrate.quad(integrand, 0.0, np.sqrt(upper), limit=2000, epsabs=1e-13, epsrel=1e-11)[0]
+
+
+def _bose_term(sd, oth, tau):
+    return bose_integral(sd, oth, lambda w: np.cos(w * tau))
 
 
 @pytest.mark.parametrize("cutoff", list(Cutoff))
@@ -247,3 +253,116 @@ def test_nonfinite_parameters_rejected(bad):
     for kind in RegimeKind:
         with pytest.raises(DomainError):
             ThermalRegime(kind, bad)
+
+
+def _exact_split(sd, oth, tau):
+    """nu_exact = nu_low + Bose term, as the exact-regime curves evaluate it."""
+    return bath.noise_kernel_reference(sd, LOW, tau) + bath._bose_kernel_fn(sd, oth)(tau)
+
+
+def _mp_exact_kernel(sd, oth, tau):
+    """int_0^inf J(w) coth(w/Omega_th) cos(w tau) dw in 25-digit arithmetic.
+
+    Exponential: coth = 1 + 2 sum_k e^{-2kw/Omega_th} termwise, which sums to
+    Gamma(s+1) Re[(1/Lam - i tau)^-(s+1) + 2 (Omega_th/2)^(s+1)
+    zeta(s+1, 1 + Omega_th/(2 Lam) - i Omega_th tau/2)].  Abrupt: quadrature
+    in u = w^s, which removes the w^(s-1) end point, split at the half periods.
+    """
+    mp.mp.dps = 25
+    s, lam, oth, tau = mp.mpf(sd.s), mp.mpf(sd.lam), mp.mpf(oth), mp.mpf(tau)
+    if sd.cutoff is Cutoff.EXPONENTIAL:
+        shift = 1 + oth / (2 * lam) - 1j * oth * tau / 2
+        series = (1 / lam - 1j * tau) ** (-(s + 1)) + 2 * (oth / 2) ** (s + 1) * mp.zeta(s + 1, shift)
+        return float(sd.gamma * mp.gamma(s + 1) * mp.re(series))
+    assert sd.cutoff is Cutoff.ABRUPT
+
+    def integrand(u):
+        w = u ** (1 / s)
+        return w / mp.tanh(w / oth) * mp.cos(w * tau) / s
+
+    cuts = [(k * mp.pi / tau) ** s for k in range(1, int(lam * tau / mp.pi) + 1)] if tau > 0 else []
+    return float(sd.gamma * mp.quad(integrand, [0] + cuts + [lam**s]))
+
+
+def _assert_kernel_close(got, want):
+    # nu_low and the Bose term cancel to ~1e-23 of nu(0) at Lam tau = 50, so
+    # the scale is the largest |nu| on the tau set, not each value
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+def test_exact_split_matches_bose_quadrature(cutoff, s):
+    sd = SpectralDensity(s, cutoff, 50.0, 1.3)
+    taus = np.logspace(-12, 1, 14) / sd.lam
+    for oth in (3.0, 17.0):
+        low = bath.noise_kernel_reference(sd, LOW, taus)
+        want = low + np.array([_bose_term(sd, oth, t) for t in taus])
+        _assert_kernel_close(_exact_split(sd, oth, taus), want)
+
+
+@pytest.mark.parametrize("cutoff", [Cutoff.EXPONENTIAL, Cutoff.ABRUPT])
+@pytest.mark.parametrize("s", [0.3, 0.8, 2.5])
+def test_exact_split_matches_mpmath(cutoff, s):
+    # at non-half-integer s the Bose integrand behaves as x^(2s-1) at x = 0,
+    # which a plain Gauss rule in x = sqrt(w) resolves only to 1e-3 (s = 0.3)
+    sd = SpectralDensity(s, cutoff, 50.0, 1.3)
+    taus = np.array([0.0, 1e-9, 1e-3, 0.1, 1.0, 10.0]) / sd.lam
+    want = np.array([_mp_exact_kernel(sd, 17.0, t) for t in taus])
+    _assert_kernel_close(_exact_split(sd, 17.0, taus), want)
+
+
+@pytest.mark.parametrize("lam, oth", [(0.5, 100.0), (1e4, 0.01), (3.0, 3.0)])
+@pytest.mark.parametrize("s", [0.3, 1.0, 2.5])
+def test_bose_rule_across_frequency_scales(lam, oth, s):
+    # Lam << Omega_th, Lam >> Omega_th and long times, exponential cutoff
+    sd = SpectralDensity(s, Cutoff.EXPONENTIAL, lam, 0.7)
+    taus = np.array([0.0, 1e-12, 1e-6, 1e-3, 0.1, 10.0])
+    want = np.array([_mp_exact_kernel(sd, oth, t) for t in taus])
+    _assert_kernel_close(_exact_split(sd, oth, taus), want)
+
+
+@pytest.mark.parametrize("lam, oth", [(50.0, 17.0), (40.0, 90.0)])
+def test_exact_split_matches_drude_pole_sum(lam, oth):
+    sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, lam, 1.3)
+    taus = np.logspace(-3, 1, 13) / lam
+    want = np.array([bath.drude_exact_kernel(sd, oth, t) for t in taus])
+    _assert_kernel_close(_exact_split(sd, oth, taus), want)
+
+
+def test_bose_kernel_shapes_and_zero_coupling():
+    sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 50.0, 1.3)
+    fn = bath._bose_kernel_fn(sd, 17.0)
+    taus = np.array([[0.0, 0.01], [0.02, 0.2]])
+    assert fn(taus).shape == (2, 2)
+    assert np.ndim(fn(0.01)) == 0 and float(fn(0.01)) == pytest.approx(fn(taus)[0, 1], rel=1e-13)
+    # the cosine block is cut into rows; a long tau array crosses several
+    many = np.linspace(0.0, 0.2, 3000)
+    assert np.allclose(fn(many)[[0, 1500, 2999]], fn(many[[0, 1500, 2999]]), rtol=1e-13, atol=0.0)
+    assert np.all(bath._bose_kernel_fn(SpectralDensity(1.0, Cutoff.EXPONENTIAL, 50.0, 0.0), 17.0)(many) == 0.0)
+
+
+@pytest.mark.parametrize("cutoff", [Cutoff.EXPONENTIAL, Cutoff.DRUDE_LORENTZ])
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("rkind", list(RegimeKind))
+def test_quadrature_small_tau(cutoff, s, rkind):
+    # the oscillatory-weight head over [1, 4 pi / tau] used to miss the
+    # envelope at Lam tau < 5e-4 (exp s = 1/2 low at tau = 1e-6 gave 0.66
+    # against 313) and to divide by zero at tau = 1e-17
+    sd = SpectralDensity(s, cutoff, 50.0, 1.0)
+    regime = ThermalRegime(rkind, 17.0)
+    for tau in (1e-17, 1e-9, 1e-6):
+        if rkind is RegimeKind.EXACT:
+            want = _exact_split(sd, 17.0, tau)
+        else:
+            want = bath.noise_kernel_reference(sd, regime, tau)
+        assert bath.noise_kernel_quadrature(sd, regime, tau) == pytest.approx(want, rel=1e-7)
+
+
+def test_exact_quadrature_resolves_bose_bump_below_cutoff():
+    # Omega_th << Lam: the coth excess sits at w ~ Omega_th, far below the
+    # envelope; at Lam tau = 0.2 one QUADPACK call missed 2/3 of it (1.4e-6)
+    sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 2000.0)
+    for tau in (1e-4, 3.16e-4):
+        want = _exact_split(sd, 3.0, tau)
+        assert bath.noise_kernel_quadrature(sd, EXACT(3.0), tau) == pytest.approx(want, rel=1e-8)

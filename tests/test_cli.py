@@ -168,3 +168,17 @@ def test_curve_nonfinite_parameter_exit_2(tmp_path, capsys):
     cfg = write(tmp_path, "nan.cfg", CURVE_CFG.replace("omega0=10", "omega0=nan"))
     assert cli.main(["curve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     assert "omega0 must be finite" in capsys.readouterr().err
+
+
+def test_curve_exact_regime(tmp_path):
+    text = "s=1\ncutoff=exp\nlam=50\nomega0=5\nomega_c=2\nomega_th=17\nregime=exact\ndx=1\ndy=0.8\nt_points=40\n"
+    cfg = write(tmp_path, "exact.cfg", text)
+    out = str(tmp_path / "exact.csv")
+    assert cli.main(["curve", "--config", cfg, "--out", out]) == 0
+    lines = open(out).read().splitlines()
+    assert lines[0] == cli.CURVE_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 40
+    mags = np.array([float(r[1]) for r in rows])
+    assert np.all(np.isfinite(mags) & (mags > 0.0) & (mags <= 1.0))
+    assert {r[7] for r in rows} == {"quadrature"} and {r[8] for r in rows} == {"0"}

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qbmag import decoherence
+from qbmag import bath, decoherence
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.decoherence import (
     FLAG_CLAMPED,
@@ -14,8 +18,10 @@ from qbmag.decoherence import (
     hightemp_rate,
     lowtemp_powerlaw,
 )
-from qbmag.dynamics import SystemParams
+from qbmag.coefficients import lambda_from_kernel
+from qbmag.dynamics import SystemParams, mode_constants
 from qbmag.errors import DomainError, UnsupportedFormError
+from test_bath import bose_integral
 
 SYS = SystemParams(omega0=10.0, omega_c=1.0, omega_th=1e3)
 SD = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3)
@@ -167,3 +173,102 @@ def test_exponent_error_estimate_small():
     cs = curve(SYS, SD, HIGH, SEP, grid)
     ok = cs.err_flag == 0
     assert np.all(cs.est_error[ok] <= 1e-6 * np.maximum(cs.magnitude[ok], 1e-12) + 1e-9)
+
+
+EXACT_SYS = SystemParams(omega0=5.0, omega_c=2.0, omega_th=17.0)
+EXACT_GRID = np.array([0.05, 0.5, 3.0, 10.0]) / 50.0
+
+
+def _bose_lambda(sys, sd, oth, t):
+    """Bose part of lambda1, lambda2 at t: the w integral by plain quad, the
+    time integral of cos(w u) against F1 = M cos A'u + P cos B'u and
+    F2 = G (sin B'u / B' - sin A'u / A') in closed form."""
+    mc = mode_constants(sys)
+    ap, bp = mc.a_prime, mc.b_prime
+    sin_over = lambda x: t * np.sinc(x * t / np.pi)  # sin(x t) / x
+    versin_over = lambda x: t * np.sin(0.5 * x * t) * np.sinc(0.5 * x * t / np.pi)  # (1 - cos x t) / x
+    cos_cos = lambda w, a: 0.5 * (sin_over(w - a) + sin_over(w + a))
+    cos_sin = lambda w, b: 0.5 * (versin_over(b + w) + versin_over(b - w))
+    l1 = bose_integral(sd, oth, lambda w: mc.m_coef * cos_cos(w, ap) + mc.p_coef * cos_cos(w, bp))
+    l2 = bose_integral(sd, oth, lambda w: mc.g_coef * (cos_sin(w, bp) / bp - cos_sin(w, ap) / ap))
+    return l1 / sys.hbar, l2 / sys.hbar
+
+
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+def test_exact_curve_lambdas_match_split_oracle(cutoff, s, request):
+    if (s, cutoff) == (1.5, Cutoff.DRUDE_LORENTZ):
+        # nu_low ~ tau^(-1/2): the time engine's innermost panel defect, the
+        # same strict xfail as the low-temperature engine test
+        request.applymarker(pytest.mark.xfail(strict=True, reason="inner-panel singularity"))
+    sd = SpectralDensity(s, cutoff, 50.0, 1.3)
+    cs = curve(EXACT_SYS, sd, ThermalRegime(RegimeKind.EXACT, 17.0), SEP, EXACT_GRID)
+    assert cs.method == ("quadrature",) * len(EXACT_GRID)
+    low = bath._reference_kernel_fn(sd, LOW)
+    mc = mode_constants(EXACT_SYS)
+    for t, l1, l2 in zip(EXACT_GRID, cs.lambda1, cs.lambda2):
+        ref = lambda_from_kernel(EXACT_SYS, low, t)
+        b1, b2 = _bose_lambda(EXACT_SYS, sd, 17.0, t)
+        want1, want2 = ref.lambda1 + b1, ref.lambda2 + b2
+        # F2 cancels to eps / ((A'^2 - B'^2) t^2) in both paths
+        cancel = 1e3 * np.finfo(float).eps / ((mc.a_prime**2 - mc.b_prime**2) * t * t)
+        assert abs(l1 - want1) <= 1e-8 * abs(want1)
+        assert abs(l2 - want2) <= (1e-8 + cancel) * abs(want2)
+
+
+def test_exact_kernel_path():
+    exact = ThermalRegime(RegimeKind.EXACT, 17.0)
+    taus = np.array([1e-6, 0.01, 0.3])
+    sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
+    kernel, label = decoherence._kernel_for(sd, exact, "quadrature")
+    split = bath.noise_kernel_reference(sd, LOW, taus) + bath._bose_kernel_fn(sd, 17.0)(taus)
+    assert label == "quadrature" and np.array_equal(kernel(taus), split)
+    # without a closed nu_low the exact kernel stays one quadrature per node
+    sub = SpectralDensity(0.8, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
+    kernel, label = decoherence._kernel_for(sub, exact, "quadrature")
+    assert label == "quadrature"
+    assert kernel(taus[:1])[0] == bath.noise_kernel_quadrature(sub, exact, taus[0])
+
+
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+def test_exact_curve_emits_no_warnings(cutoff):
+    exact = ThermalRegime(RegimeKind.EXACT, 17.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (0.5, 1.0, 1.5):
+            cs = curve(EXACT_SYS, SpectralDensity(s, cutoff, 50.0, 1.3), exact, SEP)
+            assert np.all(cs.err_flag == 0) and np.all(np.isfinite(cs.est_error))
+            assert np.all((cs.magnitude > 0) & (cs.magnitude <= 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cutoff=st.sampled_from(list(Cutoff)),
+    s=st.sampled_from([0.3, 0.5, 0.8, 1.0, 1.5, 2.5]),
+    lam=st.floats(5.0, 500.0),
+    oth_ratio=st.floats(0.02, 1.0),
+    gamma=st.floats(0.05, 3.0),
+    x=st.floats(1e-6, 0.5),
+)
+def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
+    sd = SpectralDensity(s, cutoff, lam, gamma)
+    oth = oth_ratio * lam
+    high = bath._reference_kernel_fn(sd, ThermalRegime(RegimeKind.HIGH_TEMPERATURE, oth))
+    # Drude-Lorentz catalogues both transforms for s in {1/2, 1, 3/2} only
+    assume(high is not None and bath._reference_kernel_fn(sd, LOW) is not None)
+    exact = ThermalRegime(RegimeKind.EXACT, oth)
+    kernel = decoherence._kernel_for(sd, exact, "quadrature")[0]
+    tau = x / lam
+    low = bath.noise_kernel_reference(sd, LOW, tau)
+    # 1 < coth(w/Omega_th) < 1 + Omega_th/w, and with Omega_th <= Lam and
+    # Lam tau <= 1/2, cos(w tau) stays near 1 where the two bounds differ.
+    # (Not for Omega_th >> Lam: Drude-Lorentz s = 3/2, Lam = 5, Omega_th = 35
+    # and Lam tau = 1/2 give nu_low = -7.0, nu_exact = 233.19 > low + high.)
+    assert low < kernel(tau) < low + high(tau)
+    sys = SystemParams(omega0=5.0, omega_c=2.0, omega_th=oth)
+    grid = np.array([0.1, 1.0, 4.0]) / lam
+    one = curve(sys, sd, exact, SEP, grid)
+    three = curve(sys, SpectralDensity(s, cutoff, lam, 3.0 * gamma), exact, SEP, grid)
+    # lambda1 can cross zero on the grid, so the scale is its largest value
+    for got, base in ((three.lambda1, one.lambda1), (three.lambda2, one.lambda2)):
+        assert np.max(np.abs(got - 3.0 * base)) <= 1e-13 * np.max(np.abs(3.0 * base))
