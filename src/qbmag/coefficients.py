@@ -379,6 +379,12 @@ def lambda_closed(sys, sd, regime, t, variant="validated"):
     None for the abrupt cutoff at low temperature, whose display depends on
     an undefined f3 (``lambda_quadrature`` gives it).  The exact regime and
     s != 1 raise UnsupportedFormError.
+
+    The exponential-cutoff forms weight Si/Ci terms by cosh(A'/Lam) and
+    sinh(A'/Lam) that cancel to a much smaller result, so they lose relative
+    accuracy as A'/Lam grows.  Against ``lambda_from_kernel`` at omega0 = 10,
+    omega_c = 1, Omega_th = 13 and Lam t in {0.5, 3, 20}, the worst error of
+    either coefficient is 5e-11 at A'/Lam = 5, 3e-4 at 12 and O(1) at 16.
     """
     if variant not in ("validated", "printed"):
         raise ValueError("variant must be 'validated' or 'printed'")
@@ -415,6 +421,13 @@ def lambda_closed(sys, sd, regime, t, variant="validated"):
     )
 
 
+def _quad(f, t, **opts):
+    """scipy quad of f over [0, t] as (value, error estimate); the estimate is
+    inf, and no IntegrationWarning is raised, when QUADPACK reports trouble."""
+    res = integrate.quad(f, 0.0, t, full_output=1, **opts)
+    return res[0], (np.inf if len(res) > 3 else res[1])
+
+
 def lambda_from_kernel(sys, kernel, t):
     """Time-integrate a caller-supplied (possibly complex) kernel against F1, F2.
 
@@ -429,11 +442,11 @@ def lambda_from_kernel(sys, kernel, t):
     err = 0.0
     for name in ("F1", "F2"):
         fw = lambda u: f_weight(sys, u, name)
-        re, re_err = integrate.quad(
-            lambda u: np.real(kernel(u)) * fw(u), 0.0, t, limit=800, epsabs=1e-13, epsrel=1e-10
+        re, re_err = _quad(
+            lambda u: np.real(kernel(u)) * fw(u), t, limit=800, epsabs=1e-13, epsrel=1e-10
         )
-        im, im_err = integrate.quad(
-            lambda u: np.imag(kernel(u)) * fw(u), 0.0, t, limit=800, epsabs=1e-13, epsrel=1e-10
+        im, im_err = _quad(
+            lambda u: np.imag(kernel(u)) * fw(u), t, limit=800, epsabs=1e-13, epsrel=1e-10
         )
         out.append((re + 1j * im) / sys.hbar)
         err = max(err, (re_err + im_err) / sys.hbar)
@@ -450,9 +463,7 @@ def lambda_quadrature(sys, sd, regime, t):
     out = []
     err = 0.0
     for name in ("F1", "F2"):
-        val, e = integrate.quad(
-            lambda u: nu(u) * f_weight(sys, u, name), 0.0, t, limit=400, epsrel=1e-7
-        )
+        val, e = _quad(lambda u: nu(u) * f_weight(sys, u, name), t, limit=400, epsrel=1e-7)
         out.append(val / sys.hbar + 0j)
         err = max(err, e / sys.hbar)
     return LambdaPair(out[0], out[1], float(t), "quadrature", err)

@@ -76,43 +76,42 @@ class CurveSeries:
 
 
 def _kernel_for(sd, regime, method):
-    """(vectorised kernel, label).  method='quadrature' uses the closed
+    """Vectorised kernel for `method`.  method='quadrature' uses the closed
     transform of the defining integral where catalogued; in the exact regime
     the closed low-temperature transform plus the Bose term, where the
     former is catalogued; per-point kernel quadrature otherwise.
     method='closed' uses the catalogued analytic regime kernels (pole-sum
     forms for the Ohmic Drude-Lorentz regimes)."""
     if method == "closed":
-        fn = lambda taus: noise_kernel_closed_parts(sd, regime, taus)
-        return fn, "closed"
+        return lambda taus: noise_kernel_closed_parts(sd, regime, taus)
     if regime.kind is RegimeKind.EXACT:
         low = _reference_kernel_fn(sd, _LOW, "cos")
         if low is not None:
             bose = _bose_kernel_fn(sd, regime.omega_th)
-            return (lambda taus: low(taus) + bose(taus)), "quadrature"
+            return lambda taus: low(taus) + bose(taus)
     else:
         fn = _reference_kernel_fn(sd, regime, "cos")
         if fn is not None:
-            return fn, "quadrature"
+            return fn
 
     def slow(taus):
         return np.array([noise_kernel_quadrature(sd, regime, float(u)) for u in np.atleast_1d(taus)])
 
-    return slow, "quadrature"
+    return slow
 
 
 def _exponent_arrays(sys, sd, regime, grid, method):
-    """(int_0^t lambda dt', lambda, estimated error of the first, kernel label)
-    on `grid`, columns lambda1 and lambda2."""
-    kernel, label = _kernel_for(sd, regime, method)
+    """(int_0^t lambda dt', lambda, estimated error of the first) on `grid`,
+    columns lambda1 and lambda2."""
+    kernel = _kernel_for(sd, regime, method)
     if sd.gamma == 0.0:
         zeros = np.zeros((len(grid), 2), dtype=complex)
-        return zeros, zeros, zeros, label
+        return zeros, zeros, zeros
     mom = time_moments(sys, kernel, grid, sd.lam, sd.cutoff is Cutoff.ABRUPT)
     tcol = np.asarray(grid)[:, None]
     int_lam = (tcol * mom.c0 - mom.c1) / sys.hbar
     int_err = (tcol * mom.d0 - mom.d1) / sys.hbar
-    return int_lam, mom.c0 / sys.hbar, int_err, label
+    return int_lam, mom.c0 / sys.hbar, int_err
 
 
 def exponents(sys, sd, regime, sep, t, method="quadrature"):
@@ -209,11 +208,11 @@ def curve(sys, sd, regime, sep, grid=None, method="quadrature"):
         # the window is a prefix of the grid; later points fall back
         valid = np.array([closed_kernel_error(sd, regime, t) is None for t in grid])
     if valid.all():
-        int_lam, lam_s, int_err, _ = _exponent_arrays(sys, sd, regime, grid, method)
+        int_lam, lam_s, int_err = _exponent_arrays(sys, sd, regime, grid, method)
     else:
-        int_lam, lam_s, int_err, _ = _exponent_arrays(sys, sd, regime, grid, "quadrature")
+        int_lam, lam_s, int_err = _exponent_arrays(sys, sd, regime, grid, "quadrature")
         if valid.any():
-            int_lam[valid], lam_s[valid], int_err[valid], _ = _exponent_arrays(
+            int_lam[valid], lam_s[valid], int_err[valid] = _exponent_arrays(
                 sys, sd, regime, grid[valid], "closed"
             )
         flags[~valid] = FLAG_FALLBACK

@@ -2,12 +2,11 @@
 
 Everything here is scalar (complex in, complex out unless stated). The sine
 and cosine integrals accept arbitrary complex arguments on the principal
-branch; the remaining functions wrap or extend scipy.special where the
-library form is not sufficient (complex arguments, explicit error contracts,
-or the Lerch series, which scipy does not ship).
+branch: the Maclaurin series, summed in extended precision, for |z| <= 20
+and scipy.special.sici beyond.  The remaining functions wrap or extend
+scipy.special where the library form is not sufficient (explicit error
+contracts, or the Lerch series, which scipy does not ship).
 """
-
-from math import comb, factorial
 
 import numpy as np
 from scipy import special as _sp
@@ -21,13 +20,9 @@ from .errors import (
 
 EULER_GAMMA = 0.5772156649015328606065
 
-# |z| below which the Maclaurin series of Si/Cin is summed directly
-# (in extended precision), above which the function is reconstructed from
-# the real axis or from E1.  Chosen so both routes agree to <=1e-12.
+# |z| up to which the Maclaurin series of Si/Cin is summed directly (in
+# extended precision); scipy.special.sici takes every larger argument.
 _TAYLOR_RADIUS = 20.0
-# half-width of the strip around the real axis handled by the derivative
-# expansion of e^{ix}/x about Re z
-_STRIP_HALF_WIDTH = 5.0
 # |Im z| beyond which exp(|Im z|) overflows the double range
 _IM_OVERFLOW = 700.0
 
@@ -61,128 +56,11 @@ def _sici_maclaurin(z):
     return complex(si), complex(cin)
 
 
-def _sici_strip(z):
-    """Si/Ci at z = x + iy, x > 0, |y| <= x/2: Taylor in iy off the real axis.
-
-    The k-th derivatives of Si and Ci are Im/Re of d^{k-1}/dx^{k-1}[e^{ix}/x],
-    which has the exact finite form used below, so no asymptotic series is
-    involved; scipy's sici supplies the machine-precision anchor values.
-    """
-    x, y = z.real, z.imag
-    six, cix = _sp.sici(x)
-    si = complex(six)
-    ci = complex(cix)
-    iy = 1j * y
-    eix = np.exp(1j * x)
-    kfac = 1.0
-    for k in range(1, 70):
-        n = k - 1
-        d = 0.0 + 0.0j
-        xj = 1.0 / x
-        for j in range(n + 1):
-            d += comb(n, j) * (1j) ** (n - j) * (-1.0) ** j * factorial(j) * xj
-            xj /= x
-        d *= eix
-        kfac *= k
-        w = iy**k / kfac
-        si += w * d.imag
-        ci += w * d.real
-        if abs(w) * (abs(d.imag) + abs(d.real)) < 1e-18 * (abs(si) + abs(ci) + 1e-30):
-            break
-    return si, ci
-
-
-def _e1_series(w):
-    """E1(w) = -gamma - log w - sum (-w)^k/(k k!); safe wherever the result
-    is not exponentially smaller than the largest term."""
-    wl = np.clongdouble(w)
-    tot = np.clongdouble(0.0)
-    term = np.clongdouble(-1.0)
-    for k in range(1, 400):
-        term = term * (-wl) / k
-        tot += term / k
-        if abs(term) / k < 1e-22 * (abs(tot) + 1e-30):
-            break
-    return -EULER_GAMMA - np.log(complex(w)) - complex(tot)
-
-
-def _e1_cf(u, maxiter=8000):
-    """Modified Lentz continued fraction for E1(u), Re u >= 0 away from the
-    imaginary axis."""
-    b = u + 1.0
-    c = b + 1e300
-    d = 1.0 / b
-    f = d
-    for i in range(1, maxiter):
-        a = -float(i * i)
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        c = b + a / c
-        delta = c * d
-        f = f * delta
-        if abs(delta - 1.0) < 5e-17:
-            return f * np.exp(-u)
-    raise ConvergenceError("continued fraction for E1 did not converge")
-
-
-def _ei_asymptotic(u):
-    """Ei(u) ~ e^u/u sum k!/u^k, truncated at the smallest term; |u| >~ 25."""
-    tot = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    k = 0
-    while k < 80:
-        tot += term
-        k += 1
-        nxt = term * k / u
-        if abs(nxt) > abs(term):
-            break
-        term = nxt
-        if abs(term) < 1e-18 * abs(tot):
-            tot += term
-            break
-    return np.exp(u) / u * tot
-
-
-def _e1(w):
-    """E1 on the principal branch, full complex plane except the cut w <= 0."""
-    w = complex(w)
-    if w == 0:
-        raise DomainError("E1(0) diverges")
-    if w.real < 0:
-        if abs(w) <= 40.0:
-            return _e1_series(w)
-        sgn = 1.0 if w.imag >= 0 else -1.0
-        return -_ei_asymptotic(-w) - 1j * np.pi * sgn
-    if abs(w) <= 12.0:
-        return _e1_series(w)
-    if abs(w.real) >= 0.1 * abs(w):
-        return _e1_cf(w)
-    # near the imaginary axis: anchor at i*Im w via sici, Taylor in Re w
-    y = w.imag
-    ya = abs(y)
-    six, cix = _sp.sici(ya)
-    e1_axis = complex(-cix, six - np.pi / 2)  # E1(i ya)
-    if y < 0:
-        e1_axis = e1_axis.conjugate()
-    w0 = 1j * y
-    # derivatives: E1^{(n)}(w) = (-1)^n e^{-w} sum_{j=0}^{n-1} (n-1)!/j! w^{j-n}
-    val = e1_axis
-    eps = w.real
-    emw = np.exp(-w0)
-    epow = 1.0
-    kfac = 1.0
-    for n in range(1, 60):
-        d = 0.0 + 0.0j
-        for j in range(n):
-            d += factorial(n - 1) / factorial(j) * w0 ** (j - n)
-        d *= (-1.0) ** n * emw
-        epow *= eps
-        kfac *= n
-        inc = d * epow / kfac
-        val += inc
-        if abs(inc) < 1e-18 * (abs(val) + 1e-30):
-            break
-    return val
+def _sici_scipy(z):
+    """Si(z), Ci(z) from scipy.special.sici; real z uses the real-typed call,
+    whose values on the axis are not bit-identical to the complex one's."""
+    si, ci = _sp.sici(z.real if z.imag == 0.0 else z)
+    return complex(si), complex(ci)
 
 
 def sin_integral(z):
@@ -203,13 +81,7 @@ def sin_integral(z):
     if abs(z) <= _TAYLOR_RADIUS:
         si, _ = _sici_maclaurin(z)
         return si
-    if z.imag == 0.0:
-        return complex(_sp.sici(z.real)[0])
-    if abs(z.imag) <= min(_STRIP_HALF_WIDTH, 0.5 * z.real):
-        return _sici_strip(z)[0]
-    e1p = _e1(1j * z)
-    e1m = _e1(-1j * z)
-    return np.pi / 2 + (e1p - e1m) / 2j
+    return _sici_scipy(z)[0]
 
 
 def cos_integral(z):
@@ -232,13 +104,7 @@ def cos_integral(z):
     if abs(z) <= _TAYLOR_RADIUS:
         _, cin = _sici_maclaurin(z)
         return EULER_GAMMA + np.log(z) + cin
-    if z.imag == 0.0:
-        return complex(_sp.sici(z.real)[1])
-    if abs(z.imag) <= min(_STRIP_HALF_WIDTH, 0.5 * z.real):
-        return _sici_strip(z)[1]
-    e1p = _e1(1j * z)
-    e1m = _e1(-1j * z)
-    return -(e1p + e1m) / 2
+    return _sici_scipy(z)[1]
 
 
 def gamma_fn(x):

@@ -83,10 +83,39 @@ def _relerr(a, b, floor=1e-10):
 # fast module checks
 # --------------------------------------------------------------------------
 
+#: (z, Si(z), Ci(z)) from 30-digit mpmath, frozen, past the Maclaurin radius
+#: |z| = 20: near the real axis, and off it for Re z > 0 and Re z < 0
+_SICI_FROZEN = (
+    (
+        30.5 - 4.2j,
+        0.82302871602800443 + 0.78759434879717017j,
+        -0.7880223972403669 - 0.74754127021911967j,
+    ),
+    (
+        24.04 - 6.86j,
+        -11.062292172558289 + 14.505374464905782j,
+        -14.505415339253057 - 12.633081775831479j,
+    ),
+    (
+        -25.37 + 5.13j,
+        1.4553029290467885 + 1.2731879963490906j,
+        1.27318820438769 + 0.11571980762569933j,
+    ),
+    (
+        352.7 - 5.33j,
+        1.3785198000816086 - 0.22059297206378401j,
+        0.2206030464923995 - 0.19226719548895511j,
+    ),
+)
+
+
 def check_specfun_sici():
     worst = 0.0
     worst = max(worst, _relerr(specfun.sin_integral(1.0).real, 0.946083070367183))
     worst = max(worst, _relerr(specfun.cos_integral(1.0).real, 0.3374039229009681))
+    for z, si, ci in _SICI_FROZEN:
+        worst = max(worst, _relerr(specfun.sin_integral(z), si, 1.0))
+        worst = max(worst, _relerr(specfun.cos_integral(z), ci, 1.0))
     rng = np.random.default_rng(_SEED)
     for _ in range(60):
         z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
@@ -106,7 +135,8 @@ def check_specfun_sici():
         worst < 1e-10 and asym < 1e-3,
         {"worst": worst, "si_large_arg_gap": asym},
         "1e-10 (series oracle), 1e-3 (asymptote)",
-        "brute-force Maclaurin series; oddness and Schwarz reflection",
+        "brute-force Maclaurin series; frozen mpmath values past |z| = 20; "
+        "oddness and Schwarz reflection",
     )
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -50,6 +52,35 @@ def test_closed_validated_matches_same_kernel_quadrature(cutoff, rkind):
         assert abs(lc.lambda1 - lq.lambda1) <= 1e-6 * max(abs(lq.lambda1), 1e-8)
         if lc.lambda2 is not None:
             assert abs(lc.lambda2 - lq.lambda2) <= 1e-6 * max(abs(lq.lambda2), 1e-8)
+
+
+@pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE])
+def test_exp_validated_matches_reference_kernel_at_large_si_ci_arguments(rkind):
+    # (Lam t -+ i) A'/Lam reaches |z| = 21 with |Im z| = 7: past the Maclaurin
+    # radius of specfun and off the real axis
+    sys = SystemParams(omega0=10.0, omega_c=1.0)
+    sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 1.5)
+    regime = ThermalRegime(rkind, 13.0)
+    lc = lambda_closed(sys, sd, regime, 3.0)
+    lq = lambda_from_kernel(sys, lambda u: bath.noise_kernel_reference(sd, regime, u), 3.0)
+    assert abs(lc.lambda1 - lq.lambda1) <= 1e-8 * abs(lq.lambda1)
+    assert abs(lc.lambda2 - lq.lambda2) <= 1e-8 * abs(lq.lambda2)
+
+
+def test_quadrature_oracles_report_trouble_through_est_error():
+    # nu ~ tau^(-1/2) at tau -> 0: QUADPACK reports "probably divergent" on
+    # both oracles at t = 0.2; that shows as est_error = inf, not a warning
+    sys = SystemParams(omega0=7.0, omega_c=2.0)
+    sd = SpectralDensity(1.5, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lk = lambda_from_kernel(sys, lambda u: bath.noise_kernel_reference(sd, LOW, u), 0.2)
+        lq = lambda_quadrature(sys, sd, LOW, 0.2)
+        quiet = lambda_from_kernel(sys, lambda u: bath.noise_kernel_reference(sd, LOW, u), 0.01)
+    assert lk.est_error == np.inf and lq.est_error == np.inf
+    assert abs(lq.lambda1 - lk.lambda1) <= 1e-8 * abs(lk.lambda1)
+    assert abs(lq.lambda2 - lk.lambda2) <= 1e-8 * abs(lk.lambda2)
+    assert 0.0 < quiet.est_error < 1e-10
 
 
 def test_lambda_quadrature_trivials():

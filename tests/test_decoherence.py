@@ -220,13 +220,12 @@ def test_exact_kernel_path():
     exact = ThermalRegime(RegimeKind.EXACT, 17.0)
     taus = np.array([1e-6, 0.01, 0.3])
     sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
-    kernel, label = decoherence._kernel_for(sd, exact, "quadrature")
+    kernel = decoherence._kernel_for(sd, exact, "quadrature")
     split = bath.noise_kernel_reference(sd, LOW, taus) + bath._bose_kernel_fn(sd, 17.0)(taus)
-    assert label == "quadrature" and np.array_equal(kernel(taus), split)
+    assert np.array_equal(kernel(taus), split)
     # without a closed nu_low the exact kernel stays one quadrature per node
     sub = SpectralDensity(0.8, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
-    kernel, label = decoherence._kernel_for(sub, exact, "quadrature")
-    assert label == "quadrature"
+    kernel = decoherence._kernel_for(sub, exact, "quadrature")
     assert kernel(taus[:1])[0] == bath.noise_kernel_quadrature(sub, exact, taus[0])
 
 
@@ -257,7 +256,7 @@ def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
     # Drude-Lorentz catalogues both transforms for s in {1/2, 1, 3/2} only
     assume(high is not None and bath._reference_kernel_fn(sd, LOW) is not None)
     exact = ThermalRegime(RegimeKind.EXACT, oth)
-    kernel = decoherence._kernel_for(sd, exact, "quadrature")[0]
+    kernel = decoherence._kernel_for(sd, exact, "quadrature")
     tau = x / lam
     low = bath.noise_kernel_reference(sd, LOW, tau)
     # 1 < coth(w/Omega_th) < 1 + Omega_th/w, and with Omega_th <= Lam and

@@ -173,7 +173,7 @@ def test_time_moments_match_same_kernel_quadrature(s, cutoff, rkind, request):
         request.applymarker(pytest.mark.xfail(strict=True, reason="inner-panel singularity"))
     sd = SpectralDensity(s, cutoff, 60.0, 1.3)
     regime = ThermalRegime(rkind, 11.0)
-    kernel, _ = decoherence._kernel_for(sd, regime, "quadrature")
+    kernel = decoherence._kernel_for(sd, regime, "quadrature")
     ts = np.array([0.3, 4.0, 11.0]) / sd.lam
     mom = time_moments(ENGINE_SYS, kernel, ts, sd.lam, cutoff is Cutoff.ABRUPT)
     mc = mode_constants(ENGINE_SYS)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -58,6 +59,23 @@ def test_si_ci_series_oracle_random_complex():
         if z.real < 0:
             ref = ref + (1j * np.pi if z.imag >= 0 else -1j * np.pi)
         assert abs(specfun.cos_integral(z) - ref) <= 1e-10 * max(abs(ref), 1)
+
+
+def test_si_ci_match_mpmath_past_series_radius():
+    # beyond |z| = 20 the values come from scipy.special.sici; 30-digit
+    # mpmath uses the same principal branch in every quadrant
+    rng = np.random.default_rng(2026)
+    with mpmath.workdps(30):
+        for quadrant in range(4):
+            for _ in range(60):
+                r = 10 ** rng.uniform(np.log10(20.0), 4.0)
+                z = complex(r * np.exp(1j * (rng.uniform(0, np.pi / 2) + quadrant * np.pi / 2)))
+                if abs(z.imag) > 600:
+                    continue
+                zm = mpmath.mpc(z.real, z.imag)
+                for fn, ref in ((specfun.sin_integral, mpmath.si), (specfun.cos_integral, mpmath.ci)):
+                    want = complex(ref(zm))
+                    assert abs(fn(z) - want) <= 1e-13 * max(abs(want), 1), (fn.__name__, z)
 
 
 def test_si_oddness_and_schwarz():
