@@ -14,7 +14,7 @@ Three evaluation paths are provided for the kernels:
   coth-approximated integrals (see the docstrings below).
 * ``_bose_kernel_fn`` evaluates the exact-regime excess over the quantum
   kernel, int J(w) 2/(e^{2w/Omega_th} - 1) cos(w tau) dw, by one fixed
-  Gauss rule for all tau of a call; with the closed low-temperature
+  Gauss rule for all tau of an octave; with the closed low-temperature
   transform it gives exact-regime curves.
 
 Unit convention: frequencies in gamma/m, times in m/gamma, gamma sets the
@@ -301,7 +301,9 @@ def _trig_power_ratio(se, x, kind):
 
     Series below x = 20 (extended precision), asymptotic continuation with
     the constant int_0^inf v^se trig(v) dv beyond.  Finite limit at x = 0:
-    1/(se+1) for cos, x/(se+2) -> 0 for sin.
+    1/(se+1) for cos, x/(se+2) -> 0 for sin.  Each x leaves the series loop
+    once its own term is negligible, so its value and cost do not depend on
+    the other entries of the call.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -315,15 +317,23 @@ def _trig_power_ratio(se, x, kind):
         else:
             term = xl / np.longdouble(se + 2.0)
         tot = term.copy()
+        done = np.empty_like(xl)
+        active = np.arange(xl.size)
         for k in range(200):
             if kind == "cos":
                 term = term * (-x2) * (se + 2 * k + 1) / ((2 * k + 1) * (2 * k + 2) * (se + 2 * k + 3))
             else:
                 term = term * (-x2) * (se + 2 * k + 2) / ((2 * k + 2) * (2 * k + 3) * (se + 2 * k + 4))
             tot += term
-            if np.all(np.abs(term) <= 1e-20 * (np.abs(tot) + 1e-30)):
-                break
-        out[small] = np.asarray(tot, dtype=float)
+            conv = np.abs(term) <= 1e-20 * (np.abs(tot) + 1e-30)
+            if conv.any():
+                done[active[conv]] = tot[conv]
+                keep = ~conv
+                active, x2, term, tot = active[keep], x2[keep], term[keep], tot[keep]
+                if not active.size:
+                    break
+        done[active] = tot
+        out[small] = np.asarray(done, dtype=float)
     xlrg = x[~small]
     if xlrg.size:
         cinf = _sp.gamma(se + 1.0) * (
@@ -498,16 +508,19 @@ def _bose_kernel_fn(sd, omega_th):
 
     so that nu_exact = nu_low + B by coth x = 1 + 2/(e^{2x} - 1).
 
-    One fixed rule in x = sqrt(w) on [0, sqrt(40 Omega_th)] (cut at Lam,
-    then a panel edge, for the abrupt cutoff) serves every tau of a call as
-    the matrix product cos(tau (x) w) @ weights.  Panels halve towards
-    x = 0 down to half the square root of the smallest frequency scale,
-    min(Omega_th, Lam): the poles of the Bose factor and of the Drude-Lorentz
-    envelope lie at 45 degrees in the complex x plane, so each panel [a, 2a]
-    stays clear of them.  The innermost panel [0, x0] is a Gauss-Jacobi rule
-    with weight x^(2s-1), the integrand's behaviour at 0, so the rule keeps
-    its accuracy at any s > 0.  The largest tau of a call subdivides the
-    panels so that none spans more than half a period of cos(x^2 tau).
+    A fixed rule in x = sqrt(w) on [0, x_top], x_top = sqrt(40 Omega_th)
+    (cut at Lam, then a panel edge, for the abrupt cutoff), serves every tau
+    of one octave of tau x_top^2/pi as the matrix product
+    cos(tau (x) w) @ weights.  Panels halve towards x = 0 down to half the
+    square root of the smallest frequency scale, min(Omega_th, Lam): the
+    poles of the Bose factor and of the Drude-Lorentz envelope lie at 45
+    degrees in the complex x plane, so each panel [a, 2a] stays clear of
+    them.  The innermost panel [0, x0] is a Gauss-Jacobi rule with weight
+    x^(2s-1), the integrand's behaviour at 0, so the rule keeps its accuracy
+    at any s > 0.  The top tau of the octave subdivides the panels so that
+    none spans more than half a period of cos(x^2 tau); a tau's value
+    therefore depends only on its octave, not on the other tau of the call,
+    and small tau do not pay for the rule of the largest.
     """
     beta = 2.0 * sd.s - 1.0
     gx, gw = np.polynomial.legendre.leggauss(16)
@@ -516,16 +529,14 @@ def _bose_kernel_fn(sd, omega_th):
     x_top = np.sqrt(min(_BOSE_RANGE * omega_th, sd.lam) if abrupt else _BOSE_RANGE * omega_th)
     x_feature = 0.5 * np.sqrt(omega_th if abrupt else min(omega_th, sd.lam))
 
-    def fn(tau):
-        tau = np.asarray(tau, dtype=float)
-        tau_max = float(np.max(tau, initial=0.0))
-        x_in = min(x_feature, np.sqrt(np.pi / tau_max)) if tau_max > 0 else x_feature
+    def rule(octave):
+        """Nodes w and weights of the rule for every tau with tau x_top^2/pi <= 2^octave."""
+        n_half = 2.0**octave  # half periods of cos(w tau) on [0, x_top^2] at the top tau
+        x_in = min(x_feature, x_top / np.sqrt(n_half))
         levels = max(0, int(np.ceil(np.log2(x_top / x_in))))
         w_edges = (x_top * 2.0 ** -np.arange(levels, -1.0, -1.0)) ** 2
-        if tau_max > 0:
-            half_periods = np.arange(1.0, np.ceil(w_edges[-1] * tau_max / np.pi)) * (np.pi / tau_max)
-            w_edges = np.union1d(w_edges, half_periods)
-        xe = np.sqrt(w_edges)
+        half_periods = np.arange(1.0, n_half) * (x_top**2 / n_half)
+        xe = np.sqrt(np.union1d(w_edges, half_periods))
         mid, half = 0.5 * (xe[1:] + xe[:-1]), 0.5 * (xe[1:] - xe[:-1])
         x_jac = 0.5 * xe[0] * (1.0 + jx)
         x = np.concatenate([x_jac, (mid[:, None] + half[:, None] * gx).ravel()])
@@ -533,13 +544,22 @@ def _bose_kernel_fn(sd, omega_th):
             [(0.5 * xe[0]) ** (beta + 1.0) * jw / x_jac**beta, (half[:, None] * gw).ravel()]
         )
         omega = x * x
-        coef = weight * 2.0 * x * spectral_density(sd, omega) * 2.0 / np.expm1(2.0 * omega / omega_th)
+        return omega, weight * 2.0 * x * spectral_density(sd, omega) * 2.0 / np.expm1(2.0 * omega / omega_th)
+
+    def fn(tau):
+        tau = np.asarray(tau, dtype=float)
         flat = tau.ravel()
+        # octave o holds tau x_top^2/pi in (2^(o-1), 2^o]; o = 0 also holds
+        # everything below, where the rule needs no half-period edges
+        octave = np.ceil(np.log2(np.maximum(flat * (x_top**2 / np.pi), 1.0)))
         out = np.empty(flat.size)
-        rows = max(1, _BOSE_BLOCK_BYTES // (8 * omega.size))
-        for i in range(0, flat.size, rows):
-            block = np.multiply.outer(flat[i : i + rows], omega)
-            out[i : i + rows] = np.cos(block, out=block) @ coef
+        for o in np.unique(octave):
+            idx = np.nonzero(octave == o)[0]
+            omega, coef = rule(o)
+            rows = max(1, _BOSE_BLOCK_BYTES // (8 * omega.size))
+            for i in range(0, idx.size, rows):
+                block = np.multiply.outer(flat[idx[i : i + rows]], omega)
+                out[idx[i : i + rows]] = np.cos(block, out=block) @ coef
         return out.reshape(tau.shape)
 
     return fn

@@ -9,7 +9,8 @@ where the factor 2 in D2 matches the cross term of the decay-rate functional
 D(t) = lambda1 (dx^2+dy^2) + 2 lambda2 dx dy.  Both cumulative integrals are
 computed on a shared time grid in a single pass through the identity
 int_0^t (t-u) f(u) du = t c0(t) - c1(t) with c0, c1 the running moments of
-f = nu F / hbar, so a whole curve costs one sweep of kernel evaluations.
+f = nu F / hbar, so a whole curve costs one pass of kernel evaluations,
+made in blocks of nodes (``dynamics.time_moments``).
 """
 
 from dataclasses import dataclass
@@ -103,10 +104,10 @@ def _kernel_for(sd, regime, method):
 def _exponent_arrays(sys, sd, regime, grid, method):
     """(int_0^t lambda dt', lambda, estimated error of the first) on `grid`,
     columns lambda1 and lambda2."""
-    kernel = _kernel_for(sd, regime, method)
     if sd.gamma == 0.0:
         zeros = np.zeros((len(grid), 2), dtype=complex)
         return zeros, zeros, zeros
+    kernel = _kernel_for(sd, regime, method)
     mom = time_moments(sys, kernel, grid, sd.lam, sd.cutoff is Cutoff.ABRUPT)
     tcol = np.asarray(grid)[:, None]
     int_lam = (tcol * mom.c0 - mom.c1) / sys.hbar
@@ -190,8 +191,8 @@ def curve(sys, sd, regime, sep, grid=None, method="quadrature"):
     cosh overflow window of the Drude-Lorentz forms.
 
     Exact-regime curves integrate the closed low-temperature transform plus
-    the Bose term of ``bath._bose_kernel_fn`` and cost a few times a high-
-    or low-temperature curve.  Where the low-temperature transform is not
+    the Bose term of ``bath._bose_kernel_fn`` and cost tens of milliseconds
+    on a default grid.  Where the low-temperature transform is not
     catalogued (Drude-Lorentz outside s in {1/2, 1, 3/2}) they run one kernel
     quadrature per Gauss node, several seconds per grid point.
     """

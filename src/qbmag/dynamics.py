@@ -144,10 +144,13 @@ _GX, _GW = np.polynomial.legendre.leggauss(16)
 _SUB = np.array([0, 2, 4, 6, 9, 11, 13, 15])
 _SUBW = np.linalg.solve(np.polynomial.legendre.legvander(_GX[_SUB], 7).T, np.eye(8)[0] * 2.0)
 
+#: panel reduction weights: the 16-node rule, and its difference from the
+#: embedded 8-node rule (zero weight off the subset)
+_PANEL_W = np.column_stack([_GW, _GW - np.bincount(_SUB, _SUBW, 16)])
 
-def _sub_nodes(x):
-    """Values at the embedded rule's nodes, from values at all 16 nodes per panel."""
-    return x.reshape(-1, 16)[:, _SUB].ravel()
+#: kernel nodes evaluated at once; bounds the working memory of a curve
+#: whatever its number of panels
+_NODE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -156,17 +159,58 @@ class TimeMoments:
 
     c0 = int_0^t nu F du and c1 = int_0^t u nu F du from the 16-node panel
     rule; d0, d1 are the running differences between that rule and its
-    embedded 8-node sub-rule on the same kernel values.
+    embedded 8-node sub-rule on the same kernel values.  ``nodes`` kernel
+    evaluations on ``panels`` panels produced them.
     """
 
     c0: np.ndarray
     c1: np.ndarray
     d0: np.ndarray
     d1: np.ndarray
+    nodes: int
+    panels: int
+
+
+def _split(lo, hi, pieces):
+    """Right ends of ``pieces`` equal parts of each [lo, hi], in order, as
+    np.linspace(lo, hi, pieces + 1)[1:] gives them, and the segment of each."""
+    seg = np.repeat(np.arange(len(pieces)), pieces)
+    first = np.cumsum(pieces) - pieces
+    j = np.arange(seg.size) - first[seg] + 1.0
+    ends = lo[seg] + j * ((hi - lo) / pieces)[seg]
+    ends[first + pieces - 1] = hi
+    return ends, seg
+
+
+def _panel_edges(grid, mode_freq, lam, oscillates):
+    """Gauss panel edges over [0, grid[-1]] for an increasing grid >= 0, and
+    the number of panels up to and including each grid point.
+
+    Each grid interval [a, b] is cut into ceil((b - a)/maxlen) equal parts,
+    or, when a = 0, geometrically at b 2^-42 ... b/2, b; every part is then
+    split into equal panels no longer than maxlen.
+    """
+    grid = np.asarray(grid, dtype=float)
+    a = np.concatenate([[0.0], grid[:-1]])
+    live = grid > a
+    freq = mode_freq + np.where(oscillates | (a < 30.0 / lam), lam, 0.0)
+    maxlen = np.pi / np.maximum(freq, 1e-12)
+    head = np.nonzero(live & (a == 0.0))[0]  # the first live interval, if any
+    rest = np.nonzero(live & (a > 0.0))[0]
+    geometric = grid[head, None] * 2.0 ** -np.arange(42.0, -1.0, -1.0)
+    pieces = np.maximum(1, np.ceil((grid[rest] - a[rest]) / maxlen[rest]).astype(int))
+    split, seg = _split(a[rest], grid[rest], pieces)
+    upper = np.concatenate([geometric.ravel(), split])
+    owner = np.concatenate([np.repeat(head, geometric.shape[1]), rest[seg]])
+    low = np.concatenate([[0.0], upper])[:-1]
+    pieces = np.maximum(1, np.ceil((upper - low) / maxlen[owner]).astype(int))
+    upper, seg = _split(low, upper, pieces)
+    return np.concatenate([[0.0], upper]), np.cumsum(np.bincount(owner[seg], minlength=len(grid)))
 
 
 def time_moments(sys, kernel, grid, lam, oscillates):
-    """Integrate a vectorised kernel against F1 and F2 from 0 to each grid time.
+    """Integrate a vectorised kernel against F1 and F2 from 0 to each time of an
+    increasing grid >= 0.
 
     Segments between grid points are subdivided so each 16-node Gauss panel
     sees at most half a period of the fastest oscillation, the mode
@@ -174,45 +218,38 @@ def time_moments(sys, kernel, grid, lam, oscillates):
     on the 1/Lam scale (always when ``oscillates``, else for t < 30/Lam);
     half a period per panel keeps each panel at ~1e-12 relative.  The first
     segment is refined geometrically towards 0, where several kernels have
-    an integrable log or inverse-square-root singularity.  Every panel
-    evaluates the kernel once; the embedded 8-node rule reuses those values.
+    an integrable log or inverse-square-root singularity.
+
+    The panels of the whole grid are laid out at once and evaluated in
+    blocks of at most ``_NODE_BLOCK`` nodes: one kernel call and one F1, F2
+    evaluation per block, each panel reduced by the 16-node rule and the
+    embedded 8-node rule on the same values, and a running sum carried from
+    block to block.  Memory is O(block + grid), time O(nodes).  A kernel
+    that overflows gives non-finite moments from that panel on, without
+    numpy warnings; callers flag them.
     """
     mc = mode_constants(sys)
-    edges = np.concatenate([[0.0], grid])
-    mode_freq = mc.a_prime + mc.b_prime
-    run = np.zeros((4, 2), dtype=complex)  # c0, c1, d0, d1
-    out = np.empty((4, len(grid), 2), dtype=complex)
-    for i in range(len(grid)):
-        a, b = edges[i], edges[i + 1]
-        if b > a:
-            freq = mode_freq + (lam if (oscillates or a < 30.0 / lam) else 0.0)
-            maxlen = np.pi / max(freq, 1e-12)
-            if a == 0.0:
-                sub = np.concatenate([[0.0], b * 2.0 ** -np.arange(42.0, -1.0, -1.0)])
-            else:
-                sub = np.linspace(a, b, max(1, int(np.ceil((b - a) / maxlen))) + 1)
-            refine = np.maximum(1, np.ceil(np.diff(sub) / maxlen).astype(int))
-            if np.any(refine > 1):
-                sub = np.concatenate(
-                    [[sub[0]]]
-                    + [np.linspace(sub[j], sub[j + 1], refine[j] + 1)[1:] for j in range(len(refine))]
-                )
-            mid = 0.5 * (sub[1:] + sub[:-1])
-            half = 0.5 * (sub[1:] - sub[:-1])
-            u = (mid[:, None] + half[:, None] * _GX[None, :]).ravel()
-            w = (half[:, None] * _GW[None, :]).ravel()
-            nu = np.asarray(kernel(u))
-            fs = (f_weight(sys, u, "F1"), f_weight(sys, u, "F2"))
-            fine0 = np.array([np.sum(w * nu * f) for f in fs])
-            fine1 = np.array([np.sum(w * u * nu * f) for f in fs])
-            # the embedded rule on the same kernel values
-            ws = (half[:, None] * _SUBW[None, :]).ravel()
-            us, nus = _sub_nodes(u), _sub_nodes(nu)
-            coarse0 = np.array([np.sum(ws * nus * _sub_nodes(f)) for f in fs])
-            coarse1 = np.array([np.sum(ws * us * nus * _sub_nodes(f)) for f in fs])
-            run = run + np.array([fine0, fine1, fine0 - coarse0, fine1 - coarse1])
-        out[:, i] = run
-    return TimeMoments(*out)
+    edges, counts = _panel_edges(grid, mc.a_prime + mc.b_prime, lam, oscillates)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    n_panels = len(mid)
+    per_block = max(1, _NODE_BLOCK // 16)
+    run = np.zeros((1, 4, 2), dtype=complex)  # c0, c1, d0, d1
+    out = np.zeros((len(counts), 4, 2), dtype=complex)
+    for p0 in range(0, n_panels, per_block):
+        p1 = min(n_panels, p0 + per_block)
+        u = mid[p0:p1, None] + half[p0:p1, None] * _GX
+        flat = u.ravel()
+        fs = np.stack([f_weight(sys, flat, "F1"), f_weight(sys, flat, "F2")]).reshape(2, *u.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(kernel(flat)).reshape(u.shape) * fs
+            # (moment, column, panel, rule) -> (panel, rule x moment, column)
+            part = (np.stack([vals, vals * u]) @ _PANEL_W) * half[p0:p1, None]
+            part = part.transpose(2, 3, 0, 1).reshape(p1 - p0, 4, 2)
+            total = np.cumsum(np.concatenate([run, part]), axis=0)
+        rows = slice(np.searchsorted(counts, p0, "right"), np.searchsorted(counts, p1, "right"))
+        out[rows] = total[counts[rows] - p0]
+        run = total[-1:]
+    return TimeMoments(*out.transpose(1, 0, 2), nodes=16 * n_panels, panels=n_panels)
 
 
 def frequency_shift(sys, sd, t_max, with_tail_estimate=False):

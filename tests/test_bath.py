@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -366,3 +368,27 @@ def test_exact_quadrature_resolves_bose_bump_below_cutoff():
     for tau in (1e-4, 3.16e-4):
         want = _exact_split(sd, 3.0, tau)
         assert bath.noise_kernel_quadrature(sd, EXACT(3.0), tau) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+def test_bose_kernel_value_does_not_depend_on_the_call(cutoff, s):
+    # each tau takes the rule of its own octave, whatever else the call holds
+    fn = bath._bose_kernel_fn(SpectralDensity(s, cutoff, 50.0, 1.3), 17.0)
+    taus = np.logspace(-7, np.log10(0.3), 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = fn(taus)
+        alone = np.array([fn(t) for t in taus])
+    assert np.max(np.abs(together - alone)) <= 1e-13 * np.max(np.abs(alone))
+
+
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+@pytest.mark.parametrize("se", [-0.5, 0.0, 0.5])
+def test_trig_power_ratio_value_does_not_depend_on_the_call(kind, se):
+    x = np.logspace(-8, 3, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = bath._trig_power_ratio(se, x, kind)
+        alone = np.array([bath._trig_power_ratio(se, np.array([v]), kind)[0] for v in x])
+    assert np.all(np.abs(together - alone) <= 4 * np.spacing(np.abs(alone)))

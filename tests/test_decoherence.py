@@ -9,6 +9,7 @@ from qbmag import bath, decoherence
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.decoherence import (
     FLAG_CLAMPED,
+    FLAG_ERROR,
     FLAG_FALLBACK,
     Separation,
     curve,
@@ -85,6 +86,33 @@ def test_curve_gamma_zero_all_ones():
     sd0 = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3, 0.0)
     cs = curve(SYS, sd0, HIGH, SEP, np.logspace(-5, -1, 30))
     assert np.all(cs.magnitude == 1.0)
+
+
+def test_zero_coupling_builds_no_kernel(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("a gamma = 0 curve needs no kernel")
+
+    monkeypatch.setattr(decoherence, "_kernel_for", no_kernel)
+    sd0 = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 50.0, 0.0)
+    cs = curve(SYS, sd0, ThermalRegime(RegimeKind.EXACT, 17.0), SEP, np.logspace(-5, -1, 30))
+    assert np.all(cs.magnitude == 1.0) and np.all(cs.err_flag == 0)
+
+
+def test_closed_pole_sum_overflow_is_flagged_without_warnings():
+    # the pole-sum kernel grows as cosh(Lam tau): D leaves the exp() range
+    # from row 135 on (err_flag 3 below it, 1 above it), and at the last row
+    # cosh times the cot(Lam/Omega_th) prefactor overflows; every such point
+    # is flagged and none emits a numpy warning
+    sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 1933.8935)
+    sys = SystemParams(omega0=15.6668, omega_c=6.1714, omega_th=53.4883)
+    regime = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 53.4883)
+    grid = np.logspace(np.log10(1e-3 / sd.lam), np.log10(700.0 / sd.lam), 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cs = curve(sys, sd, regime, Separation(1.4177, 1.1896), grid, method="closed")
+    want = np.append(np.arange(135, 187), 199)
+    assert np.array_equal(np.nonzero(cs.err_flag == FLAG_ERROR)[0], want)
+    assert np.all(cs.err_flag[187:199] == FLAG_CLAMPED)
 
 
 def test_curve_monotone_high_temperature():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -226,3 +228,63 @@ def test_frequency_shift_without_closed_eta():
     fn = lambda u: bath.dissipation_kernel_quadrature(sd, u) * f_weight(sys, u, "F1")
     want = -2.0 / sys.m * integrate.quad(fn, 0.0, t_max, epsrel=1e-10)[0]
     assert got == pytest.approx(want, rel=1e-7)
+
+
+def _counting(kernel, sizes):
+    """The kernel, recording the number of tau of every call in ``sizes``."""
+
+    def fn(taus):
+        sizes.append(np.size(taus))
+        return kernel(taus)
+
+    return fn
+
+
+def test_time_moments_report_nodes_and_panels():
+    sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 60.0, 1.3)
+    regime = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 11.0)
+    sizes = []
+    kernel = _counting(decoherence._kernel_for(sd, regime, "quadrature"), sizes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mom = time_moments(ENGINE_SYS, kernel, np.logspace(-4, 0, 50), sd.lam, False)
+    assert mom.panels > 0
+    assert mom.nodes == 16 * mom.panels == sum(sizes)
+
+
+@pytest.mark.parametrize("block", [None, 1024])
+def test_curve_calls_its_kernel_once_per_block(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(dynamics, "_NODE_BLOCK", block)
+    sizes = []
+    kernel_for = decoherence._kernel_for
+    monkeypatch.setattr(decoherence, "_kernel_for", lambda *args: _counting(kernel_for(*args), sizes))
+    sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3)
+    sys = SystemParams(omega0=10.0, omega_c=1.0, omega_th=1e3)
+    regime = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 1e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decoherence.curve(sys, sd, regime, decoherence.Separation(1.0, 1.0))
+    assert len(sizes) == -(-sum(sizes) // dynamics._NODE_BLOCK)
+    assert max(sizes) <= dynamics._NODE_BLOCK
+    assert len(sizes) < 200
+
+
+@pytest.mark.parametrize("rkind", list(RegimeKind))
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+def test_time_moments_do_not_depend_on_the_block(monkeypatch, cutoff, rkind):
+    sd = SpectralDensity(1.0, cutoff, 200.0, 1.3)
+    kernel = decoherence._kernel_for(sd, ThermalRegime(rkind, 17.0), "quadrature")
+    args = (ENGINE_SYS, kernel, decoherence.default_grid(sd), sd.lam, cutoff is Cutoff.ABRUPT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = time_moments(*args)
+        monkeypatch.setattr(dynamics, "_NODE_BLOCK", 16)
+        got = time_moments(*args)
+    assert (got.nodes, got.panels) == (ref.nodes, ref.panels)
+    # d0, d1 are rounding noise where the rule is exact, so they are scaled
+    # by the moments they estimate the error of
+    for c, d in (("c0", "d0"), ("c1", "d1")):
+        scale = 1e-13 * np.max(np.abs(getattr(ref, c)), axis=0)
+        assert np.all(np.abs(getattr(got, c) - getattr(ref, c)) <= scale)
+        assert np.all(np.abs(getattr(got, d) - getattr(ref, d)) <= scale)
