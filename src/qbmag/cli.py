@@ -11,6 +11,7 @@ error (partial output is kept with the err_flag column set).
 
 import argparse
 import itertools
+import json
 import os
 import sys as _sys
 import tempfile
@@ -158,29 +159,31 @@ def _atomic_write(path, text):
         raise
 
 
-def _fmt(x):
-    return repr(float(x))
+def _floats(values):
+    """Python floats, whose %r is the shortest round-tripping repr."""
+    return np.asarray(values, dtype=float).tolist()
+
+
+def _csv(header, row_format, columns):
+    return "\n".join([header] + [row_format % row for row in zip(*columns)]) + "\n"
 
 
 def _curve_csv(series):
-    lines = [CURVE_HEADER]
-    for i, t in enumerate(series.times):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(t),
-                    _fmt(series.magnitude[i]),
-                    _fmt(series.phase[i]),
-                    _fmt(series.lambda1[i].real),
-                    _fmt(series.lambda1[i].imag),
-                    _fmt(series.lambda2[i].real),
-                    _fmt(series.lambda2[i].imag),
-                    series.method[i],
-                    str(int(series.err_flag[i])),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        CURVE_HEADER,
+        "%r,%r,%r,%r,%r,%r,%r,%s,%d",
+        [
+            _floats(series.times),
+            _floats(series.magnitude),
+            _floats(series.phase),
+            _floats(series.lambda1.real),
+            _floats(series.lambda1.imag),
+            _floats(series.lambda2.real),
+            _floats(series.lambda2.imag),
+            series.method,
+            np.asarray(series.err_flag, dtype=int).tolist(),
+        ],
+    )
 
 
 def run_curve(cfg, out_path):
@@ -198,14 +201,12 @@ def run_spectra(cfg, out_path):
         omega = np.logspace(np.log10(merged["omega_min"]), np.log10(omega_max), n)
     else:
         omega = np.linspace(merged["omega_min"], omega_max, n)
-    cols = [
-        spectral_density(SpectralDensity(merged["s"], c, merged["lam"], merged["gamma"]), omega)
+    sds = [
+        SpectralDensity(merged["s"], c, merged["lam"], merged["gamma"])
         for c in (Cutoff.ABRUPT, Cutoff.DRUDE_LORENTZ, Cutoff.EXPONENTIAL)
     ]
-    lines = [SPECTRA_HEADER]
-    for i, w in enumerate(omega):
-        lines.append(",".join([_fmt(w)] + [_fmt(c[i]) for c in cols]))
-    _atomic_write(out_path, "\n".join(lines) + "\n")
+    cols = [_floats(spectral_density(sd, omega)) for sd in sds]
+    _atomic_write(out_path, _csv(SPECTRA_HEADER, "%r,%r,%r,%r", [_floats(omega)] + cols))
     return 0
 
 
@@ -229,7 +230,7 @@ def _run_sweep_point(args):
         return "ok" if code == 0 else "numerical-error"
     except ConfigError as exc:
         return "config-error: %s" % exc
-    except Exception as exc:  # noqa: BLE001 - recorded per point
+    except QbmagError as exc:
         return "error: %s" % exc
 
 
@@ -259,8 +260,6 @@ def run_sweep(cfg, out_dir, workers):
         statuses = [_run_sweep_point(t) for t in tasks]
     for entry, status in zip(entries, statuses):
         entry["status"] = status
-    import json
-
     manifest = json.dumps({"axes": names, "points": entries}, indent=2, sort_keys=True)
     _atomic_write(os.path.join(out_dir, "manifest.json"), manifest + "\n")
     return 0 if all(s == "ok" for s in statuses) else 3

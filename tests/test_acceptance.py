@@ -10,12 +10,13 @@ change in that state.
 
 import pytest
 
-from qbmag.validation import ACCEPTANCE_NAMES, run_checks
+from qbmag.validation import ACCEPTANCE_NAMES
 
 
 @pytest.fixture(scope="module")
-def full_report():
-    return run_checks("full")
+def full_report(full_validation):
+    # the report `qbmag validate --level full` wrote, shared with test_cli
+    return full_validation.report
 
 
 def _criterion(report, name):
@@ -122,10 +123,11 @@ def test_module_checks_pass(full_report):
             assert c.status == "pass", c.name
 
 
-def test_report_serialisation_roundtrip(full_report):
+def test_report_serialisation_roundtrip(full_validation):
     from qbmag.validation import ValidationReport
 
-    text = full_report.to_json()
+    # the file holds the freshly computed report's to_json() and a newline
+    text = full_validation.text
     again = ValidationReport.from_json(text)
-    assert again.to_json() == text
-    assert [c.name for c in again.checks] == [c.name for c in full_report.checks]
+    assert again.to_json() + "\n" == text
+    assert [c.name for c in again.checks] == [c.name for c in full_validation.report.checks]

@@ -392,3 +392,45 @@ def test_trig_power_ratio_value_does_not_depend_on_the_call(kind, se):
         together = bath._trig_power_ratio(se, x, kind)
         alone = np.array([bath._trig_power_ratio(se, np.array([v]), kind)[0] for v in x])
     assert np.all(np.abs(together - alone) <= 4 * np.spacing(np.abs(alone)))
+
+
+#: x on both sides of which _trig_power_ratio changed or changes method:
+#: the old extended-precision seam at 20 and every band edge of the float64 path
+_TRIG_EDGES = (4.0, 20.0, 36.0, 80.0, 200.0)
+
+
+def _trig_power_ratio_mp(se, x, kind):
+    # int_0^1 u^se trig(x u) du as a 1F2 function of -x^2/4, 40 digits
+    with mp.workdps(40):
+        se, x = mp.mpf(se), mp.mpf(x)
+        if kind == "cos":
+            return mp.hyp1f2((se + 1) / 2, mp.mpf(1) / 2, (se + 3) / 2, -x * x / 4) / (se + 1)
+        return x * mp.hyp1f2((se + 2) / 2, mp.mpf(3) / 2, (se + 4) / 2, -x * x / 4) / (se + 2)
+
+
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+@pytest.mark.parametrize("se", [-0.5, 0.0, 0.5, 1.0, 1.5, 0.3, 2.5])
+def test_trig_power_ratio_matches_mpmath(kind, se):
+    # se = s (low temperature, eta) and s - 1 (high temperature) for
+    # s in {1/2, 1, 3/2}, plus two off-catalogue exponents
+    near = [e * f for e in _TRIG_EDGES for f in (1 - 1e-12, 1.0, 1 + 1e-12, 0.99, 1.01)]
+    x = np.sort(np.concatenate([np.logspace(-8, 3, 67), near]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bath._trig_power_ratio(se, x, kind)
+    want = np.array([float(_trig_power_ratio_mp(se, v, kind)) for v in x])
+    bound = 1e-12 * np.maximum(np.abs(want), 1.0 / (1.0 + x))
+    bad = np.abs(got - want) > bound
+    assert not bad.any(), "x = %s" % x[bad]
+    # the edges above bracket every band of the implementation
+    assert {bath._TRIG_SERIES_TOP} | {lo for lo, _ in bath._TRIG_ASYMPTOTIC_TERMS} <= set(_TRIG_EDGES)
+
+
+def test_jacobi_rule_integrates_moments():
+    # the Gauss-Jacobi rule of the middle band is exact for u^k, k < 2n,
+    # also as se -> -1, where scipy.special.roots_jacobi loses digits
+    for se in (-0.9, -0.5, 0.0, 0.3, 2.5):
+        u, w = bath._jacobi_rule01(bath._TRIG_JACOBI_NODES, se)
+        k = np.arange(2 * u.size)
+        moments = (w * u ** k[:, None]).sum(axis=1)
+        assert np.max(np.abs(moments * (se + k + 1.0) - 1.0)) < 1e-13, se

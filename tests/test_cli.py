@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from qbmag import cli
+from qbmag import cli, decoherence
+from qbmag.bath import Cutoff, SpectralDensity, spectral_density
 from qbmag.cli import ConfigError, parse_config
+from qbmag.errors import ConvergenceError
 from qbmag.validation import ValidationReport
 
 CURVE_CFG = """
@@ -152,13 +154,11 @@ def test_validate_fast_report_roundtrip(tmp_path):
     assert all(c.status == "pass" for c in rep.checks)
 
 
-def test_validate_full_exit_reflects_criterion_2(tmp_path):
+def test_validate_full_exit_reflects_criterion_2(full_validation):
     # exit 0 iff all checks pass; the full level contains the criterion-2
     # pi-factor finding, which is reported as a failure by design
-    out = str(tmp_path / "full.json")
-    code = cli.main(["validate", "--level", "full", "--out", out])
-    assert code == 1
-    rep = ValidationReport.from_json(open(out).read())
+    assert full_validation.exit_code == 1
+    rep = full_validation.report
     assert rep.acceptance_complete()
     failing = [c.name for c in rep.checks if c.status != "pass"]
     assert failing == ["criterion-2"]
@@ -182,3 +182,91 @@ def test_curve_exact_regime(tmp_path):
     mags = np.array([float(r[1]) for r in rows])
     assert np.all(np.isfinite(mags) & (mags > 0.0) & (mags <= 1.0))
     assert {r[7] for r in rows} == {"quadrature"} and {r[8] for r in rows} == {"0"}
+
+
+def _repr_cell(x):
+    return repr(float(x))
+
+
+def _reference_curve_csv(series):
+    # one repr(float(.)) per cell, the format the writer must reproduce
+    lines = [cli.CURVE_HEADER]
+    for i in range(len(series.times)):
+        cells = [series.times[i], series.magnitude[i], series.phase[i]]
+        cells += [series.lambda1[i].real, series.lambda1[i].imag]
+        cells += [series.lambda2[i].real, series.lambda2[i].imag]
+        tail = [series.method[i], str(int(series.err_flag[i]))]
+        lines.append(",".join([_repr_cell(c) for c in cells] + tail))
+    return "\n".join(lines) + "\n"
+
+
+def test_curve_csv_matches_per_cell_repr():
+    nan = float("nan")
+    series = decoherence.CurveSeries(
+        times=np.array([0.0, 1e-3, 0.1 + 0.2, 700.0]),
+        magnitude=np.array([1.0, 0.5, nan, decoherence.UNDERFLOW_CLAMP]),
+        phase=np.array([-0.0, 1.0 / 3.0, nan, -2.5e-17]),
+        lambda1=np.array([0j, complex(5e-324, -0.0), complex(nan, nan), complex(1e300, 1.0)]),
+        lambda2=np.array([complex(-0.0, 0.0), complex(-1e-12, 7.0), complex(nan, 0.0), 2.0 - 3.5j]),
+        method=("quadrature", "closed", "quadrature", "quadrature"),
+        err_flag=np.array(
+            [decoherence.FLAG_OK, decoherence.FLAG_FALLBACK, decoherence.FLAG_ERROR, decoherence.FLAG_CLAMPED]
+        ),
+        est_error=np.zeros(4),
+    )
+    text = cli._curve_csv(series)
+    assert text == _reference_curve_csv(series)
+    assert text.splitlines()[1] == "0.0,1.0,-0.0,0.0,0.0,-0.0,0.0,quadrature,0"
+    assert text.splitlines()[3].startswith("0.30000000000000004,nan,nan,nan,nan,nan,0.0,")
+    assert text.splitlines()[4].split(",")[1] == "1e-300"
+
+
+def test_curve_and_spectra_files_match_per_cell_repr(tmp_path):
+    cfg = parse_config(CURVE_CFG)
+    out = str(tmp_path / "c.csv")
+    assert cli.run_curve(cfg, out) == 0
+    sys_params, sd, regime, sep, grid, method = cli._build_objects(cli._scalar_config(cfg))
+    series = decoherence.curve(sys_params, sd, regime, sep, grid, method)
+    assert open(out).read() == _reference_curve_csv(series)
+
+    out = str(tmp_path / "s.csv")
+    assert cli.run_spectra(parse_config("lam=3\ns=1.5\nomega_min=0.5\nomega_points=9\n"), out) == 0
+    omega = np.logspace(np.log10(0.5), np.log10(15.0), 9)
+    cols = [spectral_density(SpectralDensity(1.5, c, 3.0), omega) for c in Cutoff]
+    want = [cli.SPECTRA_HEADER] + [
+        ",".join(_repr_cell(v) for v in (w, a, b, c)) for w, a, b, c in zip(omega, *cols)
+    ]
+    assert open(out).read() == "\n".join(want) + "\n"
+
+
+def test_sweep_records_each_point_failure(tmp_path, monkeypatch):
+    real_curve = cli.curve
+
+    def curve(sys_params, sd, *args):
+        if sd.cutoff is Cutoff.DRUDE_LORENTZ:
+            raise ConvergenceError("kernel quadrature did not converge")
+        return real_curve(sys_params, sd, *args)
+
+    monkeypatch.setattr(cli, "curve", curve)
+    cfg = parse_config(CURVE_CFG.replace("t_points=30", "t_points=8") + "cutoff=drude\ns=-1\n")
+    out = str(tmp_path / "sweep")
+    assert cli.run_sweep(cfg, out, workers=1) == 3
+    status = {
+        (p["params"]["s"], p["params"]["cutoff"]): p["status"]
+        for p in json.load(open(os.path.join(out, "manifest.json")))["points"]
+    }
+    assert status[(1.0, "abrupt")] == "ok"
+    assert status[(1.0, "drude")] == "error: kernel quadrature did not converge"
+    assert status[(-1.0, "abrupt")].startswith("config-error: ")
+    assert status[(-1.0, "drude")].startswith("config-error: ")
+
+
+def test_sweep_lets_a_non_qbmag_exception_through(tmp_path, monkeypatch):
+    # only the documented error types are recorded per point; anything else
+    # is a defect and must not be filed as a numerical error
+    def curve(*args):
+        raise ZeroDivisionError("defect")
+
+    monkeypatch.setattr(cli, "curve", curve)
+    with pytest.raises(ZeroDivisionError):
+        cli.run_sweep(parse_config(CURVE_CFG), str(tmp_path / "sweep"), workers=1)
