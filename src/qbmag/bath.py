@@ -97,14 +97,21 @@ def spectral_density(sd, omega):
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0):
         raise DomainError("omega must be >= 0")
-    if sd.cutoff is Cutoff.ABRUPT:
-        env = (w <= sd.lam).astype(float)
-    elif sd.cutoff is Cutoff.DRUDE_LORENTZ:
-        env = sd.lam**2 / (sd.lam**2 + w * w)
-    else:
-        env = np.exp(-np.minimum(w / sd.lam, 745.0))
-    out = sd.gamma * w**sd.s * env
+    out = sd.gamma * w**sd.s * _envelope(sd)(w)
     return out if out.ndim else float(out)
+
+
+def _envelope(sd):
+    """The cutoff envelope w -> J(w) / (gamma w^s) on arrays w >= 0.
+
+    Chosen once per bath, so a scalar quadrature integrand pays no dispatch.
+    """
+    lam = sd.lam
+    if sd.cutoff is Cutoff.ABRUPT:
+        return lambda w: (w <= lam).astype(float)
+    if sd.cutoff is Cutoff.DRUDE_LORENTZ:
+        return lambda w: lam**2 / (lam**2 + w * w)
+    return lambda w: np.exp(-np.minimum(w / lam, 745.0))
 
 
 # --------------------------------------------------------------------------
@@ -125,15 +132,10 @@ def _integrand_parts(sd, regime):
 
     Returns (p, g, upper_limit).
     """
-    if sd.cutoff is Cutoff.ABRUPT:
-        env = lambda w: np.ones_like(w)
-        upper = sd.lam
-    elif sd.cutoff is Cutoff.EXPONENTIAL:
-        env = lambda w: np.exp(-np.minimum(w / sd.lam, 745.0))
-        upper = np.inf
-    else:
-        env = lambda w: sd.lam**2 / (sd.lam**2 + w * w)
-        upper = np.inf
+    upper = sd.lam if sd.cutoff is Cutoff.ABRUPT else np.inf
+    envelope = _envelope(sd)
+    # a rule's end node can round past a finite upper; it stands for upper
+    env = envelope if upper is np.inf else (lambda w: envelope(np.minimum(w, upper)))
     if regime is None or regime.kind is RegimeKind.LOW_TEMPERATURE:
         p = sd.s
         g = lambda w: sd.gamma * env(np.asarray(w, dtype=float))
@@ -322,8 +324,8 @@ def _jacobi_rule01(n, se):
     """n-node Gauss rule for int_0^1 u^se f(u) du, se > -1 (Golub-Welsch).
 
     Built from the three-term recurrence of the Jacobi polynomials
-    P^(0, se); its weights keep full accuracy as se -> -1, unlike
-    ``scipy.special.roots_jacobi`` (1.6e-11 off on u^k moments at
+    P^(0, se); its weights keep full accuracy as se -> -1, where scipy's
+    Gauss-Jacobi generator loses digits (1.6e-11 off on u^k moments at
     se = -0.9, 44 nodes).
     """
     k = np.arange(1.0, n)
@@ -404,67 +406,53 @@ def _trig_power_ratio(se, x, kind):
     return out.reshape(x.shape)
 
 
-def _expi_scaled(x):
-    """e^{-x} Ei(x), x > 0, stable for large x."""
+def _scaled_ei_minus_e1(x):
+    """e^{-x} Ei(x) - e^{x} E1(x), x > 0, stable for large x."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    ei, e1 = np.empty_like(x), np.empty_like(x)
     lo = x <= 50.0
-    out[lo] = np.exp(-x[lo]) * _sp.expi(x[lo])
+    ei[lo] = np.exp(-x[lo]) * _sp.expi(x[lo])
+    e1[lo] = np.exp(x[lo]) * _sp.exp1(x[lo])
     xl = x[~lo]
     if xl.size:
-        tot = np.zeros_like(xl)
-        term = 1.0 / xl
+        # the asymptotic series sum_k (+-1)^k k!/x^{k+1} of each term
+        tot_ei, tot_e1 = np.zeros_like(xl), np.zeros_like(xl)
+        term_ei = term_e1 = 1.0 / xl
         for k in range(40):
-            tot += term
-            term = term * (k + 1) / xl
-        out[~lo] = tot
-    return out
-
-
-def _exp1_scaled(x):
-    """e^{x} E1(x), x > 0, stable for large x."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    lo = x <= 50.0
-    out[lo] = np.exp(x[lo]) * _sp.exp1(x[lo])
-    xl = x[~lo]
-    if xl.size:
-        tot = np.zeros_like(xl)
-        term = 1.0 / xl
-        for k in range(40):
-            tot += term
-            term = term * (-(k + 1)) / xl
-        out[~lo] = tot
-    return out
+            tot_ei += term_ei
+            tot_e1 += term_e1
+            term_ei = term_ei * (k + 1) / xl
+            term_e1 = term_e1 * (-(k + 1)) / xl
+        ei[~lo], e1[~lo] = tot_ei, tot_e1
+    return ei - e1
 
 
 def _drude_transform(se, lam, x, kind):
     """int_0^inf w^se Lam^2/(Lam^2+w^2) trig(w tau) dw for the se we need; x = Lam tau."""
-    if kind == "cos":
-        ec = _sp.erfcx(np.sqrt(x))
-        dw = 2.0 / np.sqrt(np.pi) * _sp.dawsn(np.sqrt(x))
-        if se == -0.5:
-            return (np.pi / (2 * _SQ2)) * lam**0.5 * (np.exp(-x) + ec + dw)
-        if se == 0.0:
-            return (np.pi / 2.0) * lam * np.exp(-x)
-        if se == 0.5:
-            return (np.pi / (2 * _SQ2)) * lam**1.5 * (np.exp(-x) + ec - dw)
-        if se == 1.0:
-            with np.errstate(divide="ignore"):
-                return -(lam**2 / 2.0) * (_expi_scaled(x) - _exp1_scaled(x))
-        if se == 1.5:
-            with np.errstate(divide="ignore"):
-                return (
-                    lam**2
-                    * (
-                        2.0 * np.sqrt(np.pi) * np.sqrt(lam / np.maximum(x, 1e-300))
-                        - np.pi * np.sqrt(lam) * (np.exp(-x) + ec + dw)
-                    )
-                    / (2 * _SQ2)
-                )
-    elif se == 1.0:
-        return (np.pi / 2.0) * lam**2 * np.exp(-x)
-    return None
+    if kind == "sin":
+        return (np.pi / 2.0) * lam**2 * np.exp(-x) if se == 1.0 else None
+    if se == 0.0:
+        return (np.pi / 2.0) * lam * np.exp(-x)
+    if se == 1.0:
+        with np.errstate(divide="ignore"):
+            return -(lam**2 / 2.0) * _scaled_ei_minus_e1(x)
+    if se not in (-0.5, 0.5, 1.5):
+        return None
+    ec = _sp.erfcx(np.sqrt(x))
+    dw = 2.0 / np.sqrt(np.pi) * _sp.dawsn(np.sqrt(x))
+    if se == -0.5:
+        return (np.pi / (2 * _SQ2)) * lam**0.5 * (np.exp(-x) + ec + dw)
+    if se == 0.5:
+        return (np.pi / (2 * _SQ2)) * lam**1.5 * (np.exp(-x) + ec - dw)
+    with np.errstate(divide="ignore"):
+        return (
+            lam**2
+            * (
+                2.0 * np.sqrt(np.pi) * np.sqrt(lam / np.maximum(x, 1e-300))
+                - np.pi * np.sqrt(lam) * (np.exp(-x) + ec + dw)
+            )
+            / (2 * _SQ2)
+        )
 
 
 def _reference_kernel_fn(sd, regime, kind="cos"):
@@ -512,6 +500,17 @@ def _reference_kernel_fn(sd, regime, kind="cos"):
     return fn
 
 
+def _reference_value(sd, regime, kind, tau):
+    """The closed transform at scalar or array tau, or UnsupportedFormError."""
+    fn = _reference_kernel_fn(sd, regime, kind)
+    if fn is None:
+        what = "s=%g %s" % (sd.s, sd.cutoff.value)
+        what = "eta with " + what if kind == "sin" else what + " " + regime.kind.value
+        raise UnsupportedFormError("no closed transform for " + what)
+    out = fn(np.asarray(tau, dtype=float))
+    return out if np.ndim(tau) else float(out)
+
+
 def noise_kernel_reference(sd, regime, tau):
     """Closed transform of the regime-weighted defining integral.
 
@@ -519,24 +518,12 @@ def noise_kernel_reference(sd, regime, tau):
     raises UnsupportedFormError when no transform is catalogued (the exact
     regime, and Drude-Lorentz exponents outside {1/2, 1, 3/2}).
     """
-    fn = _reference_kernel_fn(sd, regime, "cos")
-    if fn is None:
-        raise UnsupportedFormError(
-            "no closed transform for s=%g %s %s" % (sd.s, sd.cutoff.value, regime.kind.value)
-        )
-    out = fn(np.asarray(tau, dtype=float))
-    return out if np.ndim(tau) else float(out)
+    return _reference_value(sd, regime, "cos", tau)
 
 
 def dissipation_kernel_reference(sd, tau):
     """Closed transform of eta(tau); UnsupportedFormError when not catalogued."""
-    fn = _reference_kernel_fn(sd, None, "sin")
-    if fn is None:
-        raise UnsupportedFormError(
-            "no closed transform for eta with s=%g %s" % (sd.s, sd.cutoff.value)
-        )
-    out = fn(np.asarray(tau, dtype=float))
-    return out if np.ndim(tau) else float(out)
+    return _reference_value(sd, None, "sin", tau)
 
 
 # --------------------------------------------------------------------------
@@ -545,6 +532,11 @@ def dissipation_kernel_reference(sd, tau):
 
 #: the Bose factor 2/(e^{2w/Omega_th} - 1) is below 2e-35 past 40 Omega_th
 _BOSE_RANGE = 40.0
+
+#: window 0 <= Lam tau <= LAM_TAU_MAX of the Ohmic Drude-Lorentz pole-sum
+#: forms, past which their cosh(Lam tau) overflows; default time grids end there
+LAM_TAU_MAX = 700.0
+
 
 def _bose_kernel_fn(sd, omega_th):
     """Vectorised Bose term of the exact-regime noise kernel,
@@ -569,7 +561,8 @@ def _bose_kernel_fn(sd, omega_th):
     """
     beta = 2.0 * sd.s - 1.0
     gx, gw = np.polynomial.legendre.leggauss(16)
-    jx, jw = _sp.roots_jacobi(16, 0.0, beta)
+    ju, jw = _jacobi_rule01(16, beta)
+    jw = jw / ju**beta  # a rule for int_0^1 f(u) du with f ~ u^beta
     abrupt = sd.cutoff is Cutoff.ABRUPT
     x_top = np.sqrt(min(_BOSE_RANGE * omega_th, sd.lam) if abrupt else _BOSE_RANGE * omega_th)
     x_feature = 0.5 * np.sqrt(omega_th if abrupt else min(omega_th, sd.lam))
@@ -583,11 +576,8 @@ def _bose_kernel_fn(sd, omega_th):
         half_periods = np.arange(1.0, n_half) * (x_top**2 / n_half)
         xe = np.sqrt(np.union1d(w_edges, half_periods))
         mid, half = 0.5 * (xe[1:] + xe[:-1]), 0.5 * (xe[1:] - xe[:-1])
-        x_jac = 0.5 * xe[0] * (1.0 + jx)
-        x = np.concatenate([x_jac, (mid[:, None] + half[:, None] * gx).ravel()])
-        weight = np.concatenate(
-            [(0.5 * xe[0]) ** (beta + 1.0) * jw / x_jac**beta, (half[:, None] * gw).ravel()]
-        )
+        x = np.concatenate([xe[0] * ju, (mid[:, None] + half[:, None] * gx).ravel()])
+        weight = np.concatenate([xe[0] * jw, (half[:, None] * gw).ravel()])
         omega = x * x
         return omega, weight * 2.0 * x * spectral_density(sd, omega) * 2.0 / np.expm1(2.0 * omega / omega_th)
 
@@ -616,8 +606,7 @@ def closed_kernel_error(sd, regime, tau_max):
     This states their validity window: the exact regime, and Drude-Lorentz
     exponents without a transform, have no catalogued kernel; the Ohmic
     Drude-Lorentz pole-sum forms need Omega_th > 0 with Lam/Omega_th off the
-    poles of cot(Lam/Omega_th), and Lam tau <= 700, past which
-    cosh(Lam tau) overflows.
+    poles of cot(Lam/Omega_th), and Lam tau <= LAM_TAU_MAX.
     """
     if regime.kind is RegimeKind.EXACT:
         return UnsupportedFormError("the exact regime has no catalogued kernel; use quadrature")
@@ -629,8 +618,10 @@ def closed_kernel_error(sd, regime, tau_max):
             return PoleError(
                 "cot(Lam/Omega_th) pole: Lam/Omega_th = %g is within 1e-8 of a multiple of pi" % ratio
             )
-        if sd.lam * tau_max > 700.0:
-            return RangeError("cosh(Lam tau) overflows for Lam tau = %g > 700" % (sd.lam * tau_max))
+        if sd.lam * tau_max > LAM_TAU_MAX:
+            return RangeError(
+                "cosh(Lam tau) overflows for Lam tau = %g > %g" % (sd.lam * tau_max, LAM_TAU_MAX)
+            )
         return None
     if _reference_kernel_fn(sd, regime, "cos") is None:
         return UnsupportedFormError(

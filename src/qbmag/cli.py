@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime, spectral_density
+from .bath import LAM_TAU_MAX, Cutoff, RegimeKind, SpectralDensity, ThermalRegime, spectral_density
 from .decoherence import FLAG_ERROR, Separation, curve
 from .dynamics import SystemParams
 from .errors import QbmagError
@@ -129,7 +129,7 @@ def _build_objects(cfg):
     except QbmagError as exc:
         raise ConfigError(str(exc))
     t_min = cfg.get("t_min", 1e-3 / cfg["lam"])
-    t_max = cfg.get("t_max", min(1.0, 700.0 / cfg["lam"]))
+    t_max = cfg.get("t_max", min(1.0, LAM_TAU_MAX / cfg["lam"]))
     n = cfg.get("t_points", 200)
     if not (0 <= t_min < t_max) or n < 2:
         raise ConfigError("need 0 <= t_min < t_max and t_points >= 2")

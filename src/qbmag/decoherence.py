@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import (
+    LAM_TAU_MAX,
     Cutoff,
     RegimeKind,
     ThermalRegime,
@@ -115,27 +116,25 @@ def _exponent_arrays(sys, sd, regime, grid, method):
     return int_lam, mom.c0 / sys.hbar, int_err
 
 
-def exponents(sys, sd, regime, sep, t, method="quadrature"):
+def exponents(sys, sd, regime, sep, t):
     """Cumulative decoherence exponents D1(t), D2(t) at a single time."""
     if t < 0:
         raise DomainError("t must be >= 0")
     if t == 0 or (sep.dx == 0 and sep.dy == 0) or sd.gamma == 0.0:
         return DecoherenceExponent(0j, 0j, float(t))
     grid = np.array([float(t)])
-    int_lam = _exponent_arrays(sys, sd, regime, grid, method)[0]
+    int_lam = _exponent_arrays(sys, sd, regime, grid, "quadrature")[0]
     d1 = (sep.dx**2 + sep.dy**2) * int_lam[0, 0]
     d2 = 2.0 * sep.dx * sep.dy * int_lam[0, 1]
     return DecoherenceExponent(complex(d1), complex(d2), float(t))
 
 
-def density_ratio(sys, sd, regime, sep, t, method="quadrature"):
-    """(|rho(t)/rho(0)|, phase); magnitudes below 1e-300 are clamped there."""
-    ex = exponents(sys, sd, regime, sep, t, method)
-    total = ex.d1 + ex.d2
-    mag = float(np.exp(-np.clip(total.real, -_EXP_LIMIT, _EXP_LIMIT)))
-    if total.real > _EXP_LIMIT:
-        mag = UNDERFLOW_CLAMP
-    return mag, float(-total.imag)
+def density_ratio(sys, sd, regime, sep, t):
+    """(|rho(t)/rho(0)|, phase) of ``curve`` on the one-point grid [t], so
+    flagged the same way: a magnitude below 1e-300 reads 1e-300, and one
+    above 1e300 (Re D < -690) reads NaN."""
+    cs = curve(sys, sd, regime, sep, np.array([float(t)]))
+    return float(cs.magnitude[0]), float(cs.phase[0])
 
 
 def hightemp_rate(sys, sep):
@@ -176,8 +175,8 @@ def lowtemp_powerlaw(sys, sd, sep):
 
 
 def default_grid(sd):
-    """200 log-spaced times from 1e-3/Lam to min(1, 700/Lam)."""
-    t_max = min(1.0, 700.0 / sd.lam)
+    """200 log-spaced times from 1e-3/Lam to min(1, LAM_TAU_MAX/Lam)."""
+    t_max = min(1.0, LAM_TAU_MAX / sd.lam)
     return np.logspace(np.log10(1e-3 / sd.lam), np.log10(t_max), 200)
 
 

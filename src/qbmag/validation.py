@@ -665,11 +665,15 @@ _FULL_EXTRA_CHECKS = (
 
 def run_checks(level="fast"):
     """Run the validation suite; level 'full' adds the expensive criteria
-    and the exact-regime Drude-Lorentz oscillatory cross-check."""
+    and the exact-regime Drude-Lorentz oscillatory cross-check.  Every check
+    reports ``runtime_s``; a check that budgets its own keeps its value."""
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     report = ValidationReport(level=level)
     fns = _FAST_CHECKS + (_FULL_EXTRA_CHECKS if level == "full" else ())
     for fn in fns:
-        report.checks.append(fn())
+        t0 = time.time()
+        result = fn()
+        result.measured.setdefault("runtime_s", time.time() - t0)
+        report.checks.append(result)
     return report

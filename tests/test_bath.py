@@ -62,6 +62,12 @@ def test_dissipation_trivial_and_oracles():
     expected_e = 2 * lam**3 * tau / (1 + lam**2 * tau**2) ** 2
     assert bath.dissipation_kernel_quadrature(sde, tau) == pytest.approx(expected_e, rel=1e-8)
     assert bath.dissipation_kernel_reference(sde, tau) == pytest.approx(expected_e, rel=1e-10)
+    # Ohmic Drude-Lorentz: eta = (pi/2) gamma Lam^2 e^{-Lam tau}
+    sdd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 10.0, 1.3)
+    for tau_d in (0.01, 0.1, 1.0):
+        expected_d = (np.pi / 2) * 1.3 * lam**2 * np.exp(-lam * tau_d)
+        assert bath.dissipation_kernel_quadrature(sdd, tau_d) == pytest.approx(expected_d, rel=1e-8)
+        assert bath.dissipation_kernel_reference(sdd, tau_d) == pytest.approx(expected_d, rel=1e-12)
 
 
 def test_closed_kernel_trivials():
@@ -304,7 +310,7 @@ def test_exact_split_matches_bose_quadrature(cutoff, s):
 
 
 @pytest.mark.parametrize("cutoff", [Cutoff.EXPONENTIAL, Cutoff.ABRUPT])
-@pytest.mark.parametrize("s", [0.3, 0.8, 2.5])
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.8, 2.5])
 def test_exact_split_matches_mpmath(cutoff, s):
     # at non-half-integer s the Bose integrand behaves as x^(2s-1) at x = 0,
     # which a plain Gauss rule in x = sqrt(w) resolves only to 1e-3 (s = 0.3)
@@ -434,3 +440,28 @@ def test_jacobi_rule_integrates_moments():
         k = np.arange(2 * u.size)
         moments = (w * u ** k[:, None]).sum(axis=1)
         assert np.max(np.abs(moments * (se + k + 1.0) - 1.0)) < 1e-13, se
+
+
+_DL1 = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        (lambda: SpectralDensity(1.0, Cutoff.ABRUPT, 0.0), DomainError, "cutoff frequency"),
+        (lambda: SpectralDensity(1.0, Cutoff.EXPONENTIAL, -3.0), DomainError, "cutoff frequency"),
+        (lambda: SpectralDensity(1.0, Cutoff.ABRUPT, 10.0, -0.1), DomainError, "gamma"),
+        (lambda: ThermalRegime(RegimeKind.EXACT, 0.0), DomainError, "omega_th"),
+        (lambda: ThermalRegime(RegimeKind.HIGH_TEMPERATURE, -2.0), DomainError, "omega_th"),
+        (lambda: bath.noise_kernel_quadrature(_DL1, LOW, -1e-3), DomainError, "tau"),
+        (lambda: bath.noise_kernel_closed_parts(_DL1, LOW, np.array([0.1, -1e-3])), DomainError, "tau"),
+        # Lam/Omega_th = pi: a pole of cot(Lam/Omega_th)
+        (lambda: bath.drude_exact_kernel(_DL1, 50.0 / np.pi, 0.1), PoleError, "cot"),
+        # Lam/Omega_th = pi + 2e-8: clear of the cot test, 6e-9 off the
+        # Matsubara pole b = Lam/(pi Omega_th) = 1
+        (lambda: bath.drude_exact_kernel(_DL1, 50.0 / (np.pi + 2e-8), 0.1), PoleError, "Matsubara"),
+    ],
+)
+def test_bath_rejects_out_of_domain_input(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

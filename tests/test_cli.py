@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_curve_csv_format_and_determinism(tmp_path):
     out2 = str(tmp_path / "b.csv")
     assert cli.main(["curve", "--config", cfg, "--out", out1]) == 0
     assert cli.main(["curve", "--config", cfg, "--out", out2]) == 0
-    b1, b2 = open(out1, "rb").read(), open(out2, "rb").read()
+    b1, b2 = Path(out1).read_bytes(), Path(out2).read_bytes()
     assert b1 == b2
     lines = b1.decode().splitlines()
     assert lines[0] == cli.CURVE_HEADER
@@ -66,7 +67,7 @@ def test_curve_gamma_zero_magnitudes(tmp_path):
     cfg = write(tmp_path, "g0.cfg", CURVE_CFG + "gamma=0\n")
     out = str(tmp_path / "g0.csv")
     assert cli.main(["curve", "--config", cfg, "--out", out]) == 0
-    rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+    rows = [line.split(",") for line in Path(out).read_text().splitlines()[1:]]
     assert all(float(r[1]) == 1.0 for r in rows)
 
 
@@ -80,7 +81,7 @@ def test_spectra_columns_and_convergence(tmp_path):
     cfg = write(tmp_path, "s.cfg", "lam=1e6\nomega_min=1\nomega_max=1e3\nomega_points=50\n")
     out = str(tmp_path / "s.csv")
     assert cli.main(["spectra", "--config", cfg, "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == cli.SPECTRA_HEADER
     data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     j = data[:, 1:]
@@ -90,7 +91,7 @@ def test_spectra_columns_and_convergence(tmp_path):
     cfg2 = write(tmp_path, "s2.cfg", "lam=1e3\nomega_min=2e3\nomega_max=5e3\nomega_points=5\n")
     out2 = str(tmp_path / "s2.csv")
     assert cli.main(["spectra", "--config", cfg2, "--out", out2]) == 0
-    data2 = np.array([[float(x) for x in line.split(",")] for line in open(out2).read().splitlines()[1:]])
+    data2 = np.array([[float(x) for x in line.split(",")] for line in Path(out2).read_text().splitlines()[1:]])
     assert np.all(data2[:, 1] == 0.0)
     assert np.all(data2[:, 2] > 0) and np.all(data2[:, 3] > 0)
 
@@ -104,7 +105,7 @@ def test_spectra_powerlaw_slopes(tmp_path):
         )
         out = str(tmp_path / ("p%s.csv" % s))
         assert cli.main(["spectra", "--config", cfg, "--out", out]) == 0
-        data = np.array([[float(x) for x in line.split(",")] for line in open(out).read().splitlines()[1:]])
+        data = np.array([[float(x) for x in line.split(",")] for line in Path(out).read_text().splitlines()[1:]])
         slope = np.polyfit(np.log(data[:, 0]), np.log(data[:, 3]), 1)[0]
         assert abs(slope - expect) < 0.01
 
@@ -118,7 +119,7 @@ def test_sweep_manifest_and_files(tmp_path):
     )
     out = str(tmp_path / "sweepdir")
     assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert sorted(manifest["axes"]) == ["cutoff", "s"]
     assert len(manifest["points"]) == 9
     assert all(p["status"] == "ok" for p in manifest["points"])
@@ -132,7 +133,7 @@ def test_sweep_empty_axes_single_point(tmp_path):
     cfg = write(tmp_path, "one.cfg", CURVE_CFG)
     out = str(tmp_path / "one")
     assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert manifest["axes"] == []
     assert len(manifest["points"]) == 1
 
@@ -147,7 +148,7 @@ def test_validate_fast_report_roundtrip(tmp_path):
     out = str(tmp_path / "report.json")
     code = cli.main(["validate", "--level", "fast", "--out", out])
     assert code == 0  # fast level passes on a fresh build
-    text = open(out).read()
+    text = Path(out).read_text()
     rep = ValidationReport.from_json(text)
     assert rep.to_json() + "\n" == text
     assert {c.name for c in rep.checks} >= {"specfun-si-ci", "dynamics-mode-identities", "criterion-1"}
@@ -175,7 +176,7 @@ def test_curve_exact_regime(tmp_path):
     cfg = write(tmp_path, "exact.cfg", text)
     out = str(tmp_path / "exact.csv")
     assert cli.main(["curve", "--config", cfg, "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == cli.CURVE_HEADER
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 40
@@ -227,7 +228,7 @@ def test_curve_and_spectra_files_match_per_cell_repr(tmp_path):
     assert cli.run_curve(cfg, out) == 0
     sys_params, sd, regime, sep, grid, method = cli._build_objects(cli._scalar_config(cfg))
     series = decoherence.curve(sys_params, sd, regime, sep, grid, method)
-    assert open(out).read() == _reference_curve_csv(series)
+    assert Path(out).read_text() == _reference_curve_csv(series)
 
     out = str(tmp_path / "s.csv")
     assert cli.run_spectra(parse_config("lam=3\ns=1.5\nomega_min=0.5\nomega_points=9\n"), out) == 0
@@ -236,7 +237,7 @@ def test_curve_and_spectra_files_match_per_cell_repr(tmp_path):
     want = [cli.SPECTRA_HEADER] + [
         ",".join(_repr_cell(v) for v in (w, a, b, c)) for w, a, b, c in zip(omega, *cols)
     ]
-    assert open(out).read() == "\n".join(want) + "\n"
+    assert Path(out).read_text() == "\n".join(want) + "\n"
 
 
 def test_sweep_records_each_point_failure(tmp_path, monkeypatch):
@@ -253,7 +254,7 @@ def test_sweep_records_each_point_failure(tmp_path, monkeypatch):
     assert cli.run_sweep(cfg, out, workers=1) == 3
     status = {
         (p["params"]["s"], p["params"]["cutoff"]): p["status"]
-        for p in json.load(open(os.path.join(out, "manifest.json")))["points"]
+        for p in json.loads(Path(out, "manifest.json").read_text())["points"]
     }
     assert status[(1.0, "abrupt")] == "ok"
     assert status[(1.0, "drude")] == "error: kernel quadrature did not converge"
@@ -270,3 +271,50 @@ def test_sweep_lets_a_non_qbmag_exception_through(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "curve", curve)
     with pytest.raises(ZeroDivisionError):
         cli.run_sweep(parse_config(CURVE_CFG), str(tmp_path / "sweep"), workers=1)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (CURVE_CFG + "lam 10\n", "expected key=value"),
+        (CURVE_CFG.replace("t_points=30", "t_points=2.5"), "must be an integer"),
+        (CURVE_CFG + "omega_c=2\n", "only the sweep subcommand sweeps"),
+        (CURVE_CFG.replace("lam=1e3\n", ""), "missing required key 'lam'"),
+        (CURVE_CFG.replace("cutoff=abrupt", "cutoff=gauss"), "gauss"),
+        (CURVE_CFG.replace("regime=low", "regime=warm"), "warm"),
+        (CURVE_CFG + "t_min=0.5\nt_max=0.1\n", "t_min < t_max"),
+        (CURVE_CFG + "t_min=0\n", "log grid needs t_min > 0"),
+        (CURVE_CFG + "grid=cubic\n", "grid must be"),
+        (CURVE_CFG + "method=exactly\n", "method must be"),
+    ],
+)
+def test_curve_config_errors_exit_2(tmp_path, capsys, text, match):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert cli.main(["curve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and match in err
+
+
+def test_curve_numerical_error_exit_3(tmp_path, capsys, monkeypatch):
+    def curve(*args):
+        raise ConvergenceError("tail did not stabilise")
+
+    monkeypatch.setattr(cli, "curve", curve)
+    cfg = write(tmp_path, "c.cfg", CURVE_CFG)
+    assert cli.main(["curve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    assert "numerical error: tail did not stabilise" in capsys.readouterr().err
+
+
+def test_linear_grids(tmp_path):
+    cfg = write(tmp_path, "lin.cfg", CURVE_CFG + "grid=linear\nt_min=0\nt_max=0.02\n")
+    out = str(tmp_path / "lin.csv")
+    assert cli.main(["curve", "--config", cfg, "--out", out]) == 0
+    rows = [line.split(",") for line in Path(out).read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == np.linspace(0.0, 0.02, 30).tolist()
+    assert float(rows[0][1]) == 1.0 and {r[8] for r in rows} == {"0"}
+
+    cfg = write(tmp_path, "lin_s.cfg", "lam=3\nomega_grid=linear\nomega_min=0.5\nomega_max=6\nomega_points=12\n")
+    out = str(tmp_path / "lin_s.csv")
+    assert cli.main(["spectra", "--config", cfg, "--out", out]) == 0
+    omega = [float(line.split(",")[0]) for line in Path(out).read_text().splitlines()[1:]]
+    assert omega == np.linspace(0.5, 6.0, 12).tolist()

@@ -10,7 +10,7 @@ from qbmag import bath, coefficients
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.coefficients import g_function, lambda_closed, lambda_from_kernel, lambda_quadrature
 from qbmag.dynamics import SystemParams, mode_constants
-from qbmag.errors import UnsupportedFormError
+from qbmag.errors import DomainError, UnsupportedFormError
 
 HIGH = lambda oth: ThermalRegime(RegimeKind.HIGH_TEMPERATURE, oth)
 LOW = ThermalRegime(RegimeKind.LOW_TEMPERATURE)
@@ -314,3 +314,22 @@ def test_exp_low_validated_lambda2_linear_in_gamma():
     a = lambda_closed(sys, SpectralDensity(1.0, Cutoff.EXPONENTIAL, lam, 1.0), regime, 1e-3).lambda2
     b = lambda_closed(sys, SpectralDensity(1.0, Cutoff.EXPONENTIAL, lam, 0.375), regime, 1e-3).lambda2
     assert abs(b - 0.375 * a) <= 1e-13 * abs(0.375 * a)
+
+
+_SD1 = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: lambda_closed(SYS, _SD1, HIGH(1e3), -1e-3), "t must be"),
+        (lambda: lambda_from_kernel(SYS, lambda u: 1.0, -1e-3), "t must be"),
+        (lambda: lambda_quadrature(SYS, _SD1, LOW, -1e-3), "t must be"),
+        # Lam = 5 lies below A' = 10.5 of omega0 = 10, omega_c = 1
+        (lambda: lambda_closed(SYS, SpectralDensity(1.0, Cutoff.ABRUPT, 5.0), HIGH(1e3), 0.01), "Lam > A'"),
+        (lambda: lambda_closed(SYS, SpectralDensity(1.0, Cutoff.ABRUPT, 5.0), LOW, 0.01), "Lam > A'"),
+    ],
+)
+def test_coefficients_reject_out_of_domain_input(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()

@@ -299,3 +299,28 @@ def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
     # lambda1 can cross zero on the grid, so the scale is its largest value
     for got, base in ((three.lambda1, one.lambda1), (three.lambda2, one.lambda2)):
         assert np.max(np.abs(got - 3.0 * base)) <= 1e-13 * np.max(np.abs(3.0 * base))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: Separation(float("nan"), 1.0), "finite"),
+        (lambda: Separation(1.0, float("inf")), "finite"),
+        (lambda: exponents(SYS, SD, HIGH, SEP, -1e-3), "t must be"),
+        (lambda: density_ratio(SYS, SD, HIGH, SEP, -1e-3), "start at >= 0"),
+    ],
+)
+def test_decoherence_rejects_out_of_domain_input(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
+def test_density_ratio_reads_curve():
+    # one grid point of curve(), clamped and flagged the same way
+    for t in (1e-4, 0.05, 0.4):
+        cs = curve(SYS, SD, HIGH, SEP, np.array([t]))
+        assert density_ratio(SYS, SD, HIGH, SEP, t) == (cs.magnitude[0], cs.phase[0])
+    far = Separation(1e4, 1e4)
+    cs = curve(SYS, SD, HIGH, far, np.array([0.4]))
+    assert cs.err_flag[0] == FLAG_CLAMPED
+    assert density_ratio(SYS, SD, HIGH, far, 0.4) == (1e-300, cs.phase[0])

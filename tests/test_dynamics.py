@@ -288,3 +288,18 @@ def test_time_moments_do_not_depend_on_the_block(monkeypatch, cutoff, rkind):
         scale = 1e-13 * np.max(np.abs(getattr(ref, c)), axis=0)
         assert np.all(np.abs(getattr(got, c) - getattr(ref, c)) <= scale)
         assert np.all(np.abs(getattr(got, d) - getattr(ref, d)) <= scale)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(m=0.0), "m and hbar"),
+        (dict(m=-1.0), "m and hbar"),
+        (dict(hbar=0.0), "m and hbar"),
+        (dict(omega0=-1.0), "omega0 and omega_c"),
+        (dict(omega_c=-0.5), "omega0 and omega_c"),
+    ],
+)
+def test_system_params_reject_out_of_domain(kwargs, match):
+    with pytest.raises(DomainError, match=match):
+        SystemParams(**dict(dict(omega0=10.0, omega_c=1.0), **kwargs))
