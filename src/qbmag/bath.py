@@ -180,6 +180,21 @@ _TAIL_MAX_SEGMENTS = 10_000
 _ENVELOPE_SPAN = 64.0
 
 
+def _envelope_edges(sd, regime, lo, hi):
+    """[lo, breakpoints in (lo, hi), hi] for an integral over a frequency range.
+
+    Past _ENVELOPE_SPAN times the smallest frequency scale (Lam, and the
+    Bose bump at Omega_th in the exact regime) the integrand is smooth and
+    either negligible (exponential) or algebraic (Drude-Lorentz); one
+    QUADPACK call over a range far wider than that misses the envelope, so
+    that stretch is split at geometric breakpoints.
+    """
+    exact = regime is not None and regime.kind is RegimeKind.EXACT
+    span = _ENVELOPE_SPAN * (min(sd.lam, regime.omega_th) if exact else sd.lam)
+    cuts = span * 4.0 ** np.arange(max(0.0, np.ceil(np.log(hi / span) / np.log(4.0))))
+    return [lo] + [c for c in cuts if lo < c < hi] + [hi]
+
+
 def _kernel_quadrature(sd, regime, tau, kind, rtol):
     p, g, upper = _integrand_parts(sd, regime)
     tau = float(tau)
@@ -187,27 +202,36 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol):
         raise DomainError("tau must be >= 0")
     trig = np.cos if kind == "cos" else np.sin
     full = lambda w: np.asarray(w, dtype=float) ** p * g(w) * trig(np.asarray(w) * tau)
+    part = lambda w: w**p * float(g(w))
 
     if tau == 0.0:
         if kind == "sin":
             return 0.0
-        if upper is np.inf and sd.cutoff is Cutoff.DRUDE_LORENTZ and p >= 1.0:
-            raise ConvergenceError(
-                "noise kernel diverges at tau = 0 for a Drude-Lorentz tail with w^%g growth" % p
-            )
+        if sd.cutoff is Cutoff.DRUDE_LORENTZ:
+            # J ~ w^(s-2) on the tail; the coth factor tends to Omega_th/w at
+            # high temperature and to 1 otherwise
+            tail = sd.s - 2.0 - (regime.kind is RegimeKind.HIGH_TEMPERATURE)
+            if tail >= -1.0:
+                raise ConvergenceError(
+                    "noise kernel diverges at tau = 0 for a Drude-Lorentz tail with w^%g decay" % tail
+                )
         q = p + 1.0
         a_head = 1.0 if upper is np.inf else min(1.0, upper)
         head = integrate.quad(
             lambda x: (1.0 / q) * float(g(x ** (1.0 / q))), 0.0, a_head**q, limit=200
         )[0]
         if upper is np.inf:
-            rest = integrate.quad(lambda w: w**p * float(g(w)), a_head, np.inf, limit=500)[0]
+            # the breakpoints of the tau > 0 path up to 4 _ENVELOPE_SPAN Lam,
+            # past which the exponential envelope is negligible; the algebraic
+            # tail beyond the last edge c is integrated in units of c
+            edges = _envelope_edges(sd, regime, a_head, max(a_head, 4.0 * _ENVELOPE_SPAN * sd.lam))
+            c = edges[-1]
+            rest = c * integrate.quad(lambda v: part(c * v), 1.0, np.inf, limit=500)[0]
         else:
-            rest = (
-                integrate.quad(lambda w: w**p * float(g(w)), a_head, upper, limit=500)[0]
-                if upper > a_head
-                else 0.0
-            )
+            edges = [a_head, upper] if upper > a_head else [a_head]
+            rest = 0.0
+        for lo, hi in zip(edges, edges[1:]):
+            rest += integrate.quad(part, lo, hi, limit=500)[0]
         return head + rest
 
     # head: [0, a_sub] via the substitution w = x^{1/(p+1)} (kills the w^p point),
@@ -223,23 +247,11 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol):
     )[0]
     if upper is not np.inf:
         if upper > a_sub:
-            head += integrate.quad(
-                lambda w: w**p * float(g(w)), a_sub, upper, weight=kind, wvar=tau, limit=2000
-            )[0]
+            head += integrate.quad(part, a_sub, upper, weight=kind, wvar=tau, limit=2000)[0]
         return head
-    # Past _ENVELOPE_SPAN times the smallest frequency scale (Lam, and the
-    # Bose bump at Omega_th in the exact regime) the integrand is smooth and
-    # either negligible (exponential) or algebraic (Drude-Lorentz); one
-    # QUADPACK call over a range far wider than that misses the envelope, so
-    # that stretch is split at geometric breakpoints.
-    exact = regime is not None and regime.kind is RegimeKind.EXACT
-    span = _ENVELOPE_SPAN * (min(sd.lam, regime.omega_th) if exact else sd.lam)
-    cuts = span * 4.0 ** np.arange(max(0.0, np.ceil(np.log(w_head / span) / np.log(4.0))))
-    edges = [a_sub] + [c for c in cuts if a_sub < c < w_head] + [w_head]
+    edges = _envelope_edges(sd, regime, a_sub, w_head)
     for lo, hi in zip(edges, edges[1:]):
-        head += integrate.quad(
-            lambda w: w**p * float(g(w)), lo, hi, weight=kind, wvar=tau, limit=500
-        )[0]
+        head += integrate.quad(part, lo, hi, weight=kind, wvar=tau, limit=500)[0]
 
     # oscillatory tail: integrate between consecutive zeros of the trig factor
     # and Euler-accelerate the alternating sequence of partial sums.
@@ -287,7 +299,7 @@ def noise_kernel_quadrature(sd, regime, tau, rtol=1e-8):
 
     Raises ConvergenceError when the tail accelerator fails or the integral
     diverges (Drude-Lorentz tails at tau = 0 with s >= 1 in the quantum or
-    exact regimes).
+    exact regimes, s >= 2 at high temperature).
     """
     return _kernel_quadrature(sd, regime, tau, "cos", rtol)
 

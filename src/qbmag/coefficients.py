@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy import special as _sp
 
 from .bath import Cutoff, RegimeKind, closed_kernel_error, noise_kernel_quadrature
 from .dynamics import f_weight, mode_constants
-from .errors import DomainError, UnsupportedFormError
+from .errors import DomainError, RangeError, UnsupportedFormError
 from .specfun import cos_integral as Ci
 from .specfun import sin_integral as Si
 
@@ -46,19 +47,13 @@ FINDINGS = {
     ("drude", "high", "lambda2"): "printed g2 combination does not reduce to the integral by any single rescaling",
     ("drude", "low", "lambda1"): "printed g3 form equals the cumulative int_0^t lambda1 dt', not lambda1",
     ("drude", "low", "lambda2"): "printed g4 form equals -A'B' times the cumulative int_0^t lambda2 dt'",
+    ("exp", "high", "lambda1"): "printed g5 is exact but weights Si/Ci by cosh and sinh(A'/Lam), "
+    "which cancel: in double precision it is 1e-5 off at A'/Lam = 12, 3e-2 at 16 and O(1) at 20",
+    ("exp", "low", "lambda1"): "printed g7 is exact but weights Si/Ci by cosh and sinh(A'/Lam), "
+    "which cancel: in double precision it is 3e-4 off at A'/Lam = 12 and O(1) at 16",
     ("exp", "high", "lambda2"): "printed g6 equals -A'B' times the integral after reading f1(v'/Lam) as Shi(v'/Lam)",
     ("exp", "low", "lambda2"): "printed g8 equals -A'B' times the integral after reading f1(v'/Lam) as Shi(v'/Lam)",
 }
-
-
-def _shi(a):
-    """Hyperbolic sine integral of real a >= 0."""
-    return (-1j * Si(1j * a)).real
-
-
-def _chi2(a):
-    """Ci(ia) + Ci(-ia) = 2 Chi(a) for real a > 0."""
-    return (Ci(1j * a) + Ci(-1j * a)).real
 
 
 # --------------------------------------------------------------------------
@@ -152,56 +147,81 @@ def _drude_validated(sd, regime, mc, t, hbar):
     return l1, l2
 
 
+#: a T up to which a mode of the exponential cutoff takes the power series in
+#: a; past it the scaled-E1 closed form is the more accurate
+_SERIES_MAX_AT = 6.0
+#: series terms k = 0 .. _SERIES_TERMS - 1 in a^2, enough for a T = 6
+_SERIES_TERMS = 26
+#: A'/Lam past which E1(A'/Lam) ~ e^{-A'/Lam} leaves the double range
+_EXP_MAX_A = 700.0
+
+
+def _exp_moments(bigt, high, n):
+    """m_j = int_0^T y^j k(y) dy for j < n, with the kernel shape k(y) of the
+    exponential cutoff: 1/(1+y^2) at high and (1-y^2)/(1+y^2)^2 at low
+    temperature.  Extended precision for T >= 1, where the series in
+    _exp_mode grows before it cancels."""
+    j = np.arange(n)
+    if bigt < 1.0:
+        # the recurrence below loses a factor 1/T per step here
+        bt = float(bigt)
+        mu = bt ** (j + 1) / (j + 1) * _sp.hyp2f1(1.0, (j + 1) / 2, (j + 3) / 2, -bt * bt)
+    else:
+        bt = np.longdouble(bigt)
+        mu = np.empty(n, dtype=np.longdouble)
+        mu[0], mu[1] = np.arctan(bt), np.log1p(bt * bt) / 2
+        for i in range(2, n):
+            mu[i] = bt ** (i - 1) / (i - 1) - mu[i - 2]
+    if high:
+        return mu
+    # integrating y^j by parts against d/dy [y/(1+y^2)]
+    return bt ** (j + 1) / (1 + bt * bt) - j * mu
+
+
+def _exp_mode(a, bigt, high):
+    """(Re chi, Im chi / a - m_1) of chi(a) = int_0^T e^{iay} k(y) dy.
+
+    Im chi / a tends to m_1 as a -> 0, so the second value is the part that
+    survives the difference between two modes.  For a T <= _SERIES_MAX_AT it
+    is the power series sum_n (ia)^n m_n / n!; past that the closed form in
+    g(w) = e^w E1(w), with g(-a - i0) = e^{-a} (i pi - Ei(a)).
+    """
+    if a * bigt <= _SERIES_MAX_AT:
+        m = _exp_moments(bigt, high, 2 * _SERIES_TERMS)
+        # (-a^2)^k / (2k)!
+        k = np.arange(1, _SERIES_TERMS)
+        c = np.cumprod(np.concatenate(([1], -np.longdouble(a) ** 2 / ((2 * k - 1) * (2 * k)))))
+        return np.sum(c * m[0::2]), np.sum(c[1:] * m[3::2] / (2 * k + 1))
+    a, bigt = float(a), float(bigt)
+    g = lambda w: np.exp(w) * _sp.exp1(w)
+    eit = np.exp(1j * a * bigt)
+    lp = np.exp(-a) * (1j * np.pi - _sp.expi(a)) - eit * g(-a * (1 + 1j * bigt))
+    lm = g(a) - eit * g(a * (1 - 1j * bigt))
+    if high:
+        chi = (lp - lm) / 2j
+        m1 = np.log1p(bigt * bigt) / 2
+    else:
+        chi = bigt * eit / (1 + bigt * bigt) - 1j * a * (lp + lm) / 2
+        m1 = bigt * bigt / (1 + bigt * bigt) - np.log1p(bigt * bigt) / 2
+    return chi.real, chi.imag / a - m1
+
+
 def _exp_validated(sd, regime, mc, t, hbar):
+    # nu(tau) dtau = c k(y) dy with y = Lam tau and c = gamma Omega_th (high)
+    # or gamma Lam (low), so int_0^t nu e^{iz tau} dtau = c chi(z / Lam)
     lam, gam = sd.lam, sd.gamma
     ap, bp, m, p, g = mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef, mc.g_coef
-    bigt = lam * t
+    if ap / lam > _EXP_MAX_A:
+        raise RangeError("exponential closed forms overflow for A'/Lam = %g > %g" % (ap / lam, _EXP_MAX_A))
     high = regime.kind is RegimeKind.HIGH_TEMPERATURE
-
-    def wpm(z):
-        a = z / lam
-        return (-1j + bigt) * a, (1j + bigt) * a, a
-
-    # the printed g5/g7 displays are exact; only their z -> 0 limits are added
-    def g5v(z):
-        if z * t < 1e-12 and z / lam < 1e-12:
-            return 2.0 * np.arctan(bigt)
-        return _g5(z, t, lam).real
-
-    def ssin(z):
-        wm, wp, a = wpm(z)
-        return (
-            (-1j / 2) * np.cosh(a) * (Si(wm) - Si(wp))
-            + np.cosh(a) * _shi(a)
-            + 0.5 * np.sinh(a) * (Ci(wm) + Ci(wp) - _chi2(a))
-        ).real
-
-    def g7v(z):
-        if z * t < 1e-12 and z / lam < 1e-12:
-            return 2 * t * lam**2 * np.cos(z * t)
-        return _g7(z, t, lam).real
-
-    def icos(z):
-        wm, wp, a = wpm(z)
-        return (
-            0.5 * np.cosh(a) * (Ci(wm) + Ci(wp) - _chi2(a))
-            - (1j / 2) * np.sinh(a) * (Si(wm) - Si(wp))
-        ).real + np.sinh(a) * _shi(a)
-
-    if high:
-        l1 = complex(gam * regime.omega_th / (2 * hbar) * (m * g5v(ap) + p * g5v(bp)))
-    else:
-        l1 = complex(gam / (hbar * (2 + 2 * bigt**2)) * (m * g7v(ap) + p * g7v(bp)))
-    if g == 0.0:
-        l2 = 0.0 + 0.0j
-    elif high:
-        l2 = complex(gam * regime.omega_th * g / hbar * (ssin(bp) / bp - ssin(ap) / ap))
-    else:
-        corr = lambda z: gam * lam * (
-            bigt * np.sin(z * t) / (1 + bigt**2) - (z / lam) * icos(z)
-        )
-        l2 = complex(g / hbar * (corr(bp) / bp - corr(ap) / ap))
-    return l1, l2
+    scale = regime.omega_th if high else lam
+    # a and T in extended precision: lambda2 is a difference of two modes,
+    # which magnifies their rounding
+    bigt = np.longdouble(lam) * t
+    (ra, qa), (rb, qb) = (_exp_mode(np.longdouble(z) / lam, bigt, high) for z in (ap, bp))
+    l1 = float(scale * (m * ra + p * rb) / hbar)
+    l2 = float(scale / lam * g * (qb - qa) / hbar)
+    return complex(gam * l1), complex(gam * l2)
 
 
 # --------------------------------------------------------------------------
@@ -380,11 +400,7 @@ def lambda_closed(sys, sd, regime, t, variant="validated"):
     an undefined f3 (``lambda_quadrature`` gives it).  The exact regime and
     s != 1 raise UnsupportedFormError.
 
-    The exponential-cutoff forms weight Si/Ci terms by cosh(A'/Lam) and
-    sinh(A'/Lam) that cancel to a much smaller result, so they lose relative
-    accuracy as A'/Lam grows.  Against ``lambda_from_kernel`` at omega0 = 10,
-    omega_c = 1, Omega_th = 13 and Lam t in {0.5, 3, 20}, the worst error of
-    either coefficient is 5e-11 at A'/Lam = 5, 3e-4 at 12 and O(1) at 16.
+    The validated exponential-cutoff forms raise RangeError for A'/Lam > 700.
     """
     if variant not in ("validated", "printed"):
         raise ValueError("variant must be 'validated' or 'printed'")

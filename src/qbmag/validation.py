@@ -83,8 +83,8 @@ def _relerr(a, b, floor=1e-10):
 # fast module checks
 # --------------------------------------------------------------------------
 
-#: (z, Si(z), Ci(z)) from 30-digit mpmath, frozen, past the Maclaurin radius
-#: |z| = 20: near the real axis, and off it for Re z > 0 and Re z < 0
+#: (z, Si(z), Ci(z)) from 30-digit mpmath, frozen, at |z| > 20: near the
+#: real axis, and off it for Re z > 0 and Re z < 0
 _SICI_FROZEN = (
     (
         30.5 - 4.2j,
@@ -135,8 +135,8 @@ def check_specfun_sici():
         worst < 1e-10 and asym < 1e-3,
         {"worst": worst, "si_large_arg_gap": asym},
         "1e-10 (series oracle), 1e-3 (asymptote)",
-        "brute-force Maclaurin series; frozen mpmath values past |z| = 20; "
-        "oddness and Schwarz reflection",
+        "frozen series values at z = 1; frozen 30-digit mpmath values at "
+        "|z| > 20; oddness and Schwarz reflection",
     )
 
 
@@ -332,7 +332,6 @@ def check_criterion_2():
 
 
 def check_criterion_3():
-    t0 = time.time()
     sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3, 1.0)
     hi = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 1e3)
     sep = Separation(1.0, 1.0)
@@ -344,8 +343,7 @@ def check_criterion_3():
     return _result(
         "criterion-3",
         change < 0.02,
-        {"rate_wc1": rates[1.0], "rate_wc10": rates[10.0], "rel_change": change,
-         "runtime_s": time.time() - t0},
+        {"rate_wc1": rates[1.0], "rate_wc10": rates[10.0], "rel_change": change},
         "fitted rate changes < 2% between omega_c = 1 and 10",
         "same fit as criterion-2 at both field strengths",
     )
@@ -393,7 +391,6 @@ _MATRIX_COMBOS = tuple(
 
 
 def check_criterion_5():
-    t0 = time.time()
     rng = np.random.default_rng(_SEED)
     validated_worst = {}
     printed_dev = {}
@@ -408,7 +405,12 @@ def check_criterion_5():
             sys = SystemParams(omega0=w0, omega_c=wc)
             mc = dynamics.mode_constants(sys)
             oth = rng.uniform(0.5, 50.0)
-            lam = rng.uniform(10.0, 30.0) * max(mc.a_prime, oth)
+            if cutoff is Cutoff.EXPONENTIAL:
+                # A'/Lam log-uniform in [0.02, 50], through the Lam < A' the
+                # cutoff comparison is most sensitive to
+                lam = mc.a_prime / np.exp(rng.uniform(np.log(0.02), np.log(50.0)))
+            else:
+                lam = rng.uniform(10.0, 30.0) * max(mc.a_prime, oth)
             if cutoff is Cutoff.DRUDE_LORENTZ and abs(np.sin(lam / oth)) < 0.1:
                 continue
             sd = SpectralDensity(1.0, cutoff, lam, rng.uniform(0.2, 3.0))
@@ -448,7 +450,6 @@ def check_criterion_5():
             "validated_worst_rel": validated_worst,
             "printed_findings": printed_dev,
             "undocumented_deviations": [str(u) for u in undocumented],
-            "runtime_s": time.time() - t0,
         },
         "validated forms within 1e-4 of same-kernel quadrature at 10 random draws per combo; "
         "printed deviations must be catalogued findings",
@@ -468,14 +469,7 @@ def check_criterion_6():
                 sd = SpectralDensity(s, cutoff, lam, 1.3)
                 regime = ThermalRegime(rkind, oth)
                 xs = np.logspace(-3, np.log10(15.0), 20)
-                w = 0.0
-                scale = abs(bath.noise_kernel_reference(sd, regime, 1e-3 / lam))
-                for x in xs:
-                    tau = x / lam
-                    cv = bath.noise_kernel_reference(sd, regime, tau)
-                    qv = bath.noise_kernel_quadrature(sd, regime, tau)
-                    w = max(w, abs(cv - qv) / max(abs(qv), 1e-9 * scale))
-                worst["s=%g-%s-%s" % (s, cutoff.value, rkind.value)] = w
+                worst["s=%g-%s-%s" % (s, cutoff.value, rkind.value)] = _reference_gap(sd, regime, xs)
     ok = max(worst.values()) < 1e-4
     return _result(
         "criterion-6",
@@ -501,7 +495,6 @@ def _ordering_curves(regime_kind, oth, lam=1e3, w0=10.0, wc=1.0, svals=(1.0,), g
 
 
 def check_criterion_7():
-    t0 = time.time()
     measured = {}
     ok = True
     svals = (0.5, 1.0, 1.5)
@@ -588,7 +581,6 @@ def check_criterion_7():
             "note": "below plot resolution; ordering not asserted at high T",
         }
     measured["d-high-unasserted"] = hi_margin
-    measured["runtime_s"] = time.time() - t0
     return _result(
         "criterion-7",
         ok,
@@ -599,6 +591,20 @@ def check_criterion_7():
     )
 
 
+def _reference_gap(sd, regime, xs):
+    """Worst relative gap of the reference kernel to the defining quadrature
+    at tau = x / Lam for increasing xs; each gap is floored at 1e-9 times the
+    reference at the smallest x."""
+    scale = abs(bath.noise_kernel_reference(sd, regime, xs[0] / sd.lam))
+    worst = 0.0
+    for x in xs:
+        tau = x / sd.lam
+        cv = bath.noise_kernel_reference(sd, regime, tau)
+        qv = bath.noise_kernel_quadrature(sd, regime, tau)
+        worst = max(worst, abs(cv - qv) / max(abs(qv), 1e-9 * scale))
+    return worst
+
+
 def check_bath_reference():
     """Reference kernels vs defining quadrature for the Ohmic transforms."""
     worst = {}
@@ -606,14 +612,9 @@ def check_bath_reference():
         for rkind in (RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE):
             sd = SpectralDensity(1.0, cutoff, 200.0, 1.0)
             regime = ThermalRegime(rkind, 11.0)
-            w = 0.0
-            scale = abs(bath.noise_kernel_reference(sd, regime, 1e-2 / sd.lam))
-            for x in (1e-2, 0.5, 3.0, 25.0):
-                tau = x / sd.lam
-                cv = bath.noise_kernel_reference(sd, regime, tau)
-                qv = bath.noise_kernel_quadrature(sd, regime, tau)
-                w = max(w, abs(cv - qv) / max(abs(qv), 1e-9 * scale))
-            worst["%s-%s" % (cutoff.value, rkind.value)] = w
+            worst["%s-%s" % (cutoff.value, rkind.value)] = _reference_gap(
+                sd, regime, (1e-2, 0.5, 3.0, 25.0)
+            )
     ok = max(worst.values()) < 1e-6
     return _result(
         "bath-reference-kernels",

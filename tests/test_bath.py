@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath as mp
@@ -48,6 +49,10 @@ def test_noise_quadrature_matches_abrupt_hight_form():
 def test_noise_quadrature_exp_low_tau0():
     sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 10.0, 1.3)
     assert bath.noise_kernel_quadrature(sd, LOW, 0.0) == pytest.approx(1.3 * 100.0, rel=1e-8)
+    # Gamma(s+1) Lam^(s+1): the envelope peaks at s Lam, far past w = 1
+    wide = SpectralDensity(2.44, Cutoff.EXPONENTIAL, 7772.0)
+    want = math.gamma(3.44) * 7772.0**3.44
+    assert bath.noise_kernel_quadrature(wide, LOW, 0.0) == pytest.approx(want, rel=1e-8)
 
 
 def test_dissipation_trivial_and_oracles():
@@ -136,6 +141,10 @@ def test_divergent_and_error_paths():
     dl = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)
     with pytest.raises(ConvergenceError):
         bath.noise_kernel_quadrature(dl, LOW, 0.0)
+    # exact regime: coth -> 1, so the Drude-Lorentz tail decays only as w^(s-2)
+    for s, lam, oth in ((1.5, 3.588, 2.83), (1.0, 1889.0, 321.0)):
+        with pytest.raises(ConvergenceError):
+            bath.noise_kernel_quadrature(SpectralDensity(s, Cutoff.DRUDE_LORENTZ, lam), EXACT(oth), 0.0)
     with pytest.raises(UnsupportedFormError):
         bath.noise_kernel_closed_parts(dl, EXACT(5.0), 0.1)
     with pytest.raises(RangeError):

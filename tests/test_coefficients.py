@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,7 @@ from qbmag import bath, coefficients
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.coefficients import g_function, lambda_closed, lambda_from_kernel, lambda_quadrature
 from qbmag.dynamics import SystemParams, mode_constants
-from qbmag.errors import DomainError, UnsupportedFormError
+from qbmag.errors import DomainError, RangeError, UnsupportedFormError
 
 HIGH = lambda oth: ThermalRegime(RegimeKind.HIGH_TEMPERATURE, oth)
 LOW = ThermalRegime(RegimeKind.LOW_TEMPERATURE)
@@ -56,8 +57,8 @@ def test_closed_validated_matches_same_kernel_quadrature(cutoff, rkind):
 
 @pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE])
 def test_exp_validated_matches_reference_kernel_at_large_si_ci_arguments(rkind):
-    # (Lam t -+ i) A'/Lam reaches |z| = 21 with |Im z| = 7: past the Maclaurin
-    # radius of specfun and off the real axis
+    # A'/Lam = 7 at Lam t = 4.5: the cosh/sinh-weighted Si/Ci forms this
+    # replaced took Si/Ci at (Lam t -+ i) A'/Lam, |z| = 21 with |Im z| = 7
     sys = SystemParams(omega0=10.0, omega_c=1.0)
     sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 1.5)
     regime = ThermalRegime(rkind, 13.0)
@@ -65,6 +66,82 @@ def test_exp_validated_matches_reference_kernel_at_large_si_ci_arguments(rkind):
     lq = lambda_from_kernel(sys, lambda u: bath.noise_kernel_reference(sd, regime, u), 3.0)
     assert abs(lc.lambda1 - lq.lambda1) <= 1e-8 * abs(lq.lambda1)
     assert abs(lc.lambda2 - lq.lambda2) <= 1e-8 * abs(lq.lambda2)
+
+
+def _exp_chi_mpmath(a, bigt, high):
+    """chi(a) = int_0^T e^{iay} k(y) dy of the exponential-cutoff kernel shape
+    k(y) = 1/(1+y^2) (high) or (1-y^2)/(1+y^2)^2 (low), in mpmath's E1."""
+    g = lambda w: mpmath.exp(w) * mpmath.e1(w)
+    eit = mpmath.expj(a * bigt)
+    lp = mpmath.exp(-a) * (1j * mpmath.pi - mpmath.ei(a)) - eit * g(-a * (1 + 1j * bigt))
+    lm = g(a) - eit * g(a * (1 - 1j * bigt))
+    if high:
+        return (lp - lm) / 2j
+    return bigt * eit / (1 + bigt**2) - 1j * a * (lp + lm) / 2
+
+
+def _exp_lambdas_mpmath(sys, sd, regime, t, dps=30):
+    """dps-digit validated exponential-cutoff lambda1, lambda2 (hbar = 1) from
+    the double mode constants the closed forms receive."""
+    mc = mode_constants(sys)
+    high = regime.kind is RegimeKind.HIGH_TEMPERATURE
+    with mpmath.workdps(dps):
+        ap, bp, m, p, g = (mpmath.mpf(x) for x in (mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef, mc.g_coef))
+        lam, t = mpmath.mpf(sd.lam), mpmath.mpf(t)
+        c = sd.gamma * (mpmath.mpf(regime.omega_th) if high else lam)
+        ca, cb = (_exp_chi_mpmath(z / lam, lam * t, high) for z in (ap, bp))
+        l1 = c * (m * ca.real + p * cb.real)
+        l2 = c * g * (cb.imag / bp - ca.imag / ap)
+        return float(l1), float(l2)
+
+
+@pytest.mark.parametrize("high", [True, False])
+@pytest.mark.parametrize("a, bigt", [(0.3, 2.0), (2.0, 0.4), (12.0, 3.0)])
+def test_exp_mpmath_oracle_matches_quadrature(high, a, bigt):
+    k = (lambda y: 1 / (1 + y * y)) if high else (lambda y: (1 - y * y) / (1 + y * y) ** 2)
+    with mpmath.workdps(30):
+        a, bigt = mpmath.mpf(a), mpmath.mpf(bigt)
+        edges = mpmath.linspace(0, bigt, int(a * bigt) + 4)
+        want = mpmath.quad(lambda y: mpmath.expj(a * y) * k(y), edges)
+        assert abs(_exp_chi_mpmath(a, bigt, high) - want) <= mpmath.mpf(10) ** -25 * abs(want)
+
+
+@pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE])
+@pytest.mark.parametrize("lam_t", [0.5, 3.0, 20.0])
+@pytest.mark.parametrize("ratio", [0.1, 1.0, 5.0, 8.0, 12.0, 16.0, 30.0, 50.0])
+def test_exp_validated_matches_mpmath_for_any_a_over_lam(ratio, lam_t, rkind):
+    # A'/Lam up to 50: a cutoff Lam below the mode frequency A' is where the
+    # three cutoff models differ most
+    sys = SystemParams(omega0=10.0, omega_c=1.0)
+    sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, mode_constants(sys).a_prime / ratio, 1.4)
+    regime = ThermalRegime(rkind, 13.0)
+    t = lam_t / sd.lam
+    lc = lambda_closed(sys, sd, regime, t)
+    want1, want2 = _exp_lambdas_mpmath(sys, sd, regime, t)
+    assert abs(lc.lambda1 - want1) <= 1e-8 * abs(want1)
+    assert abs(lc.lambda2 - want2) <= 1e-8 * abs(want2)
+
+
+def test_exp_validated_small_mode_frequencies():
+    # B' -> 0 (omega0 = 1e-7) and A' t -> 0 (Lam t = 1.2 at A'/Lam = 0.035):
+    # lambda2 differences two nearly equal mode terms
+    sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 300.0, 1.4)
+    for omega0, t in ((1e-7, 0.08), (10.0, 0.004)):
+        sys = SystemParams(omega0=omega0, omega_c=1.0)
+        for rkind in (RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE):
+            regime = ThermalRegime(rkind, 13.0)
+            lc = lambda_closed(sys, sd, regime, t)
+            # 60 digits: Im chi(B'/Lam) ~ 1e-17 comes out of O(1) E1 terms
+            want1, want2 = _exp_lambdas_mpmath(sys, sd, regime, t, dps=60)
+            assert abs(lc.lambda1 - want1) <= 1e-14 * abs(want1)
+            assert abs(lc.lambda2 - want2) <= 1e-13 * abs(want2)
+
+
+def test_exp_validated_rejects_a_over_lam_past_overflow():
+    sys = SystemParams(omega0=10.0, omega_c=1.0)
+    sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, mode_constants(sys).a_prime / 701.0)
+    with pytest.raises(RangeError, match="A'/Lam"):
+        lambda_closed(sys, sd, HIGH(13.0), 0.1)
 
 
 def test_quadrature_oracles_report_trouble_through_est_error():
@@ -294,20 +371,15 @@ def test_coverage_contract(cutoff, rkind, variant, omega0, omega_c, oth, lam_fac
         assert (lp.lambda2 is None) == no_l2
     assert zero.lambda1 == 0
     assert no_l2 or zero.lambda2 == 0
-    names = ("lambda1", "lambda2")
-    if (cutoff, rkind, variant) == (Cutoff.EXPONENTIAL, RegimeKind.LOW_TEMPERATURE, "validated"):
-        names = ("lambda1",)  # lambda2: see test_exp_low_validated_lambda2_linear_in_gamma
-    for name in names:
+    for name in ("lambda1", "lambda2"):
         a, b = getattr(unit, name), getattr(scaled, name)
         if a is not None:
             assert abs(b - gamma * a) <= 1e-13 * abs(gamma * a)
 
 
-@pytest.mark.xfail(strict=True, reason="gamma multiplies each term of a cancelling difference")
 def test_exp_low_validated_lambda2_linear_in_gamma():
-    # the validated exp low-temperature lambda2 applies gamma inside the
-    # difference of two nearly equal terms, so at small Lam t its rounding
-    # (7e-10 relative here, Lam t = 0.016) breaks gamma-linearity at 1e-13
+    # gamma multiplies the finished difference of the two modes, so
+    # gamma-linearity holds to rounding even at small Lam t (0.016 here)
     sys = SystemParams(omega0=1.0, omega_c=1.0)
     lam = 10.0 * mode_constants(sys).a_prime
     regime = ThermalRegime(RegimeKind.LOW_TEMPERATURE, 1.0)

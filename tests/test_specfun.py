@@ -61,21 +61,31 @@ def test_si_ci_series_oracle_random_complex():
         assert abs(specfun.cos_integral(z) - ref) <= 1e-10 * max(abs(ref), 1)
 
 
-def test_si_ci_match_mpmath_past_series_radius():
-    # beyond |z| = 20 the values come from scipy.special.sici; 30-digit
-    # mpmath uses the same principal branch in every quadrant
+def test_si_ci_match_mpmath():
+    # scipy.special.sici serves every argument; 30-digit mpmath uses the same
+    # principal branch in every quadrant.  Quadrant draws with |z| from 20 to
+    # 1e4 and from 1e-3 to 20, and the real axis near 20, where a power
+    # series has to cancel e^|z|
     rng = np.random.default_rng(2026)
+    points = []
+    for quadrant in range(4):
+        for _ in range(60):
+            r = 10 ** rng.uniform(np.log10(20.0), 4.0)
+            points.append(complex(r * np.exp(1j * (rng.uniform(0, np.pi / 2) + quadrant * np.pi / 2))))
+    near = np.random.default_rng(2027)
+    for quadrant in range(4):
+        for _ in range(60):
+            r = 10 ** near.uniform(-3.0, np.log10(20.0))
+            points.append(complex(r * np.exp(1j * (near.uniform(0, np.pi / 2) + quadrant * np.pi / 2))))
+    points += [complex(x) for x in np.linspace(15.0, 20.0, 41)]
     with mpmath.workdps(30):
-        for quadrant in range(4):
-            for _ in range(60):
-                r = 10 ** rng.uniform(np.log10(20.0), 4.0)
-                z = complex(r * np.exp(1j * (rng.uniform(0, np.pi / 2) + quadrant * np.pi / 2)))
-                if abs(z.imag) > 600:
-                    continue
-                zm = mpmath.mpc(z.real, z.imag)
-                for fn, ref in ((specfun.sin_integral, mpmath.si), (specfun.cos_integral, mpmath.ci)):
-                    want = complex(ref(zm))
-                    assert abs(fn(z) - want) <= 1e-13 * max(abs(want), 1), (fn.__name__, z)
+        for z in points:
+            if abs(z.imag) > 600:
+                continue
+            zm = mpmath.mpc(z.real, z.imag)
+            for fn, ref in ((specfun.sin_integral, mpmath.si), (specfun.cos_integral, mpmath.ci)):
+                want = complex(ref(zm))
+                assert abs(fn(z) - want) <= 1e-13 * max(abs(want), 1), (fn.__name__, z)
 
 
 def test_si_oddness_and_schwarz():
