@@ -47,10 +47,6 @@ FINDINGS = {
     ("drude", "high", "lambda2"): "printed g2 combination does not reduce to the integral by any single rescaling",
     ("drude", "low", "lambda1"): "printed g3 form equals the cumulative int_0^t lambda1 dt', not lambda1",
     ("drude", "low", "lambda2"): "printed g4 form equals -A'B' times the cumulative int_0^t lambda2 dt'",
-    ("exp", "high", "lambda1"): "printed g5 is exact but weights Si/Ci by cosh and sinh(A'/Lam), "
-    "which cancel: in double precision it is 1e-5 off at A'/Lam = 12, 3e-2 at 16 and O(1) at 20",
-    ("exp", "low", "lambda1"): "printed g7 is exact but weights Si/Ci by cosh and sinh(A'/Lam), "
-    "which cancel: in double precision it is 3e-4 off at A'/Lam = 12 and O(1) at 16",
     ("exp", "high", "lambda2"): "printed g6 equals -A'B' times the integral after reading f1(v'/Lam) as Shi(v'/Lam)",
     ("exp", "low", "lambda2"): "printed g8 equals -A'B' times the integral after reading f1(v'/Lam) as Shi(v'/Lam)",
 }

@@ -2,10 +2,12 @@
 
 Everything here is scalar (complex in, complex out unless stated). The sine
 and cosine integrals accept arbitrary complex arguments on the principal
-branch and take their values from scipy.special.sici, after reflecting the
-argument into the quadrant Re z >= 0, Im z <= 0.  The remaining functions
-wrap or extend scipy.special where the library form is not sufficient
-(explicit error contracts, or the Lerch series, which scipy does not ship).
+branch.  After reflecting the argument into the quadrant Re z >= 0, Im z <= 0
+they take the Maclaurin series, summed in extended precision, for non-real
+|z| <= 20, and scipy.special.sici on the real axis and beyond |z| = 20.  The
+remaining functions wrap or extend scipy.special where the library form is
+not sufficient (explicit error contracts, or the Lerch series, which scipy
+does not ship).
 """
 
 import numpy as np
@@ -20,8 +22,43 @@ from .errors import (
 
 EULER_GAMMA = 0.5772156649015328606065
 
+# |z| up to which non-real arguments take the Maclaurin series of Si/Cin,
+# summed in extended precision; scipy.special.sici takes the real axis and
+# every larger argument.
+_TAYLOR_RADIUS = 20.0
 # |Im z| beyond which exp(|Im z|) overflows the double range
 _IM_OVERFLOW = 700.0
+
+
+def _sici_maclaurin(z):
+    """Si(z) and Cin(z) = sum (-1)^k z^{2k} / (2k (2k)!) by direct summation.
+
+    Uses clongdouble, so Im Si and Ci close to the real axis keep about three
+    more digits than scipy's complex sici, which the cancelling printed
+    exponential-cutoff displays in ``coefficients`` need; the e^{|z|}
+    cancellation at |z| ~ 20 still leaves about 12 correct digits.
+    """
+    zl = np.clongdouble(z)
+    z2 = zl * zl
+    term = zl
+    si = zl
+    k = 0
+    while k < 150:
+        k += 1
+        term = term * (-z2) / ((2 * k) * (2 * k + 1))
+        si += term / (2 * k + 1)
+        if abs(term) < 1e-22 * (abs(si) + 1.0):
+            break
+    term = np.clongdouble(1.0)
+    cin = np.clongdouble(0.0)
+    k = 0
+    while k < 150:
+        k += 1
+        term = term * (-z2) / ((2 * k - 1) * (2 * k))
+        cin += term / (2 * k)
+        if abs(term) < 1e-22 * (abs(cin) + 1.0):
+            break
+    return complex(si), complex(cin)
 
 
 def _sici_scipy(z):
@@ -46,6 +83,8 @@ def sin_integral(z):
         return -sin_integral(-z)
     if z.imag > 0:
         return sin_integral(z.conjugate()).conjugate()
+    if z.imag != 0.0 and abs(z) <= _TAYLOR_RADIUS:
+        return _sici_maclaurin(z)[0]
     return _sici_scipy(z)[0]
 
 
@@ -66,6 +105,8 @@ def cos_integral(z):
         return ci + (1j * np.pi if z.imag >= 0 else -1j * np.pi)
     if z.imag > 0:
         return cos_integral(z.conjugate()).conjugate()
+    if z.imag != 0.0 and abs(z) <= _TAYLOR_RADIUS:
+        return EULER_GAMMA + np.log(z) + _sici_maclaurin(z)[1]
     return _sici_scipy(z)[1]
 
 

@@ -343,6 +343,21 @@ def test_criterion_5_detects_a_validated_form_off_by_1e_3(monkeypatch):
     assert max(worst["abrupt-high"], worst["drude-low"]) < 1e-6
 
 
+@pytest.mark.parametrize("g_name", ["_g5", "_g7"])
+def test_criterion_5_flags_a_printed_exp_lambda1_off_by_1e_3(monkeypatch, g_name):
+    # the printed g5/g7 are exact for A'/Lam <= 8, so a transcription error
+    # there is an undocumented deviation, not a cancellation finding
+    from qbmag import validation
+
+    good = getattr(coefficients, g_name)
+    monkeypatch.setattr(coefficients, g_name, lambda z, t, lam: good(z, t, lam) * (1.0 + 1e-3))
+    res = validation.check_criterion_5()
+    assert res.status == "fail"
+    regime = "high" if g_name == "_g5" else "low"
+    assert res.measured["undocumented_deviations"] == [str(("exp", regime, "lambda1"))]
+    assert res.measured["printed_findings"]["exp-%s-lambda1" % regime]["max_rel_deviation"] >= 1e-3 * 0.99
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     cutoff=st.sampled_from(list(Cutoff)),

@@ -62,10 +62,11 @@ def test_si_ci_series_oracle_random_complex():
 
 
 def test_si_ci_match_mpmath():
-    # scipy.special.sici serves every argument; 30-digit mpmath uses the same
-    # principal branch in every quadrant.  Quadrant draws with |z| from 20 to
-    # 1e4 and from 1e-3 to 20, and the real axis near 20, where a power
-    # series has to cancel e^|z|
+    # 30-digit mpmath uses the same principal branch in every quadrant.
+    # Quadrant draws with |z| from 20 to 1e4 (scipy.special.sici) and from
+    # 1e-3 to 20 (the extended-precision series), and the real axis near 20,
+    # which takes scipy's real-typed call because the series has to cancel
+    # e^|z| there
     rng = np.random.default_rng(2026)
     points = []
     for quadrant in range(4):
