@@ -33,6 +33,7 @@ from .decoherence import (
     DecoherenceExponent,
     Separation,
     curve,
+    curves,
     default_grid,
     density_ratio,
     exponents,
@@ -81,6 +82,7 @@ __all__ = [
     "hightemp_rate",
     "lowtemp_powerlaw",
     "curve",
+    "curves",
     "default_grid",
     "errors",
     "specfun",

@@ -180,8 +180,15 @@ def default_grid(sd):
     return np.logspace(np.log10(1e-3 / sd.lam), np.log10(t_max), 200)
 
 
-def curve(sys, sd, regime, sep, grid=None, method="quadrature"):
-    """Decay curve on a time grid (strictly increasing, starting at >= 0).
+def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
+    """Decay curves for each separation in `seps`, one ``CurveSeries`` each,
+    on a time grid (strictly increasing, starting at >= 0).
+
+    The exponents' time integrals do not depend on the separation, so one
+    pass of kernel evaluations serves every curve: the grid check, the
+    closed-form window and its fallback labels run once, and only
+    D = (dx^2 + dy^2) int lambda1 + 2 dx dy int lambda2, the clamp and the
+    error estimate run per separation.
 
     method="quadrature" integrates the regime-weighted defining kernel
     (closed transform where catalogued, kernel quadrature otherwise);
@@ -201,7 +208,7 @@ def curve(sys, sd, regime, sep, grid=None, method="quadrature"):
     if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
         raise DomainError("grid must be strictly increasing and start at >= 0")
     n = len(grid)
-    flags = np.zeros(n, dtype=int)
+    fallback = np.zeros(n, dtype=int)
     methods = [method] * n
     valid = np.ones(n, dtype=bool)
     if method == "closed" and closed_kernel_error(sd, regime, grid[-1]) is not None:
@@ -215,29 +222,42 @@ def curve(sys, sd, regime, sep, grid=None, method="quadrature"):
             int_lam[valid], lam_s[valid], int_err[valid] = _exponent_arrays(
                 sys, sd, regime, grid[valid], "closed"
             )
-        flags[~valid] = FLAG_FALLBACK
+        fallback[~valid] = FLAG_FALLBACK
         for i in np.nonzero(~valid)[0]:
             methods[i] = "quadrature"
+    methods = tuple(methods)
 
-    pref = np.array([sep.dx**2 + sep.dy**2, 2.0 * sep.dx * sep.dy])
-    d = int_lam @ pref
-    dre = d.real
-    mag = np.exp(-np.clip(dre, -_EXP_LIMIT, _EXP_LIMIT))
-    clamped = dre > _EXP_LIMIT
-    mag[clamped] = UNDERFLOW_CLAMP
-    flags[clamped & (flags == FLAG_OK)] = FLAG_CLAMPED
-    bad = ~np.isfinite(mag) | (dre < -_EXP_LIMIT)
-    if bad.any():
-        mag[bad] = np.nan
-        flags[bad] = FLAG_ERROR
-    est = np.abs(int_err @ pref) * mag
-    return CurveSeries(
-        times=grid,
-        magnitude=mag,
-        phase=-d.imag,
-        lambda1=lam_s[:, 0],
-        lambda2=lam_s[:, 1],
-        method=tuple(methods),
-        err_flag=flags,
-        est_error=est,
-    )
+    out = []
+    for sep in seps:
+        flags = fallback.copy()
+        pref = np.array([sep.dx**2 + sep.dy**2, 2.0 * sep.dx * sep.dy])
+        d = int_lam @ pref
+        dre = d.real
+        mag = np.exp(-np.clip(dre, -_EXP_LIMIT, _EXP_LIMIT))
+        clamped = dre > _EXP_LIMIT
+        mag[clamped] = UNDERFLOW_CLAMP
+        flags[clamped & (flags == FLAG_OK)] = FLAG_CLAMPED
+        bad = ~np.isfinite(mag) | (dre < -_EXP_LIMIT)
+        if bad.any():
+            mag[bad] = np.nan
+            flags[bad] = FLAG_ERROR
+        est = np.abs(int_err @ pref) * mag
+        out.append(
+            CurveSeries(
+                times=grid,
+                magnitude=mag,
+                phase=-d.imag,
+                lambda1=lam_s[:, 0],
+                lambda2=lam_s[:, 1],
+                method=methods,
+                err_flag=flags,
+                est_error=est,
+            )
+        )
+    return out
+
+
+def curve(sys, sd, regime, sep, grid=None, method="quadrature"):
+    """Decay curve at one separation: ``curves`` on ``[sep]``, so it takes
+    the same grid and method, and flags the same way."""
+    return curves(sys, sd, regime, [sep], grid, method)[0]

@@ -241,14 +241,15 @@ def test_curve_and_spectra_files_match_per_cell_repr(tmp_path):
 
 
 def test_sweep_records_each_point_failure(tmp_path, monkeypatch):
-    real_curve = cli.curve
+    # a sweep computes each group of points with one decoherence.curves call
+    real_curves = cli.curves
 
-    def curve(sys_params, sd, *args):
+    def curves(sys_params, sd, *args):
         if sd.cutoff is Cutoff.DRUDE_LORENTZ:
             raise ConvergenceError("kernel quadrature did not converge")
-        return real_curve(sys_params, sd, *args)
+        return real_curves(sys_params, sd, *args)
 
-    monkeypatch.setattr(cli, "curve", curve)
+    monkeypatch.setattr(cli, "curves", curves)
     cfg = parse_config(CURVE_CFG.replace("t_points=30", "t_points=8") + "cutoff=drude\ns=-1\n")
     out = str(tmp_path / "sweep")
     assert cli.run_sweep(cfg, out, workers=1) == 3
@@ -265,12 +266,182 @@ def test_sweep_records_each_point_failure(tmp_path, monkeypatch):
 def test_sweep_lets_a_non_qbmag_exception_through(tmp_path, monkeypatch):
     # only the documented error types are recorded per point; anything else
     # is a defect and must not be filed as a numerical error
-    def curve(*args):
+    def curves(*args):
         raise ZeroDivisionError("defect")
 
-    monkeypatch.setattr(cli, "curve", curve)
+    monkeypatch.setattr(cli, "curves", curves)
     with pytest.raises(ZeroDivisionError):
         cli.run_sweep(parse_config(CURVE_CFG), str(tmp_path / "sweep"), workers=1)
+
+
+# the bench sweep's shape: 36 short curves in 18 groups that differ only in dx
+BENCH_SWEEP_CFG = """
+s=0.5
+s=1
+s=1.5
+cutoff=abrupt
+cutoff=drude
+cutoff=exp
+regime=high
+regime=low
+lam=1200
+omega0=8
+omega_c=3
+omega_th=20
+dx=0.7
+dx=1.3
+dy=0.9
+t_min=8.333333333333334e-07
+t_max=0.016666666666666666
+t_points=24
+"""
+
+# dx and dy axes over two cutoffs at method=closed: the Drude-Lorentz closed
+# forms overflow past Lam t = 700, so its later rows fall back (err_flag 2)
+# and some of its curves fail (err_flag 3); dx=nan makes per-point config
+# errors inside otherwise valid groups
+MIXED_SWEEP_CFG = """
+cutoff=drude
+cutoff=exp
+regime=high
+method=closed
+s=1
+lam=200
+omega0=10
+omega_c=1
+omega_th=37
+omega_th=13
+dx=0.8
+dx=nan
+dx=0
+dy=1.1
+dy=-0.0
+dy=0
+t_max=5
+t_points=40
+"""
+
+
+def _per_point_sweep(cfg, out_dir):
+    """Files and manifest as written one run_curve per point."""
+    merged = dict(cli._DEFAULTS)
+    merged.update(cfg)
+    merged.pop("sweep_cap")
+    names, points = cli._sweep_points(merged)
+    os.makedirs(out_dir)
+    entries = []
+    for i, point in enumerate(points):
+        fname = "point_%04d.csv" % i
+        try:
+            status = "ok" if cli.run_curve(point, os.path.join(out_dir, fname)) == 0 else "numerical-error"
+        except ConfigError as exc:
+            status = "config-error: %s" % exc
+        params = {k: point[k] for k in sorted(point) if k in cli._SWEEPABLE or k in names}
+        entries.append({"file": fname, "params": params, "status": status})
+    manifest = json.dumps({"axes": names, "points": entries}, indent=2, sort_keys=True)
+    Path(out_dir, "manifest.json").write_text(manifest + "\n")
+
+
+def _tree(directory):
+    return {name: Path(directory, name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+@pytest.fixture
+def count_passes(monkeypatch):
+    """Separations per cli.curves call, one call per moment pass."""
+    passes = []
+    real_curves = cli.curves
+
+    def curves(sys_params, sd, regime, seps, *args):
+        passes.append(len(seps))
+        return real_curves(sys_params, sd, regime, seps, *args)
+
+    monkeypatch.setattr(cli, "curves", curves)
+    return passes
+
+
+@pytest.fixture
+def count_pools(monkeypatch):
+    made = []
+    real = cli.ProcessPoolExecutor
+
+    def pool(max_workers):
+        made.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    return made
+
+
+@pytest.mark.parametrize("force_pool", [False, True], ids=["serial", "pool"])
+def test_grouped_sweep_matches_per_point_curves(tmp_path, monkeypatch, count_pools, count_passes, force_pool):
+    cfg = parse_config(MIXED_SWEEP_CFG)
+    _per_point_sweep(cfg, str(tmp_path / "want"))
+    want = _tree(tmp_path / "want")
+    statuses = [p["status"] for p in json.loads(want["manifest.json"])["points"]]
+    assert len(statuses) == 36 and statuses.count("ok") == 16 and statuses.count("numerical-error") == 8
+    assert statuses.count("config-error: separations must be finite") == 12
+    flags = {line.rsplit(",", 1)[1] for name, text in want.items() if name.endswith(".csv")
+             for line in text.decode().splitlines()[1:]}
+    assert "2" in flags
+    if force_pool:
+        monkeypatch.setattr(cli, "_POOL_BREAK_EVEN_S", 0.0)
+    assert cli.run_sweep(cfg, str(tmp_path / "got"), workers=2 if force_pool else 1) == 3
+    assert _tree(tmp_path / "got") == want
+    assert count_pools == ([2] if force_pool else [])
+    # one pass per (cutoff, omega_th) over its six finite separations; on the
+    # pool path only the first group runs in this process
+    assert count_passes == ([6] if force_pool else [6] * 4)
+
+
+def test_bench_sized_sweep_runs_in_process(tmp_path, monkeypatch, count_passes):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started for a small sweep")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    cfg = parse_config(BENCH_SWEEP_CFG)
+    assert cli.run_sweep(cfg, str(tmp_path / "sweep"), workers=2) == 0
+    points = json.loads(Path(tmp_path, "sweep", "manifest.json").read_text())["points"]
+    assert len(points) == 36 and all(p["status"] == "ok" for p in points)
+    assert count_passes == [2] * 18  # one moment pass per (s, cutoff, regime)
+
+
+def _sweep_workers(tmp_path, monkeypatch, argv_extra=()):
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg, out, workers: seen.append(workers) or 0)
+    cfg = write(tmp_path, "w.cfg", CURVE_CFG)
+    code = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "d")] + list(argv_extra))
+    return code, seen
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", ""])
+def test_sweep_non_integer_qbm_workers_exit_2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("QBM_WORKERS", value)
+    assert _sweep_workers(tmp_path, monkeypatch) == (2, [])
+    assert capsys.readouterr().err.startswith("config error: QBM_WORKERS must be an integer")
+
+
+def test_sweep_negative_qbm_workers_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QBM_WORKERS", "-3")
+    assert _sweep_workers(tmp_path, monkeypatch) == (2, [])
+    assert capsys.readouterr().err.startswith("config error: QBM_WORKERS must be 0 (all cores) or more")
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_sweep_workers_flag_below_1_exit_2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("QBM_WORKERS", "2")
+    assert _sweep_workers(tmp_path, monkeypatch, ["--workers", value]) == (2, [])
+    assert capsys.readouterr().err.startswith("config error: --workers must be at least 1")
+
+
+def test_sweep_worker_count_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv("QBM_WORKERS", raising=False)
+    assert _sweep_workers(tmp_path, monkeypatch) == (0, [os.cpu_count() or 1])
+    monkeypatch.setenv("QBM_WORKERS", "0")
+    assert _sweep_workers(tmp_path, monkeypatch) == (0, [os.cpu_count() or 1])
+    monkeypatch.setenv("QBM_WORKERS", "3")
+    assert _sweep_workers(tmp_path, monkeypatch) == (0, [3])
+    assert _sweep_workers(tmp_path, monkeypatch, ["--workers", "1"]) == (0, [1])
 
 
 @pytest.mark.parametrize(

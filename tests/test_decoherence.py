@@ -13,6 +13,7 @@ from qbmag.decoherence import (
     FLAG_FALLBACK,
     Separation,
     curve,
+    curves,
     default_grid,
     density_ratio,
     exponents,
@@ -113,6 +114,39 @@ def test_closed_pole_sum_overflow_is_flagged_without_warnings():
     want = np.append(np.arange(135, 187), 199)
     assert np.array_equal(np.nonzero(cs.err_flag == FLAG_ERROR)[0], want)
     assert np.all(cs.err_flag[187:199] == FLAG_CLAMPED)
+
+
+def _same_series(a, b):
+    for field in ("times", "magnitude", "phase", "lambda1", "lambda2", "err_flag", "est_error"):
+        assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
+    assert a.method == b.method
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["fallback", "overflow"])
+def test_curves_is_curve_at_each_separation_from_one_moment_pass(monkeypatch, large):
+    # "fallback": the closed window ends inside the grid (err_flag 2 rows);
+    # "overflow": the pole-sum kernel leaves the exp() range (err_flag 1 and
+    # 3 at the larger separations, only the last row at dx = dy = 0)
+    if large:
+        sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 1933.8935)
+        grid = np.logspace(np.log10(1e-3 / sd.lam), np.log10(700.0 / sd.lam), 200)
+    else:
+        sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 1e3)
+        grid = np.logspace(-5, 0, 40)  # crosses Lam t = 700
+    seps = [Separation(1.4177, 1.1896), Separation(0.0, 0.0), Separation(0.01, -0.02), Separation(1.4177, 1.1896)]
+    passes = []
+    real = decoherence._exponent_arrays
+    monkeypatch.setattr(decoherence, "_exponent_arrays", lambda *a: passes.append(a[-1]) or real(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        many = curves(SYS, sd, HIGH, seps, grid, method="closed")
+    assert passes == (["closed"] if large else ["quadrature", "closed"])
+    assert len(many) == len(seps)
+    for sep, one in zip(seps, many):
+        _same_series(one, curve(SYS, sd, HIGH, sep, grid, method="closed"))
+    # the flags differ between separations, so a shared flag array would show
+    assert set(many[0].err_flag) >= {FLAG_CLAMPED, FLAG_ERROR}
+    assert set(many[1].err_flag) == ({0, FLAG_ERROR} if large else {0, FLAG_FALLBACK})
 
 
 def test_curve_monotone_high_temperature():

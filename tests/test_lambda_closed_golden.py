@@ -77,10 +77,7 @@ def test_lambda_closed_matches_golden(case):
     want = {tuple(r[:5]): r for r in _read()}[tuple(got[:5])]
     for col in range(5, 9):
         assert _close(got[col], want[col]), "%s: %r != %r" % (HEADER[col], got[col], want[col])
-    variant, t = case[0], case[4]
-    # the golden file predates the fix that labels t = 0 printed values as printed
-    want_method = "closed-printed" if (variant, t) == ("printed", 0.0) else want[9]
-    assert got[9] == want_method
+    assert got[9] == want[9]
 
 
 def _write_golden():
