@@ -37,6 +37,7 @@ from .decoherence import (
     default_grid,
     density_ratio,
     exponents,
+    frequency_shift,
     hightemp_rate,
     lowtemp_powerlaw,
 )
@@ -44,7 +45,6 @@ from .dynamics import (
     ModeConstants,
     SystemParams,
     f_weight,
-    frequency_shift,
     heisenberg_transfer,
     mode_constants,
 )

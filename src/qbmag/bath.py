@@ -439,17 +439,18 @@ def _scaled_ei_minus_e1(x):
     return ei - e1
 
 
+_DRUDE_TRANSFORMS = (("sin", 1.0),) + tuple(("cos", se) for se in (-0.5, 0.0, 0.5, 1.0, 1.5))
+
+
 def _drude_transform(se, lam, x, kind):
-    """int_0^inf w^se Lam^2/(Lam^2+w^2) trig(w tau) dw for the se we need; x = Lam tau."""
+    """int_0^inf w^se Lam^2/(Lam^2+w^2) trig(w tau) dw, x = Lam tau, for (kind, se) in _DRUDE_TRANSFORMS."""
     if kind == "sin":
-        return (np.pi / 2.0) * lam**2 * np.exp(-x) if se == 1.0 else None
+        return (np.pi / 2.0) * lam**2 * np.exp(-x)
     if se == 0.0:
         return (np.pi / 2.0) * lam * np.exp(-x)
     if se == 1.0:
         with np.errstate(divide="ignore"):
             return -(lam**2 / 2.0) * _scaled_ei_minus_e1(x)
-    if se not in (-0.5, 0.5, 1.5):
-        return None
     ec = _sp.erfcx(np.sqrt(x))
     dw = 2.0 / np.sqrt(np.pi) * _sp.dawsn(np.sqrt(x))
     if se == -0.5:
@@ -502,7 +503,7 @@ def _reference_kernel_fn(sd, regime, kind="cos"):
             )
 
         return fn
-    if _drude_transform(se, lam, np.asarray([1.0]), kind) is None:
+    if (kind, se) not in _DRUDE_TRANSFORMS:
         return None
 
     def fn(tau):

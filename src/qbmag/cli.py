@@ -5,15 +5,19 @@ turns into a sweep axis for the ``sweep`` subcommand.  Frequencies are in
 units of gamma/m, times in m/gamma, separations in sqrt(hbar/gamma); the
 internal scales gamma = hbar = m = 1 are overridable per config.
 
+One builder makes the time grid of ``curve`` and ``sweep`` and the
+frequency grid of ``spectra``; a bad grid or method is a config error.
+
 A sweep groups its points by every config value except the separation
 (dx, dy): the points of a group share one kernel, so one moment pass
-(``decoherence.curves``) serves them all.  The first group runs in this
-process and its CPU time is taken; the other groups go to a process pool
-only when that time times their number exceeds the pool's break-even, and
-run here otherwise.  ``--workers`` or ``QBM_WORKERS`` (unset or 0: all cores) caps
-the pool; a ``--workers`` below 1 or a ``QBM_WORKERS`` that is not a
-non-negative integer is a config error.  Every point file and the manifest
-are the same whichever way the groups ran.
+(``decoherence.curves``) serves them all.  Groups run in this process, and
+after each one the CPU time spent so far is taken: once its mean per group
+times the number of groups left exceeds the pool's break-even, and two or
+more groups are left, those go to a process pool.  ``--workers`` or
+``QBM_WORKERS`` (unset or 0: all cores) caps the pool; a ``--workers``
+below 1 or a ``QBM_WORKERS`` that is not a non-negative integer is a
+config error.  Every point file and the manifest are the same whichever
+way the groups ran.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
 error (partial output is kept with the err_flag column set).
@@ -30,8 +34,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bath import LAM_TAU_MAX, Cutoff, RegimeKind, SpectralDensity, ThermalRegime, spectral_density
-from .decoherence import FLAG_ERROR, Separation, curve, curves
+from .bath import LAM_TAU_MAX, Cutoff, SpectralDensity, ThermalRegime, spectral_density
+from .decoherence import FLAG_ERROR, METHODS, Separation, curve, curves
 from .dynamics import SystemParams
 from .errors import QbmagError
 from .validation import run_checks
@@ -45,9 +49,9 @@ _SWEEPABLE = ("s", "cutoff", "lam", "gamma", "omega0", "omega_c", "omega_th", "r
 #: the kernel and hence the time moments
 _SEPARATION_KEYS = ("dx", "dy")
 
-#: seconds of sweep work past the first group above which a process pool
-#: finishes sooner than this process.  Medians of run_sweep with one moment
-#: pass per point on a 2-vCPU Xeon VM, one process vs a 2-worker pool:
+#: seconds of sweep work left above which a process pool finishes sooner
+#: than this process.  Medians of run_sweep with one moment pass per point
+#: on a 2-vCPU Xeon VM, one process vs a 2-worker pool:
 #:   the bench sweep config (36 points x 24 times)      49 ms vs  95 ms
 #:   the same 36 points on the default 200-point grid  124 ms vs 177 ms
 #:   36 exact-regime curves of 200 points               0.73 s vs 0.46 s
@@ -73,8 +77,6 @@ _DEFAULTS = {
     "hbar": 1.0,
     "grid": "log",
     "method": "quadrature",
-    "omega_min": 1.0,
-    "omega_points": 400,
     "omega_grid": "log",
     "sweep_cap": 10_000,
 }
@@ -135,13 +137,8 @@ def _build_objects(cfg):
         if req not in cfg:
             raise ConfigError("missing required key %r" % req)
     try:
-        cutoff = Cutoff(cfg["cutoff"])
-        rkind = RegimeKind(cfg["regime"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    try:
-        sd = SpectralDensity(cfg["s"], cutoff, cfg["lam"], cfg["gamma"])
-        regime = ThermalRegime(rkind, cfg["omega_th"])
+        sd = SpectralDensity(cfg["s"], cfg["cutoff"], cfg["lam"], cfg["gamma"])
+        regime = ThermalRegime(cfg["regime"], cfg["omega_th"])
         sys_params = SystemParams(
             omega0=cfg["omega0"],
             omega_c=cfg["omega_c"],
@@ -151,24 +148,30 @@ def _build_objects(cfg):
             omega_th=cfg["omega_th"],
         )
         sep = Separation(cfg["dx"], cfg["dy"])
-    except QbmagError as exc:
+    except (QbmagError, ValueError) as exc:  # ValueError: an unknown cutoff or regime name
         raise ConfigError(str(exc))
-    t_min = cfg.get("t_min", 1e-3 / cfg["lam"])
-    t_max = cfg.get("t_max", min(1.0, LAM_TAU_MAX / cfg["lam"]))
-    n = cfg.get("t_points", 200)
-    if not (0 <= t_min < t_max) or n < 2:
-        raise ConfigError("need 0 <= t_min < t_max and t_points >= 2")
-    if cfg["grid"] == "log":
-        if t_min <= 0:
-            raise ConfigError("log grid needs t_min > 0")
-        grid = np.logspace(np.log10(t_min), np.log10(t_max), n)
-    elif cfg["grid"] == "linear":
-        grid = np.linspace(t_min, t_max, n)
-    else:
-        raise ConfigError("grid must be 'log' or 'linear'")
-    if cfg["method"] not in ("quadrature", "closed"):
-        raise ConfigError("method must be 'quadrature' or 'closed'")
+    grid = _grid(cfg, "t", "grid", 1e-3 / cfg["lam"], min(1.0, LAM_TAU_MAX / cfg["lam"]), 200)
+    if cfg["method"] not in METHODS:
+        raise ConfigError("method must be one of %s" % ", ".join(map(repr, METHODS)))
     return sys_params, sd, regime, sep, grid, cfg["method"]
+
+
+def _grid(cfg, var, spacing_key, lo, hi, n):
+    """The grid of ``var`` ('t' or 'omega'): ``var``_points points (default n)
+    from ``var``_min to ``var``_max (defaults lo, hi), spaced as the key
+    ``spacing_key`` says; ConfigError unless 0 <= min < max, both finite."""
+    lo = cfg.get(var + "_min", lo)
+    hi = cfg.get(var + "_max", hi)
+    n = cfg.get(var + "_points", n)
+    if not (0 <= lo < hi < np.inf) or n < 2:
+        raise ConfigError("need finite 0 <= %s_min < %s_max and %s_points >= 2" % (var, var, var))
+    if cfg[spacing_key] == "log":
+        if lo <= 0:
+            raise ConfigError("log grid needs %s_min > 0" % var)
+        return np.logspace(np.log10(lo), np.log10(hi), n)
+    if cfg[spacing_key] == "linear":
+        return np.linspace(lo, hi, n)
+    raise ConfigError("%s must be 'log' or 'linear'" % spacing_key)
 
 
 def _atomic_write(path, text):
@@ -220,16 +223,11 @@ def run_curve(cfg, out_path):
 
 def run_spectra(cfg, out_path):
     merged = _scalar_config(cfg)
-    omega_max = merged.get("omega_max", 5.0 * merged["lam"])
-    n = merged["omega_points"]
-    if merged["omega_grid"] == "log":
-        omega = np.logspace(np.log10(merged["omega_min"]), np.log10(omega_max), n)
-    else:
-        omega = np.linspace(merged["omega_min"], omega_max, n)
-    sds = [
-        SpectralDensity(merged["s"], c, merged["lam"], merged["gamma"])
-        for c in (Cutoff.ABRUPT, Cutoff.DRUDE_LORENTZ, Cutoff.EXPONENTIAL)
-    ]
+    try:  # one column per cutoff, in the header's order
+        sds = [SpectralDensity(merged["s"], c, merged["lam"], merged["gamma"]) for c in Cutoff]
+    except QbmagError as exc:
+        raise ConfigError(str(exc))
+    omega = _grid(merged, "omega", "omega_grid", 1.0, 5.0 * merged["lam"], 400)
     cols = [_floats(spectral_density(sd, omega)) for sd in sds]
     _atomic_write(out_path, _csv(SPECTRA_HEADER, "%r,%r,%r,%r", [_floats(omega)] + cols))
     return 0
@@ -297,18 +295,20 @@ def run_sweep(cfg, out_dir, workers):
                 "params": {k: point[k] for k in sorted(point) if k in _SWEEPABLE or k in names},
             }
         )
-    first, *rest = groups.values()
+    groups = list(groups.values())
+    results = []
     # CPU time of this thread, so other processes preempting it do not read
     # as work (wall time started 2-worker pools in bench sweeps of ~50 ms)
     start = time.thread_time()
-    results = _run_sweep_group(first)
-    if workers > 1 and (time.thread_time() - start) * len(rest) > _POOL_BREAK_EVEN_S:
-        with ProcessPoolExecutor(max_workers=min(workers, len(rest))) as pool:
-            for statuses in pool.map(_run_sweep_group, rest):
-                results += statuses
-    else:
-        for group in rest:
-            results += _run_sweep_group(group)
+    for done, group in enumerate(groups):
+        left = len(groups) - done
+        spent = time.thread_time() - start
+        if workers > 1 and left > 1 and done and spent / done * left > _POOL_BREAK_EVEN_S:
+            with ProcessPoolExecutor(max_workers=min(workers, left)) as pool:
+                for statuses in pool.map(_run_sweep_group, groups[done:]):
+                    results += statuses
+            break
+        results += _run_sweep_group(group)
     for index, status in results:
         entries[index]["status"] = status
     manifest = json.dumps({"axes": names, "points": entries}, indent=2, sort_keys=True)

@@ -11,6 +11,9 @@ computed on a shared time grid in a single pass through the identity
 int_0^t (t-u) f(u) du = t c0(t) - c1(t) with c0, c1 the running moments of
 f = nu F / hbar, so a whole curve costs one pass of kernel evaluations,
 made in blocks of nodes (``dynamics.time_moments``).
+
+``_kernel_for`` alone chooses the kernel of every production integral: of
+curves, of the criterion-5 check and of ``frequency_shift``.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,7 @@ from .bath import (
     _bose_kernel_fn,
     _reference_kernel_fn,
     closed_kernel_error,
+    dissipation_kernel_quadrature,
     noise_kernel_closed_parts,
     noise_kernel_quadrature,
 )
@@ -44,6 +48,7 @@ FLAG_FALLBACK = 2
 FLAG_ERROR = 3
 
 _LOW = ThermalRegime(RegimeKind.LOW_TEMPERATURE)
+METHODS = ("quadrature", "closed")  # the kernel paths of curves; see _kernel_for
 
 
 @dataclass(frozen=True)
@@ -77,26 +82,30 @@ class CurveSeries:
     est_error: np.ndarray
 
 
-def _kernel_for(sd, regime, method):
-    """Vectorised kernel for `method`.  method='quadrature' uses the closed
-    transform of the defining integral where catalogued; in the exact regime
-    the closed low-temperature transform plus the Bose term, where the
-    former is catalogued; per-point kernel quadrature otherwise.
-    method='closed' uses the catalogued analytic regime kernels (pole-sum
-    forms for the Ohmic Drude-Lorentz regimes)."""
+def _kernel_for(sd, regime, method="quadrature", kind="cos"):
+    """Vectorised nu, or with kind='sin' and regime None eta.
+
+    method='quadrature' uses the closed transform of the defining integral
+    where catalogued; in the exact regime the closed low-temperature
+    transform plus the Bose term, where the former is catalogued; per-node
+    kernel quadrature otherwise.  method='closed' uses the catalogued
+    analytic regime kernels (pole-sum forms for the Ohmic Drude-Lorentz
+    regimes)."""
     if method == "closed":
         return lambda taus: noise_kernel_closed_parts(sd, regime, taus)
-    if regime.kind is RegimeKind.EXACT:
-        low = _reference_kernel_fn(sd, _LOW, "cos")
+    if regime is not None and regime.kind is RegimeKind.EXACT:
+        low = _reference_kernel_fn(sd, _LOW, kind)
         if low is not None:
             bose = _bose_kernel_fn(sd, regime.omega_th)
             return lambda taus: low(taus) + bose(taus)
     else:
-        fn = _reference_kernel_fn(sd, regime, "cos")
+        fn = _reference_kernel_fn(sd, regime, kind)
         if fn is not None:
             return fn
 
     def slow(taus):
+        if kind == "sin":
+            return np.array([dissipation_kernel_quadrature(sd, float(u)) for u in np.atleast_1d(taus)])
         return np.array([noise_kernel_quadrature(sd, regime, float(u)) for u in np.atleast_1d(taus)])
 
     return slow
@@ -204,9 +213,12 @@ def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
     """
     if grid is None:
         grid = default_grid(sd)
+    if method not in METHODS:
+        raise DomainError("method must be one of %s, got %r" % (METHODS, method))
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
-        raise DomainError("grid must be strictly increasing and start at >= 0")
+    good = grid.ndim == 1 and len(grid) and np.all(np.isfinite(grid)) and grid[0] >= 0
+    if not (good and np.all(np.diff(grid) > 0)):
+        raise DomainError("grid must be finite, strictly increasing and start at >= 0")
     n = len(grid)
     fallback = np.zeros(n, dtype=int)
     methods = [method] * n
@@ -261,3 +273,20 @@ def curve(sys, sd, regime, sep, grid=None, method="quadrature"):
     """Decay curve at one separation: ``curves`` on ``[sep]``, so it takes
     the same grid and method, and flags the same way."""
     return curves(sys, sd, regime, [sep], grid, method)[0]
+
+
+def frequency_shift(sys, sd, t_max, with_tail_estimate=False):
+    """Trap-frequency renormalisation -(2/m) int_0^{t_max} eta(tau) F1(tau) dtau.
+
+    The tail estimate is the contribution of [t_max, 4 t_max], a
+    self-convergence proxy for the truncation error.
+    """
+    if t_max <= 0:
+        raise DomainError("t_max must be > 0")
+    eta = _kernel_for(sd, None, kind="sin")
+    mom = time_moments(sys, eta, np.array([t_max, 4.0 * t_max]), sd.lam, sd.cutoff is Cutoff.ABRUPT)
+    main, total = (float(c) for c in mom.c0[:, 0].real)
+    shift = -(2.0 / sys.m) * main
+    if with_tail_estimate:
+        return shift, abs(2.0 / sys.m * (total - main))
+    return shift

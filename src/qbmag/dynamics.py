@@ -10,13 +10,16 @@ A'^2 + B'^2 = 2 w0^2 + wc^2, and reduce to w0 at wc = 0.  The kernel-weight
 functions F1..F4 and the Heisenberg transfer matrix are built on the same
 modes, so the transfer matrix solves the classical equations of motion
 x'' = -w0^2 x + wc y', y'' = -w0^2 y - wc x' exactly.
+
+``time_moments``, the one time-integration engine, integrates any vectorised
+kernel against F1 and F2; ``decoherence._kernel_for`` chooses the kernel.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import Cutoff, _reference_kernel_fn, _require_finite, dissipation_kernel_quadrature
+from .bath import _require_finite
 from .errors import DegenerateSystemError, DomainError
 
 _F_NAMES = ("F1", "F2", "F3", "F4")
@@ -186,9 +189,9 @@ def _panel_edges(grid, mode_freq, lam, oscillates):
     """Gauss panel edges over [0, grid[-1]] for an increasing grid >= 0, and
     the number of panels up to and including each grid point.
 
-    Each grid interval [a, b] is cut into ceil((b - a)/maxlen) equal parts,
-    or, when a = 0, geometrically at b 2^-42 ... b/2, b; every part is then
-    split into equal panels no longer than maxlen.
+    The interval [0, b] is first cut geometrically at b 2^-42 ... b/2, b;
+    every part, and every other grid interval, is then split into
+    ceil(length/maxlen) equal panels.
     """
     grid = np.asarray(grid, dtype=float)
     a = np.concatenate([[0.0], grid[:-1]])
@@ -198,10 +201,8 @@ def _panel_edges(grid, mode_freq, lam, oscillates):
     head = np.nonzero(live & (a == 0.0))[0]  # the first live interval, if any
     rest = np.nonzero(live & (a > 0.0))[0]
     geometric = grid[head, None] * 2.0 ** -np.arange(42.0, -1.0, -1.0)
-    pieces = np.maximum(1, np.ceil((grid[rest] - a[rest]) / maxlen[rest]).astype(int))
-    split, seg = _split(a[rest], grid[rest], pieces)
-    upper = np.concatenate([geometric.ravel(), split])
-    owner = np.concatenate([np.repeat(head, geometric.shape[1]), rest[seg]])
+    upper = np.concatenate([geometric.ravel(), grid[rest]])
+    owner = np.concatenate([np.repeat(head, geometric.shape[1]), rest])
     low = np.concatenate([[0.0], upper])[:-1]
     pieces = np.maximum(1, np.ceil((upper - low) / maxlen[owner]).astype(int))
     upper, seg = _split(low, upper, pieces)
@@ -250,24 +251,3 @@ def time_moments(sys, kernel, grid, lam, oscillates):
         out[rows] = total[counts[rows] - p0]
         run = total[-1:]
     return TimeMoments(*out.transpose(1, 0, 2), nodes=16 * n_panels, panels=n_panels)
-
-
-def frequency_shift(sys, sd, t_max, with_tail_estimate=False):
-    """Trap-frequency renormalisation -(2/m) int_0^{t_max} eta(tau) F1(tau) dtau.
-
-    Integrates the closed transform of eta where catalogued, the defining
-    quadrature at every node otherwise.  The tail estimate is the
-    contribution of [t_max, 4 t_max], a self-convergence proxy for the
-    truncation error.
-    """
-    if t_max <= 0:
-        raise DomainError("t_max must be > 0")
-    eta = _reference_kernel_fn(sd, None, "sin")
-    if eta is None:
-        eta = np.vectorize(lambda u: dissipation_kernel_quadrature(sd, u), otypes=[float])
-    mom = time_moments(sys, eta, np.array([t_max, 4.0 * t_max]), sd.lam, sd.cutoff is Cutoff.ABRUPT)
-    main, total = (float(c) for c in mom.c0[:, 0].real)
-    shift = -(2.0 / sys.m) * main
-    if with_tail_estimate:
-        return shift, abs(2.0 / sys.m * (total - main))
-    return shift

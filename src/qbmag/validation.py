@@ -419,7 +419,7 @@ def check_criterion_5():
             sd = SpectralDensity(1.0, cutoff, lam, rng.uniform(0.2, 3.0))
             regime = ThermalRegime(rkind, oth)
             ts = np.sort(np.exp(rng.uniform(np.log(1e-3), np.log(min(1.0, 500.0 / lam)), 3)))
-            kern = lambda u: bath.noise_kernel_closed_parts(sd, regime, u)
+            kern = decoherence._kernel_for(sd, regime, "closed")
             # panels resolve the 1/Lam scale throughout: besides the abrupt
             # kernels' oscillation, the Drude-Lorentz pole-sum kernels grow
             # as cosh(Lam u) at every u

@@ -4,6 +4,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from qbmag import bath
@@ -191,6 +193,34 @@ def test_reference_kernel_unsupported():
         bath.noise_kernel_reference(SpectralDensity(0.7, Cutoff.DRUDE_LORENTZ, 10.0), LOW, 0.1)
     with pytest.raises(UnsupportedFormError):
         bath.noise_kernel_reference(SpectralDensity(1.0, Cutoff.ABRUPT, 10.0), EXACT(3.0), 0.1)
+
+
+def test_reference_coverage_evaluates_no_transform(monkeypatch):
+    # which Drude-Lorentz transforms exist is a table, not a trial evaluation
+    def no_evaluation(*args):
+        raise AssertionError("a transform was evaluated to learn its coverage")
+
+    monkeypatch.setattr(bath, "_drude_transform", no_evaluation)
+    for s in (0.5, 1.0, 1.5):
+        sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, 10.0)
+        assert bath._reference_kernel_fn(sd, LOW) is not None
+        assert bath._reference_kernel_fn(sd, HIGH(3.0)) is not None
+    sd = SpectralDensity(0.7, Cutoff.DRUDE_LORENTZ, 10.0)
+    assert bath._reference_kernel_fn(sd, LOW) is None and bath._reference_kernel_fn(sd, HIGH(3.0)) is None
+    assert bath._reference_kernel_fn(SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 10.0), None, "sin") is not None
+    assert bath._reference_kernel_fn(SpectralDensity(1.5, Cutoff.DRUDE_LORENTZ, 10.0), None, "sin") is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.floats(0.2, 2.5), lam=st.floats(1.0, 250.0), oth=st.floats(0.1, 100.0), gamma=st.floats(0.1, 3.0))
+def test_abrupt_quadrature_at_tau_zero(s, lam, oth, gamma):
+    # nu(0) = gamma int_0^Lam w^s dw at low temperature and
+    # gamma Omega_th int_0^Lam w^(s-1) dw at high temperature
+    sd = SpectralDensity(s, Cutoff.ABRUPT, lam, gamma)
+    low = gamma * lam ** (s + 1.0) / (s + 1.0)
+    high = gamma * oth * lam**s / s
+    assert bath.noise_kernel_quadrature(sd, LOW, 0.0) == pytest.approx(low, rel=1e-10)
+    assert bath.noise_kernel_quadrature(sd, HIGH(oth), 0.0) == pytest.approx(high, rel=1e-10)
 
 
 def test_quadrature_any_s():

@@ -1,5 +1,7 @@
 import json
 import os
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +408,85 @@ def test_bench_sized_sweep_runs_in_process(tmp_path, monkeypatch, count_passes):
     assert count_passes == [2] * 18  # one moment pass per (s, cutoff, regime)
 
 
+# 18 groups of two separations: s x cutoff x omega0, cutoff in the order
+# the config lists it
+PLANNER_SWEEP_CFG = """
+s=0.5
+s=1
+s=1.5
+cutoff=%s
+cutoff=%s
+omega0=5
+omega0=7
+omega0=9
+dx=0.7
+dx=1.3
+regime=high
+lam=50
+omega_c=1
+omega_th=17
+t_max=0.2
+t_points=8
+"""
+
+#: CPU seconds per group of an exact-regime sweep on these axes, measured
+#: on a 2-vCPU machine: 8-10 ms per abrupt group, about 39 ms per exp group
+_GROUP_COST = {"abrupt": 0.009, "exp": 0.039}
+
+
+def _planned_sweep(tmp_path, monkeypatch, cfg, cost):
+    """(pool sizes, groups handed to the pool) of a 2-worker sweep whose
+    groups cost ``cost[cutoff]`` CPU seconds on a fake clock, so the choice
+    does not depend on this machine's speed; the files must equal a
+    1-worker sweep's."""
+    assert cli.run_sweep(cfg, str(tmp_path / "serial"), workers=1) == 0
+    clock = [0.0]
+    real_group = cli._run_sweep_group
+
+    def charged(tasks):
+        out = real_group(tasks)
+        clock[0] += cost[tasks[0][1]["cutoff"]]
+        return out
+
+    made, handed = [], []
+
+    class SpyPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, groups):
+            groups = list(groups)
+            handed.append(len(groups))
+            return map(fn, groups)
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(thread_time=lambda: clock[0]))
+    monkeypatch.setattr(cli, "_run_sweep_group", charged)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
+    assert cli.run_sweep(cfg, str(tmp_path / "planned"), workers=2) == 0
+    assert _tree(tmp_path / "planned") == _tree(tmp_path / "serial")
+    return made, handed
+
+
+@pytest.mark.parametrize("order, pooled", [(("abrupt", "exp"), 14), (("exp", "abrupt"), 17)])
+def test_sweep_planner_rates_every_group_done(tmp_path, monkeypatch, order, pooled):
+    # with the abrupt groups first the pool pays off only once an exp group
+    # has raised the mean cost: after 3 abrupt and 1 exp group, 14 are left
+    cfg = parse_config(PLANNER_SWEEP_CFG % order)
+    assert _planned_sweep(tmp_path, monkeypatch, cfg, _GROUP_COST) == ([2], [pooled])
+
+
+def test_sweep_planner_keeps_a_last_group_in_process(tmp_path, monkeypatch):
+    # one group left cannot run in parallel with anything
+    cfg = parse_config(CURVE_CFG + "cutoff=exp\ndx=0.5\n")
+    assert _planned_sweep(tmp_path, monkeypatch, cfg, {"exp": 1.0, "abrupt": 1.0}) == ([], [])
+
+
 def _sweep_workers(tmp_path, monkeypatch, argv_extra=()):
     seen = []
     monkeypatch.setattr(cli, "run_sweep", lambda cfg, out, workers: seen.append(workers) or 0)
@@ -464,6 +545,44 @@ def test_curve_config_errors_exit_2(tmp_path, capsys, text, match):
     assert cli.main(["curve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and match in err
+
+
+@pytest.mark.parametrize(
+    "command, text, match",
+    [
+        ("curve", CURVE_CFG + "t_max=inf\n", "t_min < t_max"),
+        ("curve", CURVE_CFG + "t_min=nan\n", "t_min < t_max"),
+        ("curve", CURVE_CFG + "method=closd\n", "method must be"),
+        ("spectra", "lam=3\nomega_max=inf\n", "omega_min < omega_max"),
+        ("spectra", "lam=3\nomega_min=0\n", "log grid needs omega_min > 0"),
+        ("spectra", "lam=3\nomega_grid=cubic\n", "omega_grid must be"),
+        ("spectra", "lam=3\nomega_min=4\nomega_max=2\n", "omega_min < omega_max"),
+        ("spectra", "lam=-3\n", "cutoff frequency must be > 0"),
+    ],
+)
+def test_invalid_grid_or_method_exit_2_without_warning(tmp_path, capsys, command, text, match):
+    cfg = write(tmp_path, "bad.cfg", text)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and match in err
+    assert not out.exists()
+
+
+def test_atomic_write_cleans_up_after_a_failed_replace(tmp_path, monkeypatch):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="replace refused"):
+        cli._atomic_write(str(target), "new\n")
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_curve_numerical_error_exit_3(tmp_path, capsys, monkeypatch):

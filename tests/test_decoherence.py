@@ -342,6 +342,9 @@ def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
         (lambda: Separation(1.0, float("inf")), "finite"),
         (lambda: exponents(SYS, SD, HIGH, SEP, -1e-3), "t must be"),
         (lambda: density_ratio(SYS, SD, HIGH, SEP, -1e-3), "start at >= 0"),
+        (lambda: curve(SYS, SD, HIGH, SEP, np.array([0.01, 0.1]), "closd"), "method must be"),
+        (lambda: curves(SYS, SD, HIGH, [SEP], np.array([np.nan, 1.0])), "finite"),
+        (lambda: curves(SYS, SD, HIGH, [SEP], np.array([0.1, np.inf])), "finite"),
     ],
 )
 def test_decoherence_rejects_out_of_domain_input(call, match):

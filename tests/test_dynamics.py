@@ -7,10 +7,10 @@ from scipy import integrate
 from qbmag import bath, decoherence, dynamics
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.coefficients import lambda_from_kernel
+from qbmag.decoherence import frequency_shift
 from qbmag.dynamics import (
     SystemParams,
     f_weight,
-    frequency_shift,
     heisenberg_transfer,
     mode_constants,
     time_moments,

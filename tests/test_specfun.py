@@ -63,10 +63,9 @@ def test_si_ci_series_oracle_random_complex():
 
 def test_si_ci_match_mpmath():
     # 30-digit mpmath uses the same principal branch in every quadrant.
-    # Quadrant draws with |z| from 20 to 1e4 (scipy.special.sici) and from
-    # 1e-3 to 20 (the extended-precision series), and the real axis near 20,
-    # which takes scipy's real-typed call because the series has to cancel
-    # e^|z| there
+    # Quadrant draws with |z| from 20 to 1e4 and from 1e-3 to 20 (the
+    # extended-precision series up to 10, scipy.special.sici past it), and
+    # the real axis near 20, which takes scipy's real-typed call
     rng = np.random.default_rng(2026)
     points = []
     for quadrant in range(4):
@@ -79,14 +78,23 @@ def test_si_ci_match_mpmath():
             r = 10 ** near.uniform(-3.0, np.log10(20.0))
             points.append(complex(r * np.exp(1j * (near.uniform(0, np.pi / 2) + quadrant * np.pi / 2))))
     points += [complex(x) for x in np.linspace(15.0, 20.0, 41)]
+    # near the real axis with 10 < |z| <= 20, where summing the series would
+    # cancel e^|z| and lose up to 3e-13
+    axis = np.random.default_rng(2028)
+    close = []
+    for quadrant in range(4):
+        for _ in range(40):
+            r = axis.uniform(10.0, 20.0)
+            angle = 10 ** axis.uniform(-8.0, -1.0) * axis.choice([-1.0, 1.0])
+            close.append(complex(r * np.exp(1j * (angle + quadrant * np.pi / 2))))
     with mpmath.workdps(30):
-        for z in points:
+        for z, rtol in [(z, 1e-13) for z in points] + [(z, 1e-14) for z in close]:
             if abs(z.imag) > 600:
                 continue
             zm = mpmath.mpc(z.real, z.imag)
             for fn, ref in ((specfun.sin_integral, mpmath.si), (specfun.cos_integral, mpmath.ci)):
                 want = complex(ref(zm))
-                assert abs(fn(z) - want) <= 1e-13 * max(abs(want), 1), (fn.__name__, z)
+                assert abs(fn(z) - want) <= rtol * max(abs(want), 1), (fn.__name__, z)
 
 
 def test_si_oddness_and_schwarz():

@@ -1,0 +1,66 @@
+"""The benchmark tracer rebinds qbmag module attributes by name; these tests
+fail when a rename leaves one of its bindings pointing nowhere or a curve
+stops passing through the names it wraps."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from qbmag import cli, decoherence
+from qbmag.cli import parse_config
+
+TRACE_PY = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
+
+CURVE_CFG = """
+s=1
+cutoff=exp
+lam=1e3
+omega0=10
+omega_c=1
+omega_th=20
+regime=%s
+t_points=20
+"""
+
+
+def _load_trace():
+    # loaded by path: the module name ``trace`` would shadow the standard
+    # library's
+    spec = importlib.util.spec_from_file_location("perfbench_trace", TRACE_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_binding_exists():
+    trace = _load_trace()
+    for mod_name, attr, *_ in trace.BINDINGS + (trace.FACTORY,):
+        assert hasattr(importlib.import_module(mod_name), attr), "%s.%s" % (mod_name, attr)
+
+
+@pytest.mark.parametrize("regime", ["high", "exact"])
+def test_tracer_records_the_layers_of_a_curve(tmp_path, regime):
+    trace = _load_trace()
+    tracer = trace.Tracer()
+    run_curve, factory = cli.run_curve, decoherence._reference_kernel_fn
+    tracer.install()
+    try:
+        assert cli.run_curve(parse_config(CURVE_CFG % regime), str(tmp_path / "c.csv")) == 0
+    finally:
+        tracer.uninstall()
+    assert (cli.run_curve, decoherence._reference_kernel_fn) == (run_curve, factory)
+    spans = tracer.spans
+    names = [span[0] for span in spans]
+    assert names.count("cli.run_curve") == 1 and names.count("decoherence.curve") == 1
+    # every kernel call nests inside the curve, which nests inside run_curve
+    kernel = [span for span in spans if span[0] == "bath.reference_kernel"]
+    assert kernel and all(span[4] > 0 for span in kernel)
+    for span in kernel:
+        parents = []
+        parent = span[3]
+        while parent >= 0:
+            parents.append(spans[parent][0])
+            parent = spans[parent][3]
+        assert parents[-2:] == ["decoherence.curve", "cli.run_curve"]
