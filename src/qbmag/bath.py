@@ -21,6 +21,7 @@ Unit convention: frequencies in gamma/m, times in m/gamma, gamma sets the
 coupling scale; all kernels are homogeneous of degree 1 in ``gamma``.
 """
 
+import collections
 import enum
 import functools
 import math
@@ -97,65 +98,66 @@ def spectral_density(sd, omega):
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0):
         raise DomainError("omega must be >= 0")
-    out = sd.gamma * w**sd.s * _envelope(sd)(w)
+    out = sd.gamma * w**sd.s * _envelope(sd, _ARRAY)(w)
     return out if out.ndim else float(out)
 
 
-def _envelope(sd):
-    """The cutoff envelope w -> J(w) / (gamma w^s) on arrays w >= 0.
+#: the elementwise operations the integrand formulas below are written in:
+#: ``_FLOAT`` for the one Python float per call that QUADPACK passes, where
+#: ``math`` costs a tenth of numpy on a 0-d array, and ``_ARRAY`` for numpy
+#: arrays (spectral densities, the Gauss segments of the oscillatory tail)
+_Ops = collections.namedtuple("_Ops", "exp expm1 minimum maximum cos sin")
+_FLOAT = _Ops(math.exp, math.expm1, min, max, math.cos, math.sin)
+_ARRAY = _Ops(np.exp, np.expm1, np.minimum, np.maximum, np.cos, np.sin)
 
-    Chosen once per bath, so a scalar quadrature integrand pays no dispatch.
+
+def _envelope(sd, ops):
+    """The cutoff envelope w -> J(w) / (gamma w^s), w >= 0, on the operands of ``ops``.
+
+    Chosen once per bath, so an integrand pays no dispatch per call.
     """
     lam = sd.lam
     if sd.cutoff is Cutoff.ABRUPT:
-        return lambda w: (w <= lam).astype(float)
+        return lambda w: (w <= lam) * 1.0
     if sd.cutoff is Cutoff.DRUDE_LORENTZ:
-        return lambda w: lam**2 / (lam**2 + w * w)
-    return lambda w: np.exp(-np.minimum(w / lam, 745.0))
+        lam2 = lam**2
+        return lambda w: lam2 / (lam2 + w * w)
+    exp, minimum = ops.exp, ops.minimum
+    return lambda w: exp(-minimum(w / lam, 745.0))
 
 
 # --------------------------------------------------------------------------
 # defining-integral quadrature
 # --------------------------------------------------------------------------
 
-def _coth(x):
-    """coth on x > 0, stable for both tails."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    mod = x < 350.0
-    out[mod] = 1.0 + 2.0 / np.expm1(2.0 * x[mod])
-    return out
-
-
-def _integrand_parts(sd, regime):
+def _integrand_parts(sd, regime, ops):
     """Split J(w) * coth-factor into w^p * g(w) with g smooth and finite at 0.
 
-    Returns (p, g, upper_limit).
+    Returns (p, g, upper); g takes the operands of ``ops``.
     """
     upper = sd.lam if sd.cutoff is Cutoff.ABRUPT else np.inf
-    envelope = _envelope(sd)
+    envelope = _envelope(sd, ops)
+    minimum = ops.minimum
     # a rule's end node can round past a finite upper; it stands for upper
-    env = envelope if upper is np.inf else (lambda w: envelope(np.minimum(w, upper)))
+    env = envelope if upper is np.inf else (lambda w: envelope(minimum(w, upper)))
     if regime is None or regime.kind is RegimeKind.LOW_TEMPERATURE:
-        p = sd.s
-        g = lambda w: sd.gamma * env(np.asarray(w, dtype=float))
-    elif regime.kind is RegimeKind.HIGH_TEMPERATURE:
-        p = sd.s - 1.0
-        g = lambda w: sd.gamma * regime.omega_th * env(np.asarray(w, dtype=float))
-    else:
-        p = sd.s - 1.0
-        oth = regime.omega_th
+        gamma = sd.gamma
+        return sd.s, (lambda w: gamma * env(w)), upper
+    if regime.kind is RegimeKind.HIGH_TEMPERATURE:
+        pref = sd.gamma * regime.omega_th
+        return sd.s - 1.0, (lambda w: pref * env(w)), upper
+    gamma, oth = sd.gamma, regime.omega_th
+    expm1, maximum = ops.expm1, ops.maximum
+    # w coth(w/Omega_th) -> Omega_th as w -> 0, equal to rounding below
+    # 1e-8 Omega_th, so w is floored there
+    floor = 1e-8 * oth
 
-        def g(w):
-            w = np.asarray(w, dtype=float)
-            out = np.empty_like(w)
-            tiny = w < 1e-8 * oth
-            out[tiny] = sd.gamma * oth * env(w[tiny])
-            ws = w[~tiny]
-            out[~tiny] = sd.gamma * ws * env(ws) * _coth(ws / oth)
-            return out
+    def g(w):
+        v = maximum(w, floor)
+        # v coth(v/Omega_th); the argument stops at 350, where coth is already 1
+        return gamma * v * env(w) * (1.0 + 2.0 / expm1(2.0 * minimum(v / oth, 350.0)))
 
-    return p, g, upper
+    return sd.s - 1.0, g, upper
 
 
 def _euler_transform(partials):
@@ -195,56 +197,80 @@ def _envelope_edges(sd, regime, lo, hi):
     return [lo] + [c for c in cuts if lo < c < hi] + [hi]
 
 
+#: relative accuracy asked of each QUADPACK call at tau = 0.  The integrand
+#: is positive there, so the head's value, not QUADPACK's default absolute
+#: floor of 1.5e-8, bounds the error of the other pieces, whatever the units
+#: of J (that floor left exponential baths with Lam = 0.2 6e-9 off)
+_TAU0_RTOL = 1e-11
+
+#: terms of the series of the Drude-Lorentz tail past the last edge c at
+#: tau = 0; they fall by (Lam/c)^2 <= 1/256^2, so the next is below 1e-19
+_DRUDE_TAIL_TERMS = 4
+
+
 def _kernel_quadrature(sd, regime, tau, kind, rtol):
-    p, g, upper = _integrand_parts(sd, regime)
     tau = float(tau)
     if tau < 0:
         raise DomainError("tau must be >= 0")
-    trig = np.cos if kind == "cos" else np.sin
-    full = lambda w: np.asarray(w, dtype=float) ** p * g(w) * trig(np.asarray(w) * tau)
-    part = lambda w: w**p * float(g(w))
+    p, g, upper = _integrand_parts(sd, regime, _FLOAT)
+    trig = getattr(_FLOAT, kind)
+    part = lambda w: w**p * g(w)
+    # the substitution w = x^r, r = 1/(p+1), takes the w^p point out of the head
+    q = p + 1.0
+    r = 1.0 / q
 
     if tau == 0.0:
         if kind == "sin":
             return 0.0
+        exact = regime.kind is RegimeKind.EXACT
         if sd.cutoff is Cutoff.DRUDE_LORENTZ:
             # J ~ w^(s-2) on the tail; the coth factor tends to Omega_th/w at
-            # high temperature and to 1 otherwise
-            tail = sd.s - 2.0 - (regime.kind is RegimeKind.HIGH_TEMPERATURE)
-            if tail >= -1.0:
+            # high temperature and to 1 otherwise, so J times it is
+            # w^se Lam^2/(Lam^2 + w^2) up to a constant
+            se = sd.s - (regime.kind is RegimeKind.HIGH_TEMPERATURE)
+            if se >= 1.0:
                 raise ConvergenceError(
-                    "noise kernel diverges at tau = 0 for a Drude-Lorentz tail with w^%g decay" % tail
+                    "noise kernel diverges at tau = 0 for a Drude-Lorentz tail with w^%g decay" % (se - 2.0)
                 )
-        q = p + 1.0
         a_head = 1.0 if upper is np.inf else min(1.0, upper)
         head = integrate.quad(
-            lambda x: (1.0 / q) * float(g(x ** (1.0 / q))), 0.0, a_head**q, limit=200
+            lambda x: r * g(x**r), 0.0, a_head**q, epsabs=0.0, epsrel=_TAU0_RTOL, limit=200
         )[0]
+        rest = 0.0
         if upper is np.inf:
-            # the breakpoints of the tau > 0 path up to 4 _ENVELOPE_SPAN Lam,
-            # past which the exponential envelope is negligible; the algebraic
-            # tail beyond the last edge c is integrated in units of c
-            edges = _envelope_edges(sd, regime, a_head, max(a_head, 4.0 * _ENVELOPE_SPAN * sd.lam))
-            c = edges[-1]
-            rest = c * integrate.quad(lambda v: part(c * v), 1.0, np.inf, limit=500)[0]
+            # the breakpoints of the tau > 0 path up to c = 4 _ENVELOPE_SPAN
+            # Lam (Omega_th where larger, in the exact regime): past c the
+            # coth factor is 1 or Omega_th/w and the exponential envelope is
+            # below e^-256, so only the algebraic Drude-Lorentz tail is left
+            top = 4.0 * _ENVELOPE_SPAN * (max(sd.lam, regime.omega_th) if exact else sd.lam)
+            edges = _envelope_edges(sd, regime, a_head, max(a_head, top))
+            if sd.cutoff is Cutoff.DRUDE_LORENTZ:
+                # int_c^inf of part(c) (w/c)^se (c^2 + Lam^2)/(w^2 + Lam^2) dw,
+                # termwise in z = (Lam/c)^2; closed, so it holds however close
+                # se is to the divergence at 1
+                c = edges[-1]
+                z = (sd.lam / c) ** 2
+                rest = c * part(c) * (1.0 + z) * sum(
+                    (-z) ** k / (2.0 * k + 1.0 - se) for k in range(_DRUDE_TAIL_TERMS)
+                )
         else:
             edges = [a_head, upper] if upper > a_head else [a_head]
-            rest = 0.0
         for lo, hi in zip(edges, edges[1:]):
-            rest += integrate.quad(part, lo, hi, limit=500)[0]
+            rest += integrate.quad(
+                part, lo, hi, epsabs=_TAU0_RTOL * head, epsrel=_TAU0_RTOL, limit=500
+            )[0]
         return head + rest
 
-    # head: [0, a_sub] via the substitution w = x^{1/(p+1)} (kills the w^p point),
-    # then the oscillatory-weight QUADPACK rule up to w_head (finite upper: done).
+    # head: [0, a_sub] in x, then the oscillatory-weight QUADPACK rule up to
+    # w_head (finite upper: done)
     w_head = min(4.0 * np.pi / tau, upper)
-    q = p + 1.0
     a_sub = min(1.0, w_head)
-    head = integrate.quad(
-        lambda x: (1.0 / q) * float(g(x ** (1.0 / q))) * trig(x ** (1.0 / q) * tau),
-        0.0,
-        a_sub**q,
-        limit=300,
-    )[0]
+
+    def head_fn(x):
+        w = x**r
+        return r * g(w) * trig(w * tau)
+
+    head = integrate.quad(head_fn, 0.0, a_sub**q, limit=300)[0]
     if upper is not np.inf:
         if upper > a_sub:
             head += integrate.quad(part, a_sub, upper, weight=kind, wvar=tau, limit=2000)[0]
@@ -254,7 +280,11 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol):
         head += integrate.quad(part, lo, hi, weight=kind, wvar=tau, limit=500)[0]
 
     # oscillatory tail: integrate between consecutive zeros of the trig factor
-    # and Euler-accelerate the alternating sequence of partial sums.
+    # and Euler-accelerate the alternating sequence of partial sums; each
+    # segment is one 12-node Gauss rule on arrays
+    g_nodes = _integrand_parts(sd, regime, _ARRAY)[1]
+    trig_nodes = getattr(_ARRAY, kind)
+    full = lambda w: w**p * g_nodes(w) * trig_nodes(w * tau)
     off = 0.5 if kind == "cos" else 0.0
     k = int(np.floor(w_head * tau / np.pi - off)) + 1
     edge = lambda j: (j + off) * np.pi / tau

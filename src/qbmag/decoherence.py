@@ -209,7 +209,8 @@ def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
     the Bose term of ``bath._bose_kernel_fn`` and cost tens of milliseconds
     on a default grid.  Where the low-temperature transform is not
     catalogued (Drude-Lorentz outside s in {1/2, 1, 3/2}) they run one kernel
-    quadrature per Gauss node, several seconds per grid point.
+    quadrature per Gauss node: about 1.4 s for 4 points and 5 s for 200
+    (s = 0.8, Lam = 50, Omega_th = 17, t <= 0.2, on a 2-vCPU Xeon VM).
     """
     if grid is None:
         grid = default_grid(sd)

@@ -4,11 +4,11 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from qbmag import bath
+from qbmag import bath, validation
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.errors import ConvergenceError, DomainError, PoleError, RangeError, UnsupportedFormError
 
@@ -55,6 +55,10 @@ def test_noise_quadrature_exp_low_tau0():
     wide = SpectralDensity(2.44, Cutoff.EXPONENTIAL, 7772.0)
     want = math.gamma(3.44) * 7772.0**3.44
     assert bath.noise_kernel_quadrature(wide, LOW, 0.0) == pytest.approx(want, rel=1e-8)
+    # nu(0) = 0.023: QUADPACK's default absolute floor of 1.5e-8 left it 6e-9 off
+    small = SpectralDensity(1.68, Cutoff.EXPONENTIAL, 0.21)
+    want = math.gamma(2.68) * 0.21**2.68
+    assert bath.noise_kernel_quadrature(small, LOW, 0.0) == pytest.approx(want, rel=1e-10)
 
 
 def test_dissipation_trivial_and_oracles():
@@ -221,6 +225,90 @@ def test_abrupt_quadrature_at_tau_zero(s, lam, oth, gamma):
     high = gamma * oth * lam**s / s
     assert bath.noise_kernel_quadrature(sd, LOW, 0.0) == pytest.approx(low, rel=1e-10)
     assert bath.noise_kernel_quadrature(sd, HIGH(oth), 0.0) == pytest.approx(high, rel=1e-10)
+
+
+def _drude_tau0(se, lam, pref):
+    # int_0^inf pref w^se Lam^2/(Lam^2 + w^2) dw, -1 < se < 1, in 30 digits:
+    # se sits within 1e-12 of 1, where cos(pi se/2) in double keeps 4 digits
+    with mp.workdps(30):
+        se = mp.mpf(se)
+        return float(pref * mp.mpf(lam) ** (se + 1) * mp.pi / (2 * mp.cos(mp.pi * se / 2)))
+
+
+@pytest.mark.parametrize("s", [b - d for b in (1.0, 2.0) for d in (1e-4, 1e-6, 1e-12)])
+@pytest.mark.parametrize("rkind", list(RegimeKind))
+def test_drude_tau0_near_the_divergence(s, rkind):
+    # the tail exponent s - 2 (s - 3 at high temperature) within 1e-12..1e-4
+    # of -1: past the last edge almost all of nu(0) lies in the tail, at w
+    # far beyond any quadrature node
+    lam, oth, gamma = 10.0, 3.0, 1.3
+    sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, lam, gamma)
+    regime = ThermalRegime(rkind, oth)
+    high = rkind is RegimeKind.HIGH_TEMPERATURE
+    se = s - 1.0 if high else s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if se >= 1.0:
+            with pytest.raises(ConvergenceError):
+                bath.noise_kernel_quadrature(sd, regime, 0.0)
+            return
+        got = bath.noise_kernel_quadrature(sd, regime, 0.0)
+    want = _drude_tau0(se, lam, gamma * oth if high else gamma)
+    if rkind is RegimeKind.EXACT:
+        # coth = 1 + 2/(e^{2x} - 1): the quantum kernel plus the Bose term
+        want += bose_integral(sd, oth, lambda w: 1.0)
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.floats(0.2, 2.5),
+    lam=st.floats(0.1, 1e4),
+    oth=st.floats(0.1, 100.0),
+    gamma=st.floats(0.1, 3.0),
+    rkind=st.sampled_from(list(RegimeKind)),
+)
+def test_quadrature_at_tau_zero_exp_and_drude(s, lam, oth, gamma, rkind):
+    # exponential: nu(0) = gamma Gamma(s+1) Lam^(s+1) at low and
+    # gamma Omega_th Gamma(s) Lam^s at high temperature
+    exp = SpectralDensity(s, Cutoff.EXPONENTIAL, lam, gamma)
+    assert bath.noise_kernel_quadrature(exp, LOW, 0.0) == pytest.approx(
+        gamma * math.gamma(s + 1.0) * lam ** (s + 1.0), rel=1e-8
+    )
+    assert bath.noise_kernel_quadrature(exp, HIGH(oth), 0.0) == pytest.approx(
+        gamma * oth * math.gamma(s) * lam**s, rel=1e-8
+    )
+    # Drude-Lorentz: J times the coth factor decays as w^(se-2), se = s - 1
+    # at high temperature and s otherwise; nu(0) is finite iff se < 1
+    high = rkind is RegimeKind.HIGH_TEMPERATURE
+    se = s - 1.0 if high else s
+    assume(abs(se - 1.0) >= 1e-3)
+    sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, lam, gamma)
+    regime = ThermalRegime(rkind, oth)
+    if se >= 1.0:
+        with pytest.raises(ConvergenceError):
+            bath.noise_kernel_quadrature(sd, regime, 0.0)
+        return
+    got = bath.noise_kernel_quadrature(sd, regime, 0.0)
+    if rkind is RegimeKind.EXACT:
+        # 1 < coth(w/Omega_th) < 1 + Omega_th/w
+        low = _drude_tau0(s, lam, gamma)
+        assert low < got < low + _drude_tau0(s - 1.0, lam, gamma * oth)
+    else:
+        assert got == pytest.approx(_drude_tau0(se, lam, gamma * oth if high else gamma), rel=1e-8)
+
+
+def test_reference_kernels_match_quadrature_across_band_edges():
+    # every reference transform at s in {1/2, 1, 3/2}, at x = Lam tau on both
+    # sides of each band edge of _trig_power_ratio (4, 36, 80, 200) and of 50,
+    # with check_bath_reference's tolerance and small-x floor
+    xs = (1e-2,) + tuple(e * f for e in (4.0, 36.0, 50.0, 80.0, 200.0) for f in (0.99, 1.01))
+    for s in (0.5, 1.0, 1.5):
+        for cutoff in Cutoff:
+            for rkind in (RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE):
+                sd = SpectralDensity(s, cutoff, 200.0, 1.0)
+                gap = validation._reference_gap(sd, ThermalRegime(rkind, 11.0), xs)
+                assert gap < 1e-6, (s, cutoff, rkind, gap)
 
 
 def test_quadrature_any_s():

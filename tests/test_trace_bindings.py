@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qbmag import cli, decoherence
+from qbmag import bath, cli, decoherence, validation
 from qbmag.cli import parse_config
 
 TRACE_PY = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
@@ -64,3 +64,30 @@ def test_tracer_records_the_layers_of_a_curve(tmp_path, regime):
             parents.append(spans[parent][0])
             parent = spans[parent][3]
         assert parents[-2:] == ["decoherence.curve", "cli.run_curve"]
+
+
+def test_tracer_records_the_quadrature_oracle_of_a_check():
+    # the bath.quadrature_* metrics count these spans; validation calls the
+    # oracle through its module reference to bath
+    trace = _load_trace()
+    tracer = trace.Tracer()
+    quadrature = bath.noise_kernel_quadrature
+    tracer.install()
+    try:
+        check = next(f for f in validation._FULL_EXTRA_CHECKS if f.__name__ == "check_drude_exact_pole_sum")
+        result = check()
+    finally:
+        tracer.uninstall()
+    assert bath.noise_kernel_quadrature is quadrature
+    assert result.status == "pass"
+    spans = tracer.spans
+    names = [span[0] for span in spans]
+    assert names.count("validation.check_drude_exact_pole_sum") == 1
+    # two (Lam, Omega_th) pairs at two tau each
+    oracle = [span for span in spans if span[0] == "bath.noise_kernel_quadrature"]
+    assert len(oracle) == 4
+    assert all(spans[span[3]][0] == "validation.check_drude_exact_pole_sum" for span in oracle)
+    assert all(span[2] > span[1] for span in oracle)
+    metrics = tracer.layer_metrics(1.0, 1, {"check_drude_exact_pole_sum": "bath-drude-exact-pole-sum"})
+    assert metrics["bath.quadrature_calls"] == 4 and metrics["bath.quadrature_ms_per_call"] > 0
+    assert metrics["validation.bath-drude-exact-pole-sum_s"] > 0
