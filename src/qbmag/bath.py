@@ -126,6 +126,20 @@ def _envelope(sd, ops):
     return lambda w: exp(-minimum(w / lam, 745.0))
 
 
+def _regime_weight(sd, regime):
+    """(se, pref) with J(w) c(w) = pref w^se envelope(w): c = Omega_th/w at high
+    temperature, else 1 (for eta, regime None, and the exact regime's tail)."""
+    if regime is not None and regime.kind is RegimeKind.HIGH_TEMPERATURE:
+        return sd.s - 1.0, sd.gamma * regime.omega_th
+    return sd.s, sd.gamma
+
+
+def _pole_sum(sd):
+    """True for the Ohmic Drude-Lorentz bath, whose catalogued kernels are the
+    Matsubara pole-sum forms, growing as cosh(Lam tau)."""
+    return sd.cutoff is Cutoff.DRUDE_LORENTZ and sd.s == 1.0
+
+
 # --------------------------------------------------------------------------
 # defining-integral quadrature
 # --------------------------------------------------------------------------
@@ -140,12 +154,9 @@ def _integrand_parts(sd, regime, ops):
     minimum = ops.minimum
     # a rule's end node can round past a finite upper; it stands for upper
     env = envelope if upper is np.inf else (lambda w: envelope(minimum(w, upper)))
-    if regime is None or regime.kind is RegimeKind.LOW_TEMPERATURE:
-        gamma = sd.gamma
-        return sd.s, (lambda w: gamma * env(w)), upper
-    if regime.kind is RegimeKind.HIGH_TEMPERATURE:
-        pref = sd.gamma * regime.omega_th
-        return sd.s - 1.0, (lambda w: pref * env(w)), upper
+    if regime is None or regime.kind is not RegimeKind.EXACT:
+        se, pref = _regime_weight(sd, regime)
+        return se, (lambda w: pref * env(w)), upper
     gamma, oth = sd.gamma, regime.omega_th
     expm1, maximum = ops.expm1, ops.maximum
     # w coth(w/Omega_th) -> Omega_th as w -> 0, equal to rounding below
@@ -210,8 +221,8 @@ _DRUDE_TAIL_TERMS = 4
 
 def _kernel_quadrature(sd, regime, tau, kind, rtol):
     tau = float(tau)
-    if tau < 0:
-        raise DomainError("tau must be >= 0")
+    if not 0.0 <= tau < np.inf:
+        raise DomainError("tau must be finite and >= 0")
     p, g, upper = _integrand_parts(sd, regime, _FLOAT)
     trig = getattr(_FLOAT, kind)
     part = lambda w: w**p * g(w)
@@ -224,10 +235,8 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol):
             return 0.0
         exact = regime.kind is RegimeKind.EXACT
         if sd.cutoff is Cutoff.DRUDE_LORENTZ:
-            # J ~ w^(s-2) on the tail; the coth factor tends to Omega_th/w at
-            # high temperature and to 1 otherwise, so J times it is
-            # w^se Lam^2/(Lam^2 + w^2) up to a constant
-            se = sd.s - (regime.kind is RegimeKind.HIGH_TEMPERATURE)
+            # J c is w^se Lam^2/(Lam^2 + w^2) on the tail, up to a constant
+            se = _regime_weight(sd, regime)[0]
             if se >= 1.0:
                 raise ConvergenceError(
                     "noise kernel diverges at tau = 0 for a Drude-Lorentz tail with w^%g decay" % (se - 2.0)
@@ -507,10 +516,7 @@ def _reference_kernel_fn(sd, regime, kind="cos"):
     """
     if regime is not None and regime.kind is RegimeKind.EXACT:
         return None
-    if regime is None or regime.kind is RegimeKind.LOW_TEMPERATURE:
-        se, pref = sd.s, sd.gamma
-    else:
-        se, pref = sd.s - 1.0, sd.gamma * regime.omega_th
+    se, pref = _regime_weight(sd, regime)
     lam = sd.lam
     if sd.cutoff is Cutoff.ABRUPT:
 
@@ -653,7 +659,7 @@ def closed_kernel_error(sd, regime, tau_max):
     """
     if regime.kind is RegimeKind.EXACT:
         return UnsupportedFormError("the exact regime has no catalogued kernel; use quadrature")
-    if sd.cutoff is Cutoff.DRUDE_LORENTZ and sd.s == 1.0:
+    if _pole_sum(sd):
         if not regime.omega_th > 0:
             return DomainError("the Drude-Lorentz pole-sum forms need omega_th > 0")
         ratio = sd.lam / regime.omega_th
@@ -689,7 +695,7 @@ def noise_kernel_closed_parts(sd, regime, tau):
     err = closed_kernel_error(sd, regime, float(np.max(tarr)))
     if err is not None:
         raise err
-    if sd.cutoff is Cutoff.DRUDE_LORENTZ and sd.s == 1.0:
+    if _pole_sum(sd):
         cot = 1.0 / np.tan(sd.lam / regime.omega_th)
         base = (np.pi * sd.gamma * sd.lam**2 / 2.0) * cot * np.cosh(sd.lam * tarr)
         if regime.kind is RegimeKind.HIGH_TEMPERATURE:
@@ -712,7 +718,7 @@ def drude_exact_kernel(sd, omega_th, tau):
     z = exp(-pi Omega_th tau), b = Lam/(pi Omega_th).  Valid for tau > 0 and
     b not an integer; cross-validated against the exact-regime quadrature.
     """
-    if sd.cutoff is not Cutoff.DRUDE_LORENTZ or sd.s != 1.0:
+    if not _pole_sum(sd):
         raise UnsupportedFormError("pole sum applies to the Ohmic Drude-Lorentz bath only")
     tau = float(tau)
     if tau <= 0:

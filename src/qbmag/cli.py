@@ -34,8 +34,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bath import LAM_TAU_MAX, Cutoff, SpectralDensity, ThermalRegime, spectral_density
-from .decoherence import FLAG_ERROR, METHODS, Separation, curve, curves
+from .bath import Cutoff, SpectralDensity, ThermalRegime, spectral_density
+from .decoherence import FLAG_ERROR, METHODS, Separation, _default_span, curve, curves
 from .dynamics import SystemParams
 from .errors import QbmagError
 from .validation import run_checks
@@ -150,7 +150,7 @@ def _build_objects(cfg):
         sep = Separation(cfg["dx"], cfg["dy"])
     except (QbmagError, ValueError) as exc:  # ValueError: an unknown cutoff or regime name
         raise ConfigError(str(exc))
-    grid = _grid(cfg, "t", "grid", 1e-3 / cfg["lam"], min(1.0, LAM_TAU_MAX / cfg["lam"]), 200)
+    grid = _grid(cfg, "t", "grid", *_default_span(sd))
     if cfg["method"] not in METHODS:
         raise ConfigError("method must be one of %s" % ", ".join(map(repr, METHODS)))
     return sys_params, sd, regime, sep, grid, cfg["method"]

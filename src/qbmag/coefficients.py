@@ -404,8 +404,8 @@ def lambda_closed(sys, sd, regime, t, variant="validated"):
         raise UnsupportedFormError("no closed coefficient forms in the exact regime")
     if sd.s != 1.0:
         raise UnsupportedFormError("closed coefficient forms exist for the Ohmic bath only")
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    if not 0 <= t < np.inf:
+        raise DomainError("t must be finite and >= 0")
     if t == 0:
         # every closed form vanishes term by term
         no_l2 = sd.cutoff is Cutoff.ABRUPT and regime.kind is RegimeKind.LOW_TEMPERATURE
@@ -446,8 +446,8 @@ def lambda_from_kernel(sys, kernel, t):
     Returns a LambdaPair; the same-kernel oracle used to validate the
     analytic forms.
     """
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    if not 0 <= t < np.inf:
+        raise DomainError("t must be finite and >= 0")
     if t == 0:
         return LambdaPair(0j, 0j, 0.0, "same-kernel-quadrature", 0.0)
     out = []
@@ -467,8 +467,8 @@ def lambda_from_kernel(sys, kernel, t):
 
 def lambda_quadrature(sys, sd, regime, t):
     """Defining-path coefficients: kernel quadrature inside a time quadrature."""
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    if not 0 <= t < np.inf:
+        raise DomainError("t must be finite and >= 0")
     if t == 0 or sd.gamma == 0.0:
         return LambdaPair(0j, 0j, float(t), "quadrature", 0.0)
     nu = lambda u: noise_kernel_quadrature(sd, regime, u, rtol=1e-9)

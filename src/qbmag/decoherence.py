@@ -12,8 +12,8 @@ int_0^t (t-u) f(u) du = t c0(t) - c1(t) with c0, c1 the running moments of
 f = nu F / hbar, so a whole curve costs one pass of kernel evaluations,
 made in blocks of nodes (``dynamics.time_moments``).
 
-``_kernel_for`` alone chooses the kernel of every production integral: of
-curves, of the criterion-5 check and of ``frequency_shift``.
+``_moments``, the one entry to that engine for curves, criterion 5 and
+``frequency_shift``, checks the grid, picks the kernel and sizes the panels.
 """
 
 from dataclasses import dataclass
@@ -26,13 +26,14 @@ from .bath import (
     RegimeKind,
     ThermalRegime,
     _bose_kernel_fn,
+    _pole_sum,
     _reference_kernel_fn,
     closed_kernel_error,
     dissipation_kernel_quadrature,
     noise_kernel_closed_parts,
     noise_kernel_quadrature,
 )
-from .dynamics import mode_constants, time_moments
+from .dynamics import TimeMoments, mode_constants, time_moments
 from .errors import DomainError, UnsupportedFormError
 from .specfun import EULER_GAMMA
 
@@ -111,14 +112,27 @@ def _kernel_for(sd, regime, method="quadrature", kind="cos"):
     return slow
 
 
+def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
+    """``time_moments`` of the kernel ``_kernel_for`` chooses on a finite, strictly
+    increasing grid >= 0 (DomainError otherwise); zero, with no kernel, at gamma = 0.
+    Panels resolve 1/Lam at every tau for the abrupt transforms and the pole-sum
+    forms (oscillating at Lam, growing as cosh(Lam tau)), else below 30/Lam."""
+    grid = np.asarray(grid, dtype=float)
+    good = grid.ndim == 1 and len(grid) and np.all(np.isfinite(grid)) and grid[0] >= 0
+    if not (good and np.all(np.diff(grid) > 0)):
+        raise DomainError("grid must be finite, strictly increasing and start at >= 0")
+    if sd.gamma == 0.0:
+        zeros = np.zeros((len(grid), 2), dtype=complex)
+        return TimeMoments(zeros, zeros, zeros, zeros, nodes=0, panels=0)
+    kernel = _kernel_for(sd, regime, method, kind)
+    oscillates = sd.cutoff is Cutoff.ABRUPT or (method == "closed" and _pole_sum(sd))
+    return time_moments(sys, kernel, grid, sd.lam, oscillates)
+
+
 def _exponent_arrays(sys, sd, regime, grid, method):
     """(int_0^t lambda dt', lambda, estimated error of the first) on `grid`,
     columns lambda1 and lambda2."""
-    if sd.gamma == 0.0:
-        zeros = np.zeros((len(grid), 2), dtype=complex)
-        return zeros, zeros, zeros
-    kernel = _kernel_for(sd, regime, method)
-    mom = time_moments(sys, kernel, grid, sd.lam, sd.cutoff is Cutoff.ABRUPT)
+    mom = _moments(sys, sd, regime, grid, method)
     tcol = np.asarray(grid)[:, None]
     int_lam = (tcol * mom.c0 - mom.c1) / sys.hbar
     int_err = (tcol * mom.d0 - mom.d1) / sys.hbar
@@ -129,10 +143,7 @@ def exponents(sys, sd, regime, sep, t):
     """Cumulative decoherence exponents D1(t), D2(t) at a single time."""
     if t < 0:
         raise DomainError("t must be >= 0")
-    if t == 0 or (sep.dx == 0 and sep.dy == 0) or sd.gamma == 0.0:
-        return DecoherenceExponent(0j, 0j, float(t))
-    grid = np.array([float(t)])
-    int_lam = _exponent_arrays(sys, sd, regime, grid, "quadrature")[0]
+    int_lam = _exponent_arrays(sys, sd, regime, np.array([float(t)]), "quadrature")[0]
     d1 = (sep.dx**2 + sep.dy**2) * int_lam[0, 0]
     d2 = 2.0 * sep.dx * sep.dy * int_lam[0, 1]
     return DecoherenceExponent(complex(d1), complex(d2), float(t))
@@ -183,10 +194,15 @@ def lowtemp_powerlaw(sys, sd, sep):
     return float(exponent), float(np.exp(logc))
 
 
+def _default_span(sd):
+    """(first time, last time, points) of the default time grid."""
+    return 1e-3 / sd.lam, min(1.0, LAM_TAU_MAX / sd.lam), 200
+
+
 def default_grid(sd):
     """200 log-spaced times from 1e-3/Lam to min(1, LAM_TAU_MAX/Lam)."""
-    t_max = min(1.0, LAM_TAU_MAX / sd.lam)
-    return np.logspace(np.log10(1e-3 / sd.lam), np.log10(t_max), 200)
+    t_min, t_max, points = _default_span(sd)
+    return np.logspace(np.log10(t_min), np.log10(t_max), points)
 
 
 def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
@@ -217,28 +233,19 @@ def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
     if method not in METHODS:
         raise DomainError("method must be one of %s, got %r" % (METHODS, method))
     grid = np.asarray(grid, dtype=float)
-    good = grid.ndim == 1 and len(grid) and np.all(np.isfinite(grid)) and grid[0] >= 0
-    if not (good and np.all(np.diff(grid) > 0)):
-        raise DomainError("grid must be finite, strictly increasing and start at >= 0")
-    n = len(grid)
-    fallback = np.zeros(n, dtype=int)
-    methods = [method] * n
-    valid = np.ones(n, dtype=bool)
-    if method == "closed" and closed_kernel_error(sd, regime, grid[-1]) is not None:
+    # the window at the largest time (the grid is checked after) picks the path
+    closed_ok = method != "closed" or closed_kernel_error(sd, regime, np.max(grid, initial=0.0)) is None
+    int_lam, lam_s, int_err = _exponent_arrays(sys, sd, regime, grid, method if closed_ok else "quadrature")
+    valid = np.ones(len(grid), dtype=bool)
+    if not closed_ok:
         # the window is a prefix of the grid; later points fall back
         valid = np.array([closed_kernel_error(sd, regime, t) is None for t in grid])
-    if valid.all():
-        int_lam, lam_s, int_err = _exponent_arrays(sys, sd, regime, grid, method)
-    else:
-        int_lam, lam_s, int_err = _exponent_arrays(sys, sd, regime, grid, "quadrature")
         if valid.any():
             int_lam[valid], lam_s[valid], int_err[valid] = _exponent_arrays(
                 sys, sd, regime, grid[valid], "closed"
             )
-        fallback[~valid] = FLAG_FALLBACK
-        for i in np.nonzero(~valid)[0]:
-            methods[i] = "quadrature"
-    methods = tuple(methods)
+    fallback = np.where(valid, FLAG_OK, FLAG_FALLBACK)
+    methods = tuple(method if ok else "quadrature" for ok in valid)
 
     out = []
     for sep in seps:
@@ -284,8 +291,7 @@ def frequency_shift(sys, sd, t_max, with_tail_estimate=False):
     """
     if t_max <= 0:
         raise DomainError("t_max must be > 0")
-    eta = _kernel_for(sd, None, kind="sin")
-    mom = time_moments(sys, eta, np.array([t_max, 4.0 * t_max]), sd.lam, sd.cutoff is Cutoff.ABRUPT)
+    mom = _moments(sys, sd, None, np.array([t_max, 4.0 * t_max]), kind="sin")
     main, total = (float(c) for c in mom.c0[:, 0].real)
     shift = -(2.0 / sys.m) * main
     if with_tail_estimate:

@@ -12,7 +12,8 @@ modes, so the transfer matrix solves the classical equations of motion
 x'' = -w0^2 x + wc y', y'' = -w0^2 y - wc x' exactly.
 
 ``time_moments``, the one time-integration engine, integrates any vectorised
-kernel against F1 and F2; ``decoherence._kernel_for`` chooses the kernel.
+kernel against F1 and F2; ``decoherence._moments``, its one caller, chooses
+the kernel and the panel rule.
 """
 
 from dataclasses import dataclass
@@ -215,8 +216,8 @@ def time_moments(sys, kernel, grid, lam, oscillates):
 
     Segments between grid points are subdivided so each 16-node Gauss panel
     sees at most half a period of the fastest oscillation, the mode
-    frequency A' + B' plus the cutoff Lam while the kernel still oscillates
-    on the 1/Lam scale (always when ``oscillates``, else for t < 30/Lam);
+    frequency A' + B' plus the cutoff Lam while the kernel still varies on
+    the 1/Lam scale (always when ``oscillates``, else for t < 30/Lam);
     half a period per panel keeps each panel at ~1e-12 relative.  The first
     segment is refined geometrically towards 0, where several kernels have
     an integrable log or inverse-square-root singularity.

@@ -419,11 +419,7 @@ def check_criterion_5():
             sd = SpectralDensity(1.0, cutoff, lam, rng.uniform(0.2, 3.0))
             regime = ThermalRegime(rkind, oth)
             ts = np.sort(np.exp(rng.uniform(np.log(1e-3), np.log(min(1.0, 500.0 / lam)), 3)))
-            kern = decoherence._kernel_for(sd, regime, "closed")
-            # panels resolve the 1/Lam scale throughout: besides the abrupt
-            # kernels' oscillation, the Drude-Lorentz pole-sum kernels grow
-            # as cosh(Lam u) at every u
-            mom = dynamics.time_moments(sys, kern, ts, lam, oscillates=True)
+            mom = decoherence._moments(sys, sd, regime, ts, "closed")
             for t, (lq1, lq2) in zip(ts, mom.c0 / sys.hbar):
                 lv = coefficients.lambda_closed(sys, sd, regime, float(t), "validated")
                 worst = max(worst, _relerr(lv.lambda1, lq1))

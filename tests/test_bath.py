@@ -587,6 +587,14 @@ _DL1 = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)
         # Lam/Omega_th = pi + 2e-8: clear of the cot test, 6e-9 off the
         # Matsubara pole b = Lam/(pi Omega_th) = 1
         (lambda: bath.drude_exact_kernel(_DL1, 50.0 / (np.pi + 2e-8), 0.1), PoleError, "Matsubara"),
+        *[
+            (lambda bad=bad, fn=fn: fn(bad), DomainError, "tau")
+            for bad in (np.nan, np.inf, -np.inf)
+            for fn in (
+                lambda tau: bath.noise_kernel_quadrature(_DL1, LOW, tau),
+                lambda tau: bath.dissipation_kernel_quadrature(_DL1, tau),
+            )
+        ],
     ],
 )
 def test_bath_rejects_out_of_domain_input(call, exc, match):

@@ -412,6 +412,15 @@ _SD1 = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3)
         (lambda: lambda_closed(SYS, _SD1, HIGH(1e3), -1e-3), "t must be"),
         (lambda: lambda_from_kernel(SYS, lambda u: 1.0, -1e-3), "t must be"),
         (lambda: lambda_quadrature(SYS, _SD1, LOW, -1e-3), "t must be"),
+        *[
+            (lambda bad=bad, fn=fn: fn(bad), "t must be")
+            for bad in (np.nan, np.inf, -np.inf)
+            for fn in (
+                lambda t: lambda_closed(SYS, _SD1, HIGH(1e3), t),
+                lambda t: lambda_from_kernel(SYS, lambda u: 1.0, t),
+                lambda t: lambda_quadrature(SYS, _SD1, LOW, t),
+            )
+        ],
         # Lam = 5 lies below A' = 10.5 of omega0 = 10, omega_c = 1
         (lambda: lambda_closed(SYS, SpectralDensity(1.0, Cutoff.ABRUPT, 5.0), HIGH(1e3), 0.01), "Lam > A'"),
         (lambda: lambda_closed(SYS, SpectralDensity(1.0, Cutoff.ABRUPT, 5.0), LOW, 0.01), "Lam > A'"),

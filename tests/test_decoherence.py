@@ -17,6 +17,7 @@ from qbmag.decoherence import (
     default_grid,
     density_ratio,
     exponents,
+    frequency_shift,
     hightemp_rate,
     lowtemp_powerlaw,
 )
@@ -27,6 +28,7 @@ from test_bath import bose_integral
 
 SYS = SystemParams(omega0=10.0, omega_c=1.0, omega_th=1e3)
 SD = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3)
+SD0 = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3, 0.0)
 HIGH = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 1e3)
 LOW = ThermalRegime(RegimeKind.LOW_TEMPERATURE)
 SEP = Separation(1.0, 1.0)
@@ -147,6 +149,25 @@ def test_curves_is_curve_at_each_separation_from_one_moment_pass(monkeypatch, la
     # the flags differ between separations, so a shared flag array would show
     assert set(many[0].err_flag) >= {FLAG_CLAMPED, FLAG_ERROR}
     assert set(many[1].err_flag) == ({0, FLAG_ERROR} if large else {0, FLAG_FALLBACK})
+
+
+@pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE])
+def test_closed_pole_sum_curve_integrates_its_own_kernel(rkind):
+    # the pole-sum kernel grows as cosh(Lam tau), so a sparse grid needs the
+    # 1/Lam panel scale past Lam t = 30 too; sized for the modes alone the
+    # panels missed this integral by 3.9e-3.  At this separation err_flag
+    # is 3, so the lambda columns are compared
+    sys = SystemParams(omega0=10.0, omega_c=1.0)
+    sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 1000.0)
+    regime = ThermalRegime(rkind, 37.0)
+    grid = np.array([0.01, 0.1, 0.5])
+    cs = curve(sys, sd, regime, Separation(1.0, 1.0), grid, method="closed")
+    assert cs.method == ("closed",) * 3
+    kernel = lambda u: bath.noise_kernel_closed_parts(sd, regime, u)
+    for t, l1, l2 in zip(grid, cs.lambda1, cs.lambda2):
+        ref = lambda_from_kernel(sys, kernel, t)
+        assert abs(l1 - ref.lambda1) <= 1e-10 * abs(ref.lambda1), t
+        assert abs(l2 - ref.lambda2) <= 1e-10 * abs(ref.lambda2), t
 
 
 def test_curve_monotone_high_temperature():
@@ -345,6 +366,15 @@ def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
         (lambda: curve(SYS, SD, HIGH, SEP, np.array([0.01, 0.1]), "closd"), "method must be"),
         (lambda: curves(SYS, SD, HIGH, [SEP], np.array([np.nan, 1.0])), "finite"),
         (lambda: curves(SYS, SD, HIGH, [SEP], np.array([0.1, np.inf])), "finite"),
+        (lambda: exponents(SYS, SD, HIGH, SEP, np.nan), "finite"),
+        (lambda: exponents(SYS, SD, HIGH, SEP, np.inf), "finite"),
+        (lambda: exponents(SYS, SD, HIGH, SEP, -np.inf), "t must be >= 0"),
+        # no kernel is needed here, but the time is still checked
+        (lambda: exponents(SYS, SD0, HIGH, Separation(0.0, 0.0), np.nan), "finite"),
+        (lambda: frequency_shift(SYS, SD, np.nan), "finite"),
+        (lambda: frequency_shift(SYS, SD, np.inf), "finite"),
+        (lambda: frequency_shift(SYS, SD, -np.inf), "t_max must be"),
+        (lambda: curve(SYS, SD, HIGH, SEP, np.array([0.1, np.nan]), "closed"), "finite"),
     ],
 )
 def test_decoherence_rejects_out_of_domain_input(call, match):

@@ -6,12 +6,15 @@ output-preserving when every column agrees to 1e-12 relative.  lambda2 gets
 the cancellation allowance 1e3 eps / ((A'^2 - B'^2) t^2): F2 is a difference
 of two O(u) terms, so at small t its last digits are rounding noise.
 
-Regenerate (only when an output change is intended and documented) with
-``PYTHONPATH=src python tests/test_golden.py``.
+Regenerate (only when an output change is intended and documented) the
+goldens it moves, by name, with
+``PYTHONPATH=src python tests/test_golden.py drude_high_s1_closed_fallback``;
+with no names every golden is rewritten.
 """
 
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -42,7 +45,8 @@ def _configs():
                 name = "%s_%s_s%g" % (cutoff, regime, s)
                 out[name] = dict(_BASE, cutoff=cutoff, regime=regime, s=s)
     # the closed Ohmic Drude-Lorentz forms overflow past Lam t = 700, so this
-    # grid pins the per-point fallback to the quadrature path
+    # grid pins the per-point fallback to the quadrature path, and the panel
+    # rule of the pole-sum kernel up to Lam t = 700
     out["drude_high_s1_closed_fallback"] = dict(
         _BASE, cutoff="drude", regime="high", s=1.0, method="closed", t_max=1000.0 / _BASE["lam"]
     )
@@ -91,11 +95,14 @@ def test_curve_matches_golden(name, tmp_path):
         )
 
 
-def _write_goldens():
+def _write_goldens(names):
+    unknown = set(names) - set(CONFIGS)
+    if unknown:
+        raise SystemExit("unknown golden names: %s" % ", ".join(sorted(unknown)))
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, cfg in CONFIGS.items():
-        cli.run_curve(cfg, os.path.join(GOLDEN_DIR, name + ".csv"))
+    for name in names or CONFIGS:
+        cli.run_curve(CONFIGS[name], os.path.join(GOLDEN_DIR, name + ".csv"))
 
 
 if __name__ == "__main__":
-    _write_goldens()
+    _write_goldens(sys.argv[1:])
