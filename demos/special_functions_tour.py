@@ -2,14 +2,16 @@
 """Quick tour of the special-function kernel behind the closed forms.
 
 The analytic coefficients consume sine/cosine integrals at complex
-arguments like (Lam t -+ i) z / Lam, the Hurwitz-Lerch transcendent from
-the Matsubara pole sum.  Each is checked here against a throwaway
-brute-force evaluation.
+arguments like (Lam t -+ i) z / Lam.  The Hurwitz-Lerch transcendent at
+s = 1 is the Gauss function Phi(z, 1, a) = 2F1(1, a; a+1; z)/a, the form the
+exact Drude-Lorentz pole sum takes from scipy.  Each is checked here
+against a throwaway brute-force evaluation.
 """
 
 import math
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from qbmag.specfun import cos_integral, lerch_phi, sin_integral
 
@@ -26,3 +28,4 @@ print("Ci(w) + Ci(conj w) = %s (imaginary part cancels)" % (cos_integral(w) + co
 phi = lerch_phi(0.3, 1.0, 1.7)
 brute = sum(0.3**k / (k + 1.7) for k in range(200))
 print("Phi(0.3, 1, 1.7) = %.15f (brute force %.15f)" % (phi.real, brute))
+print("2F1(1, 1.7; 2.7; 0.3)/1.7 = %.15f" % (hyp2f1(1.0, 1.7, 2.7, 0.3) / 1.7))

@@ -35,7 +35,6 @@ from .bath import (
 )
 from .dynamics import TimeMoments, mode_constants, time_moments
 from .errors import DomainError, UnsupportedFormError
-from .specfun import EULER_GAMMA
 
 #: magnitudes below this are clamped and flagged rather than returned as 0
 UNDERFLOW_CLAMP = 1e-300
@@ -180,7 +179,7 @@ def lowtemp_powerlaw(sys, sd, sep):
     if lam <= mc.a_prime:
         raise DomainError("power law requires Lam > A'")
     exponent = (sd.gamma / sys.hbar) * (sep.dx**2 + sep.dy**2)
-    gl = EULER_GAMMA + np.log(lam)
+    gl = np.euler_gamma + np.log(lam)
     ap2, bp2 = mc.a_prime**2, mc.b_prime**2
     logc = (
         2.0

@@ -1,13 +1,13 @@
-"""Special functions used by the closed-form bath kernels and coefficients.
+"""Special functions the closed-form coefficients use, and the Lerch series.
 
 Everything here is scalar (complex in, complex out unless stated). The sine
 and cosine integrals accept arbitrary complex arguments on the principal
 branch.  After reflecting the argument into the quadrant Re z >= 0, Im z <= 0
 they take the Maclaurin series, summed in extended precision, for non-real
-|z| <= 10, and scipy.special.sici on the real axis and beyond |z| = 10.  The
-remaining functions wrap or extend scipy.special where the library form is
-not sufficient (explicit error contracts, or the Lerch series, which scipy
-does not ship).
+|z| <= 10, and scipy.special.sici on the real axis and beyond |z| = 10.
+``lerch_phi`` sums the Hurwitz-Lerch series, which scipy does not ship, for
+any s; the bath's exact Drude-Lorentz kernel needs only s = 1 and takes it
+from scipy.special.hyp2f1 instead.
 """
 
 import numpy as np
@@ -19,8 +19,6 @@ from .errors import (
     PoleError,
     RangeError,
 )
-
-EULER_GAMMA = 0.5772156649015328606065
 
 # |z| up to which non-real arguments take the Maclaurin series of Si/Cin,
 # summed in extended precision; scipy.special.sici takes the real axis and
@@ -107,37 +105,8 @@ def cos_integral(z):
     if z.imag > 0:
         return cos_integral(z.conjugate()).conjugate()
     if z.imag != 0.0 and abs(z) <= _TAYLOR_RADIUS:
-        return EULER_GAMMA + np.log(z) + _sici_maclaurin(z)[1]
+        return np.euler_gamma + np.log(z) + _sici_maclaurin(z)[1]
     return _sici_scipy(z)[1]
-
-
-def gamma_fn(x):
-    """Gamma function for real x, rejecting the poles at 0, -1, -2, ..."""
-    x = float(x)
-    if x <= 0 and x == np.floor(x):
-        raise PoleError("Gamma pole at x = %g" % x)
-    return float(_sp.gamma(x))
-
-
-def erf_family(x, kind="erf"):
-    """erf / erfc / erfi of a real argument.
-
-    erfi(x) = -i erf(ix) grows like exp(x^2); arguments past ~26.6 overflow
-    and raise RangeError.
-    """
-    x = float(x)
-    if not np.isfinite(x):
-        raise DomainError("argument must be finite")
-    if kind == "erf":
-        return float(_sp.erf(x))
-    if kind == "erfc":
-        return float(_sp.erfc(x))
-    if kind == "erfi":
-        val = float(_sp.erfi(x))
-        if not np.isfinite(val):
-            raise RangeError("erfi(%g) exceeds double range" % x)
-        return val
-    raise ValueError("kind must be one of 'erf', 'erfc', 'erfi'")
 
 
 def lerch_phi(z, s, a, rtol=1e-12, max_terms=200_000):

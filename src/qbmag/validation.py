@@ -140,25 +140,6 @@ def check_specfun_sici():
     )
 
 
-def check_specfun_gamma_erf():
-    worst = 0.0
-    for x in (0.5, 1.7, 3.2, 7.9):
-        worst = max(worst, _relerr(specfun.gamma_fn(x + 1), x * specfun.gamma_fn(x)))
-    worst = max(worst, _relerr(specfun.gamma_fn(0.5) ** 2, np.pi))
-    for x in np.linspace(-6, 6, 25):
-        worst = max(
-            worst, abs(specfun.erf_family(x, "erf") + specfun.erf_family(x, "erfc") - 1.0)
-        )
-    worst = max(worst, _relerr(specfun.erf_family(1.0, "erf"), 0.8427007929497148))
-    return _result(
-        "specfun-gamma-erf",
-        worst < 1e-12,
-        {"worst": worst},
-        "1e-12",
-        "Gamma recurrence, reflection value, erf+erfc identity, Simpson value of erf(1)",
-    )
-
-
 def check_specfun_lerch_pfq():
     worst = _relerr(specfun.lerch_phi(0.3, 1.0, 1.7).real, 0.7313282643695065)
     worst = max(worst, _relerr(specfun.lerch_phi(0.5, 1.0, 1.0).real, 2 * np.log(2)))
@@ -627,7 +608,7 @@ def check_bath_reference():
 
 
 def check_drude_exact_pole_sum():
-    """Exact-regime Drude-Lorentz kernel: residue/Lerch sum vs quadrature."""
+    """Exact-regime Drude-Lorentz kernel: residue sum (hyp2f1) vs quadrature."""
     worst = 0.0
     for lam, oth in ((50.0, 17.0), (40.0, 90.0)):
         sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, lam, 1.0)
@@ -646,7 +627,6 @@ def check_drude_exact_pole_sum():
 
 _FAST_CHECKS = (
     check_specfun_sici,
-    check_specfun_gamma_erf,
     check_specfun_lerch_pfq,
     check_dynamics_modes,
     check_bath_reference,

@@ -86,6 +86,9 @@ def test_closed_kernel_trivials():
     assert bath.noise_kernel_closed_parts(sd, HIGH(1e3), 1e-3).real == pytest.approx(1e6 * np.sin(1.0))
     sub = SpectralDensity(0.5, Cutoff.ABRUPT, 1e3, 1.7)
     assert bath.noise_kernel_closed_parts(sub, LOW, 0.0).real == pytest.approx((2.0 / 3.0) * 1.7 * 1e3**1.5)
+    # an empty tau array gives an empty result, as the reference kernels do
+    dl = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)
+    assert bath.noise_kernel_closed_parts(dl, HIGH(17.0), np.array([])).shape == (0,)
 
 
 def test_drude_hightemp_closed_parts():
@@ -179,6 +182,58 @@ def test_drude_exact_kernel_guards():
         bath.drude_exact_kernel(sd, 17.0, 0.0)
     with pytest.raises(UnsupportedFormError):
         bath.drude_exact_kernel(SpectralDensity(0.5, Cutoff.DRUDE_LORENTZ, 50.0), 17.0, 0.1)
+
+
+def _mp_pole_sum_terms(lam, oth, tau, z):
+    """The cot and Matsubara terms of drude_exact_kernel's residue sum in
+    30-digit arithmetic, at the doubles the kernel forms from its input (z,
+    b = Lam/(pi Omega_th), Lam/Omega_th, Lam tau).  The form amplifies their
+    rounding near the poles; that is its conditioning, not an error of the sum."""
+    with mp.workdps(30):
+        z, b = mp.mpf(float(z)), mp.mpf(lam / (np.pi * oth))
+        phi = lambda a: mp.hyp2f1(1, a, a + 1, z) / a
+        pole = mp.pi * mp.cot(mp.mpf(lam / oth)) * mp.exp(-mp.mpf(lam * tau))
+        return lam**2 / 2 * pole, lam**2 / 2 * z * (phi(1 - b) + phi(1 + b))
+
+
+def test_drude_exact_kernel_matches_mpmath():
+    # 40 baths of 25 tau each: b in [0.02, 100] and pi Omega_th tau in
+    # [1e-12, 30] log-uniform.  nu changes sign, so the scale is the size of
+    # the two terms; each value is one array call's entry
+    rng = np.random.default_rng(20261018)
+    worst = 0.0
+    for _ in range(40):
+        b = np.exp(rng.uniform(np.log(0.02), np.log(100.0)))
+        while abs(b - round(b)) < 1e-6:
+            b = np.exp(rng.uniform(np.log(0.02), np.log(100.0)))
+        oth = np.exp(rng.uniform(np.log(0.1), np.log(100.0)))
+        lam = float(b * np.pi * oth)
+        taus = np.exp(rng.uniform(np.log(1e-12), np.log(30.0), 25)) / (np.pi * oth)
+        got = bath.drude_exact_kernel(SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, lam), oth, taus)
+        zs = np.exp(-np.pi * oth * taus)
+        for g, tau, z in zip(got, taus, zs):
+            pole, mats = _mp_pole_sum_terms(lam, oth, tau, z)
+            worst = max(worst, float(abs(g - (pole + mats)) / (abs(pole) + abs(mats))))
+    assert worst <= 1e-12
+    # a scalar tau gives a float, the entry of the array call
+    sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)
+    one = bath.drude_exact_kernel(sd, 17.0, 0.02)
+    assert type(one) is float and one == bath.drude_exact_kernel(sd, 17.0, np.array([0.02]))[0]
+
+
+@pytest.mark.parametrize("a", [1.8475480986206303, -0.8475480986206303, 95.5, -93.47])
+@pytest.mark.parametrize("x", [1e-12, 1.0552e-3, 0.02, 0.07, 0.1, 3.0])
+def test_lerch_phi1_matches_mpmath(a, x):
+    # a = 1.84754...: c = a + 1 left c - a - 1 = 2.2e-16, and scipy's z -> 1
+    # branch returned -24.57 for 5.970 at x = 1.0552e-3.  |a| ~ 95 at
+    # z = e^-x in (0.9, 0.974): scipy's series in 1 - z lost 2e-11
+    z = np.exp(-x)
+    with mp.workdps(30):
+        zm = mp.mpf(z)
+        want = mp.lerchphi(zm, 1, a)
+        # sum_k z^k/|k + a|: the terms with k + a < 0 enter with flipped sign
+        scale = want - 2 * sum(zm**k / (k + a) for k in range(max(0, math.ceil(-a))))
+    assert abs(bath._lerch_phi1(z, a) - float(want)) <= 5e-14 * float(scale)
 
 
 def test_exact_regime_between_limits():
@@ -460,9 +515,8 @@ def test_bose_rule_across_frequency_scales(lam, oth, s):
 @pytest.mark.parametrize("lam, oth", [(50.0, 17.0), (40.0, 90.0)])
 def test_exact_split_matches_drude_pole_sum(lam, oth):
     sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, lam, 1.3)
-    taus = np.logspace(-3, 1, 13) / lam
-    want = np.array([bath.drude_exact_kernel(sd, oth, t) for t in taus])
-    _assert_kernel_close(_exact_split(sd, oth, taus), want)
+    taus = np.logspace(-6, 1, 22) / lam
+    _assert_kernel_close(_exact_split(sd, oth, taus), bath.drude_exact_kernel(sd, oth, taus))
 
 
 def test_bose_kernel_shapes_and_zero_coupling():
@@ -593,6 +647,17 @@ _DL1 = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)
             for fn in (
                 lambda tau: bath.noise_kernel_quadrature(_DL1, LOW, tau),
                 lambda tau: bath.dissipation_kernel_quadrature(_DL1, tau),
+            )
+        ],
+        *[
+            (lambda bad=bad, fn=fn: fn(bad), DomainError, "tau")
+            for bad in (np.nan, np.inf, -np.inf, np.array([0.1, np.nan]))
+            for fn in (
+                lambda tau: bath.noise_kernel_reference(SpectralDensity(1.0, Cutoff.ABRUPT, 50.0), LOW, tau),
+                lambda tau: bath.noise_kernel_reference(_DL1, HIGH(17.0), tau),
+                lambda tau: bath.dissipation_kernel_reference(_DL1, tau),
+                lambda tau: bath.noise_kernel_closed_parts(_DL1, LOW, tau),
+                lambda tau: bath.drude_exact_kernel(_DL1, 17.0, tau),
             )
         ],
     ],

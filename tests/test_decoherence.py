@@ -299,6 +299,24 @@ def test_exact_curve_lambdas_match_split_oracle(cutoff, s, request):
         assert abs(l2 - want2) <= (1e-8 + cancel) * abs(want2)
 
 
+@pytest.mark.parametrize("lam, oth", [(50.0, 17.0), (40.0, 90.0), (1200.0, 7.3)])
+def test_exact_drude_curve_matches_pole_sum(lam, oth):
+    # the residue sum shares no code with the curve's nu_low + Bose split
+    sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, lam, 1.3)
+    grid = default_grid(sd)
+    cs = curve(EXACT_SYS, sd, ThermalRegime(RegimeKind.EXACT, oth), SEP, grid)
+    pole_sum = lambda u: bath.drude_exact_kernel(sd, oth, u)
+    mc = mode_constants(EXACT_SYS)
+    for row in np.linspace(0, grid.size - 1, 6).astype(int):
+        t = grid[row]
+        ref = lambda_from_kernel(EXACT_SYS, pole_sum, t)
+        # 1e-10 is the relative accuracy lambda_from_kernel asks of QUADPACK;
+        # F2 cancels to eps / ((A'^2 - B'^2) t^2) in both paths
+        cancel = 1e3 * np.finfo(float).eps / ((mc.a_prime**2 - mc.b_prime**2) * t * t)
+        assert abs(cs.lambda1[row] - ref.lambda1) <= 1e-10 * abs(ref.lambda1), t
+        assert abs(cs.lambda2[row] - ref.lambda2) <= (1e-10 + cancel) * abs(ref.lambda2), t
+
+
 def test_exact_kernel_path():
     exact = ThermalRegime(RegimeKind.EXACT, 17.0)
     taus = np.array([1e-6, 0.01, 0.3])
