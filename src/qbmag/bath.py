@@ -751,6 +751,15 @@ def drude_exact_kernel(sd, omega_th, tau):
     against the exact tau it loses about 1e-18/(pi Omega_th tau) relative,
     since the double z holds 1 - z only to 1e-16 absolute.  Cross-validated
     against the exact-regime quadrature.
+
+    Near an integer n = round(b) it is ill-conditioned: the cot term and the
+    k = n - 1 term of Phi(z,1,1-b) both grow as 1/|b - n| and cancel, and
+    the rounding of the double Lam/Omega_th inside cot grows as
+    1/|sin(Lam/Omega_th)|.  Against 40-digit mpmath at the exact double
+    arguments, worst over pi Omega_th tau in [1e-6, 30] and Omega_th in
+    {1, 17, 90}: 1.4e-11 at b = 24.04, 1.1e-10 at b = 58.99 and 3.2e-10 at
+    b = 7.0047 (where the terms are 8e3 times |nu|), against 2.4e-12 at
+    b = 7.5 and 24.5.
     """
     if not _pole_sum(sd):
         raise UnsupportedFormError("pole sum applies to the Ohmic Drude-Lorentz bath only")

@@ -83,11 +83,11 @@ def test_tracer_records_the_quadrature_oracle_of_a_check():
     spans = tracer.spans
     names = [span[0] for span in spans]
     assert names.count("validation.check_drude_exact_pole_sum") == 1
-    # two (Lam, Omega_th) pairs at two tau each
+    # two (Lam, Omega_th) pairs at three tau each
     oracle = [span for span in spans if span[0] == "bath.noise_kernel_quadrature"]
-    assert len(oracle) == 4
+    assert len(oracle) == 6
     assert all(spans[span[3]][0] == "validation.check_drude_exact_pole_sum" for span in oracle)
     assert all(span[2] > span[1] for span in oracle)
     metrics = tracer.layer_metrics(1.0, 1, {"check_drude_exact_pole_sum": "bath-drude-exact-pole-sum"})
-    assert metrics["bath.quadrature_calls"] == 4 and metrics["bath.quadrature_ms_per_call"] > 0
+    assert metrics["bath.quadrature_calls"] == 6 and metrics["bath.quadrature_ms_per_call"] > 0
     assert metrics["validation.bath-drude-exact-pole-sum_s"] > 0

@@ -5,7 +5,7 @@ from qbmag import decoherence, validation
 
 def test_every_check_reports_its_runtime(full_validation):
     checks = full_validation.report.checks
-    assert len(checks) == 13
+    assert len(checks) == 12
     for c in checks:
         assert c.measured["runtime_s"] >= 0.0, c.name
 
