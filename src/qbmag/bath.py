@@ -8,10 +8,13 @@ Three evaluation paths are provided for the kernels:
   oscillatory tails).  This is the reference ("oracle") path.
 * ``noise_kernel_closed_parts`` evaluates the catalogued analytic regime kernels,
   and ``noise_kernel_reference`` the closed transforms of the defining
-  integrals where one exists.  The two catalogues coincide except for the
-  Ohmic Drude-Lorentz regime kernels, whose catalogued analytic forms stem
-  from a Matsubara pole sum and are *not* transforms of the
-  coth-approximated integrals (see the docstrings below).
+  integrals, which exist for every bath outside the exact regime (the
+  Drude-Lorentz one for any s, by ``_drude_transform``).  The two catalogues
+  coincide except for the Ohmic Drude-Lorentz regime kernels, whose
+  catalogued analytic forms stem from a Matsubara pole sum and are *not*
+  transforms of the coth-approximated integrals (see the docstrings below).
+  ``require_integrable`` rejects the Drude-Lorentz kernels that are not
+  integrable at tau = 0.
 * ``_bose_kernel_fn`` evaluates the exact-regime excess over the quantum
   kernel, int J(w) 2/(e^{2w/Omega_th} - 1) cos(w tau) dw, by one fixed
   Gauss rule for all tau of an octave; with the closed low-temperature
@@ -33,7 +36,6 @@ from scipy import integrate, linalg, special as _sp
 
 from .errors import ConvergenceError, DomainError, PoleError, RangeError, UnsupportedFormError
 
-_SQ2 = np.sqrt(2.0)
 _GLX, _GLW = np.polynomial.legendre.leggauss(12)
 
 
@@ -456,63 +458,191 @@ def _trig_power_ratio(se, x, kind):
     return out.reshape(x.shape)
 
 
-def _scaled_ei_minus_e1(x):
-    """e^{-x} Ei(x) - e^{x} E1(x), x > 0, stable for large x."""
-    x = np.asarray(x, dtype=float)
-    ei, e1 = np.empty_like(x), np.empty_like(x)
-    lo = x <= 50.0
-    ei[lo] = np.exp(-x[lo]) * _sp.expi(x[lo])
-    e1[lo] = np.exp(x[lo]) * _sp.exp1(x[lo])
-    xl = x[~lo]
-    if xl.size:
-        # the asymptotic series sum_k (+-1)^k k!/x^{k+1} of each term
-        tot_ei, tot_e1 = np.zeros_like(xl), np.zeros_like(xl)
-        term_ei = term_e1 = 1.0 / xl
-        for k in range(40):
-            tot_ei += term_ei
-            tot_e1 += term_e1
-            term_ei = term_ei * (k + 1) / xl
-            term_e1 = term_e1 * (-(k + 1)) / xl
-        ei[~lo], e1[~lo] = tot_ei, tot_e1
-    return ei - e1
+#: x = Lam tau up to which _drude_transform sums its power series, whose
+#: terms grow to cosh x; 13 terms of each parity reach x^n/n! < 2e-18 there
+_DRUDE_SERIES_TOP, _DRUDE_SERIES_TERMS = 2.0, 13
+#: psi^(m)(n+1)/(m+1)!, m, n = 0 .. 25: the Taylor series in eps of
+#: (ln Gamma(n+1+eps) - ln Gamma(n+1))/eps, taken for |eps| < 1/4, where a
+#: difference of two gammaln calls loses 1e-16/|eps|; (1/4)^25/26 < 1e-16
+_DRUDE_TAYLOR = _sp.polygamma(np.arange(26.0)[:, None], np.arange(1.0, 27.0))
+_DRUDE_TAYLOR /= _sp.gamma(np.arange(2.0, 28.0))[:, None]
+#: the middle band 2 < x <= 64: one Chebyshev interpolant through 20 points
+#: per octave, sampled by a 40-node Gauss-Jacobi rule on v <= 16/x and a
+#: 24-node Gauss-Legendre panel past it, where e^{-x v} < e^-16
+_DRUDE_OCTAVES, _DRUDE_CHEB_POINTS, _DRUDE_JACOBI_NODES, _DRUDE_HEAD = 5, 20, 40, 16.0
+_DRUDE_TAIL_X, _DRUDE_TAIL_W = np.polynomial.legendre.leggauss(24)
+#: row k: the coefficients of the Chebyshev polynomial T_k in powers of t
+_DRUDE_CHEB_POWERS = np.zeros((_DRUDE_CHEB_POINTS, _DRUDE_CHEB_POINTS))
+_DRUDE_CHEB_POWERS[0, 0] = _DRUDE_CHEB_POWERS[1, 1] = 1.0
+for _k in range(2, _DRUDE_CHEB_POINTS):
+    _DRUDE_CHEB_POWERS[_k] = 2.0 * np.roll(_DRUDE_CHEB_POWERS[_k - 1], 1) - _DRUDE_CHEB_POWERS[_k - 2]
+#: terms of the asymptotic series past x = 64, the last below 1e-17 of the first
+_DRUDE_ASYMPTOTIC_TERMS = 12
 
 
-_DRUDE_TRANSFORMS = (("sin", 1.0),) + tuple(("cos", se) for se in (-0.5, 0.0, 0.5, 1.0, 1.5))
+def _quarter_turns(t):
+    """(cos, sin) of pi t/2 to a few rounding units each, exact at integer t:
+    the nearest integer's quarter turns are taken out before the angle is formed."""
+    n = round(t)
+    c, s = _sp.cosdg(90.0 * (t - n)), _sp.sindg(90.0 * (t - n))
+    for _ in range(n % 4):
+        c, s = -s, c
+    return c, s
 
 
-def _drude_transform(se, lam, x, kind):
-    """int_0^inf w^se Lam^2/(Lam^2+w^2) trig(w tau) dw, x = Lam tau, for (kind, se) in _DRUDE_TRANSFORMS."""
-    if kind == "sin":
-        return (np.pi / 2.0) * lam**2 * np.exp(-x)
-    if se == 0.0:
-        return (np.pi / 2.0) * lam * np.exp(-x)
-    if se == 1.0:
-        with np.errstate(divide="ignore"):
-            return -(lam**2 / 2.0) * _scaled_ei_minus_e1(x)
-    ec = _sp.erfcx(np.sqrt(x))
-    dw = 2.0 / np.sqrt(np.pi) * _sp.dawsn(np.sqrt(x))
-    if se == -0.5:
-        return (np.pi / (2 * _SQ2)) * lam**0.5 * (np.exp(-x) + ec + dw)
-    if se == 0.5:
-        return (np.pi / (2 * _SQ2)) * lam**1.5 * (np.exp(-x) + ec - dw)
-    with np.errstate(divide="ignore"):
-        return (
-            lam**2
-            * (
-                2.0 * np.sqrt(np.pi) * np.sqrt(lam / np.maximum(x, 1e-300))
-                - np.pi * np.sqrt(lam) * (np.exp(-x) + ec + dw)
-            )
-            / (2 * _SQ2)
+def _cot_expm1(eps):
+    """y -> cot(pi eps/2) (e^{eps y} - 1), with its limit 2 y/pi at eps = 0."""
+    if eps == 0.0:
+        return lambda y: (2.0 / np.pi) * y
+    c, s = _quarter_turns(eps)
+    return lambda y: np.expm1(eps * y) * (c / s)
+
+
+def _pole_pair(eps, parity):
+    """Coefficients (a, b), in powers of x^2, of the series
+    cot(pi eps/2) sum_n [x^{n+eps}/Gamma(n+1+eps) - x^n/n!] = x^parity [_cot_expm1(eps)(ln x) a + b],
+    n = parity, parity + 2, ...: a_n = 1/Gamma(n+1+eps) and
+    b_n = cot(pi eps/2) (Gamma(n+1)/Gamma(n+1+eps) - 1)/n!.  Both are relative
+    to eps, so the pair keeps its accuracy where eps -> 0 cancels its terms."""
+    n = np.arange(parity, 2 * _DRUDE_SERIES_TERMS, 2.0)
+    if abs(eps) < 0.25:
+        log_ratio = eps ** np.arange(26.0) @ _DRUDE_TAYLOR[:, parity::2]
+    else:
+        log_ratio = (_sp.gammaln(n + 1.0 + eps) - _sp.gammaln(n + 1.0)) / eps
+    return _sp.rgamma(n + 1.0 + eps), _cot_expm1(eps)(-log_ratio) * _sp.rgamma(n + 1.0)
+
+
+@functools.lru_cache(maxsize=32)
+def _drude_transform(se, kind):
+    """x -> D(se, x) = int_0^inf u^se trig(x u)/(1 + u^2) du over an array of
+    x >= 0, for -1 < se < 2 (cos) or 0 < se < 2 (sin); built once per (se, kind).
+
+    Rotating the contour onto the imaginary axis, with half the residue at
+    u = i, gives D = (pi/2) cos(pi se/2) e^{-x} - sin(pi se/2) P (cos) or
+    (pi/2) sin(pi se/2) e^{-x} + cos(pi se/2) P (sin) for x > 0, with
+    P = PV int_0^inf v^se e^{-x v}/(1 - v^2) dv; the trig factors are exact at
+    integer se, so cos at se = 0 and sin at se = 1 are (pi/2) e^{-x}.  P takes
+    three bands of x, each x a fixed sequence of operations chosen by its band:
+
+    * x <= 2: (pi/2)[cot(pi e0/2) F_even(e0) - cot(pi e1/2) F_odd(e1)],
+      e0 = 1 - se, e1 = -se, F(eps) = sum_n [x^{n+eps}/Gamma(n+1+eps) - x^n/n!]
+      over even or odd n, each pair as in ``_pole_pair``; past se = 1 the odd
+      terms pair one step later, F_odd(-se) = x^{1-se}/Gamma(2-se) + F_odd(2-se),
+      so the series holds through se = 0, 1 and 2;
+    * 2 < x <= 64: per octave, a Chebyshev interpolant of x^(se+1) P in
+      log2 x, sampled from P = int_0^1 v^se [e^{-x v} - v^{-2 se} e^{-x/v}]/(1 - v^2) dv,
+      the PV integral folded by v -> 1/v, which cancels the pole;
+    * x > 64: the asymptotic series P ~ sum_k Gamma(se+1+2k) x^{-se-1-2k}.
+
+    Against 30-digit mpmath every value is within 1e-12 of max(|D|, (1+x)^-(se+1))
+    (worst 5e-14, over cos at -0.9 <= se <= 1.95 and sin at 1e-9 <= se <= 2 - 1e-9,
+    x in [1e-9, 5e3]).  At x = 0 it returns the x -> 0+ limit: (pi/2)/cos(pi se/2)
+    for cos and 0 for sin below se = 1, pi/2 for sin at se = 1, else inf.
+    """
+    c, s = _quarter_turns(se)
+    e1 = -se if se <= 1.0 else 2.0 - se
+    c1, s1 = _quarter_turns(e1)
+    lead = 0.0 if se <= 1.0 else c1 / (s1 * _sp.gamma(e1))
+    series = np.vstack(_pole_pair(1.0 - se, 0) + _pole_pair(e1, 1))
+    r0, r1 = _cot_expm1(1.0 - se), _cot_expm1(e1)
+
+    m = _DRUDE_CHEB_POINTS
+    angle = np.pi * (np.arange(m) + 0.5) / m
+    log2x = np.arange(1.0, 1.0 + _DRUDE_OCTAVES)[:, None] + 0.5 * (1.0 + np.cos(angle))
+    xj = np.exp2(log2x).ravel()[:, None]
+    # the fold's second exponent is floored at -700, where exp() would take
+    # its slow underflow path; v = 1 - 2^-53 stands for the limit at v = 1
+    fold = lambda v: (
+        (np.exp(-xj * v) - np.exp(np.maximum(-2.0 * se * np.log(v) - xj / v, -700.0))) / (1.0 - v * v)
+    )
+    # the Jacobi weights are accurate relative to the largest one, so the
+    # rule keeps the peak of e^{-x v} resolved: x v <= 16 on [0, top]
+    top = np.minimum(1.0, _DRUDE_HEAD / xj)
+    v, w = _jacobi_rule01(_DRUDE_JACOBI_NODES, se)
+    vl = np.minimum(top + (1.0 - top) * 0.5 * (1.0 + _DRUDE_TAIL_X), 1.0 - 2.0**-53)
+    values = top[:, 0] ** (se + 1.0) * (fold(top * v) @ w)
+    values += 0.5 * (1.0 - top[:, 0]) * ((vl**se * fold(vl)) @ _DRUDE_TAIL_W)
+    values = values.reshape(log2x.shape) * np.exp2((se + 1.0) * log2x)
+    # interpolated in Chebyshev form, then summed in powers of the octave's
+    # coordinate t: x^(se+1) P is analytic in log x off the negative real
+    # axis, 9 units of t away, so the change of basis costs no digits
+    cheb = (2.0 / m) * np.cos(np.outer(np.arange(m), angle)) @ values.T
+    cheb[0] *= 0.5
+    octaves = _DRUDE_CHEB_POWERS.T @ cheb
+    asymptotic = _sp.gamma(se + 1.0 + 2.0 * np.arange(_DRUDE_ASYMPTOTIC_TERMS))
+    if kind == "cos":
+        at_zero = (np.pi / 2.0) / c if se < 1.0 else np.inf
+    else:
+        at_zero = 0.0 if se < 1.0 else (np.pi / 2.0 if se == 1.0 else np.inf)
+    top_x = 2.0 ** (1 + _DRUDE_OCTAVES)
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        p = np.zeros_like(flat)
+        band = (flat > 0.0).view(np.int8) + (flat > _DRUDE_SERIES_TOP) + (flat > top_x)
+
+        sel = band == 1
+        if sel.any():
+            xs = flat[sel]
+            lx = np.log(xs)
+            powers = np.empty((_DRUDE_SERIES_TERMS, xs.size))
+            powers[0], y = 1.0, xs * xs
+            for k in range(1, _DRUDE_SERIES_TERMS):
+                np.multiply(powers[k - 1], y, out=powers[k])
+            a0, b0, a1, b1 = series @ powers
+            sums = r0(lx) * a0 + b0 - xs * (r1(lx) * a1 + b1)
+            if lead:
+                sums -= lead * xs ** (1.0 - se)
+            p[sel] = (np.pi / 2.0) * sums
+        sel = band == 2
+        if sel.any():
+            lg = np.log2(flat[sel])
+            octave = np.minimum(lg.astype(int), _DRUDE_OCTAVES) - 1
+            t = 2.0 * (lg - octave) - 3.0
+            coef = octaves[:, octave]
+            acc = coef[-1].copy()
+            for k in range(m - 2, -1, -1):
+                acc *= t
+                acc += coef[k]
+            p[sel] = acc * np.exp2(-(se + 1.0) * lg)
+        sel = band == 3
+        if sel.any():
+            xs = flat[sel]
+            p[sel] = polyval(1.0 / (xs * xs), asymptotic) * xs ** -(se + 1.0)
+
+        e = (np.pi / 2.0) * np.exp(-flat)
+        out = c * e - s * p if kind == "cos" else s * e + c * p
+        out[flat <= 0.0] = at_zero
+        return out.reshape(x.shape)
+
+    return fn
+
+
+def require_integrable(sd, regime):
+    """DomainError unless nu (eta for regime None) is integrable at tau = 0.
+
+    A Drude-Lorentz J(w) c(w) falls off as w^(se-2) (``_regime_weight``), so
+    the kernel grows as tau^(1-se) for se > 1 and is not integrable for
+    se >= 2: s >= 2 at low temperature, in the exact regime and for eta,
+    s >= 3 at high temperature.  The other cutoffs keep nu(0) finite."""
+    if sd.cutoff is Cutoff.DRUDE_LORENTZ and _regime_weight(sd, regime)[0] >= 2.0:
+        what = "eta" if regime is None else "nu in the %s regime" % regime.kind.value
+        raise DomainError(
+            "%s of a Drude-Lorentz bath with s = %g is not integrable at tau = 0" % (what, sd.s)
         )
 
 
 def _reference_kernel_fn(sd, regime, kind="cos"):
-    """Vectorised closed transform of the defining integral, or None.
+    """Vectorised closed transform of the defining integral: nu, or with
+    kind='sin' and regime None eta.  Every bath has one outside the exact
+    regime, which returns None; DomainError where ``require_integrable``
+    says the kernel is not integrable at tau = 0.
 
-    These forms were each validated against the quadrature path; they are
-    exact equalities, so curves built on them remain quadrature-grade in the
-    time integration.
+    Each form is an exact equality, validated against the quadrature path,
+    so curves built on them remain quadrature-grade in the time integration.
     """
+    require_integrable(sd, regime)
     if regime is not None and regime.kind is RegimeKind.EXACT:
         return None
     se, pref = _regime_weight(sd, regime)
@@ -538,12 +668,11 @@ def _reference_kernel_fn(sd, regime, kind="cos"):
             )
 
         return fn
-    if (kind, se) not in _DRUDE_TRANSFORMS:
-        return None
+    transform = _drude_transform(se, kind)
 
     def fn(tau):
         tau = np.asarray(tau, dtype=float)
-        return pref * _drude_transform(se, lam, lam * tau, kind)
+        return pref * lam ** (se + 1.0) * transform(lam * tau)
 
     return fn
 
@@ -556,24 +685,27 @@ def _reference_value(sd, regime, kind, tau):
         what = "eta with " + what if kind == "sin" else what + " " + regime.kind.value
         raise UnsupportedFormError("no closed transform for " + what)
     tarr = np.asarray(tau, dtype=float)
-    if not np.all(np.isfinite(tarr)):
-        raise DomainError("tau must be finite")
+    if not np.all((tarr >= 0) & (tarr < np.inf)):
+        raise DomainError("tau must be finite and >= 0")
     out = fn(tarr)
     return out if np.ndim(tau) else float(out)
 
 
 def noise_kernel_reference(sd, regime, tau):
-    """Closed transform of the regime-weighted defining integral.
+    """Closed transform of the regime-weighted defining integral, for scalar
+    or array tau >= 0 (DomainError otherwise).
 
-    Equal to ``noise_kernel_quadrature`` wherever defined (this is tested);
-    raises UnsupportedFormError when no transform is catalogued (the exact
-    regime, and Drude-Lorentz exponents outside {1/2, 1, 3/2}).
+    Equal to ``noise_kernel_quadrature`` wherever defined (this is tested).
+    Raises UnsupportedFormError in the exact regime, which has no closed
+    transform, and DomainError for a kernel that ``require_integrable``
+    rejects.
     """
     return _reference_value(sd, regime, "cos", tau)
 
 
 def dissipation_kernel_reference(sd, tau):
-    """Closed transform of eta(tau); UnsupportedFormError when not catalogued."""
+    """Closed transform of eta(tau), tau >= 0; DomainError for a Drude-Lorentz
+    bath with s >= 2, whose eta is not integrable at tau = 0."""
     return _reference_value(sd, None, "sin", tau)
 
 
@@ -654,10 +786,9 @@ def _bose_kernel_fn(sd, omega_th):
 def closed_kernel_error(sd, regime, tau_max):
     """The error the catalogued regime kernels raise on [0, tau_max], or None.
 
-    This states their validity window: the exact regime, and Drude-Lorentz
-    exponents without a transform, have no catalogued kernel; the Ohmic
-    Drude-Lorentz pole-sum forms need Omega_th > 0 with Lam/Omega_th off the
-    poles of cot(Lam/Omega_th), and Lam tau <= LAM_TAU_MAX.
+    This states their validity window: the exact regime has no catalogued
+    kernel; the Ohmic Drude-Lorentz pole-sum forms need Omega_th > 0 with
+    Lam/Omega_th off the poles of cot(Lam/Omega_th), and Lam tau <= LAM_TAU_MAX.
     """
     if regime.kind is RegimeKind.EXACT:
         return UnsupportedFormError("the exact regime has no catalogued kernel; use quadrature")
@@ -673,11 +804,6 @@ def closed_kernel_error(sd, regime, tau_max):
             return RangeError(
                 "cosh(Lam tau) overflows for Lam tau = %g > %g" % (sd.lam * tau_max, LAM_TAU_MAX)
             )
-        return None
-    if _reference_kernel_fn(sd, regime, "cos") is None:
-        return UnsupportedFormError(
-            "no catalogued kernel for s=%g %s %s" % (sd.s, sd.cutoff.value, regime.kind.value)
-        )
     return None
 
 

@@ -34,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bath import Cutoff, SpectralDensity, ThermalRegime, spectral_density
+from .bath import Cutoff, SpectralDensity, ThermalRegime, require_integrable, spectral_density
 from .decoherence import FLAG_ERROR, METHODS, Separation, _default_span, curve, curves
 from .dynamics import SystemParams
 from .errors import QbmagError
@@ -139,6 +139,7 @@ def _build_objects(cfg):
     try:
         sd = SpectralDensity(cfg["s"], cfg["cutoff"], cfg["lam"], cfg["gamma"])
         regime = ThermalRegime(cfg["regime"], cfg["omega_th"])
+        require_integrable(sd, regime)
         sys_params = SystemParams(
             omega0=cfg["omega0"],
             omega_c=cfg["omega_c"],

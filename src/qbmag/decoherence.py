@@ -29,10 +29,9 @@ from .bath import (
     _pole_sum,
     _reference_kernel_fn,
     closed_kernel_error,
-    dissipation_kernel_quadrature,
     noise_kernel_closed_parts,
-    noise_kernel_quadrature,
 )
+from .bath import noise_kernel_quadrature  # unused here; perfbench/trace.py wraps this binding
 from .dynamics import TimeMoments, mode_constants, time_moments
 from .errors import DomainError, UnsupportedFormError
 
@@ -85,30 +84,18 @@ class CurveSeries:
 def _kernel_for(sd, regime, method="quadrature", kind="cos"):
     """Vectorised nu, or with kind='sin' and regime None eta.
 
-    method='quadrature' uses the closed transform of the defining integral
-    where catalogued; in the exact regime the closed low-temperature
-    transform plus the Bose term, where the former is catalogued; per-node
-    kernel quadrature otherwise.  method='closed' uses the catalogued
-    analytic regime kernels (pole-sum forms for the Ohmic Drude-Lorentz
-    regimes)."""
+    method='quadrature' uses the closed transform of the defining integral;
+    in the exact regime the closed low-temperature transform plus the Bose
+    term.  method='closed' uses the catalogued analytic regime kernels
+    (pole-sum forms for the Ohmic Drude-Lorentz regimes).  DomainError
+    (``bath.require_integrable``) for a kernel not integrable at tau = 0."""
     if method == "closed":
         return lambda taus: noise_kernel_closed_parts(sd, regime, taus)
     if regime is not None and regime.kind is RegimeKind.EXACT:
         low = _reference_kernel_fn(sd, _LOW, kind)
-        if low is not None:
-            bose = _bose_kernel_fn(sd, regime.omega_th)
-            return lambda taus: low(taus) + bose(taus)
-    else:
-        fn = _reference_kernel_fn(sd, regime, kind)
-        if fn is not None:
-            return fn
-
-    def slow(taus):
-        if kind == "sin":
-            return np.array([dissipation_kernel_quadrature(sd, float(u)) for u in np.atleast_1d(taus)])
-        return np.array([noise_kernel_quadrature(sd, regime, float(u)) for u in np.atleast_1d(taus)])
-
-    return slow
+        bose = _bose_kernel_fn(sd, regime.omega_th)
+        return lambda taus: low(taus) + bose(taus)
+    return _reference_kernel_fn(sd, regime, kind)
 
 
 def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
@@ -214,18 +201,15 @@ def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
     D = (dx^2 + dy^2) int lambda1 + 2 dx dy int lambda2, the clamp and the
     error estimate run per separation.
 
-    method="quadrature" integrates the regime-weighted defining kernel
-    (closed transform where catalogued, kernel quadrature otherwise);
-    method="closed" integrates the catalogued analytic regime kernels and
-    falls back per point (err_flag 2) where those are invalid, e.g. past the
-    cosh overflow window of the Drude-Lorentz forms.
+    method="quadrature" integrates the closed transform of the
+    regime-weighted defining kernel; method="closed" integrates the
+    catalogued analytic regime kernels and falls back per point (err_flag 2)
+    where those are invalid, e.g. past the cosh overflow window of the
+    Drude-Lorentz forms.
 
     Exact-regime curves integrate the closed low-temperature transform plus
     the Bose term of ``bath._bose_kernel_fn`` and cost tens of milliseconds
-    on a default grid.  Where the low-temperature transform is not
-    catalogued (Drude-Lorentz outside s in {1/2, 1, 3/2}) they run one kernel
-    quadrature per Gauss node: about 1.4 s for 4 points and 5 s for 200
-    (s = 0.8, Lam = 50, Omega_th = 17, t <= 0.2, on a 2-vCPU Xeon VM).
+    on a default grid.
     """
     if grid is None:
         grid = default_grid(sd)

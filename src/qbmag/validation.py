@@ -576,14 +576,15 @@ def _reference_gap(sd, regime, xs):
 
 
 def check_bath_reference():
-    """Reference kernels vs defining quadrature for the Ohmic transforms."""
+    """Reference kernels vs defining quadrature for the Ohmic transforms, and
+    for the Drude-Lorentz transform at s = 0.8, off the integer exponents."""
     worst = {}
-    for cutoff in (Cutoff.ABRUPT, Cutoff.DRUDE_LORENTZ, Cutoff.EXPONENTIAL):
+    baths = [(c.value, SpectralDensity(1.0, c, 200.0, 1.0)) for c in Cutoff]
+    baths.append(("drude-s0.8", SpectralDensity(0.8, Cutoff.DRUDE_LORENTZ, 200.0, 1.0)))
+    for name, sd in baths:
         for rkind in (RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE):
-            sd = SpectralDensity(1.0, cutoff, 200.0, 1.0)
-            regime = ThermalRegime(rkind, 11.0)
-            worst["%s-%s" % (cutoff.value, rkind.value)] = _reference_gap(
-                sd, regime, (1e-2, 0.5, 3.0, 25.0)
+            worst["%s-%s" % (name, rkind.value)] = _reference_gap(
+                sd, ThermalRegime(rkind, 11.0), (1e-2, 0.5, 3.0, 25.0)
             )
     ok = max(worst.values()) < 1e-6
     return _result(

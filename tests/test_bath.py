@@ -249,25 +249,121 @@ def test_exact_regime_between_limits():
 
 def test_reference_kernel_unsupported():
     with pytest.raises(UnsupportedFormError):
-        bath.noise_kernel_reference(SpectralDensity(0.7, Cutoff.DRUDE_LORENTZ, 10.0), LOW, 0.1)
-    with pytest.raises(UnsupportedFormError):
         bath.noise_kernel_reference(SpectralDensity(1.0, Cutoff.ABRUPT, 10.0), EXACT(3.0), 0.1)
 
 
-def test_reference_coverage_evaluates_no_transform(monkeypatch):
-    # which Drude-Lorentz transforms exist is a table, not a trial evaluation
-    def no_evaluation(*args):
-        raise AssertionError("a transform was evaluated to learn its coverage")
+def _mp_drude_transform(kind, se, x):
+    """int_0^inf u^se trig(x u)/(1 + u^2) du in mpmath, independently of the
+    contour rotation: below x = 80 the 1F2 series of the cos and sin
+    transforms, (pi/2) sec(pi se/2) [cosh x - S] and (pi/2) csc(pi se/2)
+    [S - sinh x], S = sum_k x^(2k+1-se)/Gamma(2k+2-se), with digits for their
+    e^x cancellation (Ei/E1 for cos at se = 1); past it the large-x series of
+    the Fourier transform of u^se/(1 + u^2), to the smallest term, plus the
+    pole's (pi/2) e^-x trig(pi se/2)."""
+    if x < 80:
+        with mp.workdps(45 + int(x / 2.3)):
+            se, x, h = mp.mpf(se), mp.mpf(x), mp.pi * mp.mpf(se) / 2
+            if kind == "cos" and se == 1:
+                return float((mp.exp(x) * mp.e1(x) - mp.exp(-x) * mp.ei(x)) / 2)
+            total, k = mp.mpf(0), 0
+            while True:
+                term = x ** (2 * k + 1 - se) / mp.gamma(2 * k + 2 - se)
+                total += term
+                if k > 5 and abs(term) < mp.eps * abs(total):
+                    break
+                k += 1
+            if kind == "cos":
+                return float(mp.pi / 2 / mp.cos(h) * (mp.cosh(x) - total))
+            return float(mp.pi / 2 / mp.sin(h) * (total - mp.sinh(x)))
+    with mp.workdps(40):
+        se, x, h = mp.mpf(se), mp.mpf(x), mp.pi * mp.mpf(se) / 2
+        series, k, prev = mp.mpf(0), 0, mp.inf
+        while True:
+            term = mp.gamma(se + 1 + 2 * k) * x ** (-se - 1 - 2 * k)
+            if term > prev or term < mp.eps * series:
+                break
+            series, prev, k = series + term, term, k + 1
+        pole = mp.pi / 2 * mp.exp(-x)
+        if kind == "cos":
+            return float(pole * mp.cos(h) - mp.sin(h) * series)
+        return float(pole * mp.sin(h) + mp.cos(h) * series)
 
-    monkeypatch.setattr(bath, "_drude_transform", no_evaluation)
-    for s in (0.5, 1.0, 1.5):
-        sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, 10.0)
-        assert bath._reference_kernel_fn(sd, LOW) is not None
-        assert bath._reference_kernel_fn(sd, HIGH(3.0)) is not None
-    sd = SpectralDensity(0.7, Cutoff.DRUDE_LORENTZ, 10.0)
-    assert bath._reference_kernel_fn(sd, LOW) is None and bath._reference_kernel_fn(sd, HIGH(3.0)) is None
-    assert bath._reference_kernel_fn(SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 10.0), None, "sin") is not None
-    assert bath._reference_kernel_fn(SpectralDensity(1.5, Cutoff.DRUDE_LORENTZ, 10.0), None, "sin") is None
+
+#: x = Lam tau of the transform test: decades of x, both sides of the band
+#: edges 2 and 64 of _drude_transform and of its octaves, and the end of
+#: default grids, 700
+DRUDE_XS = (1e-9, 1e-4, 0.03, 0.7, 2.5, 9.0, 20.0, 80.0, 300.0, 700.0, 5e3) + tuple(
+    e * f for e in (2.0, 4.0, 32.0, 64.0) for f in (1.0 - 1e-6, 1.0, 1.0 + 1e-6)
+)
+
+
+@pytest.mark.parametrize(
+    "kind, se",
+    [("cos", se) for se in (-0.9, -0.5, -0.2, 0.0, 0.3, 0.5, 0.8, 0.99, 1.0, 1.0 + 1e-9, 1.3, 1.5, 1.8, 1.95)]
+    + [("sin", se) for se in (0.1, 1e-9, 0.5, 0.8, 1.0, 1.2, 1.5, 1.9, 2.0 - 1e-9)],
+)
+def test_drude_transform_matches_mpmath(kind, se):
+    # relative to max(|D|, (1+x)^-(se+1)): D changes sign, and its large-x
+    # size is x^-(se+1); se within 1e-9 of 0, 1 and 2 tests the paired series
+    got = bath._drude_transform(se, kind)(np.array(DRUDE_XS))
+    for x, g in zip(DRUDE_XS, got):
+        want = _mp_drude_transform(kind, se, x)
+        assert abs(g - want) <= 1e-12 * max(abs(want), (1.0 + x) ** (-se - 1.0)), (x, g, want)
+
+
+def test_drude_transform_special_values():
+    xs = np.array((0.0,) + DRUDE_XS)
+    pole = np.pi / 2 * np.exp(-xs)
+    # cos at se = 0 and sin at se = 1 are the pole term alone
+    for kind, se in (("cos", 0.0), ("sin", 1.0)):
+        assert np.all(np.abs(bath._drude_transform(se, kind)(xs) - pole) <= 4e-16 * pole)
+    # x -> 0+: finite below se = 1, infinite at and past it (sin: pi/2 at 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_zero = {
+            (kind, se): bath._drude_transform(se, kind)(np.array([0.0, 1e-300]))
+            for kind, se in (("cos", -0.5), ("cos", 0.5), ("cos", 1.0), ("cos", 1.5), ("sin", 0.5), ("sin", 1.5))
+        }
+    assert at_zero[("cos", -0.5)][0] == pytest.approx(np.pi / 2 / np.cos(np.pi / 4), rel=1e-15)
+    assert at_zero[("cos", 0.5)][0] == pytest.approx(np.pi / 2 / np.cos(np.pi / 4), rel=1e-15)
+    assert at_zero[("sin", 0.5)][0] == 0.0
+    # the divergence is log(1/x) at se = 1, x^(1-se) past it
+    assert at_zero[("cos", 1.0)][0] == np.inf and at_zero[("cos", 1.0)][1] > 600.0
+    for key in (("cos", 1.5), ("sin", 1.5)):
+        assert at_zero[key][0] == np.inf and at_zero[key][1] > 1e100, key
+
+
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+def test_reference_kernels_reject_negative_tau(cutoff):
+    sd = SpectralDensity(1.0, cutoff, 10.0)
+    for call in (
+        lambda tau: bath.noise_kernel_reference(sd, HIGH(3.0), tau),
+        lambda tau: bath.noise_kernel_reference(sd, LOW, tau),
+        lambda tau: bath.dissipation_kernel_reference(sd, tau),
+    ):
+        for tau in (-0.1, np.array([0.1, -1e-300])):
+            with pytest.raises(DomainError, match=">= 0"):
+                call(tau)
+
+
+@pytest.mark.parametrize("s, rkind", [(2.0, "low"), (2.5, "low"), (2.5, "exact"), (3.2, "high"), (3.0, "high")])
+def test_non_integrable_drude_kernels_rejected(s, rkind):
+    # J c ~ w^(se - 2) with se >= 2: nu ~ tau^(1 - se) is not integrable at 0
+    sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, 50.0)
+    regime = ThermalRegime(rkind, 17.0)
+    with pytest.raises(DomainError, match="not integrable"):
+        bath.require_integrable(sd, regime)
+    with pytest.raises(DomainError, match="not integrable"):
+        bath.noise_kernel_reference(sd, regime, 0.1)
+    # the edge: se just below 2 is served, and eta stops at s = 2
+    below = SpectralDensity(s - 1e-9, Cutoff.DRUDE_LORENTZ, 50.0)
+    if s in (2.0, 3.0):
+        bath.require_integrable(below, regime)
+    with pytest.raises(DomainError, match="not integrable"):
+        bath.dissipation_kernel_reference(SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0), 0.1)
+    # abrupt and exponential kernels stay finite at tau = 0
+    for cutoff in (Cutoff.ABRUPT, Cutoff.EXPONENTIAL):
+        bath.require_integrable(SpectralDensity(s, cutoff, 50.0), regime)
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,8 +522,9 @@ def test_closed_kernel_window():
     assert isinstance(bath.closed_kernel_error(dl, HIGH(50.0 / np.pi), 0.0), PoleError)
     assert isinstance(bath.closed_kernel_error(dl, LOW, 0.1), DomainError)
     assert isinstance(bath.closed_kernel_error(dl, EXACT(7.0), 0.1), UnsupportedFormError)
+    # every other bath's catalogued kernel is its reference transform
     sub = SpectralDensity(0.7, Cutoff.DRUDE_LORENTZ, 50.0)
-    assert isinstance(bath.closed_kernel_error(sub, HIGH(7.0), 0.1), UnsupportedFormError)
+    assert bath.closed_kernel_error(sub, HIGH(7.0), 0.1) is None
     # only the Ohmic Drude-Lorentz pole-sum forms have a finite window
     exp = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 50.0)
     assert bath.closed_kernel_error(exp, HIGH(7.0), 1e6) is None

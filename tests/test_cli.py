@@ -27,6 +27,9 @@ t_points=30
 """
 
 
+DRUDE_CFG = CURVE_CFG.replace("s=1\ncutoff=abrupt", "s=%g\ncutoff=drude").replace("regime=low", "regime=%s")
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -263,6 +266,15 @@ def test_sweep_records_each_point_failure(tmp_path, monkeypatch):
     assert status[(1.0, "drude")] == "error: kernel quadrature did not converge"
     assert status[(-1.0, "abrupt")].startswith("config-error: ")
     assert status[(-1.0, "drude")].startswith("config-error: ")
+
+
+def test_sweep_reports_a_non_integrable_point_as_config_error(tmp_path):
+    cfg = parse_config(DRUDE_CFG.replace("t_points=30", "t_points=8") % (1.5, "low") + "s=2.5\n")
+    out = str(tmp_path / "sweep")
+    assert cli.run_sweep(cfg, out, workers=1) == 3
+    status = {p["params"]["s"]: p["status"] for p in json.loads(Path(out, "manifest.json").read_text())["points"]}
+    assert status[1.5] == "ok"
+    assert status[2.5].startswith("config-error: ") and "not integrable" in status[2.5]
 
 
 def test_sweep_lets_a_non_qbmag_exception_through(tmp_path, monkeypatch):
@@ -538,6 +550,10 @@ def test_sweep_worker_count_defaults(tmp_path, monkeypatch):
         (CURVE_CFG + "t_min=0\n", "log grid needs t_min > 0"),
         (CURVE_CFG + "grid=cubic\n", "grid must be"),
         (CURVE_CFG + "method=exactly\n", "method must be"),
+        # Drude-Lorentz kernels not integrable at tau = 0
+        (DRUDE_CFG % (2.0, "low"), "not integrable"),
+        (DRUDE_CFG % (2.5, "low"), "not integrable"),
+        (DRUDE_CFG % (3.2, "high"), "not integrable"),
     ],
 )
 def test_curve_config_errors_exit_2(tmp_path, capsys, text, match):

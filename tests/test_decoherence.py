@@ -324,10 +324,48 @@ def test_exact_kernel_path():
     kernel = decoherence._kernel_for(sd, exact, "quadrature")
     split = bath.noise_kernel_reference(sd, LOW, taus) + bath._bose_kernel_fn(sd, 17.0)(taus)
     assert np.array_equal(kernel(taus), split)
-    # without a closed nu_low the exact kernel stays one quadrature per node
+    # the same split at any s: nu_low is the one Drude-Lorentz transform
     sub = SpectralDensity(0.8, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
     kernel = decoherence._kernel_for(sub, exact, "quadrature")
-    assert kernel(taus[:1])[0] == bath.noise_kernel_quadrature(sub, exact, taus[0])
+    split = bath.noise_kernel_reference(sub, LOW, taus) + bath._bose_kernel_fn(sub, 17.0)(taus)
+    assert np.array_equal(kernel(taus), split)
+
+
+#: Lam tau of the kernel check: both sides of the Drude-Lorentz band edges
+#: 2 and 64, and a small and a mid-band point
+KERNEL_XS = np.array([0.01, 1.9, 2.1, 20.0, 63.0, 66.0])
+
+
+@pytest.mark.parametrize(
+    "s, rkind", [(s, rkind) for s in (0.3, 0.8, 1.8) for rkind in ("high", "low", "exact")] + [(2.5, "high")]
+)
+def test_drude_kernel_matches_quadrature_at_any_s(s, rkind):
+    sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
+    regime = ThermalRegime(rkind, 17.0)
+    taus = KERNEL_XS / sd.lam
+    got = decoherence._kernel_for(sd, regime)(taus)
+    for tau, g in zip(taus, got):
+        want = bath.noise_kernel_quadrature(sd, regime, tau)
+        assert abs(g - want) <= 1e-7 * abs(want), (tau, g, want)
+
+
+@pytest.mark.parametrize("rkind", ["high", "low"])
+def test_drude_curve_off_integer_s_matches_quadrature_kernel(rkind):
+    # s = 0.8 has no special-case kernel; the oracle integrates the defining
+    # quadrature node by node (s = 1.8 would add the inner-panel miss of the
+    # time integration, a separate defect)
+    sd = SpectralDensity(0.8, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
+    regime = ThermalRegime(rkind, 17.0)
+    grid = default_grid(sd)
+    cs = curve(EXACT_SYS, sd, regime, SEP, grid)
+    kernel = lambda u: bath.noise_kernel_quadrature(sd, regime, u)
+    mc = mode_constants(EXACT_SYS)
+    for row in (60, 120):
+        t = grid[row]
+        ref = lambda_from_kernel(EXACT_SYS, kernel, t)
+        cancel = 1e3 * np.finfo(float).eps / ((mc.a_prime**2 - mc.b_prime**2) * t * t)
+        assert abs(cs.lambda1[row] - ref.lambda1) <= 1e-7 * abs(ref.lambda1), t
+        assert abs(cs.lambda2[row] - ref.lambda2) <= (1e-7 + cancel) * abs(ref.lambda2), t
 
 
 @pytest.mark.parametrize("cutoff", list(Cutoff))
@@ -353,9 +391,9 @@ def test_exact_curve_emits_no_warnings(cutoff):
 def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
     sd = SpectralDensity(s, cutoff, lam, gamma)
     oth = oth_ratio * lam
+    # Drude-Lorentz s = 2.5: nu_low is not integrable at tau = 0
+    assume(cutoff is not Cutoff.DRUDE_LORENTZ or s < 2.0)
     high = bath._reference_kernel_fn(sd, ThermalRegime(RegimeKind.HIGH_TEMPERATURE, oth))
-    # Drude-Lorentz catalogues both transforms for s in {1/2, 1, 3/2} only
-    assume(high is not None and bath._reference_kernel_fn(sd, LOW) is not None)
     exact = ThermalRegime(RegimeKind.EXACT, oth)
     kernel = decoherence._kernel_for(sd, exact, "quadrature")
     tau = x / lam
@@ -393,6 +431,15 @@ def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
         (lambda: frequency_shift(SYS, SD, np.inf), "finite"),
         (lambda: frequency_shift(SYS, SD, -np.inf), "t_max must be"),
         (lambda: curve(SYS, SD, HIGH, SEP, np.array([0.1, np.nan]), "closed"), "finite"),
+        # Drude-Lorentz kernels with J c ~ w^(se - 2), se >= 2
+        (lambda: curve(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0), LOW, SEP), "not integrable"),
+        (lambda: curve(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0), LOW, SEP), "not integrable"),
+        (lambda: curve(SYS, SpectralDensity(3.2, Cutoff.DRUDE_LORENTZ, 50.0), HIGH, SEP), "not integrable"),
+        (
+            lambda: curve(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0), ThermalRegime("exact", 17.0), SEP),
+            "not integrable",
+        ),
+        (lambda: frequency_shift(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0), 0.1), "not integrable"),
     ],
 )
 def test_decoherence_rejects_out_of_domain_input(call, match):

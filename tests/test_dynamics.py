@@ -219,8 +219,8 @@ def test_frequency_shift_matches_high_precision_value():
 
 
 def test_frequency_shift_without_closed_eta():
-    # Drude-Lorentz s = 0.7 has no catalogued eta; the shift then integrates
-    # the defining quadrature node by node
+    # Drude-Lorentz s = 0.7, off the integer exponents: the closed eta of
+    # the shift against the defining quadrature, node by node
     sys = SystemParams(omega0=2.0, omega_c=0.5)
     sd = SpectralDensity(0.7, Cutoff.DRUDE_LORENTZ, 8.0, 0.1)
     t_max = 0.3
