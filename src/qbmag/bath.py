@@ -14,7 +14,9 @@ Three evaluation paths are provided for the kernels:
   catalogued analytic forms stem from a Matsubara pole sum and are *not*
   transforms of the coth-approximated integrals (see the docstrings below).
   ``require_integrable`` rejects the Drude-Lorentz kernels that are not
-  integrable at tau = 0.
+  integrable at tau = 0.  ``_oscillating_tail`` gives the time integration
+  the abrupt transforms past Lam tau = 36 as a power law plus e^{i Lam tau}
+  times a smooth amplitude.
 * ``_bose_kernel_fn`` evaluates the exact-regime excess over the quantum
   kernel, int J(w) 2/(e^{2w/Omega_th} - 1) cos(w tau) dw, by one fixed
   Gauss rule for all tau of an octave; with the closed low-temperature
@@ -365,6 +367,9 @@ _TRIG_JACOBI_NODES = 36
 #: the last term is the divergent series' smallest, about sqrt(2 pi x) e^-x
 #: = 3.5e-15 of the first at x = 36, or below 1e-17 of the first
 _TRIG_ASYMPTOTIC_TERMS = ((36.0, 36), (80.0, 18), (200.0, 12))
+#: x past which the abrupt transforms split into a power law and e^{ix}
+#: times a smooth amplitude (``_trig_power_split``)
+_TRIG_TAIL_START = _TRIG_ASYMPTOTIC_TERMS[0][0]
 
 #: size of the trig blocks evaluated at once: x (x) u in the Gauss-Jacobi
 #: band, tau (x) omega in the Bose rule
@@ -436,26 +441,66 @@ def _trig_power_ratio(se, x, kind):
             block *= w
             out[idx[i : i + rows]] = block.sum(axis=1)
 
-    cinf = _sp.gamma(se + 1.0) * trig(np.pi * (se + 1.0) / 2.0)
+    cinf = _trig_power_limit(se, kind)
     for b, (_, terms) in enumerate(_TRIG_ASYMPTOTIC_TERMS, start=2):
         idx = np.nonzero(band == b)[0]
         if not idx.size:
             continue
-        # int_x^inf v^se e^{iv} dv ~ e^{ix} x^se (p + i q) with
-        # p + i q = sum_k i^{k+1} se(se-1)...(se-k+1) x^{-k}, which ends at
-        # the first zero of the falling factorial (integer se)
-        falling = [1.0]
-        while len(falling) < terms and falling[-1] != 0.0:
-            falling.append(falling[-1] * (se - len(falling) + 1.0))
-        q_coef = [falling[k] * (-1.0) ** (k // 2) for k in range(0, len(falling), 2)]
-        p_coef = [falling[k] * (-1.0) ** ((k + 1) // 2) for k in range(1, len(falling), 2)]
         xs = flat[idx]
-        z = 1.0 / (xs * xs)
-        p, q = polyval(z, p_coef) / xs, polyval(z, q_coef)
+        p, q = _trig_tail_series(se, xs, terms)
         cx, sx = np.cos(xs), np.sin(xs)
         tail = p * cx - q * sx if odd == 0 else p * sx + q * cx
         out[idx] = cinf * xs ** -(se + 1.0) - tail / xs
     return out.reshape(x.shape)
+
+
+def _trig_power_limit(se, kind):
+    """int_0^inf v^se trig(v) dv (Abel-summed), the constant of the x > 36 bands."""
+    trig = np.cos if kind == "cos" else np.sin
+    return _sp.gamma(se + 1.0) * trig(np.pi * (se + 1.0) / 2.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _trig_tail_coef(se, terms):
+    """Coefficients of the series (p x, q) of ``_trig_tail_series`` in powers
+    of x^-2, highest first, shape (power, 2, 1); the shorter one is led by
+    zeros, which change no bit of its Horner sum."""
+    falling = [1.0]
+    while len(falling) < terms and falling[-1] != 0.0:
+        falling.append(falling[-1] * (se - len(falling) + 1.0))
+    q_coef = [falling[k] * (-1.0) ** (k // 2) for k in range(0, len(falling), 2)]
+    p_coef = [falling[k] * (-1.0) ** ((k + 1) // 2) for k in range(1, len(falling), 2)]
+    p_coef += [0.0] * (len(q_coef) - len(p_coef))
+    coef = np.array([p_coef, q_coef]).T[::-1, :, None].copy()
+    coef.flags.writeable = False
+    return coef
+
+
+def _trig_tail_series(se, xs, terms):
+    """The asymptotic series (p, q) of the tail int_x^inf v^se e^{iv} dv
+    ~ e^{ix} x^se (p + i q) over an array of x, to ``terms`` terms:
+    p + i q = sum_k i^{k+1} se(se-1)...(se-k+1) x^{-k}, which ends at the
+    first zero of the falling factorial (integer se).  The x > 36 bands of
+    ``_trig_power_ratio`` and ``_trig_power_split`` sum it here."""
+    coef = _trig_tail_coef(se, terms)
+    z = 1.0 / (xs * xs)
+    # Horner in z, the operations of numpy's polyval
+    acc = coef[0] + z * 0
+    for c in coef[1:]:
+        acc = c + acc * z
+    return acc[0] / xs, acc[1]
+
+
+def _trig_power_split(se, x, kind):
+    """(S, a) with R(se, x) = S + Re[a e^{ix}] for an array of x > 36
+    (``_TRIG_TAIL_START``): the smooth power law S = c_inf x^-(se+1) and the
+    smooth amplitude a = -(p + i q)/x (cos) or i (p + i q)/x (sin), with the
+    series of the asymptotic bands of ``_trig_power_ratio`` to the terms of
+    the first, whose truncation only shrinks as x grows."""
+    x = np.asarray(x, dtype=float)
+    p, q = _trig_tail_series(se, x, _TRIG_ASYMPTOTIC_TERMS[0][1])
+    amp = (p + 1j * q) / x
+    return _trig_power_limit(se, kind) * x ** -(se + 1.0), -amp if kind == "cos" else 1j * amp
 
 
 #: x = Lam tau up to which _drude_transform sums its power series, whose
@@ -675,6 +720,27 @@ def _reference_kernel_fn(sd, regime, kind="cos"):
         return pref * lam ** (se + 1.0) * transform(lam * tau)
 
     return fn
+
+
+def _oscillating_tail(sd, regime, kind="cos"):
+    """The abrupt reference kernel of ``_reference_kernel_fn`` past Lam tau = 36,
+    split for a time integration that takes the factor e^{i Lam tau} exactly:
+    (start, parts) with start = 36/Lam and parts(tau) = (S, a) on a tau array
+    > start, nu = S + Re[a e^{i Lam tau}] (eta for kind='sin' and regime None),
+    S = C c_inf x^-(se+1) and a = -C (p + i q)/x (cos) or i C (p + i q)/x (sin),
+    C = pref Lam^(se+1), x = Lam tau (``_trig_power_split``).  None for the
+    other cutoffs and the exact regime."""
+    if sd.cutoff is not Cutoff.ABRUPT or (regime is not None and regime.kind is RegimeKind.EXACT):
+        return None
+    se, pref = _regime_weight(sd, regime)
+    lam = sd.lam
+    scale = pref * lam ** (se + 1.0)
+
+    def parts(tau):
+        smooth, amp = _trig_power_split(se, lam * tau, kind)
+        return scale * smooth, scale * amp
+
+    return _TRIG_TAIL_START / lam, parts
 
 
 def _reference_value(sd, regime, kind, tau):

@@ -26,6 +26,7 @@ from .bath import (
     RegimeKind,
     ThermalRegime,
     _bose_kernel_fn,
+    _oscillating_tail,
     _pole_sum,
     _reference_kernel_fn,
     closed_kernel_error,
@@ -101,8 +102,14 @@ def _kernel_for(sd, regime, method="quadrature", kind="cos"):
 def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
     """``time_moments`` of the kernel ``_kernel_for`` chooses on a finite, strictly
     increasing grid >= 0 (DomainError otherwise); zero, with no kernel, at gamma = 0.
-    Panels resolve 1/Lam at every tau for the abrupt transforms and the pole-sum
-    forms (oscillating at Lam, growing as cosh(Lam tau)), else below 30/Lam."""
+
+    The abrupt kernels outside the exact regime (both methods, both kinds)
+    come with their split past Lam tau = 36 (``bath._oscillating_tail``), whose
+    e^{i Lam tau} the engine integrates exactly, so panels resolve 1/Lam only
+    below 36/Lam.  They resolve it at every tau for the kernels that oscillate
+    at Lam with no split, the exact-regime abrupt kernel (its Bose term is cut
+    at Lam when 40 Omega_th > Lam), and for the pole-sum forms, which grow as
+    cosh(Lam tau); every other kernel has settled past 30/Lam."""
     grid = np.asarray(grid, dtype=float)
     good = grid.ndim == 1 and len(grid) and np.all(np.isfinite(grid)) and grid[0] >= 0
     if not (good and np.all(np.diff(grid) > 0)):
@@ -111,8 +118,9 @@ def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
         zeros = np.zeros((len(grid), 2), dtype=complex)
         return TimeMoments(zeros, zeros, zeros, zeros, nodes=0, panels=0)
     kernel = _kernel_for(sd, regime, method, kind)
-    oscillates = sd.cutoff is Cutoff.ABRUPT or (method == "closed" and _pole_sum(sd))
-    return time_moments(sys, kernel, grid, sd.lam, oscillates)
+    tail = _oscillating_tail(sd, regime, kind)
+    oscillates = (sd.cutoff is Cutoff.ABRUPT and tail is None) or (method == "closed" and _pole_sum(sd))
+    return time_moments(sys, kernel, grid, sd.lam, oscillates, tail)
 
 
 def _exponent_arrays(sys, sd, regime, grid, method):

@@ -12,8 +12,9 @@ modes, so the transfer matrix solves the classical equations of motion
 x'' = -w0^2 x + wc y', y'' = -w0^2 y - wc x' exactly.
 
 ``time_moments``, the one time-integration engine, integrates any vectorised
-kernel against F1 and F2; ``decoherence._moments``, its one caller, chooses
-the kernel and the panel rule.
+kernel against F1 and F2, taking the factor e^{i Lam tau} of a kernel split
+as S + Re[a e^{i Lam tau}] exactly (Filon panels); ``decoherence._moments``,
+its one caller, chooses the kernel, its split and the panel rule.
 """
 
 from dataclasses import dataclass
@@ -143,14 +144,83 @@ def heisenberg_transfer(sys, tau):
 
 #: 16-node Gauss-Legendre panel rule of the time integration, and the weights
 #: of the 8-node interpolatory rule on its symmetric node subset (degree 7,
-#: positive weights) whose difference from the full rule is the error estimate
+#: positive weights) whose difference from the full rule is the error estimate:
+#: row k of the inverse moment matrix _SUB_INV maps int P_k to the weights
 _GX, _GW = np.polynomial.legendre.leggauss(16)
 _SUB = np.array([0, 2, 4, 6, 9, 11, 13, 15])
-_SUBW = np.linalg.solve(np.polynomial.legendre.legvander(_GX[_SUB], 7).T, np.eye(8)[0] * 2.0)
+_SUB_INV = np.linalg.inv(np.polynomial.legendre.legvander(_GX[_SUB], 7).T).T
+_SUBW = 2.0 * _SUB_INV[0]
 
 #: panel reduction weights: the 16-node rule, and its difference from the
 #: embedded 8-node rule (zero weight off the subset)
 _PANEL_W = np.column_stack([_GW, _GW - np.bincount(_SUB, _SUBW, 16)])
+
+#: Filon panel weights per spherical Bessel j_k(theta), k < 16, shape
+#: (k, node, rule): int_-1^1 e^{i theta x} P_k(x) dx = 2 i^k j_k(theta), so the
+#: full rule, which integrates the degree-15 interpolant at the Gauss nodes,
+#: has row k = (2k+1) i^k P_k(x_j) w_j; the embedded 8-node rule takes the
+#: moments k < 8 through _SUB_INV.  Row 0 is _PANEL_W.
+_I_POW = np.tile([1.0, 1.0j, -1.0, -1.0j], 4)
+_FILON = np.zeros((16, 16, 2), dtype=complex)
+_FILON[:, :, 0] = _FILON[:, :, 1] = (
+    (2.0 * np.arange(16.0) + 1.0)[:, None] * np.polynomial.legendre.legvander(_GX, 15).T * _GW
+) * _I_POW[:, None]
+_FILON[:8, _SUB, 1] -= (2.0 * _SUB_INV) * _I_POW[:8, None]
+#: the same as a real (k, node x rule x (re, im)) matrix
+_FILON_REAL = _FILON.view(float).reshape(16, 64)
+
+#: j_k(theta), k < 16, takes its power series in -theta^2/2 (40 terms) up to
+#: theta = 2; up to 12 the series gives j_15 and j_14 and the downward
+#: recurrence the rest, past 12 the upward recurrence from j_0, j_1, each
+#: stable there: within 6e-16 of 40-digit mpmath
+_BESSEL_SERIES_TOP, _BESSEL_DOWNWARD_TOP = 2.0, 12.0
+_K = np.arange(16.0)
+_M = np.arange(1.0, 40.0)[:, None]
+#: row m: 1/(m! (2k+3)(2k+5)...(2k+2m+1)), the coefficient of (-theta^2/2)^m
+#: in j_k(theta) (2k+1)!!/theta^k
+_BESSEL_SERIES = np.cumprod(np.vstack([np.ones(16), 1.0 / (_M * (2.0 * _K + 2.0 * _M + 1.0))]), axis=0)
+_DOUBLE_FACTORIAL = np.cumprod(2.0 * _K + 1.0)
+
+
+def _bessel_j16(theta):
+    """Spherical Bessel j_k(theta), k = 0 .. 15, for an array theta >= 0,
+    shape (theta, k); exact at theta = 0."""
+    out = np.empty((theta.size, 16))
+    near = theta <= _BESSEL_DOWNWARD_TOP
+    t = theta[near, None]
+    powers = np.repeat(-0.5 * t * t, len(_BESSEL_SERIES), axis=1)
+    powers[:, 0] = 1.0
+    out[near] = (np.cumprod(powers, axis=1) @ _BESSEL_SERIES) * t**_K / _DOUBLE_FACTORIAL
+    rec = theta > _BESSEL_SERIES_TOP
+    t = theta[rec]
+    down = t <= _BESSEL_DOWNWARD_TOP
+    # seq[m] is j_(15-m) downwards and j_m upwards; both take
+    # j_(n+1) + j_(n-1) = (2n+1)/t j_n, one from each end
+    seq = np.empty((16, t.size))
+    j0 = np.sin(t) / t
+    seq[0] = np.where(down, out[rec, 15], j0)
+    seq[1] = np.where(down, out[rec, 14], (j0 - np.cos(t)) / t)
+    k = np.arange(1.0, 15.0)[:, None]
+    coef = np.where(down, 31.0 - 2.0 * k, 2.0 * k + 1.0) / t
+    for i in range(14):
+        np.multiply(coef[i], seq[i + 1], out=seq[i + 2])
+        seq[i + 2] -= seq[i]
+    out[rec] = np.where(down[:, None], seq[::-1].T, seq.T)
+    return out
+
+
+def _filon_weights(theta):
+    """Panel weights of int_-1^1 e^{i theta x} g(x) dx for each theta >= 0 of
+    an array, shape (theta, node, rule), rules as in ``_PANEL_W``: the full
+    rule integrates the degree-15 interpolant of g at the 16 Gauss nodes
+    exactly, the embedded rule the degree-7 one at the 8-node subset.  At
+    theta = 0 the weights are ``_PANEL_W`` exactly."""
+    j = _bessel_j16(np.asarray(theta, dtype=float))
+    return (j @ _FILON_REAL).view(complex).reshape(len(j), 16, 2)
+
+
+#: longest tail panel relative to the start of its grid interval
+_TAIL_SPAN = 0.5
 
 #: kernel nodes evaluated at once; bounds the working memory of a curve
 #: whatever its number of panels
@@ -186,19 +256,24 @@ def _split(lo, hi, pieces):
     return ends, seg
 
 
-def _panel_edges(grid, mode_freq, lam, oscillates):
+def _panel_edges(grid, mode_freq, lam, until, tail=np.inf):
     """Gauss panel edges over [0, grid[-1]] for an increasing grid >= 0, and
     the number of panels up to and including each grid point.
 
     The interval [0, b] is first cut geometrically at b 2^-42 ... b/2, b;
     every part, and every other grid interval, is then split into
-    ceil(length/maxlen) equal panels.
+    ceil(length/maxlen) equal panels, maxlen half a period of the mode
+    frequency A' + B', plus Lam on the grid intervals that start below
+    ``until``.  On the grid intervals that start at a >= ``tail`` maxlen is
+    also at most _TAIL_SPAN a, so the smooth factors of a split kernel,
+    powers of u, vary little across a panel.
     """
     grid = np.asarray(grid, dtype=float)
     a = np.concatenate([[0.0], grid[:-1]])
     live = grid > a
-    freq = mode_freq + np.where(oscillates | (a < 30.0 / lam), lam, 0.0)
+    freq = mode_freq + np.where(a < until, lam, 0.0)
     maxlen = np.pi / np.maximum(freq, 1e-12)
+    maxlen = np.where(a >= tail, np.minimum(maxlen, _TAIL_SPAN * a), maxlen)
     head = np.nonzero(live & (a == 0.0))[0]  # the first live interval, if any
     rest = np.nonzero(live & (a > 0.0))[0]
     geometric = grid[head, None] * 2.0 ** -np.arange(42.0, -1.0, -1.0)
@@ -210,30 +285,59 @@ def _panel_edges(grid, mode_freq, lam, oscillates):
     return np.concatenate([[0.0], upper]), np.cumsum(np.bincount(owner[seg], minlength=len(grid)))
 
 
-def time_moments(sys, kernel, grid, lam, oscillates):
+def _tail_block(parts, lam, u, fs, mid, half):
+    """Panel sums of (nu F, u nu F) by both rules, shape (moment, column, panel,
+    rule), on panels where nu = S + Re[a e^{i Lam u}] with (S, a) = parts(u):
+    S F by the Gauss rules, a F e^{i Lam u} by the Filon weights of the
+    panel's Lam h, computed once per distinct h."""
+    smooth, amp = (v.reshape(u.shape) for v in parts(u.ravel()))
+    sv, av = smooth * fs, amp * fs
+    theta, which = np.unique(lam * half, return_inverse=True)
+    weights = _filon_weights(theta)[which]
+    osc = np.matmul(np.stack([av, av * u]).transpose(2, 0, 1, 3).reshape(len(mid), 4, 16), weights)
+    osc = (osc * np.exp(1j * lam * mid)[:, None, None]).real
+    return np.stack([sv, sv * u]) @ _PANEL_W + osc.reshape(len(mid), 2, 2, 2).transpose(1, 2, 0, 3)
+
+
+def time_moments(sys, kernel, grid, lam, oscillates, tail=None):
     """Integrate a vectorised kernel against F1 and F2 from 0 to each time of an
     increasing grid >= 0.
 
     Segments between grid points are subdivided so each 16-node Gauss panel
     sees at most half a period of the fastest oscillation, the mode
     frequency A' + B' plus the cutoff Lam while the kernel still varies on
-    the 1/Lam scale (always when ``oscillates``, else for t < 30/Lam);
-    half a period per panel keeps each panel at ~1e-12 relative.  The first
-    segment is refined geometrically towards 0, where several kernels have
-    an integrable log or inverse-square-root singularity.
+    the 1/Lam scale (always when ``oscillates``, else on the grid intervals
+    that start below 30/Lam); half a period per panel keeps each panel at
+    ~1e-12 relative.  The first segment is refined geometrically towards 0,
+    where several kernels have an integrable log or inverse-square-root
+    singularity.
+
+    ``tail``, if given, is (start, parts): past ``start`` the kernel is
+    S + Re[a e^{i Lam u}] with S and a smooth, (S, a) = parts(u).  Panels
+    then resolve Lam only on the grid intervals that start below
+    max(30/Lam, start), and on the intervals past it span at most half the
+    interval's start, over which S and a, powers of u, are nearly
+    polynomial.  A panel that starts at or past ``start`` calls ``parts``
+    instead of ``kernel`` and integrates S F by the Gauss rule and
+    a F e^{i Lam u} by the Filon weights of ``_filon_weights``, which take
+    the oscillating factor exactly.
 
     The panels of the whole grid are laid out at once and evaluated in
-    blocks of at most ``_NODE_BLOCK`` nodes: one kernel call and one F1, F2
-    evaluation per block, each panel reduced by the 16-node rule and the
-    embedded 8-node rule on the same values, and a running sum carried from
-    block to block.  Memory is O(block + grid), time O(nodes).  A kernel
-    that overflows gives non-finite moments from that panel on, without
-    numpy warnings; callers flag them.
+    blocks of at most ``_NODE_BLOCK`` nodes: one F1, F2 evaluation and one
+    kernel call (one parts call for the block's tail panels) per block,
+    each panel reduced by the 16-node rule and the embedded 8-node rule on
+    the same values, and a running sum carried from block to block.
+    Memory is O(block + grid), time O(nodes).  A kernel that overflows
+    gives non-finite moments from that panel on, without numpy warnings;
+    callers flag them.
     """
     mc = mode_constants(sys)
-    edges, counts = _panel_edges(grid, mc.a_prime + mc.b_prime, lam, oscillates)
+    start = np.inf if tail is None else tail[0]
+    until = np.inf if oscillates else (30.0 / lam if tail is None else max(30.0 / lam, start))
+    edges, counts = _panel_edges(grid, mc.a_prime + mc.b_prime, lam, until, start)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     n_panels = len(mid)
+    n_head = int(np.searchsorted(edges[:-1], start))  # panels that start below `start`
     per_block = max(1, _NODE_BLOCK // 16)
     run = np.zeros((1, 4, 2), dtype=complex)  # c0, c1, d0, d1
     out = np.zeros((len(counts), 4, 2), dtype=complex)
@@ -242,10 +346,16 @@ def time_moments(sys, kernel, grid, lam, oscillates):
         u = mid[p0:p1, None] + half[p0:p1, None] * _GX
         flat = u.ravel()
         fs = np.stack([f_weight(sys, flat, "F1"), f_weight(sys, flat, "F2")]).reshape(2, *u.shape)
+        cut = min(max(n_head - p0, 0), p1 - p0)  # the block's panels that start below `start`
+        sums = []  # (moment, column, panel, rule)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(kernel(flat)).reshape(u.shape) * fs
-            # (moment, column, panel, rule) -> (panel, rule x moment, column)
-            part = (np.stack([vals, vals * u]) @ _PANEL_W) * half[p0:p1, None]
+            if cut:
+                vals = np.asarray(kernel(flat[: 16 * cut])).reshape(cut, 16) * fs[:, :cut]
+                sums.append(np.stack([vals, vals * u[:cut]]) @ _PANEL_W)
+            if cut < p1 - p0:
+                sums.append(_tail_block(tail[1], lam, u[cut:], fs[:, cut:], mid[p0 + cut : p1], half[p0 + cut : p1]))
+            part = (sums[0] if len(sums) == 1 else np.concatenate(sums, axis=2)) * half[p0:p1, None]
+            # -> (panel, rule x moment, column)
             part = part.transpose(2, 3, 0, 1).reshape(p1 - p0, 4, 2)
             total = np.cumsum(np.concatenate([run, part]), axis=0)
         rows = slice(np.searchsorted(counts, p0, "right"), np.searchsorted(counts, p1, "right"))

@@ -564,15 +564,15 @@ def check_criterion_7():
 def _reference_gap(sd, regime, xs):
     """Worst relative gap of the reference kernel to the defining quadrature
     at tau = x / Lam for increasing xs; each gap is floored at 1e-9 times the
-    reference at the smallest x."""
-    scale = abs(bath.noise_kernel_reference(sd, regime, xs[0] / sd.lam))
+    reference at the smallest x.  The reference takes every tau in one call."""
+    taus = np.asarray(xs, dtype=float) / sd.lam
+    cvs = bath.noise_kernel_reference(sd, regime, taus)
+    scale = abs(cvs[0])
     worst = 0.0
-    for x in xs:
-        tau = x / sd.lam
-        cv = bath.noise_kernel_reference(sd, regime, tau)
-        qv = bath.noise_kernel_quadrature(sd, regime, tau)
+    for tau, cv in zip(taus, cvs):
+        qv = bath.noise_kernel_quadrature(sd, regime, float(tau))
         worst = max(worst, abs(cv - qv) / max(abs(qv), 1e-9 * scale))
-    return worst
+    return float(worst)
 
 
 def check_bath_reference():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 from scipy import integrate
+from scipy import special as sp
 
 from qbmag import bath, validation
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
@@ -708,6 +710,80 @@ def test_trig_power_ratio_matches_mpmath(kind, se):
     assert not bad.any(), "x = %s" % x[bad]
     # the edges above bracket every band of the implementation
     assert {bath._TRIG_SERIES_TOP} | {lo for lo, _ in bath._TRIG_ASYMPTOTIC_TERMS} <= set(_TRIG_EDGES)
+
+
+def _asymptotic_bands_by_polyval(se, x, kind):
+    """The x > 36 bands of _trig_power_ratio transcribed independently: per
+    band, the falling-factorial coefficients of p and q summed by numpy's
+    polyval, then c_inf x^-(se+1) - tail/x; NaN at x <= 36."""
+    out = np.full_like(x, np.nan)
+    trig = np.cos if kind == "cos" else np.sin
+    cinf = sp.gamma(se + 1.0) * trig(np.pi * (se + 1.0) / 2.0)
+    band = np.searchsorted([4.0, 36.0, 80.0, 200.0, np.inf], x)
+    for b, terms in ((2, 36), (3, 18), (4, 12)):
+        idx = np.nonzero(band == b)[0]
+        falling = [1.0]
+        while len(falling) < terms and falling[-1] != 0.0:
+            falling.append(falling[-1] * (se - len(falling) + 1.0))
+        q_coef = [falling[k] * (-1.0) ** (k // 2) for k in range(0, len(falling), 2)]
+        p_coef = [falling[k] * (-1.0) ** ((k + 1) // 2) for k in range(1, len(falling), 2)]
+        xs = x[idx]
+        z = 1.0 / (xs * xs)
+        p, q = polyval(z, p_coef) / xs, polyval(z, q_coef)
+        cx, sx = np.cos(xs), np.sin(xs)
+        tail = p * cx - q * sx if kind == "cos" else p * sx + q * cx
+        out[idx] = cinf * xs ** -(se + 1.0) - tail / xs
+    return out
+
+
+#: x on both sides of the asymptotic band edges 36, 80 and 200, and between
+_ASYMPTOTIC_X = np.sort(
+    np.concatenate(
+        [
+            [e * f for e in (36.0, 80.0, 200.0) for f in (1 - 1e-12, 1.0, 1 + 1e-15, 1 + 1e-12, 1.001, 1.3)],
+            np.linspace(30.0, 250.0, 401),
+            np.logspace(np.log10(36.0), 5.0, 200),
+        ]
+    )
+)
+
+
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+@pytest.mark.parametrize("se", [-0.5, 0.0, 0.5, 1.0, 1.5])
+def test_trig_power_ratio_asymptotic_bands_bit_for_bit(kind, se):
+    # the series is summed by one helper for _trig_power_ratio and the split;
+    # its Horner loop does polyval's operations, so the values keep every bit
+    x = _ASYMPTOTIC_X
+    got = bath._trig_power_ratio(se, x, kind)
+    want = _asymptotic_bands_by_polyval(se, x, kind)
+    tail = x > 36.0
+    assert np.array_equal(got[tail], want[tail])
+    assert np.all(np.isnan(want[~tail]))
+
+
+@pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE, None])
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+def test_oscillating_tail_is_the_reference_kernel(s, rkind):
+    # nu (eta for regime None) = S + Re[a e^{i Lam tau}] past Lam tau = 36,
+    # to rounding of the two terms
+    sd = SpectralDensity(s, Cutoff.ABRUPT, 50.0, 1.3)
+    regime = None if rkind is None else ThermalRegime(rkind, 7.0)
+    start, parts = bath._oscillating_tail(sd, regime, "sin" if regime is None else "cos")
+    assert start == 36.0 / sd.lam
+    tau = _ASYMPTOTIC_X[_ASYMPTOTIC_X > 36.0] / sd.lam
+    smooth, amp = parts(tau)
+    got = smooth + (amp * np.exp(1j * sd.lam * tau)).real
+    if regime is None:
+        want = bath.dissipation_kernel_reference(sd, tau)
+    else:
+        want = bath.noise_kernel_reference(sd, regime, tau)
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * (np.abs(smooth) + np.abs(amp)))
+
+
+def test_oscillating_tail_only_for_the_abrupt_transforms():
+    assert bath._oscillating_tail(SpectralDensity(1.0, Cutoff.ABRUPT, 50.0), EXACT(7.0)) is None
+    for cutoff in (Cutoff.DRUDE_LORENTZ, Cutoff.EXPONENTIAL):
+        assert bath._oscillating_tail(SpectralDensity(1.0, cutoff, 50.0), LOW) is None
 
 
 def test_jacobi_rule_integrates_moments():

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -210,6 +211,49 @@ def test_time_moments_estimate_bounds_error():
     assert np.max(np.abs(mom.d0[:, 0])) > 1e-10 * np.max(np.abs(mom.c0[:, 0]))
 
 
+def test_filon_weights_at_zero_are_the_panel_rule():
+    w = dynamics._filon_weights(np.array([0.0, 0.0]))
+    assert w.shape == (2, 16, 2)
+    assert np.array_equal(w[0].real, dynamics._PANEL_W) and np.all(w[0].imag == 0.0)
+    assert np.array_equal(w[1], w[0])
+
+
+def _oscillating_moment_mp(k, theta):
+    # int_-1^1 x^k e^{i theta x} dx by the recurrence in k, at a precision
+    # that outlasts its (k/theta)^k cancellation
+    with mp.workdps(150):
+        t = mp.mpf(theta)
+        out = 2 * mp.sin(t) / t
+        for j in range(1, k + 1):
+            ends = (mp.expj(t) - (-1) ** j * mp.expj(-t)) / (1j * t)
+            out = ends - j / (1j * t) * out
+        return complex(out)
+
+
+@pytest.mark.parametrize("theta", [1e-6, 0.5, 7.0, 40.0, 1e4])
+def test_filon_weights_integrate_oscillating_monomials(theta):
+    # the full rule is exact for x^k e^{i theta x}, k <= 15, the embedded one
+    # for k <= 7; the rule difference is the second column
+    w = dynamics._filon_weights(np.array([theta]))[0]
+    full, sub = w[:, 0], w[:, 0] - w[:, 1]
+    for k in range(16):
+        want = _oscillating_moment_mp(k, theta)
+        assert abs(np.sum(full * dynamics._GX**k) - want) <= 1e-14, k
+        if k < 8:
+            assert abs(np.sum(sub * dynamics._GX**k) - want) <= 1e-14, k
+
+
+def test_bessel_functions_of_the_filon_weights():
+    # j_k(theta), k < 16, across the series, downward and upward seams at 2 and 12
+    theta = np.array([0.0, 1e-300, 1e-6, 0.5, 2.0, 2.0 + 1e-12, 7.0, 12.0, 12.0 + 1e-12, 4 * np.pi, 40.0, 1e4])
+    got = dynamics._bessel_j16(theta)
+    assert got[0, 0] == 1.0 and np.all(got[0, 1:] == 0.0)
+    with mp.workdps(40):
+        for t, row in zip(theta[1:], got[1:]):
+            want = [float(mp.sqrt(mp.pi / (2 * mp.mpf(t))) * mp.besselj(k + 0.5, mp.mpf(t))) for k in range(16)]
+            assert np.max(np.abs(row - want)) <= 1e-15, t
+
+
 def test_frequency_shift_matches_high_precision_value():
     # -(2/m) int_0^40 eta F1 with eta = 2 gamma Lam^3 tau / (1 + Lam^2 tau^2)^2
     # and F1 = cos(tau), by 30-digit mpmath quadrature
@@ -274,8 +318,10 @@ def test_curve_calls_its_kernel_once_per_block(monkeypatch, block):
 @pytest.mark.parametrize("cutoff", list(Cutoff))
 def test_time_moments_do_not_depend_on_the_block(monkeypatch, cutoff, rkind):
     sd = SpectralDensity(1.0, cutoff, 200.0, 1.3)
-    kernel = decoherence._kernel_for(sd, ThermalRegime(rkind, 17.0), "quadrature")
-    args = (ENGINE_SYS, kernel, decoherence.default_grid(sd), sd.lam, cutoff is Cutoff.ABRUPT)
+    regime = ThermalRegime(rkind, 17.0)
+    kernel = decoherence._kernel_for(sd, regime, "quadrature")
+    tail = bath._oscillating_tail(sd, regime)  # the Filon panels past Lam t = 36
+    args = (ENGINE_SYS, kernel, decoherence.default_grid(sd), sd.lam, cutoff is Cutoff.ABRUPT and tail is None, tail)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ref = time_moments(*args)

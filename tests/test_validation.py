@@ -1,6 +1,7 @@
 import numpy as np
 
-from qbmag import decoherence, validation
+from qbmag import bath, decoherence, validation
+from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 
 
 def test_every_check_reports_its_runtime(full_validation):
@@ -40,3 +41,32 @@ def test_criterion_5_integrates_what_closed_curves_compute(monkeypatch):
         assert cs.method == ("closed",) * len(grid)
         assert np.array_equal(cs.lambda1, mom.c0[:, 0] / sys.hbar)
         assert np.array_equal(cs.lambda2, mom.c0[:, 1] / sys.hbar)
+
+
+def _scalar_reference_gap(sd, regime, xs):
+    """_reference_gap with one reference call per tau."""
+    scale = abs(bath.noise_kernel_reference(sd, regime, xs[0] / sd.lam))
+    gaps = []
+    for x in xs:
+        cv = bath.noise_kernel_reference(sd, regime, x / sd.lam)
+        qv = bath.noise_kernel_quadrature(sd, regime, x / sd.lam)
+        gaps.append(abs(cv - qv) / max(abs(qv), 1e-9 * scale))
+    return max(gaps)
+
+
+def test_reference_gap_calls_the_reference_once(monkeypatch):
+    # one array call on every tau; the array call may round a value a few
+    # units apart from the scalar call, which moves a gap by no more
+    reference = bath.noise_kernel_reference
+    xs = np.logspace(-3, np.log10(15.0), 20)
+    regime = ThermalRegime(RegimeKind.LOW_TEMPERATURE, 7.0)
+    for cutoff in Cutoff:
+        sd = SpectralDensity(0.5, cutoff, 50.0, 1.3)
+        want = _scalar_reference_gap(sd, regime, xs)
+        sizes = []
+        counted = lambda sd, regime, tau: sizes.append(np.size(tau)) or reference(sd, regime, tau)
+        monkeypatch.setattr(bath, "noise_kernel_reference", counted)
+        got = validation._reference_gap(sd, regime, xs)
+        monkeypatch.undo()
+        assert sizes == [len(xs)]
+        assert abs(got - want) <= 64 * np.finfo(float).eps, cutoff
