@@ -187,8 +187,9 @@ def _gauss_segment(fn, a, b):
     return half * float(np.sum(_GLW * fn(mid + half * _GLX)))
 
 
-# stopping rule of the Euler-accelerated oscillatory tail
-_TAIL_ABS_FLOOR = 1e-12
+# stopping rule of the Euler-accelerated oscillatory tail; its absolute
+# floor is relative to the head (see _HEAD_FLOOR)
+_TAIL_FLOOR = 1e-12
 _TAIL_MAX_SEGMENTS = 10_000
 
 #: multiple of the smallest frequency scale past which the head range is
@@ -210,6 +211,10 @@ def _envelope_edges(sd, regime, lo, hi):
     cuts = span * 4.0 ** np.arange(max(0.0, np.ceil(np.log(hi / span) / np.log(4.0))))
     return [lo] + [c for c in cuts if lo < c < hi] + [hi]
 
+
+#: absolute floor of the QUADPACK pieces at tau > 0 relative to the first; the
+#: default 1.5e-8 left nu = 3e-7 99.97% off (exp s = 2.5, Lam = 0.01, Lam tau = 0.1)
+_HEAD_FLOOR = 1.49e-8
 
 #: relative accuracy asked of each QUADPACK call at tau = 0.  The integrand
 #: is positive there, so the head's value, not QUADPACK's default absolute
@@ -274,7 +279,8 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol):
         return head + rest
 
     # head: [0, a_sub] in x, then the oscillatory-weight QUADPACK rule up to
-    # w_head (finite upper: done)
+    # w_head (finite upper: done).  The absolute floors are relative to the
+    # first piece, not QUADPACK's 1.5e-8, whatever the units of J
     w_head = min(4.0 * np.pi / tau, upper)
     a_sub = min(1.0, w_head)
 
@@ -282,14 +288,15 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol):
         w = x**r
         return r * g(w) * trig(w * tau)
 
-    head = integrate.quad(head_fn, 0.0, a_sub**q, limit=300)[0]
+    head = integrate.quad(head_fn, 0.0, a_sub**q, epsabs=0.0, limit=300)[0]
+    floor = abs(head)
     if upper is not np.inf:
         if upper > a_sub:
-            head += integrate.quad(part, a_sub, upper, weight=kind, wvar=tau, limit=2000)[0]
+            head += integrate.quad(part, a_sub, upper, weight=kind, wvar=tau, epsabs=_HEAD_FLOOR * floor, limit=2000)[0]
         return head
     edges = _envelope_edges(sd, regime, a_sub, w_head)
     for lo, hi in zip(edges, edges[1:]):
-        head += integrate.quad(part, lo, hi, weight=kind, wvar=tau, limit=500)[0]
+        head += integrate.quad(part, lo, hi, weight=kind, wvar=tau, epsabs=_HEAD_FLOOR * floor, limit=500)[0]
 
     # oscillatory tail: integrate between consecutive zeros of the trig factor
     # and Euler-accelerate the alternating sequence of partial sums; each
@@ -319,7 +326,7 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol):
             return total + run
         if len(partials) >= 8:
             est = _euler_transform(partials[-min(len(partials), 30):])
-            if last_est is not None and abs(est - last_est) < rtol * abs(total + est) + _TAIL_ABS_FLOOR:
+            if last_est is not None and abs(est - last_est) < rtol * abs(total + est) + _TAIL_FLOOR * floor:
                 stable += 1
                 if stable >= 3:
                     return total + est
@@ -361,15 +368,14 @@ _TRIG_SERIES_TOP = 4.0
 #: terms of that series; the last is below 1e-17 of the first at the top x
 _TRIG_SERIES_TERMS = 18
 #: nodes of the Gauss-Jacobi rule of the middle band, accurate to rounding
-#: for trig(x u) on [0, 1] up to the band's top, the first asymptotic edge
+#: for trig(x u) on [0, 1] up to the band's top, the asymptotic edge
 _TRIG_JACOBI_NODES = 36
-#: (x above which, terms) of the asymptotic series.  At a band's first x
-#: the last term is the divergent series' smallest, about sqrt(2 pi x) e^-x
-#: = 3.5e-15 of the first at x = 36, or below 1e-17 of the first
-_TRIG_ASYMPTOTIC_TERMS = ((36.0, 36), (80.0, 18), (200.0, 12))
-#: x past which the abrupt transforms split into a power law and e^{ix}
-#: times a smooth amplitude (``_trig_power_split``)
-_TRIG_TAIL_START = _TRIG_ASYMPTOTIC_TERMS[0][0]
+#: (x past which, terms) of the asymptotic series of the tail, where the
+#: abrupt transforms split into a power law and e^{ix} times a smooth
+#: amplitude (``_trig_power_split``).  At x = 36 the last term is the
+#: divergent series' smallest, about sqrt(2 pi x) e^-x = 3.5e-15 of the
+#: first; past it every term is smaller than the one before
+_TRIG_TAIL_START, _TRIG_TAIL_TERMS = 36.0, 36
 
 #: size of the trig blocks evaluated at once: x (x) u in the Gauss-Jacobi
 #: band, tau (x) omega in the Bose rule
@@ -383,7 +389,9 @@ def _jacobi_rule01(n, se):
     Built from the three-term recurrence of the Jacobi polynomials
     P^(0, se); its weights keep full accuracy as se -> -1, where scipy's
     Gauss-Jacobi generator loses digits (1.6e-11 off on u^k moments at
-    se = -0.9, 44 nodes).
+    se = -0.9, 44 nodes).  The weights are accurate relative to the largest
+    one, not each to its own size: u^se e^(-64 u), concentrated near u = 0,
+    comes out up to 2.4e-14 off, so callers spread their integrand over [0, 1].
     """
     k = np.arange(1.0, n)
     s = 2.0 * k + se
@@ -396,14 +404,29 @@ def _jacobi_rule01(n, se):
     return nodes, weights
 
 
+def _rule_sums(x, nodes, weights, trig):
+    """sum_j weights_j trig(x_i nodes_j) for each x_i of a 1-d array, in blocks
+    of ``_TRIG_BLOCK_BYTES``, each row summed on its own: a matrix product's
+    rounding would depend on how many rows the block holds."""
+    out = np.empty(x.size)
+    rows = max(1, _TRIG_BLOCK_BYTES // (8 * nodes.size))
+    for i in range(0, x.size, rows):
+        block = np.multiply.outer(x[i : i + rows], nodes)
+        trig(block, out=block)
+        block *= weights
+        out[i : i + rows] = block.sum(axis=1)
+    return out
+
+
 def _trig_power_ratio(se, x, kind):
     """R(se, x) = int_0^1 u^se trig(x u) du = int_0^x v^se trig(v) dv / x^{se+1},
     vectorised over x >= 0, for any se > -1, in three bands of x:
 
     * x <= 4: the power series in x^2, a fixed number of terms;
-    * 4 < x <= 36: a Gauss-Jacobi rule with weight u^se on [0, 1];
-    * x > 36: the constant int_0^inf v^se trig(v) dv less the asymptotic
-      series of the tail int_x^inf, with fewer terms as x grows.
+    * 4 < x <= 36: a Gauss-Jacobi rule with weight u^se on [0, 1], each x
+      summed on its own (``_rule_sums``);
+    * x > 36: S + Re[a e^{ix}] from ``_trig_power_split``, the form the time
+      integration takes past Lam tau = 36.
 
     Each x takes a fixed sequence of operations chosen by its band alone,
     so its value does not depend on the other entries of the call.
@@ -413,11 +436,9 @@ def _trig_power_ratio(se, x, kind):
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    out = np.full_like(flat, np.nan)
+    out = np.empty_like(flat)
     odd = 0 if kind == "cos" else 1
-    trig = np.cos if kind == "cos" else np.sin
-    edges = [_TRIG_SERIES_TOP] + [lo for lo, _ in _TRIG_ASYMPTOTIC_TERMS] + [np.inf]
-    band = np.searchsorted(edges, flat)
+    band = np.searchsorted([_TRIG_SERIES_TOP, _TRIG_TAIL_START], flat)
 
     idx = np.nonzero(band == 0)[0]
     if idx.size:
@@ -431,42 +452,24 @@ def _trig_power_ratio(se, x, kind):
 
     idx = np.nonzero(band == 1)[0]
     if idx.size:
-        # row sums, not a matrix product: a row's rounding then does not
-        # depend on how many rows the block holds
         u, w = _jacobi_rule01(_TRIG_JACOBI_NODES, se)
-        rows = _TRIG_BLOCK_BYTES // (8 * u.size)
-        for i in range(0, idx.size, rows):
-            block = np.multiply.outer(flat[idx[i : i + rows]], u)
-            trig(block, out=block)
-            block *= w
-            out[idx[i : i + rows]] = block.sum(axis=1)
+        out[idx] = _rule_sums(flat[idx], u, w, np.cos if kind == "cos" else np.sin)
 
-    cinf = _trig_power_limit(se, kind)
-    for b, (_, terms) in enumerate(_TRIG_ASYMPTOTIC_TERMS, start=2):
-        idx = np.nonzero(band == b)[0]
-        if not idx.size:
-            continue
+    idx = np.nonzero(band == 2)[0]
+    if idx.size:
         xs = flat[idx]
-        p, q = _trig_tail_series(se, xs, terms)
-        cx, sx = np.cos(xs), np.sin(xs)
-        tail = p * cx - q * sx if odd == 0 else p * sx + q * cx
-        out[idx] = cinf * xs ** -(se + 1.0) - tail / xs
+        smooth, amp = _trig_power_split(se, xs, kind)
+        out[idx] = smooth + (amp.real * np.cos(xs) - amp.imag * np.sin(xs))
     return out.reshape(x.shape)
 
 
-def _trig_power_limit(se, kind):
-    """int_0^inf v^se trig(v) dv (Abel-summed), the constant of the x > 36 bands."""
-    trig = np.cos if kind == "cos" else np.sin
-    return _sp.gamma(se + 1.0) * trig(np.pi * (se + 1.0) / 2.0)
-
-
 @functools.lru_cache(maxsize=64)
-def _trig_tail_coef(se, terms):
-    """Coefficients of the series (p x, q) of ``_trig_tail_series`` in powers
+def _trig_tail_coef(se):
+    """Coefficients of the series (p x, q) of ``_trig_power_split`` in powers
     of x^-2, highest first, shape (power, 2, 1); the shorter one is led by
     zeros, which change no bit of its Horner sum."""
     falling = [1.0]
-    while len(falling) < terms and falling[-1] != 0.0:
+    while len(falling) < _TRIG_TAIL_TERMS and falling[-1] != 0.0:
         falling.append(falling[-1] * (se - len(falling) + 1.0))
     q_coef = [falling[k] * (-1.0) ** (k // 2) for k in range(0, len(falling), 2)]
     p_coef = [falling[k] * (-1.0) ** ((k + 1) // 2) for k in range(1, len(falling), 2)]
@@ -476,31 +479,25 @@ def _trig_tail_coef(se, terms):
     return coef
 
 
-def _trig_tail_series(se, xs, terms):
-    """The asymptotic series (p, q) of the tail int_x^inf v^se e^{iv} dv
-    ~ e^{ix} x^se (p + i q) over an array of x, to ``terms`` terms:
-    p + i q = sum_k i^{k+1} se(se-1)...(se-k+1) x^{-k}, which ends at the
-    first zero of the falling factorial (integer se).  The x > 36 bands of
-    ``_trig_power_ratio`` and ``_trig_power_split`` sum it here."""
-    coef = _trig_tail_coef(se, terms)
-    z = 1.0 / (xs * xs)
+def _trig_power_split(se, x, kind):
+    """(S, a) with R(se, x) = S + Re[a e^{ix}] for an array of x > 36
+    (``_TRIG_TAIL_START``).  S = c_inf x^-(se+1) is the smooth power law,
+    c_inf = int_0^inf v^se trig(v) dv (Abel-summed).  The tail
+    int_x^inf v^se e^{iv} dv ~ e^{ix} x^se (p + i q) has the asymptotic
+    series p + i q = sum_k i^{k+1} se(se-1)...(se-k+1) x^{-k}, summed here
+    to ``_TRIG_TAIL_TERMS`` terms (it ends at the first zero of the falling
+    factorial, integer se), so a = -(p + i q)/x (cos) or i (p + i q)/x (sin)."""
+    x = np.asarray(x, dtype=float)
+    coef = _trig_tail_coef(se)
+    z = 1.0 / (x * x)
     # Horner in z, the operations of numpy's polyval
     acc = coef[0] + z * 0
     for c in coef[1:]:
         acc = c + acc * z
-    return acc[0] / xs, acc[1]
-
-
-def _trig_power_split(se, x, kind):
-    """(S, a) with R(se, x) = S + Re[a e^{ix}] for an array of x > 36
-    (``_TRIG_TAIL_START``): the smooth power law S = c_inf x^-(se+1) and the
-    smooth amplitude a = -(p + i q)/x (cos) or i (p + i q)/x (sin), with the
-    series of the asymptotic bands of ``_trig_power_ratio`` to the terms of
-    the first, whose truncation only shrinks as x grows."""
-    x = np.asarray(x, dtype=float)
-    p, q = _trig_tail_series(se, x, _TRIG_ASYMPTOTIC_TERMS[0][1])
-    amp = (p + 1j * q) / x
-    return _trig_power_limit(se, kind) * x ** -(se + 1.0), -amp if kind == "cos" else 1j * amp
+    amp = (acc[0] / x + 1j * acc[1]) / x
+    trig = np.cos if kind == "cos" else np.sin
+    cinf = _sp.gamma(se + 1.0) * trig(np.pi * (se + 1.0) / 2.0)
+    return cinf * x ** -(se + 1.0), -amp if kind == "cos" else 1j * amp
 
 
 #: x = Lam tau up to which _drude_transform sums its power series, whose
@@ -567,13 +564,15 @@ def _drude_transform(se, kind):
     (pi/2) sin(pi se/2) e^{-x} + cos(pi se/2) P (sin) for x > 0, with
     P = PV int_0^inf v^se e^{-x v}/(1 - v^2) dv; the trig factors are exact at
     integer se, so cos at se = 0 and sin at se = 1 are (pi/2) e^{-x}.  P takes
-    three bands of x, each x a fixed sequence of operations chosen by its band:
+    three bands of x, each x a fixed sequence of elementwise operations chosen
+    by its band, so its value does not depend on the other entries of the call:
 
     * x <= 2: (pi/2)[cot(pi e0/2) F_even(e0) - cot(pi e1/2) F_odd(e1)],
       e0 = 1 - se, e1 = -se, F(eps) = sum_n [x^{n+eps}/Gamma(n+1+eps) - x^n/n!]
       over even or odd n, each pair as in ``_pole_pair``; past se = 1 the odd
       terms pair one step later, F_odd(-se) = x^{1-se}/Gamma(2-se) + F_odd(2-se),
-      so the series holds through se = 0, 1 and 2;
+      so the series holds through se = 0, 1 and 2; the four series are
+      summed by Horner in x^2;
     * 2 < x <= 64: per octave, a Chebyshev interpolant of x^(se+1) P in
       log2 x, sampled from P = int_0^1 v^se [e^{-x v} - v^{-2 se} e^{-x/v}]/(1 - v^2) dv,
       the PV integral folded by v -> 1/v, which cancels the pole;
@@ -630,12 +629,13 @@ def _drude_transform(se, kind):
         sel = band == 1
         if sel.any():
             xs = flat[sel]
-            lx = np.log(xs)
-            powers = np.empty((_DRUDE_SERIES_TERMS, xs.size))
-            powers[0], y = 1.0, xs * xs
-            for k in range(1, _DRUDE_SERIES_TERMS):
-                np.multiply(powers[k - 1], y, out=powers[k])
-            a0, b0, a1, b1 = series @ powers
+            lx, y = np.log(xs), xs * xs
+            # Horner in x^2, elementwise, as the abrupt series is summed
+            acc = series[:, -1:] + 0.0 * y
+            for k in range(_DRUDE_SERIES_TERMS - 2, -1, -1):
+                acc *= y
+                acc += series[:, k : k + 1]
+            a0, b0, a1, b1 = acc
             sums = r0(lx) * a0 + b0 - xs * (r1(lx) * a1 + b1)
             if lead:
                 sums -= lead * xs ** (1.0 - se)
@@ -796,17 +796,18 @@ def _bose_kernel_fn(sd, omega_th):
 
     A fixed rule in x = sqrt(w) on [0, x_top], x_top = sqrt(40 Omega_th)
     (cut at Lam, then a panel edge, for the abrupt cutoff), serves every tau
-    of one octave of tau x_top^2/pi as the matrix product
-    cos(tau (x) w) @ weights.  Panels halve towards x = 0 down to half the
-    square root of the smallest frequency scale, min(Omega_th, Lam): the
+    of one octave of tau x_top^2/pi, each tau's sum of weights cos(tau w)
+    taken on its own by ``_rule_sums``.  Panels halve towards x = 0 down to
+    half the square root of the smallest frequency scale, min(Omega_th, Lam): the
     poles of the Bose factor and of the Drude-Lorentz envelope lie at 45
     degrees in the complex x plane, so each panel [a, 2a] stays clear of
     them.  The innermost panel [0, x0] is a Gauss-Jacobi rule with weight
     x^(2s-1), the integrand's behaviour at 0, so the rule keeps its accuracy
     at any s > 0.  The top tau of the octave subdivides the panels so that
     none spans more than half a period of cos(x^2 tau); a tau's value
-    therefore depends only on its octave, not on the other tau of the call,
-    and small tau do not pay for the rule of the largest.
+    therefore depends only on tau, through its octave and its own row sum,
+    not on the other tau of the call, and small tau do not pay for the rule
+    of the largest.
     """
     beta = 2.0 * sd.s - 1.0
     gx, gw = np.polynomial.legendre.leggauss(16)
@@ -839,11 +840,7 @@ def _bose_kernel_fn(sd, omega_th):
         out = np.empty(flat.size)
         for o in np.unique(octave):
             idx = np.nonzero(octave == o)[0]
-            omega, coef = rule(o)
-            rows = max(1, _TRIG_BLOCK_BYTES // (8 * omega.size))
-            for i in range(0, idx.size, rows):
-                block = np.multiply.outer(flat[idx[i : i + rows]], omega)
-                out[idx[i : i + rows]] = np.cos(block, out=block) @ coef
+            out[idx] = _rule_sums(flat[idx], *rule(o), np.cos)
         return out.reshape(tau.shape)
 
     return fn

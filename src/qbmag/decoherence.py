@@ -85,12 +85,13 @@ class CurveSeries:
 def _kernel_for(sd, regime, method="quadrature", kind="cos"):
     """Vectorised nu, or with kind='sin' and regime None eta.
 
-    method='quadrature' uses the closed transform of the defining integral;
-    in the exact regime the closed low-temperature transform plus the Bose
-    term.  method='closed' uses the catalogued analytic regime kernels
-    (pole-sum forms for the Ohmic Drude-Lorentz regimes).  DomainError
-    (``bath.require_integrable``) for a kernel not integrable at tau = 0."""
-    if method == "closed":
+    Every kernel is the closed transform of the defining integral, in the
+    exact regime the closed low-temperature transform plus the Bose term.
+    method='closed' differs only where the catalogue does: for the Ohmic
+    Drude-Lorentz nu it is the Matsubara pole-sum form of
+    ``noise_kernel_closed_parts``.  DomainError (``bath.require_integrable``)
+    for a kernel not integrable at tau = 0."""
+    if method == "closed" and kind == "cos" and _pole_sum(sd):
         return lambda taus: noise_kernel_closed_parts(sd, regime, taus)
     if regime is not None and regime.kind is RegimeKind.EXACT:
         low = _reference_kernel_fn(sd, _LOW, kind)
@@ -103,12 +104,13 @@ def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
     """``time_moments`` of the kernel ``_kernel_for`` chooses on a finite, strictly
     increasing grid >= 0 (DomainError otherwise); zero, with no kernel, at gamma = 0.
 
-    The abrupt kernels outside the exact regime (both methods, both kinds)
-    come with their split past Lam tau = 36 (``bath._oscillating_tail``), whose
-    e^{i Lam tau} the engine integrates exactly, so panels resolve 1/Lam only
-    below 36/Lam.  They resolve it at every tau for the kernels that oscillate
-    at Lam with no split, the exact-regime abrupt kernel (its Bose term is cut
-    at Lam when 40 Omega_th > Lam), and for the pole-sum forms, which grow as
+    This is where the panel rule is set: how far panels resolve the cutoff
+    Lam.  The abrupt kernels outside the exact regime come with their split
+    past Lam tau = 36 (``bath._oscillating_tail``), whose e^{i Lam tau} the
+    engine integrates exactly, so panels resolve 1/Lam only below 36/Lam.
+    They resolve it at every tau for the kernels that oscillate at Lam with
+    no split, the exact-regime abrupt kernel (its Bose term is cut at Lam when
+    40 Omega_th > Lam), and for the pole-sum form, which grows as
     cosh(Lam tau); every other kernel has settled past 30/Lam."""
     grid = np.asarray(grid, dtype=float)
     good = grid.ndim == 1 and len(grid) and np.all(np.isfinite(grid)) and grid[0] >= 0
@@ -119,8 +121,9 @@ def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
         return TimeMoments(zeros, zeros, zeros, zeros, nodes=0, panels=0)
     kernel = _kernel_for(sd, regime, method, kind)
     tail = _oscillating_tail(sd, regime, kind)
-    oscillates = (sd.cutoff is Cutoff.ABRUPT and tail is None) or (method == "closed" and _pole_sum(sd))
-    return time_moments(sys, kernel, grid, sd.lam, oscillates, tail)
+    pole_sum = method == "closed" and kind == "cos" and _pole_sum(sd)
+    until = tail[0] if tail else (np.inf if sd.cutoff is Cutoff.ABRUPT or pole_sum else 30.0 / sd.lam)
+    return time_moments(sys, kernel, grid, sd.lam, until, tail)
 
 
 def _exponent_arrays(sys, sd, regime, grid, method):
@@ -210,10 +213,10 @@ def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
     error estimate run per separation.
 
     method="quadrature" integrates the closed transform of the
-    regime-weighted defining kernel; method="closed" integrates the
-    catalogued analytic regime kernels and falls back per point (err_flag 2)
-    where those are invalid, e.g. past the cosh overflow window of the
-    Drude-Lorentz forms.
+    regime-weighted defining kernel; method="closed" the catalogued regime
+    kernels, which differ from it only for the Ohmic Drude-Lorentz nu
+    (``_kernel_for``), and falls back per point (err_flag 2) where those are
+    invalid: past the cosh overflow window of the pole sum, in the exact regime.
 
     Exact-regime curves integrate the closed low-temperature transform plus
     the Bose term of ``bath._bose_kernel_fn`` and cost tens of milliseconds

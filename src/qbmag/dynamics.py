@@ -299,28 +299,26 @@ def _tail_block(parts, lam, u, fs, mid, half):
     return np.stack([sv, sv * u]) @ _PANEL_W + osc.reshape(len(mid), 2, 2, 2).transpose(1, 2, 0, 3)
 
 
-def time_moments(sys, kernel, grid, lam, oscillates, tail=None):
+def time_moments(sys, kernel, grid, lam, until, tail=None):
     """Integrate a vectorised kernel against F1 and F2 from 0 to each time of an
     increasing grid >= 0.
 
     Segments between grid points are subdivided so each 16-node Gauss panel
-    sees at most half a period of the fastest oscillation, the mode
-    frequency A' + B' plus the cutoff Lam while the kernel still varies on
-    the 1/Lam scale (always when ``oscillates``, else on the grid intervals
-    that start below 30/Lam); half a period per panel keeps each panel at
-    ~1e-12 relative.  The first segment is refined geometrically towards 0,
-    where several kernels have an integrable log or inverse-square-root
-    singularity.
+    sees at most half a period of the fastest oscillation: the mode
+    frequency A' + B', plus the cutoff Lam on the grid intervals that start
+    below ``until``, where the caller says the kernel still varies on the
+    1/Lam scale (``decoherence._moments`` sets it); half a period per panel
+    keeps each panel at ~1e-12 relative.  The first segment is refined
+    geometrically towards 0, where several kernels have an integrable log or
+    inverse-square-root singularity.
 
     ``tail``, if given, is (start, parts): past ``start`` the kernel is
-    S + Re[a e^{i Lam u}] with S and a smooth, (S, a) = parts(u).  Panels
-    then resolve Lam only on the grid intervals that start below
-    max(30/Lam, start), and on the intervals past it span at most half the
-    interval's start, over which S and a, powers of u, are nearly
-    polynomial.  A panel that starts at or past ``start`` calls ``parts``
-    instead of ``kernel`` and integrates S F by the Gauss rule and
-    a F e^{i Lam u} by the Filon weights of ``_filon_weights``, which take
-    the oscillating factor exactly.
+    S + Re[a e^{i Lam u}] with S and a smooth, (S, a) = parts(u).  Panels on
+    the grid intervals that start past it span at most half the interval's
+    start, over which S and a, powers of u, are nearly polynomial.  A panel
+    that starts at or past ``start`` calls ``parts`` instead of ``kernel``
+    and integrates S F by the Gauss rule and a F e^{i Lam u} by the Filon
+    weights of ``_filon_weights``, which take the oscillating factor exactly.
 
     The panels of the whole grid are laid out at once and evaluated in
     blocks of at most ``_NODE_BLOCK`` nodes: one F1, F2 evaluation and one
@@ -333,7 +331,6 @@ def time_moments(sys, kernel, grid, lam, oscillates, tail=None):
     """
     mc = mode_constants(sys)
     start = np.inf if tail is None else tail[0]
-    until = np.inf if oscillates else (30.0 / lam if tail is None else max(30.0 / lam, start))
     edges, counts = _panel_edges(grid, mc.a_prime + mc.b_prime, lam, until, start)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     n_panels = len(mid)

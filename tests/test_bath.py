@@ -453,7 +453,8 @@ def test_quadrature_at_tau_zero_exp_and_drude(s, lam, oth, gamma, rkind):
 
 def test_reference_kernels_match_quadrature_across_band_edges():
     # every reference transform at s in {1/2, 1, 3/2}, at x = Lam tau on both
-    # sides of each band edge of _trig_power_ratio (4, 36, 80, 200) and of 50,
+    # sides of each band edge of _trig_power_ratio (4, 36), of its old edges
+    # (80, 200) and of 50,
     # with check_bath_reference's tolerance and small-x floor
     xs = (1e-2,) + tuple(e * f for e in (4.0, 36.0, 50.0, 80.0, 200.0) for f in (0.99, 1.01))
     for s in (0.5, 1.0, 1.5):
@@ -462,6 +463,18 @@ def test_reference_kernels_match_quadrature_across_band_edges():
                 sd = SpectralDensity(s, cutoff, 200.0, 1.0)
                 gap = validation._reference_gap(sd, ThermalRegime(rkind, 11.0), xs)
                 assert gap < 1e-6, (s, cutoff, rkind, gap)
+
+
+@pytest.mark.parametrize("lam, x", [(0.01, 0.1), (0.21, 5.0), (0.01, 3.0)])
+def test_quadrature_floor_follows_the_kernel_scale(lam, x):
+    # nu of this bath is 1e-9 to 1e-6, below QUADPACK's default absolute
+    # floor of 1.5e-8; the floors relative to the head keep the oracle's
+    # accuracy (0.9997, 3.4e-4 and 2.5e-5 off with the default floor)
+    sd = SpectralDensity(2.5, Cutoff.EXPONENTIAL, lam)
+    tau = x / lam
+    want = bath.noise_kernel_reference(sd, LOW, tau)
+    got = bath.noise_kernel_quadrature(sd, LOW, tau)
+    assert abs(got - want) <= 1e-8 * abs(want)
 
 
 def test_quadrature_any_s():
@@ -681,7 +694,8 @@ def test_trig_power_ratio_value_does_not_depend_on_the_call(kind, se):
 
 
 #: x on both sides of which _trig_power_ratio changed or changes method:
-#: the old extended-precision seam at 20 and every band edge of the float64 path
+#: the old extended-precision seam at 20, the old asymptotic band edges 80
+#: and 200, and every band edge of the float64 path
 _TRIG_EDGES = (4.0, 20.0, 36.0, 80.0, 200.0)
 
 
@@ -709,34 +723,35 @@ def test_trig_power_ratio_matches_mpmath(kind, se):
     bad = np.abs(got - want) > bound
     assert not bad.any(), "x = %s" % x[bad]
     # the edges above bracket every band of the implementation
-    assert {bath._TRIG_SERIES_TOP} | {lo for lo, _ in bath._TRIG_ASYMPTOTIC_TERMS} <= set(_TRIG_EDGES)
+    assert {bath._TRIG_SERIES_TOP, bath._TRIG_TAIL_START} <= set(_TRIG_EDGES)
 
 
-def _asymptotic_bands_by_polyval(se, x, kind):
-    """The x > 36 bands of _trig_power_ratio transcribed independently: per
-    band, the falling-factorial coefficients of p and q summed by numpy's
-    polyval, then c_inf x^-(se+1) - tail/x; NaN at x <= 36."""
+def _asymptotic_band_by_polyval(se, x, kind):
+    """The x > 36 band of _trig_power_ratio transcribed independently: the
+    falling-factorial coefficients of p and q to 36 terms summed by numpy's
+    polyval, then c_inf x^-(se+1) + Re[a e^{ix}] with a = -(p + i q)/x (cos)
+    or i (p + i q)/x (sin), the real part in the operations of the band;
+    NaN at x <= 36."""
     out = np.full_like(x, np.nan)
     trig = np.cos if kind == "cos" else np.sin
     cinf = sp.gamma(se + 1.0) * trig(np.pi * (se + 1.0) / 2.0)
-    band = np.searchsorted([4.0, 36.0, 80.0, 200.0, np.inf], x)
-    for b, terms in ((2, 36), (3, 18), (4, 12)):
-        idx = np.nonzero(band == b)[0]
-        falling = [1.0]
-        while len(falling) < terms and falling[-1] != 0.0:
-            falling.append(falling[-1] * (se - len(falling) + 1.0))
-        q_coef = [falling[k] * (-1.0) ** (k // 2) for k in range(0, len(falling), 2)]
-        p_coef = [falling[k] * (-1.0) ** ((k + 1) // 2) for k in range(1, len(falling), 2)]
-        xs = x[idx]
-        z = 1.0 / (xs * xs)
-        p, q = polyval(z, p_coef) / xs, polyval(z, q_coef)
-        cx, sx = np.cos(xs), np.sin(xs)
-        tail = p * cx - q * sx if kind == "cos" else p * sx + q * cx
-        out[idx] = cinf * xs ** -(se + 1.0) - tail / xs
+    falling = [1.0]
+    while len(falling) < 36 and falling[-1] != 0.0:
+        falling.append(falling[-1] * (se - len(falling) + 1.0))
+    q_coef = [falling[k] * (-1.0) ** (k // 2) for k in range(0, len(falling), 2)]
+    p_coef = [falling[k] * (-1.0) ** ((k + 1) // 2) for k in range(1, len(falling), 2)]
+    idx = np.nonzero(x > 36.0)[0]
+    xs = x[idx]
+    z = 1.0 / (xs * xs)
+    p, q = polyval(z, p_coef) / xs, polyval(z, q_coef)
+    amp = (p + 1j * q) / xs
+    amp = -amp if kind == "cos" else 1j * amp
+    out[idx] = cinf * xs ** -(se + 1.0) + (amp.real * np.cos(xs) - amp.imag * np.sin(xs))
     return out
 
 
-#: x on both sides of the asymptotic band edges 36, 80 and 200, and between
+#: x on both sides of the asymptotic band edge 36, of the old edges 80 and
+#: 200, and between
 _ASYMPTOTIC_X = np.sort(
     np.concatenate(
         [
@@ -751,11 +766,11 @@ _ASYMPTOTIC_X = np.sort(
 @pytest.mark.parametrize("kind", ["cos", "sin"])
 @pytest.mark.parametrize("se", [-0.5, 0.0, 0.5, 1.0, 1.5])
 def test_trig_power_ratio_asymptotic_bands_bit_for_bit(kind, se):
-    # the series is summed by one helper for _trig_power_ratio and the split;
-    # its Horner loop does polyval's operations, so the values keep every bit
+    # one 36-term series past x = 36, whatever x: the values keep every bit
+    # of the transcription above
     x = _ASYMPTOTIC_X
     got = bath._trig_power_ratio(se, x, kind)
-    want = _asymptotic_bands_by_polyval(se, x, kind)
+    want = _asymptotic_band_by_polyval(se, x, kind)
     tail = x > 36.0
     assert np.array_equal(got[tail], want[tail])
     assert np.all(np.isnan(want[~tail]))

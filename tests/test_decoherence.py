@@ -219,6 +219,67 @@ def test_curve_closed_method_falls_back_past_overflow_window():
     assert all(np.asarray(cs.method)[fb] == "quadrature")
 
 
+#: the baths whose catalogued nu is their reference transform: all but the
+#: Ohmic Drude-Lorentz one, whose catalogue is the pole sum
+_CATALOGUE_IS_REFERENCE = [
+    (cutoff, s) for cutoff in Cutoff for s in (0.5, 1.0, 1.5) if (cutoff, s) != (Cutoff.DRUDE_LORENTZ, 1.0)
+]
+
+
+@pytest.mark.parametrize("cutoff, s", _CATALOGUE_IS_REFERENCE)
+def test_closed_curve_is_the_quadrature_curve_except_for_the_pole_sum(cutoff, s):
+    sd = SpectralDensity(s, cutoff, 1234.5)
+    sys = SystemParams(omega0=7.3, omega_c=3.1, omega_th=23.0)
+    sep = Separation(0.8, 1.3)
+    for rkind in (RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE):
+        regime = ThermalRegime(rkind, 23.0)
+        quad = curve(sys, sd, regime, sep, method="quadrature")
+        closed = curve(sys, sd, regime, sep, method="closed")
+        for field in ("magnitude", "phase", "lambda1", "lambda2", "err_flag", "est_error"):
+            assert getattr(closed, field).tobytes() == getattr(quad, field).tobytes(), field
+        assert closed.method == ("closed",) * len(closed.times)
+    # the exact regime has no catalogued kernel: every point falls back
+    regime = ThermalRegime(RegimeKind.EXACT, 23.0)
+    grid = np.logspace(-3, 1, 12) / sd.lam
+    quad = curve(sys, sd, regime, sep, grid, method="quadrature")
+    closed = curve(sys, sd, regime, sep, grid, method="closed")
+    assert np.all(closed.err_flag == FLAG_FALLBACK)
+    assert closed.method == ("quadrature",) * len(grid)
+    assert closed.magnitude.tobytes() == quad.magnitude.tobytes()
+
+
+#: Lam tau of the per-tau test: every band of the abrupt and Drude-Lorentz
+#: transforms, and many octaves of the Bose rule
+_LAM_TAU = np.logspace(-5, np.log10(500.0), 3000)
+
+
+@pytest.mark.parametrize(
+    "cutoff, s, rkind, method",
+    [(Cutoff.ABRUPT, 1.0, r, "quadrature") for r in RegimeKind]
+    + [(Cutoff.EXPONENTIAL, 1.5, r, "quadrature") for r in RegimeKind]
+    + [
+        (Cutoff.DRUDE_LORENTZ, 1.5, RegimeKind.HIGH_TEMPERATURE, "quadrature"),
+        (Cutoff.DRUDE_LORENTZ, 0.5, RegimeKind.LOW_TEMPERATURE, "quadrature"),
+        (Cutoff.DRUDE_LORENTZ, 0.8, RegimeKind.EXACT, "quadrature"),
+    ]
+    + [(cutoff, s, None, "quadrature") for cutoff, s in ((Cutoff.ABRUPT, 1.0), (Cutoff.EXPONENTIAL, 1.5), (Cutoff.DRUDE_LORENTZ, 0.5))]
+    + [(Cutoff.DRUDE_LORENTZ, 1.0, r, "closed") for r in (RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE)],
+)
+def test_kernel_value_depends_only_on_tau(cutoff, s, rkind, method):
+    # every path of _kernel_for (eta for regime None, the pole sum for
+    # closed): 3,000 tau alone, in one array and in two calls, equal bits
+    sd = SpectralDensity(s, cutoff, 50.0, 1.3)
+    regime = None if rkind is None else ThermalRegime(rkind, 17.0)
+    kernel = decoherence._kernel_for(sd, regime, method, "sin" if regime is None else "cos")
+    tau = _LAM_TAU / sd.lam
+    together = np.asarray(kernel(tau))
+    alone = np.concatenate([kernel(tau[i : i + 1]) for i in range(tau.size)])
+    split = np.concatenate([kernel(tau[:1234]), kernel(tau[1234:])])
+    bits = lambda v: v.view(np.int64)
+    assert np.count_nonzero(bits(alone) != bits(together)) == 0
+    assert np.count_nonzero(bits(split) != bits(together)) == 0
+
+
 def test_curve_grid_validation():
     with pytest.raises(DomainError):
         curve(SYS, SD, HIGH, SEP, np.array([0.1, 0.1, 0.2]))

@@ -178,7 +178,9 @@ def test_time_moments_match_same_kernel_quadrature(s, cutoff, rkind, request):
     regime = ThermalRegime(rkind, 11.0)
     kernel = decoherence._kernel_for(sd, regime, "quadrature")
     ts = np.array([0.3, 4.0, 11.0]) / sd.lam
-    mom = time_moments(ENGINE_SYS, kernel, ts, sd.lam, cutoff is Cutoff.ABRUPT)
+    # the abrupt kernel oscillates at Lam at every tau; the others settle past 30/Lam
+    until = np.inf if cutoff is Cutoff.ABRUPT else 30.0 / sd.lam
+    mom = time_moments(ENGINE_SYS, kernel, ts, sd.lam, until)
     mc = mode_constants(ENGINE_SYS)
     for t, (l1, l2) in zip(ts, mom.c0 / ENGINE_SYS.hbar):
         ref = lambda_from_kernel(ENGINE_SYS, kernel, t)
@@ -196,7 +198,7 @@ def test_time_moments_estimate_bounds_error():
     kap, lam = 40.0, 250.0
     kernel = lambda u: np.exp(-kap * u) * np.cos(lam * u)
     grid = np.logspace(-4, 0, 25)
-    mom = time_moments(sys, kernel, grid, lam, oscillates=True)
+    mom = time_moments(sys, kernel, grid, lam, until=np.inf)
 
     def exact(t):
         total = 0.0
@@ -291,7 +293,7 @@ def test_time_moments_report_nodes_and_panels():
     kernel = _counting(decoherence._kernel_for(sd, regime, "quadrature"), sizes)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mom = time_moments(ENGINE_SYS, kernel, np.logspace(-4, 0, 50), sd.lam, False)
+        mom = time_moments(ENGINE_SYS, kernel, np.logspace(-4, 0, 50), sd.lam, 30.0 / sd.lam)
     assert mom.panels > 0
     assert mom.nodes == 16 * mom.panels == sum(sizes)
 
@@ -321,7 +323,9 @@ def test_time_moments_do_not_depend_on_the_block(monkeypatch, cutoff, rkind):
     regime = ThermalRegime(rkind, 17.0)
     kernel = decoherence._kernel_for(sd, regime, "quadrature")
     tail = bath._oscillating_tail(sd, regime)  # the Filon panels past Lam t = 36
-    args = (ENGINE_SYS, kernel, decoherence.default_grid(sd), sd.lam, cutoff is Cutoff.ABRUPT and tail is None, tail)
+    # the panel rule of decoherence._moments
+    until = tail[0] if tail else (np.inf if cutoff is Cutoff.ABRUPT else 30.0 / sd.lam)
+    args = (ENGINE_SYS, kernel, decoherence.default_grid(sd), sd.lam, until, tail)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ref = time_moments(*args)
