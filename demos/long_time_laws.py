@@ -32,13 +32,13 @@ SEP = Separation(1.0, 1.0)
 SD = SpectralDensity(1.0, Cutoff.ABRUPT, LAM)
 
 # classical regime
-sys_hi = SystemParams(omega0=10.0, omega_c=1.0, omega_th=1e3)
+sys_hi = SystemParams(omega0=10.0, omega_c=1.0)
 hi = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 1e3)
 grid = np.logspace(-6, np.log10(0.7), 300)
 cs = curve(sys_hi, SD, hi, SEP, grid)
 win = (grid >= 0.05) & (grid <= 0.5) & (cs.err_flag == 0)
 slope = np.polyfit(grid[win], -np.log(cs.magnitude[win]), 1)[0]
-law = hightemp_rate(sys_hi, SEP)
+law = hightemp_rate(sys_hi, SD, hi, SEP)
 print("classical: fitted rate %.1f, analytic prefactor %.1f, ratio %.6f (pi = %.6f)"
       % (slope, law, slope / law, np.pi))
 

@@ -31,7 +31,7 @@ for label, rkind, oth in (
     ("quantum", RegimeKind.LOW_TEMPERATURE, 0.01),
     ("classical", RegimeKind.HIGH_TEMPERATURE, 1e3),
 ):
-    sys_params = SystemParams(omega0=10.0, omega_c=1.0, omega_th=oth)
+    sys_params = SystemParams(omega0=10.0, omega_c=1.0)
     regime = ThermalRegime(rkind, oth)
     print("-- %s regime (Omega_th = %g)" % (label, oth))
     for cutoff in (Cutoff.ABRUPT, Cutoff.DRUDE_LORENTZ, Cutoff.EXPONENTIAL):

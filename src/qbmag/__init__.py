@@ -23,10 +23,8 @@ from .bath import (
 from .coefficients import (
     FINDINGS,
     LambdaPair,
-    g_function,
     lambda_closed,
     lambda_from_kernel,
-    lambda_quadrature,
 )
 from .decoherence import (
     CurveSeries,
@@ -73,10 +71,8 @@ __all__ = [
     "f_weight",
     "heisenberg_transfer",
     "frequency_shift",
-    "lambda_quadrature",
     "lambda_closed",
     "lambda_from_kernel",
-    "g_function",
     "exponents",
     "density_ratio",
     "hightemp_rate",

@@ -5,7 +5,8 @@ Three evaluation paths are provided for the kernels:
 * ``noise_kernel_quadrature`` / ``dissipation_kernel_quadrature`` integrate
   the defining frequency integrals directly (adaptive head, half-period
   segments with Euler acceleration for the conditionally convergent
-  oscillatory tails).  This is the reference ("oracle") path.
+  oscillatory tails).  This is the reference ("oracle") path; through
+  ``coefficients.lambda_from_kernel`` it is the coefficients' defining path.
 * ``noise_kernel_closed_parts`` evaluates the catalogued analytic regime kernels,
   and ``noise_kernel_reference`` the closed transforms of the defining
   integrals, which exist for every bath outside the exact regime (the
@@ -90,17 +91,17 @@ class ThermalRegime:
     def __post_init__(self):
         object.__setattr__(self, "kind", RegimeKind(self.kind))
         _require_finite(self, ("omega_th",))
-        if self.kind in (RegimeKind.EXACT, RegimeKind.HIGH_TEMPERATURE) and not (
-            self.omega_th > 0
-        ):
-            raise DomainError("omega_th must be > 0 for the exact and high-T regimes")
+        # Omega_th = 2 k_B T / hbar; the low regime ignores it, so 0 is valid there
+        low = self.kind is RegimeKind.LOW_TEMPERATURE
+        if not (self.omega_th >= 0 if low else self.omega_th > 0):
+            raise DomainError("omega_th must be >= 0, and > 0 for the exact and high-T regimes")
 
 
 def spectral_density(sd, omega):
-    """J(omega) for scalar or array omega >= 0."""
+    """J(omega) for scalar or array omega, finite and >= 0 (DomainError otherwise)."""
     w = np.asarray(omega, dtype=float)
-    if np.any(w < 0):
-        raise DomainError("omega must be >= 0")
+    if not np.all((w >= 0) & (w < np.inf)):
+        raise DomainError("omega must be finite and >= 0")
     out = sd.gamma * w**sd.s * _envelope(sd, _ARRAY)(w)
     return out if out.ndim else float(out)
 
@@ -189,6 +190,7 @@ def _gauss_segment(fn, a, b):
 
 # stopping rule of the Euler-accelerated oscillatory tail; its absolute
 # floor is relative to the head (see _HEAD_FLOOR)
+_TAIL_RTOL = 1e-8
 _TAIL_FLOOR = 1e-12
 _TAIL_MAX_SEGMENTS = 10_000
 
@@ -227,7 +229,7 @@ _TAU0_RTOL = 1e-11
 _DRUDE_TAIL_TERMS = 4
 
 
-def _kernel_quadrature(sd, regime, tau, kind, rtol):
+def _kernel_quadrature(sd, regime, tau, kind):
     tau = float(tau)
     if not 0.0 <= tau < np.inf:
         raise DomainError("tau must be finite and >= 0")
@@ -326,7 +328,7 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol):
             return total + run
         if len(partials) >= 8:
             est = _euler_transform(partials[-min(len(partials), 30):])
-            if last_est is not None and abs(est - last_est) < rtol * abs(total + est) + _TAIL_FLOOR * floor:
+            if last_est is not None and abs(est - last_est) < _TAIL_RTOL * abs(total + est) + _TAIL_FLOOR * floor:
                 stable += 1
                 if stable >= 3:
                     return total + est
@@ -338,7 +340,7 @@ def _kernel_quadrature(sd, regime, tau, kind, rtol):
     )
 
 
-def noise_kernel_quadrature(sd, regime, tau, rtol=1e-8):
+def noise_kernel_quadrature(sd, regime, tau):
     """Noise kernel nu(tau) = int_0^inf J(w) coth(w/Omega_th) cos(w tau) dw.
 
     The coth weight is taken exactly, or replaced by its classical
@@ -350,12 +352,12 @@ def noise_kernel_quadrature(sd, regime, tau, rtol=1e-8):
     diverges (Drude-Lorentz tails at tau = 0 with s >= 1 in the quantum or
     exact regimes, s >= 2 at high temperature).
     """
-    return _kernel_quadrature(sd, regime, tau, "cos", rtol)
+    return _kernel_quadrature(sd, regime, tau, "cos")
 
 
 def dissipation_kernel_quadrature(sd, tau):
     """Dissipation kernel eta(tau) = int_0^inf J(w) sin(w tau) dw; eta(0) = 0."""
-    return _kernel_quadrature(sd, None, tau, "sin", 1e-8)
+    return _kernel_quadrature(sd, None, tau, "sin")
 
 
 # --------------------------------------------------------------------------

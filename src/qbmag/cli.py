@@ -144,9 +144,7 @@ def _build_objects(cfg):
             omega0=cfg["omega0"],
             omega_c=cfg["omega_c"],
             m=cfg["m"],
-            gamma=cfg["gamma"],
             hbar=cfg["hbar"],
-            omega_th=cfg["omega_th"],
         )
         sep = Separation(cfg["dx"], cfg["dy"])
     except (QbmagError, ValueError) as exc:  # ValueError: an unknown cutoff or regime name

@@ -1,13 +1,13 @@
 """Master-equation decoherence coefficients lambda1(t), lambda2(t).
 
 lambda1(t) = (1/hbar) int_0^t nu(tau) F1(tau) dtau and lambda2 likewise with
-F2.  Three evaluation paths:
+F2.  Two evaluation paths:
 
-* ``lambda_quadrature`` -- defining path: nu from the kernel quadrature,
-  time integral adaptive.  Slow, oracle-grade.
-* ``lambda_from_kernel`` -- same time integral for a caller-supplied kernel
-  (used to validate the analytic forms against the exact kernel they
-  integrate, isolating algebra from regime approximations).
+* ``lambda_from_kernel`` -- adaptive time integral of a caller-supplied
+  kernel.  With the analytic kernel a closed form integrates it validates
+  that form's algebra; composed with the per-node defining quadrature,
+  ``lambda_from_kernel(sys, lambda u: noise_kernel_quadrature(sd, regime,
+  u), t)``, it is the defining path, slow and oracle-grade.
 * ``lambda_closed`` -- analytic forms.  ``variant="validated"`` evaluates
   expressions verified against ``lambda_from_kernel`` to <=1e-7 relative;
   ``variant="printed"`` evaluates the transcribed source forms verbatim.
@@ -21,7 +21,8 @@ import numpy as np
 from scipy import integrate
 from scipy import special as _sp
 
-from .bath import Cutoff, RegimeKind, closed_kernel_error, noise_kernel_quadrature
+from .bath import Cutoff, RegimeKind, closed_kernel_error
+from .bath import noise_kernel_quadrature  # unused here; perfbench/trace.py wraps this binding
 from .dynamics import f_weight, mode_constants
 from .errors import DomainError, RangeError, UnsupportedFormError
 from .specfun import cos_integral as Ci
@@ -83,7 +84,7 @@ def _abrupt_validated(sd, regime, mc, t, hbar):
             l2 = complex(gam * oth * g / (2 * hbar) * (cgrp(bp) / bp - cgrp(ap) / ap))
         return l1, l2
     # low temperature: lambda2 depends on the undefined f3 of the source
-    # display, so it has no closed form (use lambda_quadrature)
+    # display, so it has no closed form (the defining path gives it)
     l1 = complex(
         gam
         / (2 * hbar * t)
@@ -221,7 +222,8 @@ def _exp_validated(sd, regime, mc, t, hbar):
 
 
 # --------------------------------------------------------------------------
-# printed (verbatim transcription) g-functions
+# printed (verbatim transcription) g-functions g1..g8, for complex z too (the
+# source combinations pass iA', iB'); FINDINGS relates them to the integrals
 # --------------------------------------------------------------------------
 
 def _g1(z, t, lam, oth):
@@ -306,34 +308,6 @@ def _g8(z, vp, t, lam):
     )
 
 
-def g_function(which, z, t, sd, omega_th=None, vprime=None):
-    """Verbatim evaluation of the transcribed helper functions g1..g8.
-
-    ``z`` may be complex (the source combinations pass iA', iB').  g1/g2
-    additionally need ``omega_th``; g2/g4/g6/g8 need ``vprime``.  These are
-    the raw displays used by ``lambda_closed(variant="printed")``; see
-    ``FINDINGS`` for how they relate to the defining integrals.
-    """
-    lam = sd.lam
-    if which == "g1":
-        return _g1(z, t, lam, omega_th)
-    if which == "g2":
-        return _g2(z, vprime, t, lam, omega_th)
-    if which == "g3":
-        return _g3(z, t, lam)
-    if which == "g4":
-        return _g4(z, vprime, t, lam)
-    if which == "g5":
-        return _g5(z, t, lam)
-    if which == "g6":
-        return _g6(z, vprime, t, lam)
-    if which == "g7":
-        return _g7(z, t, lam)
-    if which == "g8":
-        return _g8(z, vprime, t, lam)
-    raise ValueError("unknown g-function %r" % which)
-
-
 def _lambda_printed(sd, regime, mc, t, hbar):
     lam, gam = sd.lam, sd.gamma
     ap, bp, m, p, g = mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef, mc.g_coef
@@ -393,8 +367,8 @@ def lambda_closed(sys, sd, regime, t, variant="validated"):
 
     Returns every coefficient the catalogue has a form for: ``lambda2`` is
     None for the abrupt cutoff at low temperature, whose display depends on
-    an undefined f3 (``lambda_quadrature`` gives it).  The exact regime and
-    s != 1 raise UnsupportedFormError.
+    an undefined f3 (the defining path of ``lambda_from_kernel`` gives it).
+    The exact regime and s != 1 raise UnsupportedFormError.
 
     The validated exponential-cutoff forms raise RangeError for A'/Lam > 700.
     """
@@ -464,18 +438,3 @@ def lambda_from_kernel(sys, kernel, t):
         err = max(err, (re_err + im_err) / sys.hbar)
     return LambdaPair(out[0], out[1], float(t), "same-kernel-quadrature", err)
 
-
-def lambda_quadrature(sys, sd, regime, t):
-    """Defining-path coefficients: kernel quadrature inside a time quadrature."""
-    if not 0 <= t < np.inf:
-        raise DomainError("t must be finite and >= 0")
-    if t == 0 or sd.gamma == 0.0:
-        return LambdaPair(0j, 0j, float(t), "quadrature", 0.0)
-    nu = lambda u: noise_kernel_quadrature(sd, regime, u, rtol=1e-9)
-    out = []
-    err = 0.0
-    for name in ("F1", "F2"):
-        val, e = _quad(lambda u: nu(u) * f_weight(sys, u, name), t, limit=400, epsrel=1e-7)
-        out.append(val / sys.hbar + 0j)
-        err = max(err, e / sys.hbar)
-    return LambdaPair(out[0], out[1], float(t), "quadrature", err)

@@ -154,14 +154,15 @@ def density_ratio(sys, sd, regime, sep, t):
     return float(cs.magnitude[0]), float(cs.phase[0])
 
 
-def hightemp_rate(sys, sep):
-    """Long-time classical decay rate gamma Omega_th (dx^2 + dy^2) / (2 hbar).
+def hightemp_rate(sys, sd, regime, sep):
+    """Long-time classical decay rate gamma Omega_th (dx^2 + dy^2) / (2 hbar) of
+    the bath ``sd`` in the high-temperature ``regime`` (DomainError otherwise).
 
     Pure formula (no integration); independent of the cyclotron frequency.
     """
-    if sys.omega_th <= 0:
-        raise DomainError("hightemp_rate needs omega_th > 0 on the system parameters")
-    return sys.gamma * sys.omega_th * (sep.dx**2 + sep.dy**2) / (2.0 * sys.hbar)
+    if regime.kind is not RegimeKind.HIGH_TEMPERATURE:
+        raise DomainError("hightemp_rate needs the high-temperature regime")
+    return sd.gamma * regime.omega_th * (sep.dx**2 + sep.dy**2) / (2.0 * sys.hbar)
 
 
 def lowtemp_powerlaw(sys, sd, sep):

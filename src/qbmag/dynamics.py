@@ -7,7 +7,7 @@ frequencies
 
 with wc = eB/m the cyclotron frequency.  They satisfy A'B' = w0^2 and
 A'^2 + B'^2 = 2 w0^2 + wc^2, and reduce to w0 at wc = 0.  The kernel-weight
-functions F1..F4 and the Heisenberg transfer matrix are built on the same
+functions F1, F2 and the Heisenberg transfer matrix are built on the same
 modes, so the transfer matrix solves the classical equations of motion
 x'' = -w0^2 x + wc y', y'' = -w0^2 y - wc x' exactly.
 
@@ -24,12 +24,13 @@ import numpy as np
 from .bath import _require_finite
 from .errors import DegenerateSystemError, DomainError
 
-_F_NAMES = ("F1", "F2", "F3", "F4")
-
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Particle, trap, field and unit parameters (frequencies in gamma/m)."""
+    """Particle, trap, field and unit parameters (frequencies in gamma/m).
+
+    ``gamma`` and ``omega_th`` are read by nothing (the bath objects carry
+    them); they stay because the benchmark's workloads pass ``omega_th``."""
 
     omega0: float
     omega_c: float
@@ -68,23 +69,16 @@ def mode_constants(sys):
     return ModeConstants(a_prime, b_prime, m_coef, p_coef, g_coef)
 
 
-def _sinc(z, tau):
-    """sin(z tau)/z, finite at z = 0."""
-    return tau * np.sinc(z * np.asarray(tau) / np.pi)
-
-
 def f_weight(sys, tau, which="F1"):
-    """Kernel-weight functions F1..F4 of the decoherence master equation.
+    """Kernel-weight functions F1, F2 of the decoherence master equation.
 
     F1 multiplies the position-position noise terms (F1(0) = 1), F2 the
-    cross x-y terms (F2(0) = 0), F3 and F4 the momentum-damping terms that
-    the decoherence-only equation drops; they are exposed for inspection.
-    Accepts scalar or array tau >= 0.
+    cross x-y terms (F2(0) = 0).  Accepts scalar or array tau >= 0;
+    ValueError for any other ``which``.
     """
     tau = np.asarray(tau, dtype=float)
     mc = mode_constants(sys)
     ap, bp = mc.a_prime, mc.b_prime
-    root = ap + bp
     if which == "F1":
         out = mc.m_coef * np.cos(ap * tau) + mc.p_coef * np.cos(bp * tau)
     elif which == "F2":
@@ -97,14 +91,8 @@ def f_weight(sys, tau, which="F1"):
             out = g * (np.sin(bp * tau) / bp - np.sin(ap * tau) / ap)
         else:
             out = np.zeros_like(tau)  # B' = 0 means omega0 = 0, so G = 0
-    elif which == "F3":
-        out = -(
-            (sys.omega_c + root) * _sinc(ap, tau) + (root - sys.omega_c) * _sinc(bp, tau)
-        ) / (sys.m * np.sqrt(2.0) * root)
-    elif which == "F4":
-        out = 2.0 * sys.omega_c * (np.cos(ap * tau) + np.cos(bp * tau)) / (sys.m * root)
     else:
-        raise ValueError("which must be one of %s" % (_F_NAMES,))
+        raise ValueError("which must be 'F1' or 'F2', got %r" % (which,))
     return out if out.ndim else float(out)
 
 

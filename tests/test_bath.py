@@ -848,6 +848,18 @@ _DL1 = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)
                 lambda tau: bath.drude_exact_kernel(_DL1, 17.0, tau),
             )
         ],
+        # a thermal frequency 2 k_B T / hbar is never negative, in any regime
+        *[
+            (lambda kind=kind, oth=oth: ThermalRegime(kind, oth), DomainError, "omega_th must be >= 0")
+            for kind in RegimeKind
+            for oth in (-5.0, -1e-300)
+        ],
+        # numpy would give J(nan) = nan, and J(inf) a RuntimeWarning or inf
+        *[
+            (lambda bad=bad, c=c: bath.spectral_density(SpectralDensity(1.0, c, 10.0), bad), DomainError, "omega must be finite")
+            for bad in (np.nan, np.inf, -np.inf, -1.0, [1.0, np.nan], np.array([0.0, 2.0, np.inf]), [[1.0], [-np.inf]])
+            for c in Cutoff
+        ],
     ],
 )
 def test_bath_rejects_out_of_domain_input(call, exc, match):

@@ -546,6 +546,8 @@ def test_sweep_worker_count_defaults(tmp_path, monkeypatch):
         (CURVE_CFG.replace("lam=1e3\n", ""), "missing required key 'lam'"),
         (CURVE_CFG.replace("cutoff=abrupt", "cutoff=gauss"), "gauss"),
         (CURVE_CFG.replace("regime=low", "regime=warm"), "warm"),
+        # a thermal frequency 2 k_B T / hbar is never negative, in any regime
+        (CURVE_CFG.replace("omega_th=0.01", "omega_th=-1"), "omega_th must be >= 0"),
         (CURVE_CFG + "t_min=0.5\nt_max=0.1\n", "t_min < t_max"),
         (CURVE_CFG + "t_min=0\n", "log grid needs t_min > 0"),
         (CURVE_CFG + "grid=cubic\n", "grid must be"),

@@ -9,14 +9,21 @@ from scipy import integrate
 
 from qbmag import bath, coefficients
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
-from qbmag.coefficients import g_function, lambda_closed, lambda_from_kernel, lambda_quadrature
+from qbmag.coefficients import _g2, _g5, _g7, lambda_closed, lambda_from_kernel
 from qbmag.dynamics import SystemParams, mode_constants
 from qbmag.errors import DomainError, RangeError, UnsupportedFormError
 
 HIGH = lambda oth: ThermalRegime(RegimeKind.HIGH_TEMPERATURE, oth)
 LOW = ThermalRegime(RegimeKind.LOW_TEMPERATURE)
 
-SYS = SystemParams(omega0=10.0, omega_c=1.0, omega_th=1e3)
+SYS = SystemParams(omega0=10.0, omega_c=1.0)
+
+
+def defining_path(sys, sd, regime, t):
+    """lambda1, lambda2 by the defining path: the per-node kernel quadrature
+    inside the adaptive time integral."""
+    return lambda_from_kernel(sys, lambda u: bath.noise_kernel_quadrature(sd, regime, u), t)
+
 
 COMBOS = [
     (Cutoff.ABRUPT, RegimeKind.HIGH_TEMPERATURE),
@@ -146,34 +153,35 @@ def test_exp_validated_rejects_a_over_lam_past_overflow():
 
 def test_quadrature_oracles_report_trouble_through_est_error():
     # nu ~ tau^(-1/2) at tau -> 0: QUADPACK reports "probably divergent" on
-    # both oracles at t = 0.2; that shows as est_error = inf, not a warning
+    # the reference kernel at t = 0.2; that shows as est_error = inf, not a
+    # warning.  The defining path agrees with it and raises no warning either
     sys = SystemParams(omega0=7.0, omega_c=2.0)
     sd = SpectralDensity(1.5, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lk = lambda_from_kernel(sys, lambda u: bath.noise_kernel_reference(sd, LOW, u), 0.2)
-        lq = lambda_quadrature(sys, sd, LOW, 0.2)
+        lq = defining_path(sys, sd, LOW, 0.2)
         quiet = lambda_from_kernel(sys, lambda u: bath.noise_kernel_reference(sd, LOW, u), 0.01)
-    assert lk.est_error == np.inf and lq.est_error == np.inf
+    assert lk.est_error == np.inf
     assert abs(lq.lambda1 - lk.lambda1) <= 1e-8 * abs(lk.lambda1)
     assert abs(lq.lambda2 - lk.lambda2) <= 1e-8 * abs(lk.lambda2)
     assert 0.0 < quiet.est_error < 1e-10
 
 
-def test_lambda_quadrature_trivials():
+def test_defining_path_trivials():
     sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3)
-    lp = lambda_quadrature(SYS, sd, HIGH(1e3), 0.0)
+    lp = defining_path(SYS, sd, HIGH(1e3), 0.0)
     assert lp.lambda1 == 0 and lp.lambda2 == 0
     sd0 = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3, 0.0)
-    lp = lambda_quadrature(SYS, sd0, HIGH(1e3), 0.3)
+    lp = defining_path(SYS, sd0, HIGH(1e3), 0.3)
     assert lp.lambda1 == 0 and lp.lambda2 == 0
 
 
-def test_lambda_quadrature_defining_path_matches_closed():
+def test_defining_path_matches_closed():
     # full nested quadrature (kernel integral inside the time integral)
     sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3)
     t = 0.05
-    lq = lambda_quadrature(SYS, sd, HIGH(1e3), t)
+    lq = defining_path(SYS, sd, HIGH(1e3), t)
     lc = lambda_closed(SYS, sd, HIGH(1e3), t)
     assert abs(lq.lambda1 - lc.lambda1) <= 1e-4 * abs(lc.lambda1)
     assert abs(lq.lambda2 - lc.lambda2) <= 1e-4 * abs(lc.lambda2) + 1e-10
@@ -196,7 +204,7 @@ def test_drude_lowtemp_g_algebra_at_catalogued_parameters():
 def test_g2_vanishes_at_t0():
     sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)
     mc = mode_constants(SYS)
-    val = g_function("g2", 1j * mc.a_prime, 0.0, sd, omega_th=7.0, vprime=mc.b_prime)
+    val = _g2(1j * mc.a_prime, mc.b_prime, 0.0, sd.lam, 7.0)
     assert abs(val) < 1e-14
 
 
@@ -206,7 +214,7 @@ def test_g5_real_for_real_modes():
     for _ in range(30):
         z = rng.uniform(0.5, 9.0)
         t = rng.uniform(1e-3, 1.0)
-        val = g_function("g5", z, t, sd)
+        val = _g5(z, t, sd.lam)
         assert abs(val.imag) <= 1e-10 * max(abs(val), 1e-12)
 
 
@@ -219,8 +227,8 @@ def test_g7_partner_sum_matches_quadrature():
             1.0
             / (2 + 2 * t**2 * sd.lam**2)
             * (
-                mc.m_coef * g_function("g7", mc.a_prime, t, sd)
-                + mc.p_coef * g_function("g7", mc.b_prime, t, sd)
+                mc.m_coef * _g7(mc.a_prime, t, sd.lam)
+                + mc.p_coef * _g7(mc.b_prime, t, sd.lam)
             )
         )
         kern = lambda u: sd.gamma * (1 / sd.lam**2 - u**2) / (1 / sd.lam**2 + u**2) ** 2
@@ -251,7 +259,7 @@ def test_lambda2_vanishes_without_trap():
     sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 100.0)
     lp = lambda_closed(sys, sd, HIGH(4.0), 0.1)
     assert abs(lp.lambda2) < 1e-12
-    lq = lambda_quadrature(sys, sd, HIGH(4.0), 0.05)
+    lq = defining_path(sys, sd, HIGH(4.0), 0.05)
     assert abs(lq.lambda2) < 1e-12
 
 
@@ -411,14 +419,12 @@ _SD1 = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3)
     [
         (lambda: lambda_closed(SYS, _SD1, HIGH(1e3), -1e-3), "t must be"),
         (lambda: lambda_from_kernel(SYS, lambda u: 1.0, -1e-3), "t must be"),
-        (lambda: lambda_quadrature(SYS, _SD1, LOW, -1e-3), "t must be"),
         *[
             (lambda bad=bad, fn=fn: fn(bad), "t must be")
             for bad in (np.nan, np.inf, -np.inf)
             for fn in (
                 lambda t: lambda_closed(SYS, _SD1, HIGH(1e3), t),
                 lambda t: lambda_from_kernel(SYS, lambda u: 1.0, t),
-                lambda t: lambda_quadrature(SYS, _SD1, LOW, t),
             )
         ],
         # Lam = 5 lies below A' = 10.5 of omega0 = 10, omega_c = 1

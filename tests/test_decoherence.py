@@ -57,12 +57,17 @@ def test_exchange_and_sign_symmetries():
 
 
 def test_hightemp_rate_formula():
-    assert hightemp_rate(SYS, SEP) == 1e3
-    assert hightemp_rate(SYS, Separation(0.0, 0.0)) == 0.0
-    other = SystemParams(omega0=10.0, omega_c=10.0, omega_th=1e3)
-    assert hightemp_rate(other, SEP) == hightemp_rate(SYS, SEP)
-    with pytest.raises(DomainError):
-        hightemp_rate(SystemParams(omega0=1.0, omega_c=0.0), SEP)
+    assert hightemp_rate(SYS, SD, HIGH, SEP) == 1e3
+    assert hightemp_rate(SYS, SD, HIGH, Separation(0.0, 0.0)) == 0.0
+    other = SystemParams(omega0=10.0, omega_c=10.0)
+    assert hightemp_rate(other, SD, HIGH, SEP) == hightemp_rate(SYS, SD, HIGH, SEP)
+    # gamma and Omega_th come from the bath objects, hbar from the system
+    sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3, 0.25)
+    half = SystemParams(omega0=10.0, omega_c=1.0, hbar=0.5)
+    assert hightemp_rate(half, sd, ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 40.0), SEP) == 20.0
+    for regime in (LOW, ThermalRegime(RegimeKind.EXACT, 1e3)):
+        with pytest.raises(DomainError, match="high-temperature"):
+            hightemp_rate(SYS, SD, regime, SEP)
 
 
 def test_hightemp_cumulative_rate_has_pi_factor():
@@ -71,7 +76,7 @@ def test_hightemp_cumulative_rate_has_pi_factor():
     # reported by the validation suite (criterion-2).
     ex = exponents(SYS, SD, HIGH, SEP, 0.4)
     rate = ex.d1.real / 0.4
-    assert rate == pytest.approx(np.pi * hightemp_rate(SYS, SEP), rel=0.02)
+    assert rate == pytest.approx(np.pi * hightemp_rate(SYS, SD, HIGH, SEP), rel=0.02)
 
 
 def test_lowtemp_powerlaw_constants():

@@ -50,7 +50,6 @@ def test_f_weights_at_zero():
     sys = SystemParams(omega0=10.0, omega_c=1.0)
     assert f_weight(sys, 0.0, "F1") == pytest.approx(1.0)
     assert f_weight(sys, 0.0, "F2") == 0.0
-    assert f_weight(sys, 0.0, "F3") == 0.0
 
 
 def test_f1_complex_arithmetic_oracle():
@@ -138,15 +137,12 @@ def test_frequency_shift_domain():
         frequency_shift(sys, sd, 0.0)
 
 
-def test_momentum_weights_exposed():
-    # F3/F4 are inspection-only weights of the dropped momentum terms
+@pytest.mark.parametrize("which", ["F9", "F3", "F4"])
+def test_f_weight_rejects_unknown_names(which):
+    # the master equation drops the momentum terms, so only F1, F2 exist
     sys = SystemParams(omega0=2.0, omega_c=1.0)
-    assert np.isfinite(f_weight(sys, 0.7, "F3"))
-    assert f_weight(sys, 0.0, "F4") == pytest.approx(
-        4 * sys.omega_c / (sys.m * np.sqrt(4 * sys.omega0**2 + sys.omega_c**2))
-    )
-    with pytest.raises(ValueError):
-        f_weight(sys, 0.1, "F9")
+    with pytest.raises(ValueError, match="F1' or 'F2"):
+        f_weight(sys, 0.1, which)
 
 
 def test_f2_zero_without_trap():
