@@ -97,6 +97,10 @@ class ThermalRegime:
             raise DomainError("omega_th must be >= 0, and > 0 for the exact and high-T regimes")
 
 
+#: the zero-temperature regime; eta takes it too, as its weight is c = 1
+_LOW = ThermalRegime(RegimeKind.LOW_TEMPERATURE)
+
+
 def spectral_density(sd, omega):
     """J(omega) for scalar or array omega, finite and >= 0 (DomainError otherwise)."""
     w = np.asarray(omega, dtype=float)
@@ -132,8 +136,8 @@ def _envelope(sd, ops):
 
 def _regime_weight(sd, regime):
     """(se, pref) with J(w) c(w) = pref w^se envelope(w): c = Omega_th/w at high
-    temperature, else 1 (for eta, regime None, and the exact regime's tail)."""
-    if regime is not None and regime.kind is RegimeKind.HIGH_TEMPERATURE:
+    temperature, else 1 (the low regime, which eta takes, and the exact regime's tail)."""
+    if regime.kind is RegimeKind.HIGH_TEMPERATURE:
         return sd.s - 1.0, sd.gamma * regime.omega_th
     return sd.s, sd.gamma
 
@@ -158,7 +162,7 @@ def _integrand_parts(sd, regime, ops):
     minimum = ops.minimum
     # a rule's end node can round past a finite upper; it stands for upper
     env = envelope if upper is np.inf else (lambda w: envelope(minimum(w, upper)))
-    if regime is None or regime.kind is not RegimeKind.EXACT:
+    if regime.kind is not RegimeKind.EXACT:
         se, pref = _regime_weight(sd, regime)
         return se, (lambda w: pref * env(w)), upper
     gamma, oth = sd.gamma, regime.omega_th
@@ -208,7 +212,7 @@ def _envelope_edges(sd, regime, lo, hi):
     QUADPACK call over a range far wider than that misses the envelope, so
     that stretch is split at geometric breakpoints.
     """
-    exact = regime is not None and regime.kind is RegimeKind.EXACT
+    exact = regime.kind is RegimeKind.EXACT
     span = _ENVELOPE_SPAN * (min(sd.lam, regime.omega_th) if exact else sd.lam)
     cuts = span * 4.0 ** np.arange(max(0.0, np.ceil(np.log(hi / span) / np.log(4.0))))
     return [lo] + [c for c in cuts if lo < c < hi] + [hi]
@@ -357,7 +361,7 @@ def noise_kernel_quadrature(sd, regime, tau):
 
 def dissipation_kernel_quadrature(sd, tau):
     """Dissipation kernel eta(tau) = int_0^inf J(w) sin(w tau) dw; eta(0) = 0."""
-    return _kernel_quadrature(sd, None, tau, "sin")
+    return _kernel_quadrature(sd, _LOW, tau, "sin")
 
 
 # --------------------------------------------------------------------------
@@ -468,15 +472,15 @@ def _trig_power_ratio(se, x, kind):
 @functools.lru_cache(maxsize=64)
 def _trig_tail_coef(se):
     """Coefficients of the series (p x, q) of ``_trig_power_split`` in powers
-    of x^-2, highest first, shape (power, 2, 1); the shorter one is led by
-    zeros, which change no bit of its Horner sum."""
+    of x^-2, lowest first, shape (power, 2); the shorter one ends in zeros,
+    which change no bit of its Horner sum."""
     falling = [1.0]
     while len(falling) < _TRIG_TAIL_TERMS and falling[-1] != 0.0:
         falling.append(falling[-1] * (se - len(falling) + 1.0))
     q_coef = [falling[k] * (-1.0) ** (k // 2) for k in range(0, len(falling), 2)]
     p_coef = [falling[k] * (-1.0) ** ((k + 1) // 2) for k in range(1, len(falling), 2)]
     p_coef += [0.0] * (len(q_coef) - len(p_coef))
-    coef = np.array([p_coef, q_coef]).T[::-1, :, None].copy()
+    coef = np.array([p_coef, q_coef]).T
     coef.flags.writeable = False
     return coef
 
@@ -490,12 +494,7 @@ def _trig_power_split(se, x, kind):
     to ``_TRIG_TAIL_TERMS`` terms (it ends at the first zero of the falling
     factorial, integer se), so a = -(p + i q)/x (cos) or i (p + i q)/x (sin)."""
     x = np.asarray(x, dtype=float)
-    coef = _trig_tail_coef(se)
-    z = 1.0 / (x * x)
-    # Horner in z, the operations of numpy's polyval
-    acc = coef[0] + z * 0
-    for c in coef[1:]:
-        acc = c + acc * z
+    acc = polyval(1.0 / (x * x), _trig_tail_coef(se))
     amp = (acc[0] / x + 1j * acc[1]) / x
     trig = np.cos if kind == "cos" else np.sin
     cinf = _sp.gamma(se + 1.0) * trig(np.pi * (se + 1.0) / 2.0)
@@ -574,7 +573,7 @@ def _drude_transform(se, kind):
       over even or odd n, each pair as in ``_pole_pair``; past se = 1 the odd
       terms pair one step later, F_odd(-se) = x^{1-se}/Gamma(2-se) + F_odd(2-se),
       so the series holds through se = 0, 1 and 2; the four series are
-      summed by Horner in x^2;
+      summed by Horner (``polyval``) in x^2;
     * 2 < x <= 64: per octave, a Chebyshev interpolant of x^(se+1) P in
       log2 x, sampled from P = int_0^1 v^se [e^{-x v} - v^{-2 se} e^{-x/v}]/(1 - v^2) dv,
       the PV integral folded by v -> 1/v, which cancels the pole;
@@ -631,13 +630,8 @@ def _drude_transform(se, kind):
         sel = band == 1
         if sel.any():
             xs = flat[sel]
-            lx, y = np.log(xs), xs * xs
-            # Horner in x^2, elementwise, as the abrupt series is summed
-            acc = series[:, -1:] + 0.0 * y
-            for k in range(_DRUDE_SERIES_TERMS - 2, -1, -1):
-                acc *= y
-                acc += series[:, k : k + 1]
-            a0, b0, a1, b1 = acc
+            lx = np.log(xs)
+            a0, b0, a1, b1 = polyval(xs * xs, series.T)
             sums = r0(lx) * a0 + b0 - xs * (r1(lx) * a1 + b1)
             if lead:
                 sums -= lead * xs ** (1.0 - se)
@@ -647,12 +641,7 @@ def _drude_transform(se, kind):
             lg = np.log2(flat[sel])
             octave = np.minimum(lg.astype(int), _DRUDE_OCTAVES) - 1
             t = 2.0 * (lg - octave) - 3.0
-            coef = octaves[:, octave]
-            acc = coef[-1].copy()
-            for k in range(m - 2, -1, -1):
-                acc *= t
-                acc += coef[k]
-            p[sel] = acc * np.exp2(-(se + 1.0) * lg)
+            p[sel] = polyval(t, octaves[:, octave], tensor=False) * np.exp2(-(se + 1.0) * lg)
         sel = band == 3
         if sel.any():
             xs = flat[sel]
@@ -666,15 +655,15 @@ def _drude_transform(se, kind):
     return fn
 
 
-def require_integrable(sd, regime):
-    """DomainError unless nu (eta for regime None) is integrable at tau = 0.
+def require_integrable(sd, regime, kind="cos"):
+    """DomainError unless nu (eta for kind='sin') is integrable at tau = 0.
 
     A Drude-Lorentz J(w) c(w) falls off as w^(se-2) (``_regime_weight``), so
     the kernel grows as tau^(1-se) for se > 1 and is not integrable for
     se >= 2: s >= 2 at low temperature, in the exact regime and for eta,
     s >= 3 at high temperature.  The other cutoffs keep nu(0) finite."""
     if sd.cutoff is Cutoff.DRUDE_LORENTZ and _regime_weight(sd, regime)[0] >= 2.0:
-        what = "eta" if regime is None else "nu in the %s regime" % regime.kind.value
+        what = "eta" if kind == "sin" else "nu in the %s regime" % regime.kind.value
         raise DomainError(
             "%s of a Drude-Lorentz bath with s = %g is not integrable at tau = 0" % (what, sd.s)
         )
@@ -682,16 +671,16 @@ def require_integrable(sd, regime):
 
 def _reference_kernel_fn(sd, regime, kind="cos"):
     """Vectorised closed transform of the defining integral: nu, or with
-    kind='sin' and regime None eta.  Every bath has one outside the exact
-    regime, which returns None; DomainError where ``require_integrable``
-    says the kernel is not integrable at tau = 0.
+    kind='sin' (and the low regime) eta.  Every bath has one outside the
+    exact regime, which raises UnsupportedFormError; DomainError where
+    ``require_integrable`` says the kernel is not integrable at tau = 0.
 
     Each form is an exact equality, validated against the quadrature path,
     so curves built on them remain quadrature-grade in the time integration.
     """
-    require_integrable(sd, regime)
-    if regime is not None and regime.kind is RegimeKind.EXACT:
-        return None
+    require_integrable(sd, regime, kind)
+    if regime.kind is RegimeKind.EXACT:
+        raise UnsupportedFormError("no closed transform for s=%g %s exact" % (sd.s, sd.cutoff.value))
     se, pref = _regime_weight(sd, regime)
     lam = sd.lam
     if sd.cutoff is Cutoff.ABRUPT:
@@ -725,15 +714,14 @@ def _reference_kernel_fn(sd, regime, kind="cos"):
 
 
 def _oscillating_tail(sd, regime, kind="cos"):
-    """The abrupt reference kernel of ``_reference_kernel_fn`` past Lam tau = 36,
-    split for a time integration that takes the factor e^{i Lam tau} exactly:
-    (start, parts) with start = 36/Lam and parts(tau) = (S, a) on a tau array
-    > start, nu = S + Re[a e^{i Lam tau}] (eta for kind='sin' and regime None),
-    S = C c_inf x^-(se+1) and a = -C (p + i q)/x (cos) or i C (p + i q)/x (sin),
-    C = pref Lam^(se+1), x = Lam tau (``_trig_power_split``).  None for the
-    other cutoffs and the exact regime."""
-    if sd.cutoff is not Cutoff.ABRUPT or (regime is not None and regime.kind is RegimeKind.EXACT):
-        return None
+    """The abrupt reference kernel of ``_reference_kernel_fn`` in the high or
+    low regime past Lam tau = 36, split for a time integration that takes the
+    factor e^{i Lam tau} exactly: (start, parts) with start = 36/Lam and
+    parts(tau) = (S, a) on a tau array > start, nu = S + Re[a e^{i Lam tau}]
+    (eta for kind='sin'), S = C c_inf x^-(se+1) and a = -C (p + i q)/x (cos)
+    or i C (p + i q)/x (sin), C = pref Lam^(se+1), x = Lam tau
+    (``_trig_power_split``).  ``decoherence._kernel_for`` decides where it
+    applies."""
     se, pref = _regime_weight(sd, regime)
     lam = sd.lam
     scale = pref * lam ** (se + 1.0)
@@ -748,10 +736,6 @@ def _oscillating_tail(sd, regime, kind="cos"):
 def _reference_value(sd, regime, kind, tau):
     """The closed transform at scalar or array tau, or UnsupportedFormError."""
     fn = _reference_kernel_fn(sd, regime, kind)
-    if fn is None:
-        what = "s=%g %s" % (sd.s, sd.cutoff.value)
-        what = "eta with " + what if kind == "sin" else what + " " + regime.kind.value
-        raise UnsupportedFormError("no closed transform for " + what)
     tarr = np.asarray(tau, dtype=float)
     if not np.all((tarr >= 0) & (tarr < np.inf)):
         raise DomainError("tau must be finite and >= 0")
@@ -774,7 +758,7 @@ def noise_kernel_reference(sd, regime, tau):
 def dissipation_kernel_reference(sd, tau):
     """Closed transform of eta(tau), tau >= 0; DomainError for a Drude-Lorentz
     bath with s >= 2, whose eta is not integrable at tau = 0."""
-    return _reference_value(sd, None, "sin", tau)
+    return _reference_value(sd, _LOW, "sin", tau)
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Configs are flat ``key=value`` text files; a key repeated on several lines
 turns into a sweep axis for the ``sweep`` subcommand.  Frequencies are in
 units of gamma/m, times in m/gamma, separations in sqrt(hbar/gamma); the
-internal scales gamma = hbar = m = 1 are overridable per config.
+scales gamma = hbar = 1 are overridable per config.  m is not a key: no
+output of these commands depends on it.
 
 One builder makes the time grid of ``curve`` and ``sweep`` and the
 frequency grid of ``spectra``; a bad grid or method is a config error.
@@ -60,7 +61,7 @@ _SEPARATION_KEYS = ("dx", "dy")
 _POOL_BREAK_EVEN_S = 0.2
 
 _FLOAT_KEYS = {
-    "s", "lam", "gamma", "omega0", "omega_c", "omega_th", "dx", "dy", "m", "hbar",
+    "s", "lam", "gamma", "omega0", "omega_c", "omega_th", "dx", "dy", "hbar",
     "t_min", "t_max", "omega_min", "omega_max",
 }
 _INT_KEYS = {"t_points", "omega_points", "sweep_cap"}
@@ -73,7 +74,6 @@ _DEFAULTS = {
     "omega_th": 0.0,
     "dx": 1.0,
     "dy": 1.0,
-    "m": 1.0,
     "hbar": 1.0,
     "grid": "log",
     "method": "quadrature",
@@ -140,12 +140,7 @@ def _build_objects(cfg):
         sd = SpectralDensity(cfg["s"], cfg["cutoff"], cfg["lam"], cfg["gamma"])
         regime = ThermalRegime(cfg["regime"], cfg["omega_th"])
         require_integrable(sd, regime)
-        sys_params = SystemParams(
-            omega0=cfg["omega0"],
-            omega_c=cfg["omega_c"],
-            m=cfg["m"],
-            hbar=cfg["hbar"],
-        )
+        sys_params = SystemParams(omega0=cfg["omega0"], omega_c=cfg["omega_c"], hbar=cfg["hbar"])
         sep = Separation(cfg["dx"], cfg["dy"])
     except (QbmagError, ValueError) as exc:  # ValueError: an unknown cutoff or regime name
         raise ConfigError(str(exc))

@@ -121,9 +121,10 @@ def _drude_validated(sd, regime, mc, t, hbar):
     pref = gam * np.pi * lam**2 / (2 * hbar)
 
     def ipc(z):
-        if abs(z * t) < 1e-6:
-            return np.pi * oth * t**2 / 2.0 - (1j + np.pi * oth * t) * t
-        return -(np.pi * oth * (-1 + np.cos(z * t)) + (1j + np.pi * oth * t) * z * np.sin(z * t)) / z**2
+        # pi Omega_th (1 - cos zt)/z^2 - (i + pi Omega_th t) sin(zt)/z, in
+        # sinc form: exact at z = 0, and free of the cancellation in 1 - cos zt
+        x = z * t / np.pi  # np.sinc(x) = sin(pi x)/(pi x)
+        return np.pi * oth * t**2 / 2.0 * np.sinc(x / 2.0) ** 2 - (1j + np.pi * oth * t) * t * np.sinc(x)
 
     def ips(z):
         if abs(z * t) < 1e-6:

@@ -13,7 +13,8 @@ f = nu F / hbar, so a whole curve costs one pass of kernel evaluations,
 made in blocks of nodes (``dynamics.time_moments``).
 
 ``_moments``, the one entry to that engine for curves, criterion 5 and
-``frequency_shift``, checks the grid, picks the kernel and sizes the panels.
+``frequency_shift``, checks the grid and carries out the plan of
+``_kernel_for``: the kernel, how far panels resolve Lam and its split.
 """
 
 from dataclasses import dataclass
@@ -22,9 +23,9 @@ import numpy as np
 
 from .bath import (
     LAM_TAU_MAX,
+    _LOW,
     Cutoff,
     RegimeKind,
-    ThermalRegime,
     _bose_kernel_fn,
     _oscillating_tail,
     _pole_sum,
@@ -47,7 +48,6 @@ FLAG_CLAMPED = 1
 FLAG_FALLBACK = 2
 FLAG_ERROR = 3
 
-_LOW = ThermalRegime(RegimeKind.LOW_TEMPERATURE)
 METHODS = ("quadrature", "closed")  # the kernel paths of curves; see _kernel_for
 
 
@@ -83,35 +83,43 @@ class CurveSeries:
 
 
 def _kernel_for(sd, regime, method="quadrature", kind="cos"):
-    """Vectorised nu, or with kind='sin' and regime None eta.
+    """(kernel, until, parts): the vectorised nu, or with kind='sin' and the
+    low regime eta, and how ``time_moments`` integrates it.
 
     Every kernel is the closed transform of the defining integral, in the
     exact regime the closed low-temperature transform plus the Bose term.
     method='closed' differs only where the catalogue does: for the Ohmic
     Drude-Lorentz nu it is the Matsubara pole-sum form of
     ``noise_kernel_closed_parts``.  DomainError (``bath.require_integrable``)
-    for a kernel not integrable at tau = 0."""
+    for a kernel not integrable at tau = 0.
+
+    ``until`` is the panel rule: panels resolve the cutoff Lam on the grid
+    intervals that start below it.  The abrupt kernels outside the exact
+    regime come with ``parts``, their split past Lam tau = 36
+    (``bath._oscillating_tail``), whose e^{i Lam tau} the engine integrates
+    exactly, so panels resolve 1/Lam only below until = 36/Lam.  They
+    resolve it at every tau for the kernels that oscillate at Lam with no
+    split, the exact-regime abrupt kernel (its Bose term is cut at Lam when
+    40 Omega_th > Lam), and for the pole-sum form, which grows as
+    cosh(Lam tau); every other kernel has settled past 30/Lam.  ``parts`` is
+    None for all but the split kernels."""
+    settled = 30.0 / sd.lam
+    abrupt = sd.cutoff is Cutoff.ABRUPT
     if method == "closed" and kind == "cos" and _pole_sum(sd):
-        return lambda taus: noise_kernel_closed_parts(sd, regime, taus)
-    if regime is not None and regime.kind is RegimeKind.EXACT:
+        return (lambda taus: noise_kernel_closed_parts(sd, regime, taus)), np.inf, None
+    if regime.kind is RegimeKind.EXACT:
         low = _reference_kernel_fn(sd, _LOW, kind)
         bose = _bose_kernel_fn(sd, regime.omega_th)
-        return lambda taus: low(taus) + bose(taus)
-    return _reference_kernel_fn(sd, regime, kind)
+        return (lambda taus: low(taus) + bose(taus)), (np.inf if abrupt else settled), None
+    kernel = _reference_kernel_fn(sd, regime, kind)
+    if abrupt:
+        return (kernel, *_oscillating_tail(sd, regime, kind))
+    return kernel, settled, None
 
 
 def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
-    """``time_moments`` of the kernel ``_kernel_for`` chooses on a finite, strictly
-    increasing grid >= 0 (DomainError otherwise); zero, with no kernel, at gamma = 0.
-
-    This is where the panel rule is set: how far panels resolve the cutoff
-    Lam.  The abrupt kernels outside the exact regime come with their split
-    past Lam tau = 36 (``bath._oscillating_tail``), whose e^{i Lam tau} the
-    engine integrates exactly, so panels resolve 1/Lam only below 36/Lam.
-    They resolve it at every tau for the kernels that oscillate at Lam with
-    no split, the exact-regime abrupt kernel (its Bose term is cut at Lam when
-    40 Omega_th > Lam), and for the pole-sum form, which grows as
-    cosh(Lam tau); every other kernel has settled past 30/Lam."""
+    """``time_moments`` of the plan ``_kernel_for`` makes, on a finite, strictly
+    increasing grid >= 0 (DomainError otherwise); zero, with no kernel, at gamma = 0."""
     grid = np.asarray(grid, dtype=float)
     good = grid.ndim == 1 and len(grid) and np.all(np.isfinite(grid)) and grid[0] >= 0
     if not (good and np.all(np.diff(grid) > 0)):
@@ -119,11 +127,8 @@ def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
     if sd.gamma == 0.0:
         zeros = np.zeros((len(grid), 2), dtype=complex)
         return TimeMoments(zeros, zeros, zeros, zeros, nodes=0, panels=0)
-    kernel = _kernel_for(sd, regime, method, kind)
-    tail = _oscillating_tail(sd, regime, kind)
-    pole_sum = method == "closed" and kind == "cos" and _pole_sum(sd)
-    until = tail[0] if tail else (np.inf if sd.cutoff is Cutoff.ABRUPT or pole_sum else 30.0 / sd.lam)
-    return time_moments(sys, kernel, grid, sd.lam, until, tail)
+    kernel, until, parts = _kernel_for(sd, regime, method, kind)
+    return time_moments(sys, kernel, grid, sd.lam, until, parts)
 
 
 def _exponent_arrays(sys, sd, regime, grid, method):
@@ -286,7 +291,7 @@ def frequency_shift(sys, sd, t_max, with_tail_estimate=False):
     """
     if t_max <= 0:
         raise DomainError("t_max must be > 0")
-    mom = _moments(sys, sd, None, np.array([t_max, 4.0 * t_max]), kind="sin")
+    mom = _moments(sys, sd, _LOW, np.array([t_max, 4.0 * t_max]), kind="sin")
     main, total = (float(c) for c in mom.c0[:, 0].real)
     shift = -(2.0 / sys.m) * main
     if with_tail_estimate:

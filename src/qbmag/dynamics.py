@@ -14,7 +14,8 @@ x'' = -w0^2 x + wc y', y'' = -w0^2 y - wc x' exactly.
 ``time_moments``, the one time-integration engine, integrates any vectorised
 kernel against F1 and F2, taking the factor e^{i Lam tau} of a kernel split
 as S + Re[a e^{i Lam tau}] exactly (Filon panels); ``decoherence._moments``,
-its one caller, chooses the kernel, its split and the panel rule.
+its one caller, passes the kernel, its split and the panel rule that
+``decoherence._kernel_for`` chooses.
 """
 
 from dataclasses import dataclass
@@ -287,7 +288,7 @@ def _tail_block(parts, lam, u, fs, mid, half):
     return np.stack([sv, sv * u]) @ _PANEL_W + osc.reshape(len(mid), 2, 2, 2).transpose(1, 2, 0, 3)
 
 
-def time_moments(sys, kernel, grid, lam, until, tail=None):
+def time_moments(sys, kernel, grid, lam, until, parts=None):
     """Integrate a vectorised kernel against F1 and F2 from 0 to each time of an
     increasing grid >= 0.
 
@@ -295,18 +296,19 @@ def time_moments(sys, kernel, grid, lam, until, tail=None):
     sees at most half a period of the fastest oscillation: the mode
     frequency A' + B', plus the cutoff Lam on the grid intervals that start
     below ``until``, where the caller says the kernel still varies on the
-    1/Lam scale (``decoherence._moments`` sets it); half a period per panel
+    1/Lam scale (``decoherence._kernel_for`` sets it); half a period per panel
     keeps each panel at ~1e-12 relative.  The first segment is refined
     geometrically towards 0, where several kernels have an integrable log or
     inverse-square-root singularity.
 
-    ``tail``, if given, is (start, parts): past ``start`` the kernel is
+    ``parts``, if given, splits the kernel past ``until``: there it is
     S + Re[a e^{i Lam u}] with S and a smooth, (S, a) = parts(u).  Panels on
-    the grid intervals that start past it span at most half the interval's
-    start, over which S and a, powers of u, are nearly polynomial.  A panel
-    that starts at or past ``start`` calls ``parts`` instead of ``kernel``
-    and integrates S F by the Gauss rule and a F e^{i Lam u} by the Filon
-    weights of ``_filon_weights``, which take the oscillating factor exactly.
+    the grid intervals that start past ``until`` span at most half the
+    interval's start, over which S and a, powers of u, are nearly
+    polynomial.  A panel that starts at or past ``until`` calls ``parts``
+    instead of ``kernel`` and integrates S F by the Gauss rule and
+    a F e^{i Lam u} by the Filon weights of ``_filon_weights``, which take
+    the oscillating factor exactly.
 
     The panels of the whole grid are laid out at once and evaluated in
     blocks of at most ``_NODE_BLOCK`` nodes: one F1, F2 evaluation and one
@@ -318,7 +320,7 @@ def time_moments(sys, kernel, grid, lam, until, tail=None):
     callers flag them.
     """
     mc = mode_constants(sys)
-    start = np.inf if tail is None else tail[0]
+    start = np.inf if parts is None else until
     edges, counts = _panel_edges(grid, mc.a_prime + mc.b_prime, lam, until, start)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     n_panels = len(mid)
@@ -338,7 +340,7 @@ def time_moments(sys, kernel, grid, lam, until, tail=None):
                 vals = np.asarray(kernel(flat[: 16 * cut])).reshape(cut, 16) * fs[:, :cut]
                 sums.append(np.stack([vals, vals * u[:cut]]) @ _PANEL_W)
             if cut < p1 - p0:
-                sums.append(_tail_block(tail[1], lam, u[cut:], fs[:, cut:], mid[p0 + cut : p1], half[p0 + cut : p1]))
+                sums.append(_tail_block(parts, lam, u[cut:], fs[:, cut:], mid[p0 + cut : p1], half[p0 + cut : p1]))
             part = (sums[0] if len(sums) == 1 else np.concatenate(sums, axis=2)) * half[p0:p1, None]
             # -> (panel, rule x moment, column)
             part = part.transpose(2, 3, 0, 1).reshape(p1 - p0, 4, 2)

@@ -779,26 +779,20 @@ def test_trig_power_ratio_asymptotic_bands_bit_for_bit(kind, se):
 @pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE, None])
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
 def test_oscillating_tail_is_the_reference_kernel(s, rkind):
-    # nu (eta for regime None) = S + Re[a e^{i Lam tau}] past Lam tau = 36,
+    # nu (eta for rkind None) = S + Re[a e^{i Lam tau}] past Lam tau = 36,
     # to rounding of the two terms
     sd = SpectralDensity(s, Cutoff.ABRUPT, 50.0, 1.3)
-    regime = None if rkind is None else ThermalRegime(rkind, 7.0)
-    start, parts = bath._oscillating_tail(sd, regime, "sin" if regime is None else "cos")
+    regime = bath._LOW if rkind is None else ThermalRegime(rkind, 7.0)
+    start, parts = bath._oscillating_tail(sd, regime, "sin" if rkind is None else "cos")
     assert start == 36.0 / sd.lam
     tau = _ASYMPTOTIC_X[_ASYMPTOTIC_X > 36.0] / sd.lam
     smooth, amp = parts(tau)
     got = smooth + (amp * np.exp(1j * sd.lam * tau)).real
-    if regime is None:
+    if rkind is None:
         want = bath.dissipation_kernel_reference(sd, tau)
     else:
         want = bath.noise_kernel_reference(sd, regime, tau)
     assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * (np.abs(smooth) + np.abs(amp)))
-
-
-def test_oscillating_tail_only_for_the_abrupt_transforms():
-    assert bath._oscillating_tail(SpectralDensity(1.0, Cutoff.ABRUPT, 50.0), EXACT(7.0)) is None
-    for cutoff in (Cutoff.DRUDE_LORENTZ, Cutoff.EXPONENTIAL):
-        assert bath._oscillating_tail(SpectralDensity(1.0, cutoff, 50.0), LOW) is None
 
 
 def test_jacobi_rule_integrates_moments():

@@ -556,6 +556,8 @@ def test_sweep_worker_count_defaults(tmp_path, monkeypatch):
         (DRUDE_CFG % (2.0, "low"), "not integrable"),
         (DRUDE_CFG % (2.5, "low"), "not integrable"),
         (DRUDE_CFG % (3.2, "high"), "not integrable"),
+        # no curve depends on the mass, so it is not a key
+        (CURVE_CFG + "m=2\n", "unknown key 'm'"),
     ],
 )
 def test_curve_config_errors_exit_2(tmp_path, capsys, text, match):

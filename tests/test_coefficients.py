@@ -11,7 +11,7 @@ from qbmag import bath, coefficients
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.coefficients import _g2, _g5, _g7, lambda_closed, lambda_from_kernel
 from qbmag.dynamics import SystemParams, mode_constants
-from qbmag.errors import DomainError, RangeError, UnsupportedFormError
+from qbmag.errors import DomainError, PoleError, RangeError, UnsupportedFormError
 
 HIGH = lambda oth: ThermalRegime(RegimeKind.HIGH_TEMPERATURE, oth)
 LOW = ThermalRegime(RegimeKind.LOW_TEMPERATURE)
@@ -261,6 +261,59 @@ def test_lambda2_vanishes_without_trap():
     assert abs(lp.lambda2) < 1e-12
     lq = defining_path(sys, sd, HIGH(4.0), 0.05)
     assert abs(lq.lambda2) < 1e-12
+
+
+@pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE])
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+def test_validated_forms_without_trap_match_their_kernel(cutoff, rkind):
+    # omega0 = 0: B' = 0 and G = 0, so lambda2 is 0 (none for the abrupt
+    # low-temperature form) and lambda1 integrates the kernel against F1 = 1
+    sys = SystemParams(omega0=0.0, omega_c=3.0)
+    sd = SpectralDensity(1.0, cutoff, 50.0, 1.3)
+    regime = ThermalRegime(rkind, 17.0)
+    for t in (0.01, 0.1):
+        lc = lambda_closed(sys, sd, regime, t)
+        ref = lambda_from_kernel(sys, lambda u: bath.noise_kernel_closed_parts(sd, regime, u), t)
+        assert abs(lc.lambda1 - ref.lambda1) <= 1e-13 * abs(ref.lambda1), t
+        if cutoff is Cutoff.ABRUPT and rkind is RegimeKind.LOW_TEMPERATURE:
+            assert lc.lambda2 is None
+        else:
+            assert lc.lambda2 == 0.0
+
+
+def test_drude_high_lambda1_at_small_t_matches_mpmath():
+    # (1 - cos zt)/z^2 formed directly lost 1e-10 of Re lambda1 at t = 1e-6;
+    # the oracle integrates the pole-sum kernel against F1 at 40 digits
+    sys = SystemParams(omega0=10.0, omega_c=1.0)
+    sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 1000.0)
+    regime = HIGH(37.0)
+    mc = mode_constants(sys)
+    with mpmath.workdps(40):
+        lam, oth = mpmath.mpf(sd.lam), mpmath.mpf(regime.omega_th)
+        cot = 1 / mpmath.tan(lam / oth)
+        ap, bp, m, p = (mpmath.mpf(x) for x in (mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef))
+        nu = lambda u: mpmath.pi * lam**2 / 2 * (cot * mpmath.cosh(lam * u) - 1j * (1 - 1j * mpmath.pi * oth * u))
+        f1 = lambda u: m * mpmath.cos(ap * u) + p * mpmath.cos(bp * u)
+        for t in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+            want = complex(mpmath.quad(lambda u: nu(u) * f1(u), [0, mpmath.mpf(t)]))
+            got = lambda_closed(sys, sd, regime, t).lambda1
+            assert abs(got.real - want.real) <= 1e-13 * abs(want.real), t
+            assert abs(got.imag - want.imag) <= 1e-13 * abs(want.imag), t
+
+
+@pytest.mark.parametrize(
+    "oth, t, exc, match",
+    [
+        (17.0, 7.1, RangeError, "overflows"),  # Lam t = 710 > 700
+        (100.0 / np.pi, 0.1, PoleError, "cot"),  # Lam/Omega_th = pi
+        (0.0, 0.1, DomainError, "omega_th > 0"),  # low regime, Omega_th = 0
+    ],
+)
+def test_lambda_closed_raises_outside_the_pole_sum_window(oth, t, exc, match):
+    sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 100.0)
+    regime = ThermalRegime(RegimeKind.LOW_TEMPERATURE, oth) if oth == 0.0 else HIGH(oth)
+    with pytest.raises(exc, match=match):
+        lambda_closed(SYS, sd, regime, t)
 
 
 def test_printed_abrupt_hightemp_lambda2_finding():

@@ -271,11 +271,11 @@ _LAM_TAU = np.logspace(-5, np.log10(500.0), 3000)
     + [(Cutoff.DRUDE_LORENTZ, 1.0, r, "closed") for r in (RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE)],
 )
 def test_kernel_value_depends_only_on_tau(cutoff, s, rkind, method):
-    # every path of _kernel_for (eta for regime None, the pole sum for
+    # every path of _kernel_for (eta for rkind None, the pole sum for
     # closed): 3,000 tau alone, in one array and in two calls, equal bits
     sd = SpectralDensity(s, cutoff, 50.0, 1.3)
-    regime = None if rkind is None else ThermalRegime(rkind, 17.0)
-    kernel = decoherence._kernel_for(sd, regime, method, "sin" if regime is None else "cos")
+    regime = bath._LOW if rkind is None else ThermalRegime(rkind, 17.0)
+    kernel = decoherence._kernel_for(sd, regime, method, "sin" if rkind is None else "cos")[0]
     tau = _LAM_TAU / sd.lam
     together = np.asarray(kernel(tau))
     alone = np.concatenate([kernel(tau[i : i + 1]) for i in range(tau.size)])
@@ -383,16 +383,51 @@ def test_exact_drude_curve_matches_pole_sum(lam, oth):
         assert abs(cs.lambda2[row] - ref.lambda2) <= (1e-10 + cancel) * abs(ref.lambda2), t
 
 
+#: the plan of _kernel_for at s = 1 with method="quadrature": (Lam until,
+#: whether the kernel comes with its split) per cutoff and regime, "eta"
+#: standing for kind='sin' in the low regime.  Only the abrupt kernels
+#: outside the exact regime are split, past Lam tau = 36
+KERNEL_PLAN = {
+    ("abrupt", "high"): (36.0, True),
+    ("abrupt", "low"): (36.0, True),
+    ("abrupt", "exact"): (np.inf, False),
+    ("abrupt", "eta"): (36.0, True),
+    ("drude", "high"): (30.0, False),
+    ("drude", "low"): (30.0, False),
+    ("drude", "exact"): (30.0, False),
+    ("drude", "eta"): (30.0, False),
+    ("exp", "high"): (30.0, False),
+    ("exp", "low"): (30.0, False),
+    ("exp", "exact"): (30.0, False),
+    ("exp", "eta"): (30.0, False),
+}
+#: method="closed" differs only for the Ohmic Drude-Lorentz nu: the pole sum,
+#: resolved at every tau, ahead of the exact-regime branch
+KERNEL_PLAN_CLOSED = {**KERNEL_PLAN, **{("drude", r): (np.inf, False) for r in ("high", "low", "exact")}}
+
+
+@pytest.mark.parametrize("method", ["quadrature", "closed"])
+@pytest.mark.parametrize("rkind", ["high", "low", "exact", "eta"])
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+def test_kernel_plan(cutoff, rkind, method):
+    sd = SpectralDensity(1.0, cutoff, 50.0, 1.3)
+    regime = LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
+    _, until, parts = decoherence._kernel_for(sd, regime, method, "sin" if rkind == "eta" else "cos")
+    lam_until, split = (KERNEL_PLAN if method == "quadrature" else KERNEL_PLAN_CLOSED)[cutoff.value, rkind]
+    assert until == lam_until / sd.lam
+    assert (parts is not None) == split
+
+
 def test_exact_kernel_path():
     exact = ThermalRegime(RegimeKind.EXACT, 17.0)
     taus = np.array([1e-6, 0.01, 0.3])
     sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
-    kernel = decoherence._kernel_for(sd, exact, "quadrature")
+    kernel = decoherence._kernel_for(sd, exact, "quadrature")[0]
     split = bath.noise_kernel_reference(sd, LOW, taus) + bath._bose_kernel_fn(sd, 17.0)(taus)
     assert np.array_equal(kernel(taus), split)
     # the same split at any s: nu_low is the one Drude-Lorentz transform
     sub = SpectralDensity(0.8, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
-    kernel = decoherence._kernel_for(sub, exact, "quadrature")
+    kernel = decoherence._kernel_for(sub, exact, "quadrature")[0]
     split = bath.noise_kernel_reference(sub, LOW, taus) + bath._bose_kernel_fn(sub, 17.0)(taus)
     assert np.array_equal(kernel(taus), split)
 
@@ -409,7 +444,7 @@ def test_drude_kernel_matches_quadrature_at_any_s(s, rkind):
     sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
     regime = ThermalRegime(rkind, 17.0)
     taus = KERNEL_XS / sd.lam
-    got = decoherence._kernel_for(sd, regime)(taus)
+    got = decoherence._kernel_for(sd, regime)[0](taus)
     for tau, g in zip(taus, got):
         want = bath.noise_kernel_quadrature(sd, regime, tau)
         assert abs(g - want) <= 1e-7 * abs(want), (tau, g, want)
@@ -461,7 +496,7 @@ def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
     assume(cutoff is not Cutoff.DRUDE_LORENTZ or s < 2.0)
     high = bath._reference_kernel_fn(sd, ThermalRegime(RegimeKind.HIGH_TEMPERATURE, oth))
     exact = ThermalRegime(RegimeKind.EXACT, oth)
-    kernel = decoherence._kernel_for(sd, exact, "quadrature")
+    kernel = decoherence._kernel_for(sd, exact, "quadrature")[0]
     tau = x / lam
     low = bath.noise_kernel_reference(sd, LOW, tau)
     # 1 < coth(w/Omega_th) < 1 + Omega_th/w, and with Omega_th <= Lam and
@@ -529,7 +564,7 @@ def _refined_moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
     on every panel of the layout that resolves Lam at every tau cut in four,
     the panel sums accumulated in long double: the reference of the Filon
     tail, which resolves only the modes past Lam tau = 36."""
-    kernel = decoherence._kernel_for(sd, regime, method, kind)
+    kernel = decoherence._kernel_for(sd, regime, method, kind)[0]
     mc = mode_constants(sys)
     edges, counts = dynamics._panel_edges(grid, mc.a_prime + mc.b_prime, sd.lam, np.inf)
     edges = np.append((edges[:-1, None] + np.diff(edges)[:, None] * np.arange(4) / 4).ravel(), edges[-1])
@@ -592,7 +627,7 @@ def test_abrupt_frequency_shift_holds_the_refined_reference(t_max):
     sys = SystemParams(omega0=2.0, omega_c=0.5)
     sd = SpectralDensity(1.0, Cutoff.ABRUPT, 200.0, 0.1)
     shift, tail = frequency_shift(sys, sd, t_max, with_tail_estimate=True)
-    c0 = _refined_moments(sys, sd, None, np.array([t_max, 4.0 * t_max]), kind="sin")[0][:, 0].real
+    c0 = _refined_moments(sys, sd, bath._LOW, np.array([t_max, 4.0 * t_max]), kind="sin")[0][:, 0].real
     want = -(2.0 / sys.m) * c0
     assert abs(shift - want[0]) <= 1e-10 * np.max(np.abs(want))
     assert abs(tail - abs(want[1] - want[0])) <= 1e-10 * np.max(np.abs(want))
@@ -637,7 +672,7 @@ def test_abrupt_frequency_shift_with_slow_modes():
     sys = SystemParams(omega0=0.1, omega_c=1.0)
     sd = SpectralDensity(1.0, Cutoff.ABRUPT, 200.0, 0.1)
     shift, tail = frequency_shift(sys, sd, 1.0, with_tail_estimate=True)
-    c0 = _refined_moments(sys, sd, None, np.array([1.0, 4.0]), kind="sin")[0][:, 0].real
+    c0 = _refined_moments(sys, sd, bath._LOW, np.array([1.0, 4.0]), kind="sin")[0][:, 0].real
     want = -(2.0 / sys.m) * c0
     assert abs(shift - want[0]) <= 1e-12 * abs(want[0])
     assert abs(tail - abs(want[1] - want[0])) <= 1e-12 * abs(want[0])

@@ -172,7 +172,7 @@ def test_time_moments_match_same_kernel_quadrature(s, cutoff, rkind, request):
         request.applymarker(pytest.mark.xfail(strict=True, reason="inner-panel singularity"))
     sd = SpectralDensity(s, cutoff, 60.0, 1.3)
     regime = ThermalRegime(rkind, 11.0)
-    kernel = decoherence._kernel_for(sd, regime, "quadrature")
+    kernel = decoherence._kernel_for(sd, regime, "quadrature")[0]
     ts = np.array([0.3, 4.0, 11.0]) / sd.lam
     # the abrupt kernel oscillates at Lam at every tau; the others settle past 30/Lam
     until = np.inf if cutoff is Cutoff.ABRUPT else 30.0 / sd.lam
@@ -286,7 +286,7 @@ def test_time_moments_report_nodes_and_panels():
     sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 60.0, 1.3)
     regime = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 11.0)
     sizes = []
-    kernel = _counting(decoherence._kernel_for(sd, regime, "quadrature"), sizes)
+    kernel = _counting(decoherence._kernel_for(sd, regime, "quadrature")[0], sizes)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mom = time_moments(ENGINE_SYS, kernel, np.logspace(-4, 0, 50), sd.lam, 30.0 / sd.lam)
@@ -300,7 +300,12 @@ def test_curve_calls_its_kernel_once_per_block(monkeypatch, block):
         monkeypatch.setattr(dynamics, "_NODE_BLOCK", block)
     sizes = []
     kernel_for = decoherence._kernel_for
-    monkeypatch.setattr(decoherence, "_kernel_for", lambda *args: _counting(kernel_for(*args), sizes))
+
+    def counted(*args):
+        kernel, until, parts = kernel_for(*args)
+        return _counting(kernel, sizes), until, parts
+
+    monkeypatch.setattr(decoherence, "_kernel_for", counted)
     sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3)
     sys = SystemParams(omega0=10.0, omega_c=1.0, omega_th=1e3)
     regime = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 1e3)
@@ -317,11 +322,9 @@ def test_curve_calls_its_kernel_once_per_block(monkeypatch, block):
 def test_time_moments_do_not_depend_on_the_block(monkeypatch, cutoff, rkind):
     sd = SpectralDensity(1.0, cutoff, 200.0, 1.3)
     regime = ThermalRegime(rkind, 17.0)
-    kernel = decoherence._kernel_for(sd, regime, "quadrature")
-    tail = bath._oscillating_tail(sd, regime)  # the Filon panels past Lam t = 36
-    # the panel rule of decoherence._moments
-    until = tail[0] if tail else (np.inf if cutoff is Cutoff.ABRUPT else 30.0 / sd.lam)
-    args = (ENGINE_SYS, kernel, decoherence.default_grid(sd), sd.lam, until, tail)
+    # the plan of a curve: the abrupt kernels' Filon panels past Lam t = 36
+    kernel, until, parts = decoherence._kernel_for(sd, regime, "quadrature")
+    args = (ENGINE_SYS, kernel, decoherence.default_grid(sd), sd.lam, until, parts)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ref = time_moments(*args)

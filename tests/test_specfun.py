@@ -116,3 +116,9 @@ def test_ci_negative_axis_branch():
 def test_si_overflow_guard():
     with pytest.raises(RangeError):
         specfun.sin_integral(1 + 800j)
+
+
+@pytest.mark.parametrize("z", [1 + 800j, -1 - 701j])
+def test_ci_overflow_guard(z):
+    with pytest.raises(RangeError, match="Ci overflows"):
+        specfun.cos_integral(z)
