@@ -674,6 +674,8 @@ def _reference_kernel_fn(sd, regime, kind="cos"):
     kind='sin' (and the low regime) eta.  Every bath has one outside the
     exact regime, which raises UnsupportedFormError; DomainError where
     ``require_integrable`` says the kernel is not integrable at tau = 0.
+    Each is C T(Lam tau), C of ``_closed_scale``, T the cutoff's dimensionless
+    transform: ``_trig_power_ratio``, the form below or ``_drude_transform``.
 
     Each form is an exact equality, validated against the quadrature path,
     so curves built on them remain quadrature-grade in the time integration.
@@ -681,36 +683,24 @@ def _reference_kernel_fn(sd, regime, kind="cos"):
     require_integrable(sd, regime, kind)
     if regime.kind is RegimeKind.EXACT:
         raise UnsupportedFormError("no closed transform for s=%g %s exact" % (sd.s, sd.cutoff.value))
-    se, pref = _regime_weight(sd, regime)
+    se, scale = _closed_scale(sd, regime)
     lam = sd.lam
     if sd.cutoff is Cutoff.ABRUPT:
-
-        def fn(tau):
-            tau = np.asarray(tau, dtype=float)
-            return pref * lam ** (se + 1.0) * _trig_power_ratio(se, lam * tau, kind)
-
-        return fn
-    if sd.cutoff is Cutoff.EXPONENTIAL:
+        transform = lambda x: _trig_power_ratio(se, x, kind)
+    elif sd.cutoff is Cutoff.EXPONENTIAL:
+        # Gamma(se+1) (1 + x^2)^(-(se+1)/2) trig((se+1) arctan x)
         trig = np.cos if kind == "cos" else np.sin
+        gamma = _sp.gamma(se + 1.0)
+        transform = lambda x: gamma * (1.0 + x**2) ** (-(se + 1.0) / 2.0) * trig((se + 1.0) * np.arctan(x))
+    else:
+        transform = _drude_transform(se, kind)
+    return lambda tau: scale * transform(lam * np.asarray(tau, dtype=float))
 
-        def fn(tau):
-            tau = np.asarray(tau, dtype=float)
-            return (
-                pref
-                * _sp.gamma(se + 1.0)
-                * lam ** (se + 1.0)
-                * (1.0 + (lam * tau) ** 2) ** (-(se + 1.0) / 2.0)
-                * trig((se + 1.0) * np.arctan(lam * tau))
-            )
 
-        return fn
-    transform = _drude_transform(se, kind)
-
-    def fn(tau):
-        tau = np.asarray(tau, dtype=float)
-        return pref * lam ** (se + 1.0) * transform(lam * tau)
-
-    return fn
+def _closed_scale(sd, regime):
+    """(se, C) of the closed transforms C T(Lam tau): C = pref Lam^(se+1), (se, pref) of ``_regime_weight``."""
+    se, pref = _regime_weight(sd, regime)
+    return se, pref * sd.lam ** (se + 1.0)
 
 
 def _oscillating_tail(sd, regime, kind="cos"):
@@ -719,12 +709,11 @@ def _oscillating_tail(sd, regime, kind="cos"):
     factor e^{i Lam tau} exactly: (start, parts) with start = 36/Lam and
     parts(tau) = (S, a) on a tau array > start, nu = S + Re[a e^{i Lam tau}]
     (eta for kind='sin'), S = C c_inf x^-(se+1) and a = -C (p + i q)/x (cos)
-    or i C (p + i q)/x (sin), C = pref Lam^(se+1), x = Lam tau
+    or i C (p + i q)/x (sin), C of ``_closed_scale``, x = Lam tau
     (``_trig_power_split``).  ``decoherence._kernel_for`` decides where it
     applies."""
-    se, pref = _regime_weight(sd, regime)
+    se, scale = _closed_scale(sd, regime)
     lam = sd.lam
-    scale = pref * lam ** (se + 1.0)
 
     def parts(tau):
         smooth, amp = _trig_power_split(se, lam * tau, kind)

@@ -153,12 +153,13 @@ def _build_objects(cfg):
 def _grid(cfg, var, spacing_key, lo, hi, n):
     """The grid of ``var`` ('t' or 'omega'): ``var``_points points (default n)
     from ``var``_min to ``var``_max (defaults lo, hi), spaced as the key
-    ``spacing_key`` says; ConfigError unless 0 <= min < max, both finite."""
-    lo = cfg.get(var + "_min", lo)
-    hi = cfg.get(var + "_max", hi)
-    n = cfg.get(var + "_points", n)
+    ``spacing_key`` says; ConfigError unless 0 <= min < max, both finite,
+    naming the values in effect and which of them are defaults."""
+    keys = (var + "_min", var + "_max", var + "_points")
+    lo, hi, n = values = [cfg.get(key, default) for key, default in zip(keys, (lo, hi, n))]
     if not (0 <= lo < hi < np.inf) or n < 2:
-        raise ConfigError("need finite 0 <= %s_min < %s_max and %s_points >= 2" % (var, var, var))
+        got = ", ".join("%s = %r%s" % (key, v, "" if key in cfg else " (default)") for key, v in zip(keys, values))
+        raise ConfigError("need finite 0 <= %s_min < %s_max and %s_points >= 2, got %s" % (var, var, var, got))
     if cfg[spacing_key] == "log":
         if lo <= 0:
             raise ConfigError("log grid needs %s_min > 0" % var)

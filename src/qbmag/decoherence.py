@@ -203,8 +203,12 @@ def _default_span(sd):
 
 
 def default_grid(sd):
-    """200 log-spaced times from 1e-3/Lam to min(1, LAM_TAU_MAX/Lam)."""
+    """200 log-spaced times from 1e-3/Lam to min(1, LAM_TAU_MAX/Lam); DomainError
+    where that span is empty, Lam <= 1e-3."""
     t_min, t_max, points = _default_span(sd)
+    if not t_min < t_max:
+        span = (t_min, LAM_TAU_MAX, t_max, sd.lam)
+        raise DomainError("the default time grid, 1e-3/Lam = %g to min(1, %g/Lam) = %g, is empty at Lam = %g" % span)
     return np.logspace(np.log10(t_min), np.log10(t_max), points)
 
 
@@ -251,7 +255,8 @@ def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
     for sep in seps:
         flags = fallback.copy()
         pref = np.array([sep.dx**2 + sep.dy**2, 2.0 * sep.dx * sep.dy])
-        d = int_lam @ pref
+        # each row summed on its own, whatever the grid's length
+        d = (int_lam * pref).sum(axis=1)
         dre = d.real
         mag = np.exp(-np.clip(dre, -_EXP_LIMIT, _EXP_LIMIT))
         clamped = dre > _EXP_LIMIT
@@ -261,7 +266,7 @@ def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
         if bad.any():
             mag[bad] = np.nan
             flags[bad] = FLAG_ERROR
-        est = np.abs(int_err @ pref) * mag
+        est = np.abs((int_err * pref).sum(axis=1)) * mag
         out.append(
             CurveSeries(
                 times=grid,

@@ -15,7 +15,8 @@ x'' = -w0^2 x + wc y', y'' = -w0^2 y - wc x' exactly.
 kernel against F1 and F2, taking the factor e^{i Lam tau} of a kernel split
 as S + Re[a e^{i Lam tau}] exactly (Filon panels); ``decoherence._moments``,
 its one caller, passes the kernel, its split and the panel rule that
-``decoherence._kernel_for`` chooses.
+``decoherence._kernel_for`` chooses.  Every panel is reduced on its own, so
+the moments at a time depend only on the grid up to it.
 """
 
 from dataclasses import dataclass
@@ -30,18 +31,17 @@ from .errors import DegenerateSystemError, DomainError
 class SystemParams:
     """Particle, trap, field and unit parameters (frequencies in gamma/m).
 
-    ``gamma`` and ``omega_th`` are read by nothing (the bath objects carry
-    them); they stay because the benchmark's workloads pass ``omega_th``."""
+    ``omega_th`` is read by nothing (the thermal regime carries it); it
+    stays because the benchmark's workloads pass it."""
 
     omega0: float
     omega_c: float
     m: float = 1.0
-    gamma: float = 1.0
     hbar: float = 1.0
     omega_th: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, ("omega0", "omega_c", "m", "gamma", "hbar", "omega_th"))
+        _require_finite(self, ("omega0", "omega_c", "m", "hbar", "omega_th"))
         if self.m <= 0 or self.hbar <= 0:
             raise DomainError("m and hbar must be > 0")
         if self.omega0 < 0 or self.omega_c < 0:
@@ -161,7 +161,7 @@ _FILON_REAL = _FILON.view(float).reshape(16, 64)
 #: j_k(theta), k < 16, takes its power series in -theta^2/2 (40 terms) up to
 #: theta = 2; up to 12 the series gives j_15 and j_14 and the downward
 #: recurrence the rest, past 12 the upward recurrence from j_0, j_1, each
-#: stable there: within 6e-16 of 40-digit mpmath
+#: stable there: within 7e-16 of 40-digit mpmath
 _BESSEL_SERIES_TOP, _BESSEL_DOWNWARD_TOP = 2.0, 12.0
 _K = np.arange(16.0)
 _M = np.arange(1.0, 40.0)[:, None]
@@ -173,13 +173,14 @@ _DOUBLE_FACTORIAL = np.cumprod(2.0 * _K + 1.0)
 
 def _bessel_j16(theta):
     """Spherical Bessel j_k(theta), k = 0 .. 15, for an array theta >= 0,
-    shape (theta, k); exact at theta = 0."""
+    shape (theta, k); exact at theta = 0.  A row depends on its theta alone."""
     out = np.empty((theta.size, 16))
     near = theta <= _BESSEL_DOWNWARD_TOP
     t = theta[near, None]
     powers = np.repeat(-0.5 * t * t, len(_BESSEL_SERIES), axis=1)
     powers[:, 0] = 1.0
-    out[near] = (np.cumprod(powers, axis=1) @ _BESSEL_SERIES) * t**_K / _DOUBLE_FACTORIAL
+    # one matrix product per theta
+    out[near] = (np.cumprod(powers, axis=1)[:, None] @ _BESSEL_SERIES)[:, 0] * t**_K / _DOUBLE_FACTORIAL
     rec = theta > _BESSEL_SERIES_TOP
     t = theta[rec]
     down = t <= _BESSEL_DOWNWARD_TOP
@@ -203,9 +204,10 @@ def _filon_weights(theta):
     an array, shape (theta, node, rule), rules as in ``_PANEL_W``: the full
     rule integrates the degree-15 interpolant of g at the 16 Gauss nodes
     exactly, the embedded rule the degree-7 one at the 8-node subset.  At
-    theta = 0 the weights are ``_PANEL_W`` exactly."""
+    theta = 0 the weights are ``_PANEL_W`` exactly.  Each theta takes its own
+    matrix product, so its weights do not depend on the other theta."""
     j = _bessel_j16(np.asarray(theta, dtype=float))
-    return (j @ _FILON_REAL).view(complex).reshape(len(j), 16, 2)
+    return (j[:, None] @ _FILON_REAL).view(complex).reshape(len(j), 16, 2)
 
 
 #: longest tail panel relative to the start of its grid interval
@@ -274,18 +276,10 @@ def _panel_edges(grid, mode_freq, lam, until, tail=np.inf):
     return np.concatenate([[0.0], upper]), np.cumsum(np.bincount(owner[seg], minlength=len(grid)))
 
 
-def _tail_block(parts, lam, u, fs, mid, half):
-    """Panel sums of (nu F, u nu F) by both rules, shape (moment, column, panel,
-    rule), on panels where nu = S + Re[a e^{i Lam u}] with (S, a) = parts(u):
-    S F by the Gauss rules, a F e^{i Lam u} by the Filon weights of the
-    panel's Lam h, computed once per distinct h."""
-    smooth, amp = (v.reshape(u.shape) for v in parts(u.ravel()))
-    sv, av = smooth * fs, amp * fs
-    theta, which = np.unique(lam * half, return_inverse=True)
-    weights = _filon_weights(theta)[which]
-    osc = np.matmul(np.stack([av, av * u]).transpose(2, 0, 1, 3).reshape(len(mid), 4, 16), weights)
-    osc = (osc * np.exp(1j * lam * mid)[:, None, None]).real
-    return np.stack([sv, sv * u]) @ _PANEL_W + osc.reshape(len(mid), 2, 2, 2).transpose(1, 2, 0, 3)
+def _moment_values(values, fs, u):
+    """nu F and u nu F for kernel values nu (panel, node), as (panel, moment x column, node)."""
+    v = values[:, None] * fs
+    return np.stack([v, v * u[:, None]], axis=1).reshape(len(u), 4, 16)
 
 
 def time_moments(sys, kernel, grid, lam, until, parts=None):
@@ -306,15 +300,16 @@ def time_moments(sys, kernel, grid, lam, until, parts=None):
     the grid intervals that start past ``until`` span at most half the
     interval's start, over which S and a, powers of u, are nearly
     polynomial.  A panel that starts at or past ``until`` calls ``parts``
-    instead of ``kernel`` and integrates S F by the Gauss rule and
-    a F e^{i Lam u} by the Filon weights of ``_filon_weights``, which take
-    the oscillating factor exactly.
+    instead of ``kernel``; its S takes the Gauss rule of the kernel values,
+    and a F e^{i Lam u} the Filon weights of ``_filon_weights``.
 
     The panels of the whole grid are laid out at once and evaluated in
     blocks of at most ``_NODE_BLOCK`` nodes: one F1, F2 evaluation and one
-    kernel call (one parts call for the block's tail panels) per block,
-    each panel reduced by the 16-node rule and the embedded 8-node rule on
-    the same values, and a running sum carried from block to block.
+    kernel call (one parts call for the block's split panels) per block.
+    Each panel is reduced on its own, one matrix product per panel, by the
+    16-node rule and the embedded 8-node rule on the same values, and a
+    running sum adds the panels in order, so a row of the moments depends
+    only on the grid up to its time and on no block size.
     Memory is O(block + grid), time O(nodes).  A kernel that overflows
     gives non-finite moments from that panel on, without numpy warnings;
     callers flag them.
@@ -326,26 +321,31 @@ def time_moments(sys, kernel, grid, lam, until, parts=None):
     n_panels = len(mid)
     n_head = int(np.searchsorted(edges[:-1], start))  # panels that start below `start`
     per_block = max(1, _NODE_BLOCK // 16)
-    run = np.zeros((1, 4, 2), dtype=complex)  # c0, c1, d0, d1
+    run = np.zeros((1, 4, 2), dtype=complex)  # (panel, moment x column, rule)
     out = np.zeros((len(counts), 4, 2), dtype=complex)
     for p0 in range(0, n_panels, per_block):
         p1 = min(n_panels, p0 + per_block)
         u = mid[p0:p1, None] + half[p0:p1, None] * _GX
-        flat = u.ravel()
-        fs = np.stack([f_weight(sys, flat, "F1"), f_weight(sys, flat, "F2")]).reshape(2, *u.shape)
+        fs = np.stack([f_weight(sys, u, "F1"), f_weight(sys, u, "F2")], axis=1)  # (panel, column, node)
         cut = min(max(n_head - p0, 0), p1 - p0)  # the block's panels that start below `start`
-        sums = []  # (moment, column, panel, rule)
+        split = cut < p1 - p0
         with np.errstate(over="ignore", invalid="ignore"):
-            if cut:
-                vals = np.asarray(kernel(flat[: 16 * cut])).reshape(cut, 16) * fs[:, :cut]
-                sums.append(np.stack([vals, vals * u[:cut]]) @ _PANEL_W)
-            if cut < p1 - p0:
-                sums.append(_tail_block(parts, lam, u[cut:], fs[:, cut:], mid[p0 + cut : p1], half[p0 + cut : p1]))
-            part = (sums[0] if len(sums) == 1 else np.concatenate(sums, axis=2)) * half[p0:p1, None]
-            # -> (panel, rule x moment, column)
-            part = part.transpose(2, 3, 0, 1).reshape(p1 - p0, 4, 2)
+            vals = [np.asarray(kernel(u[:cut].ravel())).reshape(cut, 16)] if cut else []
+            if split:
+                smooth, amp = (v.reshape(u[cut:].shape) for v in parts(u[cut:].ravel()))
+                vals.append(smooth)
+            # the kernel values, S on the split panels, by both rules
+            part = _moment_values(np.concatenate(vals), fs, u) @ _PANEL_W
+            if split:
+                # the split panels add a F e^{i Lam u} by the Filon weights
+                # of their Lam h, computed once per distinct h
+                theta, which = np.unique(lam * half[p0 + cut : p1], return_inverse=True)
+                osc = _moment_values(amp, fs[cut:], u[cut:]) @ _filon_weights(theta)[which]
+                part[cut:] += (osc * np.exp(1j * lam * mid[p0 + cut : p1])[:, None, None]).real
+            part = part * half[p0:p1, None, None]
             total = np.cumsum(np.concatenate([run, part]), axis=0)
         rows = slice(np.searchsorted(counts, p0, "right"), np.searchsorted(counts, p1, "right"))
         out[rows] = total[counts[rows] - p0]
         run = total[-1:]
-    return TimeMoments(*out.transpose(1, 0, 2), nodes=16 * n_panels, panels=n_panels)
+    c, d = out[..., 0], out[..., 1]
+    return TimeMoments(c[:, :2], c[:, 2:], d[:, :2], d[:, 2:], nodes=16 * n_panels, panels=n_panels)

@@ -578,6 +578,10 @@ def test_curve_config_errors_exit_2(tmp_path, capsys, text, match):
         ("spectra", "lam=3\nomega_grid=cubic\n", "omega_grid must be"),
         ("spectra", "lam=3\nomega_min=4\nomega_max=2\n", "omega_min < omega_max"),
         ("spectra", "lam=-3\n", "cutoff frequency must be > 0"),
+        # the default spans are empty: omega from 1 to 5 Lam for Lam <= 0.2,
+        # t from 1e-3/Lam to min(1, 700/Lam) for Lam <= 1e-3
+        ("spectra", "lam=0.1\n", "got omega_min = 1.0 (default), omega_max = 0.5 (default), omega_points = 400 (default)"),
+        ("curve", CURVE_CFG.replace("lam=1e3", "lam=1e-4"), "got t_min = 10.0 (default), t_max = 1.0 (default), t_points = 30"),
     ],
 )
 def test_invalid_grid_or_method_exit_2_without_warning(tmp_path, capsys, command, text, match):

@@ -206,6 +206,13 @@ def test_default_grid_shape():
     assert np.all(np.diff(g) > 0)
 
 
+def test_default_grid_rejects_an_empty_span():
+    # 1e-3/Lam reaches min(1, 700/Lam) for Lam <= 1e-3
+    sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e-4)
+    with pytest.raises(DomainError, match=r"default time grid, 1e-3/Lam = 10 to min\(1, 700/Lam\) = 1, is empty"):
+        curve(SYS, sd, LOW, SEP)
+
+
 def test_curve_closed_method_matches_quadrature_for_exact_kernels():
     grid = np.logspace(-5, np.log10(0.5), 50)
     a = curve(SYS, SD, HIGH, SEP, grid, method="quadrature")
@@ -283,6 +290,35 @@ def test_kernel_value_depends_only_on_tau(cutoff, s, rkind, method):
     bits = lambda v: v.view(np.int64)
     assert np.count_nonzero(bits(alone) != bits(together)) == 0
     assert np.count_nonzero(bits(split) != bits(together)) == 0
+
+
+_PREFIX_CASES = [
+    (cutoff, s, lam, rkind, "quadrature")
+    for cutoff in Cutoff
+    for s in (0.5, 1.0, 1.5)
+    for rkind in RegimeKind
+    for lam in ((50.0,) if rkind is RegimeKind.EXACT else (50.0, 1300.0))
+] + [(Cutoff.DRUDE_LORENTZ, 1.0, lam, RegimeKind.HIGH_TEMPERATURE, "closed") for lam in (50.0, 1300.0)]
+
+
+def test_curve_row_depends_only_on_the_grid_up_to_it():
+    # D(t) is a cumulative integral, so cutting the grid short changes no bit
+    # of the rows it keeps: 3 cutoffs x {high, low, exact} x 3 s, the closed
+    # pole sum, on the 200-point default grid and its prefixes
+    sys = SystemParams(omega0=10.0, omega_c=1.0)
+    sep = Separation(0.8, 1.1)
+    bits = lambda v: np.asarray(v).tobytes()
+    for cutoff, s, lam, rkind, method in _PREFIX_CASES:
+        sd = SpectralDensity(s, cutoff, lam, 1.3)
+        regime = ThermalRegime(rkind, 17.0)
+        grid = default_grid(sd)
+        full = curve(sys, sd, regime, sep, grid, method)
+        for n in (1, 37, 101, 160):
+            cut = curve(sys, sd, regime, sep, grid[:n], method)
+            case = (cutoff.value, s, lam, rkind.value, method, n)
+            assert cut.method == full.method[:n], case
+            for name in ("times", "magnitude", "phase", "lambda1", "lambda2", "err_flag", "est_error"):
+                assert bits(getattr(cut, name)) == bits(getattr(full, name)[:n]), (name,) + case
 
 
 def test_curve_grid_validation():
