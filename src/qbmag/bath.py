@@ -60,6 +60,14 @@ def _require_finite(obj, fields):
             raise DomainError("%s must be finite, got %r" % (name, getattr(obj, name)))
 
 
+def _finite_nonnegative(name, value):
+    """``value`` as a float array; DomainError unless every entry is finite and >= 0."""
+    arr = np.asarray(value, dtype=float)
+    if not ((arr >= 0) & (arr < np.inf)).all():
+        raise DomainError("%s must be finite and >= 0" % name)
+    return arr
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
     """Bath spectral density J(w) = gamma * w^s * cutoff envelope."""
@@ -103,9 +111,7 @@ _LOW = ThermalRegime(RegimeKind.LOW_TEMPERATURE)
 
 def spectral_density(sd, omega):
     """J(omega) for scalar or array omega, finite and >= 0 (DomainError otherwise)."""
-    w = np.asarray(omega, dtype=float)
-    if not np.all((w >= 0) & (w < np.inf)):
-        raise DomainError("omega must be finite and >= 0")
+    w = _finite_nonnegative("omega", omega)
     out = sd.gamma * w**sd.s * _envelope(sd, _ARRAY)(w)
     return out if out.ndim else float(out)
 
@@ -234,9 +240,7 @@ _DRUDE_TAIL_TERMS = 4
 
 
 def _kernel_quadrature(sd, regime, tau, kind):
-    tau = float(tau)
-    if not 0.0 <= tau < np.inf:
-        raise DomainError("tau must be finite and >= 0")
+    tau = float(_finite_nonnegative("tau", tau))
     p, g, upper = _integrand_parts(sd, regime, _FLOAT)
     trig = getattr(_FLOAT, kind)
     part = lambda w: w**p * g(w)
@@ -725,9 +729,7 @@ def _oscillating_tail(sd, regime, kind="cos"):
 def _reference_value(sd, regime, kind, tau):
     """The closed transform at scalar or array tau, or UnsupportedFormError."""
     fn = _reference_kernel_fn(sd, regime, kind)
-    tarr = np.asarray(tau, dtype=float)
-    if not np.all((tarr >= 0) & (tarr < np.inf)):
-        raise DomainError("tau must be finite and >= 0")
+    tarr = _finite_nonnegative("tau", tau)
     out = fn(tarr)
     return out if np.ndim(tau) else float(out)
 
@@ -855,9 +857,7 @@ def noise_kernel_closed_parts(sd, regime, tau):
     integrate, but they are *not* transforms of the coth-approximated
     defining integral; ``noise_kernel_reference`` provides the latter.
     """
-    tarr = np.asarray(tau, dtype=float)
-    if not np.all((tarr >= 0) & (tarr < np.inf)):
-        raise DomainError("tau must be finite and >= 0")
+    tarr = _finite_nonnegative("tau", tau)
     err = closed_kernel_error(sd, regime, float(np.max(tarr, initial=0.0)))
     if err is not None:
         raise err

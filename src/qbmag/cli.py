@@ -14,11 +14,10 @@ A sweep groups its points by every config value except the separation
 (``decoherence.curves``) serves them all.  Groups run in this process, and
 after each one the CPU time spent so far is taken: once its mean per group
 times the number of groups left exceeds the pool's break-even, and two or
-more groups are left, those go to a process pool.  ``--workers`` or
-``QBM_WORKERS`` (unset or 0: all cores) caps the pool; a ``--workers``
-below 1 or a ``QBM_WORKERS`` that is not a non-negative integer is a
-config error.  Every point file and the manifest are the same whichever
-way the groups ran.
+more groups are left, those go to a process pool.  ``--workers``
+(default: every core) caps the pool; a ``--workers`` below 1 is a config
+error.  Every point file and the manifest are the same whichever way the
+groups ran.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
 error (partial output is kept with the err_flag column set).
@@ -331,20 +330,12 @@ def _read_config(path):
 
 
 def _worker_count(arg):
-    """The pool's upper bound: ``--workers``, else ``QBM_WORKERS``, where
-    unset or 0 means every core."""
-    if arg is not None:
-        if arg < 1:
-            raise ConfigError("--workers must be at least 1, got %d" % arg)
-        return arg
-    env = os.environ.get("QBM_WORKERS", "0")
-    try:
-        workers = int(env)
-    except ValueError:
-        raise ConfigError("QBM_WORKERS must be an integer, got %r" % env)
-    if workers < 0:
-        raise ConfigError("QBM_WORKERS must be 0 (all cores) or more, got %d" % workers)
-    return workers or (os.cpu_count() or 1)
+    """The pool's upper bound: ``--workers``, else every core."""
+    if arg is None:
+        return os.cpu_count() or 1
+    if arg < 1:
+        raise ConfigError("--workers must be at least 1, got %d" % arg)
+    return arg
 
 
 def main(argv=None):

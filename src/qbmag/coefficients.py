@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as _sp
 
-from .bath import Cutoff, RegimeKind, closed_kernel_error
+from .bath import Cutoff, RegimeKind, _finite_nonnegative, closed_kernel_error
 from .bath import noise_kernel_quadrature  # unused here; perfbench/trace.py wraps this binding
 from .dynamics import f_weight, mode_constants
 from .errors import DomainError, RangeError, UnsupportedFormError
@@ -379,8 +379,7 @@ def lambda_closed(sys, sd, regime, t, variant="validated"):
         raise UnsupportedFormError("no closed coefficient forms in the exact regime")
     if sd.s != 1.0:
         raise UnsupportedFormError("closed coefficient forms exist for the Ohmic bath only")
-    if not 0 <= t < np.inf:
-        raise DomainError("t must be finite and >= 0")
+    _finite_nonnegative("t", t)
     if t == 0:
         # every closed form vanishes term by term
         no_l2 = sd.cutoff is Cutoff.ABRUPT and regime.kind is RegimeKind.LOW_TEMPERATURE
@@ -421,8 +420,7 @@ def lambda_from_kernel(sys, kernel, t):
     Returns a LambdaPair; the same-kernel oracle used to validate the
     analytic forms.
     """
-    if not 0 <= t < np.inf:
-        raise DomainError("t must be finite and >= 0")
+    _finite_nonnegative("t", t)
     if t == 0:
         return LambdaPair(0j, 0j, 0.0, "same-kernel-quadrature", 0.0)
     out = []

@@ -32,6 +32,7 @@ from .bath import (
     _reference_kernel_fn,
     closed_kernel_error,
     noise_kernel_closed_parts,
+    require_integrable,
 )
 from .bath import noise_kernel_quadrature  # unused here; perfbench/trace.py wraps this binding
 from .dynamics import TimeMoments, mode_constants, time_moments
@@ -119,11 +120,13 @@ def _kernel_for(sd, regime, method="quadrature", kind="cos"):
 
 def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
     """``time_moments`` of the plan ``_kernel_for`` makes, on a finite, strictly
-    increasing grid >= 0 (DomainError otherwise); zero, with no kernel, at gamma = 0."""
+    increasing grid >= 0 (DomainError otherwise); zero, with no kernel, at
+    gamma = 0, for a kernel that would be integrable at gamma > 0."""
     grid = np.asarray(grid, dtype=float)
     good = grid.ndim == 1 and len(grid) and np.all(np.isfinite(grid)) and grid[0] >= 0
     if not (good and np.all(np.diff(grid) > 0)):
         raise DomainError("grid must be finite, strictly increasing and start at >= 0")
+    require_integrable(sd, regime, kind)
     if sd.gamma == 0.0:
         zeros = np.zeros((len(grid), 2), dtype=complex)
         return TimeMoments(zeros, zeros, zeros, zeros, nodes=0, panels=0)

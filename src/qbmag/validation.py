@@ -183,7 +183,6 @@ def _eom_residual(sys, tau):
 def check_criterion_8():
     """Structural invariants: M+P, F-weights at 0, T(0), EOM residual,
     magnitude(0), separation symmetries, gamma linearity."""
-    t0 = time.time()
     rng = np.random.default_rng(_SEED + 2)
     measured = {}
     ok = True
@@ -225,18 +224,16 @@ def check_criterion_8():
     l2 = coefficients.lambda_closed(sys, sd2, hi, 0.07).lambda1
     measured["gamma_linearity"] = _relerr(l2, 2 * l1)
     ok &= measured["gamma_linearity"] < 1e-13
-    measured["runtime_s"] = time.time() - t0
     return _result(
         "criterion-8",
-        ok and measured["runtime_s"] < 10.0,
+        ok,
         measured,
-        "identities 1e-12, EOM 1e-6 relative, symmetries machine precision, runtime < 10 s",
+        "identities 1e-12, EOM 1e-6 relative, symmetries machine precision",
         "algebraic identities; central finite differences of T columns",
     )
 
 
 def check_criterion_1():
-    t0 = time.time()
     lam = 1e6
     omega = np.logspace(0, 3, 400)
     js = [
@@ -247,12 +244,11 @@ def check_criterion_1():
     for i in range(3):
         for j in range(i + 1, 3):
             worst = max(worst, np.max(np.abs(js[i] - js[j]) / js[j]))
-    dt = time.time() - t0
     return _result(
         "criterion-1",
-        worst < 0.002 and dt < 1.0,
-        {"max_pairwise_rel_spread": worst, "runtime_s": dt},
-        "0.2% for omega in [1, 1e3] at Lam = 1e6; runtime < 1 s",
+        worst < 0.002,
+        {"max_pairwise_rel_spread": worst},
+        "0.2% for omega in [1, 1e3] at Lam = 1e6",
         "pairwise comparison of the three cutoff models",
     )
 
@@ -274,28 +270,24 @@ def _fit_rate(sys, sd, regime, sep, window):
 
 
 def check_criterion_2():
-    t0 = time.time()
     sys = SystemParams(omega0=10.0, omega_c=1.0)
     sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3, 1.0)
     hi = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 1e3)
     sep = Separation(1.0, 1.0)
     rate, npts = _fit_rate(sys, sd, hi, sep, (0.05, 0.5))
     law = decoherence.hightemp_rate(sys, sd, hi, sep)
-    ok = abs(rate - law) <= 0.05 * law
-    dt = time.time() - t0
     return _result(
         "criterion-2",
-        ok and dt < 30.0,
+        abs(rate - law) <= 0.05 * law,
         {
             "fitted_rate": rate,
             "catalogued_law": law,
             "ratio": rate / law,
             "ratio_over_pi": rate / (np.pi * law),
             "fit_points": npts,
-            "runtime_s": dt,
             "note": "fitted rate is pi x the catalogued law (Si(inf)=pi/2 per mode weight); quadrature is authoritative",
         },
-        "5% of gamma Omega_th (dx^2+dy^2)/(2 hbar) = 1e3; runtime < 30 s",
+        "5% of gamma Omega_th (dx^2+dy^2)/(2 hbar) = 1e3",
         "linear fit of -ln|rho/rho0| vs t on [0.05, 0.5], quadrature path",
     )
 
@@ -319,7 +311,6 @@ def check_criterion_3():
 
 
 def check_criterion_4():
-    t0 = time.time()
     sys = SystemParams(omega0=1e-3, omega_c=1e-3)
     sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3, 1.0)
     lo = ThermalRegime(RegimeKind.LOW_TEMPERATURE)
@@ -335,19 +326,17 @@ def check_criterion_4():
     logc_paperform = np.log(c_const)
     slope_ok = abs(-slope - exponent) <= 0.10 * exponent
     icpt_ok = abs(-icpt - logc_paperform) <= 0.15 * abs(logc_paperform)
-    dt = time.time() - t0
     return _result(
         "criterion-4",
-        slope_ok and icpt_ok and dt < 60.0,
+        slope_ok and icpt_ok,
         {
             "slope": float(slope),
             "expected_exponent": -exponent,
             "neg_intercept": float(-icpt),
             "logc_formula": float(logc_paperform),
             "fit_points": int(win.sum()),
-            "runtime_s": dt,
         },
-        "slope within 10% of -2; intercept within 15% of the log(c) formula; runtime < 60 s",
+        "slope within 10% of -2; intercept within 15% of the log(c) formula",
         "log-log fit of the quadrature curve on omega0 t < 0.1 < Lam t / 100",
     )
 
@@ -429,7 +418,6 @@ def check_criterion_5():
 
 
 def check_criterion_6():
-    t0 = time.time()
     lam = 50.0
     oth = 7.0
     worst = {}
@@ -440,12 +428,11 @@ def check_criterion_6():
                 regime = ThermalRegime(rkind, oth)
                 xs = np.logspace(-3, np.log10(15.0), 20)
                 worst["s=%g-%s-%s" % (s, cutoff.value, rkind.value)] = _reference_gap(sd, regime, xs)
-    ok = max(worst.values()) < 1e-4
     return _result(
         "criterion-6",
-        ok and time.time() - t0 < 120.0,
-        {"worst_rel": worst, "runtime_s": time.time() - t0},
-        "1e-4 relative at 20 points per kernel inside Lam tau in [1e-3, 15]; runtime < 120 s",
+        max(worst.values()) < 1e-4,
+        {"worst_rel": worst},
+        "1e-4 relative at 20 points per kernel inside Lam tau in [1e-3, 15]",
         "defining integral int J(w) coth-factor cos(w tau) dw by adaptive/Euler quadrature",
     )
 
@@ -636,17 +623,34 @@ _FULL_EXTRA_CHECKS = (
 )
 
 
+#: seconds a check may take, by check name; ``run_checks`` fails a check
+#: that runs past its budget
+_RUNTIME_BUDGET_S = {
+    "criterion-1": 1.0,
+    "criterion-2": 30.0,
+    "criterion-4": 60.0,
+    "criterion-6": 120.0,
+    "criterion-8": 10.0,
+}
+
+
 def run_checks(level="fast"):
     """Run the validation suite; level 'full' adds the expensive criteria
     and the exact-regime Drude-Lorentz oscillatory cross-check.  Every check
-    reports ``runtime_s``; a check that budgets its own keeps its value."""
+    is timed once, here, into its ``runtime_s``; a check with a budget in
+    ``_RUNTIME_BUDGET_S`` states it in its tolerance and fails past it."""
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     report = ValidationReport(level=level)
     fns = _FAST_CHECKS + (_FULL_EXTRA_CHECKS if level == "full" else ())
     for fn in fns:
-        t0 = time.time()
+        start = time.perf_counter()
         result = fn()
-        result.measured.setdefault("runtime_s", time.time() - t0)
+        runtime = result.measured["runtime_s"] = time.perf_counter() - start
+        budget = _RUNTIME_BUDGET_S.get(result.name)
+        if budget is not None:
+            result.tolerance += "; runtime < %g s" % budget
+            if runtime >= budget:
+                result.status = "fail"
         report.checks.append(result)
     return report

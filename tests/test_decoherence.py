@@ -577,6 +577,12 @@ def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
             "not integrable",
         ),
         (lambda: frequency_shift(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0), 0.1), "not integrable"),
+        # at gamma = 0 as at gamma > 0, though no kernel is needed
+        (lambda: curve(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, SEP), "not integrable"),
+        (lambda: curves(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, [SEP]), "not integrable"),
+        (lambda: exponents(SYS, SpectralDensity(3.2, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), HIGH, SEP, 0.1), "not integrable"),
+        (lambda: density_ratio(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, SEP, 0.1), "not integrable"),
+        (lambda: frequency_shift(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), 0.1), "not integrable"),
     ],
 )
 def test_decoherence_rejects_out_of_domain_input(call, match):

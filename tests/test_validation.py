@@ -11,14 +11,25 @@ def test_every_check_reports_its_runtime(full_validation):
         assert c.measured["runtime_s"] >= 0.0, c.name
 
 
-def test_run_checks_keeps_a_check_own_runtime(monkeypatch):
-    own = lambda: validation._result("own", True, {"runtime_s": 123.0}, "", "")
-    bare = lambda: validation._result("bare", True, {"value": 1.0}, "", "")
-    monkeypatch.setattr(validation, "_FAST_CHECKS", (own, bare))
-    report = validation.run_checks("fast")
-    assert report.checks[0].measured["runtime_s"] == 123.0
-    assert set(report.checks[1].measured) == {"value", "runtime_s"}
-    assert 0.0 <= report.checks[1].measured["runtime_s"] < 1.0
+def test_run_checks_fails_a_check_past_its_budget(monkeypatch):
+    # no check runs in 0 s, and every fast check runs within 1e9 s
+    monkeypatch.setattr(validation, "_RUNTIME_BUDGET_S", {"criterion-1": 0.0, "criterion-8": 1e9})
+    checks = {c.name: c for c in validation.run_checks("fast").checks}
+    assert checks["criterion-1"].status == "fail"
+    assert checks["criterion-1"].tolerance.endswith("; runtime < 0 s")
+    assert checks["criterion-8"].status == "pass"
+    assert checks["criterion-8"].tolerance.endswith("; runtime < 1e+09 s")
+    assert "runtime" not in checks["specfun-si-ci"].tolerance
+
+
+def test_every_budget_names_a_check(full_validation):
+    names = {c.name for c in full_validation.report.checks}
+    assert set(validation._RUNTIME_BUDGET_S) <= names
+    for c in full_validation.report.checks:
+        budget = validation._RUNTIME_BUDGET_S.get(c.name)
+        assert c.tolerance.count("runtime <") == (budget is not None), c.name
+        if budget is not None:
+            assert c.tolerance.endswith("; runtime < %g s" % budget), c.name
 
 
 def test_criterion_5_integrates_what_closed_curves_compute(monkeypatch):
