@@ -41,6 +41,11 @@ from .errors import ConvergenceError, DomainError, PoleError, RangeError, Unsupp
 
 _GLX, _GLW = np.polynomial.legendre.leggauss(12)
 
+#: the 16-node Gauss-Legendre rule of the Bose term's panels and of the time
+#: integration's panels (``dynamics``), built once and shared read-only
+_GX16, _GW16 = np.polynomial.legendre.leggauss(16)
+_GX16.flags.writeable = _GW16.flags.writeable = False
+
 
 class Cutoff(str, enum.Enum):
     ABRUPT = "abrupt"
@@ -787,7 +792,6 @@ def _bose_kernel_fn(sd, omega_th):
     of the largest.
     """
     beta = 2.0 * sd.s - 1.0
-    gx, gw = np.polynomial.legendre.leggauss(16)
     ju, jw = _jacobi_rule01(16, beta)
     jw = jw / ju**beta  # a rule for int_0^1 f(u) du with f ~ u^beta
     abrupt = sd.cutoff is Cutoff.ABRUPT
@@ -803,8 +807,8 @@ def _bose_kernel_fn(sd, omega_th):
         half_periods = np.arange(1.0, n_half) * (x_top**2 / n_half)
         xe = np.sqrt(np.union1d(w_edges, half_periods))
         mid, half = 0.5 * (xe[1:] + xe[:-1]), 0.5 * (xe[1:] - xe[:-1])
-        x = np.concatenate([xe[0] * ju, (mid[:, None] + half[:, None] * gx).ravel()])
-        weight = np.concatenate([xe[0] * jw, (half[:, None] * gw).ravel()])
+        x = np.concatenate([xe[0] * ju, (mid[:, None] + half[:, None] * _GX16).ravel()])
+        weight = np.concatenate([xe[0] * jw, (half[:, None] * _GW16).ravel()])
         omega = x * x
         return omega, weight * 2.0 * x * spectral_density(sd, omega) * 2.0 / np.expm1(2.0 * omega / omega_th)
 

@@ -14,7 +14,8 @@ made in blocks of nodes (``dynamics.time_moments``).
 
 ``_moments``, the one entry to that engine for curves, criterion 5 and
 ``frequency_shift``, checks the grid and carries out the plan of
-``_kernel_for``: the kernel, how far panels resolve Lam and its split.
+``_kernel_for``: the kernel, how far panels resolve Lam, its split and how
+far the first grid interval is refined towards 0.
 """
 
 from dataclasses import dataclass
@@ -84,8 +85,8 @@ class CurveSeries:
 
 
 def _kernel_for(sd, regime, method="quadrature", kind="cos"):
-    """(kernel, until, parts): the vectorised nu, or with kind='sin' and the
-    low regime eta, and how ``time_moments`` integrates it.
+    """(kernel, until, parts, floor): the vectorised nu, or with kind='sin'
+    and the low regime eta, and how ``time_moments`` integrates it.
 
     Every kernel is the closed transform of the defining integral, in the
     exact regime the closed low-temperature transform plus the Bose term.
@@ -103,19 +104,27 @@ def _kernel_for(sd, regime, method="quadrature", kind="cos"):
     split, the exact-regime abrupt kernel (its Bose term is cut at Lam when
     40 Omega_th > Lam), and for the pole-sum form, which grows as
     cosh(Lam tau); every other kernel has settled past 30/Lam.  ``parts`` is
-    None for all but the split kernels."""
+    None for all but the split kernels.
+
+    ``floor`` is the head rule: the engine halves the first grid interval
+    towards tau = 0 until its innermost piece is at most ``floor``.  It is
+    1/Lam for the abrupt and exponential kernels, in every regime, nu and
+    eta: they are analytic for |Im tau| < 1/Lam.  It is 0, the engine's 42
+    halvings, for the Drude-Lorentz kernels, the pole sum included, whose
+    algebraic tail J c ~ w^(se-2) gives tau^(1-se) or log terms at tau = 0."""
     settled = 30.0 / sd.lam
     abrupt = sd.cutoff is Cutoff.ABRUPT
     if method == "closed" and kind == "cos" and _pole_sum(sd):
-        return (lambda taus: noise_kernel_closed_parts(sd, regime, taus)), np.inf, None
+        return (lambda taus: noise_kernel_closed_parts(sd, regime, taus)), np.inf, None, 0.0
+    floor = 0.0 if sd.cutoff is Cutoff.DRUDE_LORENTZ else 1.0 / sd.lam
     if regime.kind is RegimeKind.EXACT:
         low = _reference_kernel_fn(sd, _LOW, kind)
         bose = _bose_kernel_fn(sd, regime.omega_th)
-        return (lambda taus: low(taus) + bose(taus)), (np.inf if abrupt else settled), None
+        return (lambda taus: low(taus) + bose(taus)), (np.inf if abrupt else settled), None, floor
     kernel = _reference_kernel_fn(sd, regime, kind)
     if abrupt:
-        return (kernel, *_oscillating_tail(sd, regime, kind))
-    return kernel, settled, None
+        return (kernel, *_oscillating_tail(sd, regime, kind), floor)
+    return kernel, settled, None, floor
 
 
 def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
@@ -130,8 +139,8 @@ def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
     if sd.gamma == 0.0:
         zeros = np.zeros((len(grid), 2), dtype=complex)
         return TimeMoments(zeros, zeros, zeros, zeros, nodes=0, panels=0)
-    kernel, until, parts = _kernel_for(sd, regime, method, kind)
-    return time_moments(sys, kernel, grid, sd.lam, until, parts)
+    kernel, until, parts, floor = _kernel_for(sd, regime, method, kind)
+    return time_moments(sys, kernel, grid, sd.lam, until, parts, floor)
 
 
 def _exponent_arrays(sys, sd, regime, grid, method):
@@ -232,8 +241,9 @@ def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
     invalid: past the cosh overflow window of the pole sum, in the exact regime.
 
     Exact-regime curves integrate the closed low-temperature transform plus
-    the Bose term of ``bath._bose_kernel_fn`` and cost tens of milliseconds
-    on a default grid.
+    the Bose term of ``bath._bose_kernel_fn``; on a default grid at Lam = 50,
+    Omega_th = 17 one costs 7-45 ms on a 2-vCPU VM, and the cost grows with
+    Omega_th and the grid's end.
     """
     if grid is None:
         grid = default_grid(sd)

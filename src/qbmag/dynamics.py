@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import _require_finite
+from .bath import _GW16 as _GW, _GX16 as _GX, _require_finite
 from .errors import DegenerateSystemError, DomainError
 
 
@@ -131,11 +131,11 @@ def heisenberg_transfer(sys, tau):
     )
 
 
-#: 16-node Gauss-Legendre panel rule of the time integration, and the weights
-#: of the 8-node interpolatory rule on its symmetric node subset (degree 7,
-#: positive weights) whose difference from the full rule is the error estimate:
-#: row k of the inverse moment matrix _SUB_INV maps int P_k to the weights
-_GX, _GW = np.polynomial.legendre.leggauss(16)
+#: the panel rule of the time integration is the 16-node Gauss-Legendre rule
+#: _GX, _GW of ``bath``; the weights of the 8-node interpolatory rule on its
+#: symmetric node subset (degree 7, positive weights) whose difference from
+#: the full rule is the error estimate: row k of the inverse moment matrix
+#: _SUB_INV maps int P_k to the weights
 _SUB = np.array([0, 2, 4, 6, 9, 11, 13, 15])
 _SUB_INV = np.linalg.inv(np.polynomial.legendre.legvander(_GX[_SUB], 7).T).T
 _SUBW = 2.0 * _SUB_INV[0]
@@ -247,12 +247,14 @@ def _split(lo, hi, pieces):
     return ends, seg
 
 
-def _panel_edges(grid, mode_freq, lam, until, tail=np.inf):
+def _panel_edges(grid, mode_freq, lam, until, tail=np.inf, floor=0.0):
     """Gauss panel edges over [0, grid[-1]] for an increasing grid >= 0, and
     the number of panels up to and including each grid point.
 
-    The interval [0, b] is first cut geometrically at b 2^-42 ... b/2, b;
-    every part, and every other grid interval, is then split into
+    The first grid interval [0, b] is first cut geometrically at
+    b 2^-L ... b/2, b, with L = ceil(log2(b/floor)) clipped to [0, 42] (42
+    for floor 0), so that its innermost piece is at most ``floor`` unless L
+    is 42; every part, and every other grid interval, is then split into
     ceil(length/maxlen) equal panels, maxlen half a period of the mode
     frequency A' + B', plus Lam on the grid intervals that start below
     ``until``.  On the grid intervals that start at a >= ``tail`` maxlen is
@@ -267,7 +269,10 @@ def _panel_edges(grid, mode_freq, lam, until, tail=np.inf):
     maxlen = np.where(a >= tail, np.minimum(maxlen, _TAIL_SPAN * a), maxlen)
     head = np.nonzero(live & (a == 0.0))[0]  # the first live interval, if any
     rest = np.nonzero(live & (a > 0.0))[0]
-    geometric = grid[head, None] * 2.0 ** -np.arange(42.0, -1.0, -1.0)
+    levels = 42.0
+    if floor > 0.0 and head.size:
+        levels = float(np.clip(np.ceil(np.log2(grid[head[0]] / floor)), 0.0, 42.0))
+    geometric = grid[head, None] * 2.0 ** -np.arange(levels, -1.0, -1.0)
     upper = np.concatenate([geometric.ravel(), grid[rest]])
     owner = np.concatenate([np.repeat(head, geometric.shape[1]), rest])
     low = np.concatenate([[0.0], upper])[:-1]
@@ -282,7 +287,7 @@ def _moment_values(values, fs, u):
     return np.stack([v, v * u[:, None]], axis=1).reshape(len(u), 4, 16)
 
 
-def time_moments(sys, kernel, grid, lam, until, parts=None):
+def time_moments(sys, kernel, grid, lam, until, parts=None, floor=0.0):
     """Integrate a vectorised kernel against F1 and F2 from 0 to each time of an
     increasing grid >= 0.
 
@@ -291,9 +296,13 @@ def time_moments(sys, kernel, grid, lam, until, parts=None):
     frequency A' + B', plus the cutoff Lam on the grid intervals that start
     below ``until``, where the caller says the kernel still varies on the
     1/Lam scale (``decoherence._kernel_for`` sets it); half a period per panel
-    keeps each panel at ~1e-12 relative.  The first segment is refined
-    geometrically towards 0, where several kernels have an integrable log or
-    inverse-square-root singularity.
+    keeps each panel at ~1e-12 relative.  The first segment is halved
+    towards 0 until its innermost piece is at most ``floor``, at most 42
+    times (``_panel_edges``).  ``_kernel_for`` sets the floor too: 1/Lam for
+    a kernel analytic for |Im u| < 1/Lam, whose singularities a panel
+    [0, 1/Lam] and the panels [c, 2c] past it keep clear of, and 0, so 42
+    halvings, for a kernel with an integrable log or inverse-power
+    singularity at 0.
 
     ``parts``, if given, splits the kernel past ``until``: there it is
     S + Re[a e^{i Lam u}] with S and a smooth, (S, a) = parts(u).  Panels on
@@ -316,7 +325,7 @@ def time_moments(sys, kernel, grid, lam, until, parts=None):
     """
     mc = mode_constants(sys)
     start = np.inf if parts is None else until
-    edges, counts = _panel_edges(grid, mc.a_prime + mc.b_prime, lam, until, start)
+    edges, counts = _panel_edges(grid, mc.a_prime + mc.b_prime, lam, until, start, floor)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     n_panels = len(mid)
     n_head = int(np.searchsorted(edges[:-1], start))  # panels that start below `start`

@@ -22,7 +22,7 @@ from qbmag.decoherence import (
     lowtemp_powerlaw,
 )
 from qbmag.coefficients import lambda_from_kernel
-from qbmag.dynamics import SystemParams, f_weight, mode_constants
+from qbmag.dynamics import SystemParams, f_weight, mode_constants, time_moments
 from qbmag.errors import DomainError, UnsupportedFormError
 from test_bath import bose_integral
 
@@ -420,26 +420,27 @@ def test_exact_drude_curve_matches_pole_sum(lam, oth):
 
 
 #: the plan of _kernel_for at s = 1 with method="quadrature": (Lam until,
-#: whether the kernel comes with its split) per cutoff and regime, "eta"
-#: standing for kind='sin' in the low regime.  Only the abrupt kernels
-#: outside the exact regime are split, past Lam tau = 36
+#: whether the kernel comes with its split, Lam floor) per cutoff and regime,
+#: "eta" standing for kind='sin' in the low regime.  Only the abrupt kernels
+#: outside the exact regime are split, past Lam tau = 36; only the
+#: Drude-Lorentz kernels, singular at tau = 0, take the 42 halvings of floor 0
 KERNEL_PLAN = {
-    ("abrupt", "high"): (36.0, True),
-    ("abrupt", "low"): (36.0, True),
-    ("abrupt", "exact"): (np.inf, False),
-    ("abrupt", "eta"): (36.0, True),
-    ("drude", "high"): (30.0, False),
-    ("drude", "low"): (30.0, False),
-    ("drude", "exact"): (30.0, False),
-    ("drude", "eta"): (30.0, False),
-    ("exp", "high"): (30.0, False),
-    ("exp", "low"): (30.0, False),
-    ("exp", "exact"): (30.0, False),
-    ("exp", "eta"): (30.0, False),
+    ("abrupt", "high"): (36.0, True, 1.0),
+    ("abrupt", "low"): (36.0, True, 1.0),
+    ("abrupt", "exact"): (np.inf, False, 1.0),
+    ("abrupt", "eta"): (36.0, True, 1.0),
+    ("drude", "high"): (30.0, False, 0.0),
+    ("drude", "low"): (30.0, False, 0.0),
+    ("drude", "exact"): (30.0, False, 0.0),
+    ("drude", "eta"): (30.0, False, 0.0),
+    ("exp", "high"): (30.0, False, 1.0),
+    ("exp", "low"): (30.0, False, 1.0),
+    ("exp", "exact"): (30.0, False, 1.0),
+    ("exp", "eta"): (30.0, False, 1.0),
 }
 #: method="closed" differs only for the Ohmic Drude-Lorentz nu: the pole sum,
 #: resolved at every tau, ahead of the exact-regime branch
-KERNEL_PLAN_CLOSED = {**KERNEL_PLAN, **{("drude", r): (np.inf, False) for r in ("high", "low", "exact")}}
+KERNEL_PLAN_CLOSED = {**KERNEL_PLAN, **{("drude", r): (np.inf, False, 0.0) for r in ("high", "low", "exact")}}
 
 
 @pytest.mark.parametrize("method", ["quadrature", "closed"])
@@ -448,10 +449,11 @@ KERNEL_PLAN_CLOSED = {**KERNEL_PLAN, **{("drude", r): (np.inf, False) for r in (
 def test_kernel_plan(cutoff, rkind, method):
     sd = SpectralDensity(1.0, cutoff, 50.0, 1.3)
     regime = LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
-    _, until, parts = decoherence._kernel_for(sd, regime, method, "sin" if rkind == "eta" else "cos")
-    lam_until, split = (KERNEL_PLAN if method == "quadrature" else KERNEL_PLAN_CLOSED)[cutoff.value, rkind]
+    _, until, parts, floor = decoherence._kernel_for(sd, regime, method, "sin" if rkind == "eta" else "cos")
+    lam_until, split, lam_floor = (KERNEL_PLAN if method == "quadrature" else KERNEL_PLAN_CLOSED)[cutoff.value, rkind]
     assert until == lam_until / sd.lam
     assert (parts is not None) == split
+    assert floor == lam_floor / sd.lam
 
 
 def test_exact_kernel_path():
@@ -688,6 +690,82 @@ def test_abrupt_tail_node_counts():
             nodes = decoherence._moments(DEFAULT_SYS, abrupt, regime, grid).nodes
             exp = SpectralDensity(1.0, Cutoff.EXPONENTIAL, lam)
             assert nodes == decoherence._moments(DEFAULT_SYS, exp, regime, grid).nodes
+
+
+@pytest.mark.parametrize("lam", [200.0, 1200.0])
+def test_head_node_counts(lam):
+    # deterministic guard on the head floor: the first grid interval [0, b]
+    # halves until its innermost piece is at most 1/Lam for the abrupt and
+    # exponential kernels, 42 times for the Drude-Lorentz ones
+    for cutoff, rkinds in (
+        (Cutoff.ABRUPT, ("high", "low")),
+        (Cutoff.EXPONENTIAL, ("high", "low", "exact")),
+        (Cutoff.DRUDE_LORENTZ, ("high", "low", "exact")),
+    ):
+        sd = SpectralDensity(1.0, cutoff, lam)
+        drude = cutoff is Cutoff.DRUDE_LORENTZ
+        for rkind in rkinds:
+            regime = ThermalRegime(rkind, 37.0)
+            nodes = lambda grid: decoherence._moments(DEFAULT_SYS, sd, regime, grid).nodes
+            assert nodes(default_grid(sd)) == (3872 if drude else 3200), (cutoff, rkind)
+            # one panel for Lam t = 1e-3, one per part [0, 5/8] ... [5/2, 5]
+            # for Lam t = 5; 43 panels of the 42 halvings for Drude-Lorentz
+            assert nodes(np.array([1e-3 / lam])) == (688 if drude else 16), (cutoff, rkind)
+            assert nodes(np.array([5.0 / lam])) == (688 if drude else 64), (cutoff, rkind)
+
+
+#: larger mode splitting than DEFAULT_SYS keeps lambda2 out of F2's
+#: cancellation, eps / ((A'^2 - B'^2) t^2), past the first grid points
+HEAD_SYS = SystemParams(omega0=30.0, omega_c=20.0)
+
+
+@pytest.mark.parametrize("rkind", ["high", "low", "exact", "eta"])
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("cutoff", [Cutoff.ABRUPT, Cutoff.EXPONENTIAL])
+def test_short_head_holds_the_refined_reference(cutoff, s, rkind):
+    # the head of floor 1/Lam against the 42-level layout cut in four.  The
+    # bound adds the miss of the 42-level layout itself: at Lam t = 1e3 the
+    # Lam-resolving panels that both layouts share miss by 1e-12 to 1e-11
+    # for the abrupt kernels, so the head alone is held to 1e-12
+    sd = SpectralDensity(s, cutoff, 5000.0, 1.3)
+    regime = bath._LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
+    kind = "sin" if rkind == "eta" else "cos"
+    kernel, until, parts, floor = decoherence._kernel_for(sd, regime, "quadrature", kind)
+    assert floor == 1.0 / sd.lam
+    for x0 in (1e-3, 1.0, 40.0, 1e3):
+        grid = np.geomspace(x0, x0 + 32.0, 6) / sd.lam
+        mom = decoherence._moments(HEAD_SYS, sd, regime, grid, kind=kind)
+        full = time_moments(HEAD_SYS, kernel, grid, sd.lam, until, parts, 0.0)
+        assert mom.nodes < full.nodes
+        # lambda1 and its integral relative to themselves, lambda2 to its
+        # column maximum
+        columns = lambda c0, int_c0: (c0[:, 0], int_c0[:, 0], c0[:, 1])
+        want = columns(*_refined_moments(HEAD_SYS, sd, regime, grid, kind=kind))
+        scale = (np.abs(want[0]), np.abs(want[1]), np.max(np.abs(want[2])))
+        got, base = (columns(m.c0, grid[:, None] * m.c0 - m.c1) for m in (mom, full))
+        for name, g, b, w, sc in zip(("lambda1", "int lambda1", "lambda2"), got, base, want, scale):
+            assert np.all(np.abs(g - w) <= 1e-12 * sc + np.abs(b - w)), (name, x0)
+
+
+# the exact regime has no catalogued kernel, so no closed plan
+@pytest.mark.parametrize(
+    "rkind, method", [(r, "quadrature") for r in ("high", "low", "exact", "eta")] + [("high", "closed"), ("low", "closed")]
+)
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+def test_drude_head_keeps_the_42_halvings(s, rkind, method):
+    # floor 0 for every Drude-Lorentz kernel, the pole sum (s = 1, closed)
+    # included: bit for bit the engine's default layout
+    sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
+    regime = bath._LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
+    kind = "sin" if rkind == "eta" else "cos"
+    kernel, until, parts, floor = decoherence._kernel_for(sd, regime, method, kind)
+    assert floor == 0.0
+    grid = default_grid(sd)
+    mom = decoherence._moments(DEFAULT_SYS, sd, regime, grid, method, kind)
+    ref = time_moments(DEFAULT_SYS, kernel, grid, sd.lam, until, parts)
+    assert mom.nodes == ref.nodes
+    for name in ("c0", "c1", "d0", "d1"):
+        assert getattr(mom, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 @pytest.mark.parametrize("xs", [(5.0, 40.0, 157.0), (37.0, 700.0), (36.5, 37.0, 1e4)])

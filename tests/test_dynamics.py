@@ -310,8 +310,8 @@ def test_curve_calls_its_kernel_once_per_block(monkeypatch, block):
     kernel_for = decoherence._kernel_for
 
     def counted(*args):
-        kernel, until, parts = kernel_for(*args)
-        return _counting(kernel, sizes), until, parts
+        kernel, *plan = kernel_for(*args)
+        return _counting(kernel, sizes), *plan
 
     monkeypatch.setattr(decoherence, "_kernel_for", counted)
     sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3)
@@ -331,8 +331,8 @@ def test_time_moments_do_not_depend_on_the_block(monkeypatch, cutoff, rkind):
     sd = SpectralDensity(1.0, cutoff, 200.0, 1.3)
     regime = ThermalRegime(rkind, 17.0)
     # the plan of a curve: the abrupt kernels' Filon panels past Lam t = 36
-    kernel, until, parts = decoherence._kernel_for(sd, regime, "quadrature")
-    args = (ENGINE_SYS, kernel, decoherence.default_grid(sd), sd.lam, until, parts)
+    kernel, until, parts, floor = decoherence._kernel_for(sd, regime, "quadrature")
+    args = (ENGINE_SYS, kernel, decoherence.default_grid(sd), sd.lam, until, parts, floor)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ref = time_moments(*args)
