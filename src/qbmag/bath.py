@@ -7,6 +7,12 @@ Three evaluation paths are provided for the kernels:
   segments with Euler acceleration for the conditionally convergent
   oscillatory tails).  This is the reference ("oracle") path; through
   ``coefficients.lambda_from_kernel`` it is the coefficients' defining path.
+  Each integrand QUADPACK calls is one frame that makes at most one inner
+  call, to the envelope (``_integrand_parts``); the tail takes
+  ``_TAIL_BATCH`` segments per numpy call (``_gauss_segments``) and updates
+  its Euler estimate from the last diagonal of the averaging triangle
+  (``_euler_step``), in the same bits as one segment and one full triangle
+  at a time.
 * ``noise_kernel_closed_parts`` evaluates the catalogued analytic regime kernels,
   and ``noise_kernel_reference`` the closed transforms of the defining
   integrals, which exist for every bath outside the exact regime (the
@@ -31,6 +37,7 @@ import collections
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +148,9 @@ def _envelope(sd, ops):
     if sd.cutoff is Cutoff.DRUDE_LORENTZ:
         lam2 = lam**2
         return lambda w: lam2 / (lam2 + w * w)
-    exp, minimum = ops.exp, ops.minimum
-    return lambda w: exp(-minimum(w / lam, 745.0))
+    # exactly 0 past w = 745.13 Lam, where e^(-w/Lam) underflows
+    exp = ops.exp
+    return lambda w: exp(-w / lam)
 
 
 def _regime_weight(sd, regime):
@@ -163,44 +171,74 @@ def _pole_sum(sd):
 # defining-integral quadrature
 # --------------------------------------------------------------------------
 
-def _integrand_parts(sd, regime, ops):
+def _integrand_parts(sd, regime, ops, trig=None, tau=0.0):
     """Split J(w) * coth-factor into w^p * g(w) with g smooth and finite at 0.
 
-    Returns (p, g, upper); g takes the operands of ``ops``.
+    Returns (p, fn, upper).  Without ``trig``, fn is w -> w^p g(w), the
+    integrand of the QUADPACK pieces and of the tail; with it, fn is the
+    head in x = w^(p+1), x -> r g(x^r) trig(x^r tau), r = 1/(p+1), which
+    takes the w^p point out of the head.  fn takes the operands of ``ops``
+    and makes at most one inner call per evaluation, to ``_envelope``: g is
+    written out in fn, and the abrupt envelope, 1 on [0, upper], is not
+    called at all (a rule's end node can round past upper; it stands for
+    upper).
     """
     upper = sd.lam if sd.cutoff is Cutoff.ABRUPT else np.inf
-    envelope = _envelope(sd, ops)
-    minimum = ops.minimum
-    # a rule's end node can round past a finite upper; it stands for upper
-    env = envelope if upper is np.inf else (lambda w: envelope(minimum(w, upper)))
-    if regime.kind is not RegimeKind.EXACT:
-        se, pref = _regime_weight(sd, regime)
-        return se, (lambda w: pref * env(w)), upper
-    gamma, oth = sd.gamma, regime.omega_th
-    expm1, maximum = ops.expm1, ops.maximum
-    # w coth(w/Omega_th) -> Omega_th as w -> 0, equal to rounding below
-    # 1e-8 Omega_th, so w is floored there
-    floor = 1e-8 * oth
+    envelope = None if upper < np.inf else _envelope(sd, ops)
+    exact = regime.kind is RegimeKind.EXACT
+    if exact:
+        p, gamma, oth = sd.s - 1.0, sd.gamma, regime.omega_th
+        # w coth(w/Omega_th) -> Omega_th as w -> 0, equal to rounding below
+        # 1e-8 Omega_th, so w is floored there
+        floor = 1e-8 * oth
+    else:
+        p, pref = _regime_weight(sd, regime)
+    r = 1.0 / (p + 1.0)
+    head = trig is not None
+    expm1, minimum, maximum = ops.expm1, ops.minimum, ops.maximum
 
-    def g(w):
-        v = maximum(w, floor)
-        # v coth(v/Omega_th); the argument stops at 350, where coth is already 1
-        return gamma * v * env(w) * (1.0 + 2.0 / expm1(2.0 * minimum(v / oth, 350.0)))
+    def fn(x):
+        w = x**r if head else x
+        e = 1.0 if envelope is None else envelope(w)
+        if exact:
+            v = maximum(w, floor)
+            # v coth(v/Omega_th); the argument stops at 350, where coth is already 1
+            g = gamma * v * e * (1.0 + 2.0 / expm1(2.0 * minimum(v / oth, 350.0)))
+        else:
+            g = pref * e
+        return r * g * trig(w * tau) if head else w**p * g
 
-    return sd.s - 1.0, g, upper
-
-
-def _euler_transform(partials):
-    """Repeatedly averaged partial sums; returns the deepest element."""
-    row = list(partials)
-    while len(row) > 1:
-        row = [0.5 * (row[i] + row[i + 1]) for i in range(len(row) - 1)]
-    return row[0]
+    return p, fn, upper
 
 
-def _gauss_segment(fn, a, b):
+#: depth of the Euler transform: each estimate averages the last 30 partial sums
+_EULER_DEPTH = 30
+
+
+def _euler_step(diagonal, partial):
+    """The last diagonal of the averaging triangle of a sequence of partial
+    sums, after one more partial sum.
+
+    Entry j of a diagonal is the j-fold repeated average of neighbours that
+    ends at the newest partial sum; it depends only on the last j + 1
+    partial sums, so the new entry j is the average of the old entry j - 1
+    and the new entry j - 1.  The diagonal keeps ``_EULER_DEPTH`` entries,
+    and its last is the Euler transform of the last min(n, 30) partial sums,
+    at O(30) per partial sum.
+    """
+    out = [partial]
+    for older in diagonal[: _EULER_DEPTH - 1]:
+        out.append(0.5 * (older + out[-1]))
+    return out
+
+
+def _gauss_segments(fn, edges):
+    """12-node Gauss rules of fn over each [edges[i], edges[i + 1]], for one
+    call of fn on nodes of shape (segments, 12); each row is summed on its
+    own, by the pairwise sum that ``np.sum`` takes over 12 values."""
+    a, b = edges[:-1, None], edges[1:, None]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.sum(_GLW * fn(mid + half * _GLX)))
+    return half[:, 0] * np.sum(_GLW * fn(mid + half * _GLX), axis=-1)
 
 
 # stopping rule of the Euler-accelerated oscillatory tail; its absolute
@@ -208,6 +246,9 @@ def _gauss_segment(fn, a, b):
 _TAIL_RTOL = 1e-8
 _TAIL_FLOOR = 1e-12
 _TAIL_MAX_SEGMENTS = 10_000
+#: tail segments evaluated in one numpy call; the tail walks them in order
+#: and may leave the rest of the last batch unread
+_TAIL_BATCH = 16
 
 #: multiple of the smallest frequency scale past which the head range is
 #: split at geometric breakpoints
@@ -246,12 +287,9 @@ _DRUDE_TAIL_TERMS = 4
 
 def _kernel_quadrature(sd, regime, tau, kind):
     tau = float(_finite_nonnegative("tau", tau))
-    p, g, upper = _integrand_parts(sd, regime, _FLOAT)
-    trig = getattr(_FLOAT, kind)
-    part = lambda w: w**p * g(w)
+    p, part, upper = _integrand_parts(sd, regime, _FLOAT)
     # the substitution w = x^r, r = 1/(p+1), takes the w^p point out of the head
     q = p + 1.0
-    r = 1.0 / q
 
     if tau == 0.0:
         if kind == "sin":
@@ -265,9 +303,9 @@ def _kernel_quadrature(sd, regime, tau, kind):
                     "noise kernel diverges at tau = 0 for a Drude-Lorentz tail with w^%g decay" % (se - 2.0)
                 )
         a_head = 1.0 if upper is np.inf else min(1.0, upper)
-        head = integrate.quad(
-            lambda x: r * g(x**r), 0.0, a_head**q, epsabs=0.0, epsrel=_TAU0_RTOL, limit=200
-        )[0]
+        # cos(0 w) = 1 leaves every bit of r g(x^r)
+        head_fn = _integrand_parts(sd, regime, _FLOAT, _FLOAT.cos, 0.0)[1]
+        head = integrate.quad(head_fn, 0.0, a_head**q, epsabs=0.0, epsrel=_TAU0_RTOL, limit=200)[0]
         rest = 0.0
         if upper is np.inf:
             # the breakpoints of the tau > 0 path up to c = 4 _ENVELOPE_SPAN
@@ -293,16 +331,23 @@ def _kernel_quadrature(sd, regime, tau, kind):
             )[0]
         return head + rest
 
+    if upper is np.inf:
+        # no frequency of the tail exceeds (_TAIL_MAX_SEGMENTS + 5) pi/tau; w^p,
+        # and the Drude-Lorentz envelope's w * w, must not overflow up to there
+        power = max(p, 2.0 if sd.cutoff is Cutoff.DRUDE_LORENTZ else 1.0)
+        reach = (_TAIL_MAX_SEGMENTS + 5.0) * np.pi / tau
+        if not reach <= sys.float_info.max ** (1.0 / power):
+            raise RangeError(
+                "tau = %g is too small for the quadrature oracle: its tail would reach w = %g, "
+                "where w^%g overflows" % (tau, reach, power)
+            )
+
     # head: [0, a_sub] in x, then the oscillatory-weight QUADPACK rule up to
     # w_head (finite upper: done).  The absolute floors are relative to the
     # first piece, not QUADPACK's 1.5e-8, whatever the units of J
     w_head = min(4.0 * np.pi / tau, upper)
     a_sub = min(1.0, w_head)
-
-    def head_fn(x):
-        w = x**r
-        return r * g(w) * trig(w * tau)
-
+    head_fn = _integrand_parts(sd, regime, _FLOAT, getattr(_FLOAT, kind), tau)[1]
     head = integrate.quad(head_fn, 0.0, a_sub**q, epsabs=0.0, limit=300)[0]
     floor = abs(head)
     if upper is not np.inf:
@@ -314,40 +359,40 @@ def _kernel_quadrature(sd, regime, tau, kind):
         head += integrate.quad(part, lo, hi, weight=kind, wvar=tau, epsabs=_HEAD_FLOOR * floor, limit=500)[0]
 
     # oscillatory tail: integrate between consecutive zeros of the trig factor
-    # and Euler-accelerate the alternating sequence of partial sums; each
-    # segment is one 12-node Gauss rule on arrays
-    g_nodes = _integrand_parts(sd, regime, _ARRAY)[1]
+    # and Euler-accelerate the alternating sequence of partial sums; the
+    # segments are 12-node Gauss rules on arrays, _TAIL_BATCH to a call
+    part_nodes = _integrand_parts(sd, regime, _ARRAY)[1]
     trig_nodes = getattr(_ARRAY, kind)
-    full = lambda w: w**p * g_nodes(w) * trig_nodes(w * tau)
+    full = lambda w: part_nodes(w) * trig_nodes(w * tau)
     off = 0.5 if kind == "cos" else 0.0
     k = int(np.floor(w_head * tau / np.pi - off)) + 1
     edge = lambda j: (j + off) * np.pi / tau
     while edge(k) <= w_head:
         k += 1
-    total = head + _gauss_segment(full, w_head, edge(k))
-    partials = []
+    total = head + float(_gauss_segments(full, np.array([w_head, edge(k)]))[0])
     run = 0.0
-    prev = edge(k)
+    diagonal = []
+    done = 0
     stable = 0
     last_est = None
-    for _ in range(_TAIL_MAX_SEGMENTS):
-        nxt = edge(k + 1)
-        seg = _gauss_segment(full, prev, nxt)
-        run += seg
-        partials.append(run)
-        prev = nxt
-        k += 1
-        if abs(seg) < 1e-305:
-            return total + run
-        if len(partials) >= 8:
-            est = _euler_transform(partials[-min(len(partials), 30):])
-            if last_est is not None and abs(est - last_est) < _TAIL_RTOL * abs(total + est) + _TAIL_FLOOR * floor:
-                stable += 1
-                if stable >= 3:
-                    return total + est
-            else:
-                stable = 0
-            last_est = est
+    while done < _TAIL_MAX_SEGMENTS:
+        batch = min(_TAIL_BATCH, _TAIL_MAX_SEGMENTS - done)
+        segments = _gauss_segments(full, edge(k + done + np.arange(batch + 1)))
+        for seg in segments.tolist():
+            done += 1
+            run += seg
+            diagonal = _euler_step(diagonal, run)
+            if abs(seg) < 1e-305:
+                return total + run
+            if done >= 8:
+                est = diagonal[-1]
+                if last_est is not None and abs(est - last_est) < _TAIL_RTOL * abs(total + est) + _TAIL_FLOOR * floor:
+                    stable += 1
+                    if stable >= 3:
+                        return total + est
+                else:
+                    stable = 0
+                last_est = est
     raise ConvergenceError(
         "oscillatory tail did not stabilise within %d segments" % _TAIL_MAX_SEGMENTS
     )
@@ -363,13 +408,19 @@ def noise_kernel_quadrature(sd, regime, tau):
 
     Raises ConvergenceError when the tail accelerator fails or the integral
     diverges (Drude-Lorentz tails at tau = 0 with s >= 1 in the quantum or
-    exact regimes, s >= 2 at high temperature).
+    exact regimes, s >= 2 at high temperature), and RangeError for a tau > 0
+    so small that w^p (p = s, or s - 1 at high temperature and in the exact
+    regime), or the Drude-Lorentz envelope's w^2, overflows within the
+    tail's reach of about 1e4 pi/tau: below about 2e-150 for Drude-Lorentz
+    with p <= 2, 2e-304 for the exponential cutoff with p <= 1 (abrupt:
+    never).
     """
     return _kernel_quadrature(sd, regime, tau, "cos")
 
 
 def dissipation_kernel_quadrature(sd, tau):
-    """Dissipation kernel eta(tau) = int_0^inf J(w) sin(w tau) dw; eta(0) = 0."""
+    """Dissipation kernel eta(tau) = int_0^inf J(w) sin(w tau) dw; eta(0) = 0.
+    Errors as for ``noise_kernel_quadrature``, with p = s."""
     return _kernel_quadrature(sd, _LOW, tau, "sin")
 
 
