@@ -564,6 +564,8 @@ def _trig_power_split(se, x, kind):
 #: x = Lam tau up to which _drude_transform sums its power series, whose
 #: terms grow to cosh x; 13 terms of each parity reach x^n/n! < 2e-18 there
 _DRUDE_SERIES_TOP, _DRUDE_SERIES_TERMS = 2.0, 13
+#: x below which the series forms x cot(pi e1/2) (x^e1 - 1) without x^e1
+_DRUDE_TINY_X = 1e-300
 #: psi^(m)(n+1)/(m+1)!, m, n = 0 .. 25: the Taylor series in eps of
 #: (ln Gamma(n+1+eps) - ln Gamma(n+1))/eps, taken for |eps| < 1/4, where a
 #: difference of two gammaln calls loses 1e-16/|eps|; (1/4)^25/26 < 1e-16
@@ -601,6 +603,16 @@ def _cot_expm1(eps):
     return lambda y: np.expm1(eps * y) * (c / s)
 
 
+def _x_cot_expm1(eps):
+    """(x, y) -> x cot(pi eps/2) (x^eps - 1) at y = ln x, formed as
+    cot(pi eps/2) (x^(1+eps) - x), which stays finite for eps > -1 where
+    x^eps overflows (eps < 0, x subnormal); x 2 y/pi at eps = 0."""
+    if eps == 0.0:
+        return lambda x, y: x * ((2.0 / np.pi) * y)
+    c, s = _quarter_turns(eps)
+    return lambda x, y: (np.exp((1.0 + eps) * y) - x) * (c / s)
+
+
 def _pole_pair(eps, parity):
     """Coefficients (a, b), in powers of x^2, of the series
     cot(pi eps/2) sum_n [x^{n+eps}/Gamma(n+1+eps) - x^n/n!] = x^parity [_cot_expm1(eps)(ln x) a + b],
@@ -633,7 +645,8 @@ def _drude_transform(se, kind):
       over even or odd n, each pair as in ``_pole_pair``; past se = 1 the odd
       terms pair one step later, F_odd(-se) = x^{1-se}/Gamma(2-se) + F_odd(2-se),
       so the series holds through se = 0, 1 and 2; the four series are
-      summed by Horner (``polyval``) in x^2;
+      summed by Horner (``polyval``) in x^2; below x = 1e-300 the odd pair's
+      x cot(pi e1/2) (x^e1 - 1) is formed without x^e1 (``_x_cot_expm1``);
     * 2 < x <= 64: per octave, a Chebyshev interpolant of x^(se+1) P in
       log2 x, sampled from P = int_0^1 v^se [e^{-x v} - v^{-2 se} e^{-x/v}]/(1 - v^2) dv,
       the PV integral folded by v -> 1/v, which cancels the pole;
@@ -649,7 +662,7 @@ def _drude_transform(se, kind):
     c1, s1 = _quarter_turns(e1)
     lead = 0.0 if se <= 1.0 else c1 / (s1 * _sp.gamma(e1))
     series = np.vstack(_pole_pair(1.0 - se, 0) + _pole_pair(e1, 1))
-    r0, r1 = _cot_expm1(1.0 - se), _cot_expm1(e1)
+    r0, r1, x_r1 = _cot_expm1(1.0 - se), _cot_expm1(e1), _x_cot_expm1(e1)
 
     m = _DRUDE_CHEB_POINTS
     angle = np.pi * (np.arange(m) + 0.5) / m
@@ -692,7 +705,15 @@ def _drude_transform(se, kind):
             xs = flat[sel]
             lx = np.log(xs)
             a0, b0, a1, b1 = polyval(xs * xs, series.T)
-            sums = r0(lx) * a0 + b0 - xs * (r1(lx) * a1 + b1)
+            # x^e1 (e1 = -se < 0) leaves the float range once x is
+            # subnormal: below x = 1e-300, x r1 = x cot (x^e1 - 1) takes the
+            # form that stays finite, and every larger x keeps its bits
+            tiny = xs < _DRUDE_TINY_X
+            odd = xs * (r1(np.where(tiny, 0.0, lx)) * a1 + b1)
+            if tiny.any():
+                xt = xs[tiny]
+                odd[tiny] = x_r1(xt, lx[tiny]) * a1[tiny] + xt * b1[tiny]
+            sums = r0(lx) * a0 + b0 - odd
             if lead:
                 sums -= lead * xs ** (1.0 - se)
             p[sel] = (np.pi / 2.0) * sums

@@ -13,9 +13,11 @@ f = nu F / hbar, so a whole curve costs one pass of kernel evaluations,
 made in blocks of nodes (``dynamics.time_moments``).
 
 ``_moments``, the one entry to that engine for curves, criterion 5 and
-``frequency_shift``, checks the grid and carries out the plan of
-``_kernel_for``: the kernel, how far panels resolve Lam, its split and how
-far the first grid interval is refined towards 0.
+``frequency_shift``, checks the grid and hands the engine the one
+``dynamics.KernelPlan`` that ``_kernel_for`` builds: the kernel, its
+cutoff, up to where panels resolve Lam (past it they span at most half
+their start), its split and how far the first grid interval is refined
+towards 0.
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ from .bath import (
     require_integrable,
 )
 from .bath import noise_kernel_quadrature  # unused here; perfbench/trace.py wraps this binding
-from .dynamics import TimeMoments, mode_constants, time_moments
+from .dynamics import KernelPlan, TimeMoments, mode_constants, time_moments
 from .errors import DomainError, UnsupportedFormError
 
 #: magnitudes below this are clamped and flagged rather than returned as 0
@@ -85,8 +87,8 @@ class CurveSeries:
 
 
 def _kernel_for(sd, regime, method="quadrature", kind="cos"):
-    """(kernel, until, parts, floor): the vectorised nu, or with kind='sin'
-    and the low regime eta, and how ``time_moments`` integrates it.
+    """The ``KernelPlan`` of the vectorised nu, or with kind='sin' and the low
+    regime eta: the kernel and how ``time_moments`` integrates it.
 
     Every kernel is the closed transform of the defining integral, in the
     exact regime the closed low-temperature transform plus the Bose term.
@@ -95,8 +97,9 @@ def _kernel_for(sd, regime, method="quadrature", kind="cos"):
     ``noise_kernel_closed_parts``.  DomainError (``bath.require_integrable``)
     for a kernel not integrable at tau = 0.
 
-    ``until`` is the panel rule: panels resolve the cutoff Lam on the grid
-    intervals that start below it.  The abrupt kernels outside the exact
+    ``until`` is where the panel rule changes: panels resolve the cutoff Lam
+    on the grid intervals that start below it, and past it span at most
+    half their start (plus ``floor``).  The abrupt kernels outside the exact
     regime come with ``parts``, their split past Lam tau = 36
     (``bath._oscillating_tail``), whose e^{i Lam tau} the engine integrates
     exactly, so panels resolve 1/Lam only below until = 36/Lam.  They
@@ -112,19 +115,21 @@ def _kernel_for(sd, regime, method="quadrature", kind="cos"):
     eta: they are analytic for |Im tau| < 1/Lam.  It is 0, the engine's 42
     halvings, for the Drude-Lorentz kernels, the pole sum included, whose
     algebraic tail J c ~ w^(se-2) gives tau^(1-se) or log terms at tau = 0."""
-    settled = 30.0 / sd.lam
+    lam = sd.lam
+    settled = 30.0 / lam
     abrupt = sd.cutoff is Cutoff.ABRUPT
     if method == "closed" and kind == "cos" and _pole_sum(sd):
-        return (lambda taus: noise_kernel_closed_parts(sd, regime, taus)), np.inf, None, 0.0
-    floor = 0.0 if sd.cutoff is Cutoff.DRUDE_LORENTZ else 1.0 / sd.lam
+        return KernelPlan(lambda taus: noise_kernel_closed_parts(sd, regime, taus), lam, np.inf, 0.0)
+    floor = 0.0 if sd.cutoff is Cutoff.DRUDE_LORENTZ else 1.0 / lam
     if regime.kind is RegimeKind.EXACT:
         low = _reference_kernel_fn(sd, _LOW, kind)
         bose = _bose_kernel_fn(sd, regime.omega_th)
-        return (lambda taus: low(taus) + bose(taus)), (np.inf if abrupt else settled), None, floor
+        return KernelPlan(lambda taus: low(taus) + bose(taus), lam, np.inf if abrupt else settled, floor)
     kernel = _reference_kernel_fn(sd, regime, kind)
     if abrupt:
-        return (kernel, *_oscillating_tail(sd, regime, kind), floor)
-    return kernel, settled, None, floor
+        until, parts = _oscillating_tail(sd, regime, kind)
+        return KernelPlan(kernel, lam, until, floor, parts)
+    return KernelPlan(kernel, lam, settled, floor)
 
 
 def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
@@ -139,8 +144,7 @@ def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
     if sd.gamma == 0.0:
         zeros = np.zeros((len(grid), 2), dtype=complex)
         return TimeMoments(zeros, zeros, zeros, zeros, nodes=0, panels=0)
-    kernel, until, parts, floor = _kernel_for(sd, regime, method, kind)
-    return time_moments(sys, kernel, grid, sd.lam, until, parts, floor)
+    return time_moments(sys, _kernel_for(sd, regime, method, kind), grid)
 
 
 def _exponent_arrays(sys, sd, regime, grid, method):

@@ -11,15 +11,17 @@ functions F1, F2 and the Heisenberg transfer matrix are built on the same
 modes, so the transfer matrix solves the classical equations of motion
 x'' = -w0^2 x + wc y', y'' = -w0^2 y - wc x' exactly.
 
-``time_moments``, the one time-integration engine, integrates any vectorised
-kernel against F1 and F2, taking the factor e^{i Lam tau} of a kernel split
-as S + Re[a e^{i Lam tau}] exactly (Filon panels); ``decoherence._moments``,
-its one caller, passes the kernel, its split and the panel rule that
-``decoherence._kernel_for`` chooses.  Every panel is reduced on its own, so
-the moments at a time depend only on the grid up to it.
+``time_moments``, the one time-integration engine, integrates the kernel of
+a ``KernelPlan`` against F1 and F2, taking the factor e^{i Lam tau} of a
+kernel split as S + Re[a e^{i Lam tau}] exactly (Filon panels);
+``decoherence._moments``, its one caller, passes the plan that
+``decoherence._kernel_for`` builds, and one span rule (``_panel_edges``)
+reads it.  Every panel is reduced on its own, so the moments at a time
+depend only on the grid up to it.
 """
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -210,12 +212,31 @@ def _filon_weights(theta):
     return (j[:, None] @ _FILON_REAL).view(complex).reshape(len(j), 16, 2)
 
 
-#: longest tail panel relative to the start of its grid interval
+#: kappa past ``until``: a panel there spans at most half its start plus the
+#: floor, since the Filon panels integrate the interpolant of a F, which
+#: converges at only half the order of the Gauss rule
 _TAIL_SPAN = 0.5
 
 #: kernel nodes evaluated at once; bounds the working memory of a curve
 #: whatever its number of panels
 _NODE_BLOCK = 1 << 14
+
+
+@dataclass(frozen=True)
+class KernelPlan:
+    """How ``time_moments`` integrates a kernel; ``decoherence._kernel_for``
+    builds every plan.  ``kernel`` is the vectorised kernel, ``lam`` its
+    cutoff Lam; ``until`` and ``floor`` set the span rule of
+    ``_panel_edges``.  ``parts``, if given, splits the kernel past
+    ``until``: there it is S + Re[a e^{i Lam u}] with S and a smooth,
+    (S, a) = parts(u).
+    """
+
+    kernel: Callable
+    lam: float
+    until: float
+    floor: float
+    parts: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -247,34 +268,64 @@ def _split(lo, hi, pieces):
     return ends, seg
 
 
-def _panel_edges(grid, mode_freq, lam, until, tail=np.inf, floor=0.0):
+def _panel_edges(grid, mode_freq, plan):
     """Gauss panel edges over [0, grid[-1]] for an increasing grid >= 0, and
     the number of panels up to and including each grid point.
 
-    The first grid interval [0, b] is first cut geometrically at
-    b 2^-L ... b/2, b, with L = ceil(log2(b/floor)) clipped to [0, 42] (42
-    for floor 0), so that its innermost piece is at most ``floor`` unless L
-    is 42; every part, and every other grid interval, is then split into
-    ceil(length/maxlen) equal panels, maxlen half a period of the mode
-    frequency A' + B', plus Lam on the grid intervals that start below
-    ``until``.  On the grid intervals that start at a >= ``tail`` maxlen is
-    also at most _TAIL_SPAN a, so the smooth factors of a split kernel,
-    powers of u, vary little across a panel.
+    One span rule reads the plan.  A panel spans at most maxlen, half a
+    period of the mode frequency A' + B', plus Lam on the grid intervals
+    that start below ``until``, where the kernel still varies on the 1/Lam
+    scale.  A panel that starts at c > 0 also spans at most
+    kappa c + ``floor``, kappa = 1 on the grid intervals that start below
+    ``until`` and _TAIL_SPAN past it, where the kernel's algebraic decay or
+    its split's smooth factors, powers of u, are nearly polynomial.
+    ``floor`` is 1/Lam for a kernel analytic for |Im u| < 1/Lam, whose
+    singularities the panels [c, 2c + 1/Lam] keep clear of, and 0 for one
+    with an integrable log or inverse-power singularity at 0.
+
+    The first grid interval [0, b] is cut at b 2^-L ... b/2, b, with
+    L = ceil(log2(b/floor)) clipped to [0, 42] (42 for floor 0), so that its
+    innermost piece is at most ``floor`` unless L is 42.  Another grid
+    interval [a, b] whose equal panels would break the rule starts with a
+    ladder c -> (1 + kappa) c + floor, whose k-th panel spans
+    (kappa a + floor)(1 + kappa)^k, up to the rung where that span reaches
+    maxlen or the ladder reaches b.  Every part is then split into
+    ceil(length/maxlen) equal panels, so an interval whose equal panels
+    keep the rule, as on log grids whose points are 7% apart, gets no rung,
+    and each interval's layout depends only on its ends.
     """
     grid = np.asarray(grid, dtype=float)
     a = np.concatenate([[0.0], grid[:-1]])
     live = grid > a
-    freq = mode_freq + np.where(a < until, lam, 0.0)
-    maxlen = np.pi / np.maximum(freq, 1e-12)
-    maxlen = np.where(a >= tail, np.minimum(maxlen, _TAIL_SPAN * a), maxlen)
+    below = a < plan.until
+    maxlen = np.pi / np.maximum(mode_freq + np.where(below, plan.lam, 0.0), 1e-12)
     head = np.nonzero(live & (a == 0.0))[0]  # the first live interval, if any
     rest = np.nonzero(live & (a > 0.0))[0]
     levels = 42.0
-    if floor > 0.0 and head.size:
-        levels = float(np.clip(np.ceil(np.log2(grid[head[0]] / floor)), 0.0, 42.0))
+    if plan.floor > 0.0 and head.size:
+        levels = float(np.clip(np.ceil(np.log2(grid[head[0]] / plan.floor)), 0.0, 42.0))
     geometric = grid[head, None] * 2.0 ** -np.arange(levels, -1.0, -1.0)
     upper = np.concatenate([geometric.ravel(), grid[rest]])
     owner = np.concatenate([np.repeat(head, geometric.shape[1]), rest])
+    # the intervals whose first equal panel spans more than kappa a + floor
+    kappa = np.where(below[rest], 1.0, _TAIL_SPAN)
+    first = kappa * a[rest] + plan.floor
+    length = grid[rest] - a[rest]
+    need = length / np.ceil(length / maxlen[rest]) > first
+    if need.any():
+        ladder, kappa, first = rest[need], kappa[need], first[need]
+        ratio = 1.0 + kappa
+        # an upper bound on the rungs whose panel is shorter than maxlen
+        rungs = np.ceil(np.log(maxlen[ladder] / first) / np.log(ratio)).astype(int) + 1
+        at = np.repeat(np.arange(len(ladder)), rungs)
+        k = np.arange(at.size) - np.repeat(np.cumsum(rungs) - rungs, rungs)
+        span = first[at] * ratio[at] ** k
+        rung = a[ladder][at] + first[at] * (ratio[at] ** (k + 1.0) - 1.0) / kappa[at]
+        keep = (span < maxlen[ladder][at]) & (rung < grid[ladder][at])
+        upper = np.concatenate([upper, rung[keep]])
+        owner = np.concatenate([owner, ladder[at[keep]]])
+        order = np.argsort(upper, kind="stable")
+        upper, owner = upper[order], owner[order]
     low = np.concatenate([[0.0], upper])[:-1]
     pieces = np.maximum(1, np.ceil((upper - low) / maxlen[owner]).astype(int))
     upper, seg = _split(low, upper, pieces)
@@ -287,30 +338,16 @@ def _moment_values(values, fs, u):
     return np.stack([v, v * u[:, None]], axis=1).reshape(len(u), 4, 16)
 
 
-def time_moments(sys, kernel, grid, lam, until, parts=None, floor=0.0):
-    """Integrate a vectorised kernel against F1 and F2 from 0 to each time of an
-    increasing grid >= 0.
+def time_moments(sys, plan, grid):
+    """Integrate the kernel of a ``KernelPlan`` against F1 and F2 from 0 to
+    each time of an increasing grid >= 0.
 
-    Segments between grid points are subdivided so each 16-node Gauss panel
-    sees at most half a period of the fastest oscillation: the mode
-    frequency A' + B', plus the cutoff Lam on the grid intervals that start
-    below ``until``, where the caller says the kernel still varies on the
-    1/Lam scale (``decoherence._kernel_for`` sets it); half a period per panel
-    keeps each panel at ~1e-12 relative.  The first segment is halved
-    towards 0 until its innermost piece is at most ``floor``, at most 42
-    times (``_panel_edges``).  ``_kernel_for`` sets the floor too: 1/Lam for
-    a kernel analytic for |Im u| < 1/Lam, whose singularities a panel
-    [0, 1/Lam] and the panels [c, 2c] past it keep clear of, and 0, so 42
-    halvings, for a kernel with an integrable log or inverse-power
-    singularity at 0.
-
-    ``parts``, if given, splits the kernel past ``until``: there it is
-    S + Re[a e^{i Lam u}] with S and a smooth, (S, a) = parts(u).  Panels on
-    the grid intervals that start past ``until`` span at most half the
-    interval's start, over which S and a, powers of u, are nearly
-    polynomial.  A panel that starts at or past ``until`` calls ``parts``
-    instead of ``kernel``; its S takes the Gauss rule of the kernel values,
-    and a F e^{i Lam u} the Filon weights of ``_filon_weights``.
+    The grid is cut into 16-node Gauss panels by the span rule of
+    ``_panel_edges``; half a period of the fastest oscillation per panel
+    keeps each panel at ~1e-12 relative.  A panel that starts at or past
+    ``until`` calls ``plan.parts``, if the plan has them, instead of
+    ``plan.kernel``; its S takes the Gauss rule of the kernel values, and
+    a F e^{i Lam u} the Filon weights of ``_filon_weights``.
 
     The panels of the whole grid are laid out at once and evaluated in
     blocks of at most ``_NODE_BLOCK`` nodes: one F1, F2 evaluation and one
@@ -324,11 +361,12 @@ def time_moments(sys, kernel, grid, lam, until, parts=None, floor=0.0):
     callers flag them.
     """
     mc = mode_constants(sys)
-    start = np.inf if parts is None else until
-    edges, counts = _panel_edges(grid, mc.a_prime + mc.b_prime, lam, until, start, floor)
+    edges, counts = _panel_edges(grid, mc.a_prime + mc.b_prime, plan)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     n_panels = len(mid)
-    n_head = int(np.searchsorted(edges[:-1], start))  # panels that start below `start`
+    lam, parts = plan.lam, plan.parts
+    # the panels that take the kernel; the rest take its split
+    n_head = n_panels if parts is None else int(np.searchsorted(edges[:-1], plan.until))
     per_block = max(1, _NODE_BLOCK // 16)
     run = np.zeros((1, 4, 2), dtype=complex)  # (panel, moment x column, rule)
     out = np.zeros((len(counts), 4, 2), dtype=complex)
@@ -336,10 +374,10 @@ def time_moments(sys, kernel, grid, lam, until, parts=None, floor=0.0):
         p1 = min(n_panels, p0 + per_block)
         u = mid[p0:p1, None] + half[p0:p1, None] * _GX
         fs = np.stack([f_weight(sys, u, "F1"), f_weight(sys, u, "F2")], axis=1)  # (panel, column, node)
-        cut = min(max(n_head - p0, 0), p1 - p0)  # the block's panels that start below `start`
+        cut = min(max(n_head - p0, 0), p1 - p0)  # the block's kernel panels
         split = cut < p1 - p0
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = [np.asarray(kernel(u[:cut].ravel())).reshape(cut, 16)] if cut else []
+            vals = [np.asarray(plan.kernel(u[:cut].ravel())).reshape(cut, 16)] if cut else []
             if split:
                 smooth, amp = (v.reshape(u[cut:].shape) for v in parts(u[cut:].ravel()))
                 vals.append(smooth)

@@ -335,6 +335,39 @@ def test_drude_transform_special_values():
         assert at_zero[key][0] == np.inf and at_zero[key][1] > 1e100, key
 
 
+@pytest.mark.parametrize(
+    "s, regime, kind",
+    [(1.0, LOW, "cos"), (1.0, LOW, "sin"), (2.0, HIGH(17.0), "cos"), (0.96, LOW, "cos"), (0.99, LOW, "cos")]
+    + [(0.3, LOW, "cos"), (0.5, LOW, "cos"), (1.5, LOW, "cos"), (2.5, HIGH(17.0), "cos")],
+)
+def test_drude_kernels_at_subnormal_lam_tau(s, regime, kind):
+    # x^e1, e1 = -se < 0, overflows once x = Lam tau is subnormal: the series
+    # band forms x cot (x^e1 - 1) without it, so the kernel stays finite.
+    # Against the 1F2 series (Ei/E1 at se = 1) at 45 digits, times C; the
+    # first tau keeps the old form.  (eta below se = 1 is left out: it
+    # cancels to x^se, a separate loss of relative digits)
+    sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
+    taus = np.array([1e-300, 1e-308, 1e-310, 1e-320, 5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bath._reference_kernel_fn(sd, regime, kind)(taus)
+    se, scale = bath._closed_scale(sd, regime)
+    for tau, g in zip(taus, got):
+        want = scale * _mp_drude_transform(kind, se, sd.lam * tau)
+        assert np.isfinite(g) and abs(g - want) <= 1e-12 * abs(want), (tau, g, want)
+
+
+def test_drude_exact_kernel_at_subnormal_tau():
+    # the exact regime's low-temperature part is the same transform
+    sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
+    taus = np.array([1e-310, 5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low = bath.noise_kernel_reference(sd, LOW, taus)
+        total = low + bath._bose_kernel_fn(sd, 17.0)(taus)
+    assert np.all(np.isfinite(total)) and np.all(low > 0.0)
+
+
 @pytest.mark.parametrize("cutoff", list(Cutoff))
 def test_reference_kernels_reject_negative_tau(cutoff):
     sd = SpectralDensity(1.0, cutoff, 10.0)

@@ -1,11 +1,13 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
-from qbmag import bath, decoherence, dynamics
+from qbmag import bath, cli, decoherence, dynamics
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.decoherence import (
     FLAG_CLAMPED,
@@ -22,7 +24,7 @@ from qbmag.decoherence import (
     lowtemp_powerlaw,
 )
 from qbmag.coefficients import lambda_from_kernel
-from qbmag.dynamics import SystemParams, f_weight, mode_constants, time_moments
+from qbmag.dynamics import KernelPlan, SystemParams, f_weight, mode_constants, time_moments
 from qbmag.errors import DomainError, UnsupportedFormError
 from test_bath import bose_integral
 
@@ -282,7 +284,7 @@ def test_kernel_value_depends_only_on_tau(cutoff, s, rkind, method):
     # closed): 3,000 tau alone, in one array and in two calls, equal bits
     sd = SpectralDensity(s, cutoff, 50.0, 1.3)
     regime = bath._LOW if rkind is None else ThermalRegime(rkind, 17.0)
-    kernel = decoherence._kernel_for(sd, regime, method, "sin" if rkind is None else "cos")[0]
+    kernel = decoherence._kernel_for(sd, regime, method, "sin" if rkind is None else "cos").kernel
     tau = _LAM_TAU / sd.lam
     together = np.asarray(kernel(tau))
     alone = np.concatenate([kernel(tau[i : i + 1]) for i in range(tau.size)])
@@ -449,23 +451,24 @@ KERNEL_PLAN_CLOSED = {**KERNEL_PLAN, **{("drude", r): (np.inf, False, 0.0) for r
 def test_kernel_plan(cutoff, rkind, method):
     sd = SpectralDensity(1.0, cutoff, 50.0, 1.3)
     regime = LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
-    _, until, parts, floor = decoherence._kernel_for(sd, regime, method, "sin" if rkind == "eta" else "cos")
+    plan = decoherence._kernel_for(sd, regime, method, "sin" if rkind == "eta" else "cos")
     lam_until, split, lam_floor = (KERNEL_PLAN if method == "quadrature" else KERNEL_PLAN_CLOSED)[cutoff.value, rkind]
-    assert until == lam_until / sd.lam
-    assert (parts is not None) == split
-    assert floor == lam_floor / sd.lam
+    assert isinstance(plan, KernelPlan) and plan.lam == sd.lam
+    assert plan.until == lam_until / sd.lam
+    assert (plan.parts is not None) == split
+    assert plan.floor == lam_floor / sd.lam
 
 
 def test_exact_kernel_path():
     exact = ThermalRegime(RegimeKind.EXACT, 17.0)
     taus = np.array([1e-6, 0.01, 0.3])
     sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
-    kernel = decoherence._kernel_for(sd, exact, "quadrature")[0]
+    kernel = decoherence._kernel_for(sd, exact, "quadrature").kernel
     split = bath.noise_kernel_reference(sd, LOW, taus) + bath._bose_kernel_fn(sd, 17.0)(taus)
     assert np.array_equal(kernel(taus), split)
     # the same split at any s: nu_low is the one Drude-Lorentz transform
     sub = SpectralDensity(0.8, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
-    kernel = decoherence._kernel_for(sub, exact, "quadrature")[0]
+    kernel = decoherence._kernel_for(sub, exact, "quadrature").kernel
     split = bath.noise_kernel_reference(sub, LOW, taus) + bath._bose_kernel_fn(sub, 17.0)(taus)
     assert np.array_equal(kernel(taus), split)
 
@@ -482,7 +485,7 @@ def test_drude_kernel_matches_quadrature_at_any_s(s, rkind):
     sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
     regime = ThermalRegime(rkind, 17.0)
     taus = KERNEL_XS / sd.lam
-    got = decoherence._kernel_for(sd, regime)[0](taus)
+    got = decoherence._kernel_for(sd, regime).kernel(taus)
     for tau, g in zip(taus, got):
         want = bath.noise_kernel_quadrature(sd, regime, tau)
         assert abs(g - want) <= 1e-7 * abs(want), (tau, g, want)
@@ -534,7 +537,7 @@ def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
     assume(cutoff is not Cutoff.DRUDE_LORENTZ or s < 2.0)
     high = bath._reference_kernel_fn(sd, ThermalRegime(RegimeKind.HIGH_TEMPERATURE, oth))
     exact = ThermalRegime(RegimeKind.EXACT, oth)
-    kernel = decoherence._kernel_for(sd, exact, "quadrature")[0]
+    kernel = decoherence._kernel_for(sd, exact, "quadrature").kernel
     tau = x / lam
     low = bath.noise_kernel_reference(sd, LOW, tau)
     # 1 < coth(w/Omega_th) < 1 + Omega_th/w, and with Omega_th <= Lam and
@@ -608,9 +611,9 @@ def _refined_moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
     on every panel of the layout that resolves Lam at every tau cut in four,
     the panel sums accumulated in long double: the reference of the Filon
     tail, which resolves only the modes past Lam tau = 36."""
-    kernel = decoherence._kernel_for(sd, regime, method, kind)[0]
+    kernel = decoherence._kernel_for(sd, regime, method, kind).kernel
     mc = mode_constants(sys)
-    edges, counts = dynamics._panel_edges(grid, mc.a_prime + mc.b_prime, sd.lam, np.inf)
+    edges, counts = dynamics._panel_edges(grid, mc.a_prime + mc.b_prime, KernelPlan(kernel, sd.lam, np.inf, 0.0))
     edges = np.append((edges[:-1, None] + np.diff(edges)[:, None] * np.arange(4) / 4).ravel(), edges[-1])
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     sums = []
@@ -730,12 +733,12 @@ def test_short_head_holds_the_refined_reference(cutoff, s, rkind):
     sd = SpectralDensity(s, cutoff, 5000.0, 1.3)
     regime = bath._LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
     kind = "sin" if rkind == "eta" else "cos"
-    kernel, until, parts, floor = decoherence._kernel_for(sd, regime, "quadrature", kind)
-    assert floor == 1.0 / sd.lam
+    plan = decoherence._kernel_for(sd, regime, "quadrature", kind)
+    assert plan.floor == 1.0 / sd.lam
     for x0 in (1e-3, 1.0, 40.0, 1e3):
         grid = np.geomspace(x0, x0 + 32.0, 6) / sd.lam
         mom = decoherence._moments(HEAD_SYS, sd, regime, grid, kind=kind)
-        full = time_moments(HEAD_SYS, kernel, grid, sd.lam, until, parts, 0.0)
+        full = time_moments(HEAD_SYS, dataclasses.replace(plan, floor=0.0), grid)
         assert mom.nodes < full.nodes
         # lambda1 and its integral relative to themselves, lambda2 to its
         # column maximum
@@ -754,18 +757,14 @@ def test_short_head_holds_the_refined_reference(cutoff, s, rkind):
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
 def test_drude_head_keeps_the_42_halvings(s, rkind, method):
     # floor 0 for every Drude-Lorentz kernel, the pole sum (s = 1, closed)
-    # included: bit for bit the engine's default layout
+    # included: the head [0, Lam t = 1e-3] takes the innermost panel and one
+    # per halving
     sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
     regime = bath._LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
     kind = "sin" if rkind == "eta" else "cos"
-    kernel, until, parts, floor = decoherence._kernel_for(sd, regime, method, kind)
-    assert floor == 0.0
-    grid = default_grid(sd)
-    mom = decoherence._moments(DEFAULT_SYS, sd, regime, grid, method, kind)
-    ref = time_moments(DEFAULT_SYS, kernel, grid, sd.lam, until, parts)
-    assert mom.nodes == ref.nodes
-    for name in ("c0", "c1", "d0", "d1"):
-        assert getattr(mom, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert decoherence._kernel_for(sd, regime, method, kind).floor == 0.0
+    mom = decoherence._moments(DEFAULT_SYS, sd, regime, np.array([1e-3 / sd.lam]), method, kind)
+    assert mom.panels == 43
 
 
 @pytest.mark.parametrize("xs", [(5.0, 40.0, 157.0), (37.0, 700.0), (36.5, 37.0, 1e4)])
@@ -796,3 +795,156 @@ def test_abrupt_frequency_shift_with_slow_modes():
     want = -(2.0 / sys.m) * c0
     assert abs(shift - want[0]) <= 1e-12 * abs(want[0])
     assert abs(tail - abs(want[1] - want[0])) <= 1e-12 * abs(want[0])
+
+
+def _dense_through(grid, ratio=1.05):
+    """A log grid that starts at grid[0] and passes through every point of
+    ``grid`` at a ratio of at most ``ratio``, and the rows of those points."""
+    pieces = [grid[:1]]
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        piece = np.geomspace(lo, hi, int(np.ceil(np.log(hi / lo) / np.log(ratio))) + 1)[1:]
+        piece[-1] = hi
+        pieces.append(piece)
+    dense = np.concatenate(pieces)
+    return dense, np.searchsorted(dense, grid)
+
+
+def _assert_holds_dense(sys, sd, regime, grid, method="quadrature", kind="cos"):
+    """The moments of a sparse grid against those of ``_dense_through`` it,
+    each column scaled by its largest finite value on the dense grid, the
+    size of its running sums' rounding: lambda1 and its integral within
+    1e-10 relative, or 1e-13 of that value where they have cancelled below
+    1e-3 of it; lambda2 within 1e-10 of it plus F2's rounding.  F2 =
+    G (sin(B'u)/B' - sin(A'u)/A') cancels to an absolute error of about
+    eps G u per node, taken at other nodes by the other layout, so lambda2
+    may differ by about eps G int |nu| u du, here 10 eps G times the largest
+    int u nu F1 (exponential s = 2.5, Lam = 4823: 1.1e-10 of the column with
+    F2 as evaluated, 2e-14 with F2 in long double).  A row that overflows
+    (the pole sum past its cosh range, which curves flag) overflows in both.
+    The shared first point gives both the same head panels, so only the
+    layout past it is compared; the dense grid's intervals keep the span
+    rule with equal panels.  Returns the sparse moments."""
+    mom = decoherence._moments(sys, sd, regime, grid, method, kind)
+    dense, rows = _dense_through(grid)
+    ref = decoherence._moments(sys, sd, regime, dense, method, kind)
+    got = (mom.c0[:, 0], grid * mom.c0[:, 0] - mom.c1[:, 0], mom.c0[:, 1])
+    columns = (ref.c0[:, 0], dense * ref.c0[:, 0] - ref.c1[:, 0], ref.c0[:, 1])
+    largest = lambda column: np.max(np.abs(column[np.isfinite(column)]))
+    f2_rounding = 10.0 * np.finfo(float).eps * mode_constants(sys).g_coef * largest(ref.c1[:, 0])
+    for name, g, column in zip(("lambda1", "int lambda1", "lambda2"), got, columns):
+        w, top = column[rows], largest(column)
+        finite = np.isfinite(w)
+        assert np.array_equal(np.isfinite(g), finite), name
+        if name == "lambda2":
+            bound = np.full(len(w), 1e-10 * top + f2_rounding)
+        else:
+            bound = 1e-10 * np.maximum(np.abs(w), 1e-3 * top)
+        err = np.abs(g - w)[finite]
+        assert np.all(err <= bound[finite]), (name, err / bound[finite])
+    return mom
+
+
+#: the baths of the CLI-shaped sparse grids: the Drude-Lorentz kernels, with
+#: a log or inverse-power singularity at tau = 0, and one kernel of each
+#: other cutoff
+_SPARSE_BATHS = [("drude", s, r) for s in (0.5, 1.0, 1.5) for r in ("low", "exact")] + [
+    ("exp", 1.5, "low"),
+    ("abrupt", 1.0, "low"),
+]
+
+
+@pytest.mark.parametrize("lam", [50.0, 5000.0])
+@pytest.mark.parametrize("points", [2, 3, 4])
+@pytest.mark.parametrize("cutoff, s, rkind", _SPARSE_BATHS)
+def test_cli_sparse_grid_holds_the_dense_reference(cutoff, s, rkind, points, lam):
+    # the default span, 1e-3/Lam to min(1, 700/Lam), in a few points: each
+    # interval past the first spans decades, below and past until.  One
+    # panel on [1e-3, 0.84]/Lam missed lambda1 by 25% (Drude-Lorentz s = 1,
+    # Lam = 5000, three points) with err_flag 0
+    text = "lam=%g\ns=%g\ncutoff=%s\nomega0=10\nomega_c=1\nomega_th=17\nregime=%s\nt_points=%d\n"
+    sys, sd, regime, _, grid, _ = cli._build_objects(
+        cli._scalar_config(cli.parse_config(text % (lam, s, cutoff, rkind, points)))
+    )
+    _assert_holds_dense(sys, sd, regime, grid)
+
+
+#: Lam t grids whose intervals start past until = 30/Lam, one spanning 31
+#: times its start: mode-sized panels there missed lambda1 by up to 1.9e-4
+_TAIL_GRIDS = [np.array([40.0, 1250.0]), np.array([40.0, 126.0, 395.0, 1250.0])]
+
+
+@pytest.mark.parametrize("xs", _TAIL_GRIDS, ids=["2 points", "4 points"])
+@pytest.mark.parametrize(
+    "cutoff, s, rkind",
+    [
+        ("exp", 1.5, "low"),
+        ("exp", 1.5, "exact"),
+        ("exp", 1.0, "low"),
+        ("exp", 1.5, "eta"),
+        ("drude", 1.0, "low"),
+        ("drude", 1.0, "exact"),
+        ("drude", 0.5, "low"),
+        ("abrupt", 1.0, "low"),
+    ],
+)
+def test_tail_sparse_grid_holds_the_dense_reference(cutoff, s, rkind, xs):
+    sd = SpectralDensity(s, Cutoff(cutoff), 5000.0, 1.0)
+    regime = bath._LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
+    sys = SystemParams(omega0=10.0, omega_c=1.0)
+    _assert_holds_dense(sys, sd, regime, xs / sd.lam, kind="sin" if rkind == "eta" else "cos")
+
+
+def test_sparse_grid_matches_scipy_quad():
+    # the dense reference and the sparse grid of the 25% miss against QUADPACK
+    # on geometric pieces, which shares no panel layout: lambda1 = int nu F1
+    # and int lambda1 = t lambda1 - int u nu F1
+    text = "lam=5000\ns=1\ncutoff=drude\nomega0=10\nomega_c=1\nregime=low\nt_points=3\n"
+    sys, sd, regime, _, grid, _ = cli._build_objects(cli._scalar_config(cli.parse_config(text)))
+    kernel = decoherence._kernel_for(sd, regime).kernel
+    f1 = lambda u: float(kernel(np.array([u]))[0]) * f_weight(sys, u, "F1")
+    # breakpoints at every grid point and by halves down to grid[0] 2^-40
+    edges = np.unique(np.concatenate([[0.0], grid[0] * 2.0 ** -np.arange(40.0, 0.0, -1.0), grid, _dense_through(grid, 2.0)[0]]))
+    pieces = np.array(
+        [
+            [integrate.quad(lambda u: u**k * f1(u), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] for k in (0, 1)]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+    )
+    c0, c1 = np.cumsum(pieces, axis=0)[np.searchsorted(edges, grid) - 1].T
+    mom = _assert_holds_dense(sys, sd, regime, grid)
+    for got, want in ((mom.c0[:, 0].real, c0), (grid * mom.c0[:, 0].real - mom.c1[:, 0].real, grid * c0 - c1)):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), np.abs(got - want) / np.abs(want)
+
+
+#: the s of the Hypothesis sparse grids; Drude-Lorentz at s = 1.8 and 2.5
+#: has a kernel singular at tau = 0, and s = 2.5 is integrable only at high
+#: temperature
+_SPARSE_S = [0.3, 0.5, 1.0, 1.5, 1.8, 2.5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cutoff=st.sampled_from(list(Cutoff)),
+    rkind=st.sampled_from(["high", "low", "exact", "eta"]),
+    s=st.sampled_from(_SPARSE_S),
+    method=st.sampled_from(list(decoherence.METHODS)),
+    lam=st.floats(20.0, 5000.0),
+    where=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6, unique=True),
+)
+def test_sparse_grid_holds_the_dense_reference(cutoff, rkind, s, method, lam, where):
+    # 2 to 6 points log-uniform in the default span, Lam t from 1e-3 to
+    # min(Lam, 700); the closed method only where the catalogue has a kernel
+    sd = SpectralDensity(s, cutoff, lam, 1.0)
+    regime = bath._LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
+    kind = "sin" if rkind == "eta" else "cos"
+    try:
+        bath.require_integrable(sd, regime, kind)
+    except DomainError:
+        assume(False)
+    assume(method == "quadrature" or rkind in ("high", "low"))
+    t_min, t_max, _ = decoherence._default_span(sd)
+    grid = np.unique(t_min * (t_max / t_min) ** np.array(where))
+    assume(len(grid) >= 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_holds_dense(SystemParams(omega0=10.0, omega_c=1.0), sd, regime, grid, method, kind)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.coefficients import lambda_from_kernel
 from qbmag.decoherence import frequency_shift
 from qbmag.dynamics import (
+    KernelPlan,
     SystemParams,
     f_weight,
     heisenberg_transfer,
@@ -172,11 +174,11 @@ def test_time_moments_match_same_kernel_quadrature(s, cutoff, rkind, request):
         request.applymarker(pytest.mark.xfail(strict=True, reason="inner-panel singularity"))
     sd = SpectralDensity(s, cutoff, 60.0, 1.3)
     regime = ThermalRegime(rkind, 11.0)
-    kernel = decoherence._kernel_for(sd, regime, "quadrature")[0]
+    kernel = decoherence._kernel_for(sd, regime, "quadrature").kernel
     ts = np.array([0.3, 4.0, 11.0]) / sd.lam
     # the abrupt kernel oscillates at Lam at every tau; the others settle past 30/Lam
     until = np.inf if cutoff is Cutoff.ABRUPT else 30.0 / sd.lam
-    mom = time_moments(ENGINE_SYS, kernel, ts, sd.lam, until)
+    mom = time_moments(ENGINE_SYS, KernelPlan(kernel, sd.lam, until, 0.0), ts)
     mc = mode_constants(ENGINE_SYS)
     for t, (l1, l2) in zip(ts, mom.c0 / ENGINE_SYS.hbar):
         ref = lambda_from_kernel(ENGINE_SYS, kernel, t)
@@ -194,7 +196,7 @@ def test_time_moments_estimate_bounds_error():
     kap, lam = 40.0, 250.0
     kernel = lambda u: np.exp(-kap * u) * np.cos(lam * u)
     grid = np.logspace(-4, 0, 25)
-    mom = time_moments(sys, kernel, grid, lam, until=np.inf)
+    mom = time_moments(sys, KernelPlan(kernel, lam, np.inf, 0.0), grid)
 
     def exact(t):
         total = 0.0
@@ -294,10 +296,11 @@ def test_time_moments_report_nodes_and_panels():
     sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 60.0, 1.3)
     regime = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 11.0)
     sizes = []
-    kernel = _counting(decoherence._kernel_for(sd, regime, "quadrature")[0], sizes)
+    plan = decoherence._kernel_for(sd, regime, "quadrature")
+    plan = dataclasses.replace(plan, kernel=_counting(plan.kernel, sizes))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mom = time_moments(ENGINE_SYS, kernel, np.logspace(-4, 0, 50), sd.lam, 30.0 / sd.lam)
+        mom = time_moments(ENGINE_SYS, plan, np.logspace(-4, 0, 50))
     assert mom.panels > 0
     assert mom.nodes == 16 * mom.panels == sum(sizes)
 
@@ -310,8 +313,8 @@ def test_curve_calls_its_kernel_once_per_block(monkeypatch, block):
     kernel_for = decoherence._kernel_for
 
     def counted(*args):
-        kernel, *plan = kernel_for(*args)
-        return _counting(kernel, sizes), *plan
+        plan = kernel_for(*args)
+        return dataclasses.replace(plan, kernel=_counting(plan.kernel, sizes))
 
     monkeypatch.setattr(decoherence, "_kernel_for", counted)
     sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3)
@@ -331,8 +334,7 @@ def test_time_moments_do_not_depend_on_the_block(monkeypatch, cutoff, rkind):
     sd = SpectralDensity(1.0, cutoff, 200.0, 1.3)
     regime = ThermalRegime(rkind, 17.0)
     # the plan of a curve: the abrupt kernels' Filon panels past Lam t = 36
-    kernel, until, parts, floor = decoherence._kernel_for(sd, regime, "quadrature")
-    args = (ENGINE_SYS, kernel, decoherence.default_grid(sd), sd.lam, until, parts, floor)
+    args = (ENGINE_SYS, decoherence._kernel_for(sd, regime, "quadrature"), decoherence.default_grid(sd))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ref = time_moments(*args)
