@@ -655,7 +655,9 @@ def _drude_transform(se, kind):
     Against 30-digit mpmath every value is within 1e-12 of max(|D|, (1+x)^-(se+1))
     (worst 5e-14, over cos at -0.9 <= se <= 1.95 and sin at 1e-9 <= se <= 2 - 1e-9,
     x in [1e-9, 5e3]).  At x = 0 it returns the x -> 0+ limit: (pi/2)/cos(pi se/2)
-    for cos and 0 for sin below se = 1, pi/2 for sin at se = 1, else inf.
+    for cos and 0 for sin below se = 1, pi/2 for sin at se = 1, else inf; inf
+    also, without a warning, where D leaves the float range at subnormal x
+    (se past ~1.95).
     """
     c, s = _quarter_turns(se)
     e1 = -se if se <= 1.0 else 2.0 - se
@@ -713,9 +715,13 @@ def _drude_transform(se, kind):
             if tiny.any():
                 xt = xs[tiny]
                 odd[tiny] = x_r1(xt, lx[tiny]) * a1[tiny] + xt * b1[tiny]
-            sums = r0(lx) * a0 + b0 - odd
-            if lead:
-                sums -= lead * xs ** (1.0 - se)
+            # past se ~ 1.95 a subnormal x takes D ~ x^(1-se) past the float
+            # range: both terms in x^(1-se) are -inf there, so P is -inf and
+            # D is +inf, as at x = 0, with no overflow warning
+            with np.errstate(over="ignore"):
+                sums = r0(lx) * a0 + b0 - odd
+                if lead:
+                    sums -= lead * xs ** (1.0 - se)
             p[sel] = (np.pi / 2.0) * sums
         sel = band == 2
         if sel.any():
@@ -775,7 +781,14 @@ def _reference_kernel_fn(sd, regime, kind="cos"):
         transform = lambda x: gamma * (1.0 + x**2) ** (-(se + 1.0) / 2.0) * trig((se + 1.0) * np.arctan(x))
     else:
         transform = _drude_transform(se, kind)
-    return lambda tau: scale * transform(lam * np.asarray(tau, dtype=float))
+
+    def kernel(tau):
+        # a Drude-Lorentz kernel ~ tau^(1-se) leaves the float range at
+        # subnormal tau past se ~ 1.9: inf there, as at tau = 0, unwarned
+        with np.errstate(over="ignore"):
+            return scale * transform(lam * np.asarray(tau, dtype=float))
+
+    return kernel
 
 
 def _closed_scale(sd, regime):

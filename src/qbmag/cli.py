@@ -9,15 +9,20 @@ output of these commands depends on it.
 One builder makes the time grid of ``curve`` and ``sweep`` and the
 frequency grid of ``spectra``; a bad grid or method is a config error.
 
-A sweep groups its points by every config value except the separation
-(dx, dy): the points of a group share one kernel, so one moment pass
-(``decoherence.curves``) serves them all.  Groups run in this process, and
-after each one the CPU time spent so far is taken: once its mean per group
-times the number of groups left exceeds the pool's break-even, and two or
-more groups are left, those go to a process pool.  ``--workers``
-(default: every core) caps the pool; a ``--workers`` below 1 is a config
-error.  Every point file and the manifest are the same whichever way the
-groups ran.
+A sweep groups its points by layout, then by kernel, then by separation.
+The points that differ only in the separation (dx, dy) share one kernel;
+the kernels whose ``dynamics.KernelPlan``s, as ``decoherence._kernel_for``
+builds them, share a panel layout on one grid, one set of modes and one
+method share one moment pass (``decoherence._curves_many``), which lays
+out the panels, nodes and F1, F2 once and integrates each kernel on them.
+Every point's file is its ``curve`` file byte for byte, whichever kernels
+shared its pass.  Layout groups run in this process, and after each one
+the CPU time spent so far is taken: once its mean per group times the
+number of groups left exceeds the pool's break-even, and two or more
+groups are left, those go to a process pool, whose workers build the
+plans themselves.  ``--workers`` (default: every core) caps the pool; a
+``--workers`` below 1 is a config error.  Every point file and the
+manifest are the same whichever way the groups ran.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
 error (partial output is kept with the err_flag column set).
@@ -35,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .bath import Cutoff, SpectralDensity, ThermalRegime, require_integrable, spectral_density
-from .decoherence import FLAG_ERROR, METHODS, Separation, _default_span, curve, curves
+from .decoherence import FLAG_ERROR, METHODS, Separation, _curves_many, _default_span, _layout, curve
 from .dynamics import SystemParams
 from .errors import QbmagError
 from .validation import run_checks
@@ -181,29 +186,29 @@ def _atomic_write(path, text):
         raise
 
 
-def _floats(values):
-    """Python floats, whose %r is the shortest round-tripping repr."""
-    return np.asarray(values, dtype=float).tolist()
+def _reprs(values):
+    """The shortest round-tripping repr of each value as a Python float."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _csv(header, row_format, columns):
-    return "\n".join([header] + [row_format % row for row in zip(*columns)]) + "\n"
+def _csv(header, columns):
+    """CSV text of equal-length columns of cell strings."""
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def _curve_csv(series):
     return _csv(
         CURVE_HEADER,
-        "%r,%r,%r,%r,%r,%r,%r,%s,%d",
         [
-            _floats(series.times),
-            _floats(series.magnitude),
-            _floats(series.phase),
-            _floats(series.lambda1.real),
-            _floats(series.lambda1.imag),
-            _floats(series.lambda2.real),
-            _floats(series.lambda2.imag),
+            _reprs(series.times),
+            _reprs(series.magnitude),
+            _reprs(series.phase),
+            _reprs(series.lambda1.real),
+            _reprs(series.lambda1.imag),
+            _reprs(series.lambda2.real),
+            _reprs(series.lambda2.imag),
             series.method,
-            np.asarray(series.err_flag, dtype=int).tolist(),
+            list(map(str, np.asarray(series.err_flag, dtype=int).tolist())),
         ],
     )
 
@@ -222,8 +227,8 @@ def run_spectra(cfg, out_path):
     except QbmagError as exc:
         raise ConfigError(str(exc))
     omega = _grid(merged, "omega", "omega_grid", 1.0, 5.0 * merged["lam"], 400)
-    cols = [_floats(spectral_density(sd, omega)) for sd in sds]
-    _atomic_write(out_path, _csv(SPECTRA_HEADER, "%r,%r,%r,%r", [_floats(omega)] + cols))
+    cols = [_reprs(spectral_density(sd, omega)) for sd in sds]
+    _atomic_write(out_path, _csv(SPECTRA_HEADER, [_reprs(omega)] + cols))
     return 0
 
 
@@ -246,27 +251,33 @@ def _group_key(point):
     return tuple((k, repr(point[k])) for k in sorted(point) if k not in _SEPARATION_KEYS)
 
 
-def _run_sweep_group(tasks):
-    """[(index, point, path)] of points that differ only in dx, dy ->
-    [(index, status)].  Each point is built on its own, so a bad separation
-    stays that point's config error; the others share one ``curves`` pass."""
-    statuses = []
-    built = []
-    for index, point, path in tasks:
-        try:
-            built.append((index, path, _build_objects(_scalar_config(point))))
-        except ConfigError as exc:
-            statuses.append((index, "config-error: %s" % exc))
-    if not built:
-        return statuses
-    sys_params, sd, regime, _, grid, method = built[0][2]
+def _pass_key(objs):
+    """What the points of one moment pass share: the modes and hbar, the
+    grid, the method and the panel layout of the bath's plan; repr and the
+    grid's bytes keep -0.0 and 0.0 apart."""
+    sys_params, sd, regime, _, grid, method = objs
+    return repr(sys_params), grid.tobytes(), method, _layout(sd, regime, grid, method)
+
+
+def _run_sweep_group(kernels):
+    """Kernel groups of one moment pass, each [(index, path, objects)] of
+    built points that differ only in dx, dy -> [(index, status)].  One
+    ``_curves_many`` call serves them all; if it raises a package error, each
+    kernel group is run on its own, so the error stays with the points of
+    the kernel that raised it."""
+    sys_params, _, _, _, grid, method = kernels[0][0][2]
+    baths = [(points[0][2][1], points[0][2][2], [objs[3] for _, _, objs in points]) for points in kernels]
     try:
-        series = curves(sys_params, sd, regime, [objs[3] for _, _, objs in built], grid, method)
+        series = _curves_many(sys_params, baths, grid, method)
     except QbmagError as exc:
-        return statuses + [(index, "error: %s" % exc) for index, _, _ in built]
-    for (index, path, _), one in zip(built, series):
-        _atomic_write(path, _curve_csv(one))
-        statuses.append((index, "numerical-error" if np.any(one.err_flag == FLAG_ERROR) else "ok"))
+        if len(kernels) > 1:
+            return [status for points in kernels for status in _run_sweep_group([points])]
+        return [(index, "error: %s" % exc) for index, _, _ in kernels[0]]
+    statuses = []
+    for points, curves in zip(kernels, series):
+        for (index, path, _), one in zip(points, curves):
+            _atomic_write(path, _curve_csv(one))
+            statuses.append((index, "numerical-error" if np.any(one.err_flag == FLAG_ERROR) else "ok"))
     return statuses
 
 
@@ -278,19 +289,29 @@ def run_sweep(cfg, out_dir, workers):
     if len(points) > cap:
         raise ConfigError("sweep has %d points, above the cap %d" % (len(points), cap))
     os.makedirs(out_dir, exist_ok=True)
-    groups = {}
+    kernels = {}
     entries = []
+    results = []
     for i, point in enumerate(points):
         fname = "point_%04d.csv" % i
-        groups.setdefault(_group_key(point), []).append((i, point, os.path.join(out_dir, fname)))
         entries.append(
             {
                 "file": fname,
                 "params": {k: point[k] for k in sorted(point) if k in _SWEEPABLE or k in names},
             }
         )
+        # each point is built on its own, so a bad separation stays that
+        # point's config error
+        try:
+            objs = _build_objects(_scalar_config(point))
+        except ConfigError as exc:
+            results.append((i, "config-error: %s" % exc))
+            continue
+        kernels.setdefault(_group_key(point), []).append((i, os.path.join(out_dir, fname), objs))
+    groups = {}
+    for group in kernels.values():
+        groups.setdefault(_pass_key(group[0][2]), []).append(group)
     groups = list(groups.values())
-    results = []
     # CPU time of this thread, so other processes preempting it do not read
     # as work (wall time started 2-worker pools in bench sweeps of ~50 ms)
     start = time.thread_time()

@@ -12,12 +12,15 @@ int_0^t (t-u) f(u) du = t c0(t) - c1(t) with c0, c1 the running moments of
 f = nu F / hbar, so a whole curve costs one pass of kernel evaluations,
 made in blocks of nodes (``dynamics.time_moments``).
 
-``_moments``, the one entry to that engine for curves, criterion 5 and
-``frequency_shift``, checks the grid and hands the engine the one
-``dynamics.KernelPlan`` that ``_kernel_for`` builds: the kernel, its
-cutoff, up to where panels resolve Lam (past it they span at most half
-their start), its split and how far the first grid interval is refined
-towards 0.
+``_many_moments``, the one entry to that engine for curves, sweeps,
+criterion 5 and ``frequency_shift``, checks the grid and hands the engine
+the ``dynamics.KernelPlan`` that ``_kernel_for`` builds for each bath: the
+kernel, its cutoff, up to where panels resolve Lam (past it they span at
+most half their start), its split and how far the first grid interval is
+refined towards 0.  The baths whose plans share a panel layout share one
+pass, and each gets the moments of its own pass bit for bit; ``_moments``
+is its one-bath case, and ``_curves_many``, which ``curves`` calls with
+one bath, is the many-bath entry of the sweeps.
 """
 
 from dataclasses import dataclass
@@ -132,25 +135,42 @@ def _kernel_for(sd, regime, method="quadrature", kind="cos"):
     return KernelPlan(kernel, lam, settled, floor)
 
 
-def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
-    """``time_moments`` of the plan ``_kernel_for`` makes, on a finite, strictly
-    increasing grid >= 0 (DomainError otherwise); zero, with no kernel, at
-    gamma = 0, for a kernel that would be integrable at gamma > 0."""
+def _many_moments(sys, baths, grid, kind="cos"):
+    """``time_moments`` of the plans ``_kernel_for`` makes for each
+    (sd, regime, method) of ``baths``, one ``TimeMoments`` per bath, on a
+    finite, strictly increasing grid >= 0 (DomainError otherwise).  One pass
+    per panel layout (``KernelPlan.layout``) serves every bath whose plan
+    has it, and gives each the moments of its own pass bit for bit.  Zero,
+    with no kernel, at gamma = 0, for a kernel that would be integrable at
+    gamma > 0."""
     grid = np.asarray(grid, dtype=float)
     good = grid.ndim == 1 and len(grid) and np.all(np.isfinite(grid)) and grid[0] >= 0
     if not (good and np.all(np.diff(grid) > 0)):
         raise DomainError("grid must be finite, strictly increasing and start at >= 0")
-    require_integrable(sd, regime, kind)
-    if sd.gamma == 0.0:
-        zeros = np.zeros((len(grid), 2), dtype=complex)
-        return TimeMoments(zeros, zeros, zeros, zeros, nodes=0, panels=0)
-    return time_moments(sys, _kernel_for(sd, regime, method, kind), grid)
+    out = [None] * len(baths)
+    passes = {}
+    for i, (sd, regime, method) in enumerate(baths):
+        require_integrable(sd, regime, kind)
+        if sd.gamma == 0.0:
+            zeros = np.zeros((len(grid), 2), dtype=complex)
+            out[i] = TimeMoments(zeros, zeros, zeros, zeros, nodes=0, panels=0)
+        else:
+            plan = _kernel_for(sd, regime, method, kind)
+            passes.setdefault(plan.layout, []).append((i, plan))
+    for members in passes.values():
+        for (i, _), mom in zip(members, time_moments(sys, [plan for _, plan in members], grid)):
+            out[i] = mom
+    return out
 
 
-def _exponent_arrays(sys, sd, regime, grid, method):
-    """(int_0^t lambda dt', lambda, estimated error of the first) on `grid`,
-    columns lambda1 and lambda2."""
-    mom = _moments(sys, sd, regime, grid, method)
+def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
+    """``_many_moments`` of one bath."""
+    return _many_moments(sys, [(sd, regime, method)], grid, kind)[0]
+
+
+def _exponent_arrays(sys, mom, grid):
+    """(int_0^t lambda dt', lambda, estimated error of the first) on `grid`
+    from its moments, columns lambda1 and lambda2."""
     tcol = np.asarray(grid)[:, None]
     int_lam = (tcol * mom.c0 - mom.c1) / sys.hbar
     int_err = (tcol * mom.d0 - mom.d1) / sys.hbar
@@ -161,7 +181,8 @@ def exponents(sys, sd, regime, sep, t):
     """Cumulative decoherence exponents D1(t), D2(t) at a single time."""
     if t < 0:
         raise DomainError("t must be >= 0")
-    int_lam = _exponent_arrays(sys, sd, regime, np.array([float(t)]), "quadrature")[0]
+    grid = np.array([float(t)])
+    int_lam = _exponent_arrays(sys, _moments(sys, sd, regime, grid), grid)[0]
     d1 = (sep.dx**2 + sep.dy**2) * int_lam[0, 0]
     d2 = 2.0 * sep.dx * sep.dy * int_lam[0, 1]
     return DecoherenceExponent(complex(d1), complex(d2), float(t))
@@ -236,7 +257,8 @@ def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
     pass of kernel evaluations serves every curve: the grid check, the
     closed-form window and its fallback labels run once, and only
     D = (dx^2 + dy^2) int lambda1 + 2 dx dy int lambda2, the clamp and the
-    error estimate run per separation.
+    error estimate run per separation.  This is ``_curves_many`` of one
+    bath, so a sweep point's curve equals its own ``curves`` bit for bit.
 
     method="quadrature" integrates the closed transform of the
     regime-weighted defining kernel; method="closed" the catalogued regime
@@ -251,19 +273,57 @@ def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
     """
     if grid is None:
         grid = default_grid(sd)
+    return _curves_many(sys, [(sd, regime, seps)], grid, method)[0]
+
+
+def _main_method(sd, regime, grid, method):
+    """The method of a curve's pass over its whole grid: ``method``, or
+    quadrature where the closed-form window closes before the grid's end
+    (the grid is checked after)."""
+    if method == "closed" and closed_kernel_error(sd, regime, np.max(grid, initial=0.0)) is not None:
+        return "quadrature"
+    return method
+
+
+def _layout(sd, regime, grid, method):
+    """The ``KernelPlan.layout`` of the pass ``_curves_many`` makes over the
+    whole grid for this bath at gamma > 0."""
+    return _kernel_for(sd, regime, _main_method(sd, regime, grid, method)).layout
+
+
+def _curves_many(sys, baths, grid, method="quadrature"):
+    """``curves`` of each (sd, regime, seps) of ``baths`` on one grid and one
+    method: one list of ``CurveSeries`` per bath, each equal bit for bit to
+    that bath's own ``curves``.
+
+    The baths whose passes over the whole grid share a panel layout share
+    that pass (``_many_moments``).  A bath whose closed-form window closes
+    inside the grid takes its quadrature pass with the others and the
+    window's prefix in a closed pass of its own."""
     if method not in METHODS:
         raise DomainError("method must be one of %s, got %r" % (METHODS, method))
     grid = np.asarray(grid, dtype=float)
-    # the window at the largest time (the grid is checked after) picks the path
-    closed_ok = method != "closed" or closed_kernel_error(sd, regime, np.max(grid, initial=0.0)) is None
-    int_lam, lam_s, int_err = _exponent_arrays(sys, sd, regime, grid, method if closed_ok else "quadrature")
+    mains = [_main_method(sd, regime, grid, method) for sd, regime, _ in baths]
+    moments = _many_moments(sys, [(sd, regime, main) for (sd, regime, _), main in zip(baths, mains)], grid)
+    return [
+        _bath_curves(sys, sd, regime, seps, grid, method, main == method, mom)
+        for (sd, regime, seps), main, mom in zip(baths, mains, moments)
+    ]
+
+
+def _bath_curves(sys, sd, regime, seps, grid, method, closed_ok, mom):
+    """The curves of one bath from the moments of its pass over the whole
+    grid; where the closed-form window is not ok there, its prefix of the
+    grid takes a closed pass and the later points fall back."""
+    int_lam, lam_s, int_err = _exponent_arrays(sys, mom, grid)
     valid = np.ones(len(grid), dtype=bool)
     if not closed_ok:
         # the window is a prefix of the grid; later points fall back
         valid = np.array([closed_kernel_error(sd, regime, t) is None for t in grid])
         if valid.any():
+            head = grid[valid]
             int_lam[valid], lam_s[valid], int_err[valid] = _exponent_arrays(
-                sys, sd, regime, grid[valid], "closed"
+                sys, _moments(sys, sd, regime, head, "closed"), head
             )
     fallback = np.where(valid, FLAG_OK, FLAG_FALLBACK)
     methods = tuple(method if ok else "quadrature" for ok in valid)

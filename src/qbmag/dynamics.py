@@ -11,13 +11,15 @@ functions F1, F2 and the Heisenberg transfer matrix are built on the same
 modes, so the transfer matrix solves the classical equations of motion
 x'' = -w0^2 x + wc y', y'' = -w0^2 y - wc x' exactly.
 
-``time_moments``, the one time-integration engine, integrates the kernel of
-a ``KernelPlan`` against F1 and F2, taking the factor e^{i Lam tau} of a
+``time_moments``, the one time-integration engine, integrates the kernels
+of ``KernelPlan``s against F1 and F2, taking the factor e^{i Lam tau} of a
 kernel split as S + Re[a e^{i Lam tau}] exactly (Filon panels);
-``decoherence._moments``, its one caller, passes the plan that
+``decoherence._many_moments``, its one caller, passes the plans that
 ``decoherence._kernel_for`` builds, and one span rule (``_panel_edges``)
-reads it.  Every panel is reduced on its own, so the moments at a time
-depend only on the grid up to it.
+reads them.  The plans of one pass share their ``layout``, so one set of
+panel edges, nodes and F1, F2 values serves them all; a curve is the
+one-plan pass.  Every panel of every plan is reduced on its own, so the
+moments at a time depend only on its plan and the grid up to it.
 """
 
 from dataclasses import dataclass
@@ -238,6 +240,13 @@ class KernelPlan:
     floor: float
     parts: Optional[Callable] = None
 
+    @property
+    def layout(self):
+        """What the panels take from the plan: plans that agree on it have
+        the same panel edges on one grid and one set of modes, so
+        ``time_moments`` integrates them in one pass."""
+        return self.lam, self.until, self.floor, self.parts is not None
+
 
 @dataclass(frozen=True)
 class TimeMoments:
@@ -338,61 +347,77 @@ def _moment_values(values, fs, u):
     return np.stack([v, v * u[:, None]], axis=1).reshape(len(u), 4, 16)
 
 
-def time_moments(sys, plan, grid):
-    """Integrate the kernel of a ``KernelPlan`` against F1 and F2 from 0 to
-    each time of an increasing grid >= 0.
+def time_moments(sys, plans, grid):
+    """Integrate the kernel of each ``KernelPlan`` of ``plans`` against F1
+    and F2 from 0 to each time of an increasing grid >= 0: one
+    ``TimeMoments`` per plan, equal bit for bit to the one that plan gets in
+    a pass of its own.  The plans must share their ``layout``; ValueError
+    otherwise.
 
     The grid is cut into 16-node Gauss panels by the span rule of
     ``_panel_edges``; half a period of the fastest oscillation per panel
     keeps each panel at ~1e-12 relative.  A panel that starts at or past
-    ``until`` calls ``plan.parts``, if the plan has them, instead of
-    ``plan.kernel``; its S takes the Gauss rule of the kernel values, and
+    ``until`` calls a plan's ``parts``, if the plans have them, instead of
+    its ``kernel``; its S takes the Gauss rule of the kernel values, and
     a F e^{i Lam u} the Filon weights of ``_filon_weights``.
 
-    The panels of the whole grid are laid out at once and evaluated in
-    blocks of at most ``_NODE_BLOCK`` nodes: one F1, F2 evaluation and one
-    kernel call (one parts call for the block's split panels) per block.
-    Each panel is reduced on its own, one matrix product per panel, by the
-    16-node rule and the embedded 8-node rule on the same values, and a
-    running sum adds the panels in order, so a row of the moments depends
-    only on the grid up to its time and on no block size.
-    Memory is O(block + grid), time O(nodes).  A kernel that overflows
-    gives non-finite moments from that panel on, without numpy warnings;
-    callers flag them.
+    The panels of the whole grid are laid out once for all plans and
+    evaluated in blocks of at most ``_NODE_BLOCK`` nodes: per block, one F1,
+    F2 evaluation and one set of Filon weights serve every plan, and each
+    plan in turn takes one kernel call (one parts call for the block's split
+    panels).  Each panel is reduced on its own, one matrix product per panel
+    and plan, by the 16-node rule and the embedded 8-node rule on the same
+    values, and a running sum per plan adds the panels in order, so a row
+    of the moments depends only on its plan and the grid up to its time,
+    and on no block size or other plan.  Memory is O(block + plans x grid),
+    time O(nodes) for the layout plus O(nodes) per plan.  A kernel that
+    overflows gives non-finite moments from that panel on, without numpy
+    warnings; callers flag them.
     """
+    layout = plans[0].layout
+    if any(plan.layout != layout for plan in plans):
+        raise ValueError("the plans of one pass must share their layout, got %r" % [p.layout for p in plans])
+    lam, until, _, split = layout
     mc = mode_constants(sys)
-    edges, counts = _panel_edges(grid, mc.a_prime + mc.b_prime, plan)
+    edges, counts = _panel_edges(grid, mc.a_prime + mc.b_prime, plans[0])
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     n_panels = len(mid)
-    lam, parts = plan.lam, plan.parts
     # the panels that take the kernel; the rest take its split
-    n_head = n_panels if parts is None else int(np.searchsorted(edges[:-1], plan.until))
+    n_head = int(np.searchsorted(edges[:-1], until)) if split else n_panels
     per_block = max(1, _NODE_BLOCK // 16)
-    run = np.zeros((1, 4, 2), dtype=complex)  # (panel, moment x column, rule)
-    out = np.zeros((len(counts), 4, 2), dtype=complex)
+    runs = [np.zeros((1, 4, 2), dtype=complex) for _ in plans]  # (panel, moment x column, rule)
+    outs = [np.zeros((len(counts), 4, 2), dtype=complex) for _ in plans]
     for p0 in range(0, n_panels, per_block):
         p1 = min(n_panels, p0 + per_block)
         u = mid[p0:p1, None] + half[p0:p1, None] * _GX
         fs = np.stack([f_weight(sys, u, "F1"), f_weight(sys, u, "F2")], axis=1)  # (panel, column, node)
         cut = min(max(n_head - p0, 0), p1 - p0)  # the block's kernel panels
-        split = cut < p1 - p0
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = [np.asarray(plan.kernel(u[:cut].ravel())).reshape(cut, 16)] if cut else []
-            if split:
-                smooth, amp = (v.reshape(u[cut:].shape) for v in parts(u[cut:].ravel()))
-                vals.append(smooth)
-            # the kernel values, S on the split panels, by both rules
-            part = _moment_values(np.concatenate(vals), fs, u) @ _PANEL_W
-            if split:
-                # the split panels add a F e^{i Lam u} by the Filon weights
-                # of their Lam h, computed once per distinct h
-                theta, which = np.unique(lam * half[p0 + cut : p1], return_inverse=True)
-                osc = _moment_values(amp, fs[cut:], u[cut:]) @ _filon_weights(theta)[which]
-                part[cut:] += (osc * np.exp(1j * lam * mid[p0 + cut : p1])[:, None, None]).real
-            part = part * half[p0:p1, None, None]
-            total = np.cumsum(np.concatenate([run, part]), axis=0)
+        tail = cut < p1 - p0
         rows = slice(np.searchsorted(counts, p0, "right"), np.searchsorted(counts, p1, "right"))
-        out[rows] = total[counts[rows] - p0]
-        run = total[-1:]
-    c, d = out[..., 0], out[..., 1]
-    return TimeMoments(c[:, :2], c[:, 2:], d[:, :2], d[:, 2:], nodes=16 * n_panels, panels=n_panels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if tail:
+                # the split panels add a F e^{i Lam u} by the Filon weights
+                # of their Lam h, computed once per distinct h (and spread
+                # to the panels per plan, so that no kernel call runs while
+                # a copy per panel is held)
+                theta, which = np.unique(lam * half[p0 + cut : p1], return_inverse=True)
+                filon = _filon_weights(theta)
+                phase = np.exp(1j * lam * mid[p0 + cut : p1])[:, None, None]
+            for plan, run, out in zip(plans, runs, outs):
+                vals = [np.asarray(plan.kernel(u[:cut].ravel())).reshape(cut, 16)] if cut else []
+                if tail:
+                    smooth, amp = (v.reshape(u[cut:].shape) for v in plan.parts(u[cut:].ravel()))
+                    vals.append(smooth)
+                # the kernel values, S on the split panels, by both rules
+                part = _moment_values(np.concatenate(vals), fs, u) @ _PANEL_W
+                if tail:
+                    osc = _moment_values(amp, fs[cut:], u[cut:]) @ filon[which]
+                    part[cut:] += (osc * phase).real
+                part = part * half[p0:p1, None, None]
+                total = np.cumsum(np.concatenate([run, part]), axis=0)
+                out[rows] = total[counts[rows] - p0]
+                run[...] = total[-1:]
+    return [
+        TimeMoments(c[:, :2], c[:, 2:], d[:, :2], d[:, 2:], nodes=16 * n_panels, panels=n_panels)
+        for c, d in ((out[..., 0], out[..., 1]) for out in outs)
+    ]

@@ -357,6 +357,27 @@ def test_drude_kernels_at_subnormal_lam_tau(s, regime, kind):
         assert np.isfinite(g) and abs(g - want) <= 1e-12 * abs(want), (tau, g, want)
 
 
+@pytest.mark.parametrize("lam", [50.0, 1e6])
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+@pytest.mark.parametrize("s", [1.93, 1.97, 1.999])
+def test_drude_kernels_past_the_float_range_read_inf_unwarned(s, kind, lam):
+    # past se ~ 1.9 the low-regime kernels ~ tau^(1-se) leave the float range
+    # at subnormal Lam tau (C T(x) > 1.8e308): they read +inf, as at tau = 0,
+    # with no overflow warning from the series band or from the scale C
+    sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, lam)
+    taus = np.array([1e-310, 1e-315, 1e-320, 5e-324, 0.0])
+    reference = bath.noise_kernel_reference if kind == "cos" else bath.dissipation_kernel_reference
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bath._reference_kernel_fn(sd, LOW, kind)(taus)
+        one = reference(sd, 5e-324) if kind == "sin" else reference(sd, LOW, 5e-324)
+    # positive and growing towards tau = 0, where it is inf
+    assert np.all(got > 0.0) and np.all(got[1:] >= got[:-1]) and got[-1] == np.inf
+    if s > 1.95:
+        # the reported case, s = 1.97 at Lam = 50, among them
+        assert np.all(got[2:] == np.inf) and one == np.inf
+
+
 def test_drude_exact_kernel_at_subnormal_tau():
     # the exact regime's low-temperature part is the same transform
     sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)

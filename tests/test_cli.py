@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import types
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbmag import cli, decoherence
+from qbmag import cli, decoherence, dynamics
 from qbmag.bath import Cutoff, SpectralDensity, spectral_density
 from qbmag.cli import ConfigError, parse_config
 from qbmag.errors import ConvergenceError
@@ -227,6 +228,45 @@ def test_curve_csv_matches_per_cell_repr():
     assert text.splitlines()[4].split(",")[1] == "1e-300"
 
 
+def _row_format_csv(header, row_format, columns):
+    # the writer's earlier form: one %-format per row over Python values
+    columns = [np.asarray(c).tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    return "\n".join([header] + [row_format % row for row in zip(*columns)]) + "\n"
+
+
+def test_csv_columns_match_the_row_format():
+    # each float column takes one repr per cell and each row one join; the
+    # bytes are those of "%r,...,%s,%d" % row, on cells where repr changes
+    # notation (1e16, 1e-5), signed zeros, nan, inf, the smallest subnormal
+    # and the 1e-300 clamp
+    edge = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, decoherence.UNDERFLOW_CLAMP, 1e16, 9999999999999998.0,
+            1e-5, 1.0000000000000002e-5, 9.999999999999999e-05, 0.1 + 0.2, -1e300, 1.7976931348623157e308]
+    rng = np.random.default_rng(12)
+    cols = [np.array(edge)[rng.permutation(len(edge))] for _ in range(7)]
+    lambdas = np.empty((2, len(edge)), dtype=complex)  # no inf * 1j, which is nan
+    lambdas.real, lambdas.imag = cols[3::2], cols[4::2]
+    series = decoherence.CurveSeries(
+        times=cols[0],
+        magnitude=cols[1],
+        phase=cols[2],
+        lambda1=lambdas[0],
+        lambda2=lambdas[1],
+        method=tuple(["quadrature", "closed"][i % 3 == 1] for i in range(len(edge))),
+        err_flag=np.arange(len(edge)) % 4,
+        est_error=np.zeros(len(edge)),
+    )
+    want = _row_format_csv(cli.CURVE_HEADER, "%r,%r,%r,%r,%r,%r,%r,%s,%d", [*cols, series.method, series.err_flag])
+    text = cli._curve_csv(series)
+    assert text == want and text == _reference_curve_csv(series)
+    cells = [line.split(",") for line in text.splitlines()[1:]]
+    assert {row[8] for row in cells} == {"0", "1", "2", "3"} and {row[7] for row in cells} == {"quadrature", "closed"}
+    times = {row[0] for row in cells}
+    assert {"-0.0", "nan", "inf", "-inf", "5e-324", "1e-300", "1e+16", "1e-05", "9.999999999999999e-05"} <= times
+
+    out = cli._csv(cli.SPECTRA_HEADER, [cli._reprs(c) for c in cols[:4]])
+    assert out == _row_format_csv(cli.SPECTRA_HEADER, "%r,%r,%r,%r", cols[:4])
+
+
 def test_curve_and_spectra_files_match_per_cell_repr(tmp_path):
     cfg = parse_config(CURVE_CFG)
     out = str(tmp_path / "c.csv")
@@ -246,15 +286,15 @@ def test_curve_and_spectra_files_match_per_cell_repr(tmp_path):
 
 
 def test_sweep_records_each_point_failure(tmp_path, monkeypatch):
-    # a sweep computes each group of points with one decoherence.curves call
-    real_curves = cli.curves
+    # a sweep computes each pass of points with one decoherence._curves_many call
+    real_curves = cli._curves_many
 
-    def curves(sys_params, sd, *args):
-        if sd.cutoff is Cutoff.DRUDE_LORENTZ:
+    def curves(sys_params, baths, *args):
+        if any(sd.cutoff is Cutoff.DRUDE_LORENTZ for sd, _, _ in baths):
             raise ConvergenceError("kernel quadrature did not converge")
-        return real_curves(sys_params, sd, *args)
+        return real_curves(sys_params, baths, *args)
 
-    monkeypatch.setattr(cli, "curves", curves)
+    monkeypatch.setattr(cli, "_curves_many", curves)
     cfg = parse_config(CURVE_CFG.replace("t_points=30", "t_points=8") + "cutoff=drude\ns=-1\n")
     out = str(tmp_path / "sweep")
     assert cli.run_sweep(cfg, out, workers=1) == 3
@@ -266,6 +306,38 @@ def test_sweep_records_each_point_failure(tmp_path, monkeypatch):
     assert status[(1.0, "drude")] == "error: kernel quadrature did not converge"
     assert status[(-1.0, "abrupt")].startswith("config-error: ")
     assert status[(-1.0, "drude")].startswith("config-error: ")
+
+
+def test_sweep_keeps_a_kernel_error_to_its_own_points(tmp_path, monkeypatch):
+    # s = 0.5 and 1.5 share a pass; when it raises, each kernel runs alone,
+    # so only the kernel that raised reports the error
+    real_curves = cli._curves_many
+    calls = []
+
+    def curves(sys_params, baths, *args):
+        calls.append([sd.s for sd, _, _ in baths])
+        if any(sd.s == 1.5 for sd, _, _ in baths):
+            raise ConvergenceError("kernel quadrature did not converge")
+        return real_curves(sys_params, baths, *args)
+
+    monkeypatch.setattr(cli, "_curves_many", curves)
+    cfg = parse_config(DRUDE_CFG.replace("t_points=30", "t_points=8") % (0.5, "low") + "s=1.5\ndx=0.4\n")
+    out = tmp_path / "sweep"
+    assert cli.run_sweep(cfg, str(out), workers=1) == 3
+    assert calls == [[0.5, 1.5], [0.5], [1.5]]
+    points = json.loads(Path(out, "manifest.json").read_text())["points"]
+    status = {(p["params"]["s"], p["params"]["dx"]): p["status"] for p in points}
+    assert status == {
+        (0.5, 1.0): "ok",
+        (0.5, 0.4): "ok",
+        (1.5, 1.0): "error: kernel quadrature did not converge",
+        (1.5, 0.4): "error: kernel quadrature did not converge",
+    }
+    # run_curve does not go through cli._curves_many
+    _per_point_sweep(cfg, str(tmp_path / "want"))
+    want = _tree(tmp_path / "want")
+    for p in points[:2]:
+        assert Path(out, p["file"]).read_bytes() == want[p["file"]]
 
 
 def test_sweep_reports_a_non_integrable_point_as_config_error(tmp_path):
@@ -283,7 +355,7 @@ def test_sweep_lets_a_non_qbmag_exception_through(tmp_path, monkeypatch):
     def curves(*args):
         raise ZeroDivisionError("defect")
 
-    monkeypatch.setattr(cli, "curves", curves)
+    monkeypatch.setattr(cli, "_curves_many", curves)
     with pytest.raises(ZeroDivisionError):
         cli.run_sweep(parse_config(CURVE_CFG), str(tmp_path / "sweep"), workers=1)
 
@@ -313,7 +385,8 @@ t_points=24
 # dx and dy axes over two cutoffs at method=closed: the Drude-Lorentz closed
 # forms overflow past Lam t = 700, so its later rows fall back (err_flag 2)
 # and some of its curves fail (err_flag 3); dx=nan makes per-point config
-# errors inside otherwise valid groups
+# errors inside otherwise valid groups.  The two omega_th share a pass; the
+# cutoffs and the modes (omega0) do not
 MIXED_SWEEP_CFG = """
 cutoff=drude
 cutoff=exp
@@ -322,6 +395,7 @@ method=closed
 s=1
 lam=200
 omega0=10
+omega0=14
 omega_c=1
 omega_th=37
 omega_th=13
@@ -362,15 +436,16 @@ def _tree(directory):
 
 @pytest.fixture
 def count_passes(monkeypatch):
-    """Separations per cli.curves call, one call per moment pass."""
+    """Separations per kernel of each cli._curves_many call, one call per
+    moment pass."""
     passes = []
-    real_curves = cli.curves
+    real_curves = cli._curves_many
 
-    def curves(sys_params, sd, regime, seps, *args):
-        passes.append(len(seps))
-        return real_curves(sys_params, sd, regime, seps, *args)
+    def curves(sys_params, baths, *args):
+        passes.append([len(seps) for _, _, seps in baths])
+        return real_curves(sys_params, baths, *args)
 
-    monkeypatch.setattr(cli, "curves", curves)
+    monkeypatch.setattr(cli, "_curves_many", curves)
     return passes
 
 
@@ -393,8 +468,8 @@ def test_grouped_sweep_matches_per_point_curves(tmp_path, monkeypatch, count_poo
     _per_point_sweep(cfg, str(tmp_path / "want"))
     want = _tree(tmp_path / "want")
     statuses = [p["status"] for p in json.loads(want["manifest.json"])["points"]]
-    assert len(statuses) == 36 and statuses.count("ok") == 16 and statuses.count("numerical-error") == 8
-    assert statuses.count("config-error: separations must be finite") == 12
+    assert len(statuses) == 72 and statuses.count("ok") == 32 and statuses.count("numerical-error") == 16
+    assert statuses.count("config-error: separations must be finite") == 24
     flags = {line.rsplit(",", 1)[1] for name, text in want.items() if name.endswith(".csv")
              for line in text.decode().splitlines()[1:]}
     assert "2" in flags
@@ -403,9 +478,10 @@ def test_grouped_sweep_matches_per_point_curves(tmp_path, monkeypatch, count_poo
     assert cli.run_sweep(cfg, str(tmp_path / "got"), workers=2 if force_pool else 1) == 3
     assert _tree(tmp_path / "got") == want
     assert count_pools == ([2] if force_pool else [])
-    # one pass per (cutoff, omega_th) over its six finite separations; on the
-    # pool path only the first group runs in this process
-    assert count_passes == ([6] if force_pool else [6] * 4)
+    # one pass per (cutoff, omega0) over its two omega_th kernels of six
+    # finite separations each; on the pool path only the first pass runs in
+    # this process
+    assert count_passes == ([[6, 6]] if force_pool else [[6, 6]] * 4)
 
 
 def test_bench_sized_sweep_runs_in_process(tmp_path, monkeypatch, count_passes):
@@ -417,11 +493,163 @@ def test_bench_sized_sweep_runs_in_process(tmp_path, monkeypatch, count_passes):
     assert cli.run_sweep(cfg, str(tmp_path / "sweep"), workers=2) == 0
     points = json.loads(Path(tmp_path, "sweep", "manifest.json").read_text())["points"]
     assert len(points) == 36 and all(p["status"] == "ok" for p in points)
-    assert count_passes == [2] * 18  # one moment pass per (s, cutoff, regime)
+    # one moment pass per cutoff: its six (s, regime) kernels share a layout
+    assert count_passes == [[2] * 6] * 3
 
 
-# 18 groups of two separations: s x cutoff x omega0, cutoff in the order
-# the config lists it
+# the bench sweep at seed 7: s x cutoff x regime x dx, 36 points in 18
+# kernels and 3 panel layouts
+BENCH7_SWEEP_CFG = """
+s=0.5
+s=1
+s=1.5
+cutoff=abrupt
+cutoff=drude
+cutoff=exp
+regime=high
+regime=low
+lam=1630.8668016070894
+omega_th=73.4974162306718
+omega0=15.962342424413483
+omega_c=2.639468304910623
+dx=0.5052653045655747
+dx=1.3212284183827663
+dy=1.373553445396262
+t_min=6.131708604372715e-07
+t_max=0.012263417208745431
+t_points=24
+"""
+
+# gamma x omega_th in the low regime, which reads neither in its layout;
+# gamma = 0 takes no pass, and the abrupt grid runs past Lam t = 36
+LOW_GAMMA_SWEEP_CFG = """
+s=0.5
+s=1.5
+cutoff=abrupt
+cutoff=drude
+gamma=0
+gamma=0.4
+gamma=1.3
+omega_th=0
+omega_th=5
+regime=low
+lam=300
+omega0=8
+omega_c=3
+dx=0.7
+dy=0.9
+t_max=0.3
+t_points=16
+"""
+
+# the exact regime shares the exp layout with the high regime
+EXACT_SWEEP_CFG = """
+cutoff=exp
+cutoff=abrupt
+regime=high
+regime=exact
+omega_th=5
+omega_th=17
+s=1
+lam=50
+omega0=10
+omega_c=1
+dx=0.8
+t_max=0.2
+t_points=8
+"""
+
+# the Ohmic Drude-Lorentz pole sum falls back past Lam t = 700; its
+# quadrature pass shares the layout of the s = 0.5 kernels
+CLOSED_SWEEP_CFG = """
+s=0.5
+s=1
+cutoff=drude
+regime=high
+regime=low
+omega_th=13
+omega_th=37
+method=closed
+lam=200
+omega0=10
+omega_c=1
+dx=1.1
+t_max=5
+t_points=30
+"""
+
+
+@pytest.mark.parametrize(
+    "text, passes",
+    [
+        (BENCH7_SWEEP_CFG, [[2] * 6] * 3),
+        (LOW_GAMMA_SWEEP_CFG, [[1] * 12] * 2),
+        (EXACT_SWEEP_CFG, [[1] * 4, [1] * 2, [1] * 2]),
+        (CLOSED_SWEEP_CFG, [[1] * 8]),
+    ],
+    ids=["s-cutoff-regime-dx", "gamma-omega_th-low", "exact", "closed-fallback"],
+)
+def test_sweep_points_are_their_curves(tmp_path, count_passes, text, passes):
+    # every point file is run_curve's on that point's config, byte for
+    # byte, whichever kernels shared its pass
+    cfg = parse_config(text)
+    _per_point_sweep(cfg, str(tmp_path / "want"))
+    want = _tree(tmp_path / "want")
+    statuses = {p["status"] for p in json.loads(want["manifest.json"])["points"]}
+    assert cli.run_sweep(cfg, str(tmp_path / "got"), workers=1) == (0 if statuses == {"ok"} else 3)
+    assert _tree(tmp_path / "got") == want
+    assert count_passes == passes
+    flags = {line.rsplit(",", 1)[1] for name, data in want.items() if name.endswith(".csv")
+             for line in data.decode().splitlines()[1:]}
+    # the pole sum's rows past its window fall back (and some overflow,
+    # ROADMAP item 5); every other point is ok
+    assert statuses == ({"ok", "numerical-error"} if "closed" in text else {"ok"})
+    assert ("2" in flags) == ("closed" in text)
+
+
+def test_sweep_passes_share_edges_and_weights(tmp_path, monkeypatch):
+    # the bench sweep at seed 7 lays out its panels and evaluates F1, F2
+    # once per layout (3) instead of once per kernel (18), with the same
+    # kernel calls, one per kernel
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    factory = decoherence._reference_kernel_fn
+    monkeypatch.setattr(dynamics, "_panel_edges", counted("edges", dynamics._panel_edges))
+    monkeypatch.setattr(dynamics, "f_weight", counted("f_weight", dynamics.f_weight))
+    monkeypatch.setattr(decoherence, "_reference_kernel_fn", lambda *a: counted("kernel", factory(*a)))
+    cfg = parse_config(BENCH7_SWEEP_CFG)
+    assert cli.run_sweep(cfg, str(tmp_path / "shared"), workers=1) == 0
+    shared = dict(calls)
+    calls.clear()
+    # one pass per kernel, as each kernel's own curve takes it
+    monkeypatch.setattr(cli, "_pass_key", lambda objs: object())
+    assert cli.run_sweep(cfg, str(tmp_path / "alone"), workers=1) == 0
+    assert shared == {"edges": 3, "f_weight": 6, "kernel": 18}
+    assert dict(calls) == {"edges": 18, "f_weight": 36, "kernel": 18}
+    assert _tree(tmp_path / "shared") == _tree(tmp_path / "alone")
+
+
+def test_sweep_pool_writes_the_in_process_bytes(tmp_path, monkeypatch, count_pools, count_passes):
+    # workers get the built points of each pass and build its plans
+    # themselves; the first pass runs here and the other two in the pool
+    cfg = write(tmp_path, "bench.cfg", BENCH7_SWEEP_CFG)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "serial"), "--workers", "1"]) == 0
+    monkeypatch.setattr(cli, "_POOL_BREAK_EVEN_S", 0.0)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "pool"), "--workers", "2"]) == 0
+    assert count_pools == [2] and count_passes == [[2] * 6] * 4
+    assert _tree(tmp_path / "pool") == _tree(tmp_path / "serial")
+
+
+# 18 kernels of two separations: s x cutoff x omega0, cutoff in the order
+# the config lists it; the three s of one (cutoff, omega0) share a panel
+# layout, so the sweep takes 6 passes
 PLANNER_SWEEP_CFG = """
 s=0.5
 s=1
@@ -441,23 +669,25 @@ t_max=0.2
 t_points=8
 """
 
-#: CPU seconds per group of an exact-regime sweep on these axes, measured
-#: on a 2-vCPU machine: 8-10 ms per abrupt group, about 39 ms per exp group
+#: CPU seconds per kernel of an exact-regime sweep on these axes, measured
+#: on a 2-vCPU machine: 8-10 ms per abrupt kernel, about 39 ms per exp kernel
 _GROUP_COST = {"abrupt": 0.009, "exp": 0.039}
 
 
 def _planned_sweep(tmp_path, monkeypatch, cfg, cost):
-    """(pool sizes, groups handed to the pool) of a 2-worker sweep whose
-    groups cost ``cost[cutoff]`` CPU seconds on a fake clock, so the choice
-    does not depend on this machine's speed; the files must equal a
+    """(pool sizes, passes handed to the pool) of a 2-worker sweep whose
+    kernels cost ``cost[cutoff]`` CPU seconds each on a fake clock, so the
+    choice does not depend on this machine's speed; the files must equal a
     1-worker sweep's."""
     assert cli.run_sweep(cfg, str(tmp_path / "serial"), workers=1) == 0
     clock = [0.0]
     real_group = cli._run_sweep_group
 
-    def charged(tasks):
-        out = real_group(tasks)
-        clock[0] += cost[tasks[0][1]["cutoff"]]
+    def charged(kernels):
+        # a pass costs what its kernels cost, each read off the bath of its
+        # first point
+        out = real_group(kernels)
+        clock[0] += sum(cost[points[0][2][1].cutoff.value] for points in kernels)
         return out
 
     made, handed = [], []
@@ -485,12 +715,16 @@ def _planned_sweep(tmp_path, monkeypatch, cfg, cost):
     return made, handed
 
 
-@pytest.mark.parametrize("order, pooled", [(("abrupt", "exp"), 14), (("exp", "abrupt"), 17)])
+@pytest.mark.parametrize("order, pooled", [(("abrupt", "exp"), 0), (("exp", "abrupt"), 5)])
 def test_sweep_planner_rates_every_group_done(tmp_path, monkeypatch, order, pooled):
-    # with the abrupt groups first the pool pays off only once an exp group
-    # has raised the mean cost: after 3 abrupt and 1 exp group, 14 are left
+    # a pass of three abrupt kernels costs 27 ms, one of three exp kernels
+    # 117 ms.  With the exp passes first, 5 passes are left at 117 ms each.
+    # With the abrupt passes first the mean never pays for a pool: after 3
+    # abrupt passes and 1 exp pass it is 50 ms, and 2 passes are left,
+    # though the last pass alone would read 234 ms
     cfg = parse_config(PLANNER_SWEEP_CFG % order)
-    assert _planned_sweep(tmp_path, monkeypatch, cfg, _GROUP_COST) == ([2], [pooled])
+    want = ([2], [pooled]) if pooled else ([], [])
+    assert _planned_sweep(tmp_path, monkeypatch, cfg, _GROUP_COST) == want
 
 
 def test_sweep_planner_keeps_a_last_group_in_process(tmp_path, monkeypatch):

@@ -144,18 +144,62 @@ def test_curves_is_curve_at_each_separation_from_one_moment_pass(monkeypatch, la
         grid = np.logspace(-5, 0, 40)  # crosses Lam t = 700
     seps = [Separation(1.4177, 1.1896), Separation(0.0, 0.0), Separation(0.01, -0.02), Separation(1.4177, 1.1896)]
     passes = []
-    real = decoherence._exponent_arrays
-    monkeypatch.setattr(decoherence, "_exponent_arrays", lambda *a: passes.append(a[-1]) or real(*a))
+    real = decoherence._many_moments
+    monkeypatch.setattr(
+        decoherence, "_many_moments", lambda sys, baths, *a: passes.append([m for _, _, m in baths]) or real(sys, baths, *a)
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         many = curves(SYS, sd, HIGH, seps, grid, method="closed")
-    assert passes == (["closed"] if large else ["quadrature", "closed"])
+    assert passes == ([["closed"]] if large else [["quadrature"], ["closed"]])
     assert len(many) == len(seps)
     for sep, one in zip(seps, many):
         _same_series(one, curve(SYS, sd, HIGH, sep, grid, method="closed"))
     # the flags differ between separations, so a shared flag array would show
     assert set(many[0].err_flag) >= {FLAG_CLAMPED, FLAG_ERROR}
     assert set(many[1].err_flag) == ({0, FLAG_ERROR} if large else {0, FLAG_FALLBACK})
+
+
+def _same_bits(a, b):
+    for field in ("times", "magnitude", "phase", "lambda1", "lambda2", "err_flag", "est_error"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    assert a.method == b.method
+
+
+def test_curves_many_is_each_baths_own_curves(monkeypatch):
+    # one call over baths of every cutoff and regime at method='closed': the
+    # Ohmic Drude-Lorentz pole sum falls back past Lam t = 700 and takes its
+    # quadrature pass with the s = 0.5 bath, gamma = 0 takes no pass, and
+    # the exact regime falls back on every row; each bath's curves are its
+    # own ``curves`` bit for bit
+    lam, grid = 200.0, np.logspace(-5, np.log10(5.0), 30)
+    seps = [Separation(1.4177, 1.1896), Separation(0.0, -0.0), Separation(0.3, -0.7)]
+    high, exact = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 37.0), ThermalRegime(RegimeKind.EXACT, 3.0)
+    baths = [
+        (SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, lam), high, seps),
+        (SpectralDensity(0.5, Cutoff.DRUDE_LORENTZ, lam, 0.3), high, seps[:1]),
+        (SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, lam, 0.0), high, seps),
+        (SpectralDensity(1.5, Cutoff.ABRUPT, lam), high, seps),
+        (SpectralDensity(1.5, Cutoff.ABRUPT, lam, 2.0), LOW, seps[1:]),
+        (SpectralDensity(1.0, Cutoff.EXPONENTIAL, lam), exact, seps),
+        (SpectralDensity(1.0, Cutoff.EXPONENTIAL, lam, 0.7), high, seps),
+    ]
+    passes = []
+    real = decoherence.time_moments
+    monkeypatch.setattr(decoherence, "time_moments", lambda sys, plans, g: passes.append(len(plans)) or real(sys, plans, g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        many = decoherence._curves_many(SYS, baths, grid, "closed")
+        # the Drude-Lorentz and abrupt pairs and the exp pair share a pass;
+        # then the pole sum's closed prefix
+        assert passes == [2, 2, 2, 1]
+        for (sd, regime, bath_seps), got in zip(baths, many):
+            want = curves(SYS, sd, regime, bath_seps, grid, "closed")
+            assert len(got) == len(want) == len(bath_seps)
+            for g, w in zip(got, want):
+                _same_bits(g, w)
+    assert set(many[0][0].err_flag) >= {0, FLAG_FALLBACK}
+    assert set(many[5][0].err_flag) == {FLAG_FALLBACK} and np.all(many[2][0].magnitude == 1.0)
 
 
 @pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE])
@@ -738,7 +782,7 @@ def test_short_head_holds_the_refined_reference(cutoff, s, rkind):
     for x0 in (1e-3, 1.0, 40.0, 1e3):
         grid = np.geomspace(x0, x0 + 32.0, 6) / sd.lam
         mom = decoherence._moments(HEAD_SYS, sd, regime, grid, kind=kind)
-        full = time_moments(HEAD_SYS, dataclasses.replace(plan, floor=0.0), grid)
+        (full,) = time_moments(HEAD_SYS, [dataclasses.replace(plan, floor=0.0)], grid)
         assert mom.nodes < full.nodes
         # lambda1 and its integral relative to themselves, lambda2 to its
         # column maximum

@@ -178,7 +178,7 @@ def test_time_moments_match_same_kernel_quadrature(s, cutoff, rkind, request):
     ts = np.array([0.3, 4.0, 11.0]) / sd.lam
     # the abrupt kernel oscillates at Lam at every tau; the others settle past 30/Lam
     until = np.inf if cutoff is Cutoff.ABRUPT else 30.0 / sd.lam
-    mom = time_moments(ENGINE_SYS, KernelPlan(kernel, sd.lam, until, 0.0), ts)
+    (mom,) = time_moments(ENGINE_SYS, [KernelPlan(kernel, sd.lam, until, 0.0)], ts)
     mc = mode_constants(ENGINE_SYS)
     for t, (l1, l2) in zip(ts, mom.c0 / ENGINE_SYS.hbar):
         ref = lambda_from_kernel(ENGINE_SYS, kernel, t)
@@ -196,7 +196,7 @@ def test_time_moments_estimate_bounds_error():
     kap, lam = 40.0, 250.0
     kernel = lambda u: np.exp(-kap * u) * np.cos(lam * u)
     grid = np.logspace(-4, 0, 25)
-    mom = time_moments(sys, KernelPlan(kernel, lam, np.inf, 0.0), grid)
+    (mom,) = time_moments(sys, [KernelPlan(kernel, lam, np.inf, 0.0)], grid)
 
     def exact(t):
         total = 0.0
@@ -300,7 +300,7 @@ def test_time_moments_report_nodes_and_panels():
     plan = dataclasses.replace(plan, kernel=_counting(plan.kernel, sizes))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mom = time_moments(ENGINE_SYS, plan, np.logspace(-4, 0, 50))
+        (mom,) = time_moments(ENGINE_SYS, [plan], np.logspace(-4, 0, 50))
     assert mom.panels > 0
     assert mom.nodes == 16 * mom.panels == sum(sizes)
 
@@ -334,17 +334,84 @@ def test_time_moments_do_not_depend_on_the_block(monkeypatch, cutoff, rkind):
     sd = SpectralDensity(1.0, cutoff, 200.0, 1.3)
     regime = ThermalRegime(rkind, 17.0)
     # the plan of a curve: the abrupt kernels' Filon panels past Lam t = 36
-    args = (ENGINE_SYS, decoherence._kernel_for(sd, regime, "quadrature"), decoherence.default_grid(sd))
+    args = (ENGINE_SYS, [decoherence._kernel_for(sd, regime, "quadrature")], decoherence.default_grid(sd))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ref = time_moments(*args)
+        (ref,) = time_moments(*args)
         monkeypatch.setattr(dynamics, "_NODE_BLOCK", 16)
-        got = time_moments(*args)
+        (got,) = time_moments(*args)
     assert (got.nodes, got.panels) == (ref.nodes, ref.panels)
     # every panel is reduced on its own and the running sum adds the panels
     # in order, so a block boundary changes no bit
     for name in ("c0", "c1", "d0", "d1"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def _plans_by_layout(lam, omega_th, t_max):
+    """{layout: [(label, plan)]} over every cutoff x regime x method at
+    three s and two couplings, plus eta, as ``_kernel_for`` builds them;
+    method='closed' where the catalogued kernels hold up to t_max."""
+    regimes = [ThermalRegime(kind, omega_th) for kind in RegimeKind]
+    groups = {}
+    for cutoff in Cutoff:
+        for s in (0.5, 1.0, 1.5):
+            for gamma in (1.3, 0.2):
+                sd = SpectralDensity(s, cutoff, lam, gamma)
+                cases = [(regime, method, "cos") for regime in regimes for method in decoherence.METHODS]
+                for regime, method, kind in cases + [(bath._LOW, "quadrature", "sin")]:
+                    if method == "closed" and bath.closed_kernel_error(sd, regime, t_max) is not None:
+                        continue
+                    try:
+                        plan = decoherence._kernel_for(sd, regime, method, kind)
+                    except DomainError:  # Drude-Lorentz kernels not integrable at tau = 0
+                        continue
+                    label = (cutoff.value, s, gamma, regime.kind.value, method, kind)
+                    groups.setdefault(plan.layout, []).append((label, plan))
+    return groups
+
+
+def test_time_moments_of_plans_that_share_a_layout_are_their_own(monkeypatch):
+    # a pass of several plans returns each plan's single-plan moments bit
+    # for bit, however the blocks cut the panels; the grid runs past
+    # Lam t = 36 (the abrupt kernels' Filon tail) and 30 (settled kernels)
+    grid = np.concatenate([np.logspace(-5, -2, 12), [0.05, 0.1, 0.2, 0.35]])
+    groups = _plans_by_layout(200.0, 17.0, grid[-1])
+    # abrupt: the split kernels and the exact regime's; exp: one layout;
+    # Drude-Lorentz: the settled kernels and the pole sums
+    shared = [[label for label, _ in members] for members in groups.values() if len(members) > 1]
+    assert sorted(labels[0][0] for labels in shared) == ["abrupt", "abrupt", "drude", "drude", "exp"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = {label: time_moments(ENGINE_SYS, [plan], grid)[0] for members in groups.values() for label, plan in members}
+        monkeypatch.setattr(dynamics, "_NODE_BLOCK", 48)  # three panels a block
+        for members in groups.values():
+            shared = time_moments(ENGINE_SYS, [plan for _, plan in members], grid)
+            assert len(shared) == len(members)
+            for (label, _), got in zip(members, shared):
+                want = alone[label]
+                assert (got.nodes, got.panels) == (want.nodes, want.panels), label
+                for name in ("c0", "c1", "d0", "d1"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (label, name)
+
+
+def test_time_moments_reject_plans_of_two_layouts():
+    sd = SpectralDensity(1.0, Cutoff.ABRUPT, 200.0)
+    plan = decoherence._kernel_for(sd, ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 17.0), "quadrature")
+    grid = np.logspace(-4, -1, 5)
+    others = [
+        dataclasses.replace(plan, lam=300.0),
+        dataclasses.replace(plan, until=np.inf),
+        dataclasses.replace(plan, floor=0.0),
+        dataclasses.replace(plan, parts=None),
+    ]
+    for other in others:
+        assert other.layout != plan.layout
+        with pytest.raises(ValueError, match="share their layout"):
+            time_moments(ENGINE_SYS, [plan, other], grid)
+    # a different kernel alone does not change the layout
+    same = dataclasses.replace(plan, kernel=lambda u: 2.0 * plan.kernel(u))
+    twice, once = time_moments(ENGINE_SYS, [same, plan], grid)
+    assert np.array_equal(twice.c0, 2.0 * once.c0)
 
 
 @pytest.mark.parametrize(
