@@ -782,13 +782,14 @@ def _reference_kernel_fn(sd, regime, kind="cos"):
     else:
         transform = _drude_transform(se, kind)
 
-    def kernel(tau):
-        # a Drude-Lorentz kernel ~ tau^(1-se) leaves the float range at
-        # subnormal tau past se ~ 1.9: inf there, as at tau = 0, unwarned
-        with np.errstate(over="ignore"):
-            return scale * transform(lam * np.asarray(tau, dtype=float))
+        def kernel(tau):
+            # a Drude-Lorentz kernel ~ tau^(1-se) leaves the float range at
+            # subnormal tau past se ~ 1.9: inf there, as at tau = 0, unwarned
+            with np.errstate(over="ignore"):
+                return scale * transform(lam * np.asarray(tau, dtype=float))
 
-    return kernel
+        return kernel
+    return lambda tau: scale * transform(lam * np.asarray(tau, dtype=float))
 
 
 def _closed_scale(sd, regime):

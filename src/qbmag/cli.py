@@ -11,18 +11,23 @@ frequency grid of ``spectra``; a bad grid or method is a config error.
 
 A sweep groups its points by layout, then by kernel, then by separation.
 The points that differ only in the separation (dx, dy) share one kernel;
-the kernels whose ``dynamics.KernelPlan``s, as ``decoherence._kernel_for``
-builds them, share a panel layout on one grid, one set of modes and one
-method share one moment pass (``decoherence._curves_many``), which lays
-out the panels, nodes and F1, F2 once and integrates each kernel on them.
-Every point's file is its ``curve`` file byte for byte, whichever kernels
-shared its pass.  Layout groups run in this process, and after each one
-the CPU time spent so far is taken: once its mean per group times the
-number of groups left exceeds the pool's break-even, and two or more
-groups are left, those go to a process pool, whose workers build the
-plans themselves.  ``--workers`` (default: every core) caps the pool; a
+the kernels whose passes share a panel layout (``decoherence._layout``)
+on one grid, one set of modes and one method share one moment pass
+(``decoherence._curves_many``), which lays out the panels, nodes and F1,
+F2 once and integrates each kernel on them.  A pass holds at most
+``_PASS_KERNELS`` kernels; a larger layout group is cut into passes of
+near-equal size.  Every point's file is its ``curve`` file byte for byte,
+whichever kernels shared its pass.
+
+Passes run in this process, and after each one the CPU time per kernel is
+rated: the mean over every pass done, or the last pass's where that is
+higher.  Once the rate times the kernels left exceeds the pool's
+break-even, and two or more kernels are left, the passes left are cut into
+chunks of one layout, at least one per worker where there are enough
+kernels, and go to a process pool, whose workers build the plans
+themselves.  ``--workers`` (default: every core) caps the pool; a
 ``--workers`` below 1 is a config error.  Every point file and the
-manifest are the same whichever way the groups ran.
+manifest are the same whichever way the passes ran.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
 error (partial output is kept with the err_flag column set).
@@ -63,6 +68,13 @@ _SEPARATION_KEYS = ("dx", "dy")
 #: Each pool time is about its serial time over two plus 70-115 ms of
 #: start-up and dispatch, so two workers break even at twice that cost.
 _POOL_BREAK_EVEN_S = 0.2
+
+#: the most kernels in one moment pass.  A pass holds the moments and curves
+#: of all its kernels until it writes them, so this bounds a sweep's memory
+#: whatever its size, and the work it runs in this process before the
+#: planner can hand the rest to the pool; by eight kernels a pass has shared
+#: most of its panel set-up
+_PASS_KERNELS = 8
 
 _FLOAT_KEYS = {
     "s", "lam", "gamma", "omega0", "omega_c", "omega_th", "dx", "dy", "hbar",
@@ -253,7 +265,7 @@ def _group_key(point):
 
 def _pass_key(objs):
     """What the points of one moment pass share: the modes and hbar, the
-    grid, the method and the panel layout of the bath's plan; repr and the
+    grid, the method and the panel layout of the bath's pass; repr and the
     grid's bytes keep -0.0 and 0.0 apart."""
     sys_params, sd, regime, _, grid, method = objs
     return repr(sys_params), grid.tobytes(), method, _layout(sd, regime, grid, method)
@@ -281,6 +293,18 @@ def _run_sweep_group(kernels):
     return statuses
 
 
+def _split(items, parts):
+    """``items`` cut in order into ``parts`` runs of near-equal length."""
+    return [items[len(items) * i // parts : len(items) * (i + 1) // parts] for i in range(parts)]
+
+
+def _pool_chunks(passes, workers):
+    """The passes left, cut into chunks of kernels of one layout each, at
+    least min(workers, kernels) of them, so that every worker has one."""
+    size = max(1, sum(map(len, passes)) // workers)
+    return [chunk for one in passes for chunk in _split(one, -(-len(one) // size))]
+
+
 def run_sweep(cfg, out_dir, workers):
     merged = dict(_DEFAULTS)
     merged.update(cfg)
@@ -290,6 +314,7 @@ def run_sweep(cfg, out_dir, workers):
         raise ConfigError("sweep has %d points, above the cap %d" % (len(points), cap))
     os.makedirs(out_dir, exist_ok=True)
     kernels = {}
+    grids = {}
     entries = []
     results = []
     for i, point in enumerate(points):
@@ -303,27 +328,38 @@ def run_sweep(cfg, out_dir, workers):
         # each point is built on its own, so a bad separation stays that
         # point's config error
         try:
-            objs = _build_objects(_scalar_config(point))
+            sys_params, sd, regime, sep, grid, method = _build_objects(_scalar_config(point))
         except ConfigError as exc:
             results.append((i, "config-error: %s" % exc))
             continue
+        # the points share each distinct grid, so the built points hold
+        # O(points + grids x grid points), not O(points x grid points)
+        grid = grids.setdefault(grid.tobytes(), grid)
+        objs = sys_params, sd, regime, sep, grid, method
         kernels.setdefault(_group_key(point), []).append((i, os.path.join(out_dir, fname), objs))
-    groups = {}
+    layouts = {}
     for group in kernels.values():
-        groups.setdefault(_pass_key(group[0][2]), []).append(group)
-    groups = list(groups.values())
+        layouts.setdefault(_pass_key(group[0][2]), []).append(group)
+    passes = [one for group in layouts.values() for one in _split(group, -(-len(group) // _PASS_KERNELS))]
+    total = left = sum(map(len, passes))
     # CPU time of this thread, so other processes preempting it do not read
     # as work (wall time started 2-worker pools in bench sweeps of ~50 ms)
-    start = time.thread_time()
-    for done, group in enumerate(groups):
-        left = len(groups) - done
-        spent = time.thread_time() - start
-        if workers > 1 and left > 1 and done and spent / done * left > _POOL_BREAK_EVEN_S:
-            with ProcessPoolExecutor(max_workers=min(workers, left)) as pool:
-                for statuses in pool.map(_run_sweep_group, groups[done:]):
+    start = last = time.thread_time()
+    rate = 0.0
+    for done, one in enumerate(passes):
+        if workers > 1 and left > 1 and rate * left > _POOL_BREAK_EVEN_S:
+            chunks = _pool_chunks(passes[done:], workers)
+            with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+                for statuses in pool.map(_run_sweep_group, chunks):
                     results += statuses
             break
-        results += _run_sweep_group(group)
+        results += _run_sweep_group(one)
+        left -= len(one)
+        now = time.thread_time()
+        # CPU seconds per kernel: the mean over the passes done, or the last
+        # pass's, so costly kernels late in a sweep still reach the pool
+        rate = max((now - start) / (total - left), (now - last) / len(one))
+        last = now
     for index, status in results:
         entries[index]["status"] = status
     manifest = json.dumps({"axes": names, "points": entries}, indent=2, sort_keys=True)

@@ -17,10 +17,11 @@ criterion 5 and ``frequency_shift``, checks the grid and hands the engine
 the ``dynamics.KernelPlan`` that ``_kernel_for`` builds for each bath: the
 kernel, its cutoff, up to where panels resolve Lam (past it they span at
 most half their start), its split and how far the first grid interval is
-refined towards 0.  The baths whose plans share a panel layout share one
-pass, and each gets the moments of its own pass bit for bit; ``_moments``
-is its one-bath case, and ``_curves_many``, which ``curves`` calls with
-one bath, is the many-bath entry of the sweeps.
+refined towards 0.  Baths whose plans share a panel layout
+(``_plan_layout``, which reads it off the bath without building a kernel)
+share one pass, and each gets the moments of its own pass bit for bit;
+``_moments`` is its one-bath case, and ``_curves_many``, which ``curves``
+calls with one bath, is the many-bath entry of the sweeps.
 """
 
 from dataclasses import dataclass
@@ -91,26 +92,47 @@ class CurveSeries:
 
 def _kernel_for(sd, regime, method="quadrature", kind="cos"):
     """The ``KernelPlan`` of the vectorised nu, or with kind='sin' and the low
-    regime eta: the kernel and how ``time_moments`` integrates it.
+    regime eta: the kernel and how ``time_moments`` integrates it, with the
+    panel layout of ``_plan_layout``.
 
     Every kernel is the closed transform of the defining integral, in the
     exact regime the closed low-temperature transform plus the Bose term.
     method='closed' differs only where the catalogue does: for the Ohmic
     Drude-Lorentz nu it is the Matsubara pole-sum form of
     ``noise_kernel_closed_parts``.  DomainError (``bath.require_integrable``)
-    for a kernel not integrable at tau = 0.
+    for a kernel not integrable at tau = 0.  The abrupt kernels outside the
+    exact regime come with ``parts``, their split past Lam tau = 36
+    (``bath._oscillating_tail``), whose e^{i Lam tau} the engine integrates
+    exactly."""
+    lam, until, floor, split = _plan_layout(sd, regime, method, kind)
+    if _pole_sum_form(sd, method, kind):
+        kernel = lambda taus: noise_kernel_closed_parts(sd, regime, taus)
+    elif regime.kind is RegimeKind.EXACT:
+        low = _reference_kernel_fn(sd, _LOW, kind)
+        bose = _bose_kernel_fn(sd, regime.omega_th)
+        kernel = lambda taus: low(taus) + bose(taus)
+    else:
+        kernel = _reference_kernel_fn(sd, regime, kind)
+    return KernelPlan(kernel, lam, until, floor, _oscillating_tail(sd, regime, kind)[1] if split else None)
+
+
+def _pole_sum_form(sd, method, kind):
+    """True where ``_kernel_for`` takes the pole-sum form."""
+    return method == "closed" and kind == "cos" and _pole_sum(sd)
+
+
+def _plan_layout(sd, regime, method="quadrature", kind="cos"):
+    """The ``KernelPlan.layout`` (lam, until, floor, split or not) of the plan
+    ``_kernel_for`` builds, read off the bath without building its kernel.
 
     ``until`` is where the panel rule changes: panels resolve the cutoff Lam
     on the grid intervals that start below it, and past it span at most
-    half their start (plus ``floor``).  The abrupt kernels outside the exact
-    regime come with ``parts``, their split past Lam tau = 36
-    (``bath._oscillating_tail``), whose e^{i Lam tau} the engine integrates
-    exactly, so panels resolve 1/Lam only below until = 36/Lam.  They
-    resolve it at every tau for the kernels that oscillate at Lam with no
-    split, the exact-regime abrupt kernel (its Bose term is cut at Lam when
-    40 Omega_th > Lam), and for the pole-sum form, which grows as
-    cosh(Lam tau); every other kernel has settled past 30/Lam.  ``parts`` is
-    None for all but the split kernels.
+    half their start (plus ``floor``).  The split abrupt kernels
+    (``_kernel_for``) have until = 36/Lam, where their split starts.  Panels
+    resolve 1/Lam at every tau for the kernels that oscillate at Lam with
+    no split, the exact-regime abrupt kernel (its Bose term is cut at Lam
+    when 40 Omega_th > Lam), and for the pole-sum form, which grows as
+    cosh(Lam tau); every other kernel has settled past 30/Lam.
 
     ``floor`` is the head rule: the engine halves the first grid interval
     towards tau = 0 until its innermost piece is at most ``floor``.  It is
@@ -121,44 +143,39 @@ def _kernel_for(sd, regime, method="quadrature", kind="cos"):
     lam = sd.lam
     settled = 30.0 / lam
     abrupt = sd.cutoff is Cutoff.ABRUPT
-    if method == "closed" and kind == "cos" and _pole_sum(sd):
-        return KernelPlan(lambda taus: noise_kernel_closed_parts(sd, regime, taus), lam, np.inf, 0.0)
+    if _pole_sum_form(sd, method, kind):
+        return lam, np.inf, 0.0, False
     floor = 0.0 if sd.cutoff is Cutoff.DRUDE_LORENTZ else 1.0 / lam
     if regime.kind is RegimeKind.EXACT:
-        low = _reference_kernel_fn(sd, _LOW, kind)
-        bose = _bose_kernel_fn(sd, regime.omega_th)
-        return KernelPlan(lambda taus: low(taus) + bose(taus), lam, np.inf if abrupt else settled, floor)
-    kernel = _reference_kernel_fn(sd, regime, kind)
+        return lam, np.inf if abrupt else settled, floor, False
     if abrupt:
-        until, parts = _oscillating_tail(sd, regime, kind)
-        return KernelPlan(kernel, lam, until, floor, parts)
-    return KernelPlan(kernel, lam, settled, floor)
+        return lam, _oscillating_tail(sd, regime, kind)[0], floor, True
+    return lam, settled, floor, False
 
 
 def _many_moments(sys, baths, grid, kind="cos"):
     """``time_moments`` of the plans ``_kernel_for`` makes for each
     (sd, regime, method) of ``baths``, one ``TimeMoments`` per bath, on a
-    finite, strictly increasing grid >= 0 (DomainError otherwise).  One pass
-    per panel layout (``KernelPlan.layout``) serves every bath whose plan
-    has it, and gives each the moments of its own pass bit for bit.  Zero,
-    with no kernel, at gamma = 0, for a kernel that would be integrable at
-    gamma > 0."""
+    finite, strictly increasing grid >= 0 (DomainError otherwise).  The
+    plans share one pass, so they must share their panel layout
+    (``_plan_layout``; ValueError otherwise), and each bath gets the moments
+    of its own pass bit for bit.  Zero, with no kernel, at gamma = 0, for a
+    kernel that would be integrable at gamma > 0."""
     grid = np.asarray(grid, dtype=float)
     good = grid.ndim == 1 and len(grid) and np.all(np.isfinite(grid)) and grid[0] >= 0
     if not (good and np.all(np.diff(grid) > 0)):
         raise DomainError("grid must be finite, strictly increasing and start at >= 0")
     out = [None] * len(baths)
-    passes = {}
+    plans = []
     for i, (sd, regime, method) in enumerate(baths):
         require_integrable(sd, regime, kind)
         if sd.gamma == 0.0:
             zeros = np.zeros((len(grid), 2), dtype=complex)
             out[i] = TimeMoments(zeros, zeros, zeros, zeros, nodes=0, panels=0)
         else:
-            plan = _kernel_for(sd, regime, method, kind)
-            passes.setdefault(plan.layout, []).append((i, plan))
-    for members in passes.values():
-        for (i, _), mom in zip(members, time_moments(sys, [plan for _, plan in members], grid)):
+            plans.append((i, _kernel_for(sd, regime, method, kind)))
+    if plans:
+        for (i, _), mom in zip(plans, time_moments(sys, [plan for _, plan in plans], grid)):
             out[i] = mom
     return out
 
@@ -286,9 +303,10 @@ def _main_method(sd, regime, grid, method):
 
 
 def _layout(sd, regime, grid, method):
-    """The ``KernelPlan.layout`` of the pass ``_curves_many`` makes over the
-    whole grid for this bath at gamma > 0."""
-    return _kernel_for(sd, regime, _main_method(sd, regime, grid, method)).layout
+    """The panel layout of the pass ``_curves_many`` makes over the whole
+    grid for this bath at gamma > 0; the baths of one ``_curves_many`` call
+    must share it."""
+    return _plan_layout(sd, regime, _main_method(sd, regime, grid, method))
 
 
 def _curves_many(sys, baths, grid, method="quadrature"):
@@ -296,10 +314,11 @@ def _curves_many(sys, baths, grid, method="quadrature"):
     method: one list of ``CurveSeries`` per bath, each equal bit for bit to
     that bath's own ``curves``.
 
-    The baths whose passes over the whole grid share a panel layout share
-    that pass (``_many_moments``).  A bath whose closed-form window closes
-    inside the grid takes its quadrature pass with the others and the
-    window's prefix in a closed pass of its own."""
+    The baths share one pass over the whole grid (``_many_moments``), so
+    they must share its panel layout (``_layout``; ValueError otherwise).  A
+    bath whose closed-form window closes inside the grid takes its
+    quadrature pass with the others and the window's prefix in a closed
+    pass of its own."""
     if method not in METHODS:
         raise DomainError("method must be one of %s, got %r" % (METHODS, method))
     grid = np.asarray(grid, dtype=float)

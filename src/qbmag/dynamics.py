@@ -369,10 +369,12 @@ def time_moments(sys, plans, grid):
     and plan, by the 16-node rule and the embedded 8-node rule on the same
     values, and a running sum per plan adds the panels in order, so a row
     of the moments depends only on its plan and the grid up to its time,
-    and on no block size or other plan.  Memory is O(block + plans x grid),
-    time O(nodes) for the layout plus O(nodes) per plan.  A kernel that
-    overflows gives non-finite moments from that panel on, without numpy
-    warnings; callers flag them.
+    and on no block size or other plan.  Memory is O(block) for the nodes,
+    F1, F2 and one plan's kernel values at a time, plus a running sum and
+    the moments of every plan, O(plans x grid), so callers bound the plans
+    of a pass; time is O(nodes) for the layout plus O(nodes) per plan.  A
+    kernel that overflows gives non-finite moments from that panel on,
+    without numpy warnings; callers flag them.
     """
     layout = plans[0].layout
     if any(plan.layout != layout for plan in plans):

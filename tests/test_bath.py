@@ -378,6 +378,16 @@ def test_drude_kernels_past_the_float_range_read_inf_unwarned(s, kind, lam):
         assert np.all(got[2:] == np.inf) and one == np.inf
 
 
+def test_exponential_kernel_past_the_float_range_still_warns():
+    # only the Drude-Lorentz kernels silence the overflow of C T(x): here
+    # C = Lam^3 ~ 9.7e307 and T(0) = Gamma(3) = 2, a real overflow
+    sd = SpectralDensity(2.0, Cutoff.EXPONENTIAL, 4.6e102)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            bath._reference_kernel_fn(sd, LOW)(np.array([0.0]))
+
+
 def test_drude_exact_kernel_at_subnormal_tau():
     # the exact regime's low-temperature part is the same transform
     sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)

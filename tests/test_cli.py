@@ -386,7 +386,7 @@ t_points=24
 # forms overflow past Lam t = 700, so its later rows fall back (err_flag 2)
 # and some of its curves fail (err_flag 3); dx=nan makes per-point config
 # errors inside otherwise valid groups.  The two omega_th share a pass; the
-# cutoffs and the modes (omega0) do not
+# cutoffs do not
 MIXED_SWEEP_CFG = """
 cutoff=drude
 cutoff=exp
@@ -395,7 +395,6 @@ method=closed
 s=1
 lam=200
 omega0=10
-omega0=14
 omega_c=1
 omega_th=37
 omega_th=13
@@ -468,8 +467,8 @@ def test_grouped_sweep_matches_per_point_curves(tmp_path, monkeypatch, count_poo
     _per_point_sweep(cfg, str(tmp_path / "want"))
     want = _tree(tmp_path / "want")
     statuses = [p["status"] for p in json.loads(want["manifest.json"])["points"]]
-    assert len(statuses) == 72 and statuses.count("ok") == 32 and statuses.count("numerical-error") == 16
-    assert statuses.count("config-error: separations must be finite") == 24
+    assert len(statuses) == 36 and statuses.count("ok") == 16 and statuses.count("numerical-error") == 8
+    assert statuses.count("config-error: separations must be finite") == 12
     flags = {line.rsplit(",", 1)[1] for name, text in want.items() if name.endswith(".csv")
              for line in text.decode().splitlines()[1:]}
     assert "2" in flags
@@ -478,10 +477,10 @@ def test_grouped_sweep_matches_per_point_curves(tmp_path, monkeypatch, count_poo
     assert cli.run_sweep(cfg, str(tmp_path / "got"), workers=2 if force_pool else 1) == 3
     assert _tree(tmp_path / "got") == want
     assert count_pools == ([2] if force_pool else [])
-    # one pass per (cutoff, omega0) over its two omega_th kernels of six
-    # finite separations each; on the pool path only the first pass runs in
-    # this process
-    assert count_passes == ([[6, 6]] if force_pool else [[6, 6]] * 4)
+    # one pass per cutoff over its two omega_th kernels of six finite
+    # separations each; on the pool path only the first pass runs in this
+    # process, and the two kernels left go to the two workers one each
+    assert count_passes == ([[6, 6]] if force_pool else [[6, 6]] * 2)
 
 
 def test_bench_sized_sweep_runs_in_process(tmp_path, monkeypatch, count_passes):
@@ -521,7 +520,8 @@ t_points=24
 """
 
 # gamma x omega_th in the low regime, which reads neither in its layout;
-# gamma = 0 takes no pass, and the abrupt grid runs past Lam t = 36
+# gamma = 0 takes no pass, and the abrupt grid runs past Lam t = 36.  Each
+# cutoff's 12 kernels take two passes of 6 (``cli._PASS_KERNELS``)
 LOW_GAMMA_SWEEP_CFG = """
 s=0.5
 s=1.5
@@ -583,7 +583,7 @@ t_points=30
     "text, passes",
     [
         (BENCH7_SWEEP_CFG, [[2] * 6] * 3),
-        (LOW_GAMMA_SWEEP_CFG, [[1] * 12] * 2),
+        (LOW_GAMMA_SWEEP_CFG, [[1] * 6] * 4),
         (EXACT_SWEEP_CFG, [[1] * 4, [1] * 2, [1] * 2]),
         (CLOSED_SWEEP_CFG, [[1] * 8]),
     ],
@@ -647,6 +647,61 @@ def test_sweep_pool_writes_the_in_process_bytes(tmp_path, monkeypatch, count_poo
     assert _tree(tmp_path / "pool") == _tree(tmp_path / "serial")
 
 
+# 12 kernels of one layout: s x gamma at one cutoff and regime
+ONE_LAYOUT_SWEEP_CFG = """
+s=0.5
+s=1
+s=1.5
+gamma=0.2
+gamma=0.5
+gamma=0.9
+gamma=1.3
+cutoff=exp
+regime=high
+lam=50
+omega0=10
+omega_c=1
+omega_th=17
+dx=0.7
+t_max=0.2
+t_points=8
+"""
+
+
+def test_sweep_cuts_a_large_layout_into_bounded_passes(tmp_path, count_passes):
+    # a pass holds at most _PASS_KERNELS kernels, so 12 kernels of one
+    # layout take two passes of 6
+    assert cli._PASS_KERNELS == 8
+    cfg = parse_config(ONE_LAYOUT_SWEEP_CFG)
+    _per_point_sweep(cfg, str(tmp_path / "want"))
+    assert cli.run_sweep(cfg, str(tmp_path / "got"), workers=1) == 0
+    assert _tree(tmp_path / "got") == _tree(tmp_path / "want")
+    assert count_passes == [[1] * 6] * 2
+
+
+def test_sweep_of_one_layout_runs_in_the_pool(tmp_path, monkeypatch, count_pools, count_passes):
+    # the first pass runs here; its layout's 6 kernels left go to the two
+    # workers in two chunks of 3, and the files are the in-process ones
+    cfg = parse_config(ONE_LAYOUT_SWEEP_CFG)
+    assert cli.run_sweep(cfg, str(tmp_path / "serial"), workers=1) == 0
+    count_passes.clear()
+    monkeypatch.setattr(cli, "_POOL_BREAK_EVEN_S", 0.0)
+    assert cli.run_sweep(cfg, str(tmp_path / "pool"), workers=2) == 0
+    assert count_pools == [2] and count_passes == [[1] * 6]
+    assert _tree(tmp_path / "pool") == _tree(tmp_path / "serial")
+
+
+def test_pool_chunks_give_every_worker_one():
+    # chunks keep their layout and order; there are at least
+    # min(workers, kernels) of them
+    passes = [list("abcdefgh"), list("ij"), list("k")]
+    for workers in range(1, 14):
+        chunks = cli._pool_chunks(passes, workers)
+        assert [k for chunk in chunks for k in chunk] == list("abcdefghijk")
+        assert all(set(chunk) <= set(one) for chunk in chunks for one in passes if chunk[0] in one)
+        assert len(chunks) >= min(workers, 11) and all(chunks)
+
+
 # 18 kernels of two separations: s x cutoff x omega0, cutoff in the order
 # the config lists it; the three s of one (cutoff, omega0) share a panel
 # layout, so the sweep takes 6 passes
@@ -675,7 +730,8 @@ _GROUP_COST = {"abrupt": 0.009, "exp": 0.039}
 
 
 def _planned_sweep(tmp_path, monkeypatch, cfg, cost):
-    """(pool sizes, passes handed to the pool) of a 2-worker sweep whose
+    """(pool sizes, kernels of each chunk handed to the pool) of a 2-worker
+    sweep whose
     kernels cost ``cost[cutoff]`` CPU seconds each on a fake clock, so the
     choice does not depend on this machine's speed; the files must equal a
     1-worker sweep's."""
@@ -704,7 +760,7 @@ def _planned_sweep(tmp_path, monkeypatch, cfg, cost):
 
         def map(self, fn, groups):
             groups = list(groups)
-            handed.append(len(groups))
+            handed.append([len(chunk) for chunk in groups])
             return map(fn, groups)
 
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(thread_time=lambda: clock[0]))
@@ -715,16 +771,22 @@ def _planned_sweep(tmp_path, monkeypatch, cfg, cost):
     return made, handed
 
 
-@pytest.mark.parametrize("order, pooled", [(("abrupt", "exp"), 0), (("exp", "abrupt"), 5)])
+@pytest.mark.parametrize("order, pooled", [(("abrupt", "exp"), [3, 3]), (("exp", "abrupt"), [3] * 5)])
 def test_sweep_planner_rates_every_group_done(tmp_path, monkeypatch, order, pooled):
     # a pass of three abrupt kernels costs 27 ms, one of three exp kernels
-    # 117 ms.  With the exp passes first, 5 passes are left at 117 ms each.
-    # With the abrupt passes first the mean never pays for a pool: after 3
-    # abrupt passes and 1 exp pass it is 50 ms, and 2 passes are left,
-    # though the last pass alone would read 234 ms
+    # 117 ms.  With the exp passes first, 15 kernels are left at 39 ms each
+    # and go to the pool, one pass a chunk.  With the abrupt passes first the
+    # mean after 3 abrupt passes and 1 exp pass is 16.5 ms a kernel, 99 ms
+    # for the 6 kernels left; the last pass's 39 ms a kernel, 234 ms, pays
+    # for the pool
     cfg = parse_config(PLANNER_SWEEP_CFG % order)
-    want = ([2], [pooled]) if pooled else ([], [])
-    assert _planned_sweep(tmp_path, monkeypatch, cfg, _GROUP_COST) == want
+    assert _planned_sweep(tmp_path, monkeypatch, cfg, _GROUP_COST) == ([2], [pooled])
+
+
+def test_sweep_planner_keeps_a_cheap_sweep_in_process(tmp_path, monkeypatch):
+    # at 1 ms a kernel the 15 kernels left after the first pass never pay
+    cfg = parse_config(PLANNER_SWEEP_CFG % ("exp", "abrupt"))
+    assert _planned_sweep(tmp_path, monkeypatch, cfg, {"exp": 0.001, "abrupt": 0.001}) == ([], [])
 
 
 def test_sweep_planner_keeps_a_last_group_in_process(tmp_path, monkeypatch):

@@ -167,11 +167,11 @@ def _same_bits(a, b):
 
 
 def test_curves_many_is_each_baths_own_curves(monkeypatch):
-    # one call over baths of every cutoff and regime at method='closed': the
-    # Ohmic Drude-Lorentz pole sum falls back past Lam t = 700 and takes its
-    # quadrature pass with the s = 0.5 bath, gamma = 0 takes no pass, and
-    # the exact regime falls back on every row; each bath's curves are its
-    # own ``curves`` bit for bit
+    # one call over Drude-Lorentz baths of one layout at method='closed': the
+    # Ohmic pole sum falls back past Lam t = 700 and takes its quadrature
+    # pass with the s = 0.5 bath and the exact regime, which falls back on
+    # every row, and gamma = 0 takes no pass; each bath's curves are its own
+    # ``curves`` bit for bit
     lam, grid = 200.0, np.logspace(-5, np.log10(5.0), 30)
     seps = [Separation(1.4177, 1.1896), Separation(0.0, -0.0), Separation(0.3, -0.7)]
     high, exact = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 37.0), ThermalRegime(RegimeKind.EXACT, 3.0)
@@ -179,27 +179,52 @@ def test_curves_many_is_each_baths_own_curves(monkeypatch):
         (SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, lam), high, seps),
         (SpectralDensity(0.5, Cutoff.DRUDE_LORENTZ, lam, 0.3), high, seps[:1]),
         (SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, lam, 0.0), high, seps),
-        (SpectralDensity(1.5, Cutoff.ABRUPT, lam), high, seps),
-        (SpectralDensity(1.5, Cutoff.ABRUPT, lam, 2.0), LOW, seps[1:]),
-        (SpectralDensity(1.0, Cutoff.EXPONENTIAL, lam), exact, seps),
-        (SpectralDensity(1.0, Cutoff.EXPONENTIAL, lam, 0.7), high, seps),
+        (SpectralDensity(1.5, Cutoff.DRUDE_LORENTZ, lam, 2.0), LOW, seps[1:]),
+        (SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, lam, 0.7), exact, seps),
     ]
+    assert len({decoherence._layout(sd, regime, grid, "closed") for sd, regime, _ in baths}) == 1
     passes = []
     real = decoherence.time_moments
     monkeypatch.setattr(decoherence, "time_moments", lambda sys, plans, g: passes.append(len(plans)) or real(sys, plans, g))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         many = decoherence._curves_many(SYS, baths, grid, "closed")
-        # the Drude-Lorentz and abrupt pairs and the exp pair share a pass;
-        # then the pole sum's closed prefix
-        assert passes == [2, 2, 2, 1]
+        # one shared pass, then the pole sum's closed prefix
+        assert passes == [4, 1]
         for (sd, regime, bath_seps), got in zip(baths, many):
             want = curves(SYS, sd, regime, bath_seps, grid, "closed")
             assert len(got) == len(want) == len(bath_seps)
             for g, w in zip(got, want):
                 _same_bits(g, w)
     assert set(many[0][0].err_flag) >= {0, FLAG_FALLBACK}
-    assert set(many[5][0].err_flag) == {FLAG_FALLBACK} and np.all(many[2][0].magnitude == 1.0)
+    assert set(many[4][0].err_flag) == {FLAG_FALLBACK} and np.all(many[2][0].magnitude == 1.0)
+
+
+def test_curves_many_rejects_baths_of_two_layouts():
+    # an abrupt bath splits its kernel past Lam tau = 36; a Drude-Lorentz
+    # bath does not, so the two cannot share a pass
+    grid = np.logspace(-4, -1, 5)
+    baths = [(SpectralDensity(1.0, cutoff, 200.0), LOW, [Separation(1.0, 0.5)]) for cutoff in (Cutoff.ABRUPT, Cutoff.DRUDE_LORENTZ)]
+    with pytest.raises(ValueError, match="share their layout"):
+        decoherence._curves_many(SYS, baths, grid)
+
+
+def test_plan_layout_is_the_layout_of_the_plan():
+    # the layout a sweep groups by, read without building a kernel, is the
+    # one of the plan that _kernel_for builds, for every cutoff, regime,
+    # method and kind
+    for cutoff in Cutoff:
+        for s in (0.5, 1.0, 1.5):
+            sd = SpectralDensity(s, cutoff, 200.0)
+            for regime in [ThermalRegime(kind, 17.0) for kind in RegimeKind]:
+                for method, kind in [("quadrature", "cos"), ("closed", "cos"), ("quadrature", "sin")]:
+                    if kind == "sin" and regime.kind is not RegimeKind.LOW_TEMPERATURE:
+                        continue
+                    try:
+                        plan = decoherence._kernel_for(sd, regime, method, kind)
+                    except DomainError:  # not integrable at tau = 0
+                        continue
+                    assert decoherence._plan_layout(sd, regime, method, kind) == plan.layout, (cutoff, s, regime, method)
 
 
 @pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE])
