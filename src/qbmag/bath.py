@@ -1,6 +1,7 @@
 """Bath spectral densities and the noise/dissipation kernels.
 
-Three evaluation paths are provided for the kernels:
+Three evaluation paths are provided for the kernels, on the fixed rules of
+``_rules`` (this module sets their bands and node counts):
 
 * ``noise_kernel_quadrature`` / ``dissipation_kernel_quadrature`` integrate
   the defining frequency integrals directly (adaptive head, half-period
@@ -8,11 +9,10 @@ Three evaluation paths are provided for the kernels:
   oscillatory tails).  This is the reference ("oracle") path; through
   ``coefficients.lambda_from_kernel`` it is the coefficients' defining path.
   Each integrand QUADPACK calls is one frame that makes at most one inner
-  call, to the envelope (``_integrand_parts``); the tail takes
-  ``_TAIL_BATCH`` segments per numpy call (``_gauss_segments``) and updates
-  its Euler estimate from the last diagonal of the averaging triangle
-  (``_euler_step``), in the same bits as one segment and one full triangle
-  at a time.
+  call, to the envelope (``_integrand_parts``); the tail takes ``_TAIL_BATCH``
+  segments per call of ``_rules._gauss_segments`` and updates its Euler
+  estimate from the last diagonal of the averaging triangle (``_euler_step``),
+  in the same bits as one segment and one full triangle at a time.
 * ``noise_kernel_closed_parts`` evaluates the catalogued analytic regime kernels,
   and ``noise_kernel_reference`` the closed transforms of the defining
   integrals, which exist for every bath outside the exact regime (the
@@ -42,16 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy import integrate, linalg, special as _sp
+from scipy import integrate, special as _sp
 
+from . import _rules
 from .errors import ConvergenceError, DomainError, PoleError, RangeError, UnsupportedFormError
-
-_GLX, _GLW = np.polynomial.legendre.leggauss(12)
-
-#: the 16-node Gauss-Legendre rule of the Bose term's panels and of the time
-#: integration's panels (``dynamics``), built once and shared read-only
-_GX16, _GW16 = np.polynomial.legendre.leggauss(16)
-_GX16.flags.writeable = _GW16.flags.writeable = False
 
 
 class Cutoff(str, enum.Enum):
@@ -232,15 +226,6 @@ def _euler_step(diagonal, partial):
     return out
 
 
-def _gauss_segments(fn, edges):
-    """12-node Gauss rules of fn over each [edges[i], edges[i + 1]], for one
-    call of fn on nodes of shape (segments, 12); each row is summed on its
-    own, by the pairwise sum that ``np.sum`` takes over 12 values."""
-    a, b = edges[:-1, None], edges[1:, None]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half[:, 0] * np.sum(_GLW * fn(mid + half * _GLX), axis=-1)
-
-
 # stopping rule of the Euler-accelerated oscillatory tail; its absolute
 # floor is relative to the head (see _HEAD_FLOOR)
 _TAIL_RTOL = 1e-8
@@ -369,7 +354,7 @@ def _kernel_quadrature(sd, regime, tau, kind):
     edge = lambda j: (j + off) * np.pi / tau
     while edge(k) <= w_head:
         k += 1
-    total = head + float(_gauss_segments(full, np.array([w_head, edge(k)]))[0])
+    total = head + float(_rules._gauss_segments(full, np.array([w_head, edge(k)]))[0])
     run = 0.0
     diagonal = []
     done = 0
@@ -377,7 +362,7 @@ def _kernel_quadrature(sd, regime, tau, kind):
     last_est = None
     while done < _TAIL_MAX_SEGMENTS:
         batch = min(_TAIL_BATCH, _TAIL_MAX_SEGMENTS - done)
-        segments = _gauss_segments(full, edge(k + done + np.arange(batch + 1)))
+        segments = _rules._gauss_segments(full, edge(k + done + np.arange(batch + 1)))
         for seg in segments.tolist():
             done += 1
             run += seg
@@ -443,46 +428,6 @@ _TRIG_JACOBI_NODES = 36
 #: first; past it every term is smaller than the one before
 _TRIG_TAIL_START, _TRIG_TAIL_TERMS = 36.0, 36
 
-#: size of the trig blocks evaluated at once: x (x) u in the Gauss-Jacobi
-#: band, tau (x) omega in the Bose rule
-_TRIG_BLOCK_BYTES = 1 << 20
-
-
-@functools.lru_cache(maxsize=16)
-def _jacobi_rule01(n, se):
-    """n-node Gauss rule for int_0^1 u^se f(u) du, se > -1 (Golub-Welsch).
-
-    Built from the three-term recurrence of the Jacobi polynomials
-    P^(0, se); its weights keep full accuracy as se -> -1, where scipy's
-    Gauss-Jacobi generator loses digits (1.6e-11 off on u^k moments at
-    se = -0.9, 44 nodes).  The weights are accurate relative to the largest
-    one, not each to its own size: u^se e^(-64 u), concentrated near u = 0,
-    comes out up to 2.4e-14 off, so callers spread their integrand over [0, 1].
-    """
-    k = np.arange(1.0, n)
-    s = 2.0 * k + se
-    diag = np.concatenate([[se / (se + 2.0)], se * se / (s * (s + 2.0))])
-    off = 2.0 * k * (k + se) / (s * np.sqrt(s * s - 1.0))
-    t, vec = linalg.eigh_tridiagonal(diag, off)
-    nodes, weights = 0.5 * (1.0 + t), vec[0] ** 2 / (se + 1.0)
-    # cached and shared by every caller
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def _rule_sums(x, nodes, weights, trig):
-    """sum_j weights_j trig(x_i nodes_j) for each x_i of a 1-d array, in blocks
-    of ``_TRIG_BLOCK_BYTES``, each row summed on its own: a matrix product's
-    rounding would depend on how many rows the block holds."""
-    out = np.empty(x.size)
-    rows = max(1, _TRIG_BLOCK_BYTES // (8 * nodes.size))
-    for i in range(0, x.size, rows):
-        block = np.multiply.outer(x[i : i + rows], nodes)
-        trig(block, out=block)
-        block *= weights
-        out[i : i + rows] = block.sum(axis=1)
-    return out
-
 
 def _trig_power_ratio(se, x, kind):
     """R(se, x) = int_0^1 u^se trig(x u) du = int_0^x v^se trig(v) dv / x^{se+1},
@@ -490,7 +435,7 @@ def _trig_power_ratio(se, x, kind):
 
     * x <= 4: the power series in x^2, a fixed number of terms;
     * 4 < x <= 36: a Gauss-Jacobi rule with weight u^se on [0, 1], each x
-      summed on its own (``_rule_sums``);
+      summed on its own (``_rules._rule_sums``);
     * x > 36: S + Re[a e^{ix}] from ``_trig_power_split``, the form the time
       integration takes past Lam tau = 36.
 
@@ -518,8 +463,8 @@ def _trig_power_ratio(se, x, kind):
 
     idx = np.nonzero(band == 1)[0]
     if idx.size:
-        u, w = _jacobi_rule01(_TRIG_JACOBI_NODES, se)
-        out[idx] = _rule_sums(flat[idx], u, w, np.cos if kind == "cos" else np.sin)
+        u, w = _rules._jacobi_rule01(_TRIG_JACOBI_NODES, se)
+        out[idx] = _rules._rule_sums(flat[idx], u, w, np.cos if kind == "cos" else np.sin)
 
     idx = np.nonzero(band == 2)[0]
     if idx.size:
@@ -575,7 +520,6 @@ _DRUDE_TAYLOR /= _sp.gamma(np.arange(2.0, 28.0))[:, None]
 #: per octave, sampled by a 40-node Gauss-Jacobi rule on v <= 16/x and a
 #: 24-node Gauss-Legendre panel past it, where e^{-x v} < e^-16
 _DRUDE_OCTAVES, _DRUDE_CHEB_POINTS, _DRUDE_JACOBI_NODES, _DRUDE_HEAD = 5, 20, 40, 16.0
-_DRUDE_TAIL_X, _DRUDE_TAIL_W = np.polynomial.legendre.leggauss(24)
 #: row k: the coefficients of the Chebyshev polynomial T_k in powers of t
 _DRUDE_CHEB_POWERS = np.zeros((_DRUDE_CHEB_POINTS, _DRUDE_CHEB_POINTS))
 _DRUDE_CHEB_POWERS[0, 0] = _DRUDE_CHEB_POWERS[1, 1] = 1.0
@@ -678,10 +622,10 @@ def _drude_transform(se, kind):
     # the Jacobi weights are accurate relative to the largest one, so the
     # rule keeps the peak of e^{-x v} resolved: x v <= 16 on [0, top]
     top = np.minimum(1.0, _DRUDE_HEAD / xj)
-    v, w = _jacobi_rule01(_DRUDE_JACOBI_NODES, se)
-    vl = np.minimum(top + (1.0 - top) * 0.5 * (1.0 + _DRUDE_TAIL_X), 1.0 - 2.0**-53)
+    v, w = _rules._jacobi_rule01(_DRUDE_JACOBI_NODES, se)
+    vl = np.minimum(top + (1.0 - top) * 0.5 * (1.0 + _rules._DRUDE_TAIL_X), 1.0 - 2.0**-53)
     values = top[:, 0] ** (se + 1.0) * (fold(top * v) @ w)
-    values += 0.5 * (1.0 - top[:, 0]) * ((vl**se * fold(vl)) @ _DRUDE_TAIL_W)
+    values += 0.5 * (1.0 - top[:, 0]) * ((vl**se * fold(vl)) @ _rules._DRUDE_TAIL_W)
     values = values.reshape(log2x.shape) * np.exp2((se + 1.0) * log2x)
     # interpolated in Chebyshev form, then summed in powers of the octave's
     # coordinate t: x^(se+1) P is analytic in log x off the negative real
@@ -864,9 +808,9 @@ def _bose_kernel_fn(sd, omega_th):
 
     A fixed rule in x = sqrt(w) on [0, x_top], x_top = sqrt(40 Omega_th)
     (cut at Lam, then a panel edge, for the abrupt cutoff), serves every tau
-    of one octave of tau x_top^2/pi, each tau's sum of weights cos(tau w)
-    taken on its own by ``_rule_sums``.  Panels halve towards x = 0 down to
-    half the square root of the smallest frequency scale, min(Omega_th, Lam): the
+    of one octave of tau x_top^2/pi, each tau's sum of weights cos(tau w) taken
+    on its own by ``_rules._rule_sums``.  Panels halve towards x = 0 down to half
+    the square root of the smallest frequency scale, min(Omega_th, Lam): the
     poles of the Bose factor and of the Drude-Lorentz envelope lie at 45
     degrees in the complex x plane, so each panel [a, 2a] stays clear of
     them.  The innermost panel [0, x0] is a Gauss-Jacobi rule with weight
@@ -878,7 +822,7 @@ def _bose_kernel_fn(sd, omega_th):
     of the largest.
     """
     beta = 2.0 * sd.s - 1.0
-    ju, jw = _jacobi_rule01(16, beta)
+    ju, jw = _rules._jacobi_rule01(16, beta)
     jw = jw / ju**beta  # a rule for int_0^1 f(u) du with f ~ u^beta
     abrupt = sd.cutoff is Cutoff.ABRUPT
     x_top = np.sqrt(min(_BOSE_RANGE * omega_th, sd.lam) if abrupt else _BOSE_RANGE * omega_th)
@@ -893,8 +837,8 @@ def _bose_kernel_fn(sd, omega_th):
         half_periods = np.arange(1.0, n_half) * (x_top**2 / n_half)
         xe = np.sqrt(np.union1d(w_edges, half_periods))
         mid, half = 0.5 * (xe[1:] + xe[:-1]), 0.5 * (xe[1:] - xe[:-1])
-        x = np.concatenate([xe[0] * ju, (mid[:, None] + half[:, None] * _GX16).ravel()])
-        weight = np.concatenate([xe[0] * jw, (half[:, None] * _GW16).ravel()])
+        x = np.concatenate([xe[0] * ju, (mid[:, None] + half[:, None] * _rules._GX16).ravel()])
+        weight = np.concatenate([xe[0] * jw, (half[:, None] * _rules._GW16).ravel()])
         omega = x * x
         return omega, weight * 2.0 * x * spectral_density(sd, omega) * 2.0 / np.expm1(2.0 * omega / omega_th)
 
@@ -907,7 +851,7 @@ def _bose_kernel_fn(sd, omega_th):
         out = np.empty(flat.size)
         for o in np.unique(octave):
             idx = np.nonzero(octave == o)[0]
-            out[idx] = _rule_sums(flat[idx], *rule(o), np.cos)
+            out[idx] = _rules._rule_sums(flat[idx], *rule(o), np.cos)
         return out.reshape(tau.shape)
 
     return fn

@@ -38,7 +38,6 @@ import itertools
 import json
 import os
 import sys as _sys
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -186,8 +185,9 @@ def _grid(cfg, var, spacing_key, lo, hi, n):
 
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qbmag-")
+    # a unique temp name next to path, of the mode open(path, "w") gives: 0o666 & ~umask
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), ".qbmag-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)

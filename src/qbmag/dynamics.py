@@ -12,8 +12,9 @@ modes, so the transfer matrix solves the classical equations of motion
 x'' = -w0^2 x + wc y', y'' = -w0^2 y - wc x' exactly.
 
 ``time_moments``, the one time-integration engine, integrates the kernels
-of ``KernelPlan``s against F1 and F2, taking the factor e^{i Lam tau} of a
-kernel split as S + Re[a e^{i Lam tau}] exactly (Filon panels);
+of ``KernelPlan``s against F1 and F2 by the panel rules of ``_rules``,
+taking the factor e^{i Lam tau} of a kernel split as
+S + Re[a e^{i Lam tau}] exactly (Filon panels);
 ``decoherence._many_moments``, its one caller, passes the plans that
 ``decoherence._kernel_for`` builds, and one span rule (``_panel_edges``)
 reads them.  The plans of one pass share their ``layout``, so one set of
@@ -27,7 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bath import _GW16 as _GW, _GX16 as _GX, _require_finite
+from . import _rules
+from .bath import _require_finite
 from .errors import DegenerateSystemError, DomainError
 
 
@@ -133,85 +135,6 @@ def heisenberg_transfer(sys, tau):
             [-dxy, dxx, -dxvy, dxvx],
         ]
     )
-
-
-#: the panel rule of the time integration is the 16-node Gauss-Legendre rule
-#: _GX, _GW of ``bath``; the weights of the 8-node interpolatory rule on its
-#: symmetric node subset (degree 7, positive weights) whose difference from
-#: the full rule is the error estimate: row k of the inverse moment matrix
-#: _SUB_INV maps int P_k to the weights
-_SUB = np.array([0, 2, 4, 6, 9, 11, 13, 15])
-_SUB_INV = np.linalg.inv(np.polynomial.legendre.legvander(_GX[_SUB], 7).T).T
-_SUBW = 2.0 * _SUB_INV[0]
-
-#: panel reduction weights: the 16-node rule, and its difference from the
-#: embedded 8-node rule (zero weight off the subset)
-_PANEL_W = np.column_stack([_GW, _GW - np.bincount(_SUB, _SUBW, 16)])
-
-#: Filon panel weights per spherical Bessel j_k(theta), k < 16, shape
-#: (k, node, rule): int_-1^1 e^{i theta x} P_k(x) dx = 2 i^k j_k(theta), so the
-#: full rule, which integrates the degree-15 interpolant at the Gauss nodes,
-#: has row k = (2k+1) i^k P_k(x_j) w_j; the embedded 8-node rule takes the
-#: moments k < 8 through _SUB_INV.  Row 0 is _PANEL_W.
-_I_POW = np.tile([1.0, 1.0j, -1.0, -1.0j], 4)
-_FILON = np.zeros((16, 16, 2), dtype=complex)
-_FILON[:, :, 0] = _FILON[:, :, 1] = (
-    (2.0 * np.arange(16.0) + 1.0)[:, None] * np.polynomial.legendre.legvander(_GX, 15).T * _GW
-) * _I_POW[:, None]
-_FILON[:8, _SUB, 1] -= (2.0 * _SUB_INV) * _I_POW[:8, None]
-#: the same as a real (k, node x rule x (re, im)) matrix
-_FILON_REAL = _FILON.view(float).reshape(16, 64)
-
-#: j_k(theta), k < 16, takes its power series in -theta^2/2 (40 terms) up to
-#: theta = 2; up to 12 the series gives j_15 and j_14 and the downward
-#: recurrence the rest, past 12 the upward recurrence from j_0, j_1, each
-#: stable there: within 7e-16 of 40-digit mpmath
-_BESSEL_SERIES_TOP, _BESSEL_DOWNWARD_TOP = 2.0, 12.0
-_K = np.arange(16.0)
-_M = np.arange(1.0, 40.0)[:, None]
-#: row m: 1/(m! (2k+3)(2k+5)...(2k+2m+1)), the coefficient of (-theta^2/2)^m
-#: in j_k(theta) (2k+1)!!/theta^k
-_BESSEL_SERIES = np.cumprod(np.vstack([np.ones(16), 1.0 / (_M * (2.0 * _K + 2.0 * _M + 1.0))]), axis=0)
-_DOUBLE_FACTORIAL = np.cumprod(2.0 * _K + 1.0)
-
-
-def _bessel_j16(theta):
-    """Spherical Bessel j_k(theta), k = 0 .. 15, for an array theta >= 0,
-    shape (theta, k); exact at theta = 0.  A row depends on its theta alone."""
-    out = np.empty((theta.size, 16))
-    near = theta <= _BESSEL_DOWNWARD_TOP
-    t = theta[near, None]
-    powers = np.repeat(-0.5 * t * t, len(_BESSEL_SERIES), axis=1)
-    powers[:, 0] = 1.0
-    # one matrix product per theta
-    out[near] = (np.cumprod(powers, axis=1)[:, None] @ _BESSEL_SERIES)[:, 0] * t**_K / _DOUBLE_FACTORIAL
-    rec = theta > _BESSEL_SERIES_TOP
-    t = theta[rec]
-    down = t <= _BESSEL_DOWNWARD_TOP
-    # seq[m] is j_(15-m) downwards and j_m upwards; both take
-    # j_(n+1) + j_(n-1) = (2n+1)/t j_n, one from each end
-    seq = np.empty((16, t.size))
-    j0 = np.sin(t) / t
-    seq[0] = np.where(down, out[rec, 15], j0)
-    seq[1] = np.where(down, out[rec, 14], (j0 - np.cos(t)) / t)
-    k = np.arange(1.0, 15.0)[:, None]
-    coef = np.where(down, 31.0 - 2.0 * k, 2.0 * k + 1.0) / t
-    for i in range(14):
-        np.multiply(coef[i], seq[i + 1], out=seq[i + 2])
-        seq[i + 2] -= seq[i]
-    out[rec] = np.where(down[:, None], seq[::-1].T, seq.T)
-    return out
-
-
-def _filon_weights(theta):
-    """Panel weights of int_-1^1 e^{i theta x} g(x) dx for each theta >= 0 of
-    an array, shape (theta, node, rule), rules as in ``_PANEL_W``: the full
-    rule integrates the degree-15 interpolant of g at the 16 Gauss nodes
-    exactly, the embedded rule the degree-7 one at the 8-node subset.  At
-    theta = 0 the weights are ``_PANEL_W`` exactly.  Each theta takes its own
-    matrix product, so its weights do not depend on the other theta."""
-    j = _bessel_j16(np.asarray(theta, dtype=float))
-    return (j[:, None] @ _FILON_REAL).view(complex).reshape(len(j), 16, 2)
 
 
 #: kappa past ``until``: a panel there spans at most half its start plus the
@@ -359,7 +282,7 @@ def time_moments(sys, plans, grid):
     keeps each panel at ~1e-12 relative.  A panel that starts at or past
     ``until`` calls a plan's ``parts``, if the plans have them, instead of
     its ``kernel``; its S takes the Gauss rule of the kernel values, and
-    a F e^{i Lam u} the Filon weights of ``_filon_weights``.
+    a F e^{i Lam u} the Filon weights of ``_rules._filon_weights``.
 
     The panels of the whole grid are laid out once for all plans and
     evaluated in blocks of at most ``_NODE_BLOCK`` nodes: per block, one F1,
@@ -391,7 +314,7 @@ def time_moments(sys, plans, grid):
     outs = [np.zeros((len(counts), 4, 2), dtype=complex) for _ in plans]
     for p0 in range(0, n_panels, per_block):
         p1 = min(n_panels, p0 + per_block)
-        u = mid[p0:p1, None] + half[p0:p1, None] * _GX
+        u = mid[p0:p1, None] + half[p0:p1, None] * _rules._GX16
         fs = np.stack([f_weight(sys, u, "F1"), f_weight(sys, u, "F2")], axis=1)  # (panel, column, node)
         cut = min(max(n_head - p0, 0), p1 - p0)  # the block's kernel panels
         tail = cut < p1 - p0
@@ -403,7 +326,7 @@ def time_moments(sys, plans, grid):
                 # to the panels per plan, so that no kernel call runs while
                 # a copy per panel is held)
                 theta, which = np.unique(lam * half[p0 + cut : p1], return_inverse=True)
-                filon = _filon_weights(theta)
+                filon = _rules._filon_weights(theta)
                 phase = np.exp(1j * lam * mid[p0 + cut : p1])[:, None, None]
             for plan, run, out in zip(plans, runs, outs):
                 vals = [np.asarray(plan.kernel(u[:cut].ravel())).reshape(cut, 16)] if cut else []
@@ -411,7 +334,7 @@ def time_moments(sys, plans, grid):
                     smooth, amp = (v.reshape(u[cut:].shape) for v in plan.parts(u[cut:].ravel()))
                     vals.append(smooth)
                 # the kernel values, S on the split panels, by both rules
-                part = _moment_values(np.concatenate(vals), fs, u) @ _PANEL_W
+                part = _moment_values(np.concatenate(vals), fs, u) @ _rules._PANEL_W
                 if tail:
                     osc = _moment_values(amp, fs[cut:], u[cut:]) @ filon[which]
                     part[cut:] += (osc * phase).real

@@ -10,7 +10,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy import integrate
 from scipy import special as sp
 
-from qbmag import bath, validation
+from qbmag import _rules, bath, validation
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.errors import ConvergenceError, DomainError, PoleError, RangeError, UnsupportedFormError
 
@@ -863,7 +863,7 @@ def test_jacobi_rule_integrates_moments():
     # the Gauss-Jacobi rule of the middle band is exact for u^k, k < 2n,
     # also as se -> -1, where scipy.special.roots_jacobi loses digits
     for se in (-0.9, -0.5, 0.0, 0.3, 2.5):
-        u, w = bath._jacobi_rule01(bath._TRIG_JACOBI_NODES, se)
+        u, w = _rules._jacobi_rule01(bath._TRIG_JACOBI_NODES, se)
         k = np.arange(2 * u.size)
         moments = (w * u ** k[:, None]).sum(axis=1)
         assert np.max(np.abs(moments * (se + k + 1.0) - 1.0)) < 1e-13, se

@@ -893,6 +893,44 @@ def test_atomic_write_cleans_up_after_a_failed_replace(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def _mode(path):
+    return os.stat(path).st_mode & 0o777
+
+
+def test_outputs_get_the_mode_of_a_new_file(tmp_path, umask_022):
+    # every output file reads 0o666 & ~umask, as open(path, "w") would make
+    # it, also where it replaces a file of that mode
+    curve = tmp_path / "c.csv"
+    assert cli.run_curve(parse_config(CURVE_CFG), str(curve)) == 0
+    assert _mode(curve) == 0o644
+    curve.chmod(0o644)
+    assert cli.run_curve(parse_config(CURVE_CFG), str(curve)) == 0
+    assert _mode(curve) == 0o644
+
+    sweep = tmp_path / "sweep"
+    cfg = parse_config(CURVE_CFG.replace("t_points=30", "t_points=8") + "dy=0.5\n")
+    assert cli.run_sweep(cfg, str(sweep), workers=1) == 0
+    files = sorted(p.name for p in sweep.iterdir())
+    assert len(files) == 3 and "manifest.json" in files
+    assert {_mode(sweep / name) for name in files} == {0o644}
+
+    spectra = tmp_path / "s.csv"
+    assert cli.run_spectra(parse_config("lam=3\ns=1.5\nomega_points=9\n"), str(spectra)) == 0
+    assert _mode(spectra) == 0o644
+
+    report = tmp_path / "report.json"
+    assert cli.run_validate("fast", str(report)) == 0
+    assert _mode(report) == 0o644
+    assert not [p.name for p in tmp_path.rglob(".qbmag-*")]
+
+
 def test_curve_numerical_error_exit_3(tmp_path, capsys, monkeypatch):
     def curve(*args):
         raise ConvergenceError("tail did not stabilise")

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from qbmag import bath, cli, decoherence, dynamics
+from qbmag import _rules, bath, cli, decoherence, dynamics
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.decoherence import (
     FLAG_CLAMPED,
@@ -687,10 +687,10 @@ def _refined_moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     sums = []
     for p0 in range(0, len(mid), 4096):
-        u = mid[p0 : p0 + 4096, None] + half[p0 : p0 + 4096, None] * dynamics._GX
+        u = mid[p0 : p0 + 4096, None] + half[p0 : p0 + 4096, None] * _rules._GX16
         fs = np.stack([f_weight(sys, u, "F1"), f_weight(sys, u, "F2")])
         vals = (np.asarray(kernel(u.ravel())).reshape(u.shape) + 0j) * fs
-        sums.append((np.stack([vals, vals * u]) @ dynamics._GW) * half[p0 : p0 + 4096])
+        sums.append((np.stack([vals, vals * u]) @ _rules._GW16) * half[p0 : p0 + 4096])
     part = np.concatenate(sums, axis=2)  # (moment, column, panel)
     rows = 4 * counts - 1
     t = np.asarray(grid, dtype=np.longdouble)[:, None]

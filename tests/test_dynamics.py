@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from qbmag import bath, decoherence, dynamics
+from qbmag import _rules, bath, decoherence, dynamics
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.coefficients import lambda_from_kernel
 from qbmag.decoherence import frequency_shift
@@ -212,17 +212,17 @@ def test_time_moments_estimate_bounds_error():
 
 
 def test_filon_weights_at_zero_are_the_panel_rule():
-    w = dynamics._filon_weights(np.array([0.0, 0.0]))
+    w = _rules._filon_weights(np.array([0.0, 0.0]))
     assert w.shape == (2, 16, 2)
-    assert np.array_equal(w[0].real, dynamics._PANEL_W) and np.all(w[0].imag == 0.0)
+    assert np.array_equal(w[0].real, _rules._PANEL_W) and np.all(w[0].imag == 0.0)
     assert np.array_equal(w[1], w[0])
 
 
 def test_filon_weights_depend_only_on_theta():
     # a weight is a function of its theta alone, not of the other theta of the call
     theta = np.logspace(-3.0, 3.0, 500)
-    together = dynamics._filon_weights(theta)
-    alone = np.concatenate([dynamics._filon_weights(theta[i : i + 1]) for i in range(theta.size)])
+    together = _rules._filon_weights(theta)
+    alone = np.concatenate([_rules._filon_weights(theta[i : i + 1]) for i in range(theta.size)])
     assert together.tobytes() == alone.tobytes()
 
 
@@ -242,19 +242,19 @@ def _oscillating_moment_mp(k, theta):
 def test_filon_weights_integrate_oscillating_monomials(theta):
     # the full rule is exact for x^k e^{i theta x}, k <= 15, the embedded one
     # for k <= 7; the rule difference is the second column
-    w = dynamics._filon_weights(np.array([theta]))[0]
+    w = _rules._filon_weights(np.array([theta]))[0]
     full, sub = w[:, 0], w[:, 0] - w[:, 1]
     for k in range(16):
         want = _oscillating_moment_mp(k, theta)
-        assert abs(np.sum(full * dynamics._GX**k) - want) <= 1e-14, k
+        assert abs(np.sum(full * _rules._GX16**k) - want) <= 1e-14, k
         if k < 8:
-            assert abs(np.sum(sub * dynamics._GX**k) - want) <= 1e-14, k
+            assert abs(np.sum(sub * _rules._GX16**k) - want) <= 1e-14, k
 
 
 def test_bessel_functions_of_the_filon_weights():
     # j_k(theta), k < 16, across the series, downward and upward seams at 2 and 12
     theta = np.array([0.0, 1e-300, 1e-6, 0.5, 2.0, 2.0 + 1e-12, 7.0, 12.0, 12.0 + 1e-12, 4 * np.pi, 40.0, 1e4])
-    got = dynamics._bessel_j16(theta)
+    got = _rules._bessel_j16(theta)
     assert got[0, 0] == 1.0 and np.all(got[0, 1:] == 0.0)
     with mp.workdps(40):
         for t, row in zip(theta[1:], got[1:]):

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from qbmag import bath
+from qbmag import _rules, bath
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.errors import ConvergenceError, QbmagError
 
@@ -104,8 +104,8 @@ def test_gauss_segments_in_one_call_equal_segments_one_by_one():
     part = bath._integrand_parts(sd, ThermalRegime(RegimeKind.EXACT, OTH), bath._ARRAY)[1]
     fn = lambda w: part(w) * np.cos(0.3 * w)
     edges = (np.arange(4, 40) + 0.5) * np.pi / 0.3
-    batch = bath._gauss_segments(fn, edges)
-    one = [bath._gauss_segments(fn, edges[i : i + 2])[0] for i in range(edges.size - 1)]
+    batch = _rules._gauss_segments(fn, edges)
+    one = [_rules._gauss_segments(fn, edges[i : i + 2])[0] for i in range(edges.size - 1)]
     assert batch.tolist() == one
 
 
@@ -117,8 +117,8 @@ def test_tail_stops_at_its_segment_cap(monkeypatch):
     monkeypatch.setattr(bath, "_TAIL_FLOOR", 0.0)
     monkeypatch.setattr(bath, "_TAIL_MAX_SEGMENTS", 3 * bath._TAIL_BATCH + 5)
     segments = []
-    gauss = bath._gauss_segments
-    monkeypatch.setattr(bath, "_gauss_segments", lambda fn, edges: segments.append(edges.size - 1) or gauss(fn, edges))
+    gauss = _rules._gauss_segments
+    monkeypatch.setattr(_rules, "_gauss_segments", lambda fn, edges: segments.append(edges.size - 1) or gauss(fn, edges))
     sd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, LAM, GAMMA)
     with pytest.raises(ConvergenceError):
         bath.noise_kernel_quadrature(sd, ThermalRegime(RegimeKind.LOW_TEMPERATURE), 1.0 / LAM)
