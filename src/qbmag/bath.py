@@ -724,13 +724,13 @@ def _reference_kernel_fn(sd, regime, kind="cos"):
         gamma = _sp.gamma(se + 1.0)
         transform = lambda x: gamma * (1.0 + x**2) ** (-(se + 1.0) / 2.0) * trig((se + 1.0) * np.arctan(x))
     else:
-        transform = _drude_transform(se, kind)
-
+        # the transform is looked up at each call, so a kernel built only
+        # for its plan's layout builds none
         def kernel(tau):
             # a Drude-Lorentz kernel ~ tau^(1-se) leaves the float range at
             # subnormal tau past se ~ 1.9: inf there, as at tau = 0, unwarned
             with np.errstate(over="ignore"):
-                return scale * transform(lam * np.asarray(tau, dtype=float))
+                return scale * _drude_transform(se, kind)(lam * np.asarray(tau, dtype=float))
 
         return kernel
     return lambda tau: scale * transform(lam * np.asarray(tau, dtype=float))

@@ -11,13 +11,13 @@ frequency grid of ``spectra``; a bad grid or method is a config error.
 
 A sweep groups its points by layout, then by kernel, then by separation.
 The points that differ only in the separation (dx, dy) share one kernel;
-the kernels whose passes share a panel layout (``decoherence._layout``)
-on one grid, one set of modes and one method share one moment pass
-(``decoherence._curves_many``), which lays out the panels, nodes and F1,
-F2 once and integrates each kernel on them.  A pass holds at most
-``_PASS_KERNELS`` kernels; a larger layout group is cut into passes of
-near-equal size.  Every point's file is its ``curve`` file byte for byte,
-whichever kernels shared its pass.
+the kernels whose passes share a panel layout (``decoherence._layout``,
+read off each kernel's plan) on one grid, one set of modes and one method
+share one moment pass (``decoherence._curves_many``), which lays out the
+panels, nodes and F1, F2 once and integrates each kernel on them.  A pass
+holds at most ``_PASS_KERNELS`` kernels; a larger layout group is cut into
+passes of near-equal size.  Every point's file is its ``curve`` file byte
+for byte, whichever kernels shared its pass.
 
 Passes run in this process, and after each one the CPU time per kernel is
 rated: the mean over every pass done, or the last pass's where that is
@@ -29,8 +29,9 @@ themselves.  ``--workers`` (default: every core) caps the pool; a
 ``--workers`` below 1 is a config error.  Every point file and the
 manifest are the same whichever way the passes ran.
 
-Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
-error (partial output is kept with the err_flag column set).
+Exit codes: 0 success, 1 validation failure, 2 config error (an --out that
+cannot be written included), 3 numerical error (partial output is kept with
+the err_flag column set).
 """
 
 import argparse
@@ -185,9 +186,14 @@ def _grid(cfg, var, spacing_key, lo, hi, n):
 
 
 def _atomic_write(path, text):
+    if os.path.isdir(path):
+        raise ConfigError("cannot write %s: it is a directory" % path)
     # a unique temp name next to path, of the mode open(path, "w") gives: 0o666 & ~umask
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), ".qbmag-" + os.urandom(8).hex())
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # a missing or unwritable directory
+        raise ConfigError("cannot write %s: %s" % (path, exc.strerror))
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
@@ -312,7 +318,10 @@ def run_sweep(cfg, out_dir, workers):
     names, points = _sweep_points(merged)
     if len(points) > cap:
         raise ConfigError("sweep has %d points, above the cap %d" % (len(points), cap))
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file of that name, or an unwritable parent
+        raise ConfigError("cannot write %s: %s" % (out_dir, exc.strerror))
     kernels = {}
     grids = {}
     entries = []

@@ -18,10 +18,10 @@ the ``dynamics.KernelPlan`` that ``_kernel_for`` builds for each bath: the
 kernel, its cutoff, up to where panels resolve Lam (past it they span at
 most half their start), its split and how far the first grid interval is
 refined towards 0.  Baths whose plans share a panel layout
-(``_plan_layout``, which reads it off the bath without building a kernel)
-share one pass, and each gets the moments of its own pass bit for bit;
-``_moments`` is its one-bath case, and ``_curves_many``, which ``curves``
-calls with one bath, is the many-bath entry of the sweeps.
+(``KernelPlan.layout``) share one pass, and each gets the moments of its
+own pass bit for bit; ``_moments`` is its one-bath case, and
+``_curves_many``, which ``curves`` calls with one bath, is the many-bath
+entry of the sweeps.
 """
 
 from dataclasses import dataclass
@@ -92,46 +92,27 @@ class CurveSeries:
 
 def _kernel_for(sd, regime, method="quadrature", kind="cos"):
     """The ``KernelPlan`` of the vectorised nu, or with kind='sin' and the low
-    regime eta: the kernel and how ``time_moments`` integrates it, with the
-    panel layout of ``_plan_layout``.
+    regime eta: the kernel and how ``time_moments`` integrates it.  This is
+    the one place that branches on cutoff, regime, method and kind.  A plan
+    costs a few closures (a Drude-Lorentz kernel builds its transform when
+    called), so a sweep reads each pass's ``layout`` off a built plan.
 
     Every kernel is the closed transform of the defining integral, in the
     exact regime the closed low-temperature transform plus the Bose term.
     method='closed' differs only where the catalogue does: for the Ohmic
     Drude-Lorentz nu it is the Matsubara pole-sum form of
     ``noise_kernel_closed_parts``.  DomainError (``bath.require_integrable``)
-    for a kernel not integrable at tau = 0.  The abrupt kernels outside the
-    exact regime come with ``parts``, their split past Lam tau = 36
-    (``bath._oscillating_tail``), whose e^{i Lam tau} the engine integrates
-    exactly."""
-    lam, until, floor, split = _plan_layout(sd, regime, method, kind)
-    if _pole_sum_form(sd, method, kind):
-        kernel = lambda taus: noise_kernel_closed_parts(sd, regime, taus)
-    elif regime.kind is RegimeKind.EXACT:
-        low = _reference_kernel_fn(sd, _LOW, kind)
-        bose = _bose_kernel_fn(sd, regime.omega_th)
-        kernel = lambda taus: low(taus) + bose(taus)
-    else:
-        kernel = _reference_kernel_fn(sd, regime, kind)
-    return KernelPlan(kernel, lam, until, floor, _oscillating_tail(sd, regime, kind)[1] if split else None)
-
-
-def _pole_sum_form(sd, method, kind):
-    """True where ``_kernel_for`` takes the pole-sum form."""
-    return method == "closed" and kind == "cos" and _pole_sum(sd)
-
-
-def _plan_layout(sd, regime, method="quadrature", kind="cos"):
-    """The ``KernelPlan.layout`` (lam, until, floor, split or not) of the plan
-    ``_kernel_for`` builds, read off the bath without building its kernel.
+    for a kernel not integrable at tau = 0.
 
     ``until`` is where the panel rule changes: panels resolve the cutoff Lam
     on the grid intervals that start below it, and past it span at most
-    half their start (plus ``floor``).  The split abrupt kernels
-    (``_kernel_for``) have until = 36/Lam, where their split starts.  Panels
-    resolve 1/Lam at every tau for the kernels that oscillate at Lam with
-    no split, the exact-regime abrupt kernel (its Bose term is cut at Lam
-    when 40 Omega_th > Lam), and for the pole-sum form, which grows as
+    half their start (plus ``floor``).  The abrupt kernels outside the
+    exact regime come with ``parts``, their split past Lam tau = 36
+    (``bath._oscillating_tail``), whose e^{i Lam tau} the engine integrates
+    exactly, and until = 36/Lam, where the split starts.  Panels resolve
+    1/Lam at every tau for the kernels that oscillate at Lam with no split,
+    the exact-regime abrupt kernel (its Bose term is cut at Lam when
+    40 Omega_th > Lam), and for the pole-sum form, which grows as
     cosh(Lam tau); every other kernel has settled past 30/Lam.
 
     ``floor`` is the head rule: the engine halves the first grid interval
@@ -141,16 +122,19 @@ def _plan_layout(sd, regime, method="quadrature", kind="cos"):
     halvings, for the Drude-Lorentz kernels, the pole sum included, whose
     algebraic tail J c ~ w^(se-2) gives tau^(1-se) or log terms at tau = 0."""
     lam = sd.lam
-    settled = 30.0 / lam
     abrupt = sd.cutoff is Cutoff.ABRUPT
-    if _pole_sum_form(sd, method, kind):
-        return lam, np.inf, 0.0, False
     floor = 0.0 if sd.cutoff is Cutoff.DRUDE_LORENTZ else 1.0 / lam
+    if method == "closed" and kind == "cos" and _pole_sum(sd):
+        return KernelPlan(lambda taus: noise_kernel_closed_parts(sd, regime, taus), lam, np.inf, floor)
     if regime.kind is RegimeKind.EXACT:
-        return lam, np.inf if abrupt else settled, floor, False
+        low = _reference_kernel_fn(sd, _LOW, kind)
+        bose = _bose_kernel_fn(sd, regime.omega_th)
+        return KernelPlan(lambda taus: low(taus) + bose(taus), lam, np.inf if abrupt else 30.0 / lam, floor)
+    kernel = _reference_kernel_fn(sd, regime, kind)
     if abrupt:
-        return lam, _oscillating_tail(sd, regime, kind)[0], floor, True
-    return lam, settled, floor, False
+        until, parts = _oscillating_tail(sd, regime, kind)
+        return KernelPlan(kernel, lam, until, floor, parts)
+    return KernelPlan(kernel, lam, 30.0 / lam, floor)
 
 
 def _many_moments(sys, baths, grid, kind="cos"):
@@ -158,9 +142,9 @@ def _many_moments(sys, baths, grid, kind="cos"):
     (sd, regime, method) of ``baths``, one ``TimeMoments`` per bath, on a
     finite, strictly increasing grid >= 0 (DomainError otherwise).  The
     plans share one pass, so they must share their panel layout
-    (``_plan_layout``; ValueError otherwise), and each bath gets the moments
-    of its own pass bit for bit.  Zero, with no kernel, at gamma = 0, for a
-    kernel that would be integrable at gamma > 0."""
+    (``KernelPlan.layout``; ValueError otherwise), and each bath gets the
+    moments of its own pass bit for bit.  Zero, with no kernel, at
+    gamma = 0, for a kernel that would be integrable at gamma > 0."""
     grid = np.asarray(grid, dtype=float)
     good = grid.ndim == 1 and len(grid) and np.all(np.isfinite(grid)) and grid[0] >= 0
     if not (good and np.all(np.diff(grid) > 0)):
@@ -304,9 +288,9 @@ def _main_method(sd, regime, grid, method):
 
 def _layout(sd, regime, grid, method):
     """The panel layout of the pass ``_curves_many`` makes over the whole
-    grid for this bath at gamma > 0; the baths of one ``_curves_many`` call
-    must share it."""
-    return _plan_layout(sd, regime, _main_method(sd, regime, grid, method))
+    grid for this bath at gamma > 0, read off its plan; the baths of one
+    ``_curves_many`` call must share it."""
+    return _kernel_for(sd, regime, _main_method(sd, regime, grid, method)).layout
 
 
 def _curves_many(sys, baths, grid, method="quadrature"):

@@ -10,7 +10,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy import integrate
 from scipy import special as sp
 
-from qbmag import _rules, bath, validation
+from qbmag import bath, validation
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.errors import ConvergenceError, DomainError, PoleError, RangeError, UnsupportedFormError
 
@@ -857,16 +857,6 @@ def test_oscillating_tail_is_the_reference_kernel(s, rkind):
     else:
         want = bath.noise_kernel_reference(sd, regime, tau)
     assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * (np.abs(smooth) + np.abs(amp)))
-
-
-def test_jacobi_rule_integrates_moments():
-    # the Gauss-Jacobi rule of the middle band is exact for u^k, k < 2n,
-    # also as se -> -1, where scipy.special.roots_jacobi loses digits
-    for se in (-0.9, -0.5, 0.0, 0.3, 2.5):
-        u, w = _rules._jacobi_rule01(bath._TRIG_JACOBI_NODES, se)
-        k = np.arange(2 * u.size)
-        moments = (w * u ** k[:, None]).sum(axis=1)
-        assert np.max(np.abs(moments * (se + k + 1.0) - 1.0)) < 1e-13, se
 
 
 _DL1 = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)

@@ -893,6 +893,32 @@ def test_atomic_write_cleans_up_after_a_failed_replace(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        ("curve", "missing/x.csv"),
+        ("spectra", "missing/x.csv"),
+        ("validate", "missing/report.json"),
+        # a file named by an existing directory, a sweep's directory by a file
+        ("curve", "taken"),
+        ("sweep", "taken.txt"),
+    ],
+)
+def test_unwritable_out_exit_2(tmp_path, capsys, command, out):
+    # an --out that cannot be written is a one-line config error, not a
+    # traceback and exit 1, which means a failed validation
+    (tmp_path / "taken.txt").write_text("kept\n")
+    (tmp_path / "taken").mkdir()
+    argv = [command, "--out", str(tmp_path / out)]
+    if command != "validate":
+        argv += ["--config", write(tmp_path, "c.cfg", "lam=3\n" if command == "spectra" else CURVE_CFG)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write %s: " % (tmp_path / out)) and err.count("\n") == 1
+    assert (tmp_path / "taken.txt").read_text() == "kept\n" and not any((tmp_path / "taken").iterdir())
+    assert not [p.name for p in tmp_path.rglob(".qbmag-*")]
+
+
 @pytest.fixture
 def umask_022():
     old = os.umask(0o022)

@@ -209,22 +209,15 @@ def test_curves_many_rejects_baths_of_two_layouts():
         decoherence._curves_many(SYS, baths, grid)
 
 
-def test_plan_layout_is_the_layout_of_the_plan():
-    # the layout a sweep groups by, read without building a kernel, is the
-    # one of the plan that _kernel_for builds, for every cutoff, regime,
-    # method and kind
-    for cutoff in Cutoff:
-        for s in (0.5, 1.0, 1.5):
-            sd = SpectralDensity(s, cutoff, 200.0)
-            for regime in [ThermalRegime(kind, 17.0) for kind in RegimeKind]:
-                for method, kind in [("quadrature", "cos"), ("closed", "cos"), ("quadrature", "sin")]:
-                    if kind == "sin" and regime.kind is not RegimeKind.LOW_TEMPERATURE:
-                        continue
-                    try:
-                        plan = decoherence._kernel_for(sd, regime, method, kind)
-                    except DomainError:  # not integrable at tau = 0
-                        continue
-                    assert decoherence._plan_layout(sd, regime, method, kind) == plan.layout, (cutoff, s, regime, method)
+def test_sweep_builds_each_drude_transform_once(tmp_path):
+    # a sweep reads each pass's layout off a plan it builds and drops; the
+    # plan's kernel looks its transform up when called, so 40 Drude-Lorentz
+    # s take 40 builds of the 32-entry transform cache, not 80
+    cfg = "lam=200\ncutoff=drude\nregime=low\nomega0=10\nomega_c=1\nt_points=4\n"
+    cfg += "".join("s=%g\n" % (0.04 * k) for k in range(1, 41))
+    bath._drude_transform.cache_clear()
+    assert cli.run_sweep(cli.parse_config(cfg), str(tmp_path / "sweep"), workers=1) == 0
+    assert bath._drude_transform.cache_info().misses == 40
 
 
 @pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE])

@@ -1,12 +1,11 @@
 import dataclasses
 import warnings
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
-from qbmag import _rules, bath, decoherence, dynamics
+from qbmag import bath, decoherence, dynamics
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.coefficients import lambda_from_kernel
 from qbmag.decoherence import frequency_shift
@@ -209,57 +208,6 @@ def test_time_moments_estimate_bounds_error():
     assert np.all(err <= np.abs(mom.d0[:, 0]) + 1e-13 * np.abs(mom.c0[:, 0]))
     # the estimate is informative: the 8-node sub-rule differs visibly
     assert np.max(np.abs(mom.d0[:, 0])) > 1e-10 * np.max(np.abs(mom.c0[:, 0]))
-
-
-def test_filon_weights_at_zero_are_the_panel_rule():
-    w = _rules._filon_weights(np.array([0.0, 0.0]))
-    assert w.shape == (2, 16, 2)
-    assert np.array_equal(w[0].real, _rules._PANEL_W) and np.all(w[0].imag == 0.0)
-    assert np.array_equal(w[1], w[0])
-
-
-def test_filon_weights_depend_only_on_theta():
-    # a weight is a function of its theta alone, not of the other theta of the call
-    theta = np.logspace(-3.0, 3.0, 500)
-    together = _rules._filon_weights(theta)
-    alone = np.concatenate([_rules._filon_weights(theta[i : i + 1]) for i in range(theta.size)])
-    assert together.tobytes() == alone.tobytes()
-
-
-def _oscillating_moment_mp(k, theta):
-    # int_-1^1 x^k e^{i theta x} dx by the recurrence in k, at a precision
-    # that outlasts its (k/theta)^k cancellation
-    with mp.workdps(150):
-        t = mp.mpf(theta)
-        out = 2 * mp.sin(t) / t
-        for j in range(1, k + 1):
-            ends = (mp.expj(t) - (-1) ** j * mp.expj(-t)) / (1j * t)
-            out = ends - j / (1j * t) * out
-        return complex(out)
-
-
-@pytest.mark.parametrize("theta", [1e-6, 0.5, 7.0, 40.0, 1e4])
-def test_filon_weights_integrate_oscillating_monomials(theta):
-    # the full rule is exact for x^k e^{i theta x}, k <= 15, the embedded one
-    # for k <= 7; the rule difference is the second column
-    w = _rules._filon_weights(np.array([theta]))[0]
-    full, sub = w[:, 0], w[:, 0] - w[:, 1]
-    for k in range(16):
-        want = _oscillating_moment_mp(k, theta)
-        assert abs(np.sum(full * _rules._GX16**k) - want) <= 1e-14, k
-        if k < 8:
-            assert abs(np.sum(sub * _rules._GX16**k) - want) <= 1e-14, k
-
-
-def test_bessel_functions_of_the_filon_weights():
-    # j_k(theta), k < 16, across the series, downward and upward seams at 2 and 12
-    theta = np.array([0.0, 1e-300, 1e-6, 0.5, 2.0, 2.0 + 1e-12, 7.0, 12.0, 12.0 + 1e-12, 4 * np.pi, 40.0, 1e4])
-    got = _rules._bessel_j16(theta)
-    assert got[0, 0] == 1.0 and np.all(got[0, 1:] == 0.0)
-    with mp.workdps(40):
-        for t, row in zip(theta[1:], got[1:]):
-            want = [float(mp.sqrt(mp.pi / (2 * mp.mpf(t))) * mp.besselj(k + 0.5, mp.mpf(t))) for k in range(16)]
-            assert np.max(np.abs(row - want)) <= 1e-15, t
 
 
 def test_frequency_shift_matches_high_precision_value():

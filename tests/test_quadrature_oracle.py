@@ -99,16 +99,6 @@ def test_euler_diagonal_is_the_repeated_average_bit_for_bit(seed):
         assert diagonal[-1] == _euler_transform(partials[max(0, i + 1 - bath._EULER_DEPTH) : i + 1])
 
 
-def test_gauss_segments_in_one_call_equal_segments_one_by_one():
-    sd = SpectralDensity(0.5, Cutoff.DRUDE_LORENTZ, LAM, GAMMA)
-    part = bath._integrand_parts(sd, ThermalRegime(RegimeKind.EXACT, OTH), bath._ARRAY)[1]
-    fn = lambda w: part(w) * np.cos(0.3 * w)
-    edges = (np.arange(4, 40) + 0.5) * np.pi / 0.3
-    batch = _rules._gauss_segments(fn, edges)
-    one = [_rules._gauss_segments(fn, edges[i : i + 2])[0] for i in range(edges.size - 1)]
-    assert batch.tolist() == one
-
-
 def test_tail_stops_at_its_segment_cap(monkeypatch):
     """With no tolerance the tail never settles: it raises ConvergenceError
     after at most _TAIL_MAX_SEGMENTS segments past the first, the last
