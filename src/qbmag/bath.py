@@ -41,7 +41,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 from scipy import integrate, special as _sp
 
 from . import _rules
@@ -68,10 +67,15 @@ def _require_finite(obj, fields):
 
 def _finite_nonnegative(name, value):
     """``value`` as a float array; DomainError unless every entry is finite and >= 0."""
-    arr = np.asarray(value, dtype=float)
-    if not ((arr >= 0) & (arr < np.inf)).all():
+    if type(value) is float:
+        # a Python float, the scalar callers' case, skips the array test
+        ok = 0.0 <= value < math.inf
+    else:
+        value = np.asarray(value, dtype=float)
+        ok = ((value >= 0) & (value < np.inf)).all()
+    if not ok:
         raise DomainError("%s must be finite and >= 0" % name)
-    return arr
+    return np.asarray(value)
 
 
 @dataclass(frozen=True)
@@ -171,36 +175,58 @@ def _integrand_parts(sd, regime, ops, trig=None, tau=0.0):
     Returns (p, fn, upper).  Without ``trig``, fn is w -> w^p g(w), the
     integrand of the QUADPACK pieces and of the tail; with it, fn is the
     head in x = w^(p+1), x -> r g(x^r) trig(x^r tau), r = 1/(p+1), which
-    takes the w^p point out of the head.  fn takes the operands of ``ops``
-    and makes at most one inner call per evaluation, to ``_envelope``: g is
-    written out in fn, and the abrupt envelope, 1 on [0, upper], is not
-    called at all (a rule's end node can round past upper; it stands for
-    upper).
+    takes the w^p point out of the head.  fn takes the operands of ``ops``.
+
+    fn is one of six closures, chosen here by regime (exact or not),
+    envelope (abrupt or not, outside the exact regime) and head or piece, so
+    QUADPACK's calls test no branch.  Each makes at most one inner call per
+    evaluation, to ``_envelope``, the one copy of each envelope: g is
+    written out in fn.  The abrupt envelope, 1 on [0, upper], is never
+    evaluated (a rule's end node can round past upper; it stands for
+    upper): outside the exact regime its factor is left out, which changes
+    no bit as every closure keeps the grouping of g e r trig(w tau), and in
+    the exact regime a constant 1.0 stands in for it.
     """
     upper = sd.lam if sd.cutoff is Cutoff.ABRUPT else np.inf
-    envelope = None if upper < np.inf else _envelope(sd, ops)
-    exact = regime.kind is RegimeKind.EXACT
-    if exact:
-        p, gamma, oth = sd.s - 1.0, sd.gamma, regime.omega_th
-        # w coth(w/Omega_th) -> Omega_th as w -> 0, equal to rounding below
-        # 1e-8 Omega_th, so w is floored there
-        floor = 1e-8 * oth
-    else:
-        p, pref = _regime_weight(sd, regime)
-    r = 1.0 / (p + 1.0)
+    env = None if upper < np.inf else _envelope(sd, ops)
     head = trig is not None
-    expm1, minimum, maximum = ops.expm1, ops.minimum, ops.maximum
+    if regime.kind is not RegimeKind.EXACT:
+        p, pref = _regime_weight(sd, regime)
+        r = 1.0 / (p + 1.0)
+        if not head:
+            if env is None:
+                return p, lambda w: w**p * pref, upper
+            return p, lambda w: w**p * (pref * env(w)), upper
+        if env is None:
+            rg = r * pref
+            return p, lambda x: rg * trig(x**r * tau), upper
 
-    def fn(x):
-        w = x**r if head else x
-        e = 1.0 if envelope is None else envelope(w)
-        if exact:
+        def fn(x):
+            w = x**r
+            return r * (pref * env(w)) * trig(w * tau)
+
+        return p, fn, upper
+
+    # g = v coth(v/Omega_th) e(w), v = max(w, 1e-8 Omega_th): w coth(w/Omega_th)
+    # -> Omega_th as w -> 0, equal to rounding below the floor; the argument
+    # of expm1 stops at 350, where coth is already 1
+    p, gamma, oth = sd.s - 1.0, sd.gamma, regime.omega_th
+    r = 1.0 / (p + 1.0)
+    floor = 1e-8 * oth
+    expm1, minimum, maximum = ops.expm1, ops.minimum, ops.maximum
+    env = env or (lambda w: 1.0)
+    if not head:
+
+        def fn(w):
             v = maximum(w, floor)
-            # v coth(v/Omega_th); the argument stops at 350, where coth is already 1
-            g = gamma * v * e * (1.0 + 2.0 / expm1(2.0 * minimum(v / oth, 350.0)))
-        else:
-            g = pref * e
-        return r * g * trig(w * tau) if head else w**p * g
+            return w**p * (gamma * v * env(w) * (1.0 + 2.0 / expm1(2.0 * minimum(v / oth, 350.0))))
+
+    else:
+
+        def fn(x):
+            w = x**r
+            v = maximum(w, floor)
+            return r * (gamma * v * env(w) * (1.0 + 2.0 / expm1(2.0 * minimum(v / oth, 350.0)))) * trig(w * tau)
 
     return p, fn, upper
 
@@ -220,10 +246,8 @@ def _euler_step(diagonal, partial):
     and its last is the Euler transform of the last min(n, 30) partial sums,
     at O(30) per partial sum.
     """
-    out = [partial]
-    for older in diagonal[: _EULER_DEPTH - 1]:
-        out.append(0.5 * (older + out[-1]))
-    return out
+    new = partial
+    return [partial] + [new := 0.5 * (older + new) for older in diagonal[: _EULER_DEPTH - 1]]
 
 
 # stopping rule of the Euler-accelerated oscillatory tail; its absolute
@@ -413,6 +437,17 @@ def dissipation_kernel_quadrature(sd, tau):
 # closed transforms of the defining integrals
 # --------------------------------------------------------------------------
 
+def _horner(x, coef):
+    """sum_k coef[k] x^k by Horner's rule, lowest coefficient first, in place
+    on one array and in the bits of numpy's ``polyval``: coef[k] broadcasts
+    against x, so coef of shape (terms, m, 1) gives m sums over x."""
+    acc = x * 0.0 + coef[-1]
+    for c in coef[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
 #: x = Lam tau up to which _trig_power_ratio sums its power series; the
 #: series' cancellation costs a factor of about e^x in rounding
 _TRIG_SERIES_TOP = 4.0
@@ -459,7 +494,7 @@ def _trig_power_ratio(se, x, kind):
             1.0 / (math.factorial(2 * j + odd) * (se + 2 * j + odd + 1.0))
             for j in range(_TRIG_SERIES_TERMS)
         ]
-        out[idx] = polyval(-xs * xs, coef) * xs**odd
+        out[idx] = _horner(-xs * xs, coef) * xs**odd
 
     idx = np.nonzero(band == 1)[0]
     if idx.size:
@@ -499,7 +534,7 @@ def _trig_power_split(se, x, kind):
     to ``_TRIG_TAIL_TERMS`` terms (it ends at the first zero of the falling
     factorial, integer se), so a = -(p + i q)/x (cos) or i (p + i q)/x (sin)."""
     x = np.asarray(x, dtype=float)
-    acc = polyval(1.0 / (x * x), _trig_tail_coef(se))
+    acc = _horner(1.0 / (x * x), _trig_tail_coef(se)[:, :, None])
     amp = (acc[0] / x + 1j * acc[1]) / x
     trig = np.cos if kind == "cos" else np.sin
     cinf = _sp.gamma(se + 1.0) * trig(np.pi * (se + 1.0) / 2.0)
@@ -589,7 +624,7 @@ def _drude_transform(se, kind):
       over even or odd n, each pair as in ``_pole_pair``; past se = 1 the odd
       terms pair one step later, F_odd(-se) = x^{1-se}/Gamma(2-se) + F_odd(2-se),
       so the series holds through se = 0, 1 and 2; the four series are
-      summed by Horner (``polyval``) in x^2; below x = 1e-300 the odd pair's
+      summed by Horner (``_horner``) in x^2; below x = 1e-300 the odd pair's
       x cot(pi e1/2) (x^e1 - 1) is formed without x^e1 (``_x_cot_expm1``);
     * 2 < x <= 64: per octave, a Chebyshev interpolant of x^(se+1) P in
       log2 x, sampled from P = int_0^1 v^se [e^{-x v} - v^{-2 se} e^{-x/v}]/(1 - v^2) dv,
@@ -650,7 +685,7 @@ def _drude_transform(se, kind):
         if sel.any():
             xs = flat[sel]
             lx = np.log(xs)
-            a0, b0, a1, b1 = polyval(xs * xs, series.T)
+            a0, b0, a1, b1 = _horner(xs * xs, series.T[:, :, None])
             # x^e1 (e1 = -se < 0) leaves the float range once x is
             # subnormal: below x = 1e-300, x r1 = x cot (x^e1 - 1) takes the
             # form that stays finite, and every larger x keeps its bits
@@ -672,11 +707,11 @@ def _drude_transform(se, kind):
             lg = np.log2(flat[sel])
             octave = np.minimum(lg.astype(int), _DRUDE_OCTAVES) - 1
             t = 2.0 * (lg - octave) - 3.0
-            p[sel] = polyval(t, octaves[:, octave], tensor=False) * np.exp2(-(se + 1.0) * lg)
+            p[sel] = _horner(t, octaves[:, octave]) * np.exp2(-(se + 1.0) * lg)
         sel = band == 3
         if sel.any():
             xs = flat[sel]
-            p[sel] = polyval(1.0 / (xs * xs), asymptotic) * xs ** -(se + 1.0)
+            p[sel] = _horner(1.0 / (xs * xs), asymptotic) * xs ** -(se + 1.0)
 
         e = (np.pi / 2.0) * np.exp(-flat)
         out = c * e - s * p if kind == "cos" else s * e + c * p

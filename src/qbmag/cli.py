@@ -30,11 +30,12 @@ themselves.  ``--workers`` (default: every core) caps the pool; a
 manifest are the same whichever way the passes ran.
 
 Exit codes: 0 success, 1 validation failure, 2 config error (an --out that
-cannot be written included), 3 numerical error (partial output is kept with
-the err_flag column set).
+cannot be written included, found before any work), 3 numerical error
+(partial output is kept with the err_flag column set).
 """
 
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -185,6 +186,21 @@ def _grid(cfg, var, spacing_key, lo, hi, n):
     raise ConfigError("%s must be 'log' or 'linear'" % spacing_key)
 
 
+def _require_writable(path):
+    """ConfigError unless ``path`` can name an output file: not a directory,
+    in an existing directory this process may write.  The commands check it
+    before their work; ``_atomic_write`` keeps its own checks for a path
+    that changes in between."""
+    if os.path.isdir(path):
+        raise ConfigError("cannot write %s: it is a directory" % path)
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise ConfigError("cannot write %s: %s" % (path, os.strerror(code)))
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise ConfigError("cannot write %s: %s" % (path, os.strerror(errno.EACCES)))
+
+
 def _atomic_write(path, text):
     if os.path.isdir(path):
         raise ConfigError("cannot write %s: it is a directory" % path)
@@ -232,6 +248,7 @@ def _curve_csv(series):
 
 
 def run_curve(cfg, out_path):
+    _require_writable(out_path)
     sys_params, sd, regime, sep, grid, method = _build_objects(_scalar_config(cfg))
     series = curve(sys_params, sd, regime, sep, grid, method)
     _atomic_write(out_path, _curve_csv(series))
@@ -239,6 +256,7 @@ def run_curve(cfg, out_path):
 
 
 def run_spectra(cfg, out_path):
+    _require_writable(out_path)
     merged = _scalar_config(cfg)
     try:  # one column per cutoff, in the header's order
         sds = [SpectralDensity(merged["s"], c, merged["lam"], merged["gamma"]) for c in Cutoff]
@@ -377,6 +395,7 @@ def run_sweep(cfg, out_dir, workers):
 
 
 def run_validate(level, out_path):
+    _require_writable(out_path)
     report = run_checks(level)
     _atomic_write(out_path, report.to_json() + "\n")
     for c in report.checks:

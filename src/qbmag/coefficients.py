@@ -26,6 +26,7 @@ from .bath import noise_kernel_quadrature  # unused here; perfbench/trace.py wra
 from .dynamics import f_weight, mode_constants
 from .errors import DomainError, RangeError, UnsupportedFormError
 from .specfun import cos_integral as Ci
+from .specfun import shared as _shared_sici
 from .specfun import sin_integral as Si
 
 
@@ -166,26 +167,27 @@ def _exp_moments(bigt, high, n):
         mu = bt ** (j + 1) / (j + 1) * _sp.hyp2f1(1.0, (j + 1) / 2, (j + 3) / 2, -bt * bt)
     else:
         bt = np.longdouble(bigt)
-        mu = np.empty(n, dtype=np.longdouble)
-        mu[0], mu[1] = np.arctan(bt), np.log1p(bt * bt) / 2
+        # the recurrence on long double scalars, one array at the end
+        mu = [np.arctan(bt), np.log1p(bt * bt) / 2]
         for i in range(2, n):
-            mu[i] = bt ** (i - 1) / (i - 1) - mu[i - 2]
+            mu.append(bt ** (i - 1) / (i - 1) - mu[i - 2])
+        mu = np.array(mu)
     if high:
         return mu
     # integrating y^j by parts against d/dy [y/(1+y^2)]
     return bt ** (j + 1) / (1 + bt * bt) - j * mu
 
 
-def _exp_mode(a, bigt, high):
+def _exp_mode(a, bigt, high, m):
     """(Re chi, Im chi / a - m_1) of chi(a) = int_0^T e^{iay} k(y) dy.
 
     Im chi / a tends to m_1 as a -> 0, so the second value is the part that
     survives the difference between two modes.  For a T <= _SERIES_MAX_AT it
-    is the power series sum_n (ia)^n m_n / n!; past that the closed form in
+    is the power series sum_n (ia)^n m_n / n!, m the moments
+    ``_exp_moments(T, high, 2 _SERIES_TERMS)``; past that the closed form in
     g(w) = e^w E1(w), with g(-a - i0) = e^{-a} (i pi - Ei(a)).
     """
     if a * bigt <= _SERIES_MAX_AT:
-        m = _exp_moments(bigt, high, 2 * _SERIES_TERMS)
         # (-a^2)^k / (2k)!
         k = np.arange(1, _SERIES_TERMS)
         c = np.cumprod(np.concatenate(([1], -np.longdouble(a) ** 2 / ((2 * k - 1) * (2 * k)))))
@@ -216,7 +218,11 @@ def _exp_validated(sd, regime, mc, t, hbar):
     # a and T in extended precision: lambda2 is a difference of two modes,
     # which magnifies their rounding
     bigt = np.longdouble(lam) * t
-    (ra, qa), (rb, qb) = (_exp_mode(np.longdouble(z) / lam, bigt, high) for z in (ap, bp))
+    modes = [np.longdouble(z) / lam for z in (ap, bp)]
+    # the moments of T serve both modes, where either takes the series
+    series = min(modes) * bigt <= _SERIES_MAX_AT
+    moments = _exp_moments(bigt, high, 2 * _SERIES_TERMS) if series else None
+    (ra, qa), (rb, qb) = (_exp_mode(a, bigt, high, moments) for a in modes)
     l1 = float(scale * (m * ra + p * rb) / hbar)
     l2 = float(scale / lam * g * (qb - qa) / hbar)
     return complex(gam * l1), complex(gam * l2)
@@ -397,7 +403,9 @@ def lambda_closed(sys, sd, regime, t, variant="validated"):
             forms = _drude_validated
         else:
             forms = _exp_validated
-        l1, l2 = forms(sd, regime, mode_constants(sys), t, sys.hbar)
+        # the forms take Si and Ci of a few arguments many times over
+        with _shared_sici():
+            l1, l2 = forms(sd, regime, mode_constants(sys), t, sys.hbar)
     return LambdaPair(
         complex(l1),
         None if l2 is None else complex(l2),

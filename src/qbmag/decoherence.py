@@ -319,8 +319,10 @@ def _bath_curves(sys, sd, regime, seps, grid, method, closed_ok, mom):
     grid; where the closed-form window is not ok there, its prefix of the
     grid takes a closed pass and the later points fall back."""
     int_lam, lam_s, int_err = _exponent_arrays(sys, mom, grid)
-    valid = np.ones(len(grid), dtype=bool)
-    if not closed_ok:
+    if closed_ok:
+        fallback = np.full(len(grid), FLAG_OK)
+        methods = (method,) * len(grid)
+    else:
         # the window is a prefix of the grid; later points fall back
         valid = np.array([closed_kernel_error(sd, regime, t) is None for t in grid])
         if valid.any():
@@ -328,8 +330,8 @@ def _bath_curves(sys, sd, regime, seps, grid, method, closed_ok, mom):
             int_lam[valid], lam_s[valid], int_err[valid] = _exponent_arrays(
                 sys, _moments(sys, sd, regime, head, "closed"), head
             )
-    fallback = np.where(valid, FLAG_OK, FLAG_FALLBACK)
-    methods = tuple(method if ok else "quadrature" for ok in valid)
+        fallback = np.where(valid, FLAG_OK, FLAG_FALLBACK)
+        methods = tuple(method if ok else "quadrature" for ok in valid)
 
     out = []
     for sep in seps:

@@ -23,6 +23,7 @@ one-plan pass.  Every panel of every plan is reduced on its own, so the
 moments at a time depend only on its plan and the grid up to it.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -66,13 +67,15 @@ class ModeConstants:
 
 
 def mode_constants(sys):
-    """Mode frequencies A' >= B' >= 0 and the weights M, P (M + P = 1) and G."""
-    root = np.sqrt(4.0 * sys.omega0**2 + sys.omega_c**2)
+    """Mode frequencies A' >= B' >= 0 and the weights M, P (M + P = 1) and G,
+    as Python floats (``math.sqrt`` gives numpy's bits at a fraction of the
+    cost); root > 0, as SystemParams rejects omega0 = omega_c = 0."""
+    root = math.sqrt(4.0 * sys.omega0**2 + sys.omega_c**2)
     a_prime = 0.5 * (root + sys.omega_c)
     b_prime = 0.5 * (root - sys.omega_c)
     m_coef = (root - sys.omega_c) / (2.0 * root)
     p_coef = (root + sys.omega_c) / (2.0 * root)
-    g_coef = np.sqrt(2.0) * sys.omega0**2 / root
+    g_coef = math.sqrt(2.0) * sys.omega0**2 / root
     return ModeConstants(a_prime, b_prime, m_coef, p_coef, g_coef)
 
 
@@ -265,9 +268,9 @@ def _panel_edges(grid, mode_freq, plan):
 
 
 def _moment_values(values, fs, u):
-    """nu F and u nu F for kernel values nu (panel, node), as (panel, moment x column, node)."""
+    """nu F and u nu F for kernel values nu (panel, node), as (panel x moment x column, node)."""
     v = values[:, None] * fs
-    return np.stack([v, v * u[:, None]], axis=1).reshape(len(u), 4, 16)
+    return np.stack([v, v * u[:, None]], axis=1).reshape(4 * len(u), 16)
 
 
 def time_moments(sys, plans, grid):
@@ -288,9 +291,12 @@ def time_moments(sys, plans, grid):
     evaluated in blocks of at most ``_NODE_BLOCK`` nodes: per block, one F1,
     F2 evaluation and one set of Filon weights serve every plan, and each
     plan in turn takes one kernel call (one parts call for the block's split
-    panels).  Each panel is reduced on its own, one matrix product per panel
-    and plan, by the 16-node rule and the embedded 8-node rule on the same
-    values, and a running sum per plan adds the panels in order, so a row
+    panels).  Each panel is reduced on its own, by the 16-node rule and the
+    embedded 8-node rule on the same values: per block and plan one matrix
+    product, each of whose rows is one moment column of one panel, takes
+    every rule sum as one 16-term dot product of its own row (the product
+    per panel gave the same bits).  A running sum per plan adds the panels
+    in order, so a row
     of the moments depends only on its plan and the grid up to its time,
     and on no block size or other plan.  Memory is O(block) for the nodes,
     F1, F2 and one plan's kernel values at a time, plus a running sum and
@@ -333,10 +339,11 @@ def time_moments(sys, plans, grid):
                 if tail:
                     smooth, amp = (v.reshape(u[cut:].shape) for v in plan.parts(u[cut:].ravel()))
                     vals.append(smooth)
-                # the kernel values, S on the split panels, by both rules
-                part = _moment_values(np.concatenate(vals), fs, u) @ _rules._PANEL_W
+                # the kernel values, S on the split panels, by both rules, in
+                # one product whose rows are the panels' four moment columns
+                part = (_moment_values(np.concatenate(vals), fs, u) @ _rules._PANEL_W).reshape(-1, 4, 2)
                 if tail:
-                    osc = _moment_values(amp, fs[cut:], u[cut:]) @ filon[which]
+                    osc = _moment_values(amp, fs[cut:], u[cut:]).reshape(-1, 4, 16) @ filon[which]
                     part[cut:] += (osc * phase).real
                 part = part * half[p0:p1, None, None]
                 total = np.cumsum(np.concatenate([run, part]), axis=0)

@@ -438,16 +438,24 @@ def check_criterion_6():
 
 
 def _ordering_curves(regime_kind, oth):
+    """Magnitude of the quadrature curve for each (s, cutoff) on one system
+    and grid.  The baths of one panel layout (one per cutoff) share one
+    moment pass, and each curve equals its own ``decoherence.curve`` bit
+    for bit."""
     lam = 1e3
     regime = ThermalRegime(regime_kind, oth)
     sys = SystemParams(omega0=10.0, omega_c=1.0)
     sep = Separation(1.0, 1.0)
     grid = np.logspace(np.log10(1e-3 / lam), np.log10(0.7), 240)
-    out = {}
+    layouts = {}
     for s in (0.5, 1.0, 1.5):
         for cutoff in (Cutoff.ABRUPT, Cutoff.DRUDE_LORENTZ, Cutoff.EXPONENTIAL):
             sd = SpectralDensity(s, cutoff, lam, 1.0)
-            out[(s, cutoff)] = decoherence.curve(sys, sd, regime, sep, grid).magnitude
+            layouts.setdefault(decoherence._layout(sd, regime, grid, "quadrature"), []).append(sd)
+    out = {}
+    for sds in layouts.values():
+        series = decoherence._curves_many(sys, [(sd, regime, [sep]) for sd in sds], grid)
+        out.update(((sd.s, sd.cutoff), one.magnitude) for sd, (one,) in zip(sds, series))
     return out
 
 
@@ -638,14 +646,19 @@ def run_checks(level="fast"):
     """Run the validation suite; level 'full' adds the expensive criteria
     and the exact-regime Drude-Lorentz oscillatory cross-check.  Every check
     is timed once, here, into its ``runtime_s``; a check with a budget in
-    ``_RUNTIME_BUDGET_S`` states it in its tolerance and fails past it."""
+    ``_RUNTIME_BUDGET_S`` states it in its tolerance and fails past it.
+    Each check runs in a ``specfun.shared()`` block of its own, so no memo
+    outlives the check, and the report does not depend on what ran before."""
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     report = ValidationReport(level=level)
     fns = _FAST_CHECKS + (_FULL_EXTRA_CHECKS if level == "full" else ())
     for fn in fns:
         start = time.perf_counter()
-        result = fn()
+        # one memo of Si and Ci per check: criterion-5's two variants at one
+        # time take them at the same few arguments
+        with specfun.shared():
+            result = fn()
         runtime = result.measured["runtime_s"] = time.perf_counter() - start
         budget = _RUNTIME_BUDGET_S.get(result.name)
         if budget is not None:

@@ -899,14 +899,21 @@ def test_atomic_write_cleans_up_after_a_failed_replace(tmp_path, monkeypatch):
         ("curve", "missing/x.csv"),
         ("spectra", "missing/x.csv"),
         ("validate", "missing/report.json"),
+        ("validate", "taken.txt/report.json"),
         # a file named by an existing directory, a sweep's directory by a file
         ("curve", "taken"),
         ("sweep", "taken.txt"),
     ],
 )
-def test_unwritable_out_exit_2(tmp_path, capsys, command, out):
+def test_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, command, out):
     # an --out that cannot be written is a one-line config error, not a
-    # traceback and exit 1, which means a failed validation
+    # traceback and exit 1, which means a failed validation; it is found
+    # before any curve, spectrum, sweep pass or validation runs
+    def never(*args, **kwargs):
+        raise AssertionError("work done for an unwritable --out")
+
+    for name in ("curve", "spectral_density", "_curves_many", "run_checks"):
+        monkeypatch.setattr(cli, name, never)
     (tmp_path / "taken.txt").write_text("kept\n")
     (tmp_path / "taken").mkdir()
     argv = [command, "--out", str(tmp_path / out)]

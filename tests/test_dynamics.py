@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from qbmag import bath, decoherence, dynamics
+from qbmag import bath, coefficients, decoherence, dynamics
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.coefficients import lambda_from_kernel
 from qbmag.decoherence import frequency_shift
@@ -17,7 +17,7 @@ from qbmag.dynamics import (
     mode_constants,
     time_moments,
 )
-from qbmag.errors import DegenerateSystemError, DomainError
+from qbmag.errors import DegenerateSystemError, DomainError, QbmagError
 
 
 def test_modes_no_field():
@@ -375,3 +375,60 @@ def test_time_moments_reject_plans_of_two_layouts():
 def test_system_params_reject_out_of_domain(kwargs, match):
     with pytest.raises(DomainError, match=match):
         SystemParams(**dict(dict(omega0=10.0, omega_c=1.0), **kwargs))
+
+
+def _float64_mode_constants(sys):
+    """``mode_constants`` in numpy float64, as np.sqrt gives them: x / 0
+    is inf or nan there, where a Python float raises ZeroDivisionError."""
+    root = np.sqrt(np.float64(4.0 * sys.omega0**2 + sys.omega_c**2))
+    return dynamics.ModeConstants(
+        0.5 * (root + sys.omega_c),
+        0.5 * (root - sys.omega_c),
+        (root - sys.omega_c) / (2.0 * root),
+        (root + sys.omega_c) / (2.0 * root),
+        np.sqrt(2.0) * sys.omega0**2 / root,
+    )
+
+
+def _degenerate_outputs(sys):
+    """mode_constants, F1 and F2, curves and both variants of lambda_closed
+    at one system, every value as bytes and every error as its type."""
+    out = [np.array(dataclasses.astuple(mode_constants(sys))).tobytes()]
+    taus = np.array([0.0, 1e-3, 0.4, 7.0])
+    out += [np.asarray(f_weight(sys, taus, which)).tobytes() for which in ("F1", "F2")]
+    out.append(repr(f_weight(sys, 0.3, "F2")))
+    grid = np.logspace(-4, -0.5, 12)
+    for cutoff in Cutoff:
+        sd = SpectralDensity(1.0, cutoff, 50.0, 1.3)
+        for rkind in (RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE):
+            regime = ThermalRegime(rkind, 7.0)
+            for method in decoherence.METHODS:
+                cs = decoherence.curve(sys, sd, regime, decoherence.Separation(1.0, 0.5), grid, method)
+                out += [a.tobytes() for a in (cs.magnitude, cs.phase, cs.lambda1, cs.lambda2, cs.err_flag)]
+            for t in (1e-3, 0.05, 0.3):
+                for variant in ("validated", "printed"):
+                    try:
+                        pair = coefficients.lambda_closed(sys, sd, regime, t, variant)
+                        out.append(repr((pair.lambda1, pair.lambda2)))
+                    except (QbmagError, ArithmeticError) as err:  # ZeroDivisionError included
+                        out.append(type(err).__name__)
+    return out
+
+
+@pytest.mark.parametrize("omega0, omega_c", [(0.0, 3.0), (4.0, 0.0)])
+def test_degenerate_modes_give_the_float64_values(monkeypatch, omega0, omega_c):
+    # omega0 = 0 (B' = 0, G = 0) and omega_c = 0 (A' = B'): the mode
+    # constants as Python floats give every value, and every error, that
+    # they give in numpy float64, and no ZeroDivisionError
+    sys = SystemParams(omega0=omega0, omega_c=omega_c)
+    mc = mode_constants(sys)
+    assert dataclasses.astuple(mc) == dataclasses.astuple(_float64_mode_constants(sys))
+    assert all(type(v) is float for v in dataclasses.astuple(mc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = _degenerate_outputs(sys)
+        for module in (dynamics, coefficients):
+            monkeypatch.setattr(module, "mode_constants", _float64_mode_constants)
+        want = _degenerate_outputs(sys)
+    assert "ZeroDivisionError" not in got
+    assert got == want

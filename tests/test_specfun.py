@@ -1,4 +1,5 @@
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -122,3 +123,31 @@ def test_si_overflow_guard():
 def test_ci_overflow_guard(z):
     with pytest.raises(RangeError, match="Ci overflows"):
         specfun.cos_integral(z)
+
+
+def test_shared_block_gives_the_unshared_bits(monkeypatch):
+    # inside specfun.shared() each distinct reflected argument calls scipy
+    # once, keyed on its bits: z, -z, conj(z), -conj(z) and Si and Ci of
+    # each share one call, while a signed zero gets a call of its own (0.5
+    # and -0.5 reflect to 0.5 + 0j and 0.5 - 0j), and every value keeps its
+    # bits
+    rng = np.random.default_rng(11)
+    base = [complex(rng.uniform(0.1, 9.0), -rng.uniform(0.0, 9.0)) for _ in range(20)]
+    zs = [w for z in base for w in (z, -z, z.conjugate(), -z.conjugate())] + [0.5, -0.5, complex(0.0, -2.0), complex(-0.0, -2.0)]
+
+    def bits(v):
+        return struct.pack("dd", v.real, v.imag)
+
+    want = [(bits(specfun.sin_integral(z)), bits(specfun.cos_integral(z))) for z in zs]
+    calls = []
+    scipy_pair = specfun._sici_scipy
+    monkeypatch.setattr(specfun, "_sici_scipy", lambda z: calls.append(bits(z)) or scipy_pair(z))
+    with specfun.shared():
+        with specfun.shared():  # a nested block shares the outer memo
+            got = [(bits(specfun.sin_integral(z)), bits(specfun.cos_integral(z))) for z in zs]
+        got_again = [(bits(specfun.sin_integral(z)), bits(specfun.cos_integral(z))) for z in zs]
+    assert got == want and got_again == want
+    assert len(calls) == len(base) + 4 == len(set(calls))
+    # the memo ends with its block
+    specfun.sin_integral(base[0])
+    assert len(calls) == len(base) + 5

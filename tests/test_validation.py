@@ -1,7 +1,11 @@
-import numpy as np
+import json
 
-from qbmag import bath, decoherence, validation
+import numpy as np
+import pytest
+
+from qbmag import bath, coefficients, decoherence, specfun, validation
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
+from qbmag.dynamics import SystemParams
 
 
 def test_every_check_reports_its_runtime(full_validation):
@@ -81,3 +85,70 @@ def test_reference_gap_calls_the_reference_once(monkeypatch):
         monkeypatch.undo()
         assert sizes == [len(xs)]
         assert abs(got - want) <= 64 * np.finfo(float).eps, cutoff
+
+
+def _without_runtimes(report):
+    data = json.loads(report.to_json())
+    for check in data["checks"]:
+        del check["measured"]["runtime_s"]
+    return json.dumps(data, sort_keys=True)
+
+
+def test_report_does_not_depend_on_what_ran_before():
+    # no memo outlives its check: a second full run, and one after the
+    # fast level, give the first one's report
+    first = _without_runtimes(validation.run_checks("full"))
+    assert _without_runtimes(validation.run_checks("full")) == first
+    validation.run_checks("fast")
+    assert _without_runtimes(validation.run_checks("full")) == first
+
+
+def _counted(monkeypatch, module, name):
+    """A list that gets one entry per call of ``module.name`` from now on."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _run_alone(monkeypatch, check):
+    monkeypatch.setattr(validation, "_FAST_CHECKS", ())
+    monkeypatch.setattr(validation, "_FULL_EXTRA_CHECKS", (check,))
+    assert validation.run_checks("full").passed
+
+
+def test_criterion_5_takes_scipy_once_per_argument_and_moments_once_per_time(monkeypatch):
+    # Si and Ci share one scipy call per distinct reflected argument within
+    # the check (2220 calls with one per Si or Ci), and both modes of an
+    # exponential form share the moment table of their time (113 with one
+    # per mode); one moment pass per draw
+    sici = _counted(monkeypatch, specfun, "_sici_scipy")
+    moments = _counted(monkeypatch, coefficients, "_exp_moments")
+    passes = _counted(monkeypatch, decoherence, "time_moments")
+    _run_alone(monkeypatch, validation.check_criterion_5)
+    assert (len(sici), len(moments), len(passes)) == (560, 58, 60)
+
+
+def test_criterion_7_shares_a_pass_per_panel_layout(monkeypatch):
+    # the 18 ordering curves take one pass per regime and cutoff (6), the
+    # 8 field curves one each: 14 passes, against 26 with one per curve
+    passes = _counted(monkeypatch, decoherence, "time_moments")
+    _run_alone(monkeypatch, validation.check_criterion_7)
+    assert len(passes) == 14
+
+
+@pytest.mark.parametrize("rkind, oth", [(RegimeKind.LOW_TEMPERATURE, 0.01), (RegimeKind.HIGH_TEMPERATURE, 1e3)])
+def test_ordering_curves_are_their_own_curves(rkind, oth):
+    got = validation._ordering_curves(rkind, oth)
+    sys = SystemParams(omega0=10.0, omega_c=1.0)
+    grid = np.logspace(np.log10(1e-3 / 1e3), np.log10(0.7), 240)
+    assert len(got) == 9
+    for (s, cutoff), magnitude in got.items():
+        sd = SpectralDensity(s, cutoff, 1e3, 1.0)
+        own = decoherence.curve(sys, sd, ThermalRegime(rkind, oth), decoherence.Separation(1.0, 1.0), grid)
+        assert magnitude.tobytes() == own.magnitude.tobytes(), (s, cutoff)
