@@ -892,6 +892,15 @@ def _bose_kernel_fn(sd, omega_th):
     return fn
 
 
+def _cot_weight(sd, omega_th):
+    """(pi gamma Lam^2/2) cot(Lam/Omega_th), the weight of cosh(Lam tau) in the
+    pole-sum forms and of e^{-Lam tau} in the exact kernel; PoleError near a pole."""
+    ratio = sd.lam / omega_th
+    if abs(np.sin(ratio)) < 1e-8:
+        raise PoleError("cot(Lam/Omega_th) pole: Lam/Omega_th = %g is within 1e-8 of a multiple of pi" % ratio)
+    return (np.pi * sd.gamma * sd.lam**2 / 2.0) * (1.0 / np.tan(ratio))
+
+
 def closed_kernel_error(sd, regime, tau_max):
     """The error the catalogued regime kernels raise on [0, tau_max], or None.
 
@@ -904,11 +913,10 @@ def closed_kernel_error(sd, regime, tau_max):
     if _pole_sum(sd):
         if not regime.omega_th > 0:
             return DomainError("the Drude-Lorentz pole-sum forms need omega_th > 0")
-        ratio = sd.lam / regime.omega_th
-        if abs(np.sin(ratio)) < 1e-8:
-            return PoleError(
-                "cot(Lam/Omega_th) pole: Lam/Omega_th = %g is within 1e-8 of a multiple of pi" % ratio
-            )
+        try:
+            _cot_weight(sd, regime.omega_th)
+        except PoleError as err:
+            return err
         if sd.lam * tau_max > LAM_TAU_MAX:
             return RangeError(
                 "cosh(Lam tau) overflows for Lam tau = %g > %g" % (sd.lam * tau_max, LAM_TAU_MAX)
@@ -931,8 +939,7 @@ def noise_kernel_closed_parts(sd, regime, tau):
     if err is not None:
         raise err
     if _pole_sum(sd):
-        cot = 1.0 / np.tan(sd.lam / regime.omega_th)
-        base = (np.pi * sd.gamma * sd.lam**2 / 2.0) * cot * np.cosh(sd.lam * tarr)
+        base = _cot_weight(sd, regime.omega_th) * np.cosh(sd.lam * tarr)
         if regime.kind is RegimeKind.HIGH_TEMPERATURE:
             out = base + (-1j * np.pi * sd.gamma * sd.lam**2 / 2.0) * (
                 1.0 - 1j * np.pi * regime.omega_th * tarr
@@ -999,14 +1006,12 @@ def drude_exact_kernel(sd, omega_th, tau):
     tau = np.asarray(tau, dtype=float)
     if not np.all((tau > 0) & (tau < np.inf)):
         raise DomainError("tau must be finite and > 0: the exact Drude-Lorentz kernel diverges at tau = 0")
-    if abs(np.sin(sd.lam / omega_th)) < 1e-8:
-        raise PoleError("cot(Lam/Omega_th) pole")
+    weight = _cot_weight(sd, omega_th)
     b = sd.lam / (np.pi * omega_th)
     if abs(b - round(b)) < 1e-8:
         raise PoleError("Lam/(pi Omega_th) = %g collides with a Matsubara pole" % b)
     z = np.exp(-np.pi * omega_th * tau)
-    cot = 1.0 / np.tan(sd.lam / omega_th)
-    out = (np.pi * sd.gamma * sd.lam**2 / 2.0) * cot * np.exp(-sd.lam * tau) + (
+    out = weight * np.exp(-sd.lam * tau) + (
         sd.gamma * sd.lam**2 / 2.0
     ) * z * (_lerch_phi1(z, 1.0 - b) + _lerch_phi1(z, 1.0 + b))
     return out if out.ndim else float(out)

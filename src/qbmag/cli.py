@@ -9,21 +9,20 @@ output of these commands depends on it.
 One builder makes the time grid of ``curve`` and ``sweep`` and the
 frequency grid of ``spectra``; a bad grid or method is a config error.
 
-A sweep groups its points by layout, then by kernel, then by separation.
+A sweep groups its points by pass, then by kernel, then by separation.
 The points that differ only in the separation (dx, dy) share one kernel;
-the kernels whose passes share a panel layout (``decoherence._layout``,
-read off each kernel's plan) on one grid, one set of modes and one method
-share one moment pass (``decoherence._curves_many``), which lays out the
-panels, nodes and F1, F2 once and integrates each kernel on them.  A pass
-holds at most ``_PASS_KERNELS`` kernels; a larger layout group is cut into
-passes of near-equal size.  Every point's file is its ``curve`` file byte
-for byte, whichever kernels shared its pass.
+the kernels of one ``decoherence._pass_key``, which the sweep compares and
+does not read, share one moment pass (``decoherence._curves_many``), which
+lays out the panels, nodes and F1, F2 once and integrates each kernel on
+them.  A pass holds at most ``_PASS_KERNELS`` kernels; a larger group is
+cut into passes of near-equal size.  Every point's file is its ``curve``
+file byte for byte, whichever kernels shared its pass.
 
 Passes run in this process, and after each one the CPU time per kernel is
 rated: the mean over every pass done, or the last pass's where that is
 higher.  Once the rate times the kernels left exceeds the pool's
 break-even, and two or more kernels are left, the passes left are cut into
-chunks of one layout, at least one per worker where there are enough
+chunks of one pass, at least one per worker where there are enough
 kernels, and go to a process pool, whose workers build the plans
 themselves.  ``--workers`` (default: every core) caps the pool; a
 ``--workers`` below 1 is a config error.  Every point file and the
@@ -46,7 +45,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .bath import Cutoff, SpectralDensity, ThermalRegime, require_integrable, spectral_density
-from .decoherence import FLAG_ERROR, METHODS, Separation, _curves_many, _default_span, _layout, curve
+from .decoherence import FLAG_ERROR, METHODS, Separation, _curves_many, _default_span, _pass_key, curve
 from .dynamics import SystemParams
 from .errors import QbmagError
 from .validation import run_checks
@@ -61,13 +60,14 @@ _SWEEPABLE = ("s", "cutoff", "lam", "gamma", "omega0", "omega_c", "omega_th", "r
 _SEPARATION_KEYS = ("dx", "dy")
 
 #: seconds of sweep work left above which a process pool finishes sooner
-#: than this process.  Medians of run_sweep with one moment pass per point
-#: on a 2-vCPU Xeon VM, one process vs a 2-worker pool:
-#:   the bench sweep config (36 points x 24 times)      49 ms vs  95 ms
-#:   the same 36 points on the default 200-point grid  124 ms vs 177 ms
-#:   36 exact-regime curves of 200 points               0.73 s vs 0.46 s
-#: Each pool time is about its serial time over two plus 70-115 ms of
-#: start-up and dispatch, so two workers break even at twice that cost.
+#: than this process.  Medians of run_sweep on a 2-vCPU Xeon VM, one process
+#: vs a 2-worker pool that takes every pass after the first:
+#:   the bench sweep config (36 points x 24 times)      15 ms vs  41 ms
+#:   the same 36 points on the default 200-point grid   59 ms vs  91 ms
+#:   36 exact curves of 200 points (Lam = 50, Omega_th = 17, 3 s x abrupt,
+#:   exp x 3 omega0 x 2 dx)                              0.29 s vs 0.33 s
+#: The pool adds 30-140 ms to its share of the work, so two workers break
+#: even above 0.3 s; 0.2 s dates from one moment pass per point
 _POOL_BREAK_EVEN_S = 0.2
 
 #: the most kernels in one moment pass.  A pass holds the moments and curves
@@ -287,14 +287,6 @@ def _group_key(point):
     return tuple((k, repr(point[k])) for k in sorted(point) if k not in _SEPARATION_KEYS)
 
 
-def _pass_key(objs):
-    """What the points of one moment pass share: the modes and hbar, the
-    grid, the method and the panel layout of the bath's pass; repr and the
-    grid's bytes keep -0.0 and 0.0 apart."""
-    sys_params, sd, regime, _, grid, method = objs
-    return repr(sys_params), grid.tobytes(), method, _layout(sd, regime, grid, method)
-
-
 def _run_sweep_group(kernels):
     """Kernel groups of one moment pass, each [(index, path, objects)] of
     built points that differ only in dx, dy -> [(index, status)].  One
@@ -323,7 +315,7 @@ def _split(items, parts):
 
 
 def _pool_chunks(passes, workers):
-    """The passes left, cut into chunks of kernels of one layout each, at
+    """The passes left, cut into chunks of kernels of one pass each, at
     least min(workers, kernels) of them, so that every worker has one."""
     size = max(1, sum(map(len, passes)) // workers)
     return [chunk for one in passes for chunk in _split(one, -(-len(one) // size))]
@@ -364,10 +356,11 @@ def run_sweep(cfg, out_dir, workers):
         grid = grids.setdefault(grid.tobytes(), grid)
         objs = sys_params, sd, regime, sep, grid, method
         kernels.setdefault(_group_key(point), []).append((i, os.path.join(out_dir, fname), objs))
-    layouts = {}
+    shared = {}
     for group in kernels.values():
-        layouts.setdefault(_pass_key(group[0][2]), []).append(group)
-    passes = [one for group in layouts.values() for one in _split(group, -(-len(group) // _PASS_KERNELS))]
+        sys_params, sd, regime, _, grid, method = group[0][2]
+        shared.setdefault(_pass_key(sys_params, sd, regime, grid, method), []).append(group)
+    passes = [one for group in shared.values() for one in _split(group, -(-len(group) // _PASS_KERNELS))]
     total = left = sum(map(len, passes))
     # CPU time of this thread, so other processes preempting it do not read
     # as work (wall time started 2-worker pools in bench sweeps of ~50 ms)

@@ -316,10 +316,13 @@ def _g8(z, vp, t, lam):
 
 
 def _lambda_printed(sd, regime, mc, t, hbar):
+    high = regime.kind is RegimeKind.HIGH_TEMPERATURE
+    # these displays divide by B' (g1, g2) or take Ci(+-i B'/Lam) (g6, g8)
+    if mc.b_prime == 0.0 and (sd.cutoff is Cutoff.EXPONENTIAL or (sd.cutoff is Cutoff.DRUDE_LORENTZ and high)):
+        raise DomainError("the printed %s %s forms divide by B' = 0 at omega0 = 0" % (sd.cutoff.value, regime.kind.value))
     lam, gam = sd.lam, sd.gamma
     ap, bp, m, p, g = mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef, mc.g_coef
     a_im, b_im = 1j * ap, 1j * bp
-    high = regime.kind is RegimeKind.HIGH_TEMPERATURE
     if sd.cutoff is Cutoff.ABRUPT:
         if not high:
             return _abrupt_validated(sd, regime, mc, t, hbar)
@@ -378,6 +381,8 @@ def lambda_closed(sys, sd, regime, t, variant="validated"):
     The exact regime and s != 1 raise UnsupportedFormError.
 
     The validated exponential-cutoff forms raise RangeError for A'/Lam > 700.
+    At omega0 = 0 the printed Drude-Lorentz high-temperature and exponential
+    forms, which divide by B' = 0, raise DomainError at t > 0.
     """
     if variant not in ("validated", "printed"):
         raise ValueError("variant must be 'validated' or 'printed'")

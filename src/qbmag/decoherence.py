@@ -17,13 +17,15 @@ criterion 5 and ``frequency_shift``, checks the grid and hands the engine
 the ``dynamics.KernelPlan`` that ``_kernel_for`` builds for each bath: the
 kernel, its cutoff, up to where panels resolve Lam (past it they span at
 most half their start), its split and how far the first grid interval is
-refined towards 0.  Baths whose plans share a panel layout
-(``KernelPlan.layout``) share one pass, and each gets the moments of its
-own pass bit for bit; ``_moments`` is its one-bath case, and
-``_curves_many``, which ``curves`` calls with one bath, is the many-bath
-entry of the sweeps.
+refined towards 0.  It takes any baths: the plans that share a panel
+layout (``KernelPlan.layout``) share one pass, and each bath gets the
+moments of its own pass bit for bit; ``_moments`` is its one-bath case.
+``_curves_many``, which ``curves`` calls with one bath, takes any baths on
+one grid, and ``_pass_key`` is the one rule for which of them share a
+pass, so a caller that bounds its passes groups by that key alone.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +97,7 @@ def _kernel_for(sd, regime, method="quadrature", kind="cos"):
     regime eta: the kernel and how ``time_moments`` integrates it.  This is
     the one place that branches on cutoff, regime, method and kind.  A plan
     costs a few closures (a Drude-Lorentz kernel builds its transform when
-    called), so a sweep reads each pass's ``layout`` off a built plan.
+    called), so ``_pass_key`` reads a pass's ``layout`` off a built plan.
 
     Every kernel is the closed transform of the defining integral, in the
     exact regime the closed low-temperature transform plus the Bose term.
@@ -137,28 +139,35 @@ def _kernel_for(sd, regime, method="quadrature", kind="cos"):
     return KernelPlan(kernel, lam, 30.0 / lam, floor)
 
 
-def _many_moments(sys, baths, grid, kind="cos"):
-    """``time_moments`` of the plans ``_kernel_for`` makes for each
-    (sd, regime, method) of ``baths``, one ``TimeMoments`` per bath, on a
-    finite, strictly increasing grid >= 0 (DomainError otherwise).  The
-    plans share one pass, so they must share their panel layout
-    (``KernelPlan.layout``; ValueError otherwise), and each bath gets the
-    moments of its own pass bit for bit.  Zero, with no kernel, at
-    gamma = 0, for a kernel that would be integrable at gamma > 0."""
+def _checked_grid(grid):
+    """``grid`` as floats; DomainError unless finite, strictly increasing and >= 0."""
     grid = np.asarray(grid, dtype=float)
     good = grid.ndim == 1 and len(grid) and np.all(np.isfinite(grid)) and grid[0] >= 0
     if not (good and np.all(np.diff(grid) > 0)):
         raise DomainError("grid must be finite, strictly increasing and start at >= 0")
+    return grid
+
+
+def _many_moments(sys, baths, grid, kind="cos"):
+    """``time_moments`` of the plans ``_kernel_for`` makes for each
+    (sd, regime, method) of ``baths``, one ``TimeMoments`` per bath, on a
+    finite, strictly increasing grid >= 0 (DomainError otherwise).  The
+    plans that share a panel layout (``KernelPlan.layout``) share one pass,
+    in the order of their first bath, and each bath gets the moments of its
+    own pass bit for bit.  Zero, with no kernel, at gamma = 0, for a kernel
+    that would be integrable at gamma > 0."""
+    grid = _checked_grid(grid)
     out = [None] * len(baths)
-    plans = []
+    passes = {}
     for i, (sd, regime, method) in enumerate(baths):
         require_integrable(sd, regime, kind)
         if sd.gamma == 0.0:
             zeros = np.zeros((len(grid), 2), dtype=complex)
             out[i] = TimeMoments(zeros, zeros, zeros, zeros, nodes=0, panels=0)
         else:
-            plans.append((i, _kernel_for(sd, regime, method, kind)))
-    if plans:
+            plan = _kernel_for(sd, regime, method, kind)
+            passes.setdefault(plan.layout, []).append((i, plan))
+    for plans in passes.values():
         for (i, _), mom in zip(plans, time_moments(sys, [plan for _, plan in plans], grid)):
             out[i] = mom
     return out
@@ -277,20 +286,21 @@ def curves(sys, sd, regime, seps, grid=None, method="quadrature"):
     return _curves_many(sys, [(sd, regime, seps)], grid, method)[0]
 
 
-def _main_method(sd, regime, grid, method):
-    """The method of a curve's pass over its whole grid: ``method``, or
-    quadrature where the closed-form window closes before the grid's end
-    (the grid is checked after)."""
-    if method == "closed" and closed_kernel_error(sd, regime, np.max(grid, initial=0.0)) is not None:
-        return "quadrature"
-    return method
+def _closed_rows(sd, regime, grid, method):
+    """How many leading rows of an increasing ``grid`` a curve integrates by
+    ``method``: all for quadrature, for closed those inside the catalogued
+    kernels' window (``bath.closed_kernel_error``); the rest fall back."""
+    if method != "closed":
+        return len(grid)
+    return bisect.bisect_left(grid, True, key=lambda t: closed_kernel_error(sd, regime, t) is not None)
 
 
-def _layout(sd, regime, grid, method):
-    """The panel layout of the pass ``_curves_many`` makes over the whole
-    grid for this bath at gamma > 0, read off its plan; the baths of one
-    ``_curves_many`` call must share it."""
-    return _kernel_for(sd, regime, _main_method(sd, regime, grid, method)).layout
+def _pass_key(sys, sd, regime, grid, method):
+    """What baths must share to share a ``_curves_many`` pass: the modes and
+    hbar, the grid, the method and the panel layout of the bath's plan; repr
+    and the grid's bytes keep -0.0 and 0.0 apart.  Callers compare keys only."""
+    main = method if _closed_rows(sd, regime, grid, method) == len(grid) else "quadrature"
+    return repr(sys), grid.tobytes(), method, _kernel_for(sd, regime, main).layout
 
 
 def _curves_many(sys, baths, grid, method="quadrature"):
@@ -298,40 +308,32 @@ def _curves_many(sys, baths, grid, method="quadrature"):
     method: one list of ``CurveSeries`` per bath, each equal bit for bit to
     that bath's own ``curves``.
 
-    The baths share one pass over the whole grid (``_many_moments``), so
-    they must share its panel layout (``_layout``; ValueError otherwise).  A
-    bath whose closed-form window closes inside the grid takes its
-    quadrature pass with the others and the window's prefix in a closed
-    pass of its own."""
+    Each bath takes a pass over the whole grid, and the baths whose passes
+    share a panel layout share it (``_many_moments``).  A bath whose
+    closed-form window closes inside the grid takes its quadrature pass
+    there and the window's rows in a closed pass of its own."""
     if method not in METHODS:
         raise DomainError("method must be one of %s, got %r" % (METHODS, method))
-    grid = np.asarray(grid, dtype=float)
-    mains = [_main_method(sd, regime, grid, method) for sd, regime, _ in baths]
+    grid = _checked_grid(grid)
+    rows = [_closed_rows(sd, regime, grid, method) for sd, regime, _ in baths]
+    mains = [method if n == len(grid) else "quadrature" for n in rows]
     moments = _many_moments(sys, [(sd, regime, main) for (sd, regime, _), main in zip(baths, mains)], grid)
     return [
-        _bath_curves(sys, sd, regime, seps, grid, method, main == method, mom)
-        for (sd, regime, seps), main, mom in zip(baths, mains, moments)
+        _bath_curves(sys, sd, regime, seps, grid, method, n, mom)
+        for (sd, regime, seps), n, mom in zip(baths, rows, moments)
     ]
 
 
-def _bath_curves(sys, sd, regime, seps, grid, method, closed_ok, mom):
+def _bath_curves(sys, sd, regime, seps, grid, method, rows, mom):
     """The curves of one bath from the moments of its pass over the whole
-    grid; where the closed-form window is not ok there, its prefix of the
-    grid takes a closed pass and the later points fall back."""
+    grid; if only its first ``rows`` rows take ``method`` (``_closed_rows``),
+    they take a closed pass of their own and the later rows fall back."""
     int_lam, lam_s, int_err = _exponent_arrays(sys, mom, grid)
-    if closed_ok:
-        fallback = np.full(len(grid), FLAG_OK)
-        methods = (method,) * len(grid)
-    else:
-        # the window is a prefix of the grid; later points fall back
-        valid = np.array([closed_kernel_error(sd, regime, t) is None for t in grid])
-        if valid.any():
-            head = grid[valid]
-            int_lam[valid], lam_s[valid], int_err[valid] = _exponent_arrays(
-                sys, _moments(sys, sd, regime, head, "closed"), head
-            )
-        fallback = np.where(valid, FLAG_OK, FLAG_FALLBACK)
-        methods = tuple(method if ok else "quadrature" for ok in valid)
+    if 0 < rows < len(grid):
+        head = grid[:rows]
+        int_lam[:rows], lam_s[:rows], int_err[:rows] = _exponent_arrays(sys, _moments(sys, sd, regime, head, method), head)
+    fallback = np.where(np.arange(len(grid)) < rows, FLAG_OK, FLAG_FALLBACK)
+    methods = (method,) * rows + ("quadrature",) * (len(grid) - rows)
 
     out = []
     for sep in seps:

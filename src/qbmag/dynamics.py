@@ -15,11 +15,11 @@ x'' = -w0^2 x + wc y', y'' = -w0^2 y - wc x' exactly.
 of ``KernelPlan``s against F1 and F2 by the panel rules of ``_rules``,
 taking the factor e^{i Lam tau} of a kernel split as
 S + Re[a e^{i Lam tau}] exactly (Filon panels);
-``decoherence._many_moments``, its one caller, passes the plans that
-``decoherence._kernel_for`` builds, and one span rule (``_panel_edges``)
-reads them.  The plans of one pass share their ``layout``, so one set of
-panel edges, nodes and F1, F2 values serves them all; a curve is the
-one-plan pass.  Every panel of every plan is reduced on its own, so the
+``decoherence._many_moments``, its one caller, builds the plans with
+``decoherence._kernel_for`` and passes those of one ``layout`` together,
+and one span rule (``_panel_edges``) reads them.  The plans of one pass
+share their ``layout``, so one set of panel edges, nodes and F1, F2 values
+serves them all; a curve is the one-plan pass.  Every panel of every plan is reduced on its own, so the
 moments at a time depend only on its plan and the grid up to it.
 """
 
@@ -277,8 +277,8 @@ def time_moments(sys, plans, grid):
     """Integrate the kernel of each ``KernelPlan`` of ``plans`` against F1
     and F2 from 0 to each time of an increasing grid >= 0: one
     ``TimeMoments`` per plan, equal bit for bit to the one that plan gets in
-    a pass of its own.  The plans must share their ``layout``; ValueError
-    otherwise.
+    a pass of its own.  The plans must share their ``layout``, as
+    ``decoherence._many_moments`` groups them; ValueError otherwise.
 
     The grid is cut into 16-node Gauss panels by the span rule of
     ``_panel_edges``; half a period of the fastest oscillation per panel

@@ -439,24 +439,16 @@ def check_criterion_6():
 
 def _ordering_curves(regime_kind, oth):
     """Magnitude of the quadrature curve for each (s, cutoff) on one system
-    and grid.  The baths of one panel layout (one per cutoff) share one
-    moment pass, and each curve equals its own ``decoherence.curve`` bit
-    for bit."""
+    and grid, from one ``decoherence._curves_many`` call; each curve equals
+    its own ``decoherence.curve`` bit for bit."""
     lam = 1e3
     regime = ThermalRegime(regime_kind, oth)
     sys = SystemParams(omega0=10.0, omega_c=1.0)
     sep = Separation(1.0, 1.0)
     grid = np.logspace(np.log10(1e-3 / lam), np.log10(0.7), 240)
-    layouts = {}
-    for s in (0.5, 1.0, 1.5):
-        for cutoff in (Cutoff.ABRUPT, Cutoff.DRUDE_LORENTZ, Cutoff.EXPONENTIAL):
-            sd = SpectralDensity(s, cutoff, lam, 1.0)
-            layouts.setdefault(decoherence._layout(sd, regime, grid, "quadrature"), []).append(sd)
-    out = {}
-    for sds in layouts.values():
-        series = decoherence._curves_many(sys, [(sd, regime, [sep]) for sd in sds], grid)
-        out.update(((sd.s, sd.cutoff), one.magnitude) for sd, (one,) in zip(sds, series))
-    return out
+    sds = [SpectralDensity(s, cutoff, lam, 1.0) for s in (0.5, 1.0, 1.5) for cutoff in Cutoff]
+    series = decoherence._curves_many(sys, [(sd, regime, [sep]) for sd in sds], grid)
+    return {(sd.s, sd.cutoff): one.magnitude for sd, (one,) in zip(sds, series)}
 
 
 def check_criterion_7():

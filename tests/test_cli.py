@@ -610,7 +610,8 @@ def test_sweep_points_are_their_curves(tmp_path, count_passes, text, passes):
 def test_sweep_passes_share_edges_and_weights(tmp_path, monkeypatch):
     # the bench sweep at seed 7 lays out its panels and evaluates F1, F2
     # once per layout (3) instead of once per kernel (18), with the same
-    # kernel calls, one per kernel
+    # kernel calls, one per kernel; each kernel's plan is built for its
+    # pass key and for its pass
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -621,6 +622,7 @@ def test_sweep_passes_share_edges_and_weights(tmp_path, monkeypatch):
         return wrapped
 
     factory = decoherence._reference_kernel_fn
+    monkeypatch.setattr(decoherence, "_kernel_for", counted("plan", decoherence._kernel_for))
     monkeypatch.setattr(dynamics, "_panel_edges", counted("edges", dynamics._panel_edges))
     monkeypatch.setattr(dynamics, "f_weight", counted("f_weight", dynamics.f_weight))
     monkeypatch.setattr(decoherence, "_reference_kernel_fn", lambda *a: counted("kernel", factory(*a)))
@@ -629,10 +631,10 @@ def test_sweep_passes_share_edges_and_weights(tmp_path, monkeypatch):
     shared = dict(calls)
     calls.clear()
     # one pass per kernel, as each kernel's own curve takes it
-    monkeypatch.setattr(cli, "_pass_key", lambda objs: object())
+    monkeypatch.setattr(cli, "_pass_key", lambda *bath: object())
     assert cli.run_sweep(cfg, str(tmp_path / "alone"), workers=1) == 0
-    assert shared == {"edges": 3, "f_weight": 6, "kernel": 18}
-    assert dict(calls) == {"edges": 18, "f_weight": 36, "kernel": 18}
+    assert shared == {"plan": 36, "edges": 3, "f_weight": 6, "kernel": 18}
+    assert dict(calls) == {"plan": 18, "edges": 18, "f_weight": 36, "kernel": 18}
     assert _tree(tmp_path / "shared") == _tree(tmp_path / "alone")
 
 

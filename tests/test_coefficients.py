@@ -368,6 +368,28 @@ def test_unsupported_forms():
         lambda_closed(SYS, SpectralDensity(1.5, Cutoff.ABRUPT, 1e3), HIGH(5.0), 0.1)
 
 
+@pytest.mark.parametrize("cutoff,rkind", COMBOS)
+def test_printed_forms_that_divide_by_b_prime_reject_omega0_zero(cutoff, rkind):
+    # omega0 = 0 gives B' = 0: the printed Drude-Lorentz high-temperature and
+    # exponential displays divide by it and raise DomainError naming
+    # omega0 = 0, with no numpy warning; the other printed displays and
+    # every validated form are finite there
+    sys = SystemParams(omega0=0.0, omega_c=1.0)
+    sd = SpectralDensity(1.0, cutoff, 50.0, 1.3)
+    regime = ThermalRegime(rkind, 7.0)
+    divides = cutoff is Cutoff.EXPONENTIAL or (cutoff is Cutoff.DRUDE_LORENTZ and rkind is RegimeKind.HIGH_TEMPERATURE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = [lambda_closed(sys, sd, regime, 0.05, "validated")]
+        if divides:
+            with pytest.raises(DomainError, match="omega0 = 0"):
+                lambda_closed(sys, sd, regime, 0.05, "printed")
+        else:
+            pairs.append(lambda_closed(sys, sd, regime, 0.05, "printed"))
+    for pair in pairs:
+        assert np.isfinite(pair.lambda1) and (pair.lambda2 is None or np.isfinite(pair.lambda2))
+
+
 def test_unknown_variant_rejected_at_every_t():
     sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 200.0)
     for t in (0.0, 0.1):

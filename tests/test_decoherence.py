@@ -182,7 +182,7 @@ def test_curves_many_is_each_baths_own_curves(monkeypatch):
         (SpectralDensity(1.5, Cutoff.DRUDE_LORENTZ, lam, 2.0), LOW, seps[1:]),
         (SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, lam, 0.7), exact, seps),
     ]
-    assert len({decoherence._layout(sd, regime, grid, "closed") for sd, regime, _ in baths}) == 1
+    assert len({decoherence._pass_key(SYS, sd, regime, grid, "closed") for sd, regime, _ in baths}) == 1
     passes = []
     real = decoherence.time_moments
     monkeypatch.setattr(decoherence, "time_moments", lambda sys, plans, g: passes.append(len(plans)) or real(sys, plans, g))
@@ -200,13 +200,39 @@ def test_curves_many_is_each_baths_own_curves(monkeypatch):
     assert set(many[4][0].err_flag) == {FLAG_FALLBACK} and np.all(many[2][0].magnitude == 1.0)
 
 
-def test_curves_many_rejects_baths_of_two_layouts():
-    # an abrupt bath splits its kernel past Lam tau = 36; a Drude-Lorentz
-    # bath does not, so the two cannot share a pass
-    grid = np.logspace(-4, -1, 5)
-    baths = [(SpectralDensity(1.0, cutoff, 200.0), LOW, [Separation(1.0, 0.5)]) for cutoff in (Cutoff.ABRUPT, Cutoff.DRUDE_LORENTZ)]
-    with pytest.raises(ValueError, match="share their layout"):
-        decoherence._curves_many(SYS, baths, grid)
+@pytest.mark.parametrize("method", decoherence.METHODS)
+def test_curves_many_takes_baths_of_any_layout(monkeypatch, method):
+    # every s x cutoff x regime in one call, each bath's curves its own
+    # ``curve`` bit for bit; the grid runs past Lam t = 700, so the closed
+    # Ohmic Drude-Lorentz curves keep 27 of its 30 rows and fall back on 3
+    lam, grid = 100.0, np.logspace(-5, np.log10(20.0), 30)
+    sep = Separation(1.4177, -0.3)
+    regimes = (
+        ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 37.0),
+        ThermalRegime(RegimeKind.LOW_TEMPERATURE, 37.0),
+        ThermalRegime(RegimeKind.EXACT, 0.1),
+    )
+    baths = [
+        (SpectralDensity(s, cutoff, lam, 0.7), regime, [sep])
+        for s in (0.5, 1.0, 1.5)
+        for cutoff in Cutoff
+        for regime in regimes
+    ]
+    passes = []
+    real = decoherence.time_moments
+    monkeypatch.setattr(decoherence, "time_moments", lambda sys, plans, g: passes.append(len(plans)) or real(sys, plans, g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        many = decoherence._curves_many(SYS, baths, grid, method)
+    keys = {decoherence._pass_key(SYS, sd, regime, grid, method) for sd, regime, _ in baths}
+    # one pass per key; at method='closed' the two pole sums' closed prefixes
+    assert len(passes) == len(keys) + (2 if method == "closed" else 0) and sum(passes) == 27 + len(passes) - len(keys)
+    assert np.count_nonzero(lam * grid <= bath.LAM_TAU_MAX) == 27
+    pole_sum = ("closed",) * 27 + ("quadrature",) * 3 if method == "closed" else ("quadrature",) * 30
+    for (sd, regime, _), (got,) in zip(baths, many):
+        _same_bits(got, curve(SYS, sd, regime, sep, grid, method))
+        if sd.s == 1.0 and sd.cutoff is Cutoff.DRUDE_LORENTZ and regime.kind is not RegimeKind.EXACT:
+            assert got.method == pole_sum
 
 
 def test_sweep_builds_each_drude_transform_once(tmp_path):

@@ -136,10 +136,12 @@ def test_criterion_5_takes_scipy_once_per_argument_and_moments_once_per_time(mon
 
 def test_criterion_7_shares_a_pass_per_panel_layout(monkeypatch):
     # the 18 ordering curves take one pass per regime and cutoff (6), the
-    # 8 field curves one each: 14 passes, against 26 with one per curve
+    # 8 field curves one each: 14 passes, against 26 with one per curve;
+    # each curve builds one plan
     passes = _counted(monkeypatch, decoherence, "time_moments")
+    plans = _counted(monkeypatch, decoherence, "_kernel_for")
     _run_alone(monkeypatch, validation.check_criterion_7)
-    assert len(passes) == 14
+    assert (len(passes), len(plans)) == (14, 26)
 
 
 @pytest.mark.parametrize("rkind, oth", [(RegimeKind.LOW_TEMPERATURE, 0.01), (RegimeKind.HIGH_TEMPERATURE, 1e3)])
