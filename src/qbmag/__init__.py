@@ -1,10 +1,9 @@
 """Decoherence of a charged Brownian particle in a magnetic field.
 
-Bath spectral densities with three ultraviolet-cutoff models, noise and
-dissipation kernels (defining quadrature and analytic forms), the
-master-equation coefficients lambda1/lambda2, and the decay of the
-off-diagonal reduced density matrix, with a dual closed-form/quadrature
-validation layer.
+Bath spectral densities with three ultraviolet-cutoff models, the noise
+kernel (defining quadrature and analytic forms), the master-equation
+coefficients lambda1/lambda2, and the decay of the off-diagonal reduced
+density matrix, with a dual closed-form/quadrature validation layer.
 """
 
 from .bath import (
@@ -12,8 +11,6 @@ from .bath import (
     RegimeKind,
     SpectralDensity,
     ThermalRegime,
-    dissipation_kernel_quadrature,
-    dissipation_kernel_reference,
     drude_exact_kernel,
     noise_kernel_closed_parts,
     noise_kernel_quadrature,
@@ -35,7 +32,6 @@ from .decoherence import (
     default_grid,
     density_ratio,
     exponents,
-    frequency_shift,
     hightemp_rate,
     lowtemp_powerlaw,
 )
@@ -64,13 +60,10 @@ __all__ = [
     "noise_kernel_quadrature",
     "noise_kernel_closed_parts",
     "noise_kernel_reference",
-    "dissipation_kernel_quadrature",
-    "dissipation_kernel_reference",
     "drude_exact_kernel",
     "mode_constants",
     "f_weight",
     "heisenberg_transfer",
-    "frequency_shift",
     "lambda_closed",
     "lambda_from_kernel",
     "exponents",

@@ -5,7 +5,7 @@
   panels) and 24 nodes (the Drude-Lorentz middle band's tail panel),
   read-only;
 * ``_jacobi_rule01``, the Golub-Welsch Gauss-Jacobi rule on [0, 1], and
-  ``_rule_sums``, its fixed-order row sums against cos or sin;
+  ``_rule_sums``, its fixed-order row sums against cos;
 * the embedded 8-node estimate of the 16-node rule (``_PANEL_W``) and the
   Filon weights of the same panels (``_filon_weights``).
 
@@ -36,7 +36,7 @@ def _gauss_segments(fn, edges):
     return half[:, 0] * np.sum(_GLW * fn(mid + half * _GLX), axis=-1)
 
 
-#: size of the trig blocks evaluated at once: x (x) u in the Gauss-Jacobi
+#: size of the cosine blocks evaluated at once: x (x) u in the Gauss-Jacobi
 #: band, tau (x) omega in the Bose rule
 _TRIG_BLOCK_BYTES = 1 << 20
 
@@ -63,15 +63,15 @@ def _jacobi_rule01(n, se):
     return nodes, weights
 
 
-def _rule_sums(x, nodes, weights, trig):
-    """sum_j weights_j trig(x_i nodes_j) for each x_i of a 1-d array, in blocks
+def _rule_sums(x, nodes, weights):
+    """sum_j weights_j cos(x_i nodes_j) for each x_i of a 1-d array, in blocks
     of ``_TRIG_BLOCK_BYTES``, each row summed on its own: a matrix product's
     rounding would depend on how many rows the block holds."""
     out = np.empty(x.size)
     rows = max(1, _TRIG_BLOCK_BYTES // (8 * nodes.size))
     for i in range(0, x.size, rows):
         block = np.multiply.outer(x[i : i + rows], nodes)
-        trig(block, out=block)
+        np.cos(block, out=block)
         block *= weights
         out[i : i + rows] = block.sum(axis=1)
     return out

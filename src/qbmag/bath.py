@@ -1,13 +1,13 @@
-"""Bath spectral densities and the noise/dissipation kernels.
+"""Bath spectral densities and the noise kernel.
 
-Three evaluation paths are provided for the kernels, on the fixed rules of
-``_rules`` (this module sets their bands and node counts):
+Three evaluation paths are provided for the noise kernel, on the fixed
+rules of ``_rules`` (this module sets their bands and node counts):
 
-* ``noise_kernel_quadrature`` / ``dissipation_kernel_quadrature`` integrate
-  the defining frequency integrals directly (adaptive head, half-period
-  segments with Euler acceleration for the conditionally convergent
-  oscillatory tails).  This is the reference ("oracle") path; through
-  ``coefficients.lambda_from_kernel`` it is the coefficients' defining path.
+* ``noise_kernel_quadrature`` integrates the defining frequency integral
+  directly (adaptive head, half-period segments with Euler acceleration
+  for the conditionally convergent oscillatory tail).  This is the
+  reference ("oracle") path; through ``coefficients.lambda_from_kernel``
+  it is the coefficients' defining path.
   Each integrand QUADPACK calls is one frame that makes at most one inner
   call, to the envelope (``_integrand_parts``); the tail takes ``_TAIL_BATCH``
   segments per call of ``_rules._gauss_segments`` and updates its Euler
@@ -115,7 +115,8 @@ class ThermalRegime:
             raise DomainError("omega_th must be >= 0, and > 0 for the exact and high-T regimes")
 
 
-#: the zero-temperature regime; eta takes it too, as its weight is c = 1
+#: the zero-temperature regime, whose weight c = 1 the exact regime's
+#: closed part takes
 _LOW = ThermalRegime(RegimeKind.LOW_TEMPERATURE)
 
 
@@ -130,9 +131,9 @@ def spectral_density(sd, omega):
 #: ``_FLOAT`` for the one Python float per call that QUADPACK passes, where
 #: ``math`` costs a tenth of numpy on a 0-d array, and ``_ARRAY`` for numpy
 #: arrays (spectral densities, the Gauss segments of the oscillatory tail)
-_Ops = collections.namedtuple("_Ops", "exp expm1 minimum maximum cos sin")
-_FLOAT = _Ops(math.exp, math.expm1, min, max, math.cos, math.sin)
-_ARRAY = _Ops(np.exp, np.expm1, np.minimum, np.maximum, np.cos, np.sin)
+_Ops = collections.namedtuple("_Ops", "exp expm1 minimum maximum cos")
+_FLOAT = _Ops(math.exp, math.expm1, min, max, math.cos)
+_ARRAY = _Ops(np.exp, np.expm1, np.minimum, np.maximum, np.cos)
 
 
 def _envelope(sd, ops):
@@ -153,7 +154,7 @@ def _envelope(sd, ops):
 
 def _regime_weight(sd, regime):
     """(se, pref) with J(w) c(w) = pref w^se envelope(w): c = Omega_th/w at high
-    temperature, else 1 (the low regime, which eta takes, and the exact regime's tail)."""
+    temperature, else 1 (the low regime and the exact regime's tail)."""
     if regime.kind is RegimeKind.HIGH_TEMPERATURE:
         return sd.s - 1.0, sd.gamma * regime.omega_th
     return sd.s, sd.gamma
@@ -169,12 +170,12 @@ def _pole_sum(sd):
 # defining-integral quadrature
 # --------------------------------------------------------------------------
 
-def _integrand_parts(sd, regime, ops, trig=None, tau=0.0):
+def _integrand_parts(sd, regime, ops, tau=None):
     """Split J(w) * coth-factor into w^p * g(w) with g smooth and finite at 0.
 
-    Returns (p, fn, upper).  Without ``trig``, fn is w -> w^p g(w), the
+    Returns (p, fn, upper).  Without ``tau``, fn is w -> w^p g(w), the
     integrand of the QUADPACK pieces and of the tail; with it, fn is the
-    head in x = w^(p+1), x -> r g(x^r) trig(x^r tau), r = 1/(p+1), which
+    head in x = w^(p+1), x -> r g(x^r) cos(x^r tau), r = 1/(p+1), which
     takes the w^p point out of the head.  fn takes the operands of ``ops``.
 
     fn is one of six closures, chosen here by regime (exact or not),
@@ -184,12 +185,13 @@ def _integrand_parts(sd, regime, ops, trig=None, tau=0.0):
     written out in fn.  The abrupt envelope, 1 on [0, upper], is never
     evaluated (a rule's end node can round past upper; it stands for
     upper): outside the exact regime its factor is left out, which changes
-    no bit as every closure keeps the grouping of g e r trig(w tau), and in
+    no bit as every closure keeps the grouping of g e r cos(w tau), and in
     the exact regime a constant 1.0 stands in for it.
     """
     upper = sd.lam if sd.cutoff is Cutoff.ABRUPT else np.inf
     env = None if upper < np.inf else _envelope(sd, ops)
-    head = trig is not None
+    head = tau is not None
+    cos = ops.cos
     if regime.kind is not RegimeKind.EXACT:
         p, pref = _regime_weight(sd, regime)
         r = 1.0 / (p + 1.0)
@@ -199,11 +201,11 @@ def _integrand_parts(sd, regime, ops, trig=None, tau=0.0):
             return p, lambda w: w**p * (pref * env(w)), upper
         if env is None:
             rg = r * pref
-            return p, lambda x: rg * trig(x**r * tau), upper
+            return p, lambda x: rg * cos(x**r * tau), upper
 
         def fn(x):
             w = x**r
-            return r * (pref * env(w)) * trig(w * tau)
+            return r * (pref * env(w)) * cos(w * tau)
 
         return p, fn, upper
 
@@ -226,7 +228,7 @@ def _integrand_parts(sd, regime, ops, trig=None, tau=0.0):
         def fn(x):
             w = x**r
             v = maximum(w, floor)
-            return r * (gamma * v * env(w) * (1.0 + 2.0 / expm1(2.0 * minimum(v / oth, 350.0)))) * trig(w * tau)
+            return r * (gamma * v * env(w) * (1.0 + 2.0 / expm1(2.0 * minimum(v / oth, 350.0)))) * cos(w * tau)
 
     return p, fn, upper
 
@@ -294,15 +296,29 @@ _TAU0_RTOL = 1e-11
 _DRUDE_TAIL_TERMS = 4
 
 
-def _kernel_quadrature(sd, regime, tau, kind):
+def noise_kernel_quadrature(sd, regime, tau):
+    """Noise kernel nu(tau) = int_0^inf J(w) coth(w/Omega_th) cos(w tau) dw.
+
+    The coth weight is taken exactly, or replaced by its classical
+    (Omega_th/w) or quantum (1) limit according to ``regime``.  The w -> 0
+    end is handled analytically (J ~ w^s keeps the integrand finite), the
+    oscillatory tail by half-period segmentation with Euler acceleration.
+
+    Raises ConvergenceError when the tail accelerator fails or the integral
+    diverges (Drude-Lorentz tails at tau = 0 with s >= 1 in the quantum or
+    exact regimes, s >= 2 at high temperature), and RangeError for a tau > 0
+    so small that w^p (p = s, or s - 1 at high temperature and in the exact
+    regime), or the Drude-Lorentz envelope's w^2, overflows within the
+    tail's reach of about 1e4 pi/tau: below about 2e-150 for Drude-Lorentz
+    with p <= 2, 2e-304 for the exponential cutoff with p <= 1 (abrupt:
+    never).
+    """
     tau = float(_finite_nonnegative("tau", tau))
     p, part, upper = _integrand_parts(sd, regime, _FLOAT)
     # the substitution w = x^r, r = 1/(p+1), takes the w^p point out of the head
     q = p + 1.0
 
     if tau == 0.0:
-        if kind == "sin":
-            return 0.0
         exact = regime.kind is RegimeKind.EXACT
         if sd.cutoff is Cutoff.DRUDE_LORENTZ:
             # J c is w^se Lam^2/(Lam^2 + w^2) on the tail, up to a constant
@@ -313,7 +329,7 @@ def _kernel_quadrature(sd, regime, tau, kind):
                 )
         a_head = 1.0 if upper is np.inf else min(1.0, upper)
         # cos(0 w) = 1 leaves every bit of r g(x^r)
-        head_fn = _integrand_parts(sd, regime, _FLOAT, _FLOAT.cos, 0.0)[1]
+        head_fn = _integrand_parts(sd, regime, _FLOAT, 0.0)[1]
         head = integrate.quad(head_fn, 0.0, a_head**q, epsabs=0.0, epsrel=_TAU0_RTOL, limit=200)[0]
         rest = 0.0
         if upper is np.inf:
@@ -356,26 +372,24 @@ def _kernel_quadrature(sd, regime, tau, kind):
     # first piece, not QUADPACK's 1.5e-8, whatever the units of J
     w_head = min(4.0 * np.pi / tau, upper)
     a_sub = min(1.0, w_head)
-    head_fn = _integrand_parts(sd, regime, _FLOAT, getattr(_FLOAT, kind), tau)[1]
+    head_fn = _integrand_parts(sd, regime, _FLOAT, tau)[1]
     head = integrate.quad(head_fn, 0.0, a_sub**q, epsabs=0.0, limit=300)[0]
     floor = abs(head)
     if upper is not np.inf:
         if upper > a_sub:
-            head += integrate.quad(part, a_sub, upper, weight=kind, wvar=tau, epsabs=_HEAD_FLOOR * floor, limit=2000)[0]
+            head += integrate.quad(part, a_sub, upper, weight="cos", wvar=tau, epsabs=_HEAD_FLOOR * floor, limit=2000)[0]
         return head
     edges = _envelope_edges(sd, regime, a_sub, w_head)
     for lo, hi in zip(edges, edges[1:]):
-        head += integrate.quad(part, lo, hi, weight=kind, wvar=tau, epsabs=_HEAD_FLOOR * floor, limit=500)[0]
+        head += integrate.quad(part, lo, hi, weight="cos", wvar=tau, epsabs=_HEAD_FLOOR * floor, limit=500)[0]
 
-    # oscillatory tail: integrate between consecutive zeros of the trig factor
+    # oscillatory tail: integrate between consecutive zeros of cos(w tau)
     # and Euler-accelerate the alternating sequence of partial sums; the
     # segments are 12-node Gauss rules on arrays, _TAIL_BATCH to a call
     part_nodes = _integrand_parts(sd, regime, _ARRAY)[1]
-    trig_nodes = getattr(_ARRAY, kind)
-    full = lambda w: part_nodes(w) * trig_nodes(w * tau)
-    off = 0.5 if kind == "cos" else 0.0
-    k = int(np.floor(w_head * tau / np.pi - off)) + 1
-    edge = lambda j: (j + off) * np.pi / tau
+    full = lambda w: part_nodes(w) * np.cos(w * tau)
+    k = int(np.floor(w_head * tau / np.pi - 0.5)) + 1
+    edge = lambda j: (j + 0.5) * np.pi / tau
     while edge(k) <= w_head:
         k += 1
     total = head + float(_rules._gauss_segments(full, np.array([w_head, edge(k)]))[0])
@@ -407,32 +421,6 @@ def _kernel_quadrature(sd, regime, tau, kind):
     )
 
 
-def noise_kernel_quadrature(sd, regime, tau):
-    """Noise kernel nu(tau) = int_0^inf J(w) coth(w/Omega_th) cos(w tau) dw.
-
-    The coth weight is taken exactly, or replaced by its classical
-    (Omega_th/w) or quantum (1) limit according to ``regime``.  The w -> 0
-    end is handled analytically (J ~ w^s keeps the integrand finite), the
-    oscillatory tail by half-period segmentation with Euler acceleration.
-
-    Raises ConvergenceError when the tail accelerator fails or the integral
-    diverges (Drude-Lorentz tails at tau = 0 with s >= 1 in the quantum or
-    exact regimes, s >= 2 at high temperature), and RangeError for a tau > 0
-    so small that w^p (p = s, or s - 1 at high temperature and in the exact
-    regime), or the Drude-Lorentz envelope's w^2, overflows within the
-    tail's reach of about 1e4 pi/tau: below about 2e-150 for Drude-Lorentz
-    with p <= 2, 2e-304 for the exponential cutoff with p <= 1 (abrupt:
-    never).
-    """
-    return _kernel_quadrature(sd, regime, tau, "cos")
-
-
-def dissipation_kernel_quadrature(sd, tau):
-    """Dissipation kernel eta(tau) = int_0^inf J(w) sin(w tau) dw; eta(0) = 0.
-    Errors as for ``noise_kernel_quadrature``, with p = s."""
-    return _kernel_quadrature(sd, _LOW, tau, "sin")
-
-
 # --------------------------------------------------------------------------
 # closed transforms of the defining integrals
 # --------------------------------------------------------------------------
@@ -454,18 +442,18 @@ _TRIG_SERIES_TOP = 4.0
 #: terms of that series; the last is below 1e-17 of the first at the top x
 _TRIG_SERIES_TERMS = 18
 #: nodes of the Gauss-Jacobi rule of the middle band, accurate to rounding
-#: for trig(x u) on [0, 1] up to the band's top, the asymptotic edge
+#: for cos(x u) on [0, 1] up to the band's top, the asymptotic edge
 _TRIG_JACOBI_NODES = 36
 #: (x past which, terms) of the asymptotic series of the tail, where the
-#: abrupt transforms split into a power law and e^{ix} times a smooth
+#: abrupt transform splits into a power law and e^{ix} times a smooth
 #: amplitude (``_trig_power_split``).  At x = 36 the last term is the
 #: divergent series' smallest, about sqrt(2 pi x) e^-x = 3.5e-15 of the
 #: first; past it every term is smaller than the one before
 _TRIG_TAIL_START, _TRIG_TAIL_TERMS = 36.0, 36
 
 
-def _trig_power_ratio(se, x, kind):
-    """R(se, x) = int_0^1 u^se trig(x u) du = int_0^x v^se trig(v) dv / x^{se+1},
+def _trig_power_ratio(se, x):
+    """R(se, x) = int_0^1 u^se cos(x u) du = int_0^x v^se cos(v) dv / x^{se+1},
     vectorised over x >= 0, for any se > -1, in three bands of x:
 
     * x <= 4: the power series in x^2, a fixed number of terms;
@@ -477,34 +465,29 @@ def _trig_power_ratio(se, x, kind):
     Each x takes a fixed sequence of operations chosen by its band alone,
     so its value does not depend on the other entries of the call.
     Against 40-digit mpmath the error stays below 2e-13 of max(|R|, 1/(1+x))
-    (measured for -0.99 <= se <= 5).  Finite limit at x = 0: 1/(se+1) for
-    cos, 0 for sin.
+    (measured for -0.99 <= se <= 5).  Finite limit at x = 0: 1/(se+1).
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.empty_like(flat)
-    odd = 0 if kind == "cos" else 1
     band = np.searchsorted([_TRIG_SERIES_TOP, _TRIG_TAIL_START], flat)
 
     idx = np.nonzero(band == 0)[0]
     if idx.size:
-        # x^odd sum_j (-x^2)^j / ((2j+odd)! (se+2j+odd+1))
+        # sum_j (-x^2)^j / ((2j)! (se+2j+1))
         xs = flat[idx]
-        coef = [
-            1.0 / (math.factorial(2 * j + odd) * (se + 2 * j + odd + 1.0))
-            for j in range(_TRIG_SERIES_TERMS)
-        ]
-        out[idx] = _horner(-xs * xs, coef) * xs**odd
+        coef = [1.0 / (math.factorial(2 * j) * (se + 2 * j + 1.0)) for j in range(_TRIG_SERIES_TERMS)]
+        out[idx] = _horner(-xs * xs, coef)
 
     idx = np.nonzero(band == 1)[0]
     if idx.size:
         u, w = _rules._jacobi_rule01(_TRIG_JACOBI_NODES, se)
-        out[idx] = _rules._rule_sums(flat[idx], u, w, np.cos if kind == "cos" else np.sin)
+        out[idx] = _rules._rule_sums(flat[idx], u, w)
 
     idx = np.nonzero(band == 2)[0]
     if idx.size:
         xs = flat[idx]
-        smooth, amp = _trig_power_split(se, xs, kind)
+        smooth, amp = _trig_power_split(se, xs)
         out[idx] = smooth + (amp.real * np.cos(xs) - amp.imag * np.sin(xs))
     return out.reshape(x.shape)
 
@@ -525,20 +508,19 @@ def _trig_tail_coef(se):
     return coef
 
 
-def _trig_power_split(se, x, kind):
+def _trig_power_split(se, x):
     """(S, a) with R(se, x) = S + Re[a e^{ix}] for an array of x > 36
     (``_TRIG_TAIL_START``).  S = c_inf x^-(se+1) is the smooth power law,
-    c_inf = int_0^inf v^se trig(v) dv (Abel-summed).  The tail
+    c_inf = int_0^inf v^se cos(v) dv (Abel-summed).  The tail
     int_x^inf v^se e^{iv} dv ~ e^{ix} x^se (p + i q) has the asymptotic
     series p + i q = sum_k i^{k+1} se(se-1)...(se-k+1) x^{-k}, summed here
     to ``_TRIG_TAIL_TERMS`` terms (it ends at the first zero of the falling
-    factorial, integer se), so a = -(p + i q)/x (cos) or i (p + i q)/x (sin)."""
+    factorial, integer se), so a = -(p + i q)/x."""
     x = np.asarray(x, dtype=float)
     acc = _horner(1.0 / (x * x), _trig_tail_coef(se)[:, :, None])
     amp = (acc[0] / x + 1j * acc[1]) / x
-    trig = np.cos if kind == "cos" else np.sin
-    cinf = _sp.gamma(se + 1.0) * trig(np.pi * (se + 1.0) / 2.0)
-    return cinf * x ** -(se + 1.0), -amp if kind == "cos" else 1j * amp
+    cinf = _sp.gamma(se + 1.0) * np.cos(np.pi * (se + 1.0) / 2.0)
+    return cinf * x ** -(se + 1.0), -amp
 
 
 #: x = Lam tau up to which _drude_transform sums its power series, whose
@@ -607,15 +589,14 @@ def _pole_pair(eps, parity):
 
 
 @functools.lru_cache(maxsize=32)
-def _drude_transform(se, kind):
-    """x -> D(se, x) = int_0^inf u^se trig(x u)/(1 + u^2) du over an array of
-    x >= 0, for -1 < se < 2 (cos) or 0 < se < 2 (sin); built once per (se, kind).
+def _drude_transform(se):
+    """x -> D(se, x) = int_0^inf u^se cos(x u)/(1 + u^2) du over an array of
+    x >= 0, for -1 < se < 2; built once per se.
 
     Rotating the contour onto the imaginary axis, with half the residue at
-    u = i, gives D = (pi/2) cos(pi se/2) e^{-x} - sin(pi se/2) P (cos) or
-    (pi/2) sin(pi se/2) e^{-x} + cos(pi se/2) P (sin) for x > 0, with
-    P = PV int_0^inf v^se e^{-x v}/(1 - v^2) dv; the trig factors are exact at
-    integer se, so cos at se = 0 and sin at se = 1 are (pi/2) e^{-x}.  P takes
+    u = i, gives D = (pi/2) cos(pi se/2) e^{-x} - sin(pi se/2) P for x > 0,
+    with P = PV int_0^inf v^se e^{-x v}/(1 - v^2) dv; the trig factors are
+    exact at integer se, so D at se = 0 is (pi/2) e^{-x}.  P takes
     three bands of x, each x a fixed sequence of elementwise operations chosen
     by its band, so its value does not depend on the other entries of the call:
 
@@ -632,9 +613,8 @@ def _drude_transform(se, kind):
     * x > 64: the asymptotic series P ~ sum_k Gamma(se+1+2k) x^{-se-1-2k}.
 
     Against 30-digit mpmath every value is within 1e-12 of max(|D|, (1+x)^-(se+1))
-    (worst 5e-14, over cos at -0.9 <= se <= 1.95 and sin at 1e-9 <= se <= 2 - 1e-9,
-    x in [1e-9, 5e3]).  At x = 0 it returns the x -> 0+ limit: (pi/2)/cos(pi se/2)
-    for cos and 0 for sin below se = 1, pi/2 for sin at se = 1, else inf; inf
+    (at most 5e-14 over -0.9 <= se <= 1.95, x in [1e-9, 5e3]).  At x = 0 it
+    returns the x -> 0+ limit: (pi/2)/cos(pi se/2) below se = 1, else inf; inf
     also, without a warning, where D leaves the float range at subnormal x
     (se past ~1.95).
     """
@@ -669,10 +649,7 @@ def _drude_transform(se, kind):
     cheb[0] *= 0.5
     octaves = _DRUDE_CHEB_POWERS.T @ cheb
     asymptotic = _sp.gamma(se + 1.0 + 2.0 * np.arange(_DRUDE_ASYMPTOTIC_TERMS))
-    if kind == "cos":
-        at_zero = (np.pi / 2.0) / c if se < 1.0 else np.inf
-    else:
-        at_zero = 0.0 if se < 1.0 else (np.pi / 2.0 if se == 1.0 else np.inf)
+    at_zero = (np.pi / 2.0) / c if se < 1.0 else np.inf
     top_x = 2.0 ** (1 + _DRUDE_OCTAVES)
 
     def fn(x):
@@ -714,50 +691,49 @@ def _drude_transform(se, kind):
             p[sel] = _horner(1.0 / (xs * xs), asymptotic) * xs ** -(se + 1.0)
 
         e = (np.pi / 2.0) * np.exp(-flat)
-        out = c * e - s * p if kind == "cos" else s * e + c * p
+        out = c * e - s * p
         out[flat <= 0.0] = at_zero
         return out.reshape(x.shape)
 
     return fn
 
 
-def require_integrable(sd, regime, kind="cos"):
-    """DomainError unless nu (eta for kind='sin') is integrable at tau = 0.
+def require_integrable(sd, regime):
+    """DomainError unless nu is integrable at tau = 0.
 
     A Drude-Lorentz J(w) c(w) falls off as w^(se-2) (``_regime_weight``), so
     the kernel grows as tau^(1-se) for se > 1 and is not integrable for
-    se >= 2: s >= 2 at low temperature, in the exact regime and for eta,
-    s >= 3 at high temperature.  The other cutoffs keep nu(0) finite."""
+    se >= 2: s >= 2 at low temperature and in the exact regime, s >= 3 at
+    high temperature.  The other cutoffs keep nu(0) finite."""
     if sd.cutoff is Cutoff.DRUDE_LORENTZ and _regime_weight(sd, regime)[0] >= 2.0:
-        what = "eta" if kind == "sin" else "nu in the %s regime" % regime.kind.value
         raise DomainError(
-            "%s of a Drude-Lorentz bath with s = %g is not integrable at tau = 0" % (what, sd.s)
+            "nu in the %s regime of a Drude-Lorentz bath with s = %g is not integrable at tau = 0"
+            % (regime.kind.value, sd.s)
         )
 
 
-def _reference_kernel_fn(sd, regime, kind="cos"):
-    """Vectorised closed transform of the defining integral: nu, or with
-    kind='sin' (and the low regime) eta.  Every bath has one outside the
-    exact regime, which raises UnsupportedFormError; DomainError where
-    ``require_integrable`` says the kernel is not integrable at tau = 0.
-    Each is C T(Lam tau), C of ``_closed_scale``, T the cutoff's dimensionless
-    transform: ``_trig_power_ratio``, the form below or ``_drude_transform``.
+def _reference_kernel_fn(sd, regime):
+    """Vectorised closed transform of the defining integral of nu.  Every
+    bath has one outside the exact regime, which raises UnsupportedFormError;
+    DomainError where ``require_integrable`` says the kernel is not
+    integrable at tau = 0.  Each is C T(Lam tau), C of ``_closed_scale``, T
+    the cutoff's dimensionless transform: ``_trig_power_ratio``, the form
+    below or ``_drude_transform``.
 
     Each form is an exact equality, validated against the quadrature path,
     so curves built on them remain quadrature-grade in the time integration.
     """
-    require_integrable(sd, regime, kind)
+    require_integrable(sd, regime)
     if regime.kind is RegimeKind.EXACT:
         raise UnsupportedFormError("no closed transform for s=%g %s exact" % (sd.s, sd.cutoff.value))
     se, scale = _closed_scale(sd, regime)
     lam = sd.lam
     if sd.cutoff is Cutoff.ABRUPT:
-        transform = lambda x: _trig_power_ratio(se, x, kind)
+        transform = lambda x: _trig_power_ratio(se, x)
     elif sd.cutoff is Cutoff.EXPONENTIAL:
-        # Gamma(se+1) (1 + x^2)^(-(se+1)/2) trig((se+1) arctan x)
-        trig = np.cos if kind == "cos" else np.sin
+        # Gamma(se+1) (1 + x^2)^(-(se+1)/2) cos((se+1) arctan x)
         gamma = _sp.gamma(se + 1.0)
-        transform = lambda x: gamma * (1.0 + x**2) ** (-(se + 1.0) / 2.0) * trig((se + 1.0) * np.arctan(x))
+        transform = lambda x: gamma * (1.0 + x**2) ** (-(se + 1.0) / 2.0) * np.cos((se + 1.0) * np.arctan(x))
     else:
         # the transform is looked up at each call, so a kernel built only
         # for its plan's layout builds none
@@ -765,7 +741,7 @@ def _reference_kernel_fn(sd, regime, kind="cos"):
             # a Drude-Lorentz kernel ~ tau^(1-se) leaves the float range at
             # subnormal tau past se ~ 1.9: inf there, as at tau = 0, unwarned
             with np.errstate(over="ignore"):
-                return scale * _drude_transform(se, kind)(lam * np.asarray(tau, dtype=float))
+                return scale * _drude_transform(se)(lam * np.asarray(tau, dtype=float))
 
         return kernel
     return lambda tau: scale * transform(lam * np.asarray(tau, dtype=float))
@@ -777,31 +753,22 @@ def _closed_scale(sd, regime):
     return se, pref * sd.lam ** (se + 1.0)
 
 
-def _oscillating_tail(sd, regime, kind="cos"):
+def _oscillating_tail(sd, regime):
     """The abrupt reference kernel of ``_reference_kernel_fn`` in the high or
     low regime past Lam tau = 36, split for a time integration that takes the
     factor e^{i Lam tau} exactly: (start, parts) with start = 36/Lam and
-    parts(tau) = (S, a) on a tau array > start, nu = S + Re[a e^{i Lam tau}]
-    (eta for kind='sin'), S = C c_inf x^-(se+1) and a = -C (p + i q)/x (cos)
-    or i C (p + i q)/x (sin), C of ``_closed_scale``, x = Lam tau
-    (``_trig_power_split``).  ``decoherence._kernel_for`` decides where it
-    applies."""
+    parts(tau) = (S, a) on a tau array > start, nu = S + Re[a e^{i Lam tau}],
+    S = C c_inf x^-(se+1) and a = -C (p + i q)/x, C of ``_closed_scale``,
+    x = Lam tau (``_trig_power_split``).  ``decoherence._kernel_for`` decides
+    where it applies."""
     se, scale = _closed_scale(sd, regime)
     lam = sd.lam
 
     def parts(tau):
-        smooth, amp = _trig_power_split(se, lam * tau, kind)
+        smooth, amp = _trig_power_split(se, lam * tau)
         return scale * smooth, scale * amp
 
     return _TRIG_TAIL_START / lam, parts
-
-
-def _reference_value(sd, regime, kind, tau):
-    """The closed transform at scalar or array tau, or UnsupportedFormError."""
-    fn = _reference_kernel_fn(sd, regime, kind)
-    tarr = _finite_nonnegative("tau", tau)
-    out = fn(tarr)
-    return out if np.ndim(tau) else float(out)
 
 
 def noise_kernel_reference(sd, regime, tau):
@@ -813,13 +780,9 @@ def noise_kernel_reference(sd, regime, tau):
     transform, and DomainError for a kernel that ``require_integrable``
     rejects.
     """
-    return _reference_value(sd, regime, "cos", tau)
-
-
-def dissipation_kernel_reference(sd, tau):
-    """Closed transform of eta(tau), tau >= 0; DomainError for a Drude-Lorentz
-    bath with s >= 2, whose eta is not integrable at tau = 0."""
-    return _reference_value(sd, _LOW, "sin", tau)
+    fn = _reference_kernel_fn(sd, regime)
+    out = fn(_finite_nonnegative("tau", tau))
+    return out if np.ndim(tau) else float(out)
 
 
 # --------------------------------------------------------------------------
@@ -886,7 +849,7 @@ def _bose_kernel_fn(sd, omega_th):
         out = np.empty(flat.size)
         for o in np.unique(octave):
             idx = np.nonzero(octave == o)[0]
-            out[idx] = _rules._rule_sums(flat[idx], *rule(o), np.cos)
+            out[idx] = _rules._rule_sums(flat[idx], *rule(o))
         return out.reshape(tau.shape)
 
     return fn
@@ -947,7 +910,7 @@ def noise_kernel_closed_parts(sd, regime, tau):
         else:
             out = base + 0.0j
         return out if np.ndim(tau) else complex(out)
-    fn = _reference_kernel_fn(sd, regime, "cos")
+    fn = _reference_kernel_fn(sd, regime)
     out = fn(tarr) + 0.0j
     return out if np.ndim(tau) else complex(out)
 

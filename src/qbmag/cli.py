@@ -3,8 +3,7 @@
 Configs are flat ``key=value`` text files; a key repeated on several lines
 turns into a sweep axis for the ``sweep`` subcommand.  Frequencies are in
 units of gamma/m, times in m/gamma, separations in sqrt(hbar/gamma); the
-scales gamma = hbar = 1 are overridable per config.  m is not a key: no
-output of these commands depends on it.
+scales gamma = hbar = 1 are overridable per config.
 
 One builder makes the time grid of ``curve`` and ``sweep`` and the
 frequency grid of ``spectra``; a bad grid or method is a config error.
@@ -59,16 +58,20 @@ _SWEEPABLE = ("s", "cutoff", "lam", "gamma", "omega0", "omega_c", "omega_th", "r
 #: the kernel and hence the time moments
 _SEPARATION_KEYS = ("dx", "dy")
 
-#: seconds of sweep work left above which a process pool finishes sooner
-#: than this process.  Medians of run_sweep on a 2-vCPU Xeon VM, one process
-#: vs a 2-worker pool that takes every pass after the first:
-#:   the bench sweep config (36 points x 24 times)      15 ms vs  41 ms
-#:   the same 36 points on the default 200-point grid   59 ms vs  91 ms
-#:   36 exact curves of 200 points (Lam = 50, Omega_th = 17, 3 s x abrupt,
-#:   exp x 3 omega0 x 2 dx)                              0.29 s vs 0.33 s
-#: The pool adds 30-140 ms to its share of the work, so two workers break
-#: even above 0.3 s; 0.2 s dates from one moment pass per point
-_POOL_BREAK_EVEN_S = 0.2
+#: seconds of sweep work left, as the planner rates it, above which a
+#: process pool finishes sooner than this process.  run_sweep of 36 exact
+#: curves of 200 points (Lam = 50, Omega_th = 17, 3 s x abrupt, exp x 3
+#: omega0 x 2 dx: six passes, 0.27-0.30 s in one process), each run in a
+#: fresh process on a 2-vCPU Xeon VM, medians of 15 pairs unless noted:
+#:   a 2-worker pool from the 2nd pass (0.24 s left, 9 runs)   0.213 s vs 0.272 s
+#:   from the 5th pass, where 0.2 s starts it (0.18 s left)     0.280 s vs 0.288 s
+#:     (faster in 9 of 15 pairs, with four times the quartile spread)
+#:   the planner at 0.2 s pooled 3 of 15 runs, which took       0.31-0.39 s vs 0.30 s
+#: The pool adds 40-100 ms to its share of the work, so it pays only past
+#: about 0.2 s of work, and 0.3 s keeps the pool to the sweeps where it
+#: clearly does.  The bench sweep's passes total a few ms, so it stays in
+#: this process either way
+_POOL_BREAK_EVEN_S = 0.3
 
 #: the most kernels in one moment pass.  A pass holds the moments and curves
 #: of all its kernels until it writes them, so this bounds a sweep's memory

@@ -13,7 +13,7 @@ f = nu F / hbar, so a whole curve costs one pass of kernel evaluations,
 made in blocks of nodes (``dynamics.time_moments``).
 
 ``_many_moments``, the one entry to that engine for curves, sweeps,
-criterion 5 and ``frequency_shift``, checks the grid and hands the engine
+``exponents`` and criterion 5, checks the grid and hands the engine
 the ``dynamics.KernelPlan`` that ``_kernel_for`` builds for each bath: the
 kernel, its cutoff, up to where panels resolve Lam (past it they span at
 most half their start), its split and how far the first grid interval is
@@ -92,12 +92,12 @@ class CurveSeries:
     est_error: np.ndarray
 
 
-def _kernel_for(sd, regime, method="quadrature", kind="cos"):
-    """The ``KernelPlan`` of the vectorised nu, or with kind='sin' and the low
-    regime eta: the kernel and how ``time_moments`` integrates it.  This is
-    the one place that branches on cutoff, regime, method and kind.  A plan
-    costs a few closures (a Drude-Lorentz kernel builds its transform when
-    called), so ``_pass_key`` reads a pass's ``layout`` off a built plan.
+def _kernel_for(sd, regime, method="quadrature"):
+    """The ``KernelPlan`` of the vectorised nu: the kernel and how
+    ``time_moments`` integrates it.  This is the one place that branches on
+    cutoff, regime and method.  A plan costs a few closures (a Drude-Lorentz
+    kernel builds its transform when called), so ``_pass_key`` reads a
+    pass's ``layout`` off a built plan.
 
     Every kernel is the closed transform of the defining integral, in the
     exact regime the closed low-temperature transform plus the Bose term.
@@ -119,22 +119,21 @@ def _kernel_for(sd, regime, method="quadrature", kind="cos"):
 
     ``floor`` is the head rule: the engine halves the first grid interval
     towards tau = 0 until its innermost piece is at most ``floor``.  It is
-    1/Lam for the abrupt and exponential kernels, in every regime, nu and
-    eta: they are analytic for |Im tau| < 1/Lam.  It is 0, the engine's 42
-    halvings, for the Drude-Lorentz kernels, the pole sum included, whose
-    algebraic tail J c ~ w^(se-2) gives tau^(1-se) or log terms at tau = 0."""
+    1/Lam for the abrupt and exponential kernels, in every regime: they are
+    analytic for |Im tau| < 1/Lam.  It is 0, the engine's 42 halvings, for
+    the Drude-Lorentz kernels, the pole sum included, whose algebraic tail J c ~ w^(se-2) gives tau^(1-se) or log terms at tau = 0."""
     lam = sd.lam
     abrupt = sd.cutoff is Cutoff.ABRUPT
     floor = 0.0 if sd.cutoff is Cutoff.DRUDE_LORENTZ else 1.0 / lam
-    if method == "closed" and kind == "cos" and _pole_sum(sd):
+    if method == "closed" and _pole_sum(sd):
         return KernelPlan(lambda taus: noise_kernel_closed_parts(sd, regime, taus), lam, np.inf, floor)
     if regime.kind is RegimeKind.EXACT:
-        low = _reference_kernel_fn(sd, _LOW, kind)
+        low = _reference_kernel_fn(sd, _LOW)
         bose = _bose_kernel_fn(sd, regime.omega_th)
         return KernelPlan(lambda taus: low(taus) + bose(taus), lam, np.inf if abrupt else 30.0 / lam, floor)
-    kernel = _reference_kernel_fn(sd, regime, kind)
+    kernel = _reference_kernel_fn(sd, regime)
     if abrupt:
-        until, parts = _oscillating_tail(sd, regime, kind)
+        until, parts = _oscillating_tail(sd, regime)
         return KernelPlan(kernel, lam, until, floor, parts)
     return KernelPlan(kernel, lam, 30.0 / lam, floor)
 
@@ -148,7 +147,7 @@ def _checked_grid(grid):
     return grid
 
 
-def _many_moments(sys, baths, grid, kind="cos"):
+def _many_moments(sys, baths, grid):
     """``time_moments`` of the plans ``_kernel_for`` makes for each
     (sd, regime, method) of ``baths``, one ``TimeMoments`` per bath, on a
     finite, strictly increasing grid >= 0 (DomainError otherwise).  The
@@ -160,12 +159,12 @@ def _many_moments(sys, baths, grid, kind="cos"):
     out = [None] * len(baths)
     passes = {}
     for i, (sd, regime, method) in enumerate(baths):
-        require_integrable(sd, regime, kind)
+        require_integrable(sd, regime)
         if sd.gamma == 0.0:
             zeros = np.zeros((len(grid), 2), dtype=complex)
             out[i] = TimeMoments(zeros, zeros, zeros, zeros, nodes=0, panels=0)
         else:
-            plan = _kernel_for(sd, regime, method, kind)
+            plan = _kernel_for(sd, regime, method)
             passes.setdefault(plan.layout, []).append((i, plan))
     for plans in passes.values():
         for (i, _), mom in zip(plans, time_moments(sys, [plan for _, plan in plans], grid)):
@@ -173,9 +172,9 @@ def _many_moments(sys, baths, grid, kind="cos"):
     return out
 
 
-def _moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
+def _moments(sys, sd, regime, grid, method="quadrature"):
     """``_many_moments`` of one bath."""
-    return _many_moments(sys, [(sd, regime, method)], grid, kind)[0]
+    return _many_moments(sys, [(sd, regime, method)], grid)[0]
 
 
 def _exponent_arrays(sys, mom, grid):
@@ -371,18 +370,3 @@ def curve(sys, sd, regime, sep, grid=None, method="quadrature"):
     the same grid and method, and flags the same way."""
     return curves(sys, sd, regime, [sep], grid, method)[0]
 
-
-def frequency_shift(sys, sd, t_max, with_tail_estimate=False):
-    """Trap-frequency renormalisation -(2/m) int_0^{t_max} eta(tau) F1(tau) dtau.
-
-    The tail estimate is the contribution of [t_max, 4 t_max], a
-    self-convergence proxy for the truncation error.
-    """
-    if t_max <= 0:
-        raise DomainError("t_max must be > 0")
-    mom = _moments(sys, sd, _LOW, np.array([t_max, 4.0 * t_max]), kind="sin")
-    main, total = (float(c) for c in mom.c0[:, 0].real)
-    shift = -(2.0 / sys.m) * main
-    if with_tail_estimate:
-        return shift, abs(2.0 / sys.m * (total - main))
-    return shift

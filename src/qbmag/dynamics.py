@@ -43,14 +43,13 @@ class SystemParams:
 
     omega0: float
     omega_c: float
-    m: float = 1.0
     hbar: float = 1.0
     omega_th: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, ("omega0", "omega_c", "m", "hbar", "omega_th"))
-        if self.m <= 0 or self.hbar <= 0:
-            raise DomainError("m and hbar must be > 0")
+        _require_finite(self, ("omega0", "omega_c", "hbar", "omega_th"))
+        if self.hbar <= 0:
+            raise DomainError("hbar must be > 0")
         if self.omega0 < 0 or self.omega_c < 0:
             raise DomainError("omega0 and omega_c must be >= 0")
         if self.omega0 == 0 and self.omega_c == 0:

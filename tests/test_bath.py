@@ -63,26 +63,6 @@ def test_noise_quadrature_exp_low_tau0():
     assert bath.noise_kernel_quadrature(small, LOW, 0.0) == pytest.approx(want, rel=1e-10)
 
 
-def test_dissipation_trivial_and_oracles():
-    sd = SpectralDensity(1.0, Cutoff.ABRUPT, 10.0)
-    assert bath.dissipation_kernel_quadrature(sd, 0.0) == 0.0
-    # antiderivative oracle: int_0^Lam w sin(w tau) dw
-    tau = 1.0
-    lam = 10.0
-    expected = (np.sin(lam * tau) - lam * tau * np.cos(lam * tau)) / tau**2
-    assert bath.dissipation_kernel_quadrature(sd, tau) == pytest.approx(expected, rel=1e-8)
-    sde = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 10.0)
-    expected_e = 2 * lam**3 * tau / (1 + lam**2 * tau**2) ** 2
-    assert bath.dissipation_kernel_quadrature(sde, tau) == pytest.approx(expected_e, rel=1e-8)
-    assert bath.dissipation_kernel_reference(sde, tau) == pytest.approx(expected_e, rel=1e-10)
-    # Ohmic Drude-Lorentz: eta = (pi/2) gamma Lam^2 e^{-Lam tau}
-    sdd = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 10.0, 1.3)
-    for tau_d in (0.01, 0.1, 1.0):
-        expected_d = (np.pi / 2) * 1.3 * lam**2 * np.exp(-lam * tau_d)
-        assert bath.dissipation_kernel_quadrature(sdd, tau_d) == pytest.approx(expected_d, rel=1e-8)
-        assert bath.dissipation_kernel_reference(sdd, tau_d) == pytest.approx(expected_d, rel=1e-12)
-
-
 def test_closed_kernel_trivials():
     sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3)
     assert bath.noise_kernel_closed_parts(sd, HIGH(1e3), 1e-3).real == pytest.approx(1e6 * np.sin(1.0))
@@ -139,13 +119,12 @@ def test_regime_bracketing_at_tau0():
 
 
 def test_integrand_parity():
-    # nu integrand even in tau, eta integrand odd, at fixed omega samples
+    # the nu integrand is even in tau, at fixed omega samples
     sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 30.0)
     omega = np.linspace(0.1, 60, 7)
     j = bath.spectral_density(sd, omega)
     for tau in (0.2, 1.4):
         assert np.allclose(j * np.cos(omega * tau), j * np.cos(-omega * tau))
-        assert np.allclose(j * np.sin(omega * tau), -(j * np.sin(-omega * tau)))
 
 
 def test_divergent_and_error_paths():
@@ -254,18 +233,17 @@ def test_reference_kernel_unsupported():
         bath.noise_kernel_reference(SpectralDensity(1.0, Cutoff.ABRUPT, 10.0), EXACT(3.0), 0.1)
 
 
-def _mp_drude_transform(kind, se, x):
-    """int_0^inf u^se trig(x u)/(1 + u^2) du in mpmath, independently of the
-    contour rotation: below x = 80 the 1F2 series of the cos and sin
-    transforms, (pi/2) sec(pi se/2) [cosh x - S] and (pi/2) csc(pi se/2)
-    [S - sinh x], S = sum_k x^(2k+1-se)/Gamma(2k+2-se), with digits for their
-    e^x cancellation (Ei/E1 for cos at se = 1); past it the large-x series of
-    the Fourier transform of u^se/(1 + u^2), to the smallest term, plus the
-    pole's (pi/2) e^-x trig(pi se/2)."""
+def _mp_drude_transform(se, x):
+    """int_0^inf u^se cos(x u)/(1 + u^2) du in mpmath, independently of the
+    contour rotation: below x = 80 the 1F2 series (pi/2) sec(pi se/2)
+    [cosh x - S], S = sum_k x^(2k+1-se)/Gamma(2k+2-se), with digits for its
+    e^x cancellation (Ei/E1 at se = 1); past it the large-x series of the
+    Fourier transform of u^se/(1 + u^2), to the smallest term, plus the
+    pole's (pi/2) e^-x cos(pi se/2)."""
     if x < 80:
         with mp.workdps(45 + int(x / 2.3)):
             se, x, h = mp.mpf(se), mp.mpf(x), mp.pi * mp.mpf(se) / 2
-            if kind == "cos" and se == 1:
+            if se == 1:
                 return float((mp.exp(x) * mp.e1(x) - mp.exp(-x) * mp.ei(x)) / 2)
             total, k = mp.mpf(0), 0
             while True:
@@ -274,9 +252,7 @@ def _mp_drude_transform(kind, se, x):
                 if k > 5 and abs(term) < mp.eps * abs(total):
                     break
                 k += 1
-            if kind == "cos":
-                return float(mp.pi / 2 / mp.cos(h) * (mp.cosh(x) - total))
-            return float(mp.pi / 2 / mp.sin(h) * (total - mp.sinh(x)))
+            return float(mp.pi / 2 / mp.cos(h) * (mp.cosh(x) - total))
     with mp.workdps(40):
         se, x, h = mp.mpf(se), mp.mpf(x), mp.pi * mp.mpf(se) / 2
         series, k, prev = mp.mpf(0), 0, mp.inf
@@ -286,9 +262,7 @@ def _mp_drude_transform(kind, se, x):
                 break
             series, prev, k = series + term, term, k + 1
         pole = mp.pi / 2 * mp.exp(-x)
-        if kind == "cos":
-            return float(pole * mp.cos(h) - mp.sin(h) * series)
-        return float(pole * mp.sin(h) + mp.cos(h) * series)
+        return float(pole * mp.cos(h) - mp.sin(h) * series)
 
 
 #: x = Lam tau of the transform test: decades of x, both sides of the band
@@ -300,77 +274,67 @@ DRUDE_XS = (1e-9, 1e-4, 0.03, 0.7, 2.5, 9.0, 20.0, 80.0, 300.0, 700.0, 5e3) + tu
 
 
 @pytest.mark.parametrize(
-    "kind, se",
-    [("cos", se) for se in (-0.9, -0.5, -0.2, 0.0, 0.3, 0.5, 0.8, 0.99, 1.0, 1.0 + 1e-9, 1.3, 1.5, 1.8, 1.95)]
-    + [("sin", se) for se in (0.1, 1e-9, 0.5, 0.8, 1.0, 1.2, 1.5, 1.9, 2.0 - 1e-9)],
+    "se", [-0.9, -0.5, -0.2, 0.0, 0.3, 0.5, 0.8, 0.99, 1.0, 1.0 + 1e-9, 1.3, 1.5, 1.8, 1.95], ids="cos-{}".format
 )
-def test_drude_transform_matches_mpmath(kind, se):
+def test_drude_transform_matches_mpmath(se):
     # relative to max(|D|, (1+x)^-(se+1)): D changes sign, and its large-x
-    # size is x^-(se+1); se within 1e-9 of 0, 1 and 2 tests the paired series
-    got = bath._drude_transform(se, kind)(np.array(DRUDE_XS))
+    # size is x^-(se+1); se within 1e-9 of 1 tests the paired series
+    got = bath._drude_transform(se)(np.array(DRUDE_XS))
     for x, g in zip(DRUDE_XS, got):
-        want = _mp_drude_transform(kind, se, x)
+        want = _mp_drude_transform(se, x)
         assert abs(g - want) <= 1e-12 * max(abs(want), (1.0 + x) ** (-se - 1.0)), (x, g, want)
 
 
 def test_drude_transform_special_values():
     xs = np.array((0.0,) + DRUDE_XS)
     pole = np.pi / 2 * np.exp(-xs)
-    # cos at se = 0 and sin at se = 1 are the pole term alone
-    for kind, se in (("cos", 0.0), ("sin", 1.0)):
-        assert np.all(np.abs(bath._drude_transform(se, kind)(xs) - pole) <= 4e-16 * pole)
-    # x -> 0+: finite below se = 1, infinite at and past it (sin: pi/2 at 1)
+    # se = 0 is the pole term alone
+    assert np.all(np.abs(bath._drude_transform(0.0)(xs) - pole) <= 4e-16 * pole)
+    # x -> 0+: finite below se = 1, infinite at and past it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        at_zero = {
-            (kind, se): bath._drude_transform(se, kind)(np.array([0.0, 1e-300]))
-            for kind, se in (("cos", -0.5), ("cos", 0.5), ("cos", 1.0), ("cos", 1.5), ("sin", 0.5), ("sin", 1.5))
-        }
-    assert at_zero[("cos", -0.5)][0] == pytest.approx(np.pi / 2 / np.cos(np.pi / 4), rel=1e-15)
-    assert at_zero[("cos", 0.5)][0] == pytest.approx(np.pi / 2 / np.cos(np.pi / 4), rel=1e-15)
-    assert at_zero[("sin", 0.5)][0] == 0.0
+        at_zero = {se: bath._drude_transform(se)(np.array([0.0, 1e-300])) for se in (-0.5, 0.5, 1.0, 1.5)}
+    assert at_zero[-0.5][0] == pytest.approx(np.pi / 2 / np.cos(np.pi / 4), rel=1e-15)
+    assert at_zero[0.5][0] == pytest.approx(np.pi / 2 / np.cos(np.pi / 4), rel=1e-15)
     # the divergence is log(1/x) at se = 1, x^(1-se) past it
-    assert at_zero[("cos", 1.0)][0] == np.inf and at_zero[("cos", 1.0)][1] > 600.0
-    for key in (("cos", 1.5), ("sin", 1.5)):
-        assert at_zero[key][0] == np.inf and at_zero[key][1] > 1e100, key
+    assert at_zero[1.0][0] == np.inf and at_zero[1.0][1] > 600.0
+    assert at_zero[1.5][0] == np.inf and at_zero[1.5][1] > 1e100
 
 
 @pytest.mark.parametrize(
-    "s, regime, kind",
-    [(1.0, LOW, "cos"), (1.0, LOW, "sin"), (2.0, HIGH(17.0), "cos"), (0.96, LOW, "cos"), (0.99, LOW, "cos")]
-    + [(0.3, LOW, "cos"), (0.5, LOW, "cos"), (1.5, LOW, "cos"), (2.5, HIGH(17.0), "cos")],
+    "s, regime",
+    [(1.0, LOW), (2.0, HIGH(17.0)), (0.96, LOW), (0.99, LOW), (0.3, LOW), (0.5, LOW), (1.5, LOW), (2.5, HIGH(17.0))],
+    # the ids each case has long had, so its results stay comparable
+    ids=["%s-regime%d-cos" % case for case in ((1.0, 0), (2.0, 2), (0.96, 3), (0.99, 4), (0.3, 5), (0.5, 6), (1.5, 7), (2.5, 8))],
 )
-def test_drude_kernels_at_subnormal_lam_tau(s, regime, kind):
+def test_drude_kernels_at_subnormal_lam_tau(s, regime):
     # x^e1, e1 = -se < 0, overflows once x = Lam tau is subnormal: the series
     # band forms x cot (x^e1 - 1) without it, so the kernel stays finite.
     # Against the 1F2 series (Ei/E1 at se = 1) at 45 digits, times C; the
-    # first tau keeps the old form.  (eta below se = 1 is left out: it
-    # cancels to x^se, a separate loss of relative digits)
+    # first tau keeps the old form
     sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
     taus = np.array([1e-300, 1e-308, 1e-310, 1e-320, 5e-324])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = bath._reference_kernel_fn(sd, regime, kind)(taus)
+        got = bath._reference_kernel_fn(sd, regime)(taus)
     se, scale = bath._closed_scale(sd, regime)
     for tau, g in zip(taus, got):
-        want = scale * _mp_drude_transform(kind, se, sd.lam * tau)
+        want = scale * _mp_drude_transform(se, sd.lam * tau)
         assert np.isfinite(g) and abs(g - want) <= 1e-12 * abs(want), (tau, g, want)
 
 
 @pytest.mark.parametrize("lam", [50.0, 1e6])
-@pytest.mark.parametrize("kind", ["cos", "sin"])
-@pytest.mark.parametrize("s", [1.93, 1.97, 1.999])
-def test_drude_kernels_past_the_float_range_read_inf_unwarned(s, kind, lam):
-    # past se ~ 1.9 the low-regime kernels ~ tau^(1-se) leave the float range
-    # at subnormal Lam tau (C T(x) > 1.8e308): they read +inf, as at tau = 0,
+@pytest.mark.parametrize("s", [1.93, 1.97, 1.999], ids="{}-cos".format)
+def test_drude_kernels_past_the_float_range_read_inf_unwarned(s, lam):
+    # past se ~ 1.9 the low-regime kernel ~ tau^(1-se) leaves the float range
+    # at subnormal Lam tau (C T(x) > 1.8e308): it reads +inf, as at tau = 0,
     # with no overflow warning from the series band or from the scale C
     sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, lam)
     taus = np.array([1e-310, 1e-315, 1e-320, 5e-324, 0.0])
-    reference = bath.noise_kernel_reference if kind == "cos" else bath.dissipation_kernel_reference
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = bath._reference_kernel_fn(sd, LOW, kind)(taus)
-        one = reference(sd, 5e-324) if kind == "sin" else reference(sd, LOW, 5e-324)
+        got = bath._reference_kernel_fn(sd, LOW)(taus)
+        one = bath.noise_kernel_reference(sd, LOW, 5e-324)
     # positive and growing towards tau = 0, where it is inf
     assert np.all(got > 0.0) and np.all(got[1:] >= got[:-1]) and got[-1] == np.inf
     if s > 1.95:
@@ -405,7 +369,6 @@ def test_reference_kernels_reject_negative_tau(cutoff):
     for call in (
         lambda tau: bath.noise_kernel_reference(sd, HIGH(3.0), tau),
         lambda tau: bath.noise_kernel_reference(sd, LOW, tau),
-        lambda tau: bath.dissipation_kernel_reference(sd, tau),
     ):
         for tau in (-0.1, np.array([0.1, -1e-300])):
             with pytest.raises(DomainError, match=">= 0"):
@@ -421,12 +384,10 @@ def test_non_integrable_drude_kernels_rejected(s, rkind):
         bath.require_integrable(sd, regime)
     with pytest.raises(DomainError, match="not integrable"):
         bath.noise_kernel_reference(sd, regime, 0.1)
-    # the edge: se just below 2 is served, and eta stops at s = 2
+    # the edge: se just below 2 is served
     below = SpectralDensity(s - 1e-9, Cutoff.DRUDE_LORENTZ, 50.0)
     if s in (2.0, 3.0):
         bath.require_integrable(below, regime)
-    with pytest.raises(DomainError, match="not integrable"):
-        bath.dissipation_kernel_reference(SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0), 0.1)
     # abrupt and exponential kernels stay finite at tau = 0
     for cutoff in (Cutoff.ABRUPT, Cutoff.EXPONENTIAL):
         bath.require_integrable(SpectralDensity(s, cutoff, 50.0), regime)
@@ -746,14 +707,13 @@ def test_bose_kernel_value_does_not_depend_on_the_call(cutoff, s):
     assert np.max(np.abs(together - alone)) <= 1e-13 * np.max(np.abs(alone))
 
 
-@pytest.mark.parametrize("kind", ["cos", "sin"])
-@pytest.mark.parametrize("se", [-0.5, 0.0, 0.5])
-def test_trig_power_ratio_value_does_not_depend_on_the_call(kind, se):
+@pytest.mark.parametrize("se", [-0.5, 0.0, 0.5], ids="{}-cos".format)
+def test_trig_power_ratio_value_does_not_depend_on_the_call(se):
     x = np.logspace(-8, 3, 200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        together = bath._trig_power_ratio(se, x, kind)
-        alone = np.array([bath._trig_power_ratio(se, np.array([v]), kind)[0] for v in x])
+        together = bath._trig_power_ratio(se, x)
+        alone = np.array([bath._trig_power_ratio(se, np.array([v]))[0] for v in x])
     assert np.all(np.abs(together - alone) <= 4 * np.spacing(np.abs(alone)))
 
 
@@ -763,26 +723,23 @@ def test_trig_power_ratio_value_does_not_depend_on_the_call(kind, se):
 _TRIG_EDGES = (4.0, 20.0, 36.0, 80.0, 200.0)
 
 
-def _trig_power_ratio_mp(se, x, kind):
-    # int_0^1 u^se trig(x u) du as a 1F2 function of -x^2/4, 40 digits
+def _trig_power_ratio_mp(se, x):
+    # int_0^1 u^se cos(x u) du as a 1F2 function of -x^2/4, 40 digits
     with mp.workdps(40):
         se, x = mp.mpf(se), mp.mpf(x)
-        if kind == "cos":
-            return mp.hyp1f2((se + 1) / 2, mp.mpf(1) / 2, (se + 3) / 2, -x * x / 4) / (se + 1)
-        return x * mp.hyp1f2((se + 2) / 2, mp.mpf(3) / 2, (se + 4) / 2, -x * x / 4) / (se + 2)
+        return mp.hyp1f2((se + 1) / 2, mp.mpf(1) / 2, (se + 3) / 2, -x * x / 4) / (se + 1)
 
 
-@pytest.mark.parametrize("kind", ["cos", "sin"])
-@pytest.mark.parametrize("se", [-0.5, 0.0, 0.5, 1.0, 1.5, 0.3, 2.5])
-def test_trig_power_ratio_matches_mpmath(kind, se):
-    # se = s (low temperature, eta) and s - 1 (high temperature) for
+@pytest.mark.parametrize("se", [-0.5, 0.0, 0.5, 1.0, 1.5, 0.3, 2.5], ids="{}-cos".format)
+def test_trig_power_ratio_matches_mpmath(se):
+    # se = s (low temperature) and s - 1 (high temperature) for
     # s in {1/2, 1, 3/2}, plus two off-catalogue exponents
     near = [e * f for e in _TRIG_EDGES for f in (1 - 1e-12, 1.0, 1 + 1e-12, 0.99, 1.01)]
     x = np.sort(np.concatenate([np.logspace(-8, 3, 67), near]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = bath._trig_power_ratio(se, x, kind)
-    want = np.array([float(_trig_power_ratio_mp(se, v, kind)) for v in x])
+        got = bath._trig_power_ratio(se, x)
+    want = np.array([float(_trig_power_ratio_mp(se, v)) for v in x])
     bound = 1e-12 * np.maximum(np.abs(want), 1.0 / (1.0 + x))
     bad = np.abs(got - want) > bound
     assert not bad.any(), "x = %s" % x[bad]
@@ -790,15 +747,13 @@ def test_trig_power_ratio_matches_mpmath(kind, se):
     assert {bath._TRIG_SERIES_TOP, bath._TRIG_TAIL_START} <= set(_TRIG_EDGES)
 
 
-def _asymptotic_band_by_polyval(se, x, kind):
+def _asymptotic_band_by_polyval(se, x):
     """The x > 36 band of _trig_power_ratio transcribed independently: the
     falling-factorial coefficients of p and q to 36 terms summed by numpy's
-    polyval, then c_inf x^-(se+1) + Re[a e^{ix}] with a = -(p + i q)/x (cos)
-    or i (p + i q)/x (sin), the real part in the operations of the band;
-    NaN at x <= 36."""
+    polyval, then c_inf x^-(se+1) + Re[a e^{ix}] with a = -(p + i q)/x, the
+    real part in the operations of the band; NaN at x <= 36."""
     out = np.full_like(x, np.nan)
-    trig = np.cos if kind == "cos" else np.sin
-    cinf = sp.gamma(se + 1.0) * trig(np.pi * (se + 1.0) / 2.0)
+    cinf = sp.gamma(se + 1.0) * np.cos(np.pi * (se + 1.0) / 2.0)
     falling = [1.0]
     while len(falling) < 36 and falling[-1] != 0.0:
         falling.append(falling[-1] * (se - len(falling) + 1.0))
@@ -808,8 +763,7 @@ def _asymptotic_band_by_polyval(se, x, kind):
     xs = x[idx]
     z = 1.0 / (xs * xs)
     p, q = polyval(z, p_coef) / xs, polyval(z, q_coef)
-    amp = (p + 1j * q) / xs
-    amp = -amp if kind == "cos" else 1j * amp
+    amp = -((p + 1j * q) / xs)
     out[idx] = cinf * xs ** -(se + 1.0) + (amp.real * np.cos(xs) - amp.imag * np.sin(xs))
     return out
 
@@ -827,35 +781,30 @@ _ASYMPTOTIC_X = np.sort(
 )
 
 
-@pytest.mark.parametrize("kind", ["cos", "sin"])
-@pytest.mark.parametrize("se", [-0.5, 0.0, 0.5, 1.0, 1.5])
-def test_trig_power_ratio_asymptotic_bands_bit_for_bit(kind, se):
+@pytest.mark.parametrize("se", [-0.5, 0.0, 0.5, 1.0, 1.5], ids="{}-cos".format)
+def test_trig_power_ratio_asymptotic_bands_bit_for_bit(se):
     # one 36-term series past x = 36, whatever x: the values keep every bit
     # of the transcription above
     x = _ASYMPTOTIC_X
-    got = bath._trig_power_ratio(se, x, kind)
-    want = _asymptotic_band_by_polyval(se, x, kind)
+    got = bath._trig_power_ratio(se, x)
+    want = _asymptotic_band_by_polyval(se, x)
     tail = x > 36.0
     assert np.array_equal(got[tail], want[tail])
     assert np.all(np.isnan(want[~tail]))
 
 
-@pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE, None])
+@pytest.mark.parametrize("rkind", [RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE])
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
 def test_oscillating_tail_is_the_reference_kernel(s, rkind):
-    # nu (eta for rkind None) = S + Re[a e^{i Lam tau}] past Lam tau = 36,
-    # to rounding of the two terms
+    # nu = S + Re[a e^{i Lam tau}] past Lam tau = 36, to rounding of the two terms
     sd = SpectralDensity(s, Cutoff.ABRUPT, 50.0, 1.3)
-    regime = bath._LOW if rkind is None else ThermalRegime(rkind, 7.0)
-    start, parts = bath._oscillating_tail(sd, regime, "sin" if rkind is None else "cos")
+    regime = ThermalRegime(rkind, 7.0)
+    start, parts = bath._oscillating_tail(sd, regime)
     assert start == 36.0 / sd.lam
     tau = _ASYMPTOTIC_X[_ASYMPTOTIC_X > 36.0] / sd.lam
     smooth, amp = parts(tau)
     got = smooth + (amp * np.exp(1j * sd.lam * tau)).real
-    if rkind is None:
-        want = bath.dissipation_kernel_reference(sd, tau)
-    else:
-        want = bath.noise_kernel_reference(sd, regime, tau)
+    want = bath.noise_kernel_reference(sd, regime, tau)
     assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * (np.abs(smooth) + np.abs(amp)))
 
 
@@ -882,7 +831,7 @@ _DL1 = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)
             for bad in (np.nan, np.inf, -np.inf)
             for fn in (
                 lambda tau: bath.noise_kernel_quadrature(_DL1, LOW, tau),
-                lambda tau: bath.dissipation_kernel_quadrature(_DL1, tau),
+                lambda tau: bath.noise_kernel_quadrature(_DL1, HIGH(17.0), tau),
             )
         ],
         *[
@@ -891,7 +840,7 @@ _DL1 = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)
             for fn in (
                 lambda tau: bath.noise_kernel_reference(SpectralDensity(1.0, Cutoff.ABRUPT, 50.0), LOW, tau),
                 lambda tau: bath.noise_kernel_reference(_DL1, HIGH(17.0), tau),
-                lambda tau: bath.dissipation_kernel_reference(_DL1, tau),
+                lambda tau: bath.noise_kernel_reference(_DL1, LOW, tau),
                 lambda tau: bath.noise_kernel_closed_parts(_DL1, LOW, tau),
                 lambda tau: bath.drude_exact_kernel(_DL1, 17.0, tau),
             )

@@ -726,17 +726,19 @@ t_max=0.2
 t_points=8
 """
 
-#: CPU seconds per kernel of an exact-regime sweep on these axes, measured
-#: on a 2-vCPU machine: 8-10 ms per abrupt kernel, about 39 ms per exp kernel
-_GROUP_COST = {"abrupt": 0.009, "exp": 0.039}
+#: CPU seconds per kernel of an exact-regime sweep on these axes, in units of
+#: the pool's break-even B = cli._POOL_BREAK_EVEN_S, so that every planner
+#: scenario below keeps its decisions whatever B is.  Measured on a 2-vCPU
+#: machine: 8-10 ms per abrupt kernel, about 39 ms per exp kernel, which is
+#: 0.045 B and 0.195 B at B = 0.2 s
+_GROUP_COST = {"abrupt": 0.045, "exp": 0.195}
 
 
 def _planned_sweep(tmp_path, monkeypatch, cfg, cost):
     """(pool sizes, kernels of each chunk handed to the pool) of a 2-worker
-    sweep whose
-    kernels cost ``cost[cutoff]`` CPU seconds each on a fake clock, so the
-    choice does not depend on this machine's speed; the files must equal a
-    1-worker sweep's."""
+    sweep whose kernels cost ``cost[cutoff]`` CPU seconds each on a fake
+    clock, so the choice does not depend on this machine's speed; the files
+    must equal a 1-worker sweep's."""
     assert cli.run_sweep(cfg, str(tmp_path / "serial"), workers=1) == 0
     clock = [0.0]
     real_group = cli._run_sweep_group
@@ -773,28 +775,43 @@ def _planned_sweep(tmp_path, monkeypatch, cfg, cost):
     return made, handed
 
 
+def _in_break_evens(cost):
+    """``cost`` per cutoff in seconds, from its values in units of B."""
+    return {cutoff: share * cli._POOL_BREAK_EVEN_S for cutoff, share in cost.items()}
+
+
 @pytest.mark.parametrize("order, pooled", [(("abrupt", "exp"), [3, 3]), (("exp", "abrupt"), [3] * 5)])
 def test_sweep_planner_rates_every_group_done(tmp_path, monkeypatch, order, pooled):
-    # a pass of three abrupt kernels costs 27 ms, one of three exp kernels
-    # 117 ms.  With the exp passes first, 15 kernels are left at 39 ms each
-    # and go to the pool, one pass a chunk.  With the abrupt passes first the
-    # mean after 3 abrupt passes and 1 exp pass is 16.5 ms a kernel, 99 ms
-    # for the 6 kernels left; the last pass's 39 ms a kernel, 234 ms, pays
-    # for the pool
+    # a pass of three abrupt kernels costs 0.135 B, one of three exp kernels
+    # 0.585 B.  With the exp passes first, 15 kernels are left at 0.195 B
+    # each, 2.9 B, and go to the pool, one pass a chunk.  With the abrupt
+    # passes first the mean after 3 abrupt passes and 1 exp pass is 0.0825 B
+    # a kernel, 0.495 B for the 6 kernels left; the last pass's 0.195 B a
+    # kernel, 1.17 B, pays for the pool
     cfg = parse_config(PLANNER_SWEEP_CFG % order)
-    assert _planned_sweep(tmp_path, monkeypatch, cfg, _GROUP_COST) == ([2], [pooled])
+    assert _planned_sweep(tmp_path, monkeypatch, cfg, _in_break_evens(_GROUP_COST)) == ([2], [pooled])
 
 
 def test_sweep_planner_keeps_a_cheap_sweep_in_process(tmp_path, monkeypatch):
-    # at 1 ms a kernel the 15 kernels left after the first pass never pay
+    # at 0.005 B a kernel the 15 kernels left after the first pass never pay
     cfg = parse_config(PLANNER_SWEEP_CFG % ("exp", "abrupt"))
-    assert _planned_sweep(tmp_path, monkeypatch, cfg, {"exp": 0.001, "abrupt": 0.001}) == ([], [])
+    cost = _in_break_evens({"exp": 0.005, "abrupt": 0.005})
+    assert _planned_sweep(tmp_path, monkeypatch, cfg, cost) == ([], [])
+
+
+def test_sweep_planner_keeps_work_below_the_break_even_in_process(tmp_path, monkeypatch):
+    # 15 kernels left after the first pass at 1/60 s each: 0.25 s of rated
+    # work, which two workers on two cores do not finish sooner (see the
+    # measurements at cli._POOL_BREAK_EVEN_S)
+    cfg = parse_config(PLANNER_SWEEP_CFG % ("exp", "abrupt"))
+    assert _planned_sweep(tmp_path, monkeypatch, cfg, {"exp": 1.0 / 60.0, "abrupt": 1.0 / 60.0}) == ([], [])
 
 
 def test_sweep_planner_keeps_a_last_group_in_process(tmp_path, monkeypatch):
     # one group left cannot run in parallel with anything
     cfg = parse_config(CURVE_CFG + "cutoff=exp\ndx=0.5\n")
-    assert _planned_sweep(tmp_path, monkeypatch, cfg, {"exp": 1.0, "abrupt": 1.0}) == ([], [])
+    cost = _in_break_evens({"exp": 5.0, "abrupt": 5.0})
+    assert _planned_sweep(tmp_path, monkeypatch, cfg, cost) == ([], [])
 
 
 def _sweep_workers(tmp_path, monkeypatch, argv_extra=()):

@@ -19,7 +19,6 @@ from qbmag.decoherence import (
     default_grid,
     density_ratio,
     exponents,
-    frequency_shift,
     hightemp_rate,
     lowtemp_powerlaw,
 )
@@ -364,15 +363,13 @@ _LAM_TAU = np.logspace(-5, np.log10(500.0), 3000)
         (Cutoff.DRUDE_LORENTZ, 0.5, RegimeKind.LOW_TEMPERATURE, "quadrature"),
         (Cutoff.DRUDE_LORENTZ, 0.8, RegimeKind.EXACT, "quadrature"),
     ]
-    + [(cutoff, s, None, "quadrature") for cutoff, s in ((Cutoff.ABRUPT, 1.0), (Cutoff.EXPONENTIAL, 1.5), (Cutoff.DRUDE_LORENTZ, 0.5))]
     + [(Cutoff.DRUDE_LORENTZ, 1.0, r, "closed") for r in (RegimeKind.HIGH_TEMPERATURE, RegimeKind.LOW_TEMPERATURE)],
 )
 def test_kernel_value_depends_only_on_tau(cutoff, s, rkind, method):
-    # every path of _kernel_for (eta for rkind None, the pole sum for
-    # closed): 3,000 tau alone, in one array and in two calls, equal bits
+    # every path of _kernel_for (the pole sum for closed): 3,000 tau alone,
+    # in one array and in two calls, equal bits
     sd = SpectralDensity(s, cutoff, 50.0, 1.3)
-    regime = bath._LOW if rkind is None else ThermalRegime(rkind, 17.0)
-    kernel = decoherence._kernel_for(sd, regime, method, "sin" if rkind is None else "cos").kernel
+    kernel = decoherence._kernel_for(sd, ThermalRegime(rkind, 17.0), method).kernel
     tau = _LAM_TAU / sd.lam
     together = np.asarray(kernel(tau))
     alone = np.concatenate([kernel(tau[i : i + 1]) for i in range(tau.size)])
@@ -510,23 +507,20 @@ def test_exact_drude_curve_matches_pole_sum(lam, oth):
 
 
 #: the plan of _kernel_for at s = 1 with method="quadrature": (Lam until,
-#: whether the kernel comes with its split, Lam floor) per cutoff and regime,
-#: "eta" standing for kind='sin' in the low regime.  Only the abrupt kernels
+#: whether the kernel comes with its split, Lam floor) per cutoff and
+#: regime.  Only the abrupt kernels
 #: outside the exact regime are split, past Lam tau = 36; only the
 #: Drude-Lorentz kernels, singular at tau = 0, take the 42 halvings of floor 0
 KERNEL_PLAN = {
     ("abrupt", "high"): (36.0, True, 1.0),
     ("abrupt", "low"): (36.0, True, 1.0),
     ("abrupt", "exact"): (np.inf, False, 1.0),
-    ("abrupt", "eta"): (36.0, True, 1.0),
     ("drude", "high"): (30.0, False, 0.0),
     ("drude", "low"): (30.0, False, 0.0),
     ("drude", "exact"): (30.0, False, 0.0),
-    ("drude", "eta"): (30.0, False, 0.0),
     ("exp", "high"): (30.0, False, 1.0),
     ("exp", "low"): (30.0, False, 1.0),
     ("exp", "exact"): (30.0, False, 1.0),
-    ("exp", "eta"): (30.0, False, 1.0),
 }
 #: method="closed" differs only for the Ohmic Drude-Lorentz nu: the pole sum,
 #: resolved at every tau, ahead of the exact-regime branch
@@ -534,12 +528,11 @@ KERNEL_PLAN_CLOSED = {**KERNEL_PLAN, **{("drude", r): (np.inf, False, 0.0) for r
 
 
 @pytest.mark.parametrize("method", ["quadrature", "closed"])
-@pytest.mark.parametrize("rkind", ["high", "low", "exact", "eta"])
+@pytest.mark.parametrize("rkind", ["high", "low", "exact"])
 @pytest.mark.parametrize("cutoff", list(Cutoff))
 def test_kernel_plan(cutoff, rkind, method):
     sd = SpectralDensity(1.0, cutoff, 50.0, 1.3)
-    regime = LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
-    plan = decoherence._kernel_for(sd, regime, method, "sin" if rkind == "eta" else "cos")
+    plan = decoherence._kernel_for(sd, ThermalRegime(rkind, 17.0), method)
     lam_until, split, lam_floor = (KERNEL_PLAN if method == "quadrature" else KERNEL_PLAN_CLOSED)[cutoff.value, rkind]
     assert isinstance(plan, KernelPlan) and plan.lam == sd.lam
     assert plan.until == lam_until / sd.lam
@@ -657,9 +650,8 @@ def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
         (lambda: exponents(SYS, SD, HIGH, SEP, -np.inf), "t must be >= 0"),
         # no kernel is needed here, but the time is still checked
         (lambda: exponents(SYS, SD0, HIGH, Separation(0.0, 0.0), np.nan), "finite"),
-        (lambda: frequency_shift(SYS, SD, np.nan), "finite"),
-        (lambda: frequency_shift(SYS, SD, np.inf), "finite"),
-        (lambda: frequency_shift(SYS, SD, -np.inf), "t_max must be"),
+        (lambda: density_ratio(SYS, SD, HIGH, SEP, np.nan), "finite"),
+        (lambda: density_ratio(SYS, SD, HIGH, SEP, np.inf), "finite"),
         (lambda: curve(SYS, SD, HIGH, SEP, np.array([0.1, np.nan]), "closed"), "finite"),
         # Drude-Lorentz kernels with J c ~ w^(se - 2), se >= 2
         (lambda: curve(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0), LOW, SEP), "not integrable"),
@@ -669,13 +661,13 @@ def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
             lambda: curve(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0), ThermalRegime("exact", 17.0), SEP),
             "not integrable",
         ),
-        (lambda: frequency_shift(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0), 0.1), "not integrable"),
+        (lambda: exponents(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0), LOW, SEP, 0.1), "not integrable"),
         # at gamma = 0 as at gamma > 0, though no kernel is needed
         (lambda: curve(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, SEP), "not integrable"),
         (lambda: curves(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, [SEP]), "not integrable"),
         (lambda: exponents(SYS, SpectralDensity(3.2, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), HIGH, SEP, 0.1), "not integrable"),
         (lambda: density_ratio(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, SEP, 0.1), "not integrable"),
-        (lambda: frequency_shift(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), 0.1), "not integrable"),
+        (lambda: density_ratio(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, SEP, 0.1), "not integrable"),
     ],
 )
 def test_decoherence_rejects_out_of_domain_input(call, match):
@@ -694,12 +686,12 @@ def test_density_ratio_reads_curve():
     assert density_ratio(SYS, SD, HIGH, far, 0.4) == (1e-300, cs.phase[0])
 
 
-def _refined_moments(sys, sd, regime, grid, method="quadrature", kind="cos"):
+def _refined_moments(sys, sd, regime, grid, method="quadrature"):
     """(c0, t c0 - c1) on `grid`, columns F1 and F2, by the 16-node Gauss rule
     on every panel of the layout that resolves Lam at every tau cut in four,
     the panel sums accumulated in long double: the reference of the Filon
     tail, which resolves only the modes past Lam tau = 36."""
-    kernel = decoherence._kernel_for(sd, regime, method, kind).kernel
+    kernel = decoherence._kernel_for(sd, regime, method).kernel
     mc = mode_constants(sys)
     edges, counts = dynamics._panel_edges(grid, mc.a_prime + mc.b_prime, KernelPlan(kernel, sd.lam, np.inf, 0.0))
     edges = np.append((edges[:-1, None] + np.diff(edges)[:, None] * np.arange(4) / 4).ravel(), edges[-1])
@@ -756,18 +748,6 @@ def test_abrupt_default_curve_holds_the_refined_reference(s, rkind, method):
     _assert_holds_refined(mom, _refined_moments(DEFAULT_SYS, sd, regime, grid, method), grid)
 
 
-@pytest.mark.parametrize("t_max", [0.05, 1.0])
-def test_abrupt_frequency_shift_holds_the_refined_reference(t_max):
-    # Lam t_max = 10 keeps [t_max, 4 t_max] in the head, 200 puts it in the tail
-    sys = SystemParams(omega0=2.0, omega_c=0.5)
-    sd = SpectralDensity(1.0, Cutoff.ABRUPT, 200.0, 0.1)
-    shift, tail = frequency_shift(sys, sd, t_max, with_tail_estimate=True)
-    c0 = _refined_moments(sys, sd, bath._LOW, np.array([t_max, 4.0 * t_max]), kind="sin")[0][:, 0].real
-    want = -(2.0 / sys.m) * c0
-    assert abs(shift - want[0]) <= 1e-10 * np.max(np.abs(want))
-    assert abs(tail - abs(want[1] - want[0])) <= 1e-10 * np.max(np.abs(want))
-
-
 def test_abrupt_tail_node_counts():
     # deterministic guard on the Filon tail: panels past Lam t = 36 follow the
     # modes, not Lam, so the criterion-4 curve needs few nodes and a default
@@ -810,7 +790,7 @@ def test_head_node_counts(lam):
 HEAD_SYS = SystemParams(omega0=30.0, omega_c=20.0)
 
 
-@pytest.mark.parametrize("rkind", ["high", "low", "exact", "eta"])
+@pytest.mark.parametrize("rkind", ["high", "low", "exact"])
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
 @pytest.mark.parametrize("cutoff", [Cutoff.ABRUPT, Cutoff.EXPONENTIAL])
 def test_short_head_holds_the_refined_reference(cutoff, s, rkind):
@@ -819,19 +799,18 @@ def test_short_head_holds_the_refined_reference(cutoff, s, rkind):
     # Lam-resolving panels that both layouts share miss by 1e-12 to 1e-11
     # for the abrupt kernels, so the head alone is held to 1e-12
     sd = SpectralDensity(s, cutoff, 5000.0, 1.3)
-    regime = bath._LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
-    kind = "sin" if rkind == "eta" else "cos"
-    plan = decoherence._kernel_for(sd, regime, "quadrature", kind)
+    regime = ThermalRegime(rkind, 17.0)
+    plan = decoherence._kernel_for(sd, regime)
     assert plan.floor == 1.0 / sd.lam
     for x0 in (1e-3, 1.0, 40.0, 1e3):
         grid = np.geomspace(x0, x0 + 32.0, 6) / sd.lam
-        mom = decoherence._moments(HEAD_SYS, sd, regime, grid, kind=kind)
+        mom = decoherence._moments(HEAD_SYS, sd, regime, grid)
         (full,) = time_moments(HEAD_SYS, [dataclasses.replace(plan, floor=0.0)], grid)
         assert mom.nodes < full.nodes
         # lambda1 and its integral relative to themselves, lambda2 to its
         # column maximum
         columns = lambda c0, int_c0: (c0[:, 0], int_c0[:, 0], c0[:, 1])
-        want = columns(*_refined_moments(HEAD_SYS, sd, regime, grid, kind=kind))
+        want = columns(*_refined_moments(HEAD_SYS, sd, regime, grid))
         scale = (np.abs(want[0]), np.abs(want[1]), np.max(np.abs(want[2])))
         got, base = (columns(m.c0, grid[:, None] * m.c0 - m.c1) for m in (mom, full))
         for name, g, b, w, sc in zip(("lambda1", "int lambda1", "lambda2"), got, base, want, scale):
@@ -840,7 +819,7 @@ def test_short_head_holds_the_refined_reference(cutoff, s, rkind):
 
 # the exact regime has no catalogued kernel, so no closed plan
 @pytest.mark.parametrize(
-    "rkind, method", [(r, "quadrature") for r in ("high", "low", "exact", "eta")] + [("high", "closed"), ("low", "closed")]
+    "rkind, method", [(r, "quadrature") for r in ("high", "low", "exact")] + [("high", "closed"), ("low", "closed")]
 )
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
 def test_drude_head_keeps_the_42_halvings(s, rkind, method):
@@ -848,10 +827,9 @@ def test_drude_head_keeps_the_42_halvings(s, rkind, method):
     # included: the head [0, Lam t = 1e-3] takes the innermost panel and one
     # per halving
     sd = SpectralDensity(s, Cutoff.DRUDE_LORENTZ, 50.0, 1.3)
-    regime = bath._LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
-    kind = "sin" if rkind == "eta" else "cos"
-    assert decoherence._kernel_for(sd, regime, method, kind).floor == 0.0
-    mom = decoherence._moments(DEFAULT_SYS, sd, regime, np.array([1e-3 / sd.lam]), method, kind)
+    regime = ThermalRegime(rkind, 17.0)
+    assert decoherence._kernel_for(sd, regime, method).floor == 0.0
+    mom = decoherence._moments(DEFAULT_SYS, sd, regime, np.array([1e-3 / sd.lam]), method)
     assert mom.panels == 43
 
 
@@ -873,18 +851,6 @@ def test_abrupt_sparse_grid_holds_the_refined_reference(rkind, xs):
     _assert_holds_refined(mom, _refined_moments(sys, sd, regime, grid), grid, columns)
 
 
-def test_abrupt_frequency_shift_with_slow_modes():
-    # A' + B' = 1.02: the tail estimate's [t_max, 4 t_max] would be a single
-    # mode-sized panel, which misses it by 9e-10 of the shift
-    sys = SystemParams(omega0=0.1, omega_c=1.0)
-    sd = SpectralDensity(1.0, Cutoff.ABRUPT, 200.0, 0.1)
-    shift, tail = frequency_shift(sys, sd, 1.0, with_tail_estimate=True)
-    c0 = _refined_moments(sys, sd, bath._LOW, np.array([1.0, 4.0]), kind="sin")[0][:, 0].real
-    want = -(2.0 / sys.m) * c0
-    assert abs(shift - want[0]) <= 1e-12 * abs(want[0])
-    assert abs(tail - abs(want[1] - want[0])) <= 1e-12 * abs(want[0])
-
-
 def _dense_through(grid, ratio=1.05):
     """A log grid that starts at grid[0] and passes through every point of
     ``grid`` at a ratio of at most ``ratio``, and the rows of those points."""
@@ -897,7 +863,7 @@ def _dense_through(grid, ratio=1.05):
     return dense, np.searchsorted(dense, grid)
 
 
-def _assert_holds_dense(sys, sd, regime, grid, method="quadrature", kind="cos"):
+def _assert_holds_dense(sys, sd, regime, grid, method="quadrature"):
     """The moments of a sparse grid against those of ``_dense_through`` it,
     each column scaled by its largest finite value on the dense grid, the
     size of its running sums' rounding: lambda1 and its integral within
@@ -912,9 +878,9 @@ def _assert_holds_dense(sys, sd, regime, grid, method="quadrature", kind="cos"):
     The shared first point gives both the same head panels, so only the
     layout past it is compared; the dense grid's intervals keep the span
     rule with equal panels.  Returns the sparse moments."""
-    mom = decoherence._moments(sys, sd, regime, grid, method, kind)
+    mom = decoherence._moments(sys, sd, regime, grid, method)
     dense, rows = _dense_through(grid)
-    ref = decoherence._moments(sys, sd, regime, dense, method, kind)
+    ref = decoherence._moments(sys, sd, regime, dense, method)
     got = (mom.c0[:, 0], grid * mom.c0[:, 0] - mom.c1[:, 0], mom.c0[:, 1])
     columns = (ref.c0[:, 0], dense * ref.c0[:, 0] - ref.c1[:, 0], ref.c0[:, 1])
     largest = lambda column: np.max(np.abs(column[np.isfinite(column)]))
@@ -968,7 +934,6 @@ _TAIL_GRIDS = [np.array([40.0, 1250.0]), np.array([40.0, 126.0, 395.0, 1250.0])]
         ("exp", 1.5, "low"),
         ("exp", 1.5, "exact"),
         ("exp", 1.0, "low"),
-        ("exp", 1.5, "eta"),
         ("drude", 1.0, "low"),
         ("drude", 1.0, "exact"),
         ("drude", 0.5, "low"),
@@ -977,9 +942,8 @@ _TAIL_GRIDS = [np.array([40.0, 1250.0]), np.array([40.0, 126.0, 395.0, 1250.0])]
 )
 def test_tail_sparse_grid_holds_the_dense_reference(cutoff, s, rkind, xs):
     sd = SpectralDensity(s, Cutoff(cutoff), 5000.0, 1.0)
-    regime = bath._LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
     sys = SystemParams(omega0=10.0, omega_c=1.0)
-    _assert_holds_dense(sys, sd, regime, xs / sd.lam, kind="sin" if rkind == "eta" else "cos")
+    _assert_holds_dense(sys, sd, ThermalRegime(rkind, 17.0), xs / sd.lam)
 
 
 def test_sparse_grid_matches_scipy_quad():
@@ -1013,7 +977,7 @@ _SPARSE_S = [0.3, 0.5, 1.0, 1.5, 1.8, 2.5]
 @settings(max_examples=150, deadline=None)
 @given(
     cutoff=st.sampled_from(list(Cutoff)),
-    rkind=st.sampled_from(["high", "low", "exact", "eta"]),
+    rkind=st.sampled_from(["high", "low", "exact"]),
     s=st.sampled_from(_SPARSE_S),
     method=st.sampled_from(list(decoherence.METHODS)),
     lam=st.floats(20.0, 5000.0),
@@ -1023,10 +987,9 @@ def test_sparse_grid_holds_the_dense_reference(cutoff, rkind, s, method, lam, wh
     # 2 to 6 points log-uniform in the default span, Lam t from 1e-3 to
     # min(Lam, 700); the closed method only where the catalogue has a kernel
     sd = SpectralDensity(s, cutoff, lam, 1.0)
-    regime = bath._LOW if rkind == "eta" else ThermalRegime(rkind, 17.0)
-    kind = "sin" if rkind == "eta" else "cos"
+    regime = ThermalRegime(rkind, 17.0)
     try:
-        bath.require_integrable(sd, regime, kind)
+        bath.require_integrable(sd, regime)
     except DomainError:
         assume(False)
     assume(method == "quadrature" or rkind in ("high", "low"))
@@ -1035,4 +998,4 @@ def test_sparse_grid_holds_the_dense_reference(cutoff, rkind, s, method, lam, wh
     assume(len(grid) >= 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_holds_dense(SystemParams(omega0=10.0, omega_c=1.0), sd, regime, grid, method, kind)
+        _assert_holds_dense(SystemParams(omega0=10.0, omega_c=1.0), sd, regime, grid, method)

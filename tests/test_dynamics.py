@@ -1,14 +1,13 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from qbmag import bath, coefficients, decoherence, dynamics
 from qbmag.bath import Cutoff, RegimeKind, SpectralDensity, ThermalRegime
 from qbmag.coefficients import lambda_from_kernel
-from qbmag.decoherence import frequency_shift
 from qbmag.dynamics import (
     KernelPlan,
     SystemParams,
@@ -115,29 +114,6 @@ def test_transfer_x_row_matches_f1():
         assert T[0, 1] == pytest.approx(-f_weight(sys, tau, "F2") / np.sqrt(2), rel=1e-12, abs=1e-14)
 
 
-def test_frequency_shift_zero_coupling():
-    sys = SystemParams(omega0=1.0, omega_c=0.0)
-    sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 10.0, 0.0)
-    assert frequency_shift(sys, sd, 5.0) == 0.0
-
-
-def test_frequency_shift_converged_and_negative():
-    sys = SystemParams(omega0=1.0, omega_c=0.0)
-    sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 10.0, 0.05)
-    v1 = frequency_shift(sys, sd, 40.0)
-    v2, tail = frequency_shift(sys, sd, 80.0, with_tail_estimate=True)
-    assert v1 == pytest.approx(v2, rel=0.01)
-    assert v2 < 0  # softening at weak coupling
-    assert tail >= 0
-
-
-def test_frequency_shift_domain():
-    sys = SystemParams(omega0=1.0, omega_c=0.0)
-    sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 10.0)
-    with pytest.raises(DomainError):
-        frequency_shift(sys, sd, 0.0)
-
-
 @pytest.mark.parametrize("which", ["F9", "F3", "F4"])
 def test_f_weight_rejects_unknown_names(which):
     # the master equation drops the momentum terms, so only F1, F2 exist
@@ -154,7 +130,7 @@ def test_f2_zero_without_trap():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_system_parameters_rejected(bad):
-    base = dict(omega0=1.0, omega_c=0.5, m=1.0, hbar=1.0, omega_th=2.0)
+    base = dict(omega0=1.0, omega_c=0.5, hbar=1.0, omega_th=2.0)
     for field in base:
         with pytest.raises(DomainError):
             SystemParams(**dict(base, **{field: bad}))
@@ -208,26 +184,6 @@ def test_time_moments_estimate_bounds_error():
     assert np.all(err <= np.abs(mom.d0[:, 0]) + 1e-13 * np.abs(mom.c0[:, 0]))
     # the estimate is informative: the 8-node sub-rule differs visibly
     assert np.max(np.abs(mom.d0[:, 0])) > 1e-10 * np.max(np.abs(mom.c0[:, 0]))
-
-
-def test_frequency_shift_matches_high_precision_value():
-    # -(2/m) int_0^40 eta F1 with eta = 2 gamma Lam^3 tau / (1 + Lam^2 tau^2)^2
-    # and F1 = cos(tau), by 30-digit mpmath quadrature
-    sys = SystemParams(omega0=1.0, omega_c=0.0)
-    sd = SpectralDensity(1.0, Cutoff.EXPONENTIAL, 10.0, 0.05)
-    assert frequency_shift(sys, sd, 40.0) == pytest.approx(-0.97268720716282673673, rel=1e-13)
-
-
-def test_frequency_shift_without_closed_eta():
-    # Drude-Lorentz s = 0.7, off the integer exponents: the closed eta of
-    # the shift against the defining quadrature, node by node
-    sys = SystemParams(omega0=2.0, omega_c=0.5)
-    sd = SpectralDensity(0.7, Cutoff.DRUDE_LORENTZ, 8.0, 0.1)
-    t_max = 0.3
-    got = frequency_shift(sys, sd, t_max)
-    fn = lambda u: bath.dissipation_kernel_quadrature(sd, u) * f_weight(sys, u, "F1")
-    want = -2.0 / sys.m * integrate.quad(fn, 0.0, t_max, epsrel=1e-10)[0]
-    assert got == pytest.approx(want, rel=1e-7)
 
 
 def _counting(kernel, sizes):
@@ -297,7 +253,7 @@ def test_time_moments_do_not_depend_on_the_block(monkeypatch, cutoff, rkind):
 
 def _plans_by_layout(lam, omega_th, t_max):
     """{layout: [(label, plan)]} over every cutoff x regime x method at
-    three s and two couplings, plus eta, as ``_kernel_for`` builds them;
+    three s and two couplings, as ``_kernel_for`` builds them;
     method='closed' where the catalogued kernels hold up to t_max."""
     regimes = [ThermalRegime(kind, omega_th) for kind in RegimeKind]
     groups = {}
@@ -305,15 +261,14 @@ def _plans_by_layout(lam, omega_th, t_max):
         for s in (0.5, 1.0, 1.5):
             for gamma in (1.3, 0.2):
                 sd = SpectralDensity(s, cutoff, lam, gamma)
-                cases = [(regime, method, "cos") for regime in regimes for method in decoherence.METHODS]
-                for regime, method, kind in cases + [(bath._LOW, "quadrature", "sin")]:
+                for regime, method in itertools.product(regimes, decoherence.METHODS):
                     if method == "closed" and bath.closed_kernel_error(sd, regime, t_max) is not None:
                         continue
                     try:
-                        plan = decoherence._kernel_for(sd, regime, method, kind)
+                        plan = decoherence._kernel_for(sd, regime, method)
                     except DomainError:  # Drude-Lorentz kernels not integrable at tau = 0
                         continue
-                    label = (cutoff.value, s, gamma, regime.kind.value, method, kind)
+                    label = (cutoff.value, s, gamma, regime.kind.value, method)
                     groups.setdefault(plan.layout, []).append((label, plan))
     return groups
 
@@ -365,9 +320,9 @@ def test_time_moments_reject_plans_of_two_layouts():
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        (dict(m=0.0), "m and hbar"),
-        (dict(m=-1.0), "m and hbar"),
-        (dict(hbar=0.0), "m and hbar"),
+        (dict(hbar=0.0), "hbar must be > 0"),
+        (dict(hbar=-0.0), "hbar must be > 0"),
+        (dict(hbar=-1.0), "hbar must be > 0"),
         (dict(omega0=-1.0), "omega0 and omega_c"),
         (dict(omega_c=-0.5), "omega0 and omega_c"),
     ],

@@ -1,7 +1,6 @@
-"""The defining-integral quadrature oracle (``bath._kernel_quadrature``).
+"""The defining-integral quadrature oracle (``bath.noise_kernel_quadrature``).
 
-tests/data/oracle_pins.json holds nu and eta over cutoff x s x regime x
-Lam tau, written by the oracle before its integrands were fused and its
+tests/data/oracle_pins.json holds nu over cutoff x s x regime x Lam tau, written by the oracle before its integrands were fused and its
 tail batched; the rewrite returned every value bit for bit on the machine
 that wrote them.  Other numpy, scipy and libm builds round differently, so
 the values are held to 1e-13 relative.  Rewrite the file, after a change
@@ -27,21 +26,19 @@ PIN_X = (0.0, 1e-3, 0.07, 1.0, 15.0, 120.0)
 
 
 def _pin_cases():
-    """(cutoff, s, regime, kind, Lam tau): nu in every regime at PIN_X, eta at PIN_X past 0."""
+    """(cutoff, s, regime, Lam tau): nu in every regime at PIN_X."""
     for cutoff in Cutoff:
         for s in PIN_S:
             for rkind in RegimeKind:
                 for x in PIN_X:
-                    yield cutoff.value, s, rkind.value, "cos", x
-            for x in PIN_X[1:]:
-                yield cutoff.value, s, "low", "sin", x
+                    yield cutoff.value, s, rkind.value, x
 
 
-def _oracle(cutoff, s, rkind, kind, x):
+def _oracle(cutoff, s, rkind, x):
     """The oracle's value, or the name of the QbmagError it raises."""
     sd = SpectralDensity(s, Cutoff(cutoff), LAM, GAMMA)
     try:
-        return bath._kernel_quadrature(sd, ThermalRegime(rkind, OTH), x / LAM, kind)
+        return bath.noise_kernel_quadrature(sd, ThermalRegime(rkind, OTH), x / LAM)
     except QbmagError as err:
         return type(err).__name__
 
@@ -52,7 +49,7 @@ def _load_pins():
 
 
 def test_pins_cover_the_grid():
-    assert [list(row[:5]) for row in _load_pins()] == [list(case) for case in _pin_cases()]
+    assert [list(row[:4]) for row in _load_pins()] == [list(case) for case in _pin_cases()]
 
 
 def test_oracle_matches_pinned_values():
@@ -61,19 +58,19 @@ def test_oracle_matches_pinned_values():
     the rounding of its terms keeps no relative digits."""
     pins = _load_pins()
     scale = {}
-    for cutoff, s, rkind, kind, x, want in pins:
+    for cutoff, s, rkind, x, want in pins:
         if not isinstance(want, str):
-            key = cutoff, s, rkind, kind
+            key = cutoff, s, rkind
             scale[key] = max(scale.get(key, 0.0), abs(want))
     bad = []
-    for cutoff, s, rkind, kind, x, want in pins:
-        got = _oracle(cutoff, s, rkind, kind, x)
+    for cutoff, s, rkind, x, want in pins:
+        got = _oracle(cutoff, s, rkind, x)
         if isinstance(want, str) or isinstance(got, str):
             ok = got == want
         else:
-            ok = abs(got - want) <= 1e-13 * max(abs(want), 1e-2 * scale[cutoff, s, rkind, kind])
+            ok = abs(got - want) <= 1e-13 * max(abs(want), 1e-2 * scale[cutoff, s, rkind])
         if not ok:
-            bad.append((cutoff, s, rkind, kind, x, want, got))
+            bad.append((cutoff, s, rkind, x, want, got))
     assert not bad
 
 
@@ -117,9 +114,7 @@ def test_tail_stops_at_its_segment_cap(monkeypatch):
     assert max(segments) <= bath._TAIL_BATCH
 
 
-def _reference(sd, regime, kind, tau):
-    if kind == "sin":
-        return bath.dissipation_kernel_reference(sd, tau)
+def _reference(sd, regime, tau):
     if regime.kind is RegimeKind.EXACT:
         low = bath.noise_kernel_reference(sd, ThermalRegime(RegimeKind.LOW_TEMPERATURE), tau)
         return low + float(bath._bose_kernel_fn(sd, regime.omega_th)(tau))
@@ -129,21 +124,20 @@ def _reference(sd, regime, kind, tau):
 @pytest.mark.parametrize("cutoff", list(Cutoff))
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
 def test_oracle_at_tiny_tau_is_right_or_raises(cutoff, s):
-    """nu and eta at tau down to the smallest double: within 1e-10 of the
-    closed transform (the exact regime: plus the Bose term), or the
-    documented RangeError, and no warning (warnings are errors here).
-    Values below the smallest normal double keep fewer digits."""
+    """nu at tau down to the smallest double: within 1e-10 of the closed
+    transform (the exact regime: plus the Bose term), or the documented
+    RangeError, and no warning (warnings are errors here).  Values below the
+    smallest normal double keep fewer digits."""
     sd = SpectralDensity(s, cutoff, LAM, GAMMA)
-    cases = [(ThermalRegime(k, OTH), "cos") for k in RegimeKind] + [(bath._LOW, "sin")]
-    for regime, kind in cases:
+    for regime in (ThermalRegime(k, OTH) for k in RegimeKind):
         for tau in (1e-200, 1e-300, 1e-310, 5e-324):
             try:
-                got = bath._kernel_quadrature(sd, regime, tau, kind)
+                got = bath.noise_kernel_quadrature(sd, regime, tau)
             except QbmagError as err:
-                assert type(err).__name__ == "RangeError", (regime, kind, tau, err)
+                assert type(err).__name__ == "RangeError", (regime, tau, err)
                 continue
-            want = _reference(sd, regime, kind, tau)
-            assert abs(got - want) <= 1e-10 * abs(want) + sys.float_info.min, (regime, kind, tau, got, want)
+            want = _reference(sd, regime, tau)
+            assert abs(got - want) <= 1e-10 * abs(want) + sys.float_info.min, (regime, tau, got, want)
 
 
 def test_exponential_envelope_is_zero_past_its_underflow():
