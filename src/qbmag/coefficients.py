@@ -26,7 +26,6 @@ from .bath import noise_kernel_quadrature  # unused here; perfbench/trace.py wra
 from .dynamics import f_weight, mode_constants
 from .errors import DomainError, RangeError, UnsupportedFormError
 from .specfun import cos_integral as Ci
-from .specfun import shared as _shared_sici
 from .specfun import sin_integral as Si
 
 
@@ -383,6 +382,9 @@ def lambda_closed(sys, sd, regime, t, variant="validated"):
     The validated exponential-cutoff forms raise RangeError for A'/Lam > 700.
     At omega0 = 0 the printed Drude-Lorentz high-temperature and exponential
     forms, which divide by B' = 0, raise DomainError at t > 0.
+
+    The forms take Si and Ci of a few arguments many times over; ``specfun``
+    calls scipy once per distinct argument while it stays in its cache.
     """
     if variant not in ("validated", "printed"):
         raise ValueError("variant must be 'validated' or 'printed'")
@@ -408,9 +410,7 @@ def lambda_closed(sys, sd, regime, t, variant="validated"):
             forms = _drude_validated
         else:
             forms = _exp_validated
-        # the forms take Si and Ci of a few arguments many times over
-        with _shared_sici():
-            l1, l2 = forms(sd, regime, mode_constants(sys), t, sys.hbar)
+        l1, l2 = forms(sd, regime, mode_constants(sys), t, sys.hbar)
     return LambdaPair(
         complex(l1),
         None if l2 is None else complex(l2),

@@ -36,6 +36,7 @@ from .bath import (
     Cutoff,
     RegimeKind,
     _bose_kernel_fn,
+    _finite_nonnegative,
     _oscillating_tail,
     _pole_sum,
     _reference_kernel_fn,
@@ -187,10 +188,9 @@ def _exponent_arrays(sys, mom, grid):
 
 
 def exponents(sys, sd, regime, sep, t):
-    """Cumulative decoherence exponents D1(t), D2(t) at a single time."""
-    if t < 0:
-        raise DomainError("t must be >= 0")
-    grid = np.array([float(t)])
+    """Cumulative decoherence exponents D1(t), D2(t) at a single time t,
+    finite and >= 0 (DomainError otherwise)."""
+    grid = np.array([float(_finite_nonnegative("t", t))])
     int_lam = _exponent_arrays(sys, _moments(sys, sd, regime, grid), grid)[0]
     d1 = (sep.dx**2 + sep.dy**2) * int_lam[0, 0]
     d2 = 2.0 * sep.dx * sep.dy * int_lam[0, 1]
@@ -198,10 +198,11 @@ def exponents(sys, sd, regime, sep, t):
 
 
 def density_ratio(sys, sd, regime, sep, t):
-    """(|rho(t)/rho(0)|, phase) of ``curve`` on the one-point grid [t], so
-    flagged the same way: a magnitude below 1e-300 reads 1e-300, and one
-    above 1e300 (Re D < -690) reads NaN."""
-    cs = curve(sys, sd, regime, sep, np.array([float(t)]))
+    """(|rho(t)/rho(0)|, phase) of ``curve`` on the one-point grid [t], t
+    finite and >= 0 (DomainError otherwise), so flagged the same way: a
+    magnitude below 1e-300 reads 1e-300, and one above 1e300 (Re D < -690)
+    reads NaN."""
+    cs = curve(sys, sd, regime, sep, np.array([float(_finite_nonnegative("t", t))]))
     return float(cs.magnitude[0]), float(cs.phase[0])
 
 

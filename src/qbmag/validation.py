@@ -639,18 +639,15 @@ def run_checks(level="fast"):
     and the exact-regime Drude-Lorentz oscillatory cross-check.  Every check
     is timed once, here, into its ``runtime_s``; a check with a budget in
     ``_RUNTIME_BUDGET_S`` states it in its tolerance and fails past it.
-    Each check runs in a ``specfun.shared()`` block of its own, so no memo
-    outlives the check, and the report does not depend on what ran before."""
+    The report does not depend on what ran before: Si and Ci give every
+    argument the same bits, cached or not (``specfun._sici_cached``)."""
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     report = ValidationReport(level=level)
     fns = _FAST_CHECKS + (_FULL_EXTRA_CHECKS if level == "full" else ())
     for fn in fns:
         start = time.perf_counter()
-        # one memo of Si and Ci per check: criterion-5's two variants at one
-        # time take them at the same few arguments
-        with specfun.shared():
-            result = fn()
+        result = fn()
         runtime = result.measured["runtime_s"] = time.perf_counter() - start
         budget = _RUNTIME_BUDGET_S.get(result.name)
         if budget is not None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -811,51 +812,84 @@ def test_oscillating_tail_is_the_reference_kernel(s, rkind):
 _DL1 = SpectralDensity(1.0, Cutoff.DRUDE_LORENTZ, 50.0)
 
 
+# each case has an explicit id, the name it had as a positional one, so a
+# case can come or go without renaming the others; a generated case's id
+# follows from its place in its own product
 @pytest.mark.parametrize(
     "call, exc, match",
     [
-        (lambda: SpectralDensity(1.0, Cutoff.ABRUPT, 0.0), DomainError, "cutoff frequency"),
-        (lambda: SpectralDensity(1.0, Cutoff.EXPONENTIAL, -3.0), DomainError, "cutoff frequency"),
-        (lambda: SpectralDensity(1.0, Cutoff.ABRUPT, 10.0, -0.1), DomainError, "gamma"),
-        (lambda: ThermalRegime(RegimeKind.EXACT, 0.0), DomainError, "omega_th"),
-        (lambda: ThermalRegime(RegimeKind.HIGH_TEMPERATURE, -2.0), DomainError, "omega_th"),
-        (lambda: bath.noise_kernel_quadrature(_DL1, LOW, -1e-3), DomainError, "tau"),
-        (lambda: bath.noise_kernel_closed_parts(_DL1, LOW, np.array([0.1, -1e-3])), DomainError, "tau"),
+        pytest.param(
+            lambda: SpectralDensity(1.0, Cutoff.ABRUPT, 0.0), DomainError, "cutoff frequency", id="<lambda>-DomainError-cutoff frequency0"
+        ),
+        pytest.param(
+            lambda: SpectralDensity(1.0, Cutoff.EXPONENTIAL, -3.0), DomainError, "cutoff frequency", id="<lambda>-DomainError-cutoff frequency1"
+        ),
+        pytest.param(lambda: SpectralDensity(1.0, Cutoff.ABRUPT, 10.0, -0.1), DomainError, "gamma", id="<lambda>-DomainError-gamma"),
+        pytest.param(lambda: ThermalRegime(RegimeKind.EXACT, 0.0), DomainError, "omega_th", id="<lambda>-DomainError-omega_th0"),
+        pytest.param(lambda: ThermalRegime(RegimeKind.HIGH_TEMPERATURE, -2.0), DomainError, "omega_th", id="<lambda>-DomainError-omega_th1"),
+        pytest.param(lambda: bath.noise_kernel_quadrature(_DL1, LOW, -1e-3), DomainError, "tau", id="<lambda>-DomainError-tau0"),
+        pytest.param(
+            lambda: bath.noise_kernel_closed_parts(_DL1, LOW, np.array([0.1, -1e-3])), DomainError, "tau", id="<lambda>-DomainError-tau1"
+        ),
         # Lam/Omega_th = pi: a pole of cot(Lam/Omega_th)
-        (lambda: bath.drude_exact_kernel(_DL1, 50.0 / np.pi, 0.1), PoleError, "cot"),
+        pytest.param(lambda: bath.drude_exact_kernel(_DL1, 50.0 / np.pi, 0.1), PoleError, "cot", id="<lambda>-PoleError-cot"),
         # Lam/Omega_th = pi + 2e-8: clear of the cot test, 6e-9 off the
         # Matsubara pole b = Lam/(pi Omega_th) = 1
-        (lambda: bath.drude_exact_kernel(_DL1, 50.0 / (np.pi + 2e-8), 0.1), PoleError, "Matsubara"),
+        pytest.param(
+            lambda: bath.drude_exact_kernel(_DL1, 50.0 / (np.pi + 2e-8), 0.1), PoleError, "Matsubara", id="<lambda>-PoleError-Matsubara"
+        ),
         *[
-            (lambda bad=bad, fn=fn: fn(bad), DomainError, "tau")
-            for bad in (np.nan, np.inf, -np.inf)
-            for fn in (
-                lambda tau: bath.noise_kernel_quadrature(_DL1, LOW, tau),
-                lambda tau: bath.noise_kernel_quadrature(_DL1, HIGH(17.0), tau),
+            pytest.param(lambda bad=bad, fn=fn: fn(bad), DomainError, "tau", id="<lambda>-DomainError-tau%d" % k)
+            for k, (bad, fn) in enumerate(
+                itertools.product(
+                    (np.nan, np.inf, -np.inf),
+                    (
+                        lambda tau: bath.noise_kernel_quadrature(_DL1, LOW, tau),
+                        lambda tau: bath.noise_kernel_quadrature(_DL1, HIGH(17.0), tau),
+                    ),
+                ),
+                start=2,
             )
         ],
         *[
-            (lambda bad=bad, fn=fn: fn(bad), DomainError, "tau")
-            for bad in (np.nan, np.inf, -np.inf, np.array([0.1, np.nan]))
-            for fn in (
-                lambda tau: bath.noise_kernel_reference(SpectralDensity(1.0, Cutoff.ABRUPT, 50.0), LOW, tau),
-                lambda tau: bath.noise_kernel_reference(_DL1, HIGH(17.0), tau),
-                lambda tau: bath.noise_kernel_reference(_DL1, LOW, tau),
-                lambda tau: bath.noise_kernel_closed_parts(_DL1, LOW, tau),
-                lambda tau: bath.drude_exact_kernel(_DL1, 17.0, tau),
+            pytest.param(lambda bad=bad, fn=fn: fn(bad), DomainError, "tau", id="<lambda>-DomainError-tau%d" % k)
+            for k, (bad, fn) in enumerate(
+                itertools.product(
+                    (np.nan, np.inf, -np.inf, np.array([0.1, np.nan])),
+                    (
+                        lambda tau: bath.noise_kernel_reference(SpectralDensity(1.0, Cutoff.ABRUPT, 50.0), LOW, tau),
+                        lambda tau: bath.noise_kernel_reference(_DL1, HIGH(17.0), tau),
+                        lambda tau: bath.noise_kernel_reference(_DL1, LOW, tau),
+                        lambda tau: bath.noise_kernel_closed_parts(_DL1, LOW, tau),
+                        lambda tau: bath.drude_exact_kernel(_DL1, 17.0, tau),
+                    ),
+                ),
+                start=8,
             )
         ],
         # a thermal frequency 2 k_B T / hbar is never negative, in any regime
         *[
-            (lambda kind=kind, oth=oth: ThermalRegime(kind, oth), DomainError, "omega_th must be >= 0")
-            for kind in RegimeKind
-            for oth in (-5.0, -1e-300)
+            pytest.param(
+                lambda kind=kind, oth=oth: ThermalRegime(kind, oth),
+                DomainError,
+                "omega_th must be >= 0",
+                id="<lambda>-DomainError-omega_th must be >= 0_%d" % k,
+            )
+            for k, (kind, oth) in enumerate(itertools.product(RegimeKind, (-5.0, -1e-300)))
         ],
         # numpy would give J(nan) = nan, and J(inf) a RuntimeWarning or inf
         *[
-            (lambda bad=bad, c=c: bath.spectral_density(SpectralDensity(1.0, c, 10.0), bad), DomainError, "omega must be finite")
-            for bad in (np.nan, np.inf, -np.inf, -1.0, [1.0, np.nan], np.array([0.0, 2.0, np.inf]), [[1.0], [-np.inf]])
-            for c in Cutoff
+            pytest.param(
+                lambda bad=bad, c=c: bath.spectral_density(SpectralDensity(1.0, c, 10.0), bad),
+                DomainError,
+                "omega must be finite",
+                id="<lambda>-DomainError-omega must be finite%d" % k,
+            )
+            for k, (bad, c) in enumerate(
+                itertools.product(
+                    (np.nan, np.inf, -np.inf, -1.0, [1.0, np.nan], np.array([0.0, 2.0, np.inf]), [[1.0], [-np.inf]]), Cutoff
+                )
+            )
         ],
     ],
 )

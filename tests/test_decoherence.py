@@ -635,44 +635,115 @@ def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
         assert np.max(np.abs(got - 3.0 * base)) <= 1e-13 * np.max(np.abs(3.0 * base))
 
 
+# each case has an explicit id, the name it had as a positional one, so a
+# case can come or go without renaming the others
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda: Separation(float("nan"), 1.0), "finite"),
-        (lambda: Separation(1.0, float("inf")), "finite"),
-        (lambda: exponents(SYS, SD, HIGH, SEP, -1e-3), "t must be"),
-        (lambda: density_ratio(SYS, SD, HIGH, SEP, -1e-3), "start at >= 0"),
-        (lambda: curve(SYS, SD, HIGH, SEP, np.array([0.01, 0.1]), "closd"), "method must be"),
-        (lambda: curves(SYS, SD, HIGH, [SEP], np.array([np.nan, 1.0])), "finite"),
-        (lambda: curves(SYS, SD, HIGH, [SEP], np.array([0.1, np.inf])), "finite"),
-        (lambda: exponents(SYS, SD, HIGH, SEP, np.nan), "finite"),
-        (lambda: exponents(SYS, SD, HIGH, SEP, np.inf), "finite"),
-        (lambda: exponents(SYS, SD, HIGH, SEP, -np.inf), "t must be >= 0"),
+        pytest.param(lambda: Separation(float("nan"), 1.0), "finite", id="<lambda>-finite0"),
+        pytest.param(lambda: Separation(1.0, float("inf")), "finite", id="<lambda>-finite1"),
+        pytest.param(lambda: exponents(SYS, SD, HIGH, SEP, -1e-3), "t must be", id="<lambda>-t must be"),
+        pytest.param(lambda: density_ratio(SYS, SD, HIGH, SEP, -1e-3), "t must be finite and >= 0", id="<lambda>-start at >= 0"),
+        pytest.param(lambda: curve(SYS, SD, HIGH, SEP, np.array([0.01, 0.1]), "closd"), "method must be", id="<lambda>-method must be"),
+        pytest.param(lambda: curves(SYS, SD, HIGH, [SEP], np.array([np.nan, 1.0])), "finite", id="<lambda>-finite2"),
+        pytest.param(lambda: curves(SYS, SD, HIGH, [SEP], np.array([0.1, np.inf])), "finite", id="<lambda>-finite3"),
+        pytest.param(lambda: exponents(SYS, SD, HIGH, SEP, np.nan), "finite", id="<lambda>-finite4"),
+        pytest.param(lambda: exponents(SYS, SD, HIGH, SEP, np.inf), "finite", id="<lambda>-finite5"),
+        pytest.param(lambda: exponents(SYS, SD, HIGH, SEP, -np.inf), "t must be finite and >= 0", id="<lambda>-t must be >= 0"),
         # no kernel is needed here, but the time is still checked
-        (lambda: exponents(SYS, SD0, HIGH, Separation(0.0, 0.0), np.nan), "finite"),
-        (lambda: density_ratio(SYS, SD, HIGH, SEP, np.nan), "finite"),
-        (lambda: density_ratio(SYS, SD, HIGH, SEP, np.inf), "finite"),
-        (lambda: curve(SYS, SD, HIGH, SEP, np.array([0.1, np.nan]), "closed"), "finite"),
+        pytest.param(lambda: exponents(SYS, SD0, HIGH, Separation(0.0, 0.0), np.nan), "finite", id="<lambda>-finite6"),
+        pytest.param(lambda: density_ratio(SYS, SD, HIGH, SEP, np.nan), "finite", id="<lambda>-finite7"),
+        pytest.param(lambda: density_ratio(SYS, SD, HIGH, SEP, np.inf), "finite", id="<lambda>-finite8"),
+        pytest.param(lambda: curve(SYS, SD, HIGH, SEP, np.array([0.1, np.nan]), "closed"), "finite", id="<lambda>-finite9"),
         # Drude-Lorentz kernels with J c ~ w^(se - 2), se >= 2
-        (lambda: curve(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0), LOW, SEP), "not integrable"),
-        (lambda: curve(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0), LOW, SEP), "not integrable"),
-        (lambda: curve(SYS, SpectralDensity(3.2, Cutoff.DRUDE_LORENTZ, 50.0), HIGH, SEP), "not integrable"),
-        (
+        pytest.param(
+            lambda: curve(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0), LOW, SEP), "not integrable", id="<lambda>-not integrable0"
+        ),
+        pytest.param(
+            lambda: curve(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0), LOW, SEP), "not integrable", id="<lambda>-not integrable1"
+        ),
+        pytest.param(
+            lambda: curve(SYS, SpectralDensity(3.2, Cutoff.DRUDE_LORENTZ, 50.0), HIGH, SEP), "not integrable", id="<lambda>-not integrable2"
+        ),
+        pytest.param(
             lambda: curve(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0), ThermalRegime("exact", 17.0), SEP),
             "not integrable",
+            id="<lambda>-not integrable3",
         ),
-        (lambda: exponents(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0), LOW, SEP, 0.1), "not integrable"),
+        pytest.param(
+            lambda: exponents(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0), LOW, SEP, 0.1),
+            "not integrable",
+            id="<lambda>-not integrable4",
+        ),
         # at gamma = 0 as at gamma > 0, though no kernel is needed
-        (lambda: curve(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, SEP), "not integrable"),
-        (lambda: curves(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, [SEP]), "not integrable"),
-        (lambda: exponents(SYS, SpectralDensity(3.2, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), HIGH, SEP, 0.1), "not integrable"),
-        (lambda: density_ratio(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, SEP, 0.1), "not integrable"),
-        (lambda: density_ratio(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, SEP, 0.1), "not integrable"),
+        pytest.param(
+            lambda: curve(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, SEP),
+            "not integrable",
+            id="<lambda>-not integrable5",
+        ),
+        pytest.param(
+            lambda: curves(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, [SEP]),
+            "not integrable",
+            id="<lambda>-not integrable6",
+        ),
+        pytest.param(
+            lambda: exponents(SYS, SpectralDensity(3.2, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), HIGH, SEP, 0.1),
+            "not integrable",
+            id="<lambda>-not integrable7",
+        ),
+        pytest.param(
+            lambda: density_ratio(SYS, SpectralDensity(2.5, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, SEP, 0.1),
+            "not integrable",
+            id="<lambda>-not integrable8",
+        ),
+        pytest.param(
+            lambda: density_ratio(SYS, SpectralDensity(2.0, Cutoff.DRUDE_LORENTZ, 50.0, 0.0), LOW, SEP, 0.1),
+            "not integrable",
+            id="<lambda>-not integrable9",
+        ),
     ],
 )
 def test_decoherence_rejects_out_of_domain_input(call, match):
     with pytest.raises(DomainError, match=match):
         call()
+
+
+@pytest.mark.parametrize(
+    "s, cutoff, regime, grid",
+    [
+        pytest.param(s, cutoff, regime, None, id="%g-%s-%s" % (s, cutoff.value, regime.kind.value))
+        for s in (0.5, 1.0, 1.5)
+        for cutoff in Cutoff
+        for regime in (ThermalRegime("high", 17.0), LOW, ThermalRegime("exact", 17.0))
+    ]
+    + [
+        pytest.param(
+            1.9,
+            Cutoff.DRUDE_LORENTZ,
+            LOW,
+            np.array([0.017, 0.1, 1.0]),
+            id="1.9-drude-low-from-0.017",
+            marks=pytest.mark.xfail(strict=True, reason="inner-panel singularity, ROADMAP item 2: int lambda1(1) = -915"),
+        )
+    ],
+)
+def test_quadrature_curves_keep_the_lambda1_bounds(s, cutoff, regime, grid):
+    # J c >= 0 in every regime gives 0 <= hbar int_0^t lambda1 <= t^2 nu(0) / 2,
+    # the upper bound where nu(0) is finite (ROADMAP item 19); each row may
+    # miss them by its error estimate plus the rounding of t c0 - c1.  The
+    # catalogued pole sum is no transform of a J c >= 0, so only quadrature
+    # curves are held to them
+    sd = SpectralDensity(s, cutoff, 200.0)
+    grid = default_grid(sd) if grid is None else grid
+    mom = decoherence._moments(SYS, sd, regime, grid)
+    int_lam, _, int_err = decoherence._exponent_arrays(SYS, mom, grid)
+    hbar, eps = SYS.hbar, np.finfo(float).eps
+    margin = np.abs(int_err[:, 0]) + 8 * eps * (np.abs(grid * mom.c0[:, 0]) + np.abs(mom.c1[:, 0])) / hbar
+    assert np.all(int_lam[:, 0].real >= -margin)
+    with np.errstate(over="ignore", divide="ignore"):
+        nu0 = decoherence._kernel_for(sd, regime).kernel(np.array([0.0]))[0]
+    if np.isfinite(nu0):
+        assert np.all(int_lam[:, 0].real <= grid**2 * nu0 / (2 * hbar) + margin)
 
 
 def test_density_ratio_reads_curve():

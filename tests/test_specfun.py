@@ -125,12 +125,12 @@ def test_ci_overflow_guard(z):
         specfun.cos_integral(z)
 
 
-def test_shared_block_gives_the_unshared_bits(monkeypatch):
-    # inside specfun.shared() each distinct reflected argument calls scipy
-    # once, keyed on its bits: z, -z, conj(z), -conj(z) and Si and Ci of
-    # each share one call, while a signed zero gets a call of its own (0.5
-    # and -0.5 reflect to 0.5 + 0j and 0.5 - 0j), and every value keeps its
-    # bits
+def test_cache_gives_the_uncached_bits(monkeypatch):
+    # each distinct reflected argument calls scipy once, keyed on its bits:
+    # z, -z, conj(z), -conj(z) and Si and Ci of each share one call, while a
+    # signed zero gets a call of its own (0.5 and -0.5 reflect to 0.5 + 0j
+    # and 0.5 - 0j), a repeat makes none, and every value keeps the bits of
+    # an uncached scipy call
     rng = np.random.default_rng(11)
     base = [complex(rng.uniform(0.1, 9.0), -rng.uniform(0.0, 9.0)) for _ in range(20)]
     zs = [w for z in base for w in (z, -z, z.conjugate(), -z.conjugate())] + [0.5, -0.5, complex(0.0, -2.0), complex(-0.0, -2.0)]
@@ -138,16 +138,17 @@ def test_shared_block_gives_the_unshared_bits(monkeypatch):
     def bits(v):
         return struct.pack("dd", v.real, v.imag)
 
-    want = [(bits(specfun.sin_integral(z)), bits(specfun.cos_integral(z))) for z in zs]
+    def values():
+        return [(bits(specfun.sin_integral(z)), bits(specfun.cos_integral(z))) for z in zs]
+
+    with monkeypatch.context() as uncached:
+        uncached.setattr(specfun, "_sici_cached", specfun._sici_cached.__wrapped__)
+        want = values()
     calls = []
     scipy_pair = specfun._sici_scipy
     monkeypatch.setattr(specfun, "_sici_scipy", lambda z: calls.append(bits(z)) or scipy_pair(z))
-    with specfun.shared():
-        with specfun.shared():  # a nested block shares the outer memo
-            got = [(bits(specfun.sin_integral(z)), bits(specfun.cos_integral(z))) for z in zs]
-        got_again = [(bits(specfun.sin_integral(z)), bits(specfun.cos_integral(z))) for z in zs]
-    assert got == want and got_again == want
+    specfun._sici_cached.cache_clear()
+    assert values() == want
     assert len(calls) == len(base) + 4 == len(set(calls))
-    # the memo ends with its block
-    specfun.sin_integral(base[0])
-    assert len(calls) == len(base) + 5
+    assert values() == want
+    assert len(calls) == len(base) + 4

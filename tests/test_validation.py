@@ -123,10 +123,11 @@ def _run_alone(monkeypatch, check):
 
 
 def test_criterion_5_takes_scipy_once_per_argument_and_moments_once_per_time(monkeypatch):
-    # Si and Ci share one scipy call per distinct reflected argument within
-    # the check (2220 calls with one per Si or Ci), and both modes of an
+    # from a cold cache Si and Ci share one scipy call per distinct reflected
+    # argument (2220 calls with one per Si or Ci), and both modes of an
     # exponential form share the moment table of their time (113 with one
     # per mode); one moment pass per draw
+    specfun._sici_cached.cache_clear()
     sici = _counted(monkeypatch, specfun, "_sici_scipy")
     moments = _counted(monkeypatch, coefficients, "_exp_moments")
     passes = _counted(monkeypatch, decoherence, "time_moments")
