@@ -6,25 +6,29 @@ units of gamma/m, times in m/gamma, separations in sqrt(hbar/gamma); the
 scales gamma = hbar = 1 are overridable per config.
 
 One builder makes the time grid of ``curve`` and ``sweep`` and the
-frequency grid of ``spectra``; a bad grid or method is a config error.
+frequency grid of ``spectra``; a bad grid or method is a config error, a
+grid whose points collapse into repeats included.
 
-A sweep groups its points by pass, then by kernel, then by separation.
-The points that differ only in the separation (dx, dy) share one kernel;
-the kernels of one ``decoherence._pass_key``, which the sweep compares and
-does not read, share one moment pass (``decoherence._curves_many``), which
-lays out the panels, nodes and F1, F2 once and integrates each kernel on
-them.  A pass holds at most ``_PASS_KERNELS`` kernels; a larger group is
-cut into passes of near-equal size.  Every point's file is its ``curve``
-file byte for byte, whichever kernels shared its pass.
+A sweep builds each point on its own and keeps one record per moment
+pass, (sys, grid, method, kernels), each kernel (sd, regime, [(index,
+path, sep)]).  A built point joins the kernel keyed on its objects: the
+repr of its system, spectral density and regime, its grid's bytes and its
+method, so -0.0 and 0.0 stay apart.  A new kernel joins the pass that
+``decoherence._pass_key`` names, a key the sweep compares and does not
+read; one ``decoherence._curves_many`` call per pass lays out the panels,
+nodes and F1, F2 once and integrates each kernel on them.  A pass holds at
+most ``_PASS_KERNELS`` kernels; a larger one is cut into passes of
+near-equal size.  Every point's file is its ``curve`` file byte for byte,
+whichever kernels shared its pass.
 
 Passes run in this process, and after each one the CPU time per kernel is
 rated: the mean over every pass done, or the last pass's where that is
 higher.  Once the rate times the kernels left exceeds the pool's
 break-even, and two or more kernels are left, the passes left are cut into
-chunks of one pass, at least one per worker where there are enough
-kernels, and go to a process pool, whose workers build the plans
-themselves.  ``--workers`` (default: every core) caps the pool; a
-``--workers`` below 1 is a config error.  Every point file and the
+chunks, pass records of one pass's kernels each, at least one per worker
+where there are enough kernels, and go to a process pool, whose workers
+build the plans themselves.  ``--workers`` (default: every core) caps the
+pool; a ``--workers`` below 1 is a config error.  Every point file and the
 manifest are the same whichever way the passes ran.
 
 Exit codes: 0 success, 1 validation failure, 2 config error (an --out that
@@ -53,10 +57,6 @@ CURVE_HEADER = "t,magnitude,phase,lambda1_re,lambda1_im,lambda2_re,lambda2_im,me
 SPECTRA_HEADER = "omega,J_abrupt,J_DL,J_exp"
 
 _SWEEPABLE = ("s", "cutoff", "lam", "gamma", "omega0", "omega_c", "omega_th", "regime", "dx", "dy")
-
-#: keys a sweep point may vary within one group; every other value fixes
-#: the kernel and hence the time moments
-_SEPARATION_KEYS = ("dx", "dy")
 
 #: seconds of sweep work left, as the planner rates it, above which a
 #: process pool finishes sooner than this process.  run_sweep of 36 exact
@@ -174,19 +174,22 @@ def _grid(cfg, var, spacing_key, lo, hi, n):
     """The grid of ``var`` ('t' or 'omega'): ``var``_points points (default n)
     from ``var``_min to ``var``_max (defaults lo, hi), spaced as the key
     ``spacing_key`` says; ConfigError unless 0 <= min < max, both finite,
-    naming the values in effect and which of them are defaults."""
+    and the points built are strictly increasing (too many points on too
+    short a span repeat some), naming the values in effect and which of
+    them are defaults."""
     keys = (var + "_min", var + "_max", var + "_points")
     lo, hi, n = values = [cfg.get(key, default) for key, default in zip(keys, (lo, hi, n))]
+    got = ", ".join("%s = %r%s" % (key, v, "" if key in cfg else " (default)") for key, v in zip(keys, values))
     if not (0 <= lo < hi < np.inf) or n < 2:
-        got = ", ".join("%s = %r%s" % (key, v, "" if key in cfg else " (default)") for key, v in zip(keys, values))
         raise ConfigError("need finite 0 <= %s_min < %s_max and %s_points >= 2, got %s" % (var, var, var, got))
-    if cfg[spacing_key] == "log":
-        if lo <= 0:
-            raise ConfigError("log grid needs %s_min > 0" % var)
-        return np.logspace(np.log10(lo), np.log10(hi), n)
-    if cfg[spacing_key] == "linear":
-        return np.linspace(lo, hi, n)
-    raise ConfigError("%s must be 'log' or 'linear'" % spacing_key)
+    if cfg[spacing_key] not in ("log", "linear"):
+        raise ConfigError("%s must be 'log' or 'linear'" % spacing_key)
+    if cfg[spacing_key] == "log" and lo <= 0:
+        raise ConfigError("log grid needs %s_min > 0" % var)
+    grid = np.logspace(np.log10(lo), np.log10(hi), n) if cfg[spacing_key] == "log" else np.linspace(lo, hi, n)
+    if not (grid[1:] > grid[:-1]).all():
+        raise ConfigError("the %s grid repeats points; it must be strictly increasing, got %s" % (var, got))
+    return grid
 
 
 def _require_writable(path):
@@ -284,44 +287,41 @@ def _sweep_points(cfg):
     return names, points
 
 
-def _group_key(point):
-    """The point's config without its separation; repr keeps -0.0 and 0.0
-    apart, which a float comparison would not."""
-    return tuple((k, repr(point[k])) for k in sorted(point) if k not in _SEPARATION_KEYS)
-
-
-def _run_sweep_group(kernels):
-    """Kernel groups of one moment pass, each [(index, path, objects)] of
-    built points that differ only in dx, dy -> [(index, status)].  One
-    ``_curves_many`` call serves them all; if it raises a package error, each
-    kernel group is run on its own, so the error stays with the points of
-    the kernel that raised it."""
-    sys_params, _, _, _, grid, method = kernels[0][0][2]
-    baths = [(points[0][2][1], points[0][2][2], [objs[3] for _, _, objs in points]) for points in kernels]
+def _run_sweep_group(record):
+    """One moment pass, (sys, grid, method, kernels) with kernels
+    [(sd, regime, [(index, path, sep)])] -> [(index, status)].  One
+    ``_curves_many`` call serves every kernel; if it raises a package error,
+    each kernel is run in a pass of its own, so the error stays with the
+    points of the kernel that raised it."""
+    sys_params, grid, method, kernels = record
+    baths = [(sd, regime, [sep for _, _, sep in points]) for sd, regime, points in kernels]
     try:
         series = _curves_many(sys_params, baths, grid, method)
     except QbmagError as exc:
         if len(kernels) > 1:
-            return [status for points in kernels for status in _run_sweep_group([points])]
-        return [(index, "error: %s" % exc) for index, _, _ in kernels[0]]
+            return [status for one in kernels for status in _run_sweep_group((sys_params, grid, method, [one]))]
+        return [(index, "error: %s" % exc) for _, _, points in kernels for index, _, _ in points]
     statuses = []
-    for points, curves in zip(kernels, series):
+    for (_, _, points), curves in zip(kernels, series):
         for (index, path, _), one in zip(points, curves):
             _atomic_write(path, _curve_csv(one))
             statuses.append((index, "numerical-error" if np.any(one.err_flag == FLAG_ERROR) else "ok"))
     return statuses
 
 
-def _split(items, parts):
-    """``items`` cut in order into ``parts`` runs of near-equal length."""
-    return [items[len(items) * i // parts : len(items) * (i + 1) // parts] for i in range(parts)]
+def _split(record, size):
+    """The pass ``record`` cut in order into the fewest passes of at most
+    ``size`` kernels each, of near-equal size."""
+    *common, kernels = record
+    parts = -(-len(kernels) // size)
+    return [(*common, kernels[len(kernels) * i // parts : len(kernels) * (i + 1) // parts]) for i in range(parts)]
 
 
 def _pool_chunks(passes, workers):
     """The passes left, cut into chunks of kernels of one pass each, at
     least min(workers, kernels) of them, so that every worker has one."""
-    size = max(1, sum(map(len, passes)) // workers)
-    return [chunk for one in passes for chunk in _split(one, -(-len(one) // size))]
+    size = max(1, sum(len(one[3]) for one in passes) // workers)
+    return [chunk for one in passes for chunk in _split(one, size)]
 
 
 def run_sweep(cfg, out_dir, workers):
@@ -336,17 +336,13 @@ def run_sweep(cfg, out_dir, workers):
     except OSError as exc:  # a file of that name, or an unwritable parent
         raise ConfigError("cannot write %s: %s" % (out_dir, exc.strerror))
     kernels = {}
-    grids = {}
+    shared = {}
     entries = []
     results = []
     for i, point in enumerate(points):
         fname = "point_%04d.csv" % i
-        entries.append(
-            {
-                "file": fname,
-                "params": {k: point[k] for k in sorted(point) if k in _SWEEPABLE or k in names},
-            }
-        )
+        params = {k: point[k] for k in sorted(point) if k in _SWEEPABLE or k in names}
+        entries.append({"file": fname, "params": params})
         # each point is built on its own, so a bad separation stays that
         # point's config error
         try:
@@ -354,17 +350,16 @@ def run_sweep(cfg, out_dir, workers):
         except ConfigError as exc:
             results.append((i, "config-error: %s" % exc))
             continue
-        # the points share each distinct grid, so the built points hold
-        # O(points + grids x grid points), not O(points x grid points)
-        grid = grids.setdefault(grid.tobytes(), grid)
-        objs = sys_params, sd, regime, sep, grid, method
-        kernels.setdefault(_group_key(point), []).append((i, os.path.join(out_dir, fname), objs))
-    shared = {}
-    for group in kernels.values():
-        sys_params, sd, regime, _, grid, method = group[0][2]
-        shared.setdefault(_pass_key(sys_params, sd, regime, grid, method), []).append(group)
-    passes = [one for group in shared.values() for one in _split(group, -(-len(group) // _PASS_KERNELS))]
-    total = left = sum(map(len, passes))
+        # the built objects name the kernel; repr keeps -0.0 and 0.0 apart
+        key = repr(sys_params), grid.tobytes(), method, repr(sd), repr(regime)
+        if key not in kernels:
+            kernels[key] = sd, regime, []
+            # a pass record holds its grid once, whichever points share it
+            record = shared.setdefault(_pass_key(sys_params, sd, regime, grid, method), (sys_params, grid, method, []))
+            record[3].append(kernels[key])
+        kernels[key][2].append((i, os.path.join(out_dir, fname), sep))
+    passes = [one for record in shared.values() for one in _split(record, _PASS_KERNELS)]
+    total = left = len(kernels)
     # CPU time of this thread, so other processes preempting it do not read
     # as work (wall time started 2-worker pools in bench sweeps of ~50 ms)
     start = last = time.thread_time()
@@ -377,11 +372,11 @@ def run_sweep(cfg, out_dir, workers):
                     results += statuses
             break
         results += _run_sweep_group(one)
-        left -= len(one)
+        left -= len(one[3])
         now = time.thread_time()
         # CPU seconds per kernel: the mean over the passes done, or the last
         # pass's, so costly kernels late in a sweep still reach the pool
-        rate = max((now - start) / (total - left), (now - last) / len(one))
+        rate = max((now - start) / (total - left), (now - last) / len(one[3]))
         last = now
     for index, status in results:
         entries[index]["status"] = status

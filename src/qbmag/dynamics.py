@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _rules
 from .bath import _require_finite
-from .errors import DegenerateSystemError, DomainError
+from .errors import DegenerateSystemError, DomainError, RangeError
 
 
 @dataclass(frozen=True)
@@ -202,6 +202,7 @@ def _split(lo, hi, pieces):
     return ends, seg
 
 
+@np.errstate(over="ignore")  # an overflow reads as an infinite count, which the check below refuses
 def _panel_edges(grid, mode_freq, plan):
     """Gauss panel edges over [0, grid[-1]] for an increasing grid >= 0, and
     the number of panels up to and including each grid point.
@@ -261,7 +262,10 @@ def _panel_edges(grid, mode_freq, plan):
         order = np.argsort(upper, kind="stable")
         upper, owner = upper[order], owner[order]
     low = np.concatenate([[0.0], upper])[:-1]
-    pieces = np.maximum(1, np.ceil((upper - low) / maxlen[owner]).astype(int))
+    pieces = np.ceil((upper - low) / maxlen[owner])
+    if not np.all(pieces < 2.0**63):  # false at inf and nan too
+        raise RangeError("the time grid needs more panels than an int64 counts, up to %g" % np.max(pieces))
+    pieces = np.maximum(1, pieces.astype(int))
     upper, seg = _split(low, upper, pieces)
     return np.concatenate([[0.0], upper]), np.cumsum(np.bincount(owner[seg], minlength=len(grid)))
 

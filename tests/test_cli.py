@@ -28,6 +28,10 @@ t_points=30
 """
 
 
+# t_max one ulp above t_min
+COLLAPSED_CFG = CURVE_CFG.replace("t_points=30", "t_min=1\nt_max=1.0000000000000002\nt_points=5")
+COLLAPSED_GOT = "t_min = 1.0, t_max = 1.0000000000000002, t_points = 5"
+
 DRUDE_CFG = CURVE_CFG.replace("s=1\ncutoff=abrupt", "s=%g\ncutoff=drude").replace("regime=low", "regime=%s")
 
 
@@ -579,6 +583,24 @@ t_points=30
 """
 
 
+# kernels that differ only in a signed zero: the low regime reads omega_th
+# nowhere, yet 0 and -0.0 build two regimes, so the four kernels stay apart
+# in their one pass
+SIGNED_ZERO_SWEEP_CFG = """
+s=0.5
+s=1.5
+cutoff=abrupt
+regime=low
+omega_th=0
+omega_th=-0.0
+lam=50
+omega0=10
+omega_c=1
+dx=0.7
+t_points=12
+"""
+
+
 @pytest.mark.parametrize(
     "text, passes",
     [
@@ -586,8 +608,9 @@ t_points=30
         (LOW_GAMMA_SWEEP_CFG, [[1] * 6] * 4),
         (EXACT_SWEEP_CFG, [[1] * 4, [1] * 2, [1] * 2]),
         (CLOSED_SWEEP_CFG, [[1] * 8]),
+        (SIGNED_ZERO_SWEEP_CFG, [[1] * 4]),
     ],
-    ids=["s-cutoff-regime-dx", "gamma-omega_th-low", "exact", "closed-fallback"],
+    ids=["s-cutoff-regime-dx", "gamma-omega_th-low", "exact", "closed-fallback", "signed-zero-omega_th-low"],
 )
 def test_sweep_points_are_their_curves(tmp_path, count_passes, text, passes):
     # every point file is run_curve's on that point's config, byte for
@@ -696,12 +719,12 @@ def test_sweep_of_one_layout_runs_in_the_pool(tmp_path, monkeypatch, count_pools
 def test_pool_chunks_give_every_worker_one():
     # chunks keep their layout and order; there are at least
     # min(workers, kernels) of them
-    passes = [list("abcdefgh"), list("ij"), list("k")]
+    passes = [(i, "grid", "method", list(kernels)) for i, kernels in enumerate(["abcdefgh", "ij", "k"])]
     for workers in range(1, 14):
         chunks = cli._pool_chunks(passes, workers)
-        assert [k for chunk in chunks for k in chunk] == list("abcdefghijk")
-        assert all(set(chunk) <= set(one) for chunk in chunks for one in passes if chunk[0] in one)
-        assert len(chunks) >= min(workers, 11) and all(chunks)
+        assert [k for chunk in chunks for k in chunk[3]] == list("abcdefghijk")
+        assert all(set(chunk[3]) <= set(passes[chunk[0]][3]) and chunk[:3] == passes[chunk[0]][:3] for chunk in chunks)
+        assert len(chunks) >= min(workers, 11) and all(chunk[3] for chunk in chunks)
 
 
 # 18 kernels of two separations: s x cutoff x omega0, cutoff in the order
@@ -743,11 +766,10 @@ def _planned_sweep(tmp_path, monkeypatch, cfg, cost):
     clock = [0.0]
     real_group = cli._run_sweep_group
 
-    def charged(kernels):
-        # a pass costs what its kernels cost, each read off the bath of its
-        # first point
-        out = real_group(kernels)
-        clock[0] += sum(cost[points[0][2][1].cutoff.value] for points in kernels)
+    def charged(record):
+        # a pass costs what its kernels cost, each read off its bath
+        out = real_group(record)
+        clock[0] += sum(cost[sd.cutoff.value] for sd, _, _ in record[3])
         return out
 
     made, handed = [], []
@@ -764,7 +786,7 @@ def _planned_sweep(tmp_path, monkeypatch, cfg, cost):
 
         def map(self, fn, groups):
             groups = list(groups)
-            handed.append([len(chunk) for chunk in groups])
+            handed.append([len(chunk[3]) for chunk in groups])
             return map(fn, groups)
 
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(thread_time=lambda: clock[0]))
@@ -885,6 +907,10 @@ def test_curve_config_errors_exit_2(tmp_path, capsys, text, match):
         # t from 1e-3/Lam to min(1, 700/Lam) for Lam <= 1e-3
         ("spectra", "lam=0.1\n", "got omega_min = 1.0 (default), omega_max = 0.5 (default), omega_points = 400 (default)"),
         ("curve", CURVE_CFG.replace("lam=1e3", "lam=1e-4"), "got t_min = 10.0 (default), t_max = 1.0 (default), t_points = 30"),
+        # five points on a span of one ulp repeat some, in either spacing
+        ("curve", COLLAPSED_CFG, "the t grid repeats points; it must be strictly increasing, got " + COLLAPSED_GOT),
+        ("curve", COLLAPSED_CFG + "grid=linear\n", "the t grid repeats points"),
+        ("spectra", "lam=3\nomega_min=1\nomega_max=1.0000000000000002\nomega_points=5\n", "the omega grid repeats points"),
     ],
 )
 def test_invalid_grid_or_method_exit_2_without_warning(tmp_path, capsys, command, text, match):
@@ -896,6 +922,34 @@ def test_invalid_grid_or_method_exit_2_without_warning(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and match in err
     assert not out.exists()
+
+
+def test_sweep_reports_a_collapsed_grid_as_config_error(tmp_path):
+    out = tmp_path / "sweep"
+    assert cli.run_sweep(parse_config(COLLAPSED_CFG + "s=0.5\n"), str(out), workers=1) == 3
+    statuses = [p["status"] for p in json.loads(Path(out, "manifest.json").read_text())["points"]]
+    assert statuses == ["config-error: the t grid repeats points; it must be strictly increasing, got " + COLLAPSED_GOT] * 2
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+# a grid from 1e-300 to 1e308 needs more panels of at most pi / (Lam + A' + B')
+# than an int64 counts
+OVERFLOW_CFG = CURVE_CFG.replace("lam=1e3", "lam=50").replace("t_points=30", "t_min=1e-300\nt_max=1e308")
+
+
+def test_curve_whose_panels_overflow_exits_3(tmp_path, capsys):
+    cfg = write(tmp_path, "huge.cfg", OVERFLOW_CFG)
+    out = tmp_path / "x.csv"
+    assert cli.main(["curve", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical error: the time grid needs more panels than an int64 counts, up to inf\n"
+    assert not out.exists()
+
+
+def test_sweep_reports_panel_overflow_per_point(tmp_path):
+    out = tmp_path / "sweep"
+    assert cli.run_sweep(parse_config(OVERFLOW_CFG + "dx=2\n"), str(out), workers=1) == 3
+    statuses = [p["status"] for p in json.loads(Path(out, "manifest.json").read_text())["points"]]
+    assert statuses == ["error: the time grid needs more panels than an int64 counts, up to inf"] * 2
 
 
 def test_atomic_write_cleans_up_after_a_failed_replace(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from qbmag.decoherence import (
 )
 from qbmag.coefficients import lambda_from_kernel
 from qbmag.dynamics import KernelPlan, SystemParams, f_weight, mode_constants, time_moments
-from qbmag.errors import DomainError, UnsupportedFormError
+from qbmag.errors import DomainError, RangeError, UnsupportedFormError
 from test_bath import bose_integral
 
 SYS = SystemParams(omega0=10.0, omega_c=1.0, omega_th=1e3)
@@ -413,6 +413,18 @@ def test_curve_grid_validation():
         curve(SYS, SD, HIGH, SEP, np.array([0.1, 0.1, 0.2]))
     with pytest.raises(DomainError):
         curve(SYS, SD, HIGH, SEP, np.array([-0.1, 0.2]))
+
+
+def test_grid_with_more_panels_than_an_int64_raises_range_error():
+    # panels of at most pi / (Lam + A' + B') from 1e-300 to 1e308; the
+    # package error comes with no overflow warning
+    sys_params = SystemParams(omega0=10.0, omega_c=1.0)
+    sd = SpectralDensity(1.0, Cutoff.ABRUPT, 50.0)
+    grid = np.array([1e-300, 1.0, 1e308])
+    with pytest.raises(RangeError, match="more panels than an int64 counts"):
+        curve(sys_params, sd, LOW, SEP, grid)
+    with pytest.raises(RangeError, match="more panels than an int64 counts"):
+        exponents(sys_params, sd, LOW, SEP, 1e308)
 
 
 def test_phase_zero_on_real_kernels():
