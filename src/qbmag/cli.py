@@ -2,8 +2,9 @@
 
 Configs are flat ``key=value`` text files; a key repeated on several lines
 turns into a sweep axis for the ``sweep`` subcommand.  Frequencies are in
-units of gamma/m, times in m/gamma, separations in sqrt(hbar/gamma); the
-scales gamma = hbar = 1 are overridable per config.
+units of gamma/m, times in m/gamma, separations in sqrt(hbar/gamma), with
+hbar = 1; gamma = 1 is overridable per config, and a coupling at another
+hbar is the config's gamma/hbar.
 
 One builder makes the time grid of ``curve`` and ``sweep`` and the
 frequency grid of ``spectra``; a bad grid or method is a config error, a
@@ -81,7 +82,7 @@ _POOL_BREAK_EVEN_S = 0.3
 _PASS_KERNELS = 8
 
 _FLOAT_KEYS = {
-    "s", "lam", "gamma", "omega0", "omega_c", "omega_th", "dx", "dy", "hbar",
+    "s", "lam", "gamma", "omega0", "omega_c", "omega_th", "dx", "dy",
     "t_min", "t_max", "omega_min", "omega_max",
 }
 _INT_KEYS = {"t_points", "omega_points", "sweep_cap"}
@@ -94,7 +95,6 @@ _DEFAULTS = {
     "omega_th": 0.0,
     "dx": 1.0,
     "dy": 1.0,
-    "hbar": 1.0,
     "grid": "log",
     "method": "quadrature",
     "omega_grid": "log",
@@ -145,6 +145,9 @@ def _scalar_config(cfg):
     merged = dict(_DEFAULTS)
     merged.update(cfg)
     for key, val in merged.items():
+        # a config passed as a dict, as a sweep's points are, skips parse_config
+        if key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
+            raise ConfigError("unknown key %r" % key)
         if isinstance(val, list):
             raise ConfigError("key %r has multiple values; only the sweep subcommand sweeps" % key)
     if "lam" not in merged:
@@ -160,7 +163,7 @@ def _build_objects(cfg):
         sd = SpectralDensity(cfg["s"], cfg["cutoff"], cfg["lam"], cfg["gamma"])
         regime = ThermalRegime(cfg["regime"], cfg["omega_th"])
         require_integrable(sd, regime)
-        sys_params = SystemParams(omega0=cfg["omega0"], omega_c=cfg["omega_c"], hbar=cfg["hbar"])
+        sys_params = SystemParams(omega0=cfg["omega0"], omega_c=cfg["omega_c"])
         sep = Separation(cfg["dx"], cfg["dy"])
     except (QbmagError, ValueError) as exc:  # ValueError: an unknown cutoff or regime name
         raise ConfigError(str(exc))

@@ -1,7 +1,8 @@
 """Master-equation decoherence coefficients lambda1(t), lambda2(t).
 
 lambda1(t) = (1/hbar) int_0^t nu(tau) F1(tau) dtau and lambda2 likewise with
-F2.  Two evaluation paths:
+F2, in units with hbar = 1 (nu is proportional to gamma, so a coupling at
+another hbar is gamma/hbar here).  Two evaluation paths:
 
 * ``lambda_from_kernel`` -- adaptive time integral of a caller-supplied
   kernel.  With the analytic kernel a closed form integrates it validates
@@ -57,7 +58,7 @@ FINDINGS = {
 # validated analytic forms (one helper per cutoff/regime)
 # --------------------------------------------------------------------------
 
-def _abrupt_validated(sd, regime, mc, t, hbar):
+def _abrupt_validated(sd, regime, mc, t):
     lam, gam = sd.lam, sd.gamma
     ap, bp, m, p, g = mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef, mc.g_coef
     if lam <= ap:
@@ -67,7 +68,7 @@ def _abrupt_validated(sd, regime, mc, t, hbar):
         l1 = complex(
             gam
             * oth
-            / (2 * hbar)
+            / 2
             * sum(
                 w * (Si((lam - z) * t) + Si((lam + z) * t)).real
                 for w, z in ((m, ap), (p, bp))
@@ -81,13 +82,13 @@ def _abrupt_validated(sd, regime, mc, t, hbar):
                     (lam + z) / (lam - z)
                 )
 
-            l2 = complex(gam * oth * g / (2 * hbar) * (cgrp(bp) / bp - cgrp(ap) / ap))
+            l2 = complex(gam * oth * g / 2 * (cgrp(bp) / bp - cgrp(ap) / ap))
         return l1, l2
     # low temperature: lambda2 depends on the undefined f3 of the source
     # display, so it has no closed form (the defining path gives it)
     l1 = complex(
         gam
-        / (2 * hbar * t)
+        / (2 * t)
         * (
             2
             * (1 - np.cos(lam * t))
@@ -104,7 +105,7 @@ def _abrupt_validated(sd, regime, mc, t, hbar):
     return l1, None
 
 
-def _drude_validated(sd, regime, mc, t, hbar):
+def _drude_validated(sd, regime, mc, t):
     lam, gam = sd.lam, sd.gamma
     ap, bp, m, p, g = mc.a_prime, mc.b_prime, mc.m_coef, mc.p_coef, mc.g_coef
     cot = 1.0 / np.tan(lam / regime.omega_th)
@@ -118,7 +119,7 @@ def _drude_validated(sd, regime, mc, t, hbar):
 
     high = regime.kind is RegimeKind.HIGH_TEMPERATURE
     oth = regime.omega_th
-    pref = gam * np.pi * lam**2 / (2 * hbar)
+    pref = gam * np.pi * lam**2 / 2
 
     def ipc(z):
         # pi Omega_th (1 - cos zt)/z^2 - (i + pi Omega_th t) sin(zt)/z, in
@@ -205,7 +206,7 @@ def _exp_mode(a, bigt, high, m):
     return chi.real, chi.imag / a - m1
 
 
-def _exp_validated(sd, regime, mc, t, hbar):
+def _exp_validated(sd, regime, mc, t):
     # nu(tau) dtau = c k(y) dy with y = Lam tau and c = gamma Omega_th (high)
     # or gamma Lam (low), so int_0^t nu e^{iz tau} dtau = c chi(z / Lam)
     lam, gam = sd.lam, sd.gamma
@@ -222,8 +223,8 @@ def _exp_validated(sd, regime, mc, t, hbar):
     series = min(modes) * bigt <= _SERIES_MAX_AT
     moments = _exp_moments(bigt, high, 2 * _SERIES_TERMS) if series else None
     (ra, qa), (rb, qb) = (_exp_mode(a, bigt, high, moments) for a in modes)
-    l1 = float(scale * (m * ra + p * rb) / hbar)
-    l2 = float(scale / lam * g * (qb - qa) / hbar)
+    l1 = float(scale * (m * ra + p * rb))
+    l2 = float(scale / lam * g * (qb - qa))
     return complex(gam * l1), complex(gam * l2)
 
 
@@ -314,7 +315,7 @@ def _g8(z, vp, t, lam):
     )
 
 
-def _lambda_printed(sd, regime, mc, t, hbar):
+def _lambda_printed(sd, regime, mc, t):
     high = regime.kind is RegimeKind.HIGH_TEMPERATURE
     # these displays divide by B' (g1, g2) or take Ci(+-i B'/Lam) (g6, g8)
     if mc.b_prime == 0.0 and (sd.cutoff is Cutoff.EXPONENTIAL or (sd.cutoff is Cutoff.DRUDE_LORENTZ and high)):
@@ -324,9 +325,9 @@ def _lambda_printed(sd, regime, mc, t, hbar):
     a_im, b_im = 1j * ap, 1j * bp
     if sd.cutoff is Cutoff.ABRUPT:
         if not high:
-            return _abrupt_validated(sd, regime, mc, t, hbar)
+            return _abrupt_validated(sd, regime, mc, t)
         oth = regime.omega_th
-        l1 = gam * oth / (2 * hbar) * (
+        l1 = gam * oth / 2 * (
             -m * Si(t * (ap - lam))
             - p * Si(t * (bp - lam))
             + m * Si(t * (ap + lam))
@@ -340,32 +341,32 @@ def _lambda_printed(sd, regime, mc, t, hbar):
                 + np.log((lam + z) / (lam - z))
             )
 
-        l2 = (-1j * oth * gam / (2 * hbar)) * g * (b_im * grp(ap) - a_im * grp(bp))
+        l2 = (-1j * oth * gam / 2) * g * (b_im * grp(ap) - a_im * grp(bp))
         return l1, l2
     if sd.cutoff is Cutoff.DRUDE_LORENTZ:
         oth = regime.omega_th
         cot = 1.0 / np.tan(lam / oth)
         if high:
-            l1 = gam * np.pi / (2 * hbar) * (_g1(ap, t, lam, oth) * m + _g1(bp, t, lam, oth) * p)
-            l2 = (1j * gam * g * np.pi / (2 * hbar)) * (
+            l1 = gam * np.pi / 2 * (_g1(ap, t, lam, oth) * m + _g1(bp, t, lam, oth) * p)
+            l2 = (1j * gam * g * np.pi / 2) * (
                 _g2(a_im, bp, t, lam, oth) - _g2(b_im, ap, t, lam, oth)
             )
         else:
-            l1 = gam * np.pi * lam**2 / (2 * hbar) * cot * (m * _g3(ap, t, lam) + p * _g3(bp, t, lam))
-            l2 = (-1j * gam * np.pi * lam**2 * g / (2 * hbar)) * cot * (
+            l1 = gam * np.pi * lam**2 / 2 * cot * (m * _g3(ap, t, lam) + p * _g3(bp, t, lam))
+            l2 = (-1j * gam * np.pi * lam**2 * g / 2) * cot * (
                 _g4(a_im, bp, t, lam) - _g4(b_im, ap, t, lam)
             )
         return l1, l2
     # exponential
     if high:
         oth = regime.omega_th
-        l1 = gam * oth / (2 * hbar) * (m * _g5(ap, t, lam) + p * _g5(bp, t, lam))
-        l2 = (-1j * gam * g * oth / (2 * hbar)) * (
+        l1 = gam * oth / 2 * (m * _g5(ap, t, lam) + p * _g5(bp, t, lam))
+        l2 = (-1j * gam * g * oth / 2) * (
             _g6(a_im, bp, t, lam) - _g6(b_im, ap, t, lam)
         )
         return l1, l2
-    l1 = gam / (hbar * (2 + 2 * t**2 * lam**2)) * (m * _g7(ap, t, lam) + p * _g7(bp, t, lam))
-    l2 = (gam * g / (hbar * (2 + 2 * t**2 * lam**2))) * (
+    l1 = gam / (2 + 2 * t**2 * lam**2) * (m * _g7(ap, t, lam) + p * _g7(bp, t, lam))
+    l2 = (gam * g / (2 + 2 * t**2 * lam**2)) * (
         _g8(a_im, bp, t, lam) - _g8(b_im, ap, t, lam)
     )
     return l1, l2
@@ -410,7 +411,7 @@ def lambda_closed(sys, sd, regime, t, variant="validated"):
             forms = _drude_validated
         else:
             forms = _exp_validated
-        l1, l2 = forms(sd, regime, mode_constants(sys), t, sys.hbar)
+        l1, l2 = forms(sd, regime, mode_constants(sys), t)
     return LambdaPair(
         complex(l1),
         None if l2 is None else complex(l2),
@@ -446,7 +447,7 @@ def lambda_from_kernel(sys, kernel, t):
         im, im_err = _quad(
             lambda u: np.imag(kernel(u)) * fw(u), t, limit=800, epsabs=1e-13, epsrel=1e-10
         )
-        out.append((re + 1j * im) / sys.hbar)
-        err = max(err, (re_err + im_err) / sys.hbar)
+        out.append(re + 1j * im)
+        err = max(err, re_err + im_err)
     return LambdaPair(out[0], out[1], float(t), "same-kernel-quadrature", err)
 

@@ -9,7 +9,7 @@ where the factor 2 in D2 matches the cross term of the decay-rate functional
 D(t) = lambda1 (dx^2+dy^2) + 2 lambda2 dx dy.  Both cumulative integrals are
 computed on a shared time grid in a single pass through the identity
 int_0^t (t-u) f(u) du = t c0(t) - c1(t) with c0, c1 the running moments of
-f = nu F / hbar, so a whole curve costs one pass of kernel evaluations,
+f = nu F (hbar = 1), so a whole curve costs one pass of kernel evaluations,
 made in blocks of nodes (``dynamics.time_moments``).
 
 ``_many_moments``, the one entry to that engine for curves, sweeps,
@@ -178,20 +178,18 @@ def _moments(sys, sd, regime, grid, method="quadrature"):
     return _many_moments(sys, [(sd, regime, method)], grid)[0]
 
 
-def _exponent_arrays(sys, mom, grid):
+def _exponent_arrays(mom, grid):
     """(int_0^t lambda dt', lambda, estimated error of the first) on `grid`
     from its moments, columns lambda1 and lambda2."""
     tcol = np.asarray(grid)[:, None]
-    int_lam = (tcol * mom.c0 - mom.c1) / sys.hbar
-    int_err = (tcol * mom.d0 - mom.d1) / sys.hbar
-    return int_lam, mom.c0 / sys.hbar, int_err
+    return tcol * mom.c0 - mom.c1, mom.c0.copy(), tcol * mom.d0 - mom.d1
 
 
 def exponents(sys, sd, regime, sep, t):
     """Cumulative decoherence exponents D1(t), D2(t) at a single time t,
     finite and >= 0 (DomainError otherwise)."""
     grid = np.array([float(_finite_nonnegative("t", t))])
-    int_lam = _exponent_arrays(sys, _moments(sys, sd, regime, grid), grid)[0]
+    int_lam = _exponent_arrays(_moments(sys, sd, regime, grid), grid)[0]
     d1 = (sep.dx**2 + sep.dy**2) * int_lam[0, 0]
     d2 = 2.0 * sep.dx * sep.dy * int_lam[0, 1]
     return DecoherenceExponent(complex(d1), complex(d2), float(t))
@@ -207,14 +205,14 @@ def density_ratio(sys, sd, regime, sep, t):
 
 
 def hightemp_rate(sys, sd, regime, sep):
-    """Long-time classical decay rate gamma Omega_th (dx^2 + dy^2) / (2 hbar) of
+    """Long-time classical decay rate gamma Omega_th (dx^2 + dy^2) / 2 of
     the bath ``sd`` in the high-temperature ``regime`` (DomainError otherwise).
 
     Pure formula (no integration); independent of the cyclotron frequency.
     """
     if regime.kind is not RegimeKind.HIGH_TEMPERATURE:
         raise DomainError("hightemp_rate needs the high-temperature regime")
-    return sd.gamma * regime.omega_th * (sep.dx**2 + sep.dy**2) / (2.0 * sys.hbar)
+    return sd.gamma * regime.omega_th * (sep.dx**2 + sep.dy**2) / 2.0
 
 
 def lowtemp_powerlaw(sys, sd, sep):
@@ -229,7 +227,7 @@ def lowtemp_powerlaw(sys, sd, sep):
     lam = sd.lam
     if lam <= mc.a_prime:
         raise DomainError("power law requires Lam > A'")
-    exponent = (sd.gamma / sys.hbar) * (sep.dx**2 + sep.dy**2)
+    exponent = sd.gamma * (sep.dx**2 + sep.dy**2)
     gl = np.euler_gamma + np.log(lam)
     ap2, bp2 = mc.a_prime**2, mc.b_prime**2
     logc = (
@@ -296,9 +294,9 @@ def _closed_rows(sd, regime, grid, method):
 
 
 def _pass_key(sys, sd, regime, grid, method):
-    """What baths must share to share a ``_curves_many`` pass: the modes and
-    hbar, the grid, the method and the panel layout of the bath's plan; repr
-    and the grid's bytes keep -0.0 and 0.0 apart.  Callers compare keys only."""
+    """What baths must share to share a ``_curves_many`` pass: the modes,
+    the grid, the method and the panel layout of the bath's plan; repr and
+    the grid's bytes keep -0.0 and 0.0 apart.  Callers compare keys only."""
     main = method if _closed_rows(sd, regime, grid, method) == len(grid) else "quadrature"
     return repr(sys), grid.tobytes(), method, _kernel_for(sd, regime, main).layout
 
@@ -328,10 +326,10 @@ def _bath_curves(sys, sd, regime, seps, grid, method, rows, mom):
     """The curves of one bath from the moments of its pass over the whole
     grid; if only its first ``rows`` rows take ``method`` (``_closed_rows``),
     they take a closed pass of their own and the later rows fall back."""
-    int_lam, lam_s, int_err = _exponent_arrays(sys, mom, grid)
+    int_lam, lam_s, int_err = _exponent_arrays(mom, grid)
     if 0 < rows < len(grid):
         head = grid[:rows]
-        int_lam[:rows], lam_s[:rows], int_err[:rows] = _exponent_arrays(sys, _moments(sys, sd, regime, head, method), head)
+        int_lam[:rows], lam_s[:rows], int_err[:rows] = _exponent_arrays(_moments(sys, sd, regime, head, method), head)
     fallback = np.where(np.arange(len(grid)) < rows, FLAG_OK, FLAG_FALLBACK)
     methods = (method,) * rows + ("quadrature",) * (len(grid) - rows)
 

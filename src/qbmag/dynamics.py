@@ -25,7 +25,7 @@ moments at a time depend only on its plan and the grid up to it.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -36,20 +36,20 @@ from .errors import DegenerateSystemError, DomainError, RangeError
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Particle, trap, field and unit parameters (frequencies in gamma/m).
+    """Particle, trap and field parameters (frequencies in gamma/m), in
+    units with hbar = 1: ``hbar`` is a class constant that names the unit,
+    not a field, and no qbmag code reads it (a coupling gamma at another
+    hbar is the bath's gamma/hbar).  ``omega_th`` is read by nothing (the
+    thermal regime carries it); it stays because the benchmark's workloads
+    pass it."""
 
-    ``omega_th`` is read by nothing (the thermal regime carries it); it
-    stays because the benchmark's workloads pass it."""
-
+    hbar: ClassVar[float] = 1.0
     omega0: float
     omega_c: float
-    hbar: float = 1.0
     omega_th: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, ("omega0", "omega_c", "hbar", "omega_th"))
-        if self.hbar <= 0:
-            raise DomainError("hbar must be > 0")
+        _require_finite(self, ("omega0", "omega_c", "omega_th"))
         if self.omega0 < 0 or self.omega_c < 0:
             raise DomainError("omega0 and omega_c must be >= 0")
         if self.omega0 == 0 and self.omega_c == 0:
@@ -228,6 +228,9 @@ def _panel_edges(grid, mode_freq, plan):
     ceil(length/maxlen) equal panels, so an interval whose equal panels
     keep the rule, as on log grids whose points are 7% apart, gets no rung,
     and each interval's layout depends only on its ends.
+
+    RangeError where a ladder's powers (1 + kappa)^k would overflow, as
+    from a subnormal start under floor 0, or an int64 cannot count the panels.
     """
     grid = np.asarray(grid, dtype=float)
     a = np.concatenate([[0.0], grid[:-1]])
@@ -250,6 +253,11 @@ def _panel_edges(grid, mode_freq, plan):
     if need.any():
         ladder, kappa, first = rest[need], kappa[need], first[need]
         ratio = 1.0 + kappa
+        # the powers of ratio below reach (maxlen / first) ratio^2, past
+        # 2^1024 for a first below about maxlen 2^-1022, as from a subnormal
+        # start under floor 0; ratio^3 leaves one power of margin
+        if not np.all(maxlen[ladder] / first * ratio**3 < np.inf):
+            raise RangeError("the time grid starts too close to 0: a ladder of panels from %r climbs past the float range" % float(first.min()))
         # an upper bound on the rungs whose panel is shorter than maxlen
         rungs = np.ceil(np.log(maxlen[ladder] / first) / np.log(ratio)).astype(int) + 1
         at = np.repeat(np.arange(len(ladder)), rungs)

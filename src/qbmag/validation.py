@@ -378,7 +378,7 @@ def check_criterion_5():
             regime = ThermalRegime(rkind, oth)
             ts = np.sort(np.exp(rng.uniform(np.log(1e-3), np.log(min(1.0, 500.0 / lam)), 3)))
             mom = decoherence._moments(sys, sd, regime, ts, "closed")
-            for t, (lq1, lq2) in zip(ts, mom.c0 / sys.hbar):
+            for t, (lq1, lq2) in zip(ts, mom.c0):
                 lv = coefficients.lambda_closed(sys, sd, regime, float(t), "validated")
                 worst = max(worst, _relerr(lv.lambda1, lq1))
                 if lv.lambda2 is not None:

@@ -881,8 +881,10 @@ def test_sweep_workers_ignore_the_environment(tmp_path, monkeypatch):
         (DRUDE_CFG % (2.0, "low"), "not integrable"),
         (DRUDE_CFG % (2.5, "low"), "not integrable"),
         (DRUDE_CFG % (3.2, "high"), "not integrable"),
-        # no curve depends on the mass, so it is not a key
+        # no curve depends on the mass, so it is not a key; nor on hbar but
+        # through gamma / hbar, so qbmag works in units with hbar = 1
         (CURVE_CFG + "m=2\n", "unknown key 'm'"),
+        (CURVE_CFG + "hbar=2\n", "unknown key 'hbar'"),
     ],
 )
 def test_curve_config_errors_exit_2(tmp_path, capsys, text, match):
@@ -950,6 +952,43 @@ def test_sweep_reports_panel_overflow_per_point(tmp_path):
     assert cli.run_sweep(parse_config(OVERFLOW_CFG + "dx=2\n"), str(out), workers=1) == 3
     statuses = [p["status"] for p in json.loads(Path(out, "manifest.json").read_text())["points"]]
     assert statuses == ["error: the time grid needs more panels than an int64 counts, up to inf"] * 2
+
+
+# a subnormal first time under a Drude-Lorentz kernel, whose floor 0 would
+# ladder the grid interval [5e-324, t_2] by doublings from 5e-324
+SUBNORMAL_CFG = CURVE_CFG.replace("cutoff=abrupt", "cutoff=drude").replace("lam=1e3", "lam=50").replace(
+    "t_points=30", "t_min=5e-324\nt_max=1"
+)
+
+
+def test_curve_from_a_subnormal_time_exits_without_traceback(tmp_path, capsys):
+    # the Drude-Lorentz ladder's powers would overflow: a numerical error,
+    # exit 3, where maxlen / first overflowed and np.repeat raised (exit 1)
+    cfg = write(tmp_path, "sub.cfg", SUBNORMAL_CFG)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["curve", "--config", cfg, "--out", str(out)]) == 3
+    err = "numerical error: the time grid starts too close to 0: a ladder of panels from 5e-324 climbs past the float range\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+    # the abrupt kernel's floor 1/Lam takes no ladder there, and gives a curve
+    cfg = write(tmp_path, "sub.cfg", SUBNORMAL_CFG.replace("cutoff=drude", "cutoff=abrupt"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["curve", "--config", cfg, "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 200 and rows[0].startswith("5e-324,")
+
+
+def test_sweep_point_that_sets_hbar_is_a_config_error(tmp_path):
+    # a config passed as a dict skips parse_config; each point refuses the key
+    cfg = dict(parse_config(CURVE_CFG + "dx=2\n"), hbar=2.0)
+    out = tmp_path / "sweep"
+    assert cli.run_sweep(cfg, str(out), workers=1) == 3
+    statuses = [p["status"] for p in json.loads(Path(out, "manifest.json").read_text())["points"]]
+    assert statuses == ["config-error: unknown key 'hbar'"] * 2
+    assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
 def test_atomic_write_cleans_up_after_a_failed_replace(tmp_path, monkeypatch):

@@ -413,8 +413,8 @@ def test_criterion_5_detects_a_validated_form_off_by_1e_3(monkeypatch):
 
     good = coefficients._exp_validated
 
-    def off(sd, regime, mc, t, hbar):
-        l1, l2 = good(sd, regime, mc, t, hbar)
+    def off(sd, regime, mc, t):
+        l1, l2 = good(sd, regime, mc, t)
         return l1 * (1.0 + 1e-3), l2
 
     monkeypatch.setattr(coefficients, "_exp_validated", off)

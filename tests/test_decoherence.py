@@ -62,10 +62,9 @@ def test_hightemp_rate_formula():
     assert hightemp_rate(SYS, SD, HIGH, Separation(0.0, 0.0)) == 0.0
     other = SystemParams(omega0=10.0, omega_c=10.0)
     assert hightemp_rate(other, SD, HIGH, SEP) == hightemp_rate(SYS, SD, HIGH, SEP)
-    # gamma and Omega_th come from the bath objects, hbar from the system
-    sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3, 0.25)
-    half = SystemParams(omega0=10.0, omega_c=1.0, hbar=0.5)
-    assert hightemp_rate(half, sd, ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 40.0), SEP) == 20.0
+    # gamma and Omega_th come from the bath objects
+    sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3, 0.5)
+    assert hightemp_rate(SYS, sd, ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 40.0), SEP) == 20.0
     for regime in (LOW, ThermalRegime(RegimeKind.EXACT, 1e3)):
         with pytest.raises(DomainError, match="high-temperature"):
             hightemp_rate(SYS, SD, regime, SEP)
@@ -748,7 +747,7 @@ def test_quadrature_curves_keep_the_lambda1_bounds(s, cutoff, regime, grid):
     sd = SpectralDensity(s, cutoff, 200.0)
     grid = default_grid(sd) if grid is None else grid
     mom = decoherence._moments(SYS, sd, regime, grid)
-    int_lam, _, int_err = decoherence._exponent_arrays(SYS, mom, grid)
+    int_lam, _, int_err = decoherence._exponent_arrays(mom, grid)
     hbar, eps = SYS.hbar, np.finfo(float).eps
     margin = np.abs(int_err[:, 0]) + 8 * eps * (np.abs(grid * mom.c0[:, 0]) + np.abs(mom.c1[:, 0])) / hbar
     assert np.all(int_lam[:, 0].real >= -margin)

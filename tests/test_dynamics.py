@@ -16,7 +16,7 @@ from qbmag.dynamics import (
     mode_constants,
     time_moments,
 )
-from qbmag.errors import DegenerateSystemError, DomainError, QbmagError
+from qbmag.errors import DegenerateSystemError, DomainError, QbmagError, RangeError
 
 
 def test_modes_no_field():
@@ -130,7 +130,7 @@ def test_f2_zero_without_trap():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_system_parameters_rejected(bad):
-    base = dict(omega0=1.0, omega_c=0.5, hbar=1.0, omega_th=2.0)
+    base = dict(omega0=1.0, omega_c=0.5, omega_th=2.0)
     for field in base:
         with pytest.raises(DomainError):
             SystemParams(**dict(base, **{field: bad}))
@@ -320,16 +320,40 @@ def test_time_moments_reject_plans_of_two_layouts():
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        (dict(hbar=0.0), "hbar must be > 0"),
-        (dict(hbar=-0.0), "hbar must be > 0"),
-        (dict(hbar=-1.0), "hbar must be > 0"),
-        (dict(omega0=-1.0), "omega0 and omega_c"),
-        (dict(omega_c=-0.5), "omega0 and omega_c"),
+        pytest.param(dict(omega0=-1.0), "omega0 and omega_c", id="kwargs3-omega0 and omega_c"),
+        pytest.param(dict(omega_c=-0.5), "omega0 and omega_c", id="kwargs4-omega0 and omega_c"),
     ],
 )
 def test_system_params_reject_out_of_domain(kwargs, match):
     with pytest.raises(DomainError, match=match):
         SystemParams(**dict(dict(omega0=10.0, omega_c=1.0), **kwargs))
+
+
+def test_system_params_work_in_units_with_hbar_1():
+    # hbar names the unit and is no field: a coupling at another hbar is
+    # the bath's gamma / hbar
+    assert SystemParams.hbar == 1.0
+    assert [f.name for f in dataclasses.fields(SystemParams)] == ["omega0", "omega_c", "omega_th"]
+    with pytest.raises(TypeError):
+        SystemParams(omega0=10, omega_c=1, hbar=2)
+
+
+def test_ladder_past_the_float_range_raises_range_error():
+    # a floor-0 kernel on the grid interval [5e-324, 1] would climb from
+    # 5e-324 = 2^-1074 by doublings, past 2^1024 in the powers: it is
+    # refused without a numpy warning, where maxlen / first overflowed to an
+    # int cast of inf and np.repeat raised ValueError
+    plan = KernelPlan(lambda u: u, 50.0, np.inf, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match="too close to 0: a ladder of panels from 5e-324 climbs"):
+            dynamics._panel_edges(np.array([5e-324, 1.0]), 11.0, plan)
+        # from 1e-300 the ladder fits: it doubles until its panel would
+        # pass maxlen, half a period of Lam + A' + B'
+        edges, counts = dynamics._panel_edges(np.array([2.0**-997, 1.0]), 11.0, plan)
+    ladder = edges[(edges > 2.0**-997) & (edges <= 2.0**-4)]
+    assert np.array_equal(ladder, 2.0 ** np.arange(-996.0, -3.0))
+    assert np.all(np.diff(edges) <= np.pi / 61.0) and counts[-1] == len(edges) - 1
 
 
 def _float64_mode_constants(sys):
