@@ -2,9 +2,9 @@
 """Long-time decay laws in the two temperature regimes.
 
 Classical regime: -ln|rho/rho0| grows linearly.  The fitted rate comes out
-pi times gamma Omega_th (dx^2+dy^2)/(2 hbar): each sine-integral in the
-cumulative exponent tends to pi/2 and the mode weights sum to one, so the
-prefactor is pi, not 1.  (The validation report tracks this as the
+pi times the law gamma Omega_th (dx^2+dy^2)/2 (hbar = 1), which takes no
+mode frequency: each sine-integral in the cumulative exponent tends to pi/2
+and the mode weights sum to one, so the prefactor is pi, not 1.  (The validation report tracks this as the
 criterion-2 finding.)
 
 Quantum regime with infrared mode frequencies: |rho/rho0| = (c t)^(-2) for
@@ -38,7 +38,7 @@ grid = np.logspace(-6, np.log10(0.7), 300)
 cs = curve(sys_hi, SD, hi, SEP, grid)
 win = (grid >= 0.05) & (grid <= 0.5) & (cs.err_flag == 0)
 slope = np.polyfit(grid[win], -np.log(cs.magnitude[win]), 1)[0]
-law = hightemp_rate(sys_hi, SD, hi, SEP)
+law = hightemp_rate(SD, hi, SEP)
 print("classical: fitted rate %.1f, analytic prefactor %.1f, ratio %.6f (pi = %.6f)"
       % (slope, law, slope / law, np.pi))
 

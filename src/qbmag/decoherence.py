@@ -6,7 +6,9 @@ The off-diagonal element at separation (dx, dy) decays as
     D1(t) = (dx^2 + dy^2) int_0^t lambda1,   D2(t) = 2 dx dy int_0^t lambda2,
 
 where the factor 2 in D2 matches the cross term of the decay-rate functional
-D(t) = lambda1 (dx^2+dy^2) + 2 lambda2 dx dy.  Both cumulative integrals are
+D(t) = lambda1 (dx^2+dy^2) + 2 lambda2 dx dy.  The two weights are formed in
+one place, ``Separation.weights``, which the exponents, the curves and the
+long-time laws read.  Both cumulative integrals are
 computed on a shared time grid in a single pass through the identity
 int_0^t (t-u) f(u) du = t c0(t) - c1(t) with c0, c1 the running moments of
 f = nu F (hbar = 1), so a whole curve costs one pass of kernel evaluations,
@@ -40,6 +42,7 @@ from .bath import (
     _oscillating_tail,
     _pole_sum,
     _reference_kernel_fn,
+    _require_finite,
     closed_kernel_error,
     noise_kernel_closed_parts,
     require_integrable,
@@ -64,14 +67,20 @@ METHODS = ("quadrature", "closed")  # the kernel paths of curves; see _kernel_fo
 
 @dataclass(frozen=True)
 class Separation:
-    """Off-diagonal position separations dx = x - x', dy = y - y'."""
+    """Off-diagonal position separations dx = x - x', dy = y - y', both
+    finite (DomainError otherwise)."""
 
     dx: float
     dy: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.dx) and np.isfinite(self.dy)):
-            raise DomainError("separations must be finite")
+        _require_finite(self, ("dx", "dy"))
+
+    @property
+    def weights(self):
+        """(dx^2 + dy^2, 2 dx dy), the weights of int lambda1 and int lambda2
+        in D = D1 + D2; every formula in D reads them here."""
+        return self.dx**2 + self.dy**2, 2.0 * self.dx * self.dy
 
 
 @dataclass(frozen=True)
@@ -190,8 +199,7 @@ def exponents(sys, sd, regime, sep, t):
     finite and >= 0 (DomainError otherwise)."""
     grid = np.array([float(_finite_nonnegative("t", t))])
     int_lam = _exponent_arrays(_moments(sys, sd, regime, grid), grid)[0]
-    d1 = (sep.dx**2 + sep.dy**2) * int_lam[0, 0]
-    d2 = 2.0 * sep.dx * sep.dy * int_lam[0, 1]
+    d1, d2 = int_lam[0] * sep.weights
     return DecoherenceExponent(complex(d1), complex(d2), float(t))
 
 
@@ -204,15 +212,16 @@ def density_ratio(sys, sd, regime, sep, t):
     return float(cs.magnitude[0]), float(cs.phase[0])
 
 
-def hightemp_rate(sys, sd, regime, sep):
+def hightemp_rate(sd, regime, sep):
     """Long-time classical decay rate gamma Omega_th (dx^2 + dy^2) / 2 of
     the bath ``sd`` in the high-temperature ``regime`` (DomainError otherwise).
 
-    Pure formula (no integration); independent of the cyclotron frequency.
+    Pure formula (no integration): gamma and Omega_th come from the bath
+    objects, and no mode frequency enters, so it takes no system.
     """
     if regime.kind is not RegimeKind.HIGH_TEMPERATURE:
         raise DomainError("hightemp_rate needs the high-temperature regime")
-    return sd.gamma * regime.omega_th * (sep.dx**2 + sep.dy**2) / 2.0
+    return sd.gamma * regime.omega_th * sep.weights[0] / 2.0
 
 
 def lowtemp_powerlaw(sys, sd, sep):
@@ -227,7 +236,7 @@ def lowtemp_powerlaw(sys, sd, sep):
     lam = sd.lam
     if lam <= mc.a_prime:
         raise DomainError("power law requires Lam > A'")
-    exponent = sd.gamma * (sep.dx**2 + sep.dy**2)
+    exponent = sd.gamma * sep.weights[0]
     gl = np.euler_gamma + np.log(lam)
     ap2, bp2 = mc.a_prime**2, mc.b_prime**2
     logc = (
@@ -336,7 +345,7 @@ def _bath_curves(sys, sd, regime, seps, grid, method, rows, mom):
     out = []
     for sep in seps:
         flags = fallback.copy()
-        pref = np.array([sep.dx**2 + sep.dy**2, 2.0 * sep.dx * sep.dy])
+        pref = np.array(sep.weights)
         # each row summed on its own, whatever the grid's length
         d = (int_lam * pref).sum(axis=1)
         dre = d.real

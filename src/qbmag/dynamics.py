@@ -315,15 +315,24 @@ def time_moments(sys, plans, grid):
     of a pass; time is O(nodes) for the layout plus O(nodes) per plan.  A
     kernel that overflows gives non-finite moments from that panel on,
     without numpy warnings; callers flag them.
+
+    RangeError, besides ``_panel_edges``'s, where a plan of floor 0, whose
+    kernel diverges at tau = 0, would meet a node that rounds to 0: the
+    innermost head panel spans the first grid time over 2^42, and below a
+    first time of about 2e-309 its lowest node rounds to 0.
     """
     layout = plans[0].layout
     if any(plan.layout != layout for plan in plans):
         raise ValueError("the plans of one pass must share their layout, got %r" % [p.layout for p in plans])
-    lam, until, _, split = layout
+    lam, until, floor, split = layout
     mc = mode_constants(sys)
     edges, counts = _panel_edges(grid, mc.a_prime + mc.b_prime, plans[0])
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     n_panels = len(mid)
+    # the lowest node, of the first panel, as the blocks below form it
+    if floor == 0.0 and n_panels and not mid[0] + half[0] * _rules._GX16[0] > 0.0:
+        start = float(grid[grid > 0][0])
+        raise RangeError("the time grid starts too close to 0: under its first time %r a Gauss node rounds to tau = 0, where the kernel diverges" % start)
     # the panels that take the kernel; the rest take its split
     n_head = int(np.searchsorted(edges[:-1], until)) if split else n_panels
     per_block = max(1, _NODE_BLOCK // 16)

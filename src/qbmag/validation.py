@@ -275,7 +275,7 @@ def check_criterion_2():
     hi = ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 1e3)
     sep = Separation(1.0, 1.0)
     rate, npts = _fit_rate(sys, sd, hi, sep, (0.05, 0.5))
-    law = decoherence.hightemp_rate(sys, sd, hi, sep)
+    law = decoherence.hightemp_rate(sd, hi, sep)
     return _result(
         "criterion-2",
         abs(rate - law) <= 0.05 * law,
@@ -437,27 +437,33 @@ def check_criterion_6():
     )
 
 
-def _ordering_curves(regime_kind, oth):
-    """Magnitude of the quadrature curve for each (s, cutoff) on one system
-    and grid, from one ``decoherence._curves_many`` call; each curve equals
-    its own ``decoherence.curve`` bit for bit."""
+#: the regimes criterion 7 orders, with their Omega_th
+_ORDERING_REGIMES = ((RegimeKind.LOW_TEMPERATURE, 0.01), (RegimeKind.HIGH_TEMPERATURE, 1e3))
+
+
+def _ordering_curves():
+    """Magnitude of the quadrature curve for each (s, cutoff) in each regime
+    of ``_ORDERING_REGIMES`` on one system and grid, keyed by the regime's
+    RegimeKind, then (s, cutoff): one ``decoherence._curves_many`` call,
+    whose curves of one panel layout share a pass whatever their regime;
+    each curve equals its own ``decoherence.curve`` bit for bit."""
     lam = 1e3
-    regime = ThermalRegime(regime_kind, oth)
     sys = SystemParams(omega0=10.0, omega_c=1.0)
     sep = Separation(1.0, 1.0)
     grid = np.logspace(np.log10(1e-3 / lam), np.log10(0.7), 240)
-    sds = [SpectralDensity(s, cutoff, lam, 1.0) for s in (0.5, 1.0, 1.5) for cutoff in Cutoff]
-    series = decoherence._curves_many(sys, [(sd, regime, [sep]) for sd in sds], grid)
-    return {(sd.s, sd.cutoff): one.magnitude for sd, (one,) in zip(sds, series)}
+    keys = [(ThermalRegime(rkind, oth), SpectralDensity(s, cutoff, lam, 1.0))
+            for rkind, oth in _ORDERING_REGIMES for s in (0.5, 1.0, 1.5) for cutoff in Cutoff]
+    series = decoherence._curves_many(sys, [(sd, regime, [sep]) for regime, sd in keys], grid)
+    out = {rkind: {} for rkind, _ in _ORDERING_REGIMES}
+    for (regime, sd), (one,) in zip(keys, series):
+        out[regime.kind][(sd.s, sd.cutoff)] = one.magnitude
+    return out
 
 
 def check_criterion_7():
     measured = {}
     ok = True
-    curves = {
-        rkind: _ordering_curves(rkind, oth)
-        for rkind, oth in ((RegimeKind.LOW_TEMPERATURE, 0.01), (RegimeKind.HIGH_TEMPERATURE, 1e3))
-    }
+    curves = _ordering_curves()
 
     # (a) Drude-Lorentz decays faster than exponential, mid-decay
     for rkind in curves:

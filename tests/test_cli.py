@@ -472,7 +472,7 @@ def test_grouped_sweep_matches_per_point_curves(tmp_path, monkeypatch, count_poo
     want = _tree(tmp_path / "want")
     statuses = [p["status"] for p in json.loads(want["manifest.json"])["points"]]
     assert len(statuses) == 36 and statuses.count("ok") == 16 and statuses.count("numerical-error") == 8
-    assert statuses.count("config-error: separations must be finite") == 12
+    assert statuses.count("config-error: dx must be finite, got nan") == 12
     flags = {line.rsplit(",", 1)[1] for name, text in want.items() if name.endswith(".csv")
              for line in text.decode().splitlines()[1:]}
     assert "2" in flags
@@ -972,13 +972,36 @@ def test_curve_from_a_subnormal_time_exits_without_traceback(tmp_path, capsys):
     err = "numerical error: the time grid starts too close to 0: a ladder of panels from 5e-324 climbs past the float range\n"
     assert capsys.readouterr().err == err
     assert not out.exists()
-    # the abrupt kernel's floor 1/Lam takes no ladder there, and gives a curve
-    cfg = write(tmp_path, "sub.cfg", SUBNORMAL_CFG.replace("cutoff=drude", "cutoff=abrupt"))
+    # the abrupt and exponential kernels' floor 1/Lam takes no ladder there,
+    # and they are finite at tau = 0, so each gives a curve
+    for cutoff in ("abrupt", "exp"):
+        cfg = write(tmp_path, "sub.cfg", SUBNORMAL_CFG.replace("cutoff=drude", "cutoff=" + cutoff))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["curve", "--config", cfg, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 200 and rows[0].startswith("5e-324,") and ",nan," not in out.read_text()
+
+
+# a first time whose head panels under a Drude-Lorentz kernel put a Gauss
+# node at tau = 0, where nu diverges, though the ladder still fits
+SUBNORMAL_HEAD_CFG = SUBNORMAL_CFG.replace("t_min=5e-324", "t_min=2e-309")
+
+
+def test_curve_whose_head_node_rounds_to_0_exits_without_warning(tmp_path, capsys):
+    # every row read NaN, with a RuntimeWarning, where the node met nu(0)
+    cfg = write(tmp_path, "sub.cfg", SUBNORMAL_HEAD_CFG)
+    out = tmp_path / "x.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["curve", "--config", cfg, "--out", str(out)]) == 0
-    rows = out.read_text().splitlines()[1:]
-    assert len(rows) == 200 and rows[0].startswith("5e-324,")
+        assert cli.main(["curve", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: the time grid starts too close to 0: ") and err.count("\n") == 1
+        assert not out.exists()
+        sweep = tmp_path / "sweep"
+        assert cli.run_sweep(parse_config(SUBNORMAL_HEAD_CFG + "dx=2\n"), str(sweep), workers=1) == 3
+    statuses = [p["status"] for p in json.loads(Path(sweep, "manifest.json").read_text())["points"]]
+    assert statuses == ["error: " + err.split(": ", 1)[1].rstrip("\n")] * 2
 
 
 def test_sweep_point_that_sets_hbar_is_a_config_error(tmp_path):

@@ -58,16 +58,14 @@ def test_exchange_and_sign_symmetries():
 
 
 def test_hightemp_rate_formula():
-    assert hightemp_rate(SYS, SD, HIGH, SEP) == 1e3
-    assert hightemp_rate(SYS, SD, HIGH, Separation(0.0, 0.0)) == 0.0
-    other = SystemParams(omega0=10.0, omega_c=10.0)
-    assert hightemp_rate(other, SD, HIGH, SEP) == hightemp_rate(SYS, SD, HIGH, SEP)
-    # gamma and Omega_th come from the bath objects
+    assert hightemp_rate(SD, HIGH, SEP) == 1e3
+    assert hightemp_rate(SD, HIGH, Separation(0.0, 0.0)) == 0.0
+    # gamma and Omega_th come from the bath objects, and no system enters
     sd = SpectralDensity(1.0, Cutoff.ABRUPT, 1e3, 0.5)
-    assert hightemp_rate(SYS, sd, ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 40.0), SEP) == 20.0
+    assert hightemp_rate(sd, ThermalRegime(RegimeKind.HIGH_TEMPERATURE, 40.0), SEP) == 20.0
     for regime in (LOW, ThermalRegime(RegimeKind.EXACT, 1e3)):
         with pytest.raises(DomainError, match="high-temperature"):
-            hightemp_rate(SYS, SD, regime, SEP)
+            hightemp_rate(SD, regime, SEP)
 
 
 def test_hightemp_cumulative_rate_has_pi_factor():
@@ -76,7 +74,25 @@ def test_hightemp_cumulative_rate_has_pi_factor():
     # reported by the validation suite (criterion-2).
     ex = exponents(SYS, SD, HIGH, SEP, 0.4)
     rate = ex.d1.real / 0.4
-    assert rate == pytest.approx(np.pi * hightemp_rate(SYS, SD, HIGH, SEP), rel=0.02)
+    assert rate == pytest.approx(np.pi * hightemp_rate(SD, HIGH, SEP), rel=0.02)
+
+
+# zero, negative and mixed components: each weight's sign and each zero
+_WEIGHT_SEPS = [Separation(*p) for p in ((0.0, 0.0), (0.0, -1.3), (-0.7, 0.0), (-0.7, -1.3), (0.7, -1.3), (-0.0, 2.5))]
+
+
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+@pytest.mark.parametrize("regime", [HIGH, LOW, ThermalRegime(RegimeKind.EXACT, 17.0)], ids=["high", "low", "exact"])
+def test_density_ratio_is_exp_of_the_exponents(cutoff, regime):
+    # D is formed once, from Separation.weights: the curve's point and the
+    # exponents at the same t agree bit for bit at every separation
+    sd = SpectralDensity(1.0, cutoff, 50.0)
+    sys = SystemParams(omega0=10.0, omega_c=1.0)
+    for sep in _WEIGHT_SEPS:
+        ex = exponents(sys, sd, regime, sep, 0.03)
+        d = ex.d1 + ex.d2
+        assert density_ratio(sys, sd, regime, sep, 0.03) == (np.exp(-d.real), -d.imag), sep
+    assert Separation(0.7, -1.3).weights == (0.7**2 + 1.3**2, -2.0 * 0.7 * 1.3)
 
 
 def test_lowtemp_powerlaw_constants():
@@ -651,8 +667,9 @@ def test_exact_regime_properties(cutoff, s, lam, oth_ratio, gamma, x):
 @pytest.mark.parametrize(
     "call, match",
     [
-        pytest.param(lambda: Separation(float("nan"), 1.0), "finite", id="<lambda>-finite0"),
-        pytest.param(lambda: Separation(1.0, float("inf")), "finite", id="<lambda>-finite1"),
+        # the shared rule bath._require_finite names the field
+        pytest.param(lambda: Separation(float("nan"), 1.0), "^dx must be finite, got nan$", id="<lambda>-finite0"),
+        pytest.param(lambda: Separation(1.0, float("inf")), "^dy must be finite, got inf$", id="<lambda>-finite1"),
         pytest.param(lambda: exponents(SYS, SD, HIGH, SEP, -1e-3), "t must be", id="<lambda>-t must be"),
         pytest.param(lambda: density_ratio(SYS, SD, HIGH, SEP, -1e-3), "t must be finite and >= 0", id="<lambda>-start at >= 0"),
         pytest.param(lambda: curve(SYS, SD, HIGH, SEP, np.array([0.01, 0.1]), "closd"), "method must be", id="<lambda>-method must be"),

@@ -136,22 +136,24 @@ def test_criterion_5_takes_scipy_once_per_argument_and_moments_once_per_time(mon
 
 
 def test_criterion_7_shares_a_pass_per_panel_layout(monkeypatch):
-    # the 18 ordering curves take one pass per regime and cutoff (6), the
-    # 8 field curves one each: 14 passes, against 26 with one per curve;
-    # each curve builds one plan
+    # the 18 ordering curves of both regimes take one pass per cutoff (3),
+    # since the regime is no part of a panel layout, and the 8 field
+    # curves one each: 11 passes, against 26 with one per curve; each
+    # curve builds one plan
     passes = _counted(monkeypatch, decoherence, "time_moments")
     plans = _counted(monkeypatch, decoherence, "_kernel_for")
     _run_alone(monkeypatch, validation.check_criterion_7)
-    assert (len(passes), len(plans)) == (14, 26)
+    assert (len(passes), len(plans)) == (11, 26)
 
 
 @pytest.mark.parametrize("rkind, oth", [(RegimeKind.LOW_TEMPERATURE, 0.01), (RegimeKind.HIGH_TEMPERATURE, 1e3)])
 def test_ordering_curves_are_their_own_curves(rkind, oth):
-    got = validation._ordering_curves(rkind, oth)
+    # the curves of both regimes come from one call
+    got = validation._ordering_curves()
     sys = SystemParams(omega0=10.0, omega_c=1.0)
     grid = np.logspace(np.log10(1e-3 / 1e3), np.log10(0.7), 240)
-    assert len(got) == 9
-    for (s, cutoff), magnitude in got.items():
+    assert list(got) == [RegimeKind.LOW_TEMPERATURE, RegimeKind.HIGH_TEMPERATURE] and len(got[rkind]) == 9
+    for (s, cutoff), magnitude in got[rkind].items():
         sd = SpectralDensity(s, cutoff, 1e3, 1.0)
         own = decoherence.curve(sys, sd, ThermalRegime(rkind, oth), decoherence.Separation(1.0, 1.0), grid)
         assert magnitude.tobytes() == own.magnitude.tobytes(), (s, cutoff)
