@@ -32,13 +32,20 @@ build the plans themselves.  ``--workers`` (default: every core) caps the
 pool; a ``--workers`` below 1 is a config error.  Every point file and the
 manifest are the same whichever way the passes ran.
 
+Every output is written to a hidden ``.qbmag-*`` file next to it, which
+then replaces it.  One function opens that file, and each command opens
+and removes one before its work, so an --out that the write would refuse
+is refused first: an --out of ``curve``, ``spectra`` or ``validate`` must
+name a file, and a sweep checks ``manifest.json`` in its directory once it
+has made it.
+
 Exit codes: 0 success, 1 validation failure, 2 config error (an --out that
-cannot be written included, found before any work), 3 numerical error
-(partial output is kept with the err_flag column set).
+cannot be written, config text that is not UTF-8 and a grid numpy cannot
+build included, found before any work), 3 numerical error (partial output
+is kept with the err_flag column set).
 """
 
 import argparse
-import errno
 import itertools
 import json
 import os
@@ -177,9 +184,9 @@ def _grid(cfg, var, spacing_key, lo, hi, n):
     """The grid of ``var`` ('t' or 'omega'): ``var``_points points (default n)
     from ``var``_min to ``var``_max (defaults lo, hi), spaced as the key
     ``spacing_key`` says; ConfigError unless 0 <= min < max, both finite,
-    and the points built are strictly increasing (too many points on too
-    short a span repeat some), naming the values in effect and which of
-    them are defaults."""
+    numpy can build the points and they are strictly increasing (too many
+    points on too short a span repeat some), naming the values in effect
+    and which of them are defaults."""
     keys = (var + "_min", var + "_max", var + "_points")
     lo, hi, n = values = [cfg.get(key, default) for key, default in zip(keys, (lo, hi, n))]
     got = ", ".join("%s = %r%s" % (key, v, "" if key in cfg else " (default)") for key, v in zip(keys, values))
@@ -189,36 +196,41 @@ def _grid(cfg, var, spacing_key, lo, hi, n):
         raise ConfigError("%s must be 'log' or 'linear'" % spacing_key)
     if cfg[spacing_key] == "log" and lo <= 0:
         raise ConfigError("log grid needs %s_min > 0" % var)
-    grid = np.logspace(np.log10(lo), np.log10(hi), n) if cfg[spacing_key] == "log" else np.linspace(lo, hi, n)
+    try:  # a point count numpy cannot hold
+        grid = np.logspace(np.log10(lo), np.log10(hi), n) if cfg[spacing_key] == "log" else np.linspace(lo, hi, n)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError("cannot build the %s grid (%s), got %s" % (var, exc, got))
     if not (grid[1:] > grid[:-1]).all():
         raise ConfigError("the %s grid repeats points; it must be strictly increasing, got %s" % (var, got))
     return grid
 
 
+def _open_temp(path):
+    """A new hidden file ``.qbmag-<hex>`` next to ``path``, open for writing
+    with the mode open(path, "w") gives, 0o666 & ~umask: (fd, its name).
+    ConfigError where ``path`` names a directory (an empty base name, as in
+    '' or 'dir/', or an existing directory) or the open fails (a missing or
+    unwritable directory)."""
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ConfigError("cannot write %s: it names a directory" % path)
+    tmp = os.path.join(os.path.dirname(path), ".qbmag-" + os.urandom(8).hex())
+    try:
+        return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc.strerror))
+
+
 def _require_writable(path):
-    """ConfigError unless ``path`` can name an output file: not a directory,
-    in an existing directory this process may write.  The commands check it
-    before their work; ``_atomic_write`` keeps its own checks for a path
-    that changes in between."""
-    if os.path.isdir(path):
-        raise ConfigError("cannot write %s: it is a directory" % path)
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-        raise ConfigError("cannot write %s: %s" % (path, os.strerror(code)))
-    if not os.access(parent, os.W_OK | os.X_OK):
-        raise ConfigError("cannot write %s: %s" % (path, os.strerror(errno.EACCES)))
+    """ConfigError unless ``_atomic_write`` can open its temp file for
+    ``path``, found by opening and removing one; the commands check this
+    before their work."""
+    fd, tmp = _open_temp(path)
+    os.close(fd)
+    os.unlink(tmp)
 
 
 def _atomic_write(path, text):
-    if os.path.isdir(path):
-        raise ConfigError("cannot write %s: it is a directory" % path)
-    # a unique temp name next to path, of the mode open(path, "w") gives: 0o666 & ~umask
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), ".qbmag-" + os.urandom(8).hex())
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # a missing or unwritable directory
-        raise ConfigError("cannot write %s: %s" % (path, exc.strerror))
+    fd, tmp = _open_temp(path)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
@@ -338,6 +350,7 @@ def run_sweep(cfg, out_dir, workers):
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # a file of that name, or an unwritable parent
         raise ConfigError("cannot write %s: %s" % (out_dir, exc.strerror))
+    _require_writable(os.path.join(out_dir, "manifest.json"))
     kernels = {}
     shared = {}
     entries = []
@@ -399,12 +412,10 @@ def run_validate(level, out_path):
 
 
 def _read_config(path):
-    if path is None:
-        return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config: %s" % exc)
 
 

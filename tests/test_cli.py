@@ -913,6 +913,9 @@ def test_curve_config_errors_exit_2(tmp_path, capsys, text, match):
         ("curve", COLLAPSED_CFG, "the t grid repeats points; it must be strictly increasing, got " + COLLAPSED_GOT),
         ("curve", COLLAPSED_CFG + "grid=linear\n", "the t grid repeats points"),
         ("spectra", "lam=3\nomega_min=1\nomega_max=1.0000000000000002\nomega_points=5\n", "the omega grid repeats points"),
+        # more points than numpy can hold, refused before it allocates any
+        ("curve", CURVE_CFG.replace("t_points=30", "t_points=%d" % 10**20), "cannot build the t grid (Maximum allowed size exceeded), got t_min = 1e-06 (default), t_max = 0.7 (default), t_points = %d" % 10**20),
+        ("spectra", "lam=3\nomega_grid=linear\nomega_points=%d\n" % 10**20, "cannot build the omega grid (Maximum allowed size exceeded), got omega_min = 1.0 (default)"),
     ],
 )
 def test_invalid_grid_or_method_exit_2_without_warning(tmp_path, capsys, command, text, match):
@@ -1038,6 +1041,16 @@ def test_atomic_write_cleans_up_after_a_failed_replace(tmp_path, monkeypatch):
         # a file named by an existing directory, a sweep's directory by a file
         ("curve", "taken"),
         ("sweep", "taken.txt"),
+        # paths with no base name, as typed: pathlib would drop the slash
+        ("curve", ""),
+        ("spectra", ""),
+        ("validate", ""),
+        ("curve", "missing/"),
+        ("spectra", "missing/"),
+        ("validate", "missing/"),
+        # an existing directory whose files cannot be created
+        ("sweep", "locked"),
+        ("curve", "locked/x.csv"),
     ],
 )
 def test_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, command, out):
@@ -1051,14 +1064,43 @@ def test_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, command, out):
         monkeypatch.setattr(cli, name, never)
     (tmp_path / "taken.txt").write_text("kept\n")
     (tmp_path / "taken").mkdir()
-    argv = [command, "--out", str(tmp_path / out)]
+    (tmp_path / "locked").mkdir()
+    # a directory this process may not write; as root a chmod would not
+    # stop the open, so the open itself refuses
+    real_open = os.open
+
+    def open_(path, *args, **kwargs):
+        if os.path.dirname(os.path.abspath(path)) == str(tmp_path / "locked"):
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", open_)
+    # '' is resolved against the working directory, one below tmp_path
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    target = out and os.path.join(str(tmp_path), out)
+    argv = [command, "--out", target]
     if command != "validate":
         argv += ["--config", write(tmp_path, "c.cfg", "lam=3\n" if command == "spectra" else CURVE_CFG)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: cannot write %s: " % (tmp_path / out)) and err.count("\n") == 1
-    assert (tmp_path / "taken.txt").read_text() == "kept\n" and not any((tmp_path / "taken").iterdir())
+    # a sweep names the manifest it checks in the directory it made
+    named = os.path.join(target, "manifest.json") if (command, out) == ("sweep", "locked") else target
+    assert err.startswith("config error: cannot write %s: " % named) and err.count("\n") == 1
+    assert (tmp_path / "taken.txt").read_text() == "kept\n"
+    assert not any((tmp_path / "taken").iterdir()) and not any((tmp_path / "locked").iterdir())
+    assert not (tmp_path / "missing").exists() and not any((tmp_path / "cwd").iterdir())
     assert not [p.name for p in tmp_path.rglob(".qbmag-*")]
+
+
+def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"lam=50\ns=1\xff\n")
+    out = tmp_path / "x.csv"
+    assert cli.main(["curve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 @pytest.fixture
